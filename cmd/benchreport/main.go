@@ -31,7 +31,7 @@ var emitJSON = false
 
 func main() {
 	var (
-		exp        = flag.String("exp", "all", "all | t1 | s1 | s2 | s3 | ablation | placement | trace_overhead | cluster_trace_overhead | transport_overhead | snapshot_overhead | wal_overhead | repl_overhead | pool_overhead | engine_hotpath")
+		exp        = flag.String("exp", "all", "all | t1 | s1 | s2 | s3 | ablation | placement | trace_overhead | cluster_trace_overhead | transport_overhead | snapshot_overhead | wal_overhead | repl_overhead | pool_overhead")
 		max        = flag.Int("max", 0, "sweep size override (0 = defaults)")
 		jsonOut    = flag.Bool("json", false, "also write machine-readable rows to BENCH_<exp>.json")
 		cpuProfile = flag.String("cpuprofile", "", "write a CPU profile of the selected experiments to this file")
@@ -90,22 +90,6 @@ func main() {
 	run("wal_overhead", func() error { return reportWALOverhead(*max) })
 	run("repl_overhead", func() error { return reportReplOverhead(*max) })
 	run("pool_overhead", func() error { return reportPoolOverhead(*max) })
-	run("engine_hotpath", func() error { return reportEngineHotpath(*max) })
-}
-
-func reportEngineHotpath(max int) error {
-	rows, err := experiments.EngineHotpath(max) // max doubles as the pipeline append count
-	if err != nil {
-		return err
-	}
-	header("Engine hot path — per-append diagnosis latency after the arena-storage overhaul; sequential vs 4-worker pool, baseline = pre-overhaul pool_overhead record",
-		"workload", "appends", "seq ns/append", "par ns/append", "baseline ns", "speedup", "equal?",
-		"derived", "replicated")
-	for _, r := range rows {
-		row(r.Workload, r.Appends, r.SeqNsPerAppend, r.ParNsPerAppend, r.BaselineNs,
-			fmt.Sprintf("%.2f", r.Speedup), r.DiagnosesEqual, r.SeqDerived, r.SeqReplicated)
-	}
-	return maybeBench("engine_hotpath", rows)
 }
 
 func reportPoolOverhead(max int) error {

@@ -2,7 +2,6 @@ package datalog
 
 import (
 	"errors"
-	"fmt"
 
 	"repro/internal/rel"
 	"repro/internal/term"
@@ -69,13 +68,13 @@ func (p *Program) Naive(b Budget) (*rel.DB, Stats) {
 }
 
 type evaluator struct {
-	p       *Program
-	db      *rel.DB
-	budget  Budget
-	stats   Stats
-	seeding bool
-	prev    map[rel.Name]int // watermark at start of previous round
-	cur     map[rel.Name]int // watermark at start of current round
+	db     *rel.DB
+	budget Budget
+	stats  Stats
+	k      Kernel
+	prev   map[rel.Name]int // watermark at start of previous round
+	cur    map[rel.Name]int // watermark at start of current round
+	win    []Window         // per-atom scan windows of the join being scheduled
 }
 
 func (p *Program) run(b Budget, seminaive bool) (*rel.DB, Stats) {
@@ -85,32 +84,32 @@ func (p *Program) run(b Budget, seminaive bool) (*rel.DB, Stats) {
 		panic(err) // callers validate first; an invalid program is a programming error here
 	}
 	e := &evaluator{
-		p:      p,
 		db:     rel.NewDB(p.Store),
 		budget: b,
 		prev:   make(map[rel.Name]int),
 		cur:    make(map[rel.Name]int),
 	}
+	e.k = Kernel{DB: e.db, Bnd: term.NewBindings(p.Store), MaxTermDepth: b.MaxTermDepth, Emit: e.emit}
 	// Create every relation up front so lookups never nil-check.
 	for name, ar := range arities {
 		e.db.Rel(name, ar)
 	}
 	// Seed extensional facts and ground-fact rules.
-	e.seeding = true
+	var rules []*CompiledRule
 	for _, f := range p.Facts {
-		e.insert(f.Rel, f.Args)
+		e.insert(e.db.Lookup(f.Rel), f.Args, &e.stats.Seeded)
 	}
 	for _, r := range p.Rules {
 		if r.IsFact() {
-			e.insert(r.Head.Rel, r.Head.Args)
+			e.insert(e.db.Lookup(r.Head.Rel), r.Head.Args, &e.stats.Seeded)
+			continue
 		}
+		rules = append(rules, Compile(r))
 	}
-	e.seeding = false
 
-	bnd := term.NewBindings(p.Store)
-	for e.stats.Iterations < b.MaxIters && !e.stats.Truncated {
+	fixpoint := false
+	for !fixpoint && e.stats.Iterations < b.MaxIters && !e.stats.Truncated {
 		e.stats.Iterations++
-		grew := false
 		for name := range e.cur {
 			e.cur[name] = 0
 		}
@@ -118,133 +117,67 @@ func (p *Program) run(b Budget, seminaive bool) (*rel.DB, Stats) {
 			e.cur[name] = e.db.Lookup(name).Len()
 		}
 		before := e.db.FactCount()
-		for _, r := range p.Rules {
-			if r.IsFact() {
-				continue
-			}
+		for _, r := range rules {
 			if seminaive && e.stats.Iterations > 1 {
 				// One pass per choice of delta atom.
 				for d := range r.Body {
-					dr := e.db.Lookup(r.Body[d].Rel)
-					if dr == nil || e.prev[r.Body[d].Rel] >= e.cur[r.Body[d].Rel] {
+					if e.prev[r.Body[d].Rel] >= e.cur[r.Body[d].Rel] {
 						continue // empty delta
 					}
-					e.joinBody(r, 0, d, bnd)
+					e.join(r, d)
 					if e.stats.Truncated {
 						break
 					}
 				}
 			} else {
-				e.joinBody(r, 0, -1, bnd)
+				e.join(r, -1)
 			}
 			if e.stats.Truncated {
 				break
 			}
 		}
-		grew = e.db.FactCount() > before
 		for name, c := range e.cur {
 			e.prev[name] = c
 		}
-		if !grew {
-			return e.db, e.stats
-		}
+		fixpoint = e.db.FactCount() == before
 	}
-	if !e.stats.Truncated && e.stats.Iterations >= b.MaxIters {
+	if !fixpoint && !e.stats.Truncated {
 		e.stats.Truncated = true
 		e.stats.Reason = "iteration budget"
 	}
+	e.stats.Attempts = e.k.Attempts
 	return e.db, e.stats
 }
 
-// window returns the scan window [lo,hi) for body atom j when the delta
-// atom is at index d (d < 0 means naive: full current window everywhere).
-func (e *evaluator) window(r Rule, j, d int) (int, int) {
-	name := r.Body[j].Rel
-	switch {
-	case d < 0 || j < d:
-		return 0, e.cur[name]
-	case j == d:
-		return e.prev[name], e.cur[name]
-	default:
-		return 0, e.prev[name]
+// join schedules one instantiation pass of r with the delta atom at index
+// d (d < 0 means naive: the full current window everywhere): atoms before
+// d see everything up to this round's watermark, d itself only the
+// previous round's additions, atoms after d only what preceded those.
+func (e *evaluator) join(r *CompiledRule, d int) {
+	e.win = e.win[:0]
+	for j, a := range r.Body {
+		switch {
+		case d < 0 || j < d:
+			e.win = append(e.win, Window{0, e.cur[a.Rel]})
+		case j == d:
+			e.win = append(e.win, Window{e.prev[a.Rel], e.cur[a.Rel]})
+		default:
+			e.win = append(e.win, Window{0, e.prev[a.Rel]})
+		}
 	}
+	e.k.Join(r, e.win, -1, nil)
 }
 
-// joinBody extends bindings over body atoms j..n-1 and emits head facts.
-func (e *evaluator) joinBody(r Rule, j, d int, bnd *term.Bindings) {
-	if e.stats.Truncated {
-		return
-	}
-	if j == len(r.Body) {
-		e.emit(r, bnd)
-		return
-	}
-	atom := r.Body[j]
-	relation := e.db.Lookup(atom.Rel)
-	lo, hi := e.window(r, j, d)
-
-	// Build an index key from arguments that are ground under the current
-	// bindings; non-ground arguments are matched per candidate tuple.
-	var mask uint64
-	key := make([]term.ID, len(atom.Args))
-	resolved := make([]term.ID, len(atom.Args))
-	for i, a := range atom.Args {
-		t := bnd.Resolve(a)
-		resolved[i] = t
-		if e.p.Store.IsGround(t) {
-			mask |= 1 << uint(i)
-			key[i] = t
-		}
-	}
-	relation.Scan(mask, key, lo, hi, func(_ int, tuple []term.ID) bool {
-		mark := bnd.Mark()
-		ok := true
-		for i, pat := range resolved {
-			if mask&(1<<uint(i)) != 0 {
-				continue // already matched via the index
-			}
-			if !bnd.Match(pat, tuple[i]) {
-				ok = false
-				break
-			}
-		}
-		if ok {
-			e.joinBody(r, j+1, d, bnd)
-		}
-		bnd.Undo(mark)
-		return !e.stats.Truncated
-	})
+// emit is the kernel's continuation: materialize the head, stop the join
+// once the fact budget is hit.
+func (e *evaluator) emit(r *CompiledRule, head []term.ID) bool {
+	e.insert(r.HeadRel(e.db), head, &e.stats.Derived)
+	return !e.stats.Truncated
 }
 
-// emit checks the rule's inequality constraints and materializes the head.
-func (e *evaluator) emit(r Rule, bnd *term.Bindings) {
-	for _, n := range r.Neqs {
-		if bnd.Resolve(n.X) == bnd.Resolve(n.Y) {
-			return
-		}
-	}
-	e.stats.Attempts++
-	args := make([]term.ID, len(r.Head.Args))
-	for i, a := range r.Head.Args {
-		t := bnd.Resolve(a)
-		if !e.p.Store.IsGround(t) {
-			panic(fmt.Sprintf("datalog: derived non-ground fact from %s", r.String(e.p.Store)))
-		}
-		if e.budget.MaxTermDepth > 0 && e.p.Store.Depth(t) > e.budget.MaxTermDepth {
-			return // depth gadget: drop, do not truncate
-		}
-		args[i] = t
-	}
-	e.insert(r.Head.Rel, args)
-}
-
-func (e *evaluator) insert(name rel.Name, args []term.ID) {
-	if e.db.Lookup(name).Insert(args) {
-		if e.seeding {
-			e.stats.Seeded++
-		} else {
-			e.stats.Derived++
-		}
+func (e *evaluator) insert(into *rel.Relation, args []term.ID, counter *int) {
+	if into.Insert(args) {
+		*counter++
 		if e.db.FactCount() >= e.budget.MaxFacts {
 			e.stats.Truncated = true
 			e.stats.Reason = "fact budget"
@@ -257,37 +190,22 @@ func (e *evaluator) insert(name rel.Name, args []term.ID) {
 // order, for every matching tuple of the pattern's relation. The returned
 // tuples are deduplicated and deterministic (insertion order of db).
 func Answers(db *rel.DB, store *term.Store, q Atom) [][]term.ID {
-	relation := db.Lookup(q.Rel)
-	if relation == nil {
+	if db.Lookup(q.Rel) == nil {
 		return nil
 	}
 	var qvars []term.ID
 	for _, a := range q.Args {
 		qvars = store.Vars(qvars, a)
 	}
-	bnd := term.NewBindings(store)
+	// The query is the one-atom rule ans(qvars) :- q, joined once.
 	seen := rel.New(len(qvars))
 	var out [][]term.ID
-	relation.Scan(0, nil, 0, relation.Len(), func(_ int, tuple []term.ID) bool {
-		mark := bnd.Mark()
-		ok := true
-		for i, pat := range q.Args {
-			if !bnd.Match(pat, tuple[i]) {
-				ok = false
-				break
-			}
+	k := Kernel{DB: db, Bnd: term.NewBindings(store), Emit: func(_ *CompiledRule, row []term.ID) bool {
+		if pos, added := seen.InsertPos(row); added {
+			out = append(out, seen.At(pos))
 		}
-		if ok {
-			row := make([]term.ID, len(qvars))
-			for i, v := range qvars {
-				row[i] = bnd.Resolve(v)
-			}
-			if seen.Insert(row) {
-				out = append(out, row)
-			}
-		}
-		bnd.Undo(mark)
 		return true
-	})
+	}}
+	k.Join(Compile(Rule{Head: Atom{Args: qvars}, Body: []Atom{q}}), nil, -1, nil)
 	return out
 }

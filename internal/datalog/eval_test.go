@@ -323,3 +323,78 @@ func BenchmarkSemiNaiveTCChain100(b *testing.B) {
 		}
 	}
 }
+
+// TestStatsPinned pins Stats{Iterations,Seeded,Derived,Attempts} of this
+// file's programs, semi-naive and naive, to the values the evaluator
+// produced before its body join moved into the shared kernel: scheduling
+// (rounds, watermarks, budgets) must not have moved with it.
+func TestStatsPinned(t *testing.T) {
+	chain := func(n int) [][2]string {
+		var edges [][2]string
+		for i := 0; i < n; i++ {
+			edges = append(edges, [2]string{name(i), name(i + 1)})
+		}
+		return edges
+	}
+	nat := func() *Program {
+		s := term.NewStore()
+		p := NewProgram(s)
+		x := s.Variable("X")
+		p.AddFact(A("nat", s.Constant("z")))
+		p.AddRule(Rule{Head: A("nat", s.Compound("s", x)), Body: []Atom{A("nat", x)}})
+		return p
+	}
+	neqPairs := func() *Program {
+		s := term.NewStore()
+		p := NewProgram(s)
+		x, y := s.Variable("X"), s.Variable("Y")
+		p.AddFact(A("n", s.Constant("a")))
+		p.AddFact(A("n", s.Constant("b")))
+		p.AddRule(Rule{Head: A("pair", x, y), Body: []Atom{A("n", x), A("n", y)}, Neqs: []Neq{{x, y}}})
+		return p
+	}
+	compoundBody := func() *Program {
+		s := term.NewStore()
+		p := NewProgram(s)
+		x, y := s.Variable("X"), s.Variable("Y")
+		p.AddFact(A("holds", s.Compound("f", s.Constant("a"), s.Constant("b"))))
+		p.AddFact(A("holds", s.Constant("junk")))
+		p.AddRule(Rule{Head: A("parentOf", x, y), Body: []Atom{A("holds", s.Compound("f", x, y))}})
+		return p
+	}
+	factRule := func() *Program {
+		s := term.NewStore()
+		p := NewProgram(s)
+		p.AddRule(Rule{Head: A("r", s.Constant("a"))})
+		return p
+	}
+	type counts [4]int // Iterations, Seeded, Derived, Attempts
+	for _, tc := range []struct {
+		name        string
+		build       func() *Program
+		budget      Budget
+		semi, naive counts
+	}{
+		{"chain3", func() *Program { return buildTC(chain(3)) }, Budget{}, counts{4, 3, 6, 6}, counts{4, 3, 6, 20}},
+		{"cycle2", func() *Program { return buildTC([][2]string{{"a", "b"}, {"b", "a"}}) }, Budget{}, counts{3, 2, 4, 6}, counts{3, 2, 4, 12}},
+		{"graph5", func() *Program {
+			return buildTC([][2]string{{"a", "b"}, {"b", "c"}, {"c", "a"}, {"c", "d"}, {"d", "e"}})
+		}, Budget{}, counts{5, 5, 16, 21}, counts{5, 5, 16, 71}},
+		{"chain30", func() *Program { return buildTC(chain(30)) }, Budget{}, counts{31, 30, 465, 465}, counts{31, 30, 465, 9920}},
+		{"natDepth5", nat, Budget{MaxTermDepth: 5}, counts{6, 1, 5, 6}, counts{6, 1, 5, 21}},
+		{"natFacts100", nat, Budget{MaxFacts: 100}, counts{99, 1, 99, 99}, counts{99, 1, 99, 4950}},
+		{"natIters7", nat, Budget{MaxIters: 7}, counts{7, 1, 7, 7}, counts{7, 1, 7, 28}},
+		{"neqPairs", neqPairs, Budget{}, counts{2, 2, 2, 2}, counts{2, 2, 2, 4}},
+		{"compoundBody", compoundBody, Budget{}, counts{2, 2, 1, 1}, counts{2, 2, 1, 2}},
+		{"factRule", factRule, Budget{}, counts{1, 1, 0, 0}, counts{1, 1, 0, 0}},
+	} {
+		_, st := tc.build().SemiNaive(tc.budget)
+		if got := (counts{st.Iterations, st.Seeded, st.Derived, st.Attempts}); got != tc.semi {
+			t.Errorf("%s semi-naive: stats %v, want %v", tc.name, got, tc.semi)
+		}
+		_, st = tc.build().Naive(tc.budget)
+		if got := (counts{st.Iterations, st.Seeded, st.Derived, st.Attempts}); got != tc.naive {
+			t.Errorf("%s naive: stats %v, want %v", tc.name, got, tc.naive)
+		}
+	}
+}

@@ -2,6 +2,7 @@ package ddatalog
 
 import (
 	"fmt"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -66,18 +67,24 @@ type Engine struct {
 	// earlier rounds remain extractable in later ones.
 	colStore *term.Store
 	colDB    *rel.DB
+	// hookMu serializes this engine's peers inside the activation hook:
+	// hooks (the online rewriters) intern new terms into prog.Store, which
+	// is not safe for concurrent mutation.
+	hookMu sync.Mutex
 }
 
 // peerState is the private state of one peer; only its own goroutine
 // touches it after Run starts.
 type peerState struct {
-	eng        *Engine
-	id         dist.PeerID
-	store      *term.Store
-	db         *rel.DB
-	bnd        *term.Bindings
-	rules      []PRule           // hosted rules, re-interned into store
-	crules     []crule           // compiled forms, parallel to rules
+	eng   *Engine
+	id    dist.PeerID
+	store *term.Store
+	db    *rel.DB
+	// k matches every rule body evaluated at this peer; its continuation is
+	// ps.emit, which needs the handler turn in progress (ctx) to send.
+	k          datalog.Kernel
+	ctx        *dist.Context
+	rules      []hostedRule      // hosted rules, interned in store
 	active     map[rel.Name]bool // qualified local relations activated
 	requested  map[rel.Name]bool // qualified remote relations already activated
 	subs       map[rel.Name][]dist.PeerID
@@ -89,53 +96,47 @@ type peerState struct {
 	replicated int
 	installed  int              // rules installed at runtime (hook or wire.Install)
 	derivedBy  map[rel.Name]int // facts per head relation; tracked only while tracing
-	// Join scratch, reused across every evaluation at this peer: one
-	// key/resolved pair per body depth (joinFrom at depth j owns entry j;
-	// deeper recursion uses higher entries) and one head-argument buffer
-	// (emit is not re-entrant — derivations queue in pending instead of
-	// recursing). Keeping these on the peer makes a delta join allocate
-	// nothing per probed tuple.
-	keybuf  [][]term.ID
-	resbuf  [][]term.ID
-	headbuf []term.ID
 }
 
-// crule caches the derived, hot parts of a rule so the join inner loop
-// never rebuilds a qualified name ("rel@peer" concatenation) or re-hashes a
-// relation name: the qualified head and body names are computed once at
-// install time, and the relation pointers are filled lazily on first use
-// (DB.Rel never replaces a relation, so a cached pointer stays valid).
-type crule struct {
-	headQ   rel.Name
-	headRel *rel.Relation
-	body    []catom
+// hostedRule is one rule of a peer's program: the located form it arrived
+// in (activation routing, snapshots) and the kernel's compiled form over
+// qualified relation names, so the join never rebuilds a "rel@peer" name
+// or re-hashes one.
+type hostedRule struct {
+	PRule
+	c *datalog.CompiledRule
 }
 
-type catom struct {
-	q rel.Name
-	r *rel.Relation
-}
-
-// compileRule precomputes a rule's qualified relation names.
-func compileRule(r PRule) crule {
-	cr := crule{headQ: r.Head.Qualified(), body: make([]catom, len(r.Body))}
-	for i, a := range r.Body {
-		cr.body[i] = catom{q: a.Qualified()}
+func newPeerState(e *Engine, id dist.PeerID, store *term.Store, db *rel.DB) *peerState {
+	ps := &peerState{
+		eng:       e,
+		id:        id,
+		store:     store,
+		db:        db,
+		active:    make(map[rel.Name]bool),
+		requested: make(map[rel.Name]bool),
+		subs:      make(map[rel.Name][]dist.PeerID),
+		bodyIdx:   make(map[rel.Name][]ruleAt),
+		arity:     make(map[rel.Name]int),
+		hooked:    make(map[rel.Name]bool),
+		derivedBy: make(map[rel.Name]int),
 	}
-	return cr
+	ps.k = datalog.Kernel{DB: db, Bnd: term.NewBindings(store), MaxTermDepth: e.budget.MaxTermDepth, Emit: ps.emit}
+	return ps
 }
 
-// scratch returns entry j of a per-depth buffer list, sized to n IDs.
-func scratch(bufs *[][]term.ID, j, n int) []term.ID {
-	for len(*bufs) <= j {
-		*bufs = append(*bufs, nil)
+// host appends r (interned in ps.store) to the peer's program, indexing
+// its body occurrences, and returns its rule index.
+func (ps *peerState) host(r PRule) int {
+	ri := len(ps.rules)
+	c := r.compile()
+	ps.rules = append(ps.rules, hostedRule{r, c})
+	ps.noteArity(c.Head.Rel, len(c.Head.Args))
+	for ai, a := range c.Body {
+		ps.noteArity(a.Rel, len(a.Args))
+		ps.bodyIdx[a.Rel] = append(ps.bodyIdx[a.Rel], ruleAt{rule: ri, atom: ai})
 	}
-	b := (*bufs)[j]
-	if cap(b) < n {
-		b = make([]term.ID, n)
-		(*bufs)[j] = b
-	}
-	return b[:n]
+	return ri
 }
 
 // pendingFact is a newly materialized fact whose delta joins have not run
@@ -198,21 +199,8 @@ func NewEngineHosted(prog *Program, budget datalog.Budget, hosted []dist.PeerID)
 		if !hostHere(id) {
 			continue
 		}
-		ps := &peerState{
-			eng:       e,
-			id:        id,
-			store:     term.NewStore(),
-			active:    make(map[rel.Name]bool),
-			requested: make(map[rel.Name]bool),
-			subs:      make(map[rel.Name][]dist.PeerID),
-			bodyIdx:   make(map[rel.Name][]ruleAt),
-			arity:     make(map[rel.Name]int),
-			hooked:    make(map[rel.Name]bool),
-			derivedBy: make(map[rel.Name]int),
-		}
-		ps.db = rel.NewDB(ps.store)
-		ps.bnd = term.NewBindings(ps.store)
-		e.peers[id] = ps
+		store := term.NewStore()
+		e.peers[id] = newPeerState(e, id, store, rel.NewDB(store))
 		e.order = append(e.order, id)
 	}
 
@@ -226,20 +214,7 @@ func NewEngineHosted(prog *Program, budget datalog.Budget, hosted []dist.PeerID)
 		if ps == nil {
 			continue
 		}
-		ps.rules = append(ps.rules, reintern(src, ps.store, r))
-	}
-	for i := range e.order {
-		ps := e.peers[e.order[i]]
-		for ri, r := range ps.rules {
-			cr := compileRule(r)
-			ps.noteArity(cr.headQ, len(r.Head.Args))
-			for ai, a := range r.Body {
-				q := cr.body[ai].q
-				ps.noteArity(q, len(a.Args))
-				ps.bodyIdx[q] = append(ps.bodyIdx[q], ruleAt{rule: ri, atom: ai})
-			}
-			ps.crules = append(ps.crules, cr)
-		}
+		ps.host(ps.internRule(externRule(src, r)))
 	}
 	for _, f := range prog.Facts {
 		ps := e.peers[f.Peer]
@@ -252,23 +227,6 @@ func NewEngineHosted(prog *Program, budget datalog.Budget, hosted []dist.PeerID)
 		ps.rel(q, len(args)).Insert(args)
 	}
 	return e, nil
-}
-
-func reintern(src, dst *term.Store, r PRule) PRule {
-	conv := func(a PAtom) PAtom {
-		return PAtom{Rel: a.Rel, Peer: a.Peer, Args: dst.InternalizeTuple(src.ExternalizeTuple(a.Args))}
-	}
-	out := PRule{Head: conv(r.Head)}
-	for _, a := range r.Body {
-		out.Body = append(out.Body, conv(a))
-	}
-	for _, n := range r.Neqs {
-		out.Neqs = append(out.Neqs, datalog.Neq{
-			X: dst.Internalize(src.Externalize(n.X)),
-			Y: dst.Internalize(src.Externalize(n.Y)),
-		})
-	}
-	return out
 }
 
 func (ps *peerState) noteArity(q rel.Name, n int) {
@@ -284,6 +242,7 @@ func (ps *peerState) rel(q rel.Name, arity int) *rel.Relation {
 
 // handle processes one network message for the peer.
 func (ps *peerState) handle(ctx *dist.Context, m dist.Message) {
+	ps.ctx = ctx
 	switch msg := m.Payload.(type) {
 	case wire.Activate:
 		ps.activateLocal(ctx, msg.Rel, m.From)
@@ -322,7 +281,7 @@ func (ps *peerState) drain(ctx *dist.Context) {
 	for len(ps.pending) > 0 && !ps.eng.aborted.Load() && !ctx.Stopped() {
 		f := ps.pending[0]
 		ps.pending = ps.pending[1:]
-		ps.deltaJoin(ctx, f.q, f.args)
+		ps.deltaJoin(f.q, f.args)
 	}
 }
 
@@ -367,7 +326,7 @@ func (ps *peerState) activateLocal(ctx *dist.Context, r rel.Name, subscriber dis
 			ps.activateBody(ctx, a)
 		}
 		// Initial full evaluation of the newly activated rule.
-		ps.evalRule(ctx, ri, -1, nil)
+		ps.k.Join(ps.rules[ri].c, nil, -1, nil)
 	}
 }
 
@@ -384,117 +343,23 @@ func (ps *peerState) activateBody(ctx *dist.Context, a PAtom) {
 }
 
 // deltaJoin re-evaluates every hosted rule that uses q in its body, pinning
-// the occurrence to the new tuple.
-func (ps *peerState) deltaJoin(ctx *dist.Context, q rel.Name, tuple []term.ID) {
+// the occurrence to the new tuple; the other atoms scan their full local
+// replicas.
+func (ps *peerState) deltaJoin(q rel.Name, tuple []term.ID) {
 	for _, occ := range ps.bodyIdx[q] {
-		if !ps.active[ps.crules[occ.rule].headQ] {
-			continue
+		if c := ps.rules[occ.rule].c; ps.active[c.Head.Rel] {
+			ps.k.Join(c, nil, occ.atom, tuple)
 		}
-		ps.evalRule(ctx, occ.rule, occ.atom, tuple)
 	}
 }
 
-// evalRule joins the body of rule ri left to right. If pin >= 0, body atom
-// `pin` is matched only against pinned (the delta tuple); other atoms scan
-// their full local replicas.
-func (ps *peerState) evalRule(ctx *dist.Context, ri, pin int, pinned []term.ID) {
-	ps.joinFrom(ctx, ri, 0, pin, pinned)
-}
-
-func (ps *peerState) joinFrom(ctx *dist.Context, ri, j, pin int, pinned []term.ID) {
-	r := &ps.rules[ri]
-	if j == len(r.Body) {
-		ps.emit(ctx, ri)
-		return
-	}
-	a := &r.Body[j]
-	if j == pin {
-		mark := ps.bnd.Mark()
-		ok := true
-		for i, pat := range a.Args {
-			if !ps.bnd.Match(ps.bnd.Resolve(pat), pinned[i]) {
-				ok = false
-				break
-			}
-		}
-		if ok {
-			ps.joinFrom(ctx, ri, j+1, pin, pinned)
-		}
-		ps.bnd.Undo(mark)
-		return
-	}
-	ca := &ps.crules[ri].body[j]
-	relation := ca.r
-	if relation == nil {
-		if relation = ps.db.Lookup(ca.q); relation == nil {
-			return
-		}
-		ca.r = relation
-	}
-	var mask uint64
-	key := scratch(&ps.keybuf, j, len(a.Args))
-	resolved := scratch(&ps.resbuf, j, len(a.Args))
-	for i, t := range a.Args {
-		rt := ps.bnd.Resolve(t)
-		resolved[i] = rt
-		if ps.store.IsGround(rt) {
-			mask |= 1 << uint(i)
-			key[i] = rt
-		}
-	}
-	relation.Scan(mask, key, 0, relation.Len(), func(_ int, tuple []term.ID) bool {
-		mark := ps.bnd.Mark()
-		ok := true
-		for i, pat := range resolved {
-			if mask&(1<<uint(i)) != 0 {
-				continue
-			}
-			if !ps.bnd.Match(pat, tuple[i]) {
-				ok = false
-				break
-			}
-		}
-		if ok {
-			ps.joinFrom(ctx, ri, j+1, pin, pinned)
-		}
-		ps.bnd.Undo(mark)
-		return true
-	})
-}
-
-// emit materializes the head of a satisfied rule body and propagates it.
-// The head arguments are resolved into the peer's reusable buffer;
-// deriveFact copies them into the relation's arena before anything retains
-// them.
-func (ps *peerState) emit(ctx *dist.Context, ri int) {
-	r := &ps.rules[ri]
-	for _, n := range r.Neqs {
-		if ps.bnd.Resolve(n.X) == ps.bnd.Resolve(n.Y) {
-			return
-		}
-	}
-	n := len(r.Head.Args)
-	if cap(ps.headbuf) < n {
-		ps.headbuf = make([]term.ID, n)
-	}
-	args := ps.headbuf[:n]
-	for i, t := range r.Head.Args {
-		rt := ps.bnd.Resolve(t)
-		if !ps.store.IsGround(rt) {
-			panic(fmt.Sprintf("ddatalog: derived non-ground fact from %s", r.String(ps.store)))
-		}
-		if ps.eng.budget.MaxTermDepth > 0 && ps.store.Depth(rt) > ps.eng.budget.MaxTermDepth {
-			return // depth gadget (Section 4.4): silently dropped
-		}
-		args[i] = rt
-	}
-	cr := &ps.crules[ri]
-	relation := cr.headRel
-	if relation == nil {
-		relation = ps.rel(cr.headQ, n)
-		cr.headRel = relation
-	}
-	ps.deriveInto(ctx, relation, cr.headQ, args)
+// emit is the kernel's continuation: it materializes the head of a
+// satisfied rule body and propagates it. head is the kernel's reusable
+// buffer; deriveInto copies it into the relation's arena before anything
+// retains it.
+func (ps *peerState) emit(r *datalog.CompiledRule, head []term.ID) bool {
+	ps.deriveInto(ps.ctx, r.HeadRel(ps.db), r.Head.Rel, head)
+	return true
 }
 
 // deriveFact inserts a locally owned fact, forwards it to subscribers and

@@ -1,8 +1,6 @@
 package ddatalog
 
 import (
-	"sync"
-
 	"repro/internal/datalog"
 	"repro/internal/dist"
 	"repro/internal/rel"
@@ -30,11 +28,6 @@ func (e *Engine) SetActivationHook(h ActivationHook) {
 	e.hook = h
 }
 
-// hookStore serializes access to the shared program store during hook
-// execution: hooks (the online rewriters) intern new terms into the
-// program store, which is not safe for concurrent mutation.
-var hookMu sync.Mutex
-
 // runHook invokes the engine hook once per (peer, relation), routing the
 // returned rules: local ones are installed now, remote ones shipped.
 func (ps *peerState) runHook(ctx *dist.Context, relName rel.Name) {
@@ -47,19 +40,19 @@ func (ps *peerState) runHook(ctx *dist.Context, relName rel.Name) {
 	}
 	ps.hooked[key] = true
 
-	hookMu.Lock()
+	ps.eng.hookMu.Lock()
 	rules := ps.eng.hook(ps.id, relName)
 	var local []PRule
 	var remote []wire.Install
 	src := ps.eng.prog.Store
 	for _, r := range rules {
 		if r.Head.Peer == ps.id {
-			local = append(local, reintern(src, ps.store, r))
+			local = append(local, ps.internRule(externRule(src, r)))
 		} else {
 			remote = append(remote, wire.Install{Rule: externRule(src, r)})
 		}
 	}
-	hookMu.Unlock()
+	ps.eng.hookMu.Unlock()
 
 	for _, r := range local {
 		ps.installRule(ctx, r)
@@ -74,7 +67,7 @@ func externRule(s *term.Store, r PRule) wire.Rule {
 	conv := func(a PAtom) wire.Atom {
 		return wire.Atom{Rel: a.Rel, Peer: string(a.Peer), Args: s.ExternalizeTuple(a.Args)}
 	}
-	out := wire.Rule{Head: conv(r.Head)}
+	out := wire.Rule{Head: conv(r.Head), Body: make([]wire.Atom, 0, len(r.Body))}
 	for _, a := range r.Body {
 		out.Body = append(out.Body, conv(a))
 	}
@@ -93,7 +86,7 @@ func (ps *peerState) internRule(w wire.Rule) PRule {
 	conv := func(a wire.Atom) PAtom {
 		return PAtom{Rel: a.Rel, Peer: dist.PeerID(a.Peer), Args: ps.store.InternalizeTuple(a.Args)}
 	}
-	out := PRule{Head: conv(w.Head)}
+	out := PRule{Head: conv(w.Head), Body: make([]PAtom, 0, len(w.Body))}
 	for _, a := range w.Body {
 		out.Body = append(out.Body, conv(a))
 	}
@@ -114,20 +107,11 @@ func (ps *peerState) installRule(ctx *dist.Context, r PRule) {
 	if ps.eng.traceOn {
 		ps.eng.tracer.Instant(string(ps.id), "install "+string(r.Head.Qualified()))
 	}
-	ri := len(ps.rules)
-	ps.rules = append(ps.rules, r)
-	cr := compileRule(r)
-	ps.noteArity(cr.headQ, len(r.Head.Args))
-	for ai, a := range r.Body {
-		q := cr.body[ai].q
-		ps.noteArity(q, len(a.Args))
-		ps.bodyIdx[q] = append(ps.bodyIdx[q], ruleAt{rule: ri, atom: ai})
-	}
-	ps.crules = append(ps.crules, cr)
-	if ps.active[cr.headQ] {
+	ri := ps.host(r)
+	if c := ps.rules[ri].c; ps.active[c.Head.Rel] {
 		for _, a := range r.Body {
 			ps.activateBody(ctx, a)
 		}
-		ps.evalRule(ctx, ri, -1, nil)
+		ps.k.Join(c, nil, -1, nil)
 	}
 }

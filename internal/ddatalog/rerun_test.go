@@ -1,10 +1,13 @@
 package ddatalog
 
 import (
+	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/datalog"
+	"repro/internal/dist"
+	"repro/internal/rel"
 	"repro/internal/term"
 )
 
@@ -119,5 +122,48 @@ func TestRunRepeatedSameQuery(t *testing.T) {
 	}
 	if second.Stats.Net.MessagesSent > 3 {
 		t.Fatalf("idle rerun sent %d messages", second.Stats.Net.MessagesSent)
+	}
+}
+
+// TestActivationHooksOfTwoEnginesOverlap: the lock around an activation
+// hook protects one engine's program store, so two engines (two sessions
+// in one diagnosed process) must be able to sit inside their hooks at the
+// same time. Each engine's first hook call waits for the other's.
+func TestActivationHooksOfTwoEnginesOverlap(t *testing.T) {
+	arrived := make(chan struct{}, 2)
+	release := make(chan struct{})
+	done := make(chan error, 2)
+	for i := 0; i < 2; i++ {
+		prog, q := reachProgram(term.NewStore(), [][2]string{{"1", "2"}, {"2", "3"}})
+		eng, err := NewEngine(prog, datalog.Budget{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var first sync.Once
+		eng.SetActivationHook(func(dist.PeerID, rel.Name) []PRule {
+			first.Do(func() {
+				arrived <- struct{}{}
+				<-release
+			})
+			return nil
+		})
+		go func() {
+			_, err := eng.Run(q, 30*time.Second)
+			done <- err
+		}()
+	}
+	for i := 0; i < 2; i++ {
+		select {
+		case <-arrived:
+		case <-time.After(5 * time.Second):
+			t.Errorf("only %d of 2 engines entered their activation hook: hooks of distinct engines serialize", i)
+			i = 2
+		}
+	}
+	close(release)
+	for i := 0; i < 2; i++ {
+		if err := <-done; err != nil {
+			t.Error(err)
+		}
 	}
 }

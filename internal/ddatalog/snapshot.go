@@ -183,7 +183,7 @@ func (e *Engine) EncodeSnapshot(w *snapshot.Writer) error {
 		ps.db.EncodeSnapshot(w)
 		w.Uvarint(uint64(len(ps.rules)))
 		for _, ru := range ps.rules {
-			EncodePRuleSnapshot(w, ru)
+			EncodePRuleSnapshot(w, ru.PRule)
 		}
 		for _, set := range []map[rel.Name]bool{ps.active, ps.requested, ps.hooked} {
 			names := sortedNames(set)
@@ -281,27 +281,19 @@ func DecodeEngineSnapshot(r *snapshot.Reader, store *term.Store) (*Engine, error
 			r.Failf("duplicate hosted peer %q", id)
 			break
 		}
-		ps := &peerState{
-			eng:       e,
-			id:        id,
-			active:    make(map[rel.Name]bool),
-			requested: make(map[rel.Name]bool),
-			subs:      make(map[rel.Name][]dist.PeerID),
-			bodyIdx:   make(map[rel.Name][]ruleAt),
-			arity:     make(map[rel.Name]int),
-			hooked:    make(map[rel.Name]bool),
-			derivedBy: make(map[rel.Name]int),
-		}
-		if ps.store, err = term.DecodeStoreSnapshot(r); err != nil {
+		pstore, err := term.DecodeStoreSnapshot(r)
+		if err != nil {
 			return nil, err
 		}
-		if ps.db, err = rel.DecodeDBSnapshot(r, ps.store); err != nil {
+		db, err := rel.DecodeDBSnapshot(r, pstore)
+		if err != nil {
 			return nil, err
 		}
-		ps.bnd = term.NewBindings(ps.store)
+		ps := newPeerState(e, id, pstore, db)
+		var rules []PRule
 		nRules := r.Count(3)
 		for j := 0; j < nRules && r.Err() == nil; j++ {
-			ps.rules = append(ps.rules, DecodePRuleSnapshot(r, ps.store.Len()))
+			rules = append(rules, DecodePRuleSnapshot(r, pstore.Len()))
 		}
 		for _, set := range []map[rel.Name]bool{ps.active, ps.requested, ps.hooked} {
 			m := r.Count(1)
@@ -349,22 +341,18 @@ func DecodeEngineSnapshot(r *snapshot.Reader, store *term.Store) (*Engine, error
 		}
 
 		// Rebuild the derived indices by replaying the rules in order —
-		// the same appends construction and installRule performed — and
-		// cross-check arities without going through noteArity (which
-		// panics on inconsistency; corrupt input must error instead).
-		for ri, ru := range ps.rules {
-			cr := compileRule(ru)
-			if bad := ps.checkArity(r, cr.headQ, len(ru.Head.Args)); bad {
+		// the same host calls construction and installRule performed —
+		// after cross-checking arities (host's noteArity panics on
+		// inconsistency; corrupt input must error instead).
+		for _, ru := range rules {
+			bad := ps.checkArity(r, ru.Head)
+			for _, a := range ru.Body {
+				bad = bad || ps.checkArity(r, a)
+			}
+			if bad {
 				break
 			}
-			for ai, a := range ru.Body {
-				q := cr.body[ai].q
-				if bad := ps.checkArity(r, q, len(a.Args)); bad {
-					break
-				}
-				ps.bodyIdx[q] = append(ps.bodyIdx[q], ruleAt{rule: ri, atom: ai})
-			}
-			ps.crules = append(ps.crules, cr)
+			ps.host(ru)
 		}
 		for _, name := range ps.db.Names() {
 			if want, ok := ps.arity[name]; ok && ps.db.Lookup(name).Arity() != want {
@@ -390,7 +378,8 @@ func DecodeEngineSnapshot(r *snapshot.Reader, store *term.Store) (*Engine, error
 
 // checkArity validates one atom's arity against the restored arity map,
 // reporting corruption through the reader instead of panicking.
-func (ps *peerState) checkArity(r *snapshot.Reader, q rel.Name, n int) bool {
+func (ps *peerState) checkArity(r *snapshot.Reader, a PAtom) bool {
+	q, n := a.Qualified(), len(a.Args)
 	if want, ok := ps.arity[q]; !ok || want != n {
 		r.Failf("rule uses %s with arity %d, snapshot declares %v", q, n, ps.arity[q])
 		return true

@@ -22,6 +22,7 @@ import (
 	"math"
 
 	"repro/internal/rel"
+	"repro/internal/snapshot"
 	"repro/internal/term"
 )
 
@@ -701,136 +702,25 @@ func putPairs(dst []byte, ps []PairCount) []byte {
 
 // --- decoding ------------------------------------------------------------
 
-// reader is a bounds-checked cursor over one frame body.
-type reader struct {
-	b   []byte
-	off int
-	err error
+// Frame bodies are read with snapshot.Reader, the repository's one
+// bounds-checked uvarint cursor: methods return zero values once an error
+// is set, every count is validated against the remaining input, and a
+// failure at end of input is "truncated", anywhere else "corrupt".
+// DecodeFrame translates its errors to this package's ErrTruncated and
+// ErrCorrupt.
+
+// blob reads a length-prefixed byte slice (nil for an empty blob).
+func blob(r *snapshot.Reader) []byte {
+	if p := r.Bytes(); len(p) > 0 {
+		return p
+	}
+	return nil
 }
 
-func (r *reader) fail() {
-	if r.err == nil {
-		if r.off >= len(r.b) {
-			r.err = ErrTruncated
-		} else {
-			r.err = ErrCorrupt
-		}
-	}
-}
-
-func (r *reader) uvarint() uint64 {
-	if r.err != nil {
-		return 0
-	}
-	v, n := binary.Uvarint(r.b[r.off:])
-	if n <= 0 {
-		r.fail()
-		return 0
-	}
-	r.off += n
-	return v
-}
-
-func (r *reader) varint() int64 {
-	if r.err != nil {
-		return 0
-	}
-	v, n := binary.Varint(r.b[r.off:])
-	if n <= 0 {
-		r.fail()
-		return 0
-	}
-	r.off += n
-	return v
-}
-
-// count reads a collection length and validates it against the bytes
-// still available, given that each element occupies at least min bytes —
-// the guard that keeps a hostile length prefix from forcing a giant
-// allocation.
-func (r *reader) count(min int) int {
-	v := r.uvarint()
-	if r.err != nil {
-		return 0
-	}
-	if min < 1 {
-		min = 1
-	}
-	if v > uint64(len(r.b)-r.off)/uint64(min)+1 {
-		r.err = ErrCorrupt
-		return 0
-	}
-	return int(v)
-}
-
-func (r *reader) str() string {
-	n := r.uvarint()
-	if r.err != nil {
-		return ""
-	}
-	if n > uint64(len(r.b)-r.off) {
-		r.fail()
-		return ""
-	}
-	s := string(r.b[r.off : r.off+int(n)])
-	r.off += int(n)
-	return s
-}
-
-// blob reads a length-prefixed byte slice, validating the length against
-// the remaining input before allocating (nil for an empty blob).
-func (r *reader) blob() []byte {
-	n := r.uvarint()
-	if r.err != nil {
-		return nil
-	}
-	if n > uint64(len(r.b)-r.off) {
-		r.fail()
-		return nil
-	}
-	if n == 0 {
-		return nil
-	}
-	p := make([]byte, n)
-	copy(p, r.b[r.off:r.off+int(n)])
-	r.off += int(n)
-	return p
-}
-
-func (r *reader) bool() bool {
-	if r.err != nil {
-		return false
-	}
-	if r.off >= len(r.b) {
-		r.err = ErrTruncated
-		return false
-	}
-	b := r.b[r.off]
-	r.off++
-	if b > 1 {
-		r.err = ErrCorrupt
-		return false
-	}
-	return b == 1
-}
-
-func (r *reader) byte() byte {
-	if r.err != nil {
-		return 0
-	}
-	if r.off >= len(r.b) {
-		r.err = ErrTruncated
-		return 0
-	}
-	b := r.b[r.off]
-	r.off++
-	return b
-}
-
-func (r *reader) u32() uint32 {
-	v := r.uvarint()
+func u32(r *snapshot.Reader) uint32 {
+	v := r.Uvarint()
 	if v > math.MaxUint32 {
-		r.err = ErrCorrupt
+		r.Failf("%d overflows a 32-bit field", v)
 		return 0
 	}
 	return uint32(v)
@@ -840,9 +730,9 @@ func (r *reader) u32() uint32 {
 // term.InternalizeTuple would otherwise panic on: every compound argument
 // and every root must reference an earlier (already decoded) node, and
 // every kind must be one of the three real term kinds.
-func (r *reader) extern() term.Extern {
-	nNodes := r.count(2) // kind byte + name length byte minimum
-	if r.err != nil {
+func extern(r *snapshot.Reader) term.Extern {
+	nNodes := r.Count(2) // kind byte + name length byte minimum
+	if r.Err() != nil {
 		return term.Extern{}
 	}
 	e := term.Extern{}
@@ -850,55 +740,55 @@ func (r *reader) extern() term.Extern {
 		e.Nodes = make([]term.ExternNode, 0, nNodes)
 	}
 	for i := 0; i < nNodes; i++ {
-		kind := term.Kind(r.byte())
-		name := r.str()
+		kind := term.Kind(r.Byte())
+		name := r.String()
 		var args []int32
 		switch kind {
 		case term.Const, term.Var:
 		case term.Comp:
-			nArgs := r.count(1)
-			if r.err != nil {
+			nArgs := r.Count(1)
+			if r.Err() != nil {
 				return term.Extern{}
 			}
 			if nArgs == 0 {
-				r.err = ErrCorrupt // zero-ary compounds are constants
+				r.Failf("zero-ary compound") // constants have their own kind
 				return term.Extern{}
 			}
 			args = make([]int32, 0, nArgs)
 			for j := 0; j < nArgs; j++ {
-				a := r.uvarint()
-				if r.err != nil {
+				a := r.Uvarint()
+				if r.Err() != nil {
 					return term.Extern{}
 				}
 				if a >= uint64(i) {
-					r.err = ErrCorrupt // forward or self reference
+					r.Failf("term node %d refers forward to %d", i, a)
 					return term.Extern{}
 				}
 				args = append(args, int32(a))
 			}
 		default:
-			r.err = ErrCorrupt
+			r.Failf("term kind %d", kind)
 			return term.Extern{}
 		}
-		if r.err != nil {
+		if r.Err() != nil {
 			return term.Extern{}
 		}
 		e.Nodes = append(e.Nodes, term.ExternNode{Kind: kind, Name: name, Args: args})
 	}
-	nRoots := r.count(1)
-	if r.err != nil {
+	nRoots := r.Count(1)
+	if r.Err() != nil {
 		return term.Extern{}
 	}
 	if nRoots > 0 {
 		e.Roots = make([]int32, 0, nRoots)
 	}
 	for i := 0; i < nRoots; i++ {
-		v := r.uvarint()
-		if r.err != nil {
+		v := r.Uvarint()
+		if r.Err() != nil {
 			return term.Extern{}
 		}
 		if v >= uint64(len(e.Nodes)) {
-			r.err = ErrCorrupt
+			r.Failf("root %d of %d term nodes", v, len(e.Nodes))
 			return term.Extern{}
 		}
 		e.Roots = append(e.Roots, int32(v))
@@ -906,51 +796,51 @@ func (r *reader) extern() term.Extern {
 	return e
 }
 
-func (r *reader) atom() Atom {
-	a := Atom{Rel: rel.Name(r.str()), Peer: r.str()}
-	a.Args = r.extern()
+func atom(r *snapshot.Reader) Atom {
+	a := Atom{Rel: rel.Name(r.String()), Peer: r.String()}
+	a.Args = extern(r)
 	return a
 }
 
-func (r *reader) payload() Payload {
-	switch tag := r.byte(); tag {
+func payload(r *snapshot.Reader) Payload {
+	switch tag := r.Byte(); tag {
 	case tagActivate:
-		return Activate{Rel: rel.Name(r.str())}
+		return Activate{Rel: rel.Name(r.String())}
 	case tagFacts:
-		f := Facts{Qual: rel.Name(r.str())}
-		ar := r.uvarint()
+		f := Facts{Qual: rel.Name(r.String())}
+		ar := r.Uvarint()
 		if ar > 63 { // rel.New rejects arity >= 64; refuse it here too
-			r.err = ErrCorrupt
+			r.Failf("arity %d", ar)
 			return nil
 		}
 		f.Arity = int(ar)
-		f.Tuple = r.extern()
+		f.Tuple = extern(r)
 		return f
 	case tagInject:
-		in := Inject{Rel: rel.Name(r.str())}
-		in.Tuple = r.extern()
+		in := Inject{Rel: rel.Name(r.String())}
+		in.Tuple = extern(r)
 		return in
 	case tagInstall:
-		ru := Rule{Head: r.atom()}
-		n := r.count(1)
-		if r.err != nil {
+		ru := Rule{Head: atom(r)}
+		n := r.Count(1)
+		if r.Err() != nil {
 			return nil
 		}
 		for i := 0; i < n; i++ {
-			ru.Body = append(ru.Body, r.atom())
-			if r.err != nil {
+			ru.Body = append(ru.Body, atom(r))
+			if r.Err() != nil {
 				return nil
 			}
 		}
-		ru.NeqX = r.extern()
-		ru.NeqY = r.extern()
+		ru.NeqX = extern(r)
+		ru.NeqY = extern(r)
 		if len(ru.NeqX.Roots) != len(ru.NeqY.Roots) {
-			r.err = ErrCorrupt
+			r.Failf("%d != %d inequality operands", len(ru.NeqX.Roots), len(ru.NeqY.Roots))
 			return nil
 		}
 		return Install{Rule: ru}
 	default:
-		r.fail()
+		r.Fail()
 		return nil
 	}
 }
@@ -962,128 +852,127 @@ func DecodeFrame(b []byte) (uint64, Frame, error) {
 	if len(b) > MaxFrame {
 		return 0, nil, fmt.Errorf("%w: frame of %d bytes exceeds MaxFrame", ErrCorrupt, len(b))
 	}
-	r := &reader{b: b}
-	seq := r.uvarint()
+	r := snapshot.NewReader(b)
+	seq := r.Uvarint()
 	var f Frame
-	switch tag := r.byte(); tag {
+	switch tag := r.Byte(); tag {
 	case tagHello:
-		f = Hello{Version: r.u32(), Node: r.str(), Boot: r.uvarint(), WallMicros: r.uvarint(), LastSeq: r.uvarint()}
+		f = Hello{Version: u32(r), Node: r.String(), Boot: r.Uvarint(), WallMicros: r.Uvarint(), LastSeq: r.Uvarint()}
 	case tagAck:
-		f = Ack{Seq: r.uvarint()}
+		f = Ack{Seq: r.Uvarint()}
 	case tagData:
-		d := Data{Gen: r.uvarint(), Flow: r.uvarint(), From: r.str(), To: r.str()}
-		d.Payload = r.payload()
+		d := Data{Gen: r.Uvarint(), Flow: r.Uvarint(), From: r.String(), To: r.String()}
+		d.Payload = payload(r)
 		f = d
 	case tagJob:
 		j := Job{
-			Gen:     r.uvarint(),
-			NetText: r.str(), Alarms: r.str(),
-			Engine: r.u32(), MaxDepth: r.u32(), MaxFacts: r.u32(), TimeoutMS: r.u32(),
+			Gen:     r.Uvarint(),
+			NetText: r.String(), Alarms: r.String(),
+			Engine: u32(r), MaxDepth: u32(r), MaxFacts: u32(r), TimeoutMS: u32(r),
 		}
-		j.Trace = r.bool()
-		j.TraceID = r.uvarint()
-		j.ParentSpan = r.uvarint()
-		n := r.count(1)
-		for i := 0; i < n && r.err == nil; i++ {
-			j.Hosted = append(j.Hosted, r.str())
+		j.Trace = r.Bool()
+		j.TraceID = r.Uvarint()
+		j.ParentSpan = r.Uvarint()
+		n := r.Count(1)
+		for i := 0; i < n && r.Err() == nil; i++ {
+			j.Hosted = append(j.Hosted, r.String())
 		}
-		j.Peers = r.assigns()
-		j.Nodes = r.assigns()
-		j.Driver = r.str()
+		j.Peers = assigns(r)
+		j.Nodes = assigns(r)
+		j.Driver = r.String()
 		f = j
 	case tagJobOK:
-		f = JobOK{Gen: r.uvarint(), Node: r.str(), Err: r.str()}
+		f = JobOK{Gen: r.Uvarint(), Node: r.String(), Err: r.String()}
 	case tagPoll:
-		f = Poll{Gen: r.uvarint(), Epoch: r.uvarint()}
+		f = Poll{Gen: r.Uvarint(), Epoch: r.Uvarint()}
 	case tagStatus:
-		f = Status{Gen: r.uvarint(), Epoch: r.uvarint(), Sent: r.uvarint(), Processed: r.uvarint(), Idle: r.bool()}
+		f = Status{Gen: r.Uvarint(), Epoch: r.Uvarint(), Sent: r.Uvarint(), Processed: r.Uvarint(), Idle: r.Bool()}
 	case tagStop:
-		f = Stop{Gen: r.uvarint(), Err: r.str()}
+		f = Stop{Gen: r.Uvarint(), Err: r.String()}
 	case tagDone:
-		d := Done{Gen: r.uvarint(), Sent: r.uvarint()}
-		n := r.count(2)
-		for i := 0; i < n && r.err == nil; i++ {
-			d.Processed = append(d.Processed, PeerCount{Peer: r.str(), Count: r.uvarint()})
+		d := Done{Gen: r.Uvarint(), Sent: r.Uvarint()}
+		n := r.Count(2)
+		for i := 0; i < n && r.Err() == nil; i++ {
+			d.Processed = append(d.Processed, PeerCount{Peer: r.String(), Count: r.Uvarint()})
 		}
-		d.ByPair = r.pairs()
-		d.BytesSent = r.pairs()
-		n = r.count(2)
-		for i := 0; i < n && r.err == nil; i++ {
-			d.Extras = append(d.Extras, KV{Key: r.str(), Val: r.uvarint()})
+		d.ByPair = pairs(r)
+		d.BytesSent = pairs(r)
+		n = r.Count(2)
+		for i := 0; i < n && r.Err() == nil; i++ {
+			d.Extras = append(d.Extras, KV{Key: r.String(), Val: r.Uvarint()})
 		}
-		d.Err = r.str()
+		d.Err = r.String()
 		f = d
 	case tagTelemetry:
 		t := Telemetry{
-			Gen: r.uvarint(), Node: r.str(),
-			TraceID: r.uvarint(), WallMicros: r.uvarint(), Dropped: r.uvarint(),
+			Gen: r.Uvarint(), Node: r.String(),
+			TraceID: r.Uvarint(), WallMicros: r.Uvarint(), Dropped: r.Uvarint(),
 		}
-		t.Counters = r.kvs()
-		t.Gauges = r.kvs()
-		n := r.count(6) // 2 string lengths + phase byte + 3 varints minimum
-		for i := 0; i < n && r.err == nil; i++ {
+		t.Counters = kvs(r)
+		t.Gauges = kvs(r)
+		n := r.Count(6) // 2 string lengths + phase byte + 3 varints minimum
+		for i := 0; i < n && r.Err() == nil; i++ {
 			t.Events = append(t.Events, TraceEvent{
-				Track: r.str(), Name: r.str(), Ph: r.byte(),
-				Wall: r.varint(), Dur: r.varint(), Value: r.varint(), ID: r.uvarint(),
+				Track: r.String(), Name: r.String(), Ph: r.Byte(),
+				Wall: r.Int(), Dur: r.Int(), Value: r.Int(), ID: r.Uvarint(),
 			})
 		}
 		f = t
 	case tagSessionJob:
-		j := SessionJob{Req: r.uvarint(), Op: r.u32(), Session: r.str(), Index: r.uvarint()}
-		j.NetText = r.str()
-		j.Engine = r.u32()
-		j.MaxFacts = r.u32()
-		j.TimeoutMS = r.u32()
-		j.Alarms = r.str()
-		j.Frontend = r.str()
-		j.FrontendAddr = r.str()
-		j.Blob = r.blob()
+		j := SessionJob{Req: r.Uvarint(), Op: u32(r), Session: r.String(), Index: r.Uvarint()}
+		j.NetText = r.String()
+		j.Engine = u32(r)
+		j.MaxFacts = u32(r)
+		j.TimeoutMS = u32(r)
+		j.Alarms = r.String()
+		j.Frontend = r.String()
+		j.FrontendAddr = r.String()
+		j.Blob = blob(r)
 		f = j
 	case tagSessionReply:
-		p := SessionReply{Req: r.uvarint(), Op: r.u32(), Session: r.str(), Code: r.u32()}
-		p.Err = r.str()
-		p.RetryAfterMS = r.u32()
-		p.Active = r.u32()
-		p.Queued = r.u32()
-		p.EWMAMicros = r.uvarint()
-		p.AdminAddr = r.str()
-		p.Blob = r.blob()
+		p := SessionReply{Req: r.Uvarint(), Op: u32(r), Session: r.String(), Code: u32(r)}
+		p.Err = r.String()
+		p.RetryAfterMS = u32(r)
+		p.Active = u32(r)
+		p.Queued = u32(r)
+		p.EWMAMicros = r.Uvarint()
+		p.AdminAddr = r.String()
+		p.Blob = blob(r)
 		f = p
 	default:
-		r.fail()
+		r.Fail()
 	}
-	if r.err != nil {
-		return 0, nil, r.err
-	}
-	if r.off != len(b) {
-		return 0, nil, fmt.Errorf("%w: %d trailing bytes", ErrCorrupt, len(b)-r.off)
+	if err := r.Finish(); errors.Is(err, snapshot.ErrTruncated) {
+		return 0, nil, ErrTruncated
+	} else if err != nil {
+		return 0, nil, fmt.Errorf("%w (%v)", ErrCorrupt, err)
 	}
 	return seq, f, nil
 }
 
-func (r *reader) assigns() []Assign {
-	n := r.count(2)
+func assigns(r *snapshot.Reader) []Assign {
+	n := r.Count(2)
 	var out []Assign
-	for i := 0; i < n && r.err == nil; i++ {
-		out = append(out, Assign{Key: r.str(), Val: r.str()})
+	for i := 0; i < n && r.Err() == nil; i++ {
+		out = append(out, Assign{Key: r.String(), Val: r.String()})
 	}
 	return out
 }
 
-func (r *reader) kvs() []KV {
-	n := r.count(2)
+func kvs(r *snapshot.Reader) []KV {
+	n := r.Count(2)
 	var out []KV
-	for i := 0; i < n && r.err == nil; i++ {
-		out = append(out, KV{Key: r.str(), Val: r.uvarint()})
+	for i := 0; i < n && r.Err() == nil; i++ {
+		out = append(out, KV{Key: r.String(), Val: r.Uvarint()})
 	}
 	return out
 }
 
-func (r *reader) pairs() []PairCount {
-	n := r.count(3)
+func pairs(r *snapshot.Reader) []PairCount {
+	n := r.Count(3)
 	var out []PairCount
-	for i := 0; i < n && r.err == nil; i++ {
-		out = append(out, PairCount{From: r.str(), To: r.str(), Count: r.uvarint()})
+	for i := 0; i < n && r.Err() == nil; i++ {
+		out = append(out, PairCount{From: r.String(), To: r.String(), Count: r.Uvarint()})
 	}
 	return out
 }
