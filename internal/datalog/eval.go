@@ -104,7 +104,7 @@ func (p *Program) run(b Budget, seminaive bool) (*rel.DB, Stats) {
 			e.insert(e.db.Lookup(r.Head.Rel), r.Head.Args, &e.stats.Seeded)
 			continue
 		}
-		rules = append(rules, Compile(r))
+		rules = append(rules, Compile(p.Store, r.Head, r.Body, r.Neqs))
 	}
 
 	fixpoint := false
@@ -116,7 +116,7 @@ func (p *Program) run(b Budget, seminaive bool) (*rel.DB, Stats) {
 		for _, name := range e.db.Names() {
 			e.cur[name] = e.db.Lookup(name).Len()
 		}
-		before := e.db.FactCount()
+		before := e.stats.Derived
 		for _, r := range rules {
 			if seminaive && e.stats.Iterations > 1 {
 				// One pass per choice of delta atom.
@@ -139,7 +139,7 @@ func (p *Program) run(b Budget, seminaive bool) (*rel.DB, Stats) {
 		for name, c := range e.cur {
 			e.prev[name] = c
 		}
-		fixpoint = e.db.FactCount() == before
+		fixpoint = e.stats.Derived == before
 	}
 	if !fixpoint && !e.stats.Truncated {
 		e.stats.Truncated = true
@@ -152,7 +152,9 @@ func (p *Program) run(b Budget, seminaive bool) (*rel.DB, Stats) {
 // join schedules one instantiation pass of r with the delta atom at index
 // d (d < 0 means naive: the full current window everywhere): atoms before
 // d see everything up to this round's watermark, d itself only the
-// previous round's additions, atoms after d only what preceded those.
+// previous round's additions, atoms after d only what preceded those. The
+// windows partition the instantiations whatever order the atoms are joined
+// in, so the kernel starts at d, the narrow one.
 func (e *evaluator) join(r *CompiledRule, d int) {
 	e.win = e.win[:0]
 	for j, a := range r.Body {
@@ -165,7 +167,7 @@ func (e *evaluator) join(r *CompiledRule, d int) {
 			e.win = append(e.win, Window{0, e.prev[a.Rel]})
 		}
 	}
-	e.k.Join(r, e.win, -1, nil)
+	e.k.Join(r, e.win, d, nil)
 }
 
 // emit is the kernel's continuation: materialize the head, stop the join
@@ -178,7 +180,8 @@ func (e *evaluator) emit(r *CompiledRule, head []term.ID) bool {
 func (e *evaluator) insert(into *rel.Relation, args []term.ID, counter *int) {
 	if into.Insert(args) {
 		*counter++
-		if e.db.FactCount() >= e.budget.MaxFacts {
+		// Every tuple of db was counted here, so the two counters are its size.
+		if e.stats.Seeded+e.stats.Derived >= e.budget.MaxFacts {
 			e.stats.Truncated = true
 			e.stats.Reason = "fact budget"
 		}
@@ -206,6 +209,6 @@ func Answers(db *rel.DB, store *term.Store, q Atom) [][]term.ID {
 		}
 		return true
 	}}
-	k.Join(Compile(Rule{Head: Atom{Args: qvars}, Body: []Atom{q}}), nil, -1, nil)
+	k.Join(Compile(store, Atom{Args: qvars}, []Atom{q}, nil), nil, -1, nil)
 	return out
 }

@@ -327,7 +327,10 @@ func BenchmarkSemiNaiveTCChain100(b *testing.B) {
 // TestStatsPinned pins Stats{Iterations,Seeded,Derived,Attempts} of this
 // file's programs, semi-naive and naive, to the values the evaluator
 // produced before its body join moved into the shared kernel: scheduling
-// (rounds, watermarks, budgets) must not have moved with it.
+// (rounds, watermarks, budgets) must not have moved with it. The kernel now
+// joins the delta atom first and the rest in planned order; the windows of
+// one pass partition its instantiations statically, so all four numbers
+// are independent of that order.
 func TestStatsPinned(t *testing.T) {
 	chain := func(n int) [][2]string {
 		var edges [][2]string

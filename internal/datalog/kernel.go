@@ -3,6 +3,7 @@ package datalog
 import (
 	"fmt"
 	"math"
+	"math/bits"
 
 	"repro/internal/rel"
 	"repro/internal/term"
@@ -12,17 +13,23 @@ import (
 // semi-naive, QSQ, magic, naive dDatalog and dQSQ differ only in which
 // instantiations they schedule (Theorems 1 and 4), so the centralized
 // evaluator, the distributed peers and Answers all hand their rules to the
-// same left-to-right body join and the same head builder.
+// same planned body join and the same head builder.
 
 // CompiledRule is a rule prepared for the kernel: the argument patterns
-// and inequality constraints of the source rule plus the relation pointers
-// the join resolves on first use (DB.Rel never replaces a relation, so a
-// cached pointer stays valid).
+// and inequality constraints of the source rule, the relation pointers the
+// join resolves on first use (DB.Rel never replaces a relation, so a
+// cached pointer stays valid), and one join plan per atom the join may be
+// told to start from.
 type CompiledRule struct {
 	Head Atom
 	Body []CompiledAtom
 	Neqs []Neq
 	head *rel.Relation
+	// steps holds one plan of len(Body) steps per body atom, back to back:
+	// steps[e*n:(e+1)*n] is the plan entered at atom e. A full evaluation
+	// (no entry atom) enters at atom full, the one greed would pick first.
+	steps []step
+	full  int
 }
 
 // CompiledAtom is a body atom with its relation cached.
@@ -31,13 +38,89 @@ type CompiledAtom struct {
 	rel *rel.Relation
 }
 
-// Compile prepares r for Kernel.Join.
-func Compile(r Rule) *CompiledRule {
-	c := &CompiledRule{Head: r.Head, Body: make([]CompiledAtom, len(r.Body)), Neqs: r.Neqs}
-	for i, a := range r.Body {
+// step is one atom of a join plan. Stored facts are ground, so which
+// columns the atoms before it have bound is known when the rule is
+// compiled: mask selects the columns whose pattern is ground by then —
+// constants, bound variables, compounds over them. Resolved, they are the
+// index key the atom is probed with; the columns outside mask are matched
+// against each candidate tuple. Two words a step: a session hosts
+// thousands of rules.
+type step struct {
+	atom int
+	mask uint64
+}
+
+// Compile prepares the rule head :- body, neqs, whose terms are interned
+// in s, for Kernel.Join. It copies body (a caller's stack buffer will do)
+// and shares the argument and constraint slices.
+func Compile(s *term.Store, head Atom, body []Atom, neqs []Neq) *CompiledRule {
+	c := &CompiledRule{Head: head, Body: make([]CompiledAtom, len(body)), Neqs: neqs}
+	for i, a := range body {
 		c.Body[i].Atom = a
 	}
+	c.plan(s)
 	return c
+}
+
+// plan orders the body once per entry atom: the entry first, then always
+// the atom with the most columns bound by constants and by the variables
+// of the atoms already placed, ties to source order. dQSQ bodies are
+// sup_j, atom_j, so a fact arriving for atom_j probes sup_j by index on the
+// shared variables instead of walking all of it. Relations are empty when
+// rules are installed, so connectivity is all there is to order by.
+func (r *CompiledRule) plan(s *term.Store) {
+	n := len(r.Body)
+	r.steps = make([]step, 0, n*n)
+	var buf [16]term.ID
+	for entry := 0; entry < n; entry++ {
+		plan, bound := r.steps[len(r.steps):], buf[:0]
+		next := step{entry, keyMask(s, r.Body[entry].Args, bound)}
+		for {
+			plan = append(plan, next)
+			if len(plan) == n {
+				break
+			}
+			for _, t := range r.Body[next.atom].Args {
+				bound = s.Vars(bound, t)
+			}
+			next.atom = -1
+			for j := range r.Body {
+				if placed(plan, j) {
+					continue
+				}
+				if st := (step{j, keyMask(s, r.Body[j].Args, bound)}); next.atom < 0 || st.keyed() > next.keyed() {
+					next = st
+				}
+			}
+		}
+		r.steps = r.steps[:len(r.steps)+n]
+		if plan[0].keyed() > r.steps[r.full*n].keyed() {
+			r.full = entry
+		}
+	}
+}
+
+// keyed counts the columns of the step's index key.
+func (st step) keyed() int { return bits.OnesCount64(st.mask) }
+
+func placed(plan []step, atom int) bool {
+	for i := range plan {
+		if plan[i].atom == atom {
+			return true
+		}
+	}
+	return false
+}
+
+// keyMask selects the patterns of args that have no variable outside
+// bound.
+func keyMask(s *term.Store, args, bound []term.ID) (mask uint64) {
+	for i, t := range args {
+		if len(s.Vars(bound, t)) == len(bound) {
+			mask |= 1 << uint(i)
+		}
+	}
+	return mask
 }
 
 // HeadRel returns the relation the rule derives into, creating it in db on
@@ -68,30 +151,38 @@ type Kernel struct {
 	// only valid during the call. Returning false stops the current Join.
 	Emit func(r *CompiledRule, head []term.ID) bool
 	// Attempts counts satisfied body matches, duplicates and depth-dropped
-	// heads included.
-	Attempts int
+	// heads included; Probes counts the stored tuples scans handed to the
+	// matcher. Probes/Attempts is the join's waste ratio.
+	Attempts, Probes int
 
-	// Scratch: one key/resolved pair per body depth (join at depth j owns
-	// entry j; deeper recursion uses higher entries) and one head buffer.
+	// Scratch: one index key per plan depth (the join at depth d owns entry
+	// d; deeper recursion uses higher entries) and one head buffer.
 	keybuf  [][]term.ID
-	resbuf  [][]term.ID
 	headbuf []term.ID
 
 	// The Join in progress.
 	rule    *CompiledRule
+	plan    []step
 	win     []Window
-	pin     int
 	pinned  []term.ID
 	stopped bool
 }
 
-// Join extends Bnd over r's body atoms left to right and calls Emit for
-// every instantiation that also satisfies r's inequality constraints. Atom
-// j scans win[j] of its relation; a nil win scans every relation whole, as
-// it stands when the join reaches the atom. If pin >= 0, body atom pin is
-// matched only against the tuple pinned instead of being scanned.
-func (k *Kernel) Join(r *CompiledRule, win []Window, pin int, pinned []term.ID) {
-	k.rule, k.win, k.pin, k.pinned, k.stopped = r, win, pin, pinned, false
+// Join extends Bnd over r's body atoms, in the order planned for starting
+// at body atom entry (entry < 0: no atom to start from, a full evaluation),
+// and calls Emit for every instantiation that also satisfies r's
+// inequality constraints. Body atom j scans win[j] of its relation; a nil
+// win scans every relation whole, as it stands when the join reaches the
+// atom. A non-nil pinned is the one tuple the entry atom is matched
+// against instead of being scanned — the delta of a single new fact; a
+// delta that is a window of positions is entry plus win[entry]. (The one
+// possible tuple of a zero-arity atom is nil: scanning finds it as well.)
+func (k *Kernel) Join(r *CompiledRule, win []Window, entry int, pinned []term.ID) {
+	if entry < 0 {
+		entry = r.full
+	}
+	n := len(r.Body)
+	k.rule, k.plan, k.win, k.pinned, k.stopped = r, r.steps[entry*n:(entry+1)*n], win, pinned, false
 	k.join(0)
 }
 
@@ -108,25 +199,18 @@ func scratch(bufs *[][]term.ID, j, n int) []term.ID {
 	return b[:n]
 }
 
-func (k *Kernel) join(j int) {
-	r, bnd, store := k.rule, k.Bnd, k.DB.Store
-	if j == len(r.Body) {
+func (k *Kernel) join(d int) {
+	if d == len(k.plan) {
 		k.head()
 		return
 	}
-	a := &r.Body[j]
+	st, bnd := &k.plan[d], k.Bnd
+	a := &k.rule.Body[st.atom]
 	args := a.Args
-	if j == k.pin {
+	if d == 0 && k.pinned != nil {
 		mark := bnd.Mark()
-		ok := true
-		for i, pat := range args {
-			if !bnd.Match(bnd.Resolve(pat), k.pinned[i]) {
-				ok = false
-				break
-			}
-		}
-		if ok {
-			k.join(j + 1)
+		if k.match(args, 0, k.pinned) {
+			k.join(1)
 		}
 		bnd.Undo(mark)
 		return
@@ -140,39 +224,37 @@ func (k *Kernel) join(j int) {
 	}
 	lo, hi := 0, math.MaxInt
 	if k.win != nil {
-		lo, hi = k.win[j].Lo, k.win[j].Hi
+		lo, hi = k.win[st.atom].Lo, k.win[st.atom].Hi
 	}
-	// Build an index key from arguments that are ground under the current
-	// bindings; non-ground arguments are matched per candidate tuple.
-	var mask uint64
-	key := scratch(&k.keybuf, j, len(args))
-	resolved := scratch(&k.resbuf, j, len(args))
-	for i, t := range args {
-		rt := bnd.Resolve(t)
-		resolved[i] = rt
-		if store.IsGround(rt) {
-			mask |= 1 << uint(i)
-			key[i] = rt
+	mask := st.mask
+	key := scratch(&k.keybuf, d, len(args))
+	for i, pat := range args {
+		if mask&(1<<uint(i)) != 0 {
+			key[i] = bnd.Resolve(pat)
 		}
 	}
 	relation.Scan(mask, key, lo, hi, func(_ int, tuple []term.ID) bool {
+		k.Probes++
 		mark := bnd.Mark()
-		ok := true
-		for i, pat := range resolved {
-			if mask&(1<<uint(i)) != 0 {
-				continue // already matched via the index
-			}
-			if !bnd.Match(pat, tuple[i]) {
-				ok = false
-				break
-			}
-		}
-		if ok {
-			k.join(j + 1)
+		if k.match(args, mask, tuple) {
+			k.join(d + 1)
 		}
 		bnd.Undo(mark)
 		return !k.stopped
 	})
+}
+
+// match matches the columns of args outside mask (those the index has not
+// already compared) against tuple, binding their free variables. Match
+// reads bound variables inside a pattern itself, so a compound bound only
+// in part is never rebuilt.
+func (k *Kernel) match(args []term.ID, mask uint64, tuple []term.ID) bool {
+	for i, pat := range args {
+		if mask&(1<<uint(i)) == 0 && !k.Bnd.Match(pat, tuple[i]) {
+			return false
+		}
+	}
+	return true
 }
 
 // head checks the rule's inequality constraints, resolves the head under

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"sort"
 	"strings"
 	"testing"
 
@@ -50,18 +51,17 @@ func bruteSubst(s *term.Store, t term.ID, env map[term.ID]term.ID) term.ID {
 	return s.Compound(s.Name(t), args...)
 }
 
-// bruteJoin enumerates the cross product of the body atoms' windows (or
-// the pinned tuple) in the kernel's order — atom 0 outermost, positions
-// ascending — and returns the rendered head of every combination that
-// matches, passes the neqs and survives the depth gadget, plus the number
-// of body matches.
+// bruteJoin enumerates the cross product of the body atoms' windows (the
+// pinned tuple for atom pin, if pinned is non-nil) and returns the
+// rendered head of every combination that matches, passes the neqs and
+// survives the depth gadget, sorted, plus the number of body matches.
 func bruteJoin(db *rel.DB, r Rule, win []Window, pin int, pinned []term.ID, maxDepth int) (heads []string, attempts int) {
 	s := db.Store
 	choice := make([][]term.ID, len(r.Body))
 	var rec func(j int)
 	rec = func(j int) {
 		if j < len(r.Body) {
-			if j == pin {
+			if j == pin && pinned != nil {
 				choice[j] = pinned
 				rec(j + 1)
 				return
@@ -102,45 +102,57 @@ func bruteJoin(db *rel.DB, r Rule, win []Window, pin int, pinned []term.ID, maxD
 		heads = append(heads, strings.Join(row, ","))
 	}
 	rec(0)
+	sort.Strings(heads)
 	return heads, attempts
 }
 
 // TestQuickKernelMatchesBruteForce drives Kernel.Join directly on random
-// small bodies — repeated variables, compound patterns, constants, neqs,
-// every pin position, non-trivial windows, the depth gadget, early stop —
-// and requires the exact emission sequence of the cross-product
-// enumerator.
+// small bodies — one to four atoms over three relations (so self-joins),
+// repeated variables, unary and binary compound patterns, constants, neqs,
+// the depth gadget — from every entry atom, pinned to a tuple and scanned,
+// with and without windows, and requires the multiset of heads and the
+// attempt count of the cross-product enumerator: the plan may visit the
+// instantiations in any order but must visit exactly those. An early stop
+// must deliver a sub-multiset of the right size.
 func TestQuickKernelMatchesBruteForce(t *testing.T) {
-	nonEmpty := 0
-	for seed := int64(0); seed < 400; seed++ {
+	nonEmpty, joins, reordered, partial := 0, 0, 0, 0
+	for seed := int64(0); seed < 1000; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		s := term.NewStore()
 		consts := []term.ID{s.Constant("a"), s.Constant("b")}
 		vars := []term.ID{s.Variable("X"), s.Variable("Y"), s.Variable("Z")}
-		// A four-value domain {a, b, f(a), f(b)} keeps joins from going empty.
+		// A small domain {a, b, f(a), f(b), g(a,a), ...} keeps joins from going empty.
 		ground := func() term.ID {
-			if c := consts[rng.Intn(2)]; rng.Intn(3) > 0 {
-				return c
-			} else {
+			c := consts[rng.Intn(2)]
+			switch rng.Intn(5) {
+			case 0:
 				return s.Compound("f", c)
+			case 1, 2:
+				return s.Compound("g", c, consts[rng.Intn(2)])
 			}
+			return c
+		}
+		leaf := func() term.ID {
+			if rng.Intn(5) == 0 {
+				return consts[rng.Intn(2)]
+			}
+			return vars[rng.Intn(3)]
 		}
 		pattern := func() term.ID {
-			leaf := vars[rng.Intn(3)]
-			if rng.Intn(5) == 0 {
-				leaf = consts[rng.Intn(2)]
+			switch rng.Intn(6) {
+			case 0:
+				return s.Compound("f", leaf())
+			case 1, 2:
+				return s.Compound("g", leaf(), leaf())
 			}
-			if rng.Intn(4) == 0 {
-				return s.Compound("f", leaf)
-			}
-			return leaf
+			return leaf()
 		}
 
 		db := rel.NewDB(s)
 		names := []rel.Name{"p", "q", "r"}
 		for _, n := range names {
 			relation := db.Rel(n, 1+rng.Intn(2))
-			for i, m := 0, 2+rng.Intn(10); i < m; i++ {
+			for i, m := 0, 3+rng.Intn(12); i < m; i++ {
 				tuple := make([]term.ID, relation.Arity())
 				for c := range tuple {
 					tuple[c] = ground()
@@ -151,7 +163,7 @@ func TestQuickKernelMatchesBruteForce(t *testing.T) {
 
 		var r Rule
 		var bodyVars []term.ID
-		for j, n := 0, 1+rng.Intn(3); j < n; j++ {
+		for j, n := 0, 1+rng.Intn(4); j < n; j++ {
 			a := Atom{Rel: names[rng.Intn(3)]}
 			for i := 0; i < db.Lookup(a.Rel).Arity(); i++ {
 				p := pattern()
@@ -174,39 +186,15 @@ func TestQuickKernelMatchesBruteForce(t *testing.T) {
 		r.Head.Rel = "h"
 		for _, v := range bodyVars {
 			if rng.Intn(3) == 0 {
-				v = s.Compound("g", v)
+				v = s.Compound("g", v, v)
 			}
 			r.Head.Args = append(r.Head.Args, v)
 		}
-
-		var win []Window
-		if rng.Intn(2) == 0 {
-			for _, a := range r.Body {
-				n := db.Lookup(a.Rel).Len()
-				lo := rng.Intn(n + 1)
-				win = append(win, Window{lo, lo + rng.Intn(n+3-lo)})
-			}
-		}
-		pin, pinned := rng.Intn(len(r.Body)+1)-1, []term.ID(nil)
-		if pin >= 0 {
-			// Usually a tuple of the relation (a real delta), sometimes not.
-			if all := db.Lookup(r.Body[pin].Rel).All(); rng.Intn(4) > 0 {
-				pinned = all[rng.Intn(len(all))]
-			} else {
-				for range r.Body[pin].Args {
-					pinned = append(pinned, ground())
-				}
-			}
-		}
 		maxDepth := max(0, rng.Intn(5)-2) // 0 disables the gadget
 
-		full, wantAttempts := bruteJoin(db, r, win, pin, pinned, maxDepth)
-		want, stopAfter := full, -1
-		if len(want) > 0 && rng.Intn(3) == 0 {
-			stopAfter = 1 + rng.Intn(len(want))
-		}
-
+		c := Compile(s, r.Head, r.Body, r.Neqs)
 		var got []string
+		stopAfter := -1
 		k := Kernel{DB: db, Bnd: term.NewBindings(s), MaxTermDepth: maxDepth}
 		k.Emit = func(cr *CompiledRule, head []term.ID) bool {
 			row := make([]string, len(head))
@@ -216,33 +204,144 @@ func TestQuickKernelMatchesBruteForce(t *testing.T) {
 			got = append(got, strings.Join(row, ","))
 			return len(got) != stopAfter
 		}
-		c := Compile(r)
-		k.Join(c, win, pin, pinned)
-		if stopAfter > 0 {
-			want = want[:stopAfter]
-		} else if k.Attempts != wantAttempts {
-			t.Fatalf("seed %d: %s: %d attempts, brute force %d", seed, r.String(s), k.Attempts, wantAttempts)
+		run := func(win []Window, entry int, pinned []term.ID) []string {
+			got = nil
+			k.Join(c, win, entry, pinned)
+			if k.Bnd.Len() != 0 {
+				t.Fatalf("seed %d: %d bindings left after Join", seed, k.Bnd.Len())
+			}
+			sort.Strings(got)
+			return got
 		}
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("seed %d: %s win=%v pin=%d depth=%d stop=%d:\n got %v\nwant %v",
-				seed, r.String(s), win, pin, maxDepth, stopAfter, got, want)
-		}
-		nonEmpty += min(len(want), 1)
-		if k.Bnd.Len() != 0 {
-			t.Fatalf("seed %d: %d bindings left after Join", seed, k.Bnd.Len())
-		}
-		// A second Join on the same kernel and compiled rule (warm scratch,
-		// cached relations, stop flag reset) repeats the sequence.
-		got, stopAfter = nil, -1
-		k.Join(c, win, pin, pinned)
-		if !reflect.DeepEqual(got, full) {
-			t.Fatalf("seed %d: warm re-join differs:\n got %v\nwant %v", seed, got, full)
+
+		for entry := -1; entry < len(r.Body); entry++ {
+			emitted := 0
+			var windows []Window
+			for _, a := range r.Body {
+				n := db.Lookup(a.Rel).Len()
+				lo := rng.Intn(n + 1)
+				windows = append(windows, Window{lo, lo + rng.Intn(n+3-lo)})
+			}
+			pins := [][]term.ID{nil}
+			if entry >= 0 {
+				// A tuple of the relation (a real delta) and one that need not be.
+				all := db.Lookup(r.Body[entry].Rel).All()
+				stray := make([]term.ID, len(r.Body[entry].Args))
+				for i := range stray {
+					stray[i] = ground()
+				}
+				pins = append(pins, all[rng.Intn(len(all))], stray)
+			}
+			for _, win := range [][]Window{nil, windows} {
+				for _, pinned := range pins {
+					where := fmt.Sprintf("seed %d: %s win=%v entry=%d pinned=%v depth=%d", seed, r.String(s), win, entry, pinned, maxDepth)
+					want, wantAttempts := bruteJoin(db, r, win, entry, pinned, maxDepth)
+					before := k.Attempts
+					if got := run(win, entry, pinned); !reflect.DeepEqual(got, want) {
+						t.Fatalf("%s:\n got %v\nwant %v", where, got, want)
+					}
+					if k.Attempts-before != wantAttempts {
+						t.Fatalf("%s: %d attempts, brute force %d", where, k.Attempts-before, wantAttempts)
+					}
+					joins++
+					if len(want) == 0 {
+						continue
+					}
+					emitted++
+					// Stopped early, then again warm with the stop flag reset.
+					stopAfter = 1 + rng.Intn(len(want))
+					if got := run(win, entry, pinned); len(got) != stopAfter || !subMultiset(got, want) {
+						t.Fatalf("%s stop=%d:\n got %v\n not %d of %v", where, stopAfter, got, stopAfter, want)
+					}
+					stopAfter = -1
+					if got := run(win, entry, pinned); !reflect.DeepEqual(got, want) {
+						t.Fatalf("%s: warm re-join differs:\n got %v\nwant %v", where, got, want)
+					}
+				}
+			}
+			nonEmpty += emitted
+			if re, pa := planShape(s, c, entry); emitted > 0 {
+				reordered += re
+				partial += pa
+			}
 		}
 	}
-	if nonEmpty < 100 {
-		t.Fatalf("only %d of 400 random joins emitted anything; the generator has gone vacuous", nonEmpty)
+	const tally = "%d of %d random joins emitted heads; of the plans behind those, %d left source order and %d matched a compound bound only in part"
+	if nonEmpty < joins/10 || reordered < 50 || partial < 50 {
+		t.Fatalf(tally+": the generator has gone vacuous", nonEmpty, joins, reordered, partial)
 	}
-	t.Logf("%d of 400 random joins emitted heads", nonEmpty)
+	t.Logf(tally, nonEmpty, joins, reordered, partial)
+}
+
+// planShape reports (as 0 or 1 each) whether c's plan for entry leaves
+// source order after the entry atom, and whether some step of it matches a
+// compound pattern of which only some variables are bound on arrival.
+func planShape(s *term.Store, c *CompiledRule, entry int) (reordered, partial int) {
+	n := len(c.Body)
+	var bound []term.ID
+	last, from := -1, max(entry, 0)
+	if entry < 0 {
+		from = c.full
+	}
+	for d, st := range c.steps[from*n : (from+1)*n] {
+		if d > 0 || entry < 0 {
+			if st.atom < last {
+				reordered = 1
+			}
+			last = st.atom
+		}
+		for i, t := range c.Body[st.atom].Args {
+			if s.Kind(t) == term.Comp && st.mask&(1<<uint(i)) == 0 {
+				vs := s.Vars(nil, t)
+				if fresh := len(s.Vars(bound[:len(bound):len(bound)], t)) - len(bound); 0 < fresh && fresh < len(vs) {
+					partial = 1
+				}
+			}
+		}
+		for _, t := range c.Body[st.atom].Args {
+			bound = s.Vars(bound, t)
+		}
+	}
+	return reordered, partial
+}
+
+// subMultiset reports whether sorted a is contained in sorted b.
+func subMultiset(a, b []string) bool {
+	j := 0
+	for _, x := range a {
+		for j < len(b) && b[j] < x {
+			j++
+		}
+		if j == len(b) || b[j] != x {
+			return false
+		}
+		j++
+	}
+	return true
+}
+
+// TestDeltaJoinProbesFollowTheIndex pins what the plan is for: a fact
+// arriving for the last atom of h(X,Z) :- big(X,Y), small(Y,Z) reaches the
+// big tuples that join with it through the index on Y, not by walking big.
+func TestDeltaJoinProbesFollowTheIndex(t *testing.T) {
+	s := term.NewStore()
+	x, y, z := s.Variable("X"), s.Variable("Y"), s.Variable("Z")
+	db := rel.NewDB(s)
+	big := db.Rel("big", 2)
+	for i := 0; i < 10000; i++ {
+		big.Insert([]term.ID{s.Constant(fmt.Sprint("x", i)), s.Constant(fmt.Sprint("y", i/3))})
+	}
+	small := db.Rel("small", 2)
+	small.Insert([]term.ID{s.Constant("y7"), s.Constant("z")})
+	c := Compile(s, A("h", x, z), []Atom{A("big", x, y), A("small", y, z)}, nil)
+	k := Kernel{DB: db, Bnd: term.NewBindings(s), Emit: func(*CompiledRule, []term.ID) bool { return true }}
+	k.Join(c, nil, 1, small.At(0))
+	if k.Attempts != 3 {
+		t.Fatalf("%d matches, want the 3 big tuples with Y = y7", k.Attempts)
+	}
+	if k.Probes > k.Attempts+1 {
+		t.Fatalf("delta join at small probed %d tuples for %d matches; it must start at the new tuple and probe big by index", k.Probes, k.Attempts)
+	}
 }
 
 // TestKernelWarmDeltaJoinAllocsIndependentOfProbes pins PR 10's "a delta
@@ -262,11 +361,9 @@ func TestKernelWarmDeltaJoinAllocsIndependentOfProbes(t *testing.T) {
 		}
 		// h(X, Z) :- d(X), e(X, f(X,Y), Z), X != Y — an indexed probe whose
 		// every candidate needs a compound match against a resolved pattern.
-		c := Compile(Rule{
-			Head: A("h", x, z),
-			Body: []Atom{A("d", x), A("e", x, s.Compound("f", x, y), z)},
-			Neqs: []Neq{{X: x, Y: y}},
-		})
+		c := Compile(s, A("h", x, z),
+			[]Atom{A("d", x), A("e", x, s.Compound("f", x, y), z)},
+			[]Neq{{X: x, Y: y}})
 		k := Kernel{DB: db, Bnd: term.NewBindings(s)}
 		k.Emit = func(r *CompiledRule, head []term.ID) bool {
 			r.HeadRel(db).Insert(head)

@@ -81,21 +81,33 @@ type peerState struct {
 	store *term.Store
 	db    *rel.DB
 	// k matches every rule body evaluated at this peer; its continuation is
-	// ps.emit, which needs the handler turn in progress (ctx) to send.
+	// ps.emit, which needs the handler turn in progress (ctx) to send and the
+	// head relation of the rule being joined.
 	k          datalog.Kernel
 	ctx        *dist.Context
-	rules      []hostedRule      // hosted rules, interned in store
-	active     map[rel.Name]bool // qualified local relations activated
-	requested  map[rel.Name]bool // qualified remote relations already activated
-	subs       map[rel.Name][]dist.PeerID
-	bodyIdx    map[rel.Name][]ruleAt // qualified relation -> occurrences in hosted rule bodies
-	arity      map[rel.Name]int      // qualified relation -> arity
-	hooked     map[rel.Name]bool     // relations whose activation hook already ran
-	pending    []pendingFact         // derived facts awaiting their delta joins
+	joining    *relState
+	rules      []hostedRule           // hosted rules, interned in store
+	rels       map[rel.Name]*relState // by qualified name
+	pending    []pendingFact          // derived facts awaiting their delta joins
 	derived    int
 	replicated int
 	installed  int              // rules installed at runtime (hook or wire.Install)
 	derivedBy  map[rel.Name]int // facts per head relation; tracked only while tracing
+}
+
+// relState is what a peer keeps per qualified relation, local or remote.
+// Rules and queued facts point at it, so the per-fact path never hashes a
+// relation name.
+type relState struct {
+	q         rel.Name
+	arity     int           // -1 until a rule, fact or message fixes it
+	table     *rel.Relation // ps.table caches it
+	active    bool          // local relation activated
+	requested bool          // remote relation already activated
+	hooked    bool          // activation hook already ran
+	subs      []dist.PeerID // subscribers, in registration order
+	defs      []int         // hosted rules deriving into it
+	occs      []ruleAt      // occurrences in hosted rule bodies
 }
 
 // hostedRule is one rule of a peer's program: the located form it arrived
@@ -104,7 +116,8 @@ type peerState struct {
 // or re-hashes one.
 type hostedRule struct {
 	PRule
-	c *datalog.CompiledRule
+	c    *datalog.CompiledRule
+	head *relState
 }
 
 func newPeerState(e *Engine, id dist.PeerID, store *term.Store, db *rel.DB) *peerState {
@@ -113,30 +126,68 @@ func newPeerState(e *Engine, id dist.PeerID, store *term.Store, db *rel.DB) *pee
 		id:        id,
 		store:     store,
 		db:        db,
-		active:    make(map[rel.Name]bool),
-		requested: make(map[rel.Name]bool),
-		subs:      make(map[rel.Name][]dist.PeerID),
-		bodyIdx:   make(map[rel.Name][]ruleAt),
-		arity:     make(map[rel.Name]int),
-		hooked:    make(map[rel.Name]bool),
+		rels:      make(map[rel.Name]*relState),
 		derivedBy: make(map[rel.Name]int),
 	}
 	ps.k = datalog.Kernel{DB: db, Bnd: term.NewBindings(store), MaxTermDepth: e.budget.MaxTermDepth, Emit: ps.emit}
 	return ps
 }
 
-// host appends r (interned in ps.store) to the peer's program, indexing
-// its body occurrences, and returns its rule index.
+// rel returns the state of qualified relation q, creating it on first
+// mention.
+func (ps *peerState) rel(q rel.Name) *relState {
+	rs := ps.rels[q]
+	if rs == nil {
+		rs = &relState{q: q, arity: -1}
+		ps.rels[q] = rs
+	}
+	return rs
+}
+
+// relOfArity is rel for a mention that fixes the arity.
+func (ps *peerState) relOfArity(q rel.Name, n int) *relState {
+	rs := ps.rel(q)
+	if rs.arity >= 0 && rs.arity != n {
+		panic(fmt.Sprintf("ddatalog: relation %s used with arities %d and %d", q, rs.arity, n))
+	}
+	rs.arity = n
+	return rs
+}
+
+// table returns the stored relation of rs, creating it in the peer's
+// database on first use.
+func (ps *peerState) table(rs *relState) *rel.Relation {
+	if rs.table == nil {
+		rs.table = ps.db.Rel(rs.q, rs.arity)
+	}
+	return rs.table
+}
+
+// host appends r (interned in ps.store) to the peer's program, indexing it
+// under its head and body relations, and returns its rule index.
 func (ps *peerState) host(r PRule) int {
 	ri := len(ps.rules)
-	c := r.compile()
-	ps.rules = append(ps.rules, hostedRule{r, c})
-	ps.noteArity(c.Head.Rel, len(c.Head.Args))
-	for ai, a := range c.Body {
-		ps.noteArity(a.Rel, len(a.Args))
-		ps.bodyIdx[a.Rel] = append(ps.bodyIdx[a.Rel], ruleAt{rule: ri, atom: ai})
+	c := r.compile(ps.store)
+	head := ps.relOfArity(c.Head.Rel, len(c.Head.Args))
+	head.defs = append(head.defs, ri)
+	ps.rules = append(ps.rules, hostedRule{r, c, head})
+	// Every atom keeps the relation's one name string, not its own copy.
+	c.Head.Rel = head.q
+	for ai := range c.Body {
+		a := &c.Body[ai]
+		rs := ps.relOfArity(a.Rel, len(a.Args))
+		rs.occs = append(rs.occs, ruleAt{rule: ri, atom: ai})
+		a.Rel = rs.q
 	}
 	return ri
+}
+
+// join evaluates hosted rule ri starting from body atom entry (see
+// datalog.Kernel.Join).
+func (ps *peerState) join(ri, entry int, pinned []term.ID) {
+	r := &ps.rules[ri]
+	ps.joining = r.head
+	ps.k.Join(r.c, nil, entry, pinned)
 }
 
 // pendingFact is a newly materialized fact whose delta joins have not run
@@ -144,7 +195,7 @@ func (ps *peerState) host(r PRule) int {
 // rule never re-enters the join machinery (and its variable bindings)
 // while a previous instantiation is still on the stack.
 type pendingFact struct {
-	q    rel.Name
+	rel  *relState
 	args []term.ID
 }
 
@@ -222,22 +273,9 @@ func NewEngineHosted(prog *Program, budget datalog.Budget, hosted []dist.PeerID)
 			continue
 		}
 		args := ps.store.InternalizeTuple(src.ExternalizeTuple(f.Args))
-		q := f.Qualified()
-		ps.noteArity(q, len(args))
-		ps.rel(q, len(args)).Insert(args)
+		ps.table(ps.relOfArity(f.Qualified(), len(args))).Insert(args)
 	}
 	return e, nil
-}
-
-func (ps *peerState) noteArity(q rel.Name, n int) {
-	if prev, ok := ps.arity[q]; ok && prev != n {
-		panic(fmt.Sprintf("ddatalog: relation %s used with arities %d and %d", q, prev, n))
-	}
-	ps.arity[q] = n
-}
-
-func (ps *peerState) rel(q rel.Name, arity int) *rel.Relation {
-	return ps.db.Rel(q, arity)
 }
 
 // handle processes one network message for the peer.
@@ -250,39 +288,43 @@ func (ps *peerState) handle(ctx *dist.Context, m dist.Message) {
 		ps.installRule(ctx, ps.internRule(msg.Rule))
 	case wire.Facts:
 		tuple := ps.store.InternalizeTuple(msg.Tuple)
-		ps.noteArity(msg.Qual, msg.Arity)
-		relation := ps.rel(msg.Qual, msg.Arity)
+		rs := ps.relOfArity(msg.Qual, msg.Arity)
+		relation := ps.table(rs)
 		if pos, added := relation.InsertPos(tuple); added {
 			ps.replicated++
-			ps.pending = append(ps.pending, pendingFact{q: msg.Qual, args: relation.At(pos)})
+			ps.pending = append(ps.pending, pendingFact{rel: rs, args: relation.At(pos)})
 		}
 	case wire.Inject:
 		// A base fact arriving at its owner mid-session (an incremental
 		// append): derive it like a rule head so it reaches subscribers and
 		// triggers delta joins.
 		tuple := ps.store.InternalizeTuple(msg.Tuple)
-		q := Qualify(msg.Rel, ps.id)
-		ps.noteArity(q, len(tuple))
-		ps.deriveFact(ctx, q, tuple)
+		ps.derive(ctx, ps.relOfArity(Qualify(msg.Rel, ps.id), len(tuple)), tuple)
 	default:
 		panic(fmt.Sprintf("ddatalog: unknown message %T", m.Payload))
 	}
 	ps.drain(ctx)
+	ps.ctx = nil // or the run's network and its delivered messages outlive the run
 }
 
 // drain runs the delta joins of every pending fact until none remain.
 // On a divergent program this loop is where facts pile up, so it is also
 // where a budget abort must take effect: network aborts stop message
-// delivery but cannot interrupt a handler.
+// delivery but cannot interrupt a handler. The queue is consumed by index
+// and what an abort leaves is moved to its front, so its backing array is
+// reused from turn to turn; the consumed entries are cleared because their
+// tuple views would keep outgrown arenas alive.
 func (ps *peerState) drain(ctx *dist.Context) {
 	if ps.eng.traceOn && len(ps.pending) > 0 {
 		ps.eng.tracer.Gauge(string(ps.id), "ddatalog_pending_delta", int64(len(ps.pending)))
 	}
-	for len(ps.pending) > 0 && !ps.eng.aborted.Load() && !ctx.Stopped() {
-		f := ps.pending[0]
-		ps.pending = ps.pending[1:]
-		ps.deltaJoin(f.q, f.args)
+	done := 0
+	for ; done < len(ps.pending) && !ps.eng.aborted.Load() && !ctx.Stopped(); done++ {
+		ps.deltaJoin(ps.pending[done])
 	}
+	left := copy(ps.pending, ps.pending[done:])
+	clear(ps.pending[left:])
+	ps.pending = ps.pending[:left]
 }
 
 // activateLocal activates relation r (owned by this peer) and subscribes
@@ -290,43 +332,43 @@ func (ps *peerState) drain(ctx *dist.Context) {
 // into the body relations of every defining rule — remote ones via
 // wire.Activate, local ones directly.
 func (ps *peerState) activateLocal(ctx *dist.Context, r rel.Name, subscriber dist.PeerID) {
-	q := Qualify(r, ps.id)
+	rs := ps.rel(Qualify(r, ps.id))
 	if subscriber != "" && subscriber != ps.id {
 		already := false
-		for _, s := range ps.subs[q] {
+		for _, s := range rs.subs {
 			if s == subscriber {
 				already = true
 				break
 			}
 		}
 		if !already {
-			ps.subs[q] = append(ps.subs[q], subscriber)
+			rs.subs = append(rs.subs, subscriber)
 			// Stream everything known so far.
-			if relation := ps.db.Lookup(q); relation != nil {
+			if relation := ps.db.Lookup(rs.q); relation != nil {
 				relation.Scan(0, nil, 0, relation.Len(), func(_ int, tuple []term.ID) bool {
-					ctx.Send(subscriber, wire.Facts{Qual: q, Arity: relation.Arity(), Tuple: ps.store.ExternalizeTuple(tuple)})
+					ctx.Send(subscriber, wire.Facts{Qual: rs.q, Arity: relation.Arity(), Tuple: ps.store.ExternalizeTuple(tuple)})
 					return true
 				})
 			}
 		}
 	}
-	if ps.active[q] {
+	if rs.active {
 		return
 	}
-	ps.active[q] = true
-	ps.runHook(ctx, r)
-	if ar, ok := ps.arity[q]; ok {
-		ps.rel(q, ar) // ensure the relation exists even if empty
+	// The rules hosted so far are evaluated below; those the hook or a
+	// nested activation installs from here on, by installRule.
+	defs := rs.defs
+	rs.active = true
+	ps.runHook(ctx, r, rs)
+	if rs.arity >= 0 {
+		ps.table(rs) // ensure the relation exists even if empty
 	}
-	for ri := range ps.rules {
-		if ps.rules[ri].Head.Rel != r {
-			continue
-		}
+	for _, ri := range defs {
 		for _, a := range ps.rules[ri].Body {
 			ps.activateBody(ctx, a)
 		}
 		// Initial full evaluation of the newly activated rule.
-		ps.k.Join(ps.rules[ri].c, nil, -1, nil)
+		ps.join(ri, -1, nil)
 	}
 }
 
@@ -335,43 +377,38 @@ func (ps *peerState) activateBody(ctx *dist.Context, a PAtom) {
 		ps.activateLocal(ctx, a.Rel, "")
 		return
 	}
-	q := a.Qualified()
-	if !ps.requested[q] {
-		ps.requested[q] = true
+	if rs := ps.rel(a.Qualified()); !rs.requested {
+		rs.requested = true
 		ctx.Send(a.Peer, wire.Activate{Rel: a.Rel})
 	}
 }
 
-// deltaJoin re-evaluates every hosted rule that uses q in its body, pinning
-// the occurrence to the new tuple; the other atoms scan their full local
-// replicas.
-func (ps *peerState) deltaJoin(q rel.Name, tuple []term.ID) {
-	for _, occ := range ps.bodyIdx[q] {
-		if c := ps.rules[occ.rule].c; ps.active[c.Head.Rel] {
-			ps.k.Join(c, nil, occ.atom, tuple)
+// deltaJoin re-evaluates every hosted rule that uses f's relation in its
+// body, starting from that occurrence matched to the new tuple; the other
+// atoms probe their local replicas.
+func (ps *peerState) deltaJoin(f pendingFact) {
+	for _, occ := range f.rel.occs {
+		if ps.rules[occ.rule].head.active {
+			ps.join(occ.rule, occ.atom, f.args)
 		}
 	}
 }
 
 // emit is the kernel's continuation: it materializes the head of a
 // satisfied rule body and propagates it. head is the kernel's reusable
-// buffer; deriveInto copies it into the relation's arena before anything
+// buffer; derive copies it into the relation's arena before anything
 // retains it.
-func (ps *peerState) emit(r *datalog.CompiledRule, head []term.ID) bool {
-	ps.deriveInto(ps.ctx, r.HeadRel(ps.db), r.Head.Rel, head)
+func (ps *peerState) emit(_ *datalog.CompiledRule, head []term.ID) bool {
+	ps.derive(ps.ctx, ps.joining, head)
 	return true
 }
 
-// deriveFact inserts a locally owned fact, forwards it to subscribers and
-// triggers local delta joins. Also used for the initial query seeding.
-func (ps *peerState) deriveFact(ctx *dist.Context, q rel.Name, args []term.ID) {
-	ps.deriveInto(ctx, ps.rel(q, len(args)), q, args)
-}
-
-// deriveInto is deriveFact with the target relation already resolved. The
-// args slice may be a reusable buffer: every retained reference (pending
-// queue, subscriber streams) uses the relation's own arena view instead.
-func (ps *peerState) deriveInto(ctx *dist.Context, relation *rel.Relation, q rel.Name, args []term.ID) {
+// derive inserts a locally owned fact, forwards it to subscribers and
+// queues its local delta joins. The args slice may be a reusable buffer:
+// every retained reference (pending queue, subscriber streams) uses the
+// relation's own arena view instead.
+func (ps *peerState) derive(ctx *dist.Context, rs *relState, args []term.ID) {
+	relation := ps.table(rs)
 	pos, added := relation.InsertPos(args)
 	if !added {
 		return
@@ -379,17 +416,17 @@ func (ps *peerState) deriveInto(ctx *dist.Context, relation *rel.Relation, q rel
 	stored := relation.At(pos)
 	ps.derived++
 	if ps.eng.traceOn {
-		ps.derivedBy[q]++
+		ps.derivedBy[rs.q]++
 	}
 	if int(ps.eng.derived.Add(1)) > ps.eng.budget.MaxFacts {
 		ps.eng.aborted.Store(true)
 		ctx.Abort(fmt.Errorf("%w: more than %d facts", datalog.ErrBudget, ps.eng.budget.MaxFacts))
 		return
 	}
-	for _, sub := range ps.subs[q] {
-		ctx.Send(sub, wire.Facts{Qual: q, Arity: len(stored), Tuple: ps.store.ExternalizeTuple(stored)})
+	for _, sub := range rs.subs {
+		ctx.Send(sub, wire.Facts{Qual: rs.q, Arity: len(stored), Tuple: ps.store.ExternalizeTuple(stored)})
 	}
-	ps.pending = append(ps.pending, pendingFact{q: q, args: stored})
+	ps.pending = append(ps.pending, pendingFact{rel: rs, args: stored})
 }
 
 // collectorID is the synthetic peer that receives the query's answers.
@@ -471,6 +508,18 @@ func (e *Engine) Totals() (derived, replicated int) {
 		replicated += ps.replicated
 	}
 	return derived, replicated
+}
+
+// JoinCounts reports the hosted peers' cumulative kernel counters: stored
+// tuples their joins probed and body matches those found (see
+// datalog.Kernel). Must not be called during a run.
+func (e *Engine) JoinCounts() (probes, attempts int) {
+	for _, id := range e.order {
+		k := &e.peers[id].k
+		probes += k.Probes
+		attempts += k.Attempts
+	}
+	return probes, attempts
 }
 
 // finishRun emits the run's engine counters (as per-run deltas, so a

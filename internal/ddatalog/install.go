@@ -30,15 +30,11 @@ func (e *Engine) SetActivationHook(h ActivationHook) {
 
 // runHook invokes the engine hook once per (peer, relation), routing the
 // returned rules: local ones are installed now, remote ones shipped.
-func (ps *peerState) runHook(ctx *dist.Context, relName rel.Name) {
-	if ps.eng.hook == nil {
+func (ps *peerState) runHook(ctx *dist.Context, relName rel.Name, rs *relState) {
+	if ps.eng.hook == nil || rs.hooked {
 		return
 	}
-	key := Qualify(relName, ps.id)
-	if ps.hooked[key] {
-		return
-	}
-	ps.hooked[key] = true
+	rs.hooked = true
 
 	ps.eng.hookMu.Lock()
 	rules := ps.eng.hook(ps.id, relName)
@@ -108,10 +104,10 @@ func (ps *peerState) installRule(ctx *dist.Context, r PRule) {
 		ps.eng.tracer.Instant(string(ps.id), "install "+string(r.Head.Qualified()))
 	}
 	ri := ps.host(r)
-	if c := ps.rules[ri].c; ps.active[c.Head.Rel] {
+	if ps.rules[ri].head.active {
 		for _, a := range r.Body {
 			ps.activateBody(ctx, a)
 		}
-		ps.k.Join(c, nil, -1, nil)
+		ps.join(ri, -1, nil)
 	}
 }

@@ -192,16 +192,17 @@ func (a PAtom) localize() datalog.Atom {
 	return datalog.Atom{Rel: a.Qualified(), Args: a.Args}
 }
 
-// compile is datalog.Compile of the localized rule, built in place: a peer
-// hosts hundreds of rules per appended alarm, and the intermediate Rule
-// costs two more allocations each (≈3 % CPU of a Fig. 1 session). The
-// compiled rule shares r's argument and constraint slices.
-func (r PRule) compile() *datalog.CompiledRule {
-	c := &datalog.CompiledRule{Head: r.Head.localize(), Body: make([]datalog.CompiledAtom, len(r.Body)), Neqs: r.Neqs}
-	for i, a := range r.Body {
-		c.Body[i].Atom = a.localize()
+// compile is datalog.Compile of the localized rule, with r's terms
+// interned in s. A peer hosts hundreds of rules per appended alarm, so the
+// intermediate body stays on the stack (dQSQ bodies have at most three
+// atoms); the compiled rule shares r's argument and constraint slices.
+func (r PRule) compile(s *term.Store) *datalog.CompiledRule {
+	var buf [4]datalog.Atom
+	body := buf[:0]
+	for _, a := range r.Body {
+		body = append(body, a.localize())
 	}
-	return c
+	return datalog.Compile(s, r.Head.localize(), body, r.Neqs)
 }
 
 // Global produces the canonical global translation of Section 3 ("Models

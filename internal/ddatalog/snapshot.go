@@ -132,15 +132,24 @@ func DecodeProgramSnapshot(r *snapshot.Reader, store *term.Store) (*Program, err
 	return p, nil
 }
 
-func sortedNames(m map[rel.Name]bool) []rel.Name {
-	out := make([]rel.Name, 0, len(m))
-	for n, v := range m {
-		if v {
-			out = append(out, n)
+// sortedRels returns the peer's relation states that satisfy keep, by
+// name.
+func (ps *peerState) sortedRels(keep func(*relState) bool) []*relState {
+	var out []*relState
+	for _, rs := range ps.rels {
+		if keep(rs) {
+			out = append(out, rs)
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	sort.Slice(out, func(i, j int) bool { return out[i].q < out[j].q })
 	return out
+}
+
+// The three name sets a peer snapshot carries, in encoding order.
+var relFlags = []func(*relState) *bool{
+	func(rs *relState) *bool { return &rs.active },
+	func(rs *relState) *bool { return &rs.requested },
+	func(rs *relState) *bool { return &rs.hooked },
 }
 
 // EncodeSnapshot writes the engine's warm state into w: budget, counters,
@@ -185,39 +194,31 @@ func (e *Engine) EncodeSnapshot(w *snapshot.Writer) error {
 		for _, ru := range ps.rules {
 			EncodePRuleSnapshot(w, ru.PRule)
 		}
-		for _, set := range []map[rel.Name]bool{ps.active, ps.requested, ps.hooked} {
-			names := sortedNames(set)
-			w.Uvarint(uint64(len(names)))
-			for _, n := range names {
-				w.String(string(n))
+		for _, flag := range relFlags {
+			set := ps.sortedRels(func(rs *relState) bool { return *flag(rs) })
+			w.Uvarint(uint64(len(set)))
+			for _, rs := range set {
+				w.String(string(rs.q))
 			}
 		}
-		subNames := make([]rel.Name, 0, len(ps.subs))
-		for n := range ps.subs {
-			subNames = append(subNames, n)
-		}
-		sort.Slice(subNames, func(i, j int) bool { return subNames[i] < subNames[j] })
-		w.Uvarint(uint64(len(subNames)))
-		for _, n := range subNames {
-			w.String(string(n))
-			w.Uvarint(uint64(len(ps.subs[n])))
-			for _, s := range ps.subs[n] { // registration order matters
+		subscribed := ps.sortedRels(func(rs *relState) bool { return len(rs.subs) > 0 })
+		w.Uvarint(uint64(len(subscribed)))
+		for _, rs := range subscribed {
+			w.String(string(rs.q))
+			w.Uvarint(uint64(len(rs.subs)))
+			for _, s := range rs.subs { // registration order matters
 				w.String(string(s))
 			}
 		}
-		arNames := make([]rel.Name, 0, len(ps.arity))
-		for n := range ps.arity {
-			arNames = append(arNames, n)
-		}
-		sort.Slice(arNames, func(i, j int) bool { return arNames[i] < arNames[j] })
-		w.Uvarint(uint64(len(arNames)))
-		for _, n := range arNames {
-			w.String(string(n))
-			w.Uvarint(uint64(ps.arity[n]))
+		sized := ps.sortedRels(func(rs *relState) bool { return rs.arity >= 0 })
+		w.Uvarint(uint64(len(sized)))
+		for _, rs := range sized {
+			w.String(string(rs.q))
+			w.Uvarint(uint64(rs.arity))
 		}
 		w.Uvarint(uint64(len(ps.pending)))
 		for _, pf := range ps.pending {
-			w.String(string(pf.q))
+			w.String(string(pf.rel.q))
 			w.Uvarint(uint64(len(pf.args)))
 			for _, t := range pf.args {
 				w.Uvarint(uint64(t))
@@ -295,18 +296,18 @@ func DecodeEngineSnapshot(r *snapshot.Reader, store *term.Store) (*Engine, error
 		for j := 0; j < nRules && r.Err() == nil; j++ {
 			rules = append(rules, DecodePRuleSnapshot(r, pstore.Len()))
 		}
-		for _, set := range []map[rel.Name]bool{ps.active, ps.requested, ps.hooked} {
+		for _, flag := range relFlags {
 			m := r.Count(1)
 			for j := 0; j < m && r.Err() == nil; j++ {
-				set[rel.Name(r.String())] = true
+				*flag(ps.rel(rel.Name(r.String()))) = true
 			}
 		}
 		nSubs := r.Count(2)
 		for j := 0; j < nSubs && r.Err() == nil; j++ {
-			name := rel.Name(r.String())
+			rs := ps.rel(rel.Name(r.String()))
 			m := r.Count(1)
 			for k := 0; k < m && r.Err() == nil; k++ {
-				ps.subs[name] = append(ps.subs[name], dist.PeerID(r.String()))
+				rs.subs = append(rs.subs, dist.PeerID(r.String()))
 			}
 		}
 		nAr := r.Count(2)
@@ -317,11 +318,11 @@ func DecodeEngineSnapshot(r *snapshot.Reader, store *term.Store) (*Engine, error
 				r.Failf("arity %d for %s", ar, name)
 				break
 			}
-			ps.arity[name] = int(ar)
+			ps.rel(name).arity = int(ar)
 		}
 		nPend := r.Count(2)
 		for j := 0; j < nPend && r.Err() == nil; j++ {
-			pf := pendingFact{q: rel.Name(r.String())}
+			pf := pendingFact{rel: ps.rel(rel.Name(r.String()))}
 			m := r.Count(1)
 			for k := 0; k < m && r.Err() == nil; k++ {
 				id := r.Uvarint()
@@ -355,13 +356,13 @@ func DecodeEngineSnapshot(r *snapshot.Reader, store *term.Store) (*Engine, error
 			ps.host(ru)
 		}
 		for _, name := range ps.db.Names() {
-			if want, ok := ps.arity[name]; ok && ps.db.Lookup(name).Arity() != want {
-				r.Failf("relation %s stored with arity %d, declared %d", name, ps.db.Lookup(name).Arity(), want)
+			if rs := ps.rels[name]; rs != nil && rs.arity >= 0 && ps.db.Lookup(name).Arity() != rs.arity {
+				r.Failf("relation %s stored with arity %d, declared %d", name, ps.db.Lookup(name).Arity(), rs.arity)
 			}
 		}
 		for _, pf := range ps.pending {
-			if want, ok := ps.arity[pf.q]; ok && len(pf.args) != want {
-				r.Failf("pending fact arity mismatch for %s", pf.q)
+			if pf.rel.arity >= 0 && len(pf.args) != pf.rel.arity {
+				r.Failf("pending fact arity mismatch for %s", pf.rel.q)
 			}
 		}
 		if r.Err() != nil {
@@ -380,8 +381,8 @@ func DecodeEngineSnapshot(r *snapshot.Reader, store *term.Store) (*Engine, error
 // reporting corruption through the reader instead of panicking.
 func (ps *peerState) checkArity(r *snapshot.Reader, a PAtom) bool {
 	q, n := a.Qualified(), len(a.Args)
-	if want, ok := ps.arity[q]; !ok || want != n {
-		r.Failf("rule uses %s with arity %d, snapshot declares %v", q, n, ps.arity[q])
+	if rs := ps.rels[q]; rs == nil || rs.arity != n {
+		r.Failf("rule uses %s with arity %d, snapshot declares otherwise", q, n)
 		return true
 	}
 	return false

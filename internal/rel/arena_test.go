@@ -96,6 +96,9 @@ func TestArenaMatchesModel(t *testing.T) {
 			mask := uint64(rng.Intn(1 << arity))
 			key := randTuple()
 			lo := rng.Intn(r.Len() + 1)
+			if rng.Intn(2) == 0 {
+				lo = 0 // the indexed path: a chain is entered at its head only
+			}
 			hi := lo + rng.Intn(r.Len()-lo+1)
 			var got []int
 			r.Scan(mask, key, lo, hi, func(pos int, tuple []term.ID) bool {
@@ -123,6 +126,33 @@ func TestArenaMatchesModel(t *testing.T) {
 		if modelKey(all[i]) != modelKey(m.tups[i]) {
 			t.Fatalf("All[%d] = %v, want %v", i, all[i], m.tups[i])
 		}
+	}
+}
+
+// TestScanSeesItsStartingState pins what joins rely on when their
+// continuation derives into the relation being scanned: an indexed scan
+// visits the tuples present when it started, in position order, however
+// the callback grows the relation and its index meanwhile.
+func TestScanSeesItsStartingState(t *testing.T) {
+	s := term.NewStore()
+	r := New(2)
+	for i := 0; i < 3*scanLimit; i++ {
+		r.Insert(tup(s, fmt.Sprintf("a%d", i%2), fmt.Sprintf("b%d", i)))
+	}
+	key := tup(s, "a1", "")
+	var got []int
+	r.Scan(1, key, 0, r.Len(), func(pos int, _ []term.ID) bool {
+		got = append(got, pos)
+		r.Insert(tup(s, "a1", fmt.Sprintf("new%d", pos)))
+		inner := 0
+		r.Scan(1, key, 0, r.Len(), func(int, []term.ID) bool { inner++; return true })
+		if want := 3*scanLimit/2 + len(got); inner != want {
+			t.Fatalf("nested scan at pos %d saw %d tuples, want %d", pos, inner, want)
+		}
+		return true
+	})
+	if len(got) != 3*scanLimit/2 || got[0] != 1 || got[len(got)-1] != 3*scanLimit-1 {
+		t.Fatalf("outer scan visited %v, want the %d odd positions below %d", got, 3*scanLimit/2, 3*scanLimit)
 	}
 }
 

@@ -3,9 +3,9 @@
 // with hash indexes built lazily per binding pattern.
 //
 // Relations are append-only (Datalog is monotone), so a "delta" for
-// semi-naive evaluation is just a watermark pair [lo,hi) of positions, and
-// index posting lists — which are ascending position slices — support
-// delta-restricted scans by binary search.
+// semi-naive evaluation is just a watermark pair [lo,hi) of positions: an
+// index chains the positions of a key in ascending order, so a scan stops
+// at hi, and a window that starts past 0 is walked in the arena itself.
 //
 // Tuples live in a columnar arena: one flat []term.ID buffer where tuple i
 // occupies the slice [i*arity, (i+1)*arity). The full-tuple dedup set and
@@ -46,12 +46,16 @@ type table struct {
 }
 
 // index is the per-mask hash index: slots map a masked-column hash to a
-// key number, postings[key] is the ascending list of tuple positions whose
-// masked columns equal that key.
+// key number, and the tuples whose masked columns equal that key are
+// chained in position order through next, from first[key] to last[key].
+// A chain costs four bytes a tuple and eight a key and no allocation of
+// its own; a position slice per key cost several times that, which showed
+// once delta joins probed the large supplementary relations by index.
 type index struct {
-	slots    []int32
-	postings [][]int32
-	built    int // number of tuples absorbed so far
+	slots []int32
+	first []int32 // per key; first[k] also stands for the key when comparing
+	last  []int32 // per key
+	next  []int32 // per absorbed tuple: the next position of its key, 0 if none (a successor is never 0)
 }
 
 // maskIndex pairs a binding mask with its index. Relations see only a
@@ -237,16 +241,17 @@ func (r *Relation) ensureIndex(mask uint64) *index {
 		ix = &index{slots: make([]int32, 16)}
 		r.idx = append(r.idx, maskIndex{mask: mask, ix: ix})
 	}
-	for pos := ix.built; pos < r.n; pos++ {
+	for pos := len(ix.next); pos < r.n; pos++ {
 		r.indexInsert(ix, mask, pos)
 	}
-	ix.built = r.n
 	return ix
 }
 
-// indexInsert files tuple position pos under its masked-column key.
+// indexInsert files tuple position pos, the next one ix has not absorbed,
+// under its masked-column key.
 func (r *Relation) indexInsert(ix *index, mask uint64, pos int) {
 	row := r.row(pos)
+	ix.next = append(ix.next, 0)
 	m := uint64(len(ix.slots) - 1)
 	i := hashCols(row, mask) & m
 	for {
@@ -254,16 +259,18 @@ func (r *Relation) indexInsert(ix *index, mask uint64, pos int) {
 		if s == 0 {
 			break
 		}
-		k := int(s - 1)
-		if eqCols(r.row(int(ix.postings[k][0])), row, mask) {
-			ix.postings[k] = append(ix.postings[k], int32(pos))
+		k := s - 1
+		if eqCols(r.row(int(ix.first[k])), row, mask) {
+			ix.next[ix.last[k]] = int32(pos)
+			ix.last[k] = int32(pos)
 			return
 		}
 		i = (i + 1) & m
 	}
-	ix.postings = append(ix.postings, []int32{int32(pos)})
-	ix.slots[i] = int32(len(ix.postings))
-	if len(ix.postings)*4 >= len(ix.slots)*3 {
+	ix.first = append(ix.first, int32(pos))
+	ix.last = append(ix.last, int32(pos))
+	ix.slots[i] = int32(len(ix.first))
+	if len(ix.first)*4 >= len(ix.slots)*3 {
 		r.growIndex(ix, mask)
 	}
 }
@@ -272,8 +279,8 @@ func (r *Relation) indexInsert(ix *index, mask uint64, pos int) {
 func (r *Relation) growIndex(ix *index, mask uint64) {
 	slots := make([]int32, 2*len(ix.slots))
 	m := uint64(len(slots) - 1)
-	for k, posting := range ix.postings {
-		i := hashCols(r.row(int(posting[0])), mask) & m
+	for k, pos := range ix.first {
+		i := hashCols(r.row(int(pos)), mask) & m
 		for slots[i] != 0 {
 			i = (i + 1) & m
 		}
@@ -282,42 +289,34 @@ func (r *Relation) growIndex(ix *index, mask uint64) {
 	ix.slots = slots
 }
 
-// lookup returns the posting list for key's masked columns, or nil.
-func (ix *index) lookup(r *Relation, mask uint64, key []term.ID) []int32 {
+// lookup returns the number of the key equal to key's masked columns, or
+// -1.
+func (ix *index) lookup(r *Relation, mask uint64, key []term.ID) int {
 	m := uint64(len(ix.slots) - 1)
 	i := hashCols(key, mask) & m
 	for {
 		s := ix.slots[i]
 		if s == 0 {
-			return nil
+			return -1
 		}
-		posting := ix.postings[s-1]
-		if eqCols(r.row(int(posting[0])), key, mask) {
-			return posting
+		if eqCols(r.row(int(ix.first[s-1])), key, mask) {
+			return int(s - 1)
 		}
 		i = (i + 1) & m
 	}
 }
 
-// searchPos returns the first index in the ascending posting list whose
-// value is >= lo.
-func searchPos(posting []int32, lo int32) int {
-	i, j := 0, len(posting)
-	for i < j {
-		h := int(uint(i+j) >> 1)
-		if posting[h] < lo {
-			i = h + 1
-		} else {
-			j = h
-		}
-	}
-	return i
-}
+// scanLimit is the relation size up to which comparing every tuple beats
+// building and probing an index; most relations of a rewritten program
+// never outgrow it.
+const scanLimit = 8
 
 // Scan calls f for each tuple position in [lo,hi) whose columns selected by
 // mask equal the corresponding entries of key (a full-width tuple; columns
 // outside mask are ignored). Iteration stops early if f returns false.
-// A zero mask scans the whole window.
+// A zero mask scans the whole window. So does a window that starts past 0,
+// comparing as it goes: such a window is a semi-naive delta, walked once,
+// and an index chain cannot be entered in the middle.
 func (r *Relation) Scan(mask uint64, key []term.ID, lo, hi int, f func(pos int, tuple []term.ID) bool) {
 	if hi > r.n {
 		hi = r.n
@@ -325,22 +324,23 @@ func (r *Relation) Scan(mask uint64, key []term.ID, lo, hi int, f func(pos int, 
 	if lo >= hi {
 		return
 	}
-	if mask == 0 {
+	if mask == 0 || lo > 0 || r.n <= scanLimit {
 		for pos := lo; pos < hi; pos++ {
-			if !f(pos, r.row(pos)) {
+			if row := r.row(pos); eqCols(row, key, mask) && !f(pos, row) {
 				return
 			}
 		}
 		return
 	}
-	posting := r.ensureIndex(mask).lookup(r, mask, key)
-	start := searchPos(posting, int32(lo))
-	for _, p := range posting[start:] {
-		pos := int(p)
-		if pos >= hi {
-			return
-		}
-		if !f(pos, r.row(pos)) {
+	ix := r.ensureIndex(mask)
+	k := ix.lookup(r, mask, key)
+	if k < 0 {
+		return
+	}
+	// f may insert into r and scan it again: the chain may grow behind pos,
+	// beyond hi.
+	for pos := int(ix.first[k]); pos < hi; pos = int(ix.next[pos]) {
+		if !f(pos, r.row(pos)) || ix.next[pos] == 0 {
 			return
 		}
 	}

@@ -2,6 +2,7 @@ package term
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -274,6 +275,52 @@ func TestExternTupleRoundTrip(t *testing.T) {
 	back := s2.InternalizeTuple(wire)
 	if len(back) != 2 || s2.String(back[0]) != "a" || s2.String(back[1]) != "f(b)" {
 		t.Fatalf("tuple round-trip failed: %v", back)
+	}
+}
+
+// TestExternalizeTupleShape pins the encoding itself: shared nodes listed
+// once, arguments before their users, in first-visit order; a DAG far past
+// the inline index (and exponential as a tree) still encoded node for node;
+// and, warm, no allocation beyond the two arrays of the result.
+func TestExternalizeTupleShape(t *testing.T) {
+	s := NewStore()
+	a, x := s.Constant("a"), s.Variable("X")
+	fa := s.Compound("f", a, x)
+	got := s.ExternalizeTuple([]ID{s.Compound("g", fa, a), x, fa})
+	want := Extern{
+		Nodes: []ExternNode{
+			{Kind: Const, Name: "a"},
+			{Kind: Var, Name: "X"},
+			{Kind: Comp, Name: "f", Args: []int32{0, 1}},
+			{Kind: Comp, Name: "g", Args: []int32{2, 0}},
+		},
+		Roots: []int32{3, 1, 2},
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("encoding\n got %+v\nwant %+v", got, want)
+	}
+	if e := s.ExternalizeTuple(nil); e.Nodes != nil || e.Roots != nil {
+		t.Fatalf("empty tuple encodes as %+v", e)
+	}
+
+	deep := a
+	for i := 0; i < 5*externInline; i++ {
+		deep = s.Compound("d", deep, deep)
+	}
+	e := s.ExternalizeTuple([]ID{deep, a})
+	if len(e.Nodes) != 5*externInline+1 || e.Roots[1] != 0 {
+		t.Fatalf("deep DAG encoded as %d nodes, roots %v", len(e.Nodes), e.Roots)
+	}
+	if back := NewStore().InternalizeTuple(e); len(back) != 2 || back[0] != ID(5*externInline) {
+		t.Fatalf("deep DAG came back as %v", back)
+	}
+
+	tuple := []ID{s.Compound("g", fa, a), s.Compound("h", s.Compound("g", fa, a), x), fa}
+	if n := len(s.ExternalizeTuple(tuple).Nodes); n > 16 {
+		t.Fatalf("%d nodes, the guard is for small tuples", n)
+	}
+	if allocs := testing.AllocsPerRun(100, func() { s.ExternalizeTuple(tuple) }); allocs != 2 {
+		t.Fatalf("ExternalizeTuple allocates %v times per call, want only its result (nodes + index array)", allocs)
 	}
 }
 

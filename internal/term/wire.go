@@ -23,38 +23,101 @@ type ExternNode struct {
 	Args []int32 // indexes of earlier nodes; nil unless Kind == Comp
 }
 
-// externBuilder deduplicates nodes during encoding.
-type externBuilder struct {
-	s     *Store
-	e     *Extern
-	index map[ID]int32
+// externInline is how many nodes an encoding indexes within its own stack
+// frame; a fact tuple's DAG is rarely larger. The store carries no encoding
+// scratch: it is externalized from by whoever holds it (its peer, an
+// activation hook, the session building its messages).
+const externInline = 128
+
+// externSlot is one entry of the open-addressing table, always at most
+// half full, from the terms already listed to their node numbers.
+type externSlot struct {
+	id   ID
+	node int32 // number + 1, so the zero slot is empty
 }
 
-func (b *externBuilder) visit(t ID) int32 {
-	if i, ok := b.index[t]; ok {
-		return i
-	}
-	c := &b.s.cells[t]
-	var args []int32
-	if c.kind == Comp {
-		args = make([]int32, len(c.args))
-		for i, a := range c.args {
-			args[i] = b.visit(a)
+func externHash(t ID, size int) int {
+	return int(uint32(t)*2654435761>>7) & (size - 1)
+}
+
+// externNode returns the node number tab holds for t, or -1.
+func externNode(tab []externSlot, t ID) int32 {
+	for i := externHash(t, len(tab)); ; i = (i + 1) & (len(tab) - 1) {
+		if sl := tab[i]; sl.node == 0 {
+			return -1
+		} else if sl.id == t {
+			return sl.node - 1
 		}
 	}
-	i := int32(len(b.e.Nodes))
-	b.e.Nodes = append(b.e.Nodes, ExternNode{Kind: c.kind, Name: c.name, Args: args})
-	b.index[t] = i
-	return i
 }
 
-// ExternalizeTuple encodes a tuple of terms.
-func (s *Store) ExternalizeTuple(tuple []ID) Extern {
-	b := &externBuilder{s: s, e: &Extern{}, index: make(map[ID]int32)}
-	for _, t := range tuple {
-		b.e.Roots = append(b.e.Roots, b.visit(t))
+func externPut(tab []externSlot, t ID, node int32) {
+	i := externHash(t, len(tab))
+	for tab[i].node != 0 {
+		i = (i + 1) & (len(tab) - 1)
 	}
-	return *b.e
+	tab[i] = externSlot{t, node + 1}
+}
+
+// externOrder appends to ids the nodes of t not yet listed, arguments
+// before their users, and indexes them in tab, which moves to the heap and
+// doubles whenever it would get more than half full.
+func (s *Store) externOrder(ids []ID, tab []externSlot, t ID) ([]ID, []externSlot) {
+	if externNode(tab, t) >= 0 {
+		return ids, tab
+	}
+	for _, a := range s.cells[t].args {
+		ids, tab = s.externOrder(ids, tab, a)
+	}
+	if 2*len(ids) >= len(tab) {
+		tab = make([]externSlot, 2*len(tab))
+		for i, id := range ids {
+			externPut(tab, id, int32(i))
+		}
+	}
+	externPut(tab, t, int32(len(ids)))
+	return append(ids, t), tab
+}
+
+// ExternalizeTuple encodes a tuple of terms. The result is two
+// allocations whatever the tuple: the nodes, and one array that Roots and
+// every node's Args are cut from.
+func (s *Store) ExternalizeTuple(tuple []ID) Extern {
+	if len(tuple) == 0 {
+		return Extern{}
+	}
+	var idbuf [externInline]ID
+	var tabbuf [2 * externInline]externSlot
+	ids, tab := idbuf[:0], tabbuf[:]
+	for _, t := range tuple {
+		ids, tab = s.externOrder(ids, tab, t)
+	}
+	nrefs := len(tuple)
+	for _, t := range ids {
+		nrefs += len(s.cells[t].args)
+	}
+	refs := make([]int32, nrefs)
+	cut := func(n int) []int32 {
+		out := refs[:n:n]
+		refs = refs[n:]
+		return out
+	}
+	e := Extern{Nodes: make([]ExternNode, len(ids)), Roots: cut(len(tuple))}
+	for i, t := range tuple {
+		e.Roots[i] = externNode(tab, t)
+	}
+	for i, t := range ids {
+		c := &s.cells[t]
+		n := &e.Nodes[i]
+		n.Kind, n.Name = c.kind, c.name
+		if c.kind == Comp {
+			n.Args = cut(len(c.args))
+			for j, a := range c.args {
+				n.Args[j] = externNode(tab, a)
+			}
+		}
+	}
+	return e
 }
 
 // Externalize encodes a single term.

@@ -26,6 +26,16 @@ go test ./...
 echo "== go test -race ./internal/serve ./internal/dist ./internal/transport ./internal/wire ./internal/snapshot ./internal/wal ./internal/obs ./internal/repl ./internal/pool ./internal/ddatalog ./internal/rel ./internal/dqsq ./internal/datalog"
 go test -race ./internal/serve ./internal/dist ./internal/transport ./internal/wire ./internal/snapshot ./internal/wal ./internal/obs ./internal/repl ./internal/pool ./internal/ddatalog ./internal/rel ./internal/dqsq ./internal/datalog
 
+echo "== bench module (nested: tier-1 does not compile it)"
+# Deterministic, so it runs before the smokes and timing guards: a
+# box-dependent ratio going red must not hide a broken nested module.
+# bench/ pins engine surface by name; these signatures must not change
+# without a bench/ change of their own: OnlineDiagnoser.SetParallelism and
+# .Session, OnlineSession.Engine, Engine.Peers/PeerDB/PeerStore,
+# rel.Relation.All/InsertPos/Scan, Store.ExternalizeTuple/InternalizeTuple,
+# wire.AppendFrame/DecodeFrame.
+(cd bench && go vet ./... && go test ./...)
+
 echo "== wire codec fuzz smoke"
 # The seed corpus runs under plain `go test` above; this also gives the
 # mutator a moment on each target to shake out decoder panics.
@@ -230,13 +240,5 @@ echo "$pool_out" | awk -F'|' '
         printf "guard: ok (direct %d ns/append, pooled %d ns/append, 3-worker batch gain %.2fx)\n", direct, pooled, gain
     }
     END { if (!found) { print "guard: pool_overhead row missing" > "/dev/stderr"; exit 1 } }'
-
-echo "== bench module (nested: tier-1 does not compile it)"
-# bench/ pins engine surface by name; these signatures must not change
-# without a bench/ change of their own: OnlineDiagnoser.SetParallelism and
-# .Session, OnlineSession.Engine, Engine.Peers/PeerDB/PeerStore,
-# rel.Relation.All/InsertPos/Scan, Store.ExternalizeTuple/InternalizeTuple,
-# wire.AppendFrame/DecodeFrame.
-(cd bench && go vet ./... && go test ./...)
 
 echo "verify: OK"
