@@ -19,9 +19,12 @@ var ErrPoisoned = diagnosis.ErrPoisoned
 // For the DQSQ engine the handle is genuinely incremental: it keeps a
 // warm online dQSQ session (the paper's Remark 2 machinery), so append
 // k+1 extends the already-materialized unfolding prefix instead of
-// re-running from scratch. The other engines re-evaluate the accumulated
-// sequence on each append, but reuse the parsed, safety-checked net and
-// keep the previous report for delta inspection.
+// re-running from scratch. The session is a clone of its net's rewritten,
+// compiled program, which the first handle on a net builds and the
+// process keeps (see diagnosis.NewOnlineDiagnoser). The other engines
+// re-evaluate the accumulated sequence on each append, but reuse the
+// parsed, safety-checked net and keep the previous report for delta
+// inspection.
 //
 // An Incremental is not safe for concurrent use; callers serialize
 // access (internal/serve wraps one mutex per session).
@@ -52,6 +55,13 @@ func (s *System) NewIncremental(engine Engine, opt Options) (*Incremental, error
 		inc.online = d
 	}
 	return inc, nil
+}
+
+// ProgramCacheStats reports the process-wide per-net program cache behind
+// DQSQ handles: creates that found their net's rewritten, compiled program
+// cached, creates that had to build it, and the programs held now.
+func ProgramCacheStats() (hits, misses uint64, entries int) {
+	return diagnosis.ProgramCacheStats()
 }
 
 // Engine returns the handle's engine.

@@ -90,10 +90,14 @@ func (p *Program) run(b Budget, seminaive bool) (*rel.DB, Stats) {
 		cur:    make(map[rel.Name]int),
 	}
 	e.k = Kernel{DB: e.db, Bnd: term.NewBindings(p.Store), MaxTermDepth: b.MaxTermDepth, Emit: e.emit}
-	// Create every relation up front so lookups never nil-check.
+	// Create every relation up front so lookups never nil-check, and number
+	// them for the kernel's relation cache.
+	slots := make(map[rel.Name]int, len(arities))
 	for name, ar := range arities {
 		e.db.Rel(name, ar)
+		slots[name] = len(slots)
 	}
+	slotted := func(a Atom) CompiledAtom { return CompiledAtom{a, slots[a.Rel]} }
 	// Seed extensional facts and ground-fact rules.
 	var rules []*CompiledRule
 	for _, f := range p.Facts {
@@ -104,7 +108,11 @@ func (p *Program) run(b Budget, seminaive bool) (*rel.DB, Stats) {
 			e.insert(e.db.Lookup(r.Head.Rel), r.Head.Args, &e.stats.Seeded)
 			continue
 		}
-		rules = append(rules, Compile(p.Store, r.Head, r.Body, r.Neqs))
+		body := make([]CompiledAtom, len(r.Body))
+		for i, a := range r.Body {
+			body[i] = slotted(a)
+		}
+		rules = append(rules, CompileSlotted(p.Store, slotted(r.Head), body, r.Neqs))
 	}
 
 	fixpoint := false
@@ -173,7 +181,7 @@ func (e *evaluator) join(r *CompiledRule, d int) {
 // emit is the kernel's continuation: materialize the head, stop the join
 // once the fact budget is hit.
 func (e *evaluator) emit(r *CompiledRule, head []term.ID) bool {
-	e.insert(r.HeadRel(e.db), head, &e.stats.Derived)
+	e.insert(e.k.HeadRel(r), head, &e.stats.Derived)
 	return !e.stats.Truncated
 }
 

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"slices"
 
 	"repro/internal/rel"
 	"repro/internal/term"
@@ -16,15 +17,16 @@ import (
 // same planned body join and the same head builder.
 
 // CompiledRule is a rule prepared for the kernel: the argument patterns
-// and inequality constraints of the source rule, the relation pointers the
-// join resolves on first use (DB.Rel never replaces a relation, so a
-// cached pointer stays valid), and one join plan per atom the join may be
-// told to start from.
+// and inequality constraints of the source rule, the slot of each relation
+// it names, and one join plan per atom the join may be told to start from.
+// It is immutable once compiled, so every kernel whose slots were numbered
+// the same way — the sessions cloned from one program — may join it, at the
+// same time: the relation pointers a join resolves are cached in the Kernel,
+// by slot, not in the rule.
 type CompiledRule struct {
-	Head Atom
+	Head CompiledAtom
 	Body []CompiledAtom
 	Neqs []Neq
-	head *rel.Relation
 	// steps holds one plan of len(Body) steps per body atom, back to back:
 	// steps[e*n:(e+1)*n] is the plan entered at atom e. A full evaluation
 	// (no entry atom) enters at atom full, the one greed would pick first.
@@ -32,10 +34,13 @@ type CompiledRule struct {
 	full  int
 }
 
-// CompiledAtom is a body atom with its relation cached.
+// CompiledAtom is an atom with the slot of its relation: the number the
+// rule's program gives the relation name, dense from 0 and the same wherever
+// the name occurs, or negative for none — a kernel then looks the relation
+// up by name each time a join reaches the atom.
 type CompiledAtom struct {
 	Atom
-	rel *rel.Relation
+	Slot int
 }
 
 // step is one atom of a join plan. Stored facts are ground, so which
@@ -51,13 +56,21 @@ type step struct {
 }
 
 // Compile prepares the rule head :- body, neqs, whose terms are interned
-// in s, for Kernel.Join. It copies body (a caller's stack buffer will do)
-// and shares the argument and constraint slices.
+// in s, for Kernel.Join, with no slot for any relation. It shares the
+// argument and constraint slices.
 func Compile(s *term.Store, head Atom, body []Atom, neqs []Neq) *CompiledRule {
-	c := &CompiledRule{Head: head, Body: make([]CompiledAtom, len(body)), Neqs: neqs}
+	c := &CompiledRule{Head: CompiledAtom{head, -1}, Body: make([]CompiledAtom, len(body)), Neqs: neqs}
 	for i, a := range body {
-		c.Body[i].Atom = a
+		c.Body[i] = CompiledAtom{a, -1}
 	}
+	c.plan(s)
+	return c
+}
+
+// CompileSlotted is Compile for the rules of one program, whose relations
+// the caller has numbered. It copies body (a caller's stack buffer will do).
+func CompileSlotted(s *term.Store, head CompiledAtom, body []CompiledAtom, neqs []Neq) *CompiledRule {
+	c := &CompiledRule{Head: head, Body: slices.Clone(body), Neqs: neqs}
 	c.plan(s)
 	return c
 }
@@ -124,12 +137,9 @@ func keyMask(s *term.Store, args, bound []term.ID) (mask uint64) {
 }
 
 // HeadRel returns the relation the rule derives into, creating it in db on
-// first use.
+// first use. Kernel.HeadRel is the cached form.
 func (r *CompiledRule) HeadRel(db *rel.DB) *rel.Relation {
-	if r.head == nil {
-		r.head = db.Rel(r.Head.Rel, len(r.Head.Args))
-	}
-	return r.head
+	return db.Rel(r.Head.Rel, len(r.Head.Args))
 }
 
 // Window is the scan window [Lo,Hi) of tuple positions one body atom is
@@ -154,6 +164,10 @@ type Kernel struct {
 	// heads included; Probes counts the stored tuples scans handed to the
 	// matcher. Probes/Attempts is the join's waste ratio.
 	Attempts, Probes int
+
+	// rels caches the relations of DB by slot (DB.Rel never replaces a
+	// relation, so a cached pointer stays valid).
+	rels []*rel.Relation
 
 	// Scratch: one index key per plan depth (the join at depth d owns entry
 	// d; deeper recursion uses higher entries) and one head buffer.
@@ -186,6 +200,31 @@ func (k *Kernel) Join(r *CompiledRule, win []Window, entry int, pinned []term.ID
 	k.join(0)
 }
 
+// Rel returns the relation of slot, which is called name: cached, or looked
+// up in DB, where an arity >= 0 creates it if it is missing. A negative slot
+// is looked up every time.
+func (k *Kernel) Rel(slot int, name rel.Name, arity int) *rel.Relation {
+	if slot >= 0 && slot < len(k.rels) && k.rels[slot] != nil {
+		return k.rels[slot]
+	}
+	relation := k.DB.Lookup(name)
+	if relation == nil && arity >= 0 {
+		relation = k.DB.Rel(name, arity)
+	}
+	if slot >= 0 && relation != nil {
+		for len(k.rels) <= slot {
+			k.rels = append(k.rels, nil)
+		}
+		k.rels[slot] = relation
+	}
+	return relation
+}
+
+// HeadRel returns the relation r derives into, creating it on first use.
+func (k *Kernel) HeadRel(r *CompiledRule) *rel.Relation {
+	return k.Rel(r.Head.Slot, r.Head.Rel, len(r.Head.Args))
+}
+
 // scratch returns entry j of a per-depth buffer list, sized to n IDs.
 func scratch(bufs *[][]term.ID, j, n int) []term.ID {
 	for len(*bufs) <= j {
@@ -215,12 +254,9 @@ func (k *Kernel) join(d int) {
 		bnd.Undo(mark)
 		return
 	}
-	relation := a.rel
+	relation := k.Rel(a.Slot, a.Rel, -1)
 	if relation == nil {
-		if relation = k.DB.Lookup(a.Rel); relation == nil {
-			return
-		}
-		a.rel = relation
+		return
 	}
 	lo, hi := 0, math.MaxInt
 	if k.win != nil {

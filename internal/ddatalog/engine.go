@@ -42,7 +42,7 @@ type Stats struct {
 // overlap; after a run fails (budget, timeout), the warm state is safe to
 // read but further runs are best-effort.
 type Engine struct {
-	prog      *Program
+	src       *term.Store // the program's store: what RunDelta and the hook are handed is interned in it
 	budget    datalog.Budget
 	peers     map[dist.PeerID]*peerState
 	order     []dist.PeerID
@@ -83,12 +83,20 @@ type peerState struct {
 	// k matches every rule body evaluated at this peer; its continuation is
 	// ps.emit, which needs the handler turn in progress (ctx) to send and the
 	// head relation of the rule being joined.
-	k          datalog.Kernel
-	ctx        *dist.Context
-	joining    *relState
-	rules      []hostedRule           // hosted rules, interned in store
-	rels       map[rel.Name]*relState // by qualified name
-	pending    []pendingFact          // derived facts awaiting their delta joins
+	k       datalog.Kernel
+	ctx     *dist.Context
+	joining *relState
+	// The hosted rules, interned in store, are shared followed by rules: a
+	// cloned engine reads the rules its origin had in place — a hosted rule
+	// never changes — and numbers its own after them.
+	shared []hostedRule
+	rules  []hostedRule
+	// names numbers the qualified relation names the peer has met; rels holds
+	// each one's state under its number, which is also the relation's slot in
+	// k and in the peer's compiled rules.
+	names      rel.Names
+	rels       []*relState
+	pending    []pendingFact // derived facts awaiting their delta joins
 	derived    int
 	replicated int
 	installed  int              // rules installed at runtime (hook or wire.Install)
@@ -100,8 +108,8 @@ type peerState struct {
 // relation name.
 type relState struct {
 	q         rel.Name
+	slot      int           // its number in peerState.rels
 	arity     int           // -1 until a rule, fact or message fixes it
-	table     *rel.Relation // ps.table caches it
 	active    bool          // local relation activated
 	requested bool          // remote relation already activated
 	hooked    bool          // activation hook already ran
@@ -111,13 +119,15 @@ type relState struct {
 }
 
 // hostedRule is one rule of a peer's program: the located form it arrived
-// in (activation routing, snapshots) and the kernel's compiled form over
+// in (activation routing, snapshots), the kernel's compiled form over
 // qualified relation names, so the join never rebuilds a "rel@peer" name
-// or re-hashes one.
+// or re-hashes one, and the number of its head relation. All three are
+// immutable, and relations are numbered alike in an engine and its clones,
+// so the clones share one copy.
 type hostedRule struct {
 	PRule
 	c    *datalog.CompiledRule
-	head *relState
+	head int
 }
 
 func newPeerState(e *Engine, id dist.PeerID, store *term.Store, db *rel.DB) *peerState {
@@ -126,7 +136,6 @@ func newPeerState(e *Engine, id dist.PeerID, store *term.Store, db *rel.DB) *pee
 		id:        id,
 		store:     store,
 		db:        db,
-		rels:      make(map[rel.Name]*relState),
 		derivedBy: make(map[rel.Name]int),
 	}
 	ps.k = datalog.Kernel{DB: db, Bnd: term.NewBindings(store), MaxTermDepth: e.budget.MaxTermDepth, Emit: ps.emit}
@@ -136,11 +145,11 @@ func newPeerState(e *Engine, id dist.PeerID, store *term.Store, db *rel.DB) *pee
 // rel returns the state of qualified relation q, creating it on first
 // mention.
 func (ps *peerState) rel(q rel.Name) *relState {
-	rs := ps.rels[q]
-	if rs == nil {
-		rs = &relState{q: q, arity: -1}
-		ps.rels[q] = rs
+	if i, ok := ps.names.Lookup(q); ok {
+		return ps.rels[i]
 	}
+	rs := &relState{q: q, slot: ps.names.Add(q), arity: -1}
+	ps.rels = append(ps.rels, rs)
 	return rs
 }
 
@@ -157,36 +166,50 @@ func (ps *peerState) relOfArity(q rel.Name, n int) *relState {
 // table returns the stored relation of rs, creating it in the peer's
 // database on first use.
 func (ps *peerState) table(rs *relState) *rel.Relation {
-	if rs.table == nil {
-		rs.table = ps.db.Rel(rs.q, rs.arity)
-	}
-	return rs.table
+	return ps.k.Rel(rs.slot, rs.q, rs.arity)
 }
 
 // host appends r (interned in ps.store) to the peer's program, indexing it
-// under its head and body relations, and returns its rule index.
+// under its head and body relations, and returns its rule index. A peer
+// hosts thousands of rules per net, so the atoms handed to the compiler stay
+// on the stack (dQSQ bodies have at most three); the compiled rule shares
+// r's argument and constraint slices, and every atom keeps the relation's
+// one name string, not its own copy.
 func (ps *peerState) host(r PRule) int {
-	ri := len(ps.rules)
-	c := r.compile(ps.store)
-	head := ps.relOfArity(c.Head.Rel, len(c.Head.Args))
-	head.defs = append(head.defs, ri)
-	ps.rules = append(ps.rules, hostedRule{r, c, head})
-	// Every atom keeps the relation's one name string, not its own copy.
-	c.Head.Rel = head.q
-	for ai := range c.Body {
-		a := &c.Body[ai]
-		rs := ps.relOfArity(a.Rel, len(a.Args))
-		rs.occs = append(rs.occs, ruleAt{rule: ri, atom: ai})
-		a.Rel = rs.q
+	ri := ps.numRules()
+	slotted := func(a PAtom) (*relState, datalog.CompiledAtom) {
+		rs := ps.relOfArity(a.Qualified(), len(a.Args))
+		return rs, datalog.CompiledAtom{Atom: datalog.Atom{Rel: rs.q, Args: a.Args}, Slot: rs.slot}
 	}
+	head, chead := slotted(r.Head)
+	head.defs = append(head.defs, ri)
+	var buf [4]datalog.CompiledAtom
+	body := buf[:0]
+	for ai, a := range r.Body {
+		rs, ca := slotted(a)
+		rs.occs = append(rs.occs, ruleAt{rule: ri, atom: ai})
+		body = append(body, ca)
+	}
+	c := datalog.CompileSlotted(ps.store, chead, body, r.Neqs)
+	ps.rules = append(ps.rules, hostedRule{r, c, head.slot})
 	return ri
+}
+
+func (ps *peerState) numRules() int { return len(ps.shared) + len(ps.rules) }
+
+// rule returns hosted rule ri.
+func (ps *peerState) rule(ri int) *hostedRule {
+	if ri < len(ps.shared) {
+		return &ps.shared[ri]
+	}
+	return &ps.rules[ri-len(ps.shared)]
 }
 
 // join evaluates hosted rule ri starting from body atom entry (see
 // datalog.Kernel.Join).
 func (ps *peerState) join(ri, entry int, pinned []term.ID) {
-	r := &ps.rules[ri]
-	ps.joining = r.head
+	r := ps.rule(ri)
+	ps.joining = ps.rels[r.head]
 	ps.k.Join(r.c, nil, entry, pinned)
 }
 
@@ -200,7 +223,7 @@ type pendingFact struct {
 }
 
 type ruleAt struct {
-	rule int // index into peerState.rules
+	rule int // see peerState.rule
 	atom int // body position
 }
 
@@ -228,7 +251,7 @@ func NewEngineHosted(prog *Program, budget datalog.Budget, hosted []dist.PeerID)
 		budget.MaxFacts = datalog.DefaultBudget.MaxFacts
 	}
 	e := &Engine{
-		prog:      prog,
+		src:       prog.Store,
 		budget:    budget,
 		peers:     make(map[dist.PeerID]*peerState),
 		progPeers: make(map[dist.PeerID]bool),
@@ -259,7 +282,7 @@ func NewEngineHosted(prog *Program, budget datalog.Budget, hosted []dist.PeerID)
 	// peer's private store (the wire conversion the real system would do).
 	// Rules and facts of peers hosted elsewhere are simply skipped: their
 	// node does the same and keeps its own share.
-	src := prog.Store
+	src := e.src
 	for _, r := range prog.Rules {
 		ps := e.peers[r.Head.Peer]
 		if ps == nil {
@@ -364,7 +387,7 @@ func (ps *peerState) activateLocal(ctx *dist.Context, r rel.Name, subscriber dis
 		ps.table(rs) // ensure the relation exists even if empty
 	}
 	for _, ri := range defs {
-		for _, a := range ps.rules[ri].Body {
+		for _, a := range ps.rule(ri).Body {
 			ps.activateBody(ctx, a)
 		}
 		// Initial full evaluation of the newly activated rule.
@@ -388,7 +411,7 @@ func (ps *peerState) activateBody(ctx *dist.Context, a PAtom) {
 // atoms probe their local replicas.
 func (ps *peerState) deltaJoin(f pendingFact) {
 	for _, occ := range f.rel.occs {
-		if ps.rules[occ.rule].head.active {
+		if ps.rels[ps.rule(occ.rule).head].active {
 			ps.join(occ.rule, occ.atom, f.args)
 		}
 	}
@@ -575,12 +598,11 @@ func (e *Engine) RunDelta(q PAtom, facts []PAtom, rules []PRule, timeout time.Du
 	if !e.progPeers[q.Peer] {
 		return nil, fmt.Errorf("ddatalog: query peer %q not in program", q.Peer)
 	}
-	e.traceOn = e.tracer.Enabled()
-	if e.traceOn {
+	if e.tracer.Enabled() {
 		sp := e.tracer.Begin("ddatalog", fmt.Sprintf("run %s", q.Qualified()))
 		defer sp.End()
 	}
-	src := e.prog.Store
+	src := e.src
 	initial := make([]dist.Message, 0, len(facts)+len(rules)+1)
 	for _, r := range rules {
 		if !e.progPeers[r.Head.Peer] {
@@ -600,6 +622,43 @@ func (e *Engine) RunDelta(q PAtom, facts []PAtom, rules []PRule, timeout time.Du
 	}
 	initial = append(initial, dist.Message{From: collectorID, To: q.Peer, Payload: wire.Activate{Rel: q.Rel}})
 
+	res, err := e.round(initial, timeout)
+	if err != nil {
+		return res, err
+	}
+	// Extract answers by matching the query pattern against the collected
+	// relation (re-interning the pattern into the collector's store).
+	pattern := e.colStore.InternalizeTuple(src.ExternalizeTuple(q.Args))
+	res.Answers = datalog.Answers(e.colDB, e.colStore, datalog.Atom{Rel: q.Qualified(), Args: pattern})
+	return res, nil
+}
+
+// Activate activates the located relations and, through the bodies of
+// their rules, every relation those read — running the activation hook on
+// each, installing and evaluating what it returns — without subscribing
+// anyone to them and without a query: what a later RunDelta over these
+// relations would set up before its first fact arrives. Activation follows
+// rule bodies, not data, so an engine activated this way is the common
+// starting state of every evaluation that reads the relations; Clone hands
+// it out.
+func (e *Engine) Activate(atoms []PAtom, timeout time.Duration) (Stats, error) {
+	initial := make([]dist.Message, 0, len(atoms))
+	for _, a := range atoms {
+		if _, hosted := e.peers[a.Peer]; !hosted {
+			return Stats{}, fmt.Errorf("ddatalog: peer %q of %s not hosted", a.Peer, a.Qualified())
+		}
+		// The empty sender is activateLocal's "no subscriber".
+		initial = append(initial, dist.Message{To: a.Peer, Payload: wire.Activate{Rel: a.Rel}})
+	}
+	res, err := e.round(initial, timeout)
+	return res.Stats, err
+}
+
+// round delivers initial on a fresh network over the hosted peers and the
+// answer collector, runs it to quiescence and reports the engine's
+// cumulative stats.
+func (e *Engine) round(initial []dist.Message, timeout time.Duration) (*Result, error) {
+	e.traceOn = e.tracer.Enabled()
 	net := dist.Net(nil)
 	if e.netFactory != nil {
 		net = e.netFactory()
@@ -613,7 +672,6 @@ func (e *Engine) RunDelta(q PAtom, facts []PAtom, rules []PRule, timeout time.Du
 		ps := e.peers[id]
 		net.AddPeer(id, ps.handle)
 	}
-	qual := q.Qualified()
 	net.AddPeer(collectorID, func(ctx *dist.Context, m dist.Message) {
 		msg, ok := m.Payload.(wire.Facts)
 		if !ok {
@@ -642,14 +700,8 @@ func (e *Engine) RunDelta(q PAtom, facts []PAtom, rules []PRule, timeout time.Du
 	if err != nil {
 		res.Stats.Truncated = true
 		res.Stats.Reason = err.Error()
-		return res, err
 	}
-
-	// Extract answers by matching the query pattern against the collected
-	// relation (re-interning the pattern into the collector's store).
-	pattern := e.colStore.InternalizeTuple(src.ExternalizeTuple(q.Args))
-	res.Answers = datalog.Answers(e.colDB, e.colStore, datalog.Atom{Rel: qual, Args: pattern})
-	return res, nil
+	return res, err
 }
 
 // PeerDB exposes a peer's database after Run has returned — used by tests
@@ -677,6 +729,20 @@ func (e *Engine) PeerStore(id dist.PeerID) *term.Store {
 		return nil
 	}
 	return ps.store
+}
+
+// Rules exposes the compiled form of the rules a peer hosts, in hosting
+// order, after Run has returned. The rules themselves are immutable.
+func (e *Engine) Rules(id dist.PeerID) []*datalog.CompiledRule {
+	ps := e.peers[id]
+	if ps == nil {
+		return nil
+	}
+	out := make([]*datalog.CompiledRule, ps.numRules())
+	for ri := range out {
+		out[ri] = ps.rule(ri).c
+	}
+	return out
 }
 
 // Run is the one-call convenience wrapper: build an engine and evaluate q.

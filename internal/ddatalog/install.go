@@ -40,7 +40,7 @@ func (ps *peerState) runHook(ctx *dist.Context, relName rel.Name, rs *relState) 
 	rules := ps.eng.hook(ps.id, relName)
 	var local []PRule
 	var remote []wire.Install
-	src := ps.eng.prog.Store
+	src := ps.eng.src
 	for _, r := range rules {
 		if r.Head.Peer == ps.id {
 			local = append(local, ps.internRule(externRule(src, r)))
@@ -67,13 +67,15 @@ func externRule(s *term.Store, r PRule) wire.Rule {
 	for _, a := range r.Body {
 		out.Body = append(out.Body, conv(a))
 	}
-	xs := make([]term.ID, len(r.Neqs))
-	ys := make([]term.ID, len(r.Neqs))
-	for i, n := range r.Neqs {
-		xs[i], ys[i] = n.X, n.Y
+	if len(r.Neqs) > 0 {
+		xs := make([]term.ID, len(r.Neqs))
+		ys := make([]term.ID, len(r.Neqs))
+		for i, n := range r.Neqs {
+			xs[i], ys[i] = n.X, n.Y
+		}
+		out.NeqX = s.ExternalizeTuple(xs)
+		out.NeqY = s.ExternalizeTuple(ys)
 	}
-	out.NeqX = s.ExternalizeTuple(xs)
-	out.NeqY = s.ExternalizeTuple(ys)
 	return out
 }
 
@@ -104,7 +106,7 @@ func (ps *peerState) installRule(ctx *dist.Context, r PRule) {
 		ps.eng.tracer.Instant(string(ps.id), "install "+string(r.Head.Qualified()))
 	}
 	ri := ps.host(r)
-	if ps.rules[ri].head.active {
+	if ps.rels[ps.rule(ri).head].active {
 		for _, a := range r.Body {
 			ps.activateBody(ctx, a)
 		}

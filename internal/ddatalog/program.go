@@ -10,6 +10,7 @@ package ddatalog
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"repro/internal/datalog"
@@ -121,6 +122,18 @@ func NewProgram(store *term.Store) *Program {
 	return &Program{Store: store}
 }
 
+// Clone returns a program over store — a clone of p's store — that holds
+// p's rules, facts and peers and grows independently of p (what p holds is
+// shared, not copied). p must not grow afterwards.
+func (p *Program) Clone(store *term.Store) *Program {
+	return &Program{
+		Store:    store,
+		Rules:    slices.Clip(p.Rules),
+		Facts:    slices.Clip(p.Facts),
+		declared: slices.Clip(p.declared),
+	}
+}
+
 // AddRule appends a rule.
 func (p *Program) AddRule(r PRule) { p.Rules = append(p.Rules, r) }
 
@@ -190,19 +203,6 @@ func (p *Program) Localize() *datalog.Program {
 // localize erases the peer from the atom, keeping the qualified name.
 func (a PAtom) localize() datalog.Atom {
 	return datalog.Atom{Rel: a.Qualified(), Args: a.Args}
-}
-
-// compile is datalog.Compile of the localized rule, with r's terms
-// interned in s. A peer hosts hundreds of rules per appended alarm, so the
-// intermediate body stays on the stack (dQSQ bodies have at most three
-// atoms); the compiled rule shares r's argument and constraint slices.
-func (r PRule) compile(s *term.Store) *datalog.CompiledRule {
-	var buf [4]datalog.Atom
-	body := buf[:0]
-	for _, a := range r.Body {
-		body = append(body, a.localize())
-	}
-	return datalog.Compile(s, r.Head.localize(), body, r.Neqs)
 }
 
 // Global produces the canonical global translation of Section 3 ("Models

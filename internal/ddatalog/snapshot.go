@@ -190,9 +190,9 @@ func (e *Engine) EncodeSnapshot(w *snapshot.Writer) error {
 		w.String(string(id))
 		ps.store.EncodeSnapshot(w)
 		ps.db.EncodeSnapshot(w)
-		w.Uvarint(uint64(len(ps.rules)))
-		for _, ru := range ps.rules {
-			EncodePRuleSnapshot(w, ru.PRule)
+		w.Uvarint(uint64(ps.numRules()))
+		for ri := 0; ri < ps.numRules(); ri++ {
+			EncodePRuleSnapshot(w, ps.rule(ri).PRule)
 		}
 		for _, flag := range relFlags {
 			set := ps.sortedRels(func(rs *relState) bool { return *flag(rs) })
@@ -233,11 +233,12 @@ func (e *Engine) EncodeSnapshot(w *snapshot.Writer) error {
 
 // DecodeEngineSnapshot rebuilds an engine from r. The restored engine has
 // no tracer, hook or net factory installed — callers re-attach those, as
-// they did after NewEngine. The program reference it evaluates against is
-// a shell over store (only the store and the peer set survive; the
-// original rule list lives on in the per-peer re-interned copies).
+// they did after NewEngine. Of the program it evaluates, the store and the
+// peer set survive; the rule list lives on in the per-peer re-interned
+// copies.
 func DecodeEngineSnapshot(r *snapshot.Reader, store *term.Store) (*Engine, error) {
 	e := &Engine{
+		src:       store,
 		peers:     make(map[dist.PeerID]*peerState),
 		progPeers: make(map[dist.PeerID]bool),
 		tracer:    obs.Nop,
@@ -251,7 +252,6 @@ func DecodeEngineSnapshot(r *snapshot.Reader, store *term.Store) (*Engine, error
 	e.lastReplicated = int(r.Uvarint())
 	e.lastInstalled = int(r.Uvarint())
 
-	prog := NewProgram(store)
 	n := r.Count(1)
 	for i := 0; i < n && r.Err() == nil; i++ {
 		id := dist.PeerID(r.String())
@@ -260,9 +260,7 @@ func DecodeEngineSnapshot(r *snapshot.Reader, store *term.Store) (*Engine, error
 			break
 		}
 		e.progPeers[id] = true
-		prog.AddPeer(id)
 	}
-	e.prog = prog
 
 	var err error
 	if e.colStore, err = term.DecodeStoreSnapshot(r); err != nil {
@@ -356,8 +354,9 @@ func DecodeEngineSnapshot(r *snapshot.Reader, store *term.Store) (*Engine, error
 			ps.host(ru)
 		}
 		for _, name := range ps.db.Names() {
-			if rs := ps.rels[name]; rs != nil && rs.arity >= 0 && ps.db.Lookup(name).Arity() != rs.arity {
-				r.Failf("relation %s stored with arity %d, declared %d", name, ps.db.Lookup(name).Arity(), rs.arity)
+			i, ok := ps.names.Lookup(name)
+			if stored := ps.db.Lookup(name).Arity(); ok && ps.rels[i].arity >= 0 && stored != ps.rels[i].arity {
+				r.Failf("relation %s stored with arity %d, declared %d", name, stored, ps.rels[i].arity)
 			}
 		}
 		for _, pf := range ps.pending {
@@ -381,7 +380,7 @@ func DecodeEngineSnapshot(r *snapshot.Reader, store *term.Store) (*Engine, error
 // reporting corruption through the reader instead of panicking.
 func (ps *peerState) checkArity(r *snapshot.Reader, a PAtom) bool {
 	q, n := a.Qualified(), len(a.Args)
-	if rs := ps.rels[q]; rs == nil || rs.arity != n {
+	if i, ok := ps.names.Lookup(q); !ok || ps.rels[i].arity != n {
 		r.Failf("rule uses %s with arity %d, snapshot declares otherwise", q, n)
 		return true
 	}

@@ -222,9 +222,15 @@ func isPadNode(st *term.Store, t term.ID) bool {
 }
 
 // countAdornedNodes counts the distinct unfolding nodes materialized by a
-// dQSQ engine: the distinct first arguments of every adorned variant of
-// the given relation, across peers.
+// dQSQ engine.
 func countAdornedNodes(eng *ddatalog.Engine, base rel.Name) int {
+	return len(adornedNodes(eng, base))
+}
+
+// adornedNodes collects the unfolding nodes materialized by a dQSQ engine:
+// the distinct first arguments of every adorned variant of the given
+// relation, across peers, by pad-stripped name.
+func adornedNodes(eng *ddatalog.Engine, base rel.Name) map[string]bool {
 	nodes := map[string]bool{}
 	for _, id := range eng.Peers() {
 		db := eng.PeerDB(id)
@@ -256,5 +262,5 @@ func countAdornedNodes(eng *ddatalog.Engine, base rel.Name) int {
 			}
 		}
 	}
-	return len(nodes)
+	return nodes
 }

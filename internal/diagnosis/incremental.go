@@ -12,8 +12,6 @@ import (
 	"repro/internal/dqsq"
 	"repro/internal/obs"
 	"repro/internal/petri"
-	"repro/internal/rel"
-	"repro/internal/term"
 )
 
 // This file implements the online supervisor: the paper's setting is
@@ -37,6 +35,19 @@ import (
 //     it. Earlier versions stay installed (they are cheap single joins);
 //     the warm dqsq.OnlineSession reuses every configPrefixes /
 //     trans / places fact already derived.
+//
+// What is built when:
+//
+//   - Per net, once per process (template.go): Prog(N,M) and the
+//     supervisor's rules, their dQSQ rewriting for the versioned query's
+//     shape, the compiled rules and join plans hosted at every peer, and the
+//     activation and subscription state they leave. The first session of a
+//     net pays for it; it is immutable afterwards and shared.
+//   - Per session (NewOnlineDiagnoser): a clone — private term stores,
+//     relation arenas, activation flags and counters, starting from the
+//     template's; the rules are the template's own.
+//   - Per append: the alarm facts, the six rules that q.v<n> rewrites to,
+//     and whatever those derive over the warm prefix.
 type OnlineDiagnoser struct {
 	pn      *petri.PetriNet // original net (diagnosis names are reported on it)
 	padded  *petri.PetriNet
@@ -49,6 +60,9 @@ type OnlineDiagnoser struct {
 	last    *Report
 	broken  error      // first evaluation failure; poisons every later Append
 	tracer  obs.Tracer // never nil; obs.Nop by default
+	// built is the open span of the net's template build, if this create was
+	// the one that ran it; SetTracer ends it.
+	built obs.Span
 }
 
 // ErrPoisoned wraps every Append after an evaluation failure: once a
@@ -66,60 +80,19 @@ func indexPeers(pn *petri.PetriNet) []petri.Peer {
 	return peers
 }
 
-// NewOnlineDiagnoser builds the alarm-independent part of P_A(N,M,·) —
-// Prog(N,M), the petriNet facts, the initial configuration and the
-// extension/membership rules over the fixed all-peer index — and starts a
-// warm online dQSQ session over it. The budget bounds the session's
-// lifetime fact count; once exhausted, every later Append fails with
-// datalog.ErrBudget.
+// NewOnlineDiagnoser opens a session on pn: a clone of the net's template
+// (see template.go), which the first session of a net builds and the
+// process-wide program cache keeps for the later ones. The budget bounds
+// the session's lifetime fact count; once exhausted, every later Append
+// fails with datalog.ErrBudget.
 func NewOnlineDiagnoser(pn *petri.PetriNet, budget datalog.Budget) (*OnlineDiagnoser, error) {
-	padded, err := petri.Pad2(pn)
+	t, built, err := cachedTemplate(pn, budget.MaxTermDepth)
 	if err != nil {
 		return nil, err
 	}
-	for _, peer := range padded.Net.Peers() {
-		if string(peer) == string(SupervisorPeer) {
-			return nil, fmt.Errorf("diagnosis: peer name %q collides with the supervisor", peer)
-		}
-	}
-	p, err := BuildUnfoldingProgram(padded)
-	if err != nil {
-		return nil, err
-	}
-	s := p.Store
-	addPetriNetFacts(padded, p)
-
-	peers := indexPeers(padded)
-	k := len(peers)
-
-	// Initial configuration: configPrefixes(h(r), h(r), r, c0...).
-	r := s.Constant(RootConst)
-	hr := s.Compound("h", r)
-	init := []term.ID{hr, hr, r}
-	for _, peer := range peers {
-		init = append(init, s.Constant(idxConst(peer, 0)))
-	}
-	p.AddFact(ddatalog.PAtom{Rel: RelConfigPrefixes, Peer: SupervisorPeer, Args: init})
-
-	addExtensionRules(padded, p, peers, k, false)
-	if hasSilentTransitions(padded) {
-		addExtensionRules(padded, p, peers, k, true)
-	}
-	addMembershipRules(p, k)
-
-	sess, err := dqsq.NewOnlineSession(p, budget)
-	if err != nil {
-		return nil, err
-	}
-	return &OnlineDiagnoser{
-		pn:     pn,
-		padded: padded,
-		sess:   sess,
-		prog:   p,
-		peers:  peers,
-		counts: make(map[petri.Peer]int),
-		tracer: obs.Nop,
-	}, nil
+	d := t.session(pn, budget)
+	d.built = built
+	return d, nil
 }
 
 // SetTracer installs the diagnoser's tracer (obs.Nop when t is nil) and
@@ -130,6 +103,12 @@ func NewOnlineDiagnoser(pn *petri.PetriNet, budget datalog.Budget) (*OnlineDiagn
 func (d *OnlineDiagnoser) SetTracer(t obs.Tracer) {
 	d.tracer = obs.Or(t)
 	d.sess.SetTracer(d.tracer)
+	if !d.built.Start.IsZero() && d.tracer.Enabled() {
+		// This create built its net's template, before it had a tracer to
+		// report to: say where its time went now.
+		d.tracer.End(d.built)
+		d.built = obs.Span{}
+	}
 }
 
 // SetParallelism fixes the worker-pool width of the session's evaluation
@@ -192,19 +171,7 @@ func (d *OnlineDiagnoser) Append(batch []alarm.Obs, timeout time.Duration) (*Rep
 	}
 
 	version := d.version + 1
-	z, w, y, x := s.Variable("Qz"), s.Variable("Qw"), s.Variable("Qy"), s.Variable("Qx")
-	final := []term.ID{z, w, y}
-	for _, peer := range d.peers {
-		final = append(final, s.Constant(idxConst(peer, counts[peer])))
-	}
-	qRel := rel.Name(fmt.Sprintf("%s.v%d", RelQuery, version))
-	rule := ddatalog.PRule{
-		Head: ddatalog.At(qRel, SupervisorPeer, z, x),
-		Body: []ddatalog.PAtom{
-			{Rel: RelConfigPrefixes, Peer: SupervisorPeer, Args: final},
-			ddatalog.At(RelTransInConf, SupervisorPeer, z, x),
-		},
-	}
+	rule := versionedQuery(s, d.peers, version, counts)
 	if err := d.sess.Extend(facts, []ddatalog.PRule{rule}); err != nil {
 		// Extend queues facts and rules without touching the running
 		// engine, but a partial extension (rules in, facts rejected)
@@ -218,7 +185,7 @@ func (d *OnlineDiagnoser) Append(batch []alarm.Obs, timeout time.Duration) (*Rep
 	if d.tracer.Enabled() {
 		sp = d.tracer.Begin("diagnosis", fmt.Sprintf("append.v%d (%d alarms)", version, len(batch)))
 	}
-	query := ddatalog.At(qRel, SupervisorPeer, s.Variable("AnsZ"), s.Variable("AnsX"))
+	query := ddatalog.At(rule.Head.Rel, SupervisorPeer, s.Variable("AnsZ"), s.Variable("AnsX"))
 	res, err := d.sess.Query(query, timeout)
 	sp.End()
 	if err != nil {

@@ -245,12 +245,25 @@ func addMembershipRules(p *ddatalog.Program, k int) {
 	p.AddFact(ddatalog.At(RelTransInConf, SupervisorPeer, s.Compound("h", r), r))
 
 	// notParent(z, m) :- configPrefixes(z, w, y, i...), trans@p(y, u, v),
-	//                    m != u, m != v, notParent(w, m).  (one rule per peer)
+	//                    m != u, m != v, notParent(w, m).  (one rule per peer with events)
 	// notParent(h(r), m) :- places@p(m, y).                (one rule per peer)
+	// A peer may hold conditions and no events (all the transitions around
+	// its places belong to its neighbours): its conditions are no less
+	// available to the first event of a configuration.
+	events := map[dist.PeerID]bool{}
 	peers := map[dist.PeerID]bool{}
 	for _, rule := range p.Rules {
-		if rule.Head.Rel == RelTrans {
+		switch rule.Head.Rel {
+		case RelTrans:
+			events[rule.Head.Peer] = true
 			peers[rule.Head.Peer] = true
+		case RelPlaces:
+			peers[rule.Head.Peer] = true
+		}
+	}
+	for _, f := range p.Facts {
+		if f.Rel == RelPlaces {
+			peers[f.Peer] = true
 		}
 	}
 	var peerList []dist.PeerID
@@ -259,15 +272,17 @@ func addMembershipRules(p *ddatalog.Program, k int) {
 	}
 	sort.Slice(peerList, func(i, j int) bool { return peerList[i] < peerList[j] })
 	for _, q := range peerList {
-		p.AddRule(ddatalog.PRule{
-			Head: ddatalog.At(RelNotParent, SupervisorPeer, z, m),
-			Body: []ddatalog.PAtom{
-				{Rel: RelConfigPrefixes, Peer: SupervisorPeer, Args: append([]term.ID{z, w, y}, idx...)},
-				ddatalog.At(RelTrans, q, y, u, v),
-				ddatalog.At(RelNotParent, SupervisorPeer, w, m),
-			},
-			Neqs: []datalog.Neq{{X: m, Y: u}, {X: m, Y: v}},
-		})
+		if events[q] {
+			p.AddRule(ddatalog.PRule{
+				Head: ddatalog.At(RelNotParent, SupervisorPeer, z, m),
+				Body: []ddatalog.PAtom{
+					{Rel: RelConfigPrefixes, Peer: SupervisorPeer, Args: append([]term.ID{z, w, y}, idx...)},
+					ddatalog.At(RelTrans, q, y, u, v),
+					ddatalog.At(RelNotParent, SupervisorPeer, w, m),
+				},
+				Neqs: []datalog.Neq{{X: m, Y: u}, {X: m, Y: v}},
+			})
+		}
 		p.AddRule(ddatalog.PRule{
 			Head: ddatalog.At(RelNotParent, SupervisorPeer, s.Compound("h", r), m),
 			Body: []ddatalog.PAtom{ddatalog.At(RelPlaces, q, m, y)},

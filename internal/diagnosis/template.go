@@ -1,0 +1,262 @@
+package diagnosis
+
+import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
+	"fmt"
+	"sort"
+	"sync"
+	"time"
+
+	"repro/internal/datalog"
+	"repro/internal/ddatalog"
+	"repro/internal/dqsq"
+	"repro/internal/obs"
+	"repro/internal/petri"
+	"repro/internal/rel"
+	"repro/internal/term"
+)
+
+// This file holds what an online supervisor computes once per net.
+//
+// Figure 5's rewriting reads the program and the query's adornment, never
+// the data, and the engine's activation (which drives Remark 2's lazy
+// rewriting) walks rule bodies, not tuples. Every versioned query q.vN has
+// the same shape — configPrefixes with the final positions bound,
+// transInConf with the configuration bound — so everything a session's
+// queries install apart from the q.vN rules themselves is a function of the
+// net: Prog(N,M), the supervisor's rules, their distributed rewriting, its
+// compiled per-peer form, which relations are active and who subscribes to
+// whom. A template is that state, built by priming a dQSQ session (see
+// dqsq.OnlineSession.Prime) and then frozen; sessions are clones of it.
+
+// template is the frozen per-net state. Nothing writes to it after
+// newTemplate returns, so any number of goroutines may clone it at once.
+type template struct {
+	padded *petri.PetriNet
+	peers  []petri.Peer // fixed index order: all net peers, sorted
+	sess   *dqsq.OnlineSession
+}
+
+// primeTimeout bounds the one evaluation round that primes a template. It
+// moves no data, so it is generous rather than tuned.
+const primeTimeout = time.Minute
+
+// newTemplate builds the alarm-independent part of P_A(N,M,·) — Prog(N,M),
+// the petriNet facts, the initial configuration and the extension and
+// membership rules over the fixed all-peer index — starts an online dQSQ
+// session over it and primes it for the versioned query. maxTermDepth is
+// the Section 4.4 depth gadget, which the compiled program bakes in.
+func newTemplate(pn *petri.PetriNet, maxTermDepth int) (*template, error) {
+	padded, err := petri.Pad2(pn)
+	if err != nil {
+		return nil, err
+	}
+	for _, peer := range padded.Net.Peers() {
+		if string(peer) == string(SupervisorPeer) {
+			return nil, fmt.Errorf("diagnosis: peer name %q collides with the supervisor", peer)
+		}
+	}
+	p, err := BuildUnfoldingProgram(padded)
+	if err != nil {
+		return nil, err
+	}
+	s := p.Store
+	addPetriNetFacts(padded, p)
+
+	peers := indexPeers(padded)
+	k := len(peers)
+
+	// Initial configuration: configPrefixes(h(r), h(r), r, c0...).
+	r := s.Constant(RootConst)
+	hr := s.Compound("h", r)
+	init := []term.ID{hr, hr, r}
+	for _, peer := range peers {
+		init = append(init, s.Constant(idxConst(peer, 0)))
+	}
+	p.AddFact(ddatalog.PAtom{Rel: RelConfigPrefixes, Peer: SupervisorPeer, Args: init})
+
+	addExtensionRules(padded, p, peers, k, false)
+	if hasSilentTransitions(padded) {
+		addExtensionRules(padded, p, peers, k, true)
+	}
+	addMembershipRules(p, k)
+
+	sess, err := dqsq.NewOnlineSession(p, datalog.Budget{MaxTermDepth: maxTermDepth})
+	if err != nil {
+		return nil, err
+	}
+	// One worker: the order rules reach their hosts in, and with it every
+	// number the template hands its clones, is then the same in every
+	// process that builds this net.
+	sess.SetParallelism(1)
+	if err := sess.Prime(versionedQuery(s, peers, 0, nil), primeTimeout); err != nil {
+		return nil, fmt.Errorf("diagnosis: priming the session program: %w", err)
+	}
+	return &template{padded: padded, peers: peers, sess: sess}, nil
+}
+
+// versionedQuery is the completion query of the version-th append,
+//
+//	q.v<n>(z,x) :- configPrefixes(z,w,y,final...), transInConf(z,x)
+//
+// where final holds, per index peer, the position after the counts[peer]
+// alarms it has emitted.
+func versionedQuery(s *term.Store, peers []petri.Peer, version int, counts map[petri.Peer]int) ddatalog.PRule {
+	z, w, y, x := s.Variable("Qz"), s.Variable("Qw"), s.Variable("Qy"), s.Variable("Qx")
+	final := []term.ID{z, w, y}
+	for _, peer := range peers {
+		final = append(final, s.Constant(idxConst(peer, counts[peer])))
+	}
+	return ddatalog.PRule{
+		Head: ddatalog.At(versionedQueryRel(version), SupervisorPeer, z, x),
+		Body: []ddatalog.PAtom{
+			{Rel: RelConfigPrefixes, Peer: SupervisorPeer, Args: final},
+			ddatalog.At(RelTransInConf, SupervisorPeer, z, x),
+		},
+	}
+}
+
+func versionedQueryRel(version int) rel.Name {
+	return rel.Name(fmt.Sprintf("%s.v%d", RelQuery, version))
+}
+
+// session clones the template into a diagnoser for pn (the net the
+// template was built from, or one with the same digest).
+func (t *template) session(pn *petri.PetriNet, budget datalog.Budget) *OnlineDiagnoser {
+	sess := t.sess.Clone(budget)
+	return &OnlineDiagnoser{
+		pn:     pn,
+		padded: t.padded,
+		sess:   sess,
+		prog:   sess.Program(),
+		peers:  t.peers,
+		counts: make(map[petri.Peer]int),
+		tracer: obs.Nop,
+	}
+}
+
+// netDigest identifies the structure newTemplate reads: nodes with their
+// peers, alarms and arcs, in declaration order (it fixes rule order), and
+// the initial marking.
+func netDigest(pn *petri.PetriNet) [sha256.Size]byte {
+	h := sha256.New()
+	var lenbuf [binary.MaxVarintLen64]byte
+	str := func(s string) {
+		h.Write(lenbuf[:binary.PutUvarint(lenbuf[:], uint64(len(s)))])
+		h.Write([]byte(s))
+	}
+	ids := func(ids []petri.NodeID) {
+		h.Write(lenbuf[:binary.PutUvarint(lenbuf[:], uint64(len(ids)))])
+		for _, id := range ids {
+			str(string(id))
+		}
+	}
+	places := pn.Net.Places()
+	ids(places)
+	for _, id := range places {
+		str(string(pn.Net.Place(id).Peer))
+	}
+	trans := pn.Net.Transitions()
+	ids(trans)
+	for _, id := range trans {
+		t := pn.Net.Transition(id)
+		str(string(t.Peer))
+		str(string(t.Alarm))
+		ids(t.Pre)
+		ids(t.Post)
+	}
+	marked := make([]petri.NodeID, 0, len(pn.M0))
+	for id, on := range pn.M0 {
+		if on {
+			marked = append(marked, id)
+		}
+	}
+	sort.Slice(marked, func(i, j int) bool { return marked[i] < marked[j] })
+	ids(marked)
+	var sum [sha256.Size]byte
+	h.Sum(sum[:0])
+	return sum
+}
+
+// programCacheSize bounds the templates kept: a server diagnoses a handful
+// of nets, and a template is the size of a warm session.
+const programCacheSize = 8
+
+// templateKey is what a template depends on.
+type templateKey struct {
+	net          [sha256.Size]byte
+	maxTermDepth int
+}
+
+// cacheEntry is one template, built or being built. ready is closed once
+// tmpl and err are set.
+type cacheEntry struct {
+	ready chan struct{}
+	tmpl  *template
+	err   error
+	used  uint64 // cache clock at the last get
+}
+
+// programCache memoises templates process-wide: least recently used out,
+// one build per key however many sessions ask at once.
+var programCache = struct {
+	mu           sync.Mutex
+	entries      map[templateKey]*cacheEntry
+	clock        uint64
+	hits, misses uint64
+}{entries: make(map[templateKey]*cacheEntry)}
+
+// ProgramCacheStats reports the per-net program cache: creates that found
+// their net's program cached (or being built), creates that built it, and
+// the programs held now.
+func ProgramCacheStats() (hits, misses uint64, entries int) {
+	c := &programCache
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.hits, c.misses, len(c.entries)
+}
+
+// cachedTemplate returns the template of pn under maxTermDepth, building it
+// if no earlier call has: built is then the span of the build, named after
+// the net's digest, and zero otherwise. A failed build is not kept.
+func cachedTemplate(pn *petri.PetriNet, maxTermDepth int) (t *template, built obs.Span, err error) {
+	start := time.Now()
+	c := &programCache
+	key := templateKey{net: netDigest(pn), maxTermDepth: maxTermDepth}
+	c.mu.Lock()
+	c.clock++
+	if e := c.entries[key]; e != nil {
+		c.hits++
+		e.used = c.clock
+		c.mu.Unlock()
+		<-e.ready
+		return e.tmpl, obs.Span{}, e.err
+	}
+	c.misses++
+	e := &cacheEntry{ready: make(chan struct{}), used: c.clock}
+	if len(c.entries) >= programCacheSize {
+		var oldest templateKey
+		var min uint64
+		for k, o := range c.entries {
+			if min == 0 || o.used < min {
+				oldest, min = k, o.used
+			}
+		}
+		delete(c.entries, oldest) // its sessions, and callers waiting on it, keep it alive
+	}
+	c.entries[key] = e
+	c.mu.Unlock()
+
+	e.tmpl, e.err = newTemplate(pn, maxTermDepth)
+	close(e.ready)
+	if e.err != nil {
+		c.mu.Lock()
+		if c.entries[key] == e {
+			delete(c.entries, key)
+		}
+		c.mu.Unlock()
+	}
+	return e.tmpl, obs.Span{Track: "dqsq", Name: "template " + hex.EncodeToString(key.net[:6]), Start: start}, e.err
+}

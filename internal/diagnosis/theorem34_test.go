@@ -274,3 +274,29 @@ func TestProposition1(t *testing.T) {
 		t.Fatal("naive evaluation of the cyclic diagnosis program unexpectedly reached a fixpoint")
 	}
 }
+
+// TestTheorem3PlaceOnlyPeer: a peer may own places and no transition (its
+// neighbours own every transition around them). Its root conditions are as
+// available to a configuration's first event as anyone's — the supervisor's
+// notParent base rule must range over the peers that hold conditions, not
+// over those that hold events.
+func TestTheorem3PlaceOnlyPeer(t *testing.T) {
+	n := petri.NewNet()
+	n.AddPlace("a", "q1")
+	n.AddPlace("b", "q2")
+	n.AddTransition("t", "q2", "x", []petri.NodeID{"a"}, []petri.NodeID{"b"})
+	pn, err := petri.New(n, petri.NewMarking("a"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	reps := runAll(t, pn, alarm.S("x", "q2"))
+	want := reps[EngineDirect].Diagnoses
+	if len(want) != 1 {
+		t.Fatalf("direct search finds %v, want the one firing of t", want.Keys())
+	}
+	for _, e := range []Engine{EngineProduct, EngineNaive, EngineDQSQ} {
+		if !reps[e].Diagnoses.Equal(want) {
+			t.Fatalf("%v diagnoses %v != direct %v", e, reps[e].Diagnoses.Keys(), want.Keys())
+		}
+	}
+}

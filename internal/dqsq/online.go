@@ -1,6 +1,8 @@
 package dqsq
 
 import (
+	"maps"
+	"slices"
 	"strings"
 	"sync"
 	"time"
@@ -76,6 +78,15 @@ func splitAdorned(name rel.Name) (rel.Name, adorn.Adornment, bool) {
 // into a service substrate: "the dQSQ computation, and the generation of
 // results, may start even before the rewriting is complete" — here it
 // also continues after the first answers have been served.
+//
+// What a session holds splits three ways. Per program: the rules, the base
+// facts and — because both Figure 5's rewriting and the engine's activation
+// follow rule bodies, never data — the whole rewritten, compiled program a
+// query shape reaches; Prime builds that once and Clone hands it out, so
+// the sessions of one program share it read-only. Per session: term stores,
+// relation arenas, activation and subscription state, counters. Per query:
+// the rewriting of rules extended in since (a supervisor's re-indexed query)
+// and the facts derived.
 //
 // Sessions are not safe for concurrent use; callers serialize Extend and
 // Query (internal/serve wraps one mutex per session).
@@ -161,9 +172,11 @@ func (sess *OnlineSession) installHook() {
 		if pr.done[key] {
 			return nil
 		}
-		before := len(pr.out.Rules)
+		// The engine takes what it needs of the rules before the hook runs
+		// again, so one buffer serves every call.
+		pr.out.Rules = pr.out.Rules[:0]
 		pr.handle(key) // follow-up requests are ignored: activation drives them
-		rules := pr.out.Rules[before:]
+		rules := pr.out.Rules
 		if len(rules) > 0 {
 			sess.trace.add(peer, key)
 			sess.tracer.Counter("dqsq", "dqsq_subqueries_total", 1)
@@ -173,6 +186,72 @@ func (sess *OnlineSession) installHook() {
 		}
 		return rules
 	})
+}
+
+// Prime sets up everything a query through rule r would, short of r itself
+// and of any fact: the relations r's body reads are activated under the
+// adornments a query of r's head with no argument bound gives them, which
+// rewrites, installs and activates the rules behind them, transitively, at
+// every peer. r is a pattern and is not added to the program: rules of its
+// shape extended in later (same body relations, same positions bound) find
+// their whole sub-program in place and are all a query still has to
+// rewrite. A primed session that has answered no query is what Clone is
+// for.
+func (s *OnlineSession) Prime(r ddatalog.PRule, timeout time.Duration) error {
+	pr, ok := s.rewriters[r.Head.Peer]
+	if !ok {
+		return errUnknownPeer(r.Head.Peer)
+	}
+	st := s.prog.Store
+	bound := adorn.VarSet{}
+	var reads []ddatalog.PAtom
+	for _, a := range r.Body {
+		read := ddatalog.PAtom{Rel: a.Rel, Peer: a.Peer}
+		if pr.intensional(a) {
+			read.Rel = adorn.Name(a.Rel, adorn.Compute(st, bound, a.Args))
+		}
+		reads = append(reads, read)
+		for _, t := range a.Args {
+			bound.AddTerm(st, t)
+		}
+	}
+	_, err := s.eng.Activate(reads, timeout)
+	return err
+}
+
+// Clone returns a session in s's state that evolves independently of it,
+// under its own lifetime fact budget (see ddatalog.Engine.Clone: what s
+// derived counts against it, and the trace and counters continue from
+// s's). Rules, compiled rules and base facts are shared with s; stores,
+// relations and activation state are copied. s must not be extended or
+// queried afterwards — its clones keep reading it — and may be cloned from
+// many goroutines at once.
+func (s *OnlineSession) Clone(budget datalog.Budget) *OnlineSession {
+	store := s.prog.Store.Clone()
+	c := &OnlineSession{
+		prog:      s.prog.Clone(store),
+		eng:       s.eng.Clone(store, budget),
+		trace:     &OnlineTrace{Entries: slices.Clip(s.trace.Entries)},
+		tracer:    obs.Nop,
+		rewriters: make(map[dist.PeerID]*peerRewriter, len(s.rewriters)),
+		pending:   slices.Clip(s.pending),
+	}
+	for id, pr := range s.rewriters {
+		c.rewriters[id] = &peerRewriter{
+			id:       pr.id,
+			place:    pr.place,
+			store:    store,
+			rules:    slices.Clip(pr.rules),
+			hasRules: maps.Clone(pr.hasRules),
+			edbArity: maps.Clone(pr.edbArity),
+			facts:    pr.facts, // base facts only: never written after construction
+			done:     maps.Clone(pr.done),
+			keys:     slices.Clip(pr.keys),
+			out:      ddatalog.NewProgram(store),
+		}
+	}
+	c.installHook()
+	return c
 }
 
 // Extend grows the running program: facts are extensional appends

@@ -16,7 +16,9 @@ package rel
 
 import (
 	"fmt"
+	"maps"
 	"math/bits"
+	"slices"
 	"sort"
 	"strings"
 
@@ -356,41 +358,139 @@ func (r *Relation) All() [][]term.ID {
 	return out
 }
 
+// Clone returns a relation holding the same tuples at the same positions
+// that grows independently of r. The arena and the per-key first positions
+// only ever grow, so they are shared up to their length (capacity clipped:
+// the clone's first insert moves them); the hash tables and index chains,
+// which are written in place, are copied. r may be cloned from many
+// goroutines at once as long as nothing inserts into it or scans it (a scan
+// may extend an index) any more.
+func (r *Relation) Clone() *Relation {
+	c := new(Relation)
+	r.cloneInto(c)
+	return c
+}
+
+func (r *Relation) cloneInto(c *Relation) {
+	*c = Relation{arity: r.arity, flat: slices.Clip(r.flat), n: r.n}
+	c.seen = table{slots: slices.Clone(r.seen.slots), n: r.seen.n}
+	if len(r.idx) > 0 {
+		c.idx = make([]maskIndex, len(r.idx))
+		for i, mi := range r.idx {
+			c.idx[i] = maskIndex{mask: mi.mask, ix: &index{
+				slots: slices.Clone(mi.ix.slots),
+				first: slices.Clip(mi.ix.first),
+				last:  slices.Clone(mi.ix.last),
+				next:  slices.Clone(mi.ix.next),
+			}}
+		}
+	}
+}
+
+// Names numbers relation names densely, in first-mention order. A clone
+// shares the numbering it starts from as a read-only base and records only
+// the names added since, so cloning costs nothing per name: a rewritten
+// program mentions thousands of relations, a session adds a handful.
+type Names struct {
+	base map[Name]int32 // shared with the origin of a clone; never written
+	own  map[Name]int32
+	list []Name
+}
+
+// Len reports how many names are numbered.
+func (t *Names) Len() int { return len(t.list) }
+
+// Name returns the name numbered i.
+func (t *Names) Name(i int) Name { return t.list[i] }
+
+// Lookup returns the number of name.
+func (t *Names) Lookup(name Name) (int, bool) {
+	i, ok := t.own[name]
+	if !ok {
+		i, ok = t.base[name]
+	}
+	return int(i), ok
+}
+
+// Add numbers name with the next free number. The caller has looked it up
+// and not found it.
+func (t *Names) Add(name Name) int {
+	if t.own == nil {
+		t.own = make(map[Name]int32)
+	}
+	i := len(t.list)
+	t.own[name] = int32(i)
+	t.list = append(t.list, name)
+	return i
+}
+
+// Clone returns a numbering that agrees with t and grows independently of
+// it. t must not be added to afterwards.
+func (t *Names) Clone() Names {
+	c := Names{base: t.own, list: slices.Clip(t.list)}
+	if t.base != nil { // t is a clone itself: its base stays the base
+		c.base, c.own = t.base, maps.Clone(t.own)
+	}
+	return c
+}
+
 // DB is a named collection of relations sharing one term store.
 type DB struct {
 	Store *term.Store
-	rels  map[Name]*Relation
-	order []Name // creation order, for deterministic dumps
+	names Names       // creation order, for deterministic dumps
+	rels  []*Relation // by number
 }
 
 // NewDB returns an empty database over the given store.
 func NewDB(store *term.Store) *DB {
-	return &DB{Store: store, rels: make(map[Name]*Relation)}
+	return &DB{Store: store}
+}
+
+// Clone returns a database over store — a clone of db's store — with a
+// clone of every relation under the same name, in the same creation order.
+// The relations are cut from one allocation. db may be cloned from many
+// goroutines at once as long as nothing writes to it any more (see
+// Relation.Clone).
+func (db *DB) Clone(store *term.Store) *DB {
+	c := &DB{Store: store, names: db.names.Clone(), rels: make([]*Relation, len(db.rels))}
+	block := make([]Relation, len(db.rels))
+	for i, r := range db.rels {
+		r.cloneInto(&block[i])
+		c.rels[i] = &block[i]
+	}
+	return c
 }
 
 // Rel returns the relation called name, creating it with the given arity on
 // first use. It panics if the name exists with a different arity.
 func (db *DB) Rel(name Name, arity int) *Relation {
-	if r, ok := db.rels[name]; ok {
+	if i, ok := db.names.Lookup(name); ok {
+		r := db.rels[i]
 		if r.arity != arity {
 			panic(fmt.Sprintf("rel: %s has arity %d, requested %d", name, r.arity, arity))
 		}
 		return r
 	}
-	r := New(arity)
-	db.rels[name] = r
-	db.order = append(db.order, name)
+	return db.add(name, New(arity))
+}
+
+func (db *DB) add(name Name, r *Relation) *Relation {
+	db.names.Add(name)
+	db.rels = append(db.rels, r)
 	return r
 }
 
 // Lookup returns the relation called name, or nil.
-func (db *DB) Lookup(name Name) *Relation { return db.rels[name] }
+func (db *DB) Lookup(name Name) *Relation {
+	if i, ok := db.names.Lookup(name); ok {
+		return db.rels[i]
+	}
+	return nil
+}
 
 // Names returns the relation names in creation order.
 func (db *DB) Names() []Name {
-	out := make([]Name, len(db.order))
-	copy(out, db.order)
-	return out
+	return slices.Clone(db.names.list)
 }
 
 // FactCount returns the total number of tuples across all relations — the
@@ -410,7 +510,7 @@ func (db *DB) Dump() string {
 	sort.Slice(names, func(i, j int) bool { return names[i] < names[j] })
 	var b strings.Builder
 	for _, n := range names {
-		r := db.rels[n]
+		r := db.Lookup(n)
 		lines := make([]string, 0, r.Len())
 		for _, tup := range r.All() {
 			lines = append(lines, formatFact(db.Store, n, tup))

@@ -1,6 +1,7 @@
 package rel
 
 import (
+	"fmt"
 	"math/rand"
 	"strings"
 	"testing"
@@ -251,5 +252,61 @@ func BenchmarkIndexedScan(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		n := 0
 		r.Scan(1, key, 0, r.Len(), func(int, []term.ID) bool { n++; return true })
+	}
+}
+
+// TestCloneIsIndependent: a cloned database answers scans and dedups like
+// its origin, by index too; inserts on either side — into shared arenas,
+// chained into copied indexes — stay on that side; relation numbering
+// continues, not restarts.
+func TestCloneIsIndependent(t *testing.T) {
+	s := term.NewStore()
+	ids := make([]term.ID, 40)
+	for i := range ids {
+		ids[i] = s.Constant(fmt.Sprint("c", i))
+	}
+	db := NewDB(s)
+	r := db.Rel("r", 2)
+	for i := 0; i < 30; i++ {
+		r.Insert([]term.ID{ids[i%3], ids[i]})
+	}
+	db.Rel("empty", 1)
+	count := func(r *Relation, key term.ID) (n int) {
+		r.Scan(1, []term.ID{key, 0}, 0, r.Len(), func(int, []term.ID) bool { n++; return true })
+		return n
+	}
+	if count(r, ids[0]) != 10 { // builds the index on column 0 before cloning
+		t.Fatal("setup")
+	}
+
+	cs := s.Clone()
+	c := db.Clone(cs)
+	if got := c.Names(); len(got) != 2 || got[0] != "r" || got[1] != "empty" {
+		t.Fatalf("clone names %v", got)
+	}
+	cr := c.Lookup("r")
+	if cr == r || cr.Len() != 30 || count(cr, ids[0]) != 10 || !cr.Contains([]term.ID{ids[1], ids[1]}) {
+		t.Fatal("clone does not hold its origin's tuples")
+	}
+	if cr.Insert([]term.ID{ids[0], ids[0]}) {
+		t.Fatal("clone re-inserted a tuple its origin had")
+	}
+	for i := 30; i < 40; i++ {
+		cr.Insert([]term.ID{ids[0], ids[i]})
+	}
+	r.Insert([]term.ID{ids[1], ids[39]})
+	if count(cr, ids[0]) != 20 || count(cr, ids[1]) != 10 || cr.Len() != 40 {
+		t.Fatalf("clone after its inserts: %d and %d tuples by index, %d in all; want 20, 10, 40", count(cr, ids[0]), count(cr, ids[1]), cr.Len())
+	}
+	if count(r, ids[0]) != 10 || count(r, ids[1]) != 11 || r.Len() != 31 {
+		t.Fatalf("origin after the clone's inserts: %d and %d tuples by index, %d in all; want 10, 11, 31", count(r, ids[0]), count(r, ids[1]), r.Len())
+	}
+	c.Rel("new", 1)
+	if db.Lookup("new") != nil || len(c.Names()) != 3 || c.Lookup("empty") == db.Lookup("empty") {
+		t.Fatal("relations created in the clone must be the clone's alone")
+	}
+	cc := c.Clone(cs.Clone()) // a clone of a clone keeps the lot
+	if got := cc.Names(); len(got) != 3 || cc.Lookup("new") == nil || cc.Lookup("r").Len() != 40 {
+		t.Fatalf("clone of a clone: names %v", got)
 	}
 }

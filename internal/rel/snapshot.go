@@ -70,10 +70,10 @@ func DecodeRelationSnapshot(rd *snapshot.Reader, storeLen int) (*Relation, error
 // shared term store is snapshotted separately by the caller — a DB does
 // not own its store.
 func (db *DB) EncodeSnapshot(w *snapshot.Writer) {
-	w.Uvarint(uint64(len(db.order)))
-	for _, name := range db.order {
-		w.String(string(name))
-		db.rels[name].EncodeSnapshot(w)
+	w.Uvarint(uint64(len(db.rels)))
+	for i, r := range db.rels {
+		w.String(string(db.names.Name(i)))
+		r.EncodeSnapshot(w)
 	}
 }
 
@@ -88,7 +88,7 @@ func DecodeDBSnapshot(rd *snapshot.Reader, store *term.Store) (*DB, error) {
 		if rd.Err() != nil {
 			return nil, rd.Err()
 		}
-		if _, dup := db.rels[name]; dup {
+		if db.Lookup(name) != nil {
 			rd.Failf("duplicate relation %q", name)
 			return nil, rd.Err()
 		}
@@ -96,8 +96,7 @@ func DecodeDBSnapshot(rd *snapshot.Reader, store *term.Store) (*DB, error) {
 		if err != nil {
 			return nil, err
 		}
-		db.rels[name] = r
-		db.order = append(db.order, name)
+		db.add(name, r)
 	}
 	if rd.Err() != nil {
 		return nil, rd.Err()

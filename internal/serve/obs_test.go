@@ -207,3 +207,23 @@ func TestTraceEndpoint(t *testing.T) {
 		}
 	}
 }
+
+// TestProgramCacheSeriesExported: the per-net program cache behind DQSQ
+// sessions shows on /metrics — a second session on a net is a hit, and at
+// least the one program is held.
+func TestProgramCacheSeriesExported(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	createSession(t, ts, createRequest{Net: exampleNetText(t)})
+	hits := metricValue(t, ts, "diagnosed_program_cache_hits_total")
+	builds := metricValue(t, ts, "diagnosed_program_cache_misses_total")
+	createSession(t, ts, createRequest{Net: exampleNetText(t)})
+	if got := metricValue(t, ts, "diagnosed_program_cache_hits_total"); got != hits+1 {
+		t.Errorf("diagnosed_program_cache_hits_total = %d after a second session on the net, want %d", got, hits+1)
+	}
+	if got := metricValue(t, ts, "diagnosed_program_cache_misses_total"); got != builds {
+		t.Errorf("diagnosed_program_cache_misses_total = %d after a second session on the net, want %d still", got, builds)
+	}
+	if got := metricValue(t, ts, "diagnosed_program_cache_entries"); got < 1 {
+		t.Errorf("diagnosed_program_cache_entries = %d, want >= 1", got)
+	}
+}

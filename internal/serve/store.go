@@ -104,6 +104,11 @@ func NewStore(cfg StoreConfig, metrics *Metrics) *Store {
 		defer st.mu.Unlock()
 		return int64(st.reserved)
 	})
+	// The per-net program cache is process-wide: every store of the process
+	// reports the same three numbers.
+	metrics.Gauge("diagnosed_program_cache_hits_total", func() int64 { hits, _, _ := core.ProgramCacheStats(); return int64(hits) })
+	metrics.Gauge("diagnosed_program_cache_misses_total", func() int64 { _, misses, _ := core.ProgramCacheStats(); return int64(misses) })
+	metrics.Gauge("diagnosed_program_cache_entries", func() int64 { _, _, entries := core.ProgramCacheStats(); return int64(entries) })
 	metrics.Gauge("trace_events_dropped_total", func() int64 {
 		st.mu.Lock()
 		defer st.mu.Unlock()

@@ -162,14 +162,15 @@ func (b *Bindings) match(pattern, ground ID) bool {
 // with occurs-check. On failure the bindings are restored.
 func (b *Bindings) Unify(x, y ID) bool {
 	mark := b.Mark()
-	if b.unify(x, y) {
+	if b.unify(x, y, mark) {
 		return true
 	}
 	b.Undo(mark)
 	return false
 }
 
-func (b *Bindings) unify(x, y ID) bool {
+// unify binds variables from trail position mark on.
+func (b *Bindings) unify(x, y ID, mark int) bool {
 	x, y = b.walk(x), b.walk(y)
 	if x == y {
 		return true
@@ -182,16 +183,23 @@ func (b *Bindings) unify(x, y ID) bool {
 		if b.occurs(x, t) {
 			return false
 		}
+		// x may occur in the value of a variable this unification bound
+		// earlier (Z := f(x), now x := a). Resolve follows one binding, not
+		// chains, so substitute there: while no value mentions a bound
+		// variable, t above is fully resolved and the occurs check exact.
 		b.set(x, t)
+		for _, v := range b.trail[mark : len(b.trail)-1] {
+			b.vals[v] = b.Resolve(b.vals[v])
+		}
 		return true
 	case yc.kind == Var:
-		return b.unify(y, x)
+		return b.unify(y, x, mark)
 	case xc.kind == Comp && yc.kind == Comp:
 		if xc.name != yc.name || len(xc.args) != len(yc.args) {
 			return false
 		}
 		for i := range xc.args {
-			if !b.unify(xc.args[i], yc.args[i]) {
+			if !b.unify(xc.args[i], yc.args[i], mark) {
 				return false
 			}
 		}

@@ -10,6 +10,8 @@ package term
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -71,6 +73,22 @@ func NewStore() *Store {
 	return &Store{
 		consts: make(map[string]ID),
 		vars:   make(map[string]ID),
+	}
+}
+
+// Clone returns a store that holds the same terms under the same IDs and
+// grows independently of s. The cells interned so far are shared, not
+// copied — a cell never changes once interned, and the shared slice's
+// capacity is clipped so the clone's first new term moves it to an array of
+// its own — so s may be cloned from many goroutines at once as long as none
+// of them interns into it any more.
+func (s *Store) Clone() *Store {
+	return &Store{
+		cells:   slices.Clip(s.cells),
+		consts:  maps.Clone(s.consts),
+		vars:    maps.Clone(s.vars),
+		compTab: idTable{slots: slices.Clone(s.compTab.slots), n: s.compTab.n},
+		fresh:   s.fresh,
 	}
 }
 

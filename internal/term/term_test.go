@@ -433,3 +433,37 @@ func BenchmarkMatch(b *testing.B) {
 		bd.Undo(m)
 	}
 }
+
+// TestStoreCloneIsIndependent: a clone resolves every term under the ID its
+// origin gave it, and what either interns afterwards the other never sees —
+// the shared cells are not written through.
+func TestStoreCloneIsIndependent(t *testing.T) {
+	s := NewStore()
+	a, x := s.Constant("a"), s.Variable("X")
+	fax := s.Compound("f", a, x)
+	s.FreshVar("v")
+	n := s.Len()
+
+	c, d := s.Clone(), s.Clone()
+	if c.Constant("a") != a || c.Variable("X") != x || c.Compound("f", a, x) != fax || c.Len() != n {
+		t.Fatal("clone renumbered its origin's terms")
+	}
+	cb := c.Constant("b")
+	cg := c.Compound("g", cb, fax)
+	dv := d.FreshVar("v")
+	if s.Len() != n || s.LookupConstant("b") != None {
+		t.Fatal("interning into a clone changed its origin")
+	}
+	if d.LookupConstant("b") != None || d.Len() != n+1 {
+		t.Fatal("interning into a clone changed its sibling")
+	}
+	if cb != dv { // both are term n in their own store
+		t.Fatalf("clones number their first own term %d and %d, want the same next ID", cb, dv)
+	}
+	if got := c.String(cg); got != "g(b,f(a,X))" {
+		t.Fatalf("clone renders its term as %s", got)
+	}
+	if got := d.Name(dv); got != "v_2" {
+		t.Fatalf("sibling's fresh variable is %s, want v_2 (the counter is copied)", got)
+	}
+}

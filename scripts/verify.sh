@@ -1,7 +1,9 @@
 #!/usr/bin/env sh
 # Repo verification gate: formatting, vet, full build, full tests, and a
-# race pass over the concurrency-heavy packages (the distributed runtime
-# and the session server). CI and pre-commit both run this.
+# race pass over the concurrency-heavy packages (the distributed runtime,
+# the session server, and the packages whose state the sessions of one net
+# share: the per-net template and what it is cloned from). CI and
+# pre-commit both run this.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -23,8 +25,8 @@ go build ./...
 echo "== go test ./..."
 go test ./...
 
-echo "== go test -race ./internal/serve ./internal/dist ./internal/transport ./internal/wire ./internal/snapshot ./internal/wal ./internal/obs ./internal/repl ./internal/pool ./internal/ddatalog ./internal/rel ./internal/dqsq ./internal/datalog"
-go test -race ./internal/serve ./internal/dist ./internal/transport ./internal/wire ./internal/snapshot ./internal/wal ./internal/obs ./internal/repl ./internal/pool ./internal/ddatalog ./internal/rel ./internal/dqsq ./internal/datalog
+echo "== go test -race ./internal/serve ./internal/dist ./internal/transport ./internal/wire ./internal/snapshot ./internal/wal ./internal/obs ./internal/repl ./internal/pool ./internal/ddatalog ./internal/rel ./internal/dqsq ./internal/datalog ./internal/diagnosis ./internal/core ./internal/term"
+go test -race ./internal/serve ./internal/dist ./internal/transport ./internal/wire ./internal/snapshot ./internal/wal ./internal/obs ./internal/repl ./internal/pool ./internal/ddatalog ./internal/rel ./internal/dqsq ./internal/datalog ./internal/diagnosis ./internal/core ./internal/term
 
 echo "== bench module (nested: tier-1 does not compile it)"
 # Deterministic, so it runs before the smokes and timing guards: a
