@@ -6,7 +6,6 @@ import (
 	"repro/internal/datalog"
 	"repro/internal/dist"
 	"repro/internal/obs"
-	"repro/internal/rel"
 	"repro/internal/term"
 )
 
@@ -14,7 +13,7 @@ import (
 // program sets up before its first fact arrives — rules hosted and compiled,
 // relations activated and subscribed to, base facts replicated — depends on
 // the program alone, so it is built once (see Activate) and every session
-// starts from a clone: per-peer stores, relation arenas and activation state
+// starts from a clone: the store, relation arenas and activation state
 // copied, the hosted rules shared.
 
 // Clone returns an engine in e's state that evaluates independently of it,
@@ -31,7 +30,7 @@ func (e *Engine) Clone(store *term.Store, budget datalog.Budget) *Engine {
 	}
 	budget.MaxTermDepth = e.budget.MaxTermDepth
 	c := &Engine{
-		src:            store,
+		store:          store,
 		budget:         budget,
 		peers:          make(map[dist.PeerID]*peerState, len(e.peers)),
 		order:          e.order,
@@ -40,11 +39,9 @@ func (e *Engine) Clone(store *term.Store, budget datalog.Budget) *Engine {
 		lastDerived:    e.lastDerived,
 		lastReplicated: e.lastReplicated,
 		lastInstalled:  e.lastInstalled,
-		lastByRel:      make(map[rel.Name]int),
-		colStore:       e.colStore.Clone(),
+		colDB:          e.colDB.Clone(store),
+		derived:        e.derived,
 	}
-	c.colDB = e.colDB.Clone(c.colStore)
-	c.derived.Store(e.derived.Load())
 	for id, ps := range e.peers {
 		c.peers[id] = ps.clone(c)
 	}
@@ -55,8 +52,7 @@ func (e *Engine) Clone(store *term.Store, budget datalog.Budget) *Engine {
 // states are cut from one allocation; the slices inside them only ever grow,
 // so they are shared up to their length.
 func (ps *peerState) clone(e *Engine) *peerState {
-	store := ps.store.Clone()
-	c := newPeerState(e, ps.id, store, ps.db.Clone(store))
+	c := newPeerState(e, ps.id, ps.db.Clone(e.store))
 	c.k.Probes, c.k.Attempts = ps.k.Probes, ps.k.Attempts
 	c.shared = ps.rules
 	if len(ps.shared) > 0 { // ps is a clone itself

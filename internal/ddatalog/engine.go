@@ -2,8 +2,7 @@ package ddatalog
 
 import (
 	"fmt"
-	"sync"
-	"sync/atomic"
+	"slices"
 	"time"
 
 	"repro/internal/datalog"
@@ -21,6 +20,34 @@ import (
 // back), wire.Inject (an incremental base-fact append), and wire.Install
 // (runtime rule installation) — so the same evaluation runs unchanged
 // whether its peers share a process or are spread across peerd nodes.
+//
+// Between two peers hosted by one engine the last three carry term IDs of
+// the store the engine's peers share, not the wire form: the sender's arena
+// view of the tuple, the rule as it stands. They report the size of the wire
+// payload they stand for (dist.Local), so the byte counters do not depend on
+// where a program's peers run: a fact's, sent by the thousand, from a walk of
+// the store; a rule's or an injected fact's from the encoder.
+
+type facts struct {
+	qual  rel.Name
+	tuple []term.ID
+	size  int
+}
+
+type inject struct {
+	rel   rel.Name
+	tuple []term.ID
+	size  int
+}
+
+type install struct {
+	rule PRule
+	size int
+}
+
+func (m facts) Wire() (string, int)   { return "wire.Facts", m.size }
+func (m inject) Wire() (string, int)  { return "wire.Inject", m.size }
+func (m install) Wire() (string, int) { return "wire.Install", m.size }
 
 // Stats summarizes a distributed run.
 type Stats struct {
@@ -41,8 +68,13 @@ type Stats struct {
 // derives what round k did not already materialize. Calls must not
 // overlap; after a run fails (budget, timeout), the warm state is safe to
 // read but further runs are best-effort.
+//
+// An engine has one term store, the program's: the hosted peers' relations,
+// the collector's answers, and what RunDelta and the hook are handed are all
+// interned in it. Handlers run one at a time (see dist), so nothing in an
+// engine is locked.
 type Engine struct {
-	src       *term.Store // the program's store: what RunDelta and the hook are handed is interned in it
+	store     *term.Store
 	budget    datalog.Budget
 	peers     map[dist.PeerID]*peerState
 	order     []dist.PeerID
@@ -50,11 +82,10 @@ type Engine struct {
 	// netFactory builds the per-round network; nil means dist.NewNetwork
 	// (single process). A cluster driver installs its round constructor.
 	netFactory func() dist.Net
-	workers    int          // worker-pool width for default networks; 0 = GOMAXPROCS
-	derived    atomic.Int64 // global fact counter for the budget
-	aborted    atomic.Bool  // set when the budget trips; stops in-handler work
+	collects   bool // the round under way hosts the answer collector (a cluster member's does not)
+	derived    int  // global fact counter for the budget
+	aborted    bool // set when the budget trips; stops in-handler work
 	hook       ActivationHook
-	stats      Stats
 	tracer     obs.Tracer // never nil; obs.Nop by default
 	traceOn    bool       // tracer.Enabled() snapshot, set per run
 	// Cumulative figures after the previous run, so each RunDelta can
@@ -62,33 +93,26 @@ type Engine struct {
 	lastDerived    int
 	lastReplicated int
 	lastInstalled  int
-	lastByRel      map[rel.Name]int
 	// The collector persists across runs so that answers accumulated in
 	// earlier rounds remain extractable in later ones.
-	colStore *term.Store
-	colDB    *rel.DB
-	// hookMu serializes this engine's peers inside the activation hook:
-	// hooks (the online rewriters) intern new terms into prog.Store, which
-	// is not safe for concurrent mutation.
-	hookMu sync.Mutex
+	colDB *rel.DB
 }
 
-// peerState is the private state of one peer; only its own goroutine
-// touches it after Run starts.
+// peerState is the private state of one peer: only its own handler turns
+// touch it.
 type peerState struct {
-	eng   *Engine
-	id    dist.PeerID
-	store *term.Store
-	db    *rel.DB
+	eng *Engine
+	id  dist.PeerID
+	db  *rel.DB
 	// k matches every rule body evaluated at this peer; its continuation is
 	// ps.emit, which needs the handler turn in progress (ctx) to send and the
 	// head relation of the rule being joined.
 	k       datalog.Kernel
 	ctx     *dist.Context
 	joining *relState
-	// The hosted rules, interned in store, are shared followed by rules: a
-	// cloned engine reads the rules its origin had in place — a hosted rule
-	// never changes — and numbers its own after them.
+	// The hosted rules are shared followed by rules: a cloned engine reads
+	// the rules its origin had in place — a hosted rule never changes — and
+	// numbers its own after them.
 	shared []hostedRule
 	rules  []hostedRule
 	// names numbers the qualified relation names the peer has met; rels holds
@@ -99,8 +123,7 @@ type peerState struct {
 	pending    []pendingFact // derived facts awaiting their delta joins
 	derived    int
 	replicated int
-	installed  int              // rules installed at runtime (hook or wire.Install)
-	derivedBy  map[rel.Name]int // facts per head relation; tracked only while tracing
+	installed  int // rules installed at runtime (hook or wire.Install)
 }
 
 // relState is what a peer keeps per qualified relation, local or remote.
@@ -113,6 +136,8 @@ type relState struct {
 	active    bool          // local relation activated
 	requested bool          // remote relation already activated
 	hooked    bool          // activation hook already ran
+	derived   int           // facts derived into it while tracing, and how many of
+	reported  int           // them earlier runs' trace counters have covered
 	subs      []dist.PeerID // subscribers, in registration order
 	defs      []int         // hosted rules deriving into it
 	occs      []ruleAt      // occurrences in hosted rule bodies
@@ -130,15 +155,10 @@ type hostedRule struct {
 	head int
 }
 
-func newPeerState(e *Engine, id dist.PeerID, store *term.Store, db *rel.DB) *peerState {
-	ps := &peerState{
-		eng:       e,
-		id:        id,
-		store:     store,
-		db:        db,
-		derivedBy: make(map[rel.Name]int),
-	}
-	ps.k = datalog.Kernel{DB: db, Bnd: term.NewBindings(store), MaxTermDepth: e.budget.MaxTermDepth, Emit: ps.emit}
+// newPeerState returns the state of peer id of e, whose relations db holds.
+func newPeerState(e *Engine, id dist.PeerID, db *rel.DB) *peerState {
+	ps := &peerState{eng: e, id: id, db: db}
+	ps.k = datalog.Kernel{DB: db, Bnd: term.NewBindings(e.store), MaxTermDepth: e.budget.MaxTermDepth, Emit: ps.emit}
 	return ps
 }
 
@@ -169,12 +189,12 @@ func (ps *peerState) table(rs *relState) *rel.Relation {
 	return ps.k.Rel(rs.slot, rs.q, rs.arity)
 }
 
-// host appends r (interned in ps.store) to the peer's program, indexing it
-// under its head and body relations, and returns its rule index. A peer
-// hosts thousands of rules per net, so the atoms handed to the compiler stay
-// on the stack (dQSQ bodies have at most three); the compiled rule shares
-// r's argument and constraint slices, and every atom keeps the relation's
-// one name string, not its own copy.
+// host appends r to the peer's program, indexing it under its head and body
+// relations, and returns its rule index. A peer hosts thousands of rules per
+// net, so the atoms handed to the compiler stay on the stack (dQSQ bodies
+// have at most three); the compiled rule shares r's argument and constraint
+// slices, and every atom keeps the relation's one name string, not its own
+// copy.
 func (ps *peerState) host(r PRule) int {
 	ri := ps.numRules()
 	slotted := func(a PAtom) (*relState, datalog.CompiledAtom) {
@@ -190,7 +210,7 @@ func (ps *peerState) host(r PRule) int {
 		rs.occs = append(rs.occs, ruleAt{rule: ri, atom: ai})
 		body = append(body, ca)
 	}
-	c := datalog.CompileSlotted(ps.store, chead, body, r.Neqs)
+	c := datalog.CompileSlotted(ps.eng.store, chead, body, r.Neqs)
 	ps.rules = append(ps.rules, hostedRule{r, c, head.slot})
 	return ri
 }
@@ -251,15 +271,13 @@ func NewEngineHosted(prog *Program, budget datalog.Budget, hosted []dist.PeerID)
 		budget.MaxFacts = datalog.DefaultBudget.MaxFacts
 	}
 	e := &Engine{
-		src:       prog.Store,
+		store:     prog.Store,
 		budget:    budget,
 		peers:     make(map[dist.PeerID]*peerState),
 		progPeers: make(map[dist.PeerID]bool),
 		tracer:    obs.Nop,
-		lastByRel: make(map[rel.Name]int),
+		colDB:     rel.NewDB(prog.Store),
 	}
-	e.colStore = term.NewStore()
-	e.colDB = rel.NewDB(e.colStore)
 	hostHere := func(id dist.PeerID) bool { return true }
 	if hosted != nil {
 		set := make(map[dist.PeerID]bool, len(hosted))
@@ -273,61 +291,95 @@ func NewEngineHosted(prog *Program, budget datalog.Budget, hosted []dist.PeerID)
 		if !hostHere(id) {
 			continue
 		}
-		store := term.NewStore()
-		e.peers[id] = newPeerState(e, id, store, rel.NewDB(store))
+		e.peers[id] = newPeerState(e, id, rel.NewDB(e.store))
 		e.order = append(e.order, id)
 	}
 
-	// Ship rules and facts to their hosts, re-interning terms into each
-	// peer's private store (the wire conversion the real system would do).
-	// Rules and facts of peers hosted elsewhere are simply skipped: their
-	// node does the same and keeps its own share.
-	src := e.src
+	// Hand rules and facts to their hosts. Those of peers hosted elsewhere
+	// are simply skipped: their node does the same and keeps its own share.
 	for _, r := range prog.Rules {
-		ps := e.peers[r.Head.Peer]
-		if ps == nil {
-			continue
+		if ps := e.peers[r.Head.Peer]; ps != nil {
+			ps.host(r)
 		}
-		ps.host(ps.internRule(externRule(src, r)))
 	}
 	for _, f := range prog.Facts {
-		ps := e.peers[f.Peer]
-		if ps == nil {
-			continue
+		if ps := e.peers[f.Peer]; ps != nil {
+			ps.table(ps.relOfArity(f.Qualified(), len(f.Args))).Insert(f.Args)
 		}
-		args := ps.store.InternalizeTuple(src.ExternalizeTuple(f.Args))
-		ps.table(ps.relOfArity(f.Qualified(), len(args))).Insert(args)
 	}
 	return e, nil
 }
 
-// handle processes one network message for the peer.
+// hosts reports whether messages to id stay inside this engine.
+func (e *Engine) hosts(id dist.PeerID) bool {
+	return e.peers[id] != nil || id == collectorID && e.collects
+}
+
+// installMsg is the payload that delivers rule r to its host, and injectMsg
+// the one that delivers base fact f to its owner: in wire form only if the
+// destination is hosted elsewhere.
+func (e *Engine) installMsg(r PRule) any {
+	w := wire.Install{Rule: externRule(e.store, r)}
+	if e.hosts(r.Head.Peer) {
+		size, _ := wire.PayloadSize(w)
+		return install{r, size}
+	}
+	return w
+}
+
+func (e *Engine) injectMsg(f PAtom) any {
+	w := wire.Inject{Rel: f.Rel, Tuple: e.store.ExternalizeTuple(f.Args)}
+	if e.hosts(f.Peer) {
+		size, _ := wire.PayloadSize(w)
+		return inject{f.Rel, f.Args, size}
+	}
+	return w
+}
+
+// handle processes one network message for the peer. A message in wire form
+// came from another process: its terms are interned here, on the goroutine
+// the engine's handlers take turns on, and nowhere else.
 func (ps *peerState) handle(ctx *dist.Context, m dist.Message) {
 	ps.ctx = ctx
+	store := ps.eng.store
 	switch msg := m.Payload.(type) {
 	case wire.Activate:
 		ps.activateLocal(ctx, msg.Rel, m.From)
+	case install:
+		ps.installRule(ctx, msg.rule)
 	case wire.Install:
-		ps.installRule(ctx, ps.internRule(msg.Rule))
+		ps.installRule(ctx, internRule(store, msg.Rule))
+	case facts:
+		ps.replicate(msg.qual, msg.tuple)
 	case wire.Facts:
-		tuple := ps.store.InternalizeTuple(msg.Tuple)
-		rs := ps.relOfArity(msg.Qual, msg.Arity)
-		relation := ps.table(rs)
-		if pos, added := relation.InsertPos(tuple); added {
-			ps.replicated++
-			ps.pending = append(ps.pending, pendingFact{rel: rs, args: relation.At(pos)})
-		}
+		ps.replicate(msg.Qual, store.InternalizeTuple(msg.Tuple))
+	case inject:
+		ps.inject(ctx, msg.rel, msg.tuple)
 	case wire.Inject:
-		// A base fact arriving at its owner mid-session (an incremental
-		// append): derive it like a rule head so it reaches subscribers and
-		// triggers delta joins.
-		tuple := ps.store.InternalizeTuple(msg.Tuple)
-		ps.derive(ctx, ps.relOfArity(Qualify(msg.Rel, ps.id), len(tuple)), tuple)
+		ps.inject(ctx, msg.Rel, store.InternalizeTuple(msg.Tuple))
 	default:
 		panic(fmt.Sprintf("ddatalog: unknown message %T", m.Payload))
 	}
 	ps.drain(ctx)
 	ps.ctx = nil // or the run's network and its delivered messages outlive the run
+}
+
+// replicate stores a tuple of a relation this peer subscribed to and queues
+// its delta joins.
+func (ps *peerState) replicate(qual rel.Name, tuple []term.ID) {
+	rs := ps.relOfArity(qual, len(tuple))
+	relation := ps.table(rs)
+	if pos, added := relation.InsertPos(tuple); added {
+		ps.replicated++
+		ps.pending = append(ps.pending, pendingFact{rel: rs, args: relation.At(pos)})
+	}
+}
+
+// inject takes a base fact arriving at its owner mid-session (an
+// incremental append): it is derived like a rule head, so it reaches
+// subscribers and triggers delta joins.
+func (ps *peerState) inject(ctx *dist.Context, r rel.Name, tuple []term.ID) {
+	ps.derive(ctx, ps.relOfArity(Qualify(r, ps.id), len(tuple)), tuple)
 }
 
 // drain runs the delta joins of every pending fact until none remain.
@@ -342,7 +394,7 @@ func (ps *peerState) drain(ctx *dist.Context) {
 		ps.eng.tracer.Gauge(string(ps.id), "ddatalog_pending_delta", int64(len(ps.pending)))
 	}
 	done := 0
-	for ; done < len(ps.pending) && !ps.eng.aborted.Load() && !ctx.Stopped(); done++ {
+	for ; done < len(ps.pending) && !ps.eng.aborted && !ctx.Stopped(); done++ {
 		ps.deltaJoin(ps.pending[done])
 	}
 	left := copy(ps.pending, ps.pending[done:])
@@ -357,19 +409,13 @@ func (ps *peerState) drain(ctx *dist.Context) {
 func (ps *peerState) activateLocal(ctx *dist.Context, r rel.Name, subscriber dist.PeerID) {
 	rs := ps.rel(Qualify(r, ps.id))
 	if subscriber != "" && subscriber != ps.id {
-		already := false
-		for _, s := range rs.subs {
-			if s == subscriber {
-				already = true
-				break
-			}
-		}
-		if !already {
+		if !slices.Contains(rs.subs, subscriber) {
 			rs.subs = append(rs.subs, subscriber)
 			// Stream everything known so far.
 			if relation := ps.db.Lookup(rs.q); relation != nil {
+				newcomer := rs.subs[len(rs.subs)-1:]
 				relation.Scan(0, nil, 0, relation.Len(), func(_ int, tuple []term.ID) bool {
-					ctx.Send(subscriber, wire.Facts{Qual: rs.q, Arity: relation.Arity(), Tuple: ps.store.ExternalizeTuple(tuple)})
+					ps.stream(ctx, rs, tuple, newcomer)
 					return true
 				})
 			}
@@ -439,17 +485,36 @@ func (ps *peerState) derive(ctx *dist.Context, rs *relState, args []term.ID) {
 	stored := relation.At(pos)
 	ps.derived++
 	if ps.eng.traceOn {
-		ps.derivedBy[rs.q]++
+		rs.derived++
 	}
-	if int(ps.eng.derived.Add(1)) > ps.eng.budget.MaxFacts {
-		ps.eng.aborted.Store(true)
+	ps.eng.derived++
+	if ps.eng.derived > ps.eng.budget.MaxFacts {
+		ps.eng.aborted = true
 		ctx.Abort(fmt.Errorf("%w: more than %d facts", datalog.ErrBudget, ps.eng.budget.MaxFacts))
 		return
 	}
-	for _, sub := range rs.subs {
-		ctx.Send(sub, wire.Facts{Qual: rs.q, Arity: len(stored), Tuple: ps.store.ExternalizeTuple(stored)})
-	}
+	ps.stream(ctx, rs, stored, rs.subs)
 	ps.pending = append(ps.pending, pendingFact{rel: rs, args: stored})
+}
+
+// stream sends a stored tuple of rs to each of subs: as it stands to those
+// this engine hosts, in wire form to the others. Either form is built, and
+// sized, once however many receive it.
+func (ps *peerState) stream(ctx *dist.Context, rs *relState, tuple []term.ID, subs []dist.PeerID) {
+	var local, remote any
+	for _, sub := range subs {
+		if ps.eng.hosts(sub) {
+			if local == nil {
+				local = facts{rs.q, tuple, wire.FactsSize(ps.eng.store, rs.q, tuple)}
+			}
+			ctx.Send(sub, local)
+		} else {
+			if remote == nil {
+				remote = wire.Facts{Qual: rs.q, Arity: len(tuple), Tuple: ps.eng.store.ExternalizeTuple(tuple)}
+			}
+			ctx.Send(sub, remote)
+		}
+	}
 }
 
 // collectorID is the synthetic peer that receives the query's answers.
@@ -460,7 +525,7 @@ type Result struct {
 	// Answers are the query-variable bindings, deduplicated, in
 	// first-occurrence order of the query's variables, interned in Store.
 	Answers [][]term.ID
-	// Store interns the answers (the collector's private store).
+	// Store interns the answers (the engine's store).
 	Store *term.Store
 	Stats Stats
 }
@@ -482,22 +547,12 @@ func (e *Engine) SetNetFactory(f func() dist.Net) {
 	e.netFactory = f
 }
 
-// SetParallelism fixes the worker-pool width of the default in-process
-// networks built by each run: n peer handlers may execute concurrently
-// (per-peer delivery order is still per-sender FIFO, and the evaluation is
-// confluent, so results match the sequential engine exactly). n <= 0
-// restores the default, a pool sized by GOMAXPROCS; n == 1 forces fully
-// sequential evaluation. Ignored when a custom net factory is installed.
-// Must not be called during a run.
-func (e *Engine) SetParallelism(n int) {
-	e.workers = n
-}
-
 // RunMember participates in one evaluation round as a cluster member: it
 // registers the hosted peers on the member-side network and blocks until
 // the driver stops the round (or the timeout trips). The driver seeds the
 // round; members only react. Returns the node's local network stats.
 func (e *Engine) RunMember(net dist.Net, timeout time.Duration) (dist.Stats, error) {
+	e.collects = false
 	e.traceOn = e.tracer.Enabled()
 	net.SetTracer(e.tracer)
 	for _, id := range e.order {
@@ -561,18 +616,14 @@ func (e *Engine) finishRun(res *Result) {
 		}
 		// Per-head-relation derivation counts: display-only names (the
 		// space keeps them out of /metrics — unbounded cardinality).
-		byRel := make(map[rel.Name]int, len(e.lastByRel))
 		for _, id := range e.order {
-			for r, c := range e.peers[id].derivedBy {
-				byRel[r] += c
+			for _, rs := range e.peers[id].rels {
+				if d := rs.derived - rs.reported; d > 0 {
+					e.tracer.Counter("ddatalog", "derived "+string(rs.q), int64(d))
+					rs.reported = rs.derived
+				}
 			}
 		}
-		for r, c := range byRel {
-			if d := c - e.lastByRel[r]; d > 0 {
-				e.tracer.Counter("ddatalog", "derived "+string(r), int64(d))
-			}
-		}
-		e.lastByRel = byRel
 	}
 	e.lastDerived = res.Stats.Derived
 	e.lastReplicated = res.Stats.Replicated
@@ -602,23 +653,18 @@ func (e *Engine) RunDelta(q PAtom, facts []PAtom, rules []PRule, timeout time.Du
 		sp := e.tracer.Begin("ddatalog", fmt.Sprintf("run %s", q.Qualified()))
 		defer sp.End()
 	}
-	src := e.src
 	initial := make([]dist.Message, 0, len(facts)+len(rules)+1)
 	for _, r := range rules {
 		if !e.progPeers[r.Head.Peer] {
 			return nil, fmt.Errorf("ddatalog: rule host %q not in program", r.Head.Peer)
 		}
-		initial = append(initial, dist.Message{
-			From: collectorID, To: r.Head.Peer, Payload: wire.Install{Rule: externRule(src, r)},
-		})
+		initial = append(initial, dist.Message{From: collectorID, To: r.Head.Peer, Payload: e.installMsg(r)})
 	}
 	for _, f := range facts {
 		if !e.progPeers[f.Peer] {
 			return nil, fmt.Errorf("ddatalog: fact owner %q not in program", f.Peer)
 		}
-		initial = append(initial, dist.Message{
-			From: collectorID, To: f.Peer, Payload: wire.Inject{Rel: f.Rel, Tuple: src.ExternalizeTuple(f.Args)},
-		})
+		initial = append(initial, dist.Message{From: collectorID, To: f.Peer, Payload: e.injectMsg(f)})
 	}
 	initial = append(initial, dist.Message{From: collectorID, To: q.Peer, Payload: wire.Activate{Rel: q.Rel}})
 
@@ -627,9 +673,8 @@ func (e *Engine) RunDelta(q PAtom, facts []PAtom, rules []PRule, timeout time.Du
 		return res, err
 	}
 	// Extract answers by matching the query pattern against the collected
-	// relation (re-interning the pattern into the collector's store).
-	pattern := e.colStore.InternalizeTuple(src.ExternalizeTuple(q.Args))
-	res.Answers = datalog.Answers(e.colDB, e.colStore, datalog.Atom{Rel: q.Qualified(), Args: pattern})
+	// relation.
+	res.Answers = datalog.Answers(e.colDB, e.store, datalog.Atom{Rel: q.Qualified(), Args: q.Args})
 	return res, nil
 }
 
@@ -658,14 +703,13 @@ func (e *Engine) Activate(atoms []PAtom, timeout time.Duration) (Stats, error) {
 // answer collector, runs it to quiescence and reports the engine's
 // cumulative stats.
 func (e *Engine) round(initial []dist.Message, timeout time.Duration) (*Result, error) {
+	e.collects = true
 	e.traceOn = e.tracer.Enabled()
-	net := dist.Net(nil)
+	var net dist.Net
 	if e.netFactory != nil {
 		net = e.netFactory()
 	} else {
-		nw := dist.NewNetwork()
-		nw.SetWorkers(e.workers)
-		net = nw
+		net = dist.NewNetwork()
 	}
 	net.SetTracer(e.tracer)
 	for _, id := range e.order {
@@ -673,16 +717,17 @@ func (e *Engine) round(initial []dist.Message, timeout time.Duration) (*Result, 
 		net.AddPeer(id, ps.handle)
 	}
 	net.AddPeer(collectorID, func(ctx *dist.Context, m dist.Message) {
-		msg, ok := m.Payload.(wire.Facts)
-		if !ok {
-			return
+		switch msg := m.Payload.(type) {
+		case facts:
+			e.colDB.Rel(msg.qual, len(msg.tuple)).Insert(msg.tuple)
+		case wire.Facts:
+			e.colDB.Rel(msg.Qual, msg.Arity).Insert(e.store.InternalizeTuple(msg.Tuple))
 		}
-		e.colDB.Rel(msg.Qual, msg.Arity).Insert(e.colStore.InternalizeTuple(msg.Tuple))
 	})
 
 	netStats, err := net.Run(initial, timeout)
 
-	res := &Result{Store: e.colStore}
+	res := &Result{Store: e.store}
 	res.Stats.Net = netStats
 	for _, id := range e.order {
 		ps := e.peers[id]
@@ -722,13 +767,13 @@ func (e *Engine) Peers() []dist.PeerID {
 	return out
 }
 
-// PeerStore exposes a peer's term store after Run has returned.
+// PeerStore exposes the term store a hosted peer's tuples are interned in —
+// the engine's — after Run has returned.
 func (e *Engine) PeerStore(id dist.PeerID) *term.Store {
-	ps := e.peers[id]
-	if ps == nil {
+	if e.peers[id] == nil {
 		return nil
 	}
-	return ps.store
+	return e.store
 }
 
 // Rules exposes the compiled form of the rules a peer hosts, in hosting

@@ -18,9 +18,11 @@ import (
 // ActivationHook is consulted the first time a relation is activated at a
 // peer. It returns rules to add to the running program; rules hosted at
 // the activating peer are installed immediately, rules hosted elsewhere
-// are shipped as wire.Install messages. The returned rules must be built
-// over the engine's program store. Hooks run on peer goroutines and must
-// be safe for concurrent use.
+// are sent to their hosts. The returned rules must be built over the
+// engine's store, which the hook may intern into; the engine copies the
+// rules out of the returned slice before it calls the hook again, and keeps
+// the atoms and constraints they point at, which must not change
+// afterwards.
 type ActivationHook func(peer dist.PeerID, relName rel.Name) []PRule
 
 // SetActivationHook installs the hook. Must be called before Run.
@@ -36,25 +38,21 @@ func (ps *peerState) runHook(ctx *dist.Context, relName rel.Name, rs *relState) 
 	}
 	rs.hooked = true
 
-	ps.eng.hookMu.Lock()
-	rules := ps.eng.hook(ps.id, relName)
-	var local []PRule
-	var remote []wire.Install
-	src := ps.eng.src
-	for _, r := range rules {
+	// Installing a rule may activate further relations and so re-enter the
+	// hook, which is free to reuse the slice it returned.
+	var local, remote []PRule
+	for _, r := range ps.eng.hook(ps.id, relName) {
 		if r.Head.Peer == ps.id {
-			local = append(local, ps.internRule(externRule(src, r)))
+			local = append(local, r)
 		} else {
-			remote = append(remote, wire.Install{Rule: externRule(src, r)})
+			remote = append(remote, r)
 		}
 	}
-	ps.eng.hookMu.Unlock()
-
 	for _, r := range local {
 		ps.installRule(ctx, r)
 	}
-	for _, m := range remote {
-		ctx.Send(dist.PeerID(m.Rule.Head.Peer), m)
+	for _, r := range remote {
+		ctx.Send(r.Head.Peer, ps.eng.installMsg(r))
 	}
 }
 
@@ -79,17 +77,17 @@ func externRule(s *term.Store, r PRule) wire.Rule {
 	return out
 }
 
-// internRule decodes a wire rule into the peer's private store.
-func (ps *peerState) internRule(w wire.Rule) PRule {
+// internRule decodes a wire rule into s.
+func internRule(s *term.Store, w wire.Rule) PRule {
 	conv := func(a wire.Atom) PAtom {
-		return PAtom{Rel: a.Rel, Peer: dist.PeerID(a.Peer), Args: ps.store.InternalizeTuple(a.Args)}
+		return PAtom{Rel: a.Rel, Peer: dist.PeerID(a.Peer), Args: s.InternalizeTuple(a.Args)}
 	}
 	out := PRule{Head: conv(w.Head), Body: make([]PAtom, 0, len(w.Body))}
 	for _, a := range w.Body {
 		out.Body = append(out.Body, conv(a))
 	}
-	xs := ps.store.InternalizeTuple(w.NeqX)
-	ys := ps.store.InternalizeTuple(w.NeqY)
+	xs := s.InternalizeTuple(w.NeqX)
+	ys := s.InternalizeTuple(w.NeqY)
 	for i := range xs {
 		out.Neqs = append(out.Neqs, datalog.Neq{X: xs[i], Y: ys[i]})
 	}

@@ -99,9 +99,9 @@ func (r PRule) String(s *term.Store) string {
 	return b.String()
 }
 
-// Program is a distributed Datalog program over a shared construction-time
-// term store. At evaluation time each peer re-interns what it needs into a
-// private store; nothing is shared across peer goroutines.
+// Program is a distributed Datalog program over one term store, which the
+// engine that evaluates it makes its own: the peers it hosts keep their
+// tuples in it.
 type Program struct {
 	Store *term.Store
 	Rules []PRule

@@ -14,12 +14,13 @@ import (
 
 // This file serializes engine state for the checkpoint/restore subsystem
 // (internal/snapshot). The encoding preserves everything the evaluation's
-// determinism depends on: per-peer term stores are replayed cell-by-cell
-// so interned IDs survive verbatim, relations keep their insertion order,
-// rules keep their installation order (bodyIdx is rebuilt by replaying
-// them, exactly as construction and installRule built it), and the
-// subscriber lists keep their registration order so fact fan-out after a
-// restore sends the same messages in the same order as an uninterrupted
+// determinism depends on: the engine's term store, which the caller
+// serializes, is replayed cell-by-cell so interned IDs survive verbatim,
+// relations keep their insertion order and each peer's numbering of them,
+// rules keep their installation order (the occurrence lists are rebuilt by
+// replaying them, exactly as construction and installRule built them), and
+// the subscriber lists keep their registration order so fact fan-out after
+// a restore sends the same messages in the same order as an uninterrupted
 // run. Transient state (variable bindings, the per-run trace mirrors) is
 // deliberately dropped and rebuilt fresh.
 
@@ -132,39 +133,27 @@ func DecodeProgramSnapshot(r *snapshot.Reader, store *term.Store) (*Program, err
 	return p, nil
 }
 
-// sortedRels returns the peer's relation states that satisfy keep, by
-// name.
-func (ps *peerState) sortedRels(keep func(*relState) bool) []*relState {
-	var out []*relState
-	for _, rs := range ps.rels {
-		if keep(rs) {
-			out = append(out, rs)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].q < out[j].q })
-	return out
-}
-
-// The three name sets a peer snapshot carries, in encoding order.
-var relFlags = []func(*relState) *bool{
-	func(rs *relState) *bool { return &rs.active },
-	func(rs *relState) *bool { return &rs.requested },
-	func(rs *relState) *bool { return &rs.hooked },
-}
+// What a peer snapshot keeps of a relation's protocol state, as bits.
+const (
+	snapActive = 1 << iota
+	snapRequested
+	snapHooked
+)
 
 // EncodeSnapshot writes the engine's warm state into w: budget, counters,
-// the collector, and every hosted peer's store, relations, rules and
-// protocol maps. Queued-but-unprocessed deltas (pending) are included so
-// a checkpoint between handler turns loses nothing. It refuses to encode
+// the collector, and every hosted peer's relations, rules and protocol
+// maps. The term store all of them refer into is the program's, which the
+// caller serializes. Queued-but-unprocessed deltas (pending) are included
+// so a checkpoint between handler turns loses nothing. It refuses to encode
 // an engine whose budget has tripped.
 func (e *Engine) EncodeSnapshot(w *snapshot.Writer) error {
-	if e.aborted.Load() {
+	if e.aborted {
 		return ErrNotQuiescent
 	}
 	w.Uvarint(uint64(e.budget.MaxFacts))
 	w.Uvarint(uint64(e.budget.MaxIters))
 	w.Uvarint(uint64(e.budget.MaxTermDepth))
-	w.Int(e.derived.Load())
+	w.Int(int64(e.derived))
 	w.Uvarint(uint64(e.lastDerived))
 	w.Uvarint(uint64(e.lastReplicated))
 	w.Uvarint(uint64(e.lastInstalled))
@@ -181,44 +170,42 @@ func (e *Engine) EncodeSnapshot(w *snapshot.Writer) error {
 		w.String(id)
 	}
 
-	e.colStore.EncodeSnapshot(w)
 	e.colDB.EncodeSnapshot(w)
 
 	w.Uvarint(uint64(len(e.order)))
 	for _, id := range e.order {
 		ps := e.peers[id]
 		w.String(string(id))
-		ps.store.EncodeSnapshot(w)
 		ps.db.EncodeSnapshot(w)
 		w.Uvarint(uint64(ps.numRules()))
 		for ri := 0; ri < ps.numRules(); ri++ {
 			EncodePRuleSnapshot(w, ps.rule(ri).PRule)
 		}
-		for _, flag := range relFlags {
-			set := ps.sortedRels(func(rs *relState) bool { return *flag(rs) })
-			w.Uvarint(uint64(len(set)))
-			for _, rs := range set {
-				w.String(string(rs.q))
-			}
-		}
-		subscribed := ps.sortedRels(func(rs *relState) bool { return len(rs.subs) > 0 })
-		w.Uvarint(uint64(len(subscribed)))
-		for _, rs := range subscribed {
+		// The relations in the peer's numbering, which the restored peer
+		// takes over: name, arity + 1, protocol bits, subscribers.
+		w.Uvarint(uint64(len(ps.rels)))
+		for _, rs := range ps.rels {
 			w.String(string(rs.q))
+			w.Uvarint(uint64(rs.arity + 1))
+			var bits byte
+			if rs.active {
+				bits |= snapActive
+			}
+			if rs.requested {
+				bits |= snapRequested
+			}
+			if rs.hooked {
+				bits |= snapHooked
+			}
+			w.Byte(bits)
 			w.Uvarint(uint64(len(rs.subs)))
 			for _, s := range rs.subs { // registration order matters
 				w.String(string(s))
 			}
 		}
-		sized := ps.sortedRels(func(rs *relState) bool { return rs.arity >= 0 })
-		w.Uvarint(uint64(len(sized)))
-		for _, rs := range sized {
-			w.String(string(rs.q))
-			w.Uvarint(uint64(rs.arity))
-		}
 		w.Uvarint(uint64(len(ps.pending)))
 		for _, pf := range ps.pending {
-			w.String(string(pf.rel.q))
+			w.Uvarint(uint64(pf.rel.slot))
 			w.Uvarint(uint64(len(pf.args)))
 			for _, t := range pf.args {
 				w.Uvarint(uint64(t))
@@ -231,23 +218,22 @@ func (e *Engine) EncodeSnapshot(w *snapshot.Writer) error {
 	return nil
 }
 
-// DecodeEngineSnapshot rebuilds an engine from r. The restored engine has
-// no tracer, hook or net factory installed — callers re-attach those, as
-// they did after NewEngine. Of the program it evaluates, the store and the
-// peer set survive; the rule list lives on in the per-peer re-interned
-// copies.
+// DecodeEngineSnapshot rebuilds an engine from r over store, the restored
+// store of the program it evaluated. The restored engine has no tracer, hook
+// or net factory installed — callers re-attach those, as they did after
+// NewEngine. Of the program, the store and the peer set survive; the rule
+// list lives on in the per-peer copies.
 func DecodeEngineSnapshot(r *snapshot.Reader, store *term.Store) (*Engine, error) {
 	e := &Engine{
-		src:       store,
+		store:     store,
 		peers:     make(map[dist.PeerID]*peerState),
 		progPeers: make(map[dist.PeerID]bool),
 		tracer:    obs.Nop,
-		lastByRel: make(map[rel.Name]int),
 	}
 	e.budget.MaxFacts = int(r.Uvarint())
 	e.budget.MaxIters = int(r.Uvarint())
 	e.budget.MaxTermDepth = int(r.Uvarint())
-	e.derived.Store(r.Int())
+	e.derived = int(r.Int())
 	e.lastDerived = int(r.Uvarint())
 	e.lastReplicated = int(r.Uvarint())
 	e.lastInstalled = int(r.Uvarint())
@@ -263,10 +249,7 @@ func DecodeEngineSnapshot(r *snapshot.Reader, store *term.Store) (*Engine, error
 	}
 
 	var err error
-	if e.colStore, err = term.DecodeStoreSnapshot(r); err != nil {
-		return nil, err
-	}
-	if e.colDB, err = rel.DecodeDBSnapshot(r, e.colStore); err != nil {
+	if e.colDB, err = rel.DecodeDBSnapshot(r, store); err != nil {
 		return nil, err
 	}
 
@@ -280,51 +263,44 @@ func DecodeEngineSnapshot(r *snapshot.Reader, store *term.Store) (*Engine, error
 			r.Failf("duplicate hosted peer %q", id)
 			break
 		}
-		pstore, err := term.DecodeStoreSnapshot(r)
+		db, err := rel.DecodeDBSnapshot(r, store)
 		if err != nil {
 			return nil, err
 		}
-		db, err := rel.DecodeDBSnapshot(r, pstore)
-		if err != nil {
-			return nil, err
-		}
-		ps := newPeerState(e, id, pstore, db)
+		ps := newPeerState(e, id, db)
 		var rules []PRule
 		nRules := r.Count(3)
 		for j := 0; j < nRules && r.Err() == nil; j++ {
-			rules = append(rules, DecodePRuleSnapshot(r, pstore.Len()))
+			rules = append(rules, DecodePRuleSnapshot(r, store.Len()))
 		}
-		for _, flag := range relFlags {
-			m := r.Count(1)
-			for j := 0; j < m && r.Err() == nil; j++ {
-				*flag(ps.rel(rel.Name(r.String()))) = true
+		nRels := r.Count(4)
+		for j := 0; j < nRels && r.Err() == nil; j++ {
+			name := rel.Name(r.String())
+			ar, bits := r.Uvarint(), r.Byte()
+			if _, dup := ps.names.Lookup(name); r.Err() == nil && (dup || ar > 64) {
+				r.Failf("relation %s: listed twice, or arity %d", name, int(ar)-1)
+				break
 			}
-		}
-		nSubs := r.Count(2)
-		for j := 0; j < nSubs && r.Err() == nil; j++ {
-			rs := ps.rel(rel.Name(r.String()))
+			rs := ps.rel(name)
+			rs.arity = int(ar) - 1
+			rs.active, rs.requested, rs.hooked = bits&snapActive != 0, bits&snapRequested != 0, bits&snapHooked != 0
 			m := r.Count(1)
 			for k := 0; k < m && r.Err() == nil; k++ {
 				rs.subs = append(rs.subs, dist.PeerID(r.String()))
 			}
 		}
-		nAr := r.Count(2)
-		for j := 0; j < nAr && r.Err() == nil; j++ {
-			name := rel.Name(r.String())
-			ar := r.Uvarint()
-			if r.Err() == nil && ar >= 64 {
-				r.Failf("arity %d for %s", ar, name)
-				break
-			}
-			ps.rel(name).arity = int(ar)
-		}
 		nPend := r.Count(2)
 		for j := 0; j < nPend && r.Err() == nil; j++ {
-			pf := pendingFact{rel: ps.rel(rel.Name(r.String()))}
+			slot := r.Uvarint()
+			if r.Err() != nil || slot >= uint64(len(ps.rels)) {
+				r.Failf("pending fact of relation %d of %d", slot, len(ps.rels))
+				break
+			}
+			pf := pendingFact{rel: ps.rels[slot]}
 			m := r.Count(1)
 			for k := 0; k < m && r.Err() == nil; k++ {
 				id := r.Uvarint()
-				if id >= uint64(ps.store.Len()) {
+				if id >= uint64(store.Len()) {
 					r.Failf("pending fact term outside store")
 					break
 				}

@@ -2,11 +2,14 @@ package diagnosis
 
 import (
 	"fmt"
+	"reflect"
+	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/alarm"
 	"repro/internal/gen"
+	"repro/internal/obs"
 	"repro/internal/petri"
 	"repro/internal/transport"
 )
@@ -80,19 +83,44 @@ func startTCP(t *testing.T) (*Cluster, []*transport.TCP) {
 	return cl, []*transport.TCP{trs["driver"], trs["n1"], trs["n2"]}
 }
 
+// bytesByPair adds up the dist_bytes_total{from,to} samples of the traces
+// of one run's processes: what each process's networks charged the sends of
+// the peers it hosts, whether the message stayed in the process, as term
+// IDs, or left it through a socket, encoded.
+func bytesByPair(traces ...[]obs.Event) map[string]int64 {
+	sum := make(map[string]int64)
+	for _, events := range traces {
+		for _, e := range events {
+			if e.Ph == 'C' && strings.HasPrefix(e.Name, "dist_bytes_total{") {
+				sum[e.Name] += e.Value
+			}
+		}
+	}
+	return sum
+}
+
 // TestDistributedEquivalence is the subsystem's acceptance test: for both
 // example systems and both Datalog engines, a distributed run — over the
 // in-process mesh and over real TCP loopback — must return exactly the
 // configuration set, materialized-fact count and message count of the
-// single-process evaluation. The counts are sets (per distinct tuple, per
-// subscription), so they are insensitive to scheduling and rule order and
-// any loss or duplication in the cluster runtime would show.
+// single-process evaluation, and charge every sender→receiver channel
+// exactly the bytes the single process charged it, where all hops carry
+// IDs: a member's hops between its own peers, sized on its store, and its
+// hops through the transport, sized as encoded, add up to the same figure.
+// The counts are sets (per distinct tuple, per subscription), so they are
+// insensitive to scheduling and rule order and any loss or duplication in
+// the cluster runtime would show.
 func TestDistributedEquivalence(t *testing.T) {
 	for _, c := range clusterCases() {
 		for _, engine := range []Engine{EngineNaive, EngineDQSQ} {
-			base, err := Run(c.pn, c.seq, engine, Options{})
+			baseTrace := obs.NewChromeTraceWriter(-1)
+			base, err := Run(c.pn, c.seq, engine, Options{Tracer: baseTrace})
 			if err != nil {
 				t.Fatal(err)
+			}
+			baseBytes := bytesByPair(baseTrace.Events())
+			if len(baseBytes) == 0 {
+				t.Fatalf("%s/%v: baseline charged no bytes", c.name, engine)
 			}
 			if len(base.Diagnoses) == 0 {
 				t.Fatalf("%s/%v: baseline found no diagnoses", c.name, engine)
@@ -105,7 +133,8 @@ func TestDistributedEquivalence(t *testing.T) {
 					} else {
 						cl, _ = startTCP(t)
 					}
-					rep, err := RunDistributed(c.pn, c.seq, engine, Options{}, cl)
+					trace := obs.NewChromeTraceWriter(-1)
+					rep, err := RunDistributed(c.pn, c.seq, engine, Options{Tracer: trace}, cl)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -117,6 +146,16 @@ func TestDistributedEquivalence(t *testing.T) {
 					}
 					if rep.Messages != base.Messages {
 						t.Errorf("messages = %d, want %d", rep.Messages, base.Messages)
+					}
+					traces := [][]obs.Event{trace.Events()}
+					for _, p := range cl.ProcessTraces() {
+						if p.Dropped != 0 {
+							t.Fatalf("member %s dropped %d trace events", p.Name, p.Dropped)
+						}
+						traces = append(traces, p.Events)
+					}
+					if got := bytesByPair(traces...); !reflect.DeepEqual(got, baseBytes) {
+						t.Errorf("bytes by channel over %d processes = %v, single process %v", len(traces), got, baseBytes)
 					}
 				})
 			}

@@ -43,7 +43,7 @@ import (
 //     shape, the compiled rules and join plans hosted at every peer, and the
 //     activation and subscription state they leave. The first session of a
 //     net pays for it; it is immutable afterwards and shared.
-//   - Per session (NewOnlineDiagnoser): a clone — private term stores,
+//   - Per session (NewOnlineDiagnoser): a clone — its own term store,
 //     relation arenas, activation flags and counters, starting from the
 //     template's; the rules are the template's own.
 //   - Per append: the alarm facts, the six rules that q.v<n> rewrites to,
@@ -111,11 +111,9 @@ func (d *OnlineDiagnoser) SetTracer(t obs.Tracer) {
 	}
 }
 
-// SetParallelism fixes the worker-pool width of the session's evaluation
-// networks: 1 forces sequential evaluation, <= 0 restores the GOMAXPROCS
-// default. Diagnoses are identical either way — the distributed evaluation
-// is confluent — which the equivalence tests assert. Call between Appends.
-func (d *OnlineDiagnoser) SetParallelism(n int) { d.sess.SetParallelism(n) }
+// SetParallelism does nothing: evaluation is sequential. It is kept until
+// bench/ stops calling it.
+func (d *OnlineDiagnoser) SetParallelism(int) {}
 
 // Session exposes the warm dQSQ session (materialization totals, engine
 // inspection). The caller must not run queries on it concurrently with

@@ -1,6 +1,8 @@
 package diagnosis
 
 import (
+	"bytes"
+	"errors"
 	"testing"
 	"time"
 
@@ -147,5 +149,36 @@ func TestDiagnoserSnapshotRejectsCorruption(t *testing.T) {
 		if _, err := DecodeOnlineDiagnoserSnapshot(o, pn); err == nil {
 			t.Fatalf("truncation to %d restored without error", i)
 		}
+	}
+}
+
+// TestDiagnoserSnapshotOfMajor1IsRefused: format 1 kept a term store per
+// peer and one for the collector inside the engine section; format 2 has the
+// one store of the session. There is no shim: a file that says it is format
+// 1 — here a diagnoser's whole snapshot (store, program, session, engine)
+// with its header patched — is refused with ErrVersion before any section is
+// decoded, read whole or streamed.
+func TestDiagnoserSnapshotOfMajor1IsRefused(t *testing.T) {
+	d, err := NewOnlineDiagnoser(petri.Example(), datalog.Budget{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := d.Append(seqA1[:2], time.Minute); err != nil {
+		t.Fatal(err)
+	}
+	f := snapshot.New()
+	if err := d.EncodeSnapshot(f); err != nil {
+		t.Fatal(err)
+	}
+	old := f.Bytes()
+	if old[len(snapshot.Magic)] != snapshot.Major || snapshot.Major != 2 {
+		t.Fatalf("header says major %d, this build writes %d, the test expects 2", old[len(snapshot.Magic)], snapshot.Major)
+	}
+	old[len(snapshot.Magic)] = 1
+	if _, err := snapshot.Open(old); !errors.Is(err, snapshot.ErrVersion) {
+		t.Fatalf("Open of a format-1 file: %v, want ErrVersion", err)
+	}
+	if _, err := snapshot.FromReader(bytes.NewReader(old)); !errors.Is(err, snapshot.ErrVersion) {
+		t.Fatalf("FromReader of a format-1 stream: %v, want ErrVersion", err)
 	}
 }

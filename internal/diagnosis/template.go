@@ -87,10 +87,6 @@ func newTemplate(pn *petri.PetriNet, maxTermDepth int) (*template, error) {
 	if err != nil {
 		return nil, err
 	}
-	// One worker: the order rules reach their hosts in, and with it every
-	// number the template hands its clones, is then the same in every
-	// process that builds this net.
-	sess.SetParallelism(1)
 	if err := sess.Prime(versionedQuery(s, peers, 0, nil), primeTimeout); err != nil {
 		return nil, fmt.Errorf("diagnosis: priming the session program: %w", err)
 	}

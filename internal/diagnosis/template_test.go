@@ -60,8 +60,8 @@ func streamCases(n int) []streamCase {
 // how the session came to be); and the cached one does so across a
 // checkpoint and restore mid-stream, in the snapshot format as it was.
 func TestClonedSessionsMatchPrivateTemplate(t *testing.T) {
-	if snapshot.Major != 1 || snapshot.Minor != 0 {
-		t.Fatalf("snapshot format is %d.%d, want 1.0: clones must not need a new one", snapshot.Major, snapshot.Minor)
+	if snapshot.Major != 2 || snapshot.Minor != 0 {
+		t.Fatalf("snapshot format is %d.%d, want 2.0: clones must not need a new one", snapshot.Major, snapshot.Minor)
 	}
 	for _, tc := range streamCases(50) {
 		t.Run(tc.name, func(t *testing.T) {
@@ -133,15 +133,15 @@ func freshNet(t *testing.T) *petri.PetriNet {
 	return pn
 }
 
-// templateSize is what sessions must leave alone: per peer, terms interned,
-// tuples stored and rules hosted.
+// templateSize is what sessions must leave alone: terms interned in the
+// engine's store and, per peer, tuples stored and rules hosted.
 func templateSize(tmpl *template) string {
 	var b strings.Builder
 	eng := tmpl.sess.Engine()
-	fmt.Fprintf(&b, "program %d terms;", tmpl.sess.Program().Store.Len())
+	fmt.Fprintf(&b, "%d terms;", tmpl.sess.Program().Store.Len())
 	for _, id := range eng.Peers() {
-		fmt.Fprintf(&b, " %s: %d terms, %d tuples in %d relations, %d rules;", id,
-			eng.PeerStore(id).Len(), eng.PeerDB(id).FactCount(), len(eng.PeerDB(id).Names()), len(eng.Rules(id)))
+		fmt.Fprintf(&b, " %s: %d tuples in %d relations, %d rules;", id,
+			eng.PeerDB(id).FactCount(), len(eng.PeerDB(id).Names()), len(eng.Rules(id)))
 	}
 	return b.String()
 }
@@ -221,7 +221,7 @@ func TestClonesAreIsolated(t *testing.T) {
 }
 
 // cloneBytesBound pins what one session of Pipeline(6,2) allocates at
-// creation: its own stores, relation headers and activation state (1.3 MB
+// creation: its own store, relation headers and activation state (1.31 MB
 // measured). The rewritten program — 9 084 rules, which every session's
 // first append used to rewrite, compile and keep (35.5 MB allocated) — is
 // not part of it.

@@ -1,22 +1,21 @@
 // Package dist provides the asynchronous peer-to-peer runtime used by the
-// distributed evaluators: peer handlers scheduled onto a worker pool sized
-// by GOMAXPROCS (see SetWorkers), asynchronous message delivery that
-// preserves per-sender FIFO order (the only ordering guarantee the paper's
-// model assumes — Section 2, "for each individual peer the relative order
-// of its alarms ... respects the order in which they were sent"), and
-// distributed termination detection. A peer is owned by at most one worker
-// at a time and its queue is filled in send order, so the per-peer,
-// per-sender delivery order is identical to the historical
-// one-goroutine-per-peer runtime — and evaluation being monotone and
-// confluent, so are the results.
+// distributed evaluators: asynchronous message delivery that preserves
+// per-sender FIFO order (the only ordering guarantee the paper's model
+// assumes — Section 2, "for each individual peer the relative order of its
+// alarms ... respects the order in which they were sent"), and distributed
+// termination detection. The peers of one process are sequential locations
+// that take turns on the goroutine that called Run: the peers with queued
+// messages are served first-in, first-out, each draining its queue, so one
+// run of one program delivers the same messages in the same order every
+// time. Parallelism comes from what surrounds a network — independent
+// sessions, and the member processes of a cluster — not from inside it.
 //
 // Termination ("the system reaches a fixpoint when no new relation may be
 // activated and no new fact derived at any peer", Section 3.2) is detected
-// by message counting: the network is quiescent exactly when every peer is
-// blocked waiting for input and no message is in flight. Within one process
-// the count is maintained under a single lock and detection is exact — this
-// stands in for the "standard termination detection algorithms for
-// distributed computing" the paper cites [19, 33].
+// by message counting: the network is quiescent exactly when no message is
+// in flight. Within one process the count is exact — this stands in for the
+// "standard termination detection algorithms for distributed computing" the
+// paper cites [19, 33].
 //
 // A Network can also run as one node of a multi-process cluster (see
 // cluster.go): SetRoute diverts messages addressed to peers hosted
@@ -29,8 +28,8 @@ package dist
 import (
 	"errors"
 	"fmt"
-	"runtime"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/obs"
@@ -67,9 +66,38 @@ type Message struct {
 	size int
 }
 
-// Handler processes one message on behalf of a peer. It runs on the peer's
-// goroutine; messages to a peer are handled one at a time, in per-sender
-// FIFO order. The handler may send further messages through ctx.
+// Local is implemented by payloads that stand in for a wire payload between
+// two peers of one process: the message carries the sender's in-memory form
+// and reports the type name and encoded size of the wire payload it
+// replaces, so traces and byte counters read the same wherever the two
+// peers run.
+type Local interface {
+	Wire() (name string, size int)
+}
+
+// payloadName is the type a handler span is labelled with.
+func payloadName(p any) string {
+	if l, ok := p.(Local); ok {
+		name, _ := l.Wire()
+		return name
+	}
+	return fmt.Sprintf("%T", p)
+}
+
+// payloadSize is the wire-encoded size of payload p (0 for payloads the
+// wire codec does not know).
+func payloadSize(p any) int {
+	if l, ok := p.(Local); ok {
+		_, size := l.Wire()
+		return size
+	}
+	size, _ := wire.PayloadSize(p)
+	return size
+}
+
+// Handler processes one message on behalf of a peer. Handlers run one at a
+// time, on the goroutine that called Run; messages to a peer are handled in
+// per-sender FIFO order. The handler may send further messages through ctx.
 type Handler func(ctx *Context, m Message)
 
 // Context is a peer's interface to the network during message handling.
@@ -88,17 +116,13 @@ func (c *Context) Send(to PeerID, payload any) {
 
 // Abort stops the whole network; Run returns err.
 func (c *Context) Abort(err error) {
-	c.net.abort(err)
+	c.net.Stop(err)
 }
 
 // Stopped reports whether the network has been aborted or has quiesced.
 // Long-running handlers should poll it and bail out: an abort stops
 // message delivery but cannot interrupt a handler.
-func (c *Context) Stopped() bool {
-	c.net.mu.Lock()
-	defer c.net.mu.Unlock()
-	return c.net.stopped
-}
+func (c *Context) Stopped() bool { return c.net.stopped.Load() }
 
 // Pair names a directed sender→receiver channel.
 type Pair struct {
@@ -127,33 +151,29 @@ type Stats struct {
 // ErrTimeout is returned by Run when the deadline passes before quiescence.
 var ErrTimeout = errors.New("dist: network did not quiesce before deadline")
 
-// peer scheduling states: idle (empty queue, not scheduled), ready (queued
-// messages, waiting for a worker), running (owned by a worker).
-const (
-	pIdle = iota
-	pReady
-	pRunning
-)
-
 type peer struct {
 	id      PeerID
 	handler Handler
-	queue   []Message
-	state   int
+	queue   []Message // head counts the ones handled since the queue was last empty
+	head    int
+	sched   bool // on the ready list, or being drained
 	ctx     Context
 }
 
 // Network is a closed set of peers exchanging asynchronous messages.
 // Configure with AddPeer, then call Run exactly once.
+//
+// The mutex guards the queues and counters against what reaches a running
+// network from other goroutines: Inject, Stop, Counters and the timeout
+// timer. Handlers themselves run outside it, one at a time.
 type Network struct {
 	mu       sync.Mutex
 	cond     *sync.Cond
 	peers    map[PeerID]*peer
 	order    []PeerID
-	ready    []*peer // peers with queued messages awaiting a worker
-	workers  int     // pool width; 0 = GOMAXPROCS
-	inflight int     // messages sent but not yet fully processed
-	stopped  bool
+	ready    []*peer     // peers with queued messages, in the order they got their first
+	inflight int         // messages sent but not yet fully processed
+	stopped  atomic.Bool // written under mu; handlers poll it without
 	err      error
 	stats    Stats
 	seq      uint64     // send sequence number (trace flow IDs)
@@ -177,19 +197,11 @@ func NewNetwork() *Network {
 	return n
 }
 
-// SetWorkers fixes the worker-pool width: up to w peer handlers run
-// concurrently. w <= 0 restores the default, a pool sized by GOMAXPROCS
-// (capped at the peer count); w == 1 reproduces fully sequential delivery.
-// Must be called before Run.
-func (n *Network) SetWorkers(w int) {
-	n.workers = w
-}
-
 // SetRoute diverts messages addressed to peers this network does not host:
 // instead of panicking on an unknown destination, send hands the message
 // (already counted in MessagesSent/MessagesByPair/BytesSentByPair) to
-// route. route is called outside the network lock, sequentially per
-// sending peer — so a FIFO-per-destination transport preserves the
+// route. route is called outside the network lock, from the goroutine the
+// handlers run on — so a FIFO-per-destination transport preserves the
 // per-sender ordering guarantee across nodes. Must be set before Run.
 func (n *Network) SetRoute(route func(Message)) {
 	n.route = route
@@ -234,7 +246,7 @@ func (n *Network) SetSeqBase(base uint64) {
 // send half is synthesized locally (the pre-v4 behavior, which keeps
 // single-node traces whole when the remote side recorded nothing).
 func (n *Network) Inject(m Message) {
-	size, _ := wire.PayloadSize(m.Payload)
+	size := payloadSize(m.Payload)
 	preset := m.seq != 0
 	n.mu.Lock()
 	p, ok := n.peers[m.To]
@@ -242,7 +254,7 @@ func (n *Network) Inject(m Message) {
 		n.mu.Unlock()
 		panic(fmt.Sprintf("dist: inject for peer %q not hosted here", m.To))
 	}
-	if n.stopped {
+	if n.stopped.Load() {
 		n.mu.Unlock()
 		return // late deliveries during shutdown are dropped
 	}
@@ -259,13 +271,13 @@ func (n *Network) Inject(m Message) {
 	}
 }
 
-// enqueueLocked appends m to p's queue and schedules p onto the ready list
-// if no worker owns it yet. Caller holds n.mu.
+// enqueueLocked appends m to p's queue and puts p on the ready list unless
+// it is there already or having its queue drained. Caller holds n.mu.
 func (n *Network) enqueueLocked(p *peer, m Message) {
 	p.queue = append(p.queue, m)
 	n.wasIdle = false
-	if p.state == pIdle {
-		p.state = pReady
+	if !p.sched {
+		p.sched = true
 		n.ready = append(n.ready, p)
 		n.cond.Signal()
 	}
@@ -290,14 +302,21 @@ func (n *Network) Counters() (sent, processed uint64, idle bool) {
 	for _, c := range n.stats.Processed {
 		pr += c
 	}
-	return uint64(n.stats.MessagesSent), uint64(pr), n.quiescentLocked() || n.stopped
+	// Idle: every sent message handled, none queued, no handler running.
+	return uint64(n.stats.MessagesSent), uint64(pr), n.inflight == 0 || n.stopped.Load()
 }
 
-// Stop stops the network from outside a handler: nil err records clean
-// (cluster-decided) quiescence, non-nil aborts the run with that error.
-// Safe from any goroutine; a second stop is a no-op.
+// Stop stops the network: nil err records clean (cluster-decided)
+// quiescence, non-nil aborts the run with that error. Safe from any
+// goroutine; a second stop is a no-op.
 func (n *Network) Stop(err error) {
-	n.abort(err)
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	if !n.stopped.Load() {
+		n.stopped.Store(true)
+		n.err = err
+		n.cond.Broadcast()
+	}
 }
 
 // SetTracer installs the network's tracer (obs.Nop when t is nil). Must
@@ -312,7 +331,7 @@ func (n *Network) SetTracer(t obs.Tracer) {
 func (n *Network) AddPeer(id PeerID, h Handler) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	if n.stopped {
+	if n.stopped.Load() {
 		panic("dist: AddPeer after Run")
 	}
 	if _, ok := n.peers[id]; ok {
@@ -332,14 +351,14 @@ func (n *Network) Peers() []PeerID {
 }
 
 func (n *Network) send(m Message) {
-	size, _ := wire.PayloadSize(m.Payload)
+	size := payloadSize(m.Payload)
 	n.mu.Lock()
 	p, ok := n.peers[m.To]
 	if !ok && n.route == nil {
 		n.mu.Unlock()
 		panic(fmt.Sprintf("dist: send to unknown peer %q", m.To))
 	}
-	if n.stopped {
+	if n.stopped.Load() {
 		n.mu.Unlock()
 		return // late sends during shutdown are dropped
 	}
@@ -353,9 +372,9 @@ func (n *Network) send(m Message) {
 	m.size = size
 	if !ok {
 		// The destination lives on another node: counted as sent here,
-		// processed wherever it lands. Routed outside the lock — the
-		// sender's handler runs sequentially, so its sends still reach
-		// the transport in order.
+		// processed wherever it lands. Routed outside the lock — handlers
+		// run one at a time, so a peer's sends still reach the transport
+		// in order.
 		n.mu.Unlock()
 		n.tracer.FlowBegin(string(m.From), "msg", m.seq)
 		n.route(m)
@@ -367,51 +386,43 @@ func (n *Network) send(m Message) {
 	n.tracer.FlowBegin(string(m.From), "msg", m.seq)
 }
 
-func (n *Network) abort(err error) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	if !n.stopped {
-		n.stopped = true
-		if n.err == nil {
-			n.err = err
-		}
-		n.cond.Broadcast()
-	}
-}
-
-// workerLoop is one worker of the pool: claim a ready peer, drain its
-// queue (handlers run outside the lock), release it, repeat. Because a
-// peer is owned by exactly one worker from claim to release, its messages
-// are handled one at a time in queue order — the per-sender FIFO guarantee
-// of the one-goroutine-per-peer runtime, at pool-bounded concurrency.
-func (n *Network) workerLoop() {
+// deliver is the scheduler: take the peer that has waited longest for a
+// turn, hand its queued messages to its handler one by one (outside the
+// lock), and move on to the next once the queue is empty. A peer's messages
+// are therefore handled in queue order, which is send order — the
+// per-sender FIFO guarantee. It returns once the network has stopped.
+func (n *Network) deliver() {
 	tr := n.tracer
 	n.mu.Lock()
-	for {
-		for len(n.ready) == 0 && !n.stopped {
-			if n.quiescentLocked() {
-				// A standalone network stops itself here; a member fires
-				// notify (once per idle transition) and keeps waiting.
-				n.quiesceLocked()
-				if n.stopped {
-					break
-				}
+	defer n.mu.Unlock()
+	for !n.stopped.Load() {
+		if len(n.ready) == 0 {
+			// Between turns, no peer ready means nothing in flight: local
+			// quiescence. A standalone network stops itself (detection is
+			// exact in-process); a cluster member fires notify once per idle
+			// transition and waits — remote messages may still arrive, and
+			// only the cluster coordinator may declare the end.
+			if !n.external {
+				n.stopped.Store(true)
+				return
 			}
+			if !n.wasIdle && n.notify != nil {
+				n.notify()
+			}
+			n.wasIdle = true
 			n.cond.Wait()
-		}
-		if n.stopped {
-			break
+			continue
 		}
 		p := n.ready[0]
 		n.ready = n.ready[1:]
-		p.state = pRunning
-		for len(p.queue) > 0 && !n.stopped {
-			m := p.queue[0]
-			p.queue = p.queue[1:]
+		for p.head < len(p.queue) && !n.stopped.Load() {
+			m := p.queue[p.head]
+			p.queue[p.head] = Message{} // the array is reused: let go of the payload
+			p.head++
 			n.mu.Unlock()
 			if tr.Enabled() {
 				tr.FlowEnd(string(p.id), "msg", m.seq)
-				sp := tr.Begin(string(p.id), fmt.Sprintf("handle %T", m.Payload))
+				sp := tr.Begin(string(p.id), "handle "+payloadName(m.Payload))
 				p.handler(&p.ctx, m)
 				sp.End()
 			} else {
@@ -424,37 +435,7 @@ func (n *Network) workerLoop() {
 				n.stats.BytesReceivedByPair[Pair{From: m.From, To: m.To}] += m.size
 			}
 		}
-		p.state = pIdle
-		if n.quiescentLocked() {
-			n.quiesceLocked()
-		}
-	}
-	n.mu.Unlock()
-}
-
-// quiescentLocked reports local quiescence: nothing in flight — every sent
-// message has been fully handled, so no peer has queued work and no
-// handler is running. Caller holds n.mu.
-func (n *Network) quiescentLocked() bool {
-	return n.inflight == 0
-}
-
-// quiesceLocked reacts to local quiescence: a standalone network stops
-// itself (detection is exact in-process); a cluster member instead fires
-// notify once per idle transition and keeps running — remote messages may
-// still arrive, and only the cluster coordinator may declare the end.
-// Caller holds n.mu.
-func (n *Network) quiesceLocked() {
-	if !n.external {
-		n.stopped = true
-		n.cond.Broadcast()
-		return
-	}
-	if !n.wasIdle {
-		n.wasIdle = true
-		if n.notify != nil {
-			n.notify()
-		}
+		p.queue, p.head, p.sched = p.queue[:0], 0, false
 	}
 }
 
@@ -463,17 +444,12 @@ func (n *Network) quiesceLocked() {
 // returned.
 //
 // Post-Run contract (relied on by long-lived sessions that re-enter
-// evaluation with a fresh Network per round): when Run returns, every
-// peer goroutine has exited and Stopped() is true, so the state the
-// handlers built — and Err(), Stats() — may be read without further
-// synchronization. A late timeout firing after quiescence is a no-op:
-// abort never overwrites the stopped flag or a nil error of an already
-// stopped network.
-func (n *Network) Stopped() bool {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.stopped
-}
+// evaluation with a fresh Network per round): when Run returns, no handler
+// is running and Stopped() is true, so the state the handlers built — and
+// Err() — may be read without further synchronization. A late timeout
+// firing after quiescence is a no-op: Stop never overwrites the stopped
+// flag or a nil error of an already stopped network.
+func (n *Network) Stopped() bool { return n.stopped.Load() }
 
 // Err returns the abort or timeout error of a stopped network (nil after
 // clean quiescence). Safe after Run has returned; see Stopped.
@@ -483,27 +459,11 @@ func (n *Network) Err() error {
 	return n.err
 }
 
-// poolWidth resolves the configured worker count against GOMAXPROCS and
-// the peer count.
-func (n *Network) poolWidth() int {
-	w := n.workers
-	if w <= 0 {
-		w = runtime.GOMAXPROCS(0)
-	}
-	if len(n.order) > 0 && w > len(n.order) {
-		w = len(n.order)
-	}
-	if w < 1 {
-		w = 1
-	}
-	return w
-}
-
 // Run injects the initial messages (From is preserved; use a synthetic
-// sender such as "query" for seeds), starts the worker pool, and blocks
-// until the network quiesces, a handler aborts, or the timeout elapses
-// (zero timeout means one minute). It returns run statistics and the abort
-// or timeout error, if any.
+// sender such as "query" for seeds) and delivers messages, on the calling
+// goroutine, until the network quiesces, a handler aborts, or the timeout
+// elapses (zero timeout means one minute). It returns run statistics and
+// the abort or timeout error, if any.
 func (n *Network) Run(initial []Message, timeout time.Duration) (Stats, error) {
 	if timeout <= 0 {
 		timeout = time.Minute
@@ -517,21 +477,14 @@ func (n *Network) Run(initial []Message, timeout time.Duration) (Stats, error) {
 	defer n.tracer.End(roundSpan)
 
 	// Seed through the regular send path so seeds addressed to peers
-	// hosted on other nodes route like any other message. The peer loops
-	// have not started, so nothing is handled before seeding completes.
+	// hosted on other nodes route like any other message. Delivery has not
+	// started, so nothing is handled before seeding completes.
 	for _, m := range initial {
 		n.send(m)
 	}
-	if len(initial) == 0 && !n.external {
-		// Nothing to do: already quiescent. A cluster member instead
-		// waits for injected messages until the coordinator stops it.
-		n.mu.Lock()
-		n.stopped = true
-		n.mu.Unlock()
-	}
 
-	// Per-peer lifetime spans, kept from the one-goroutine-per-peer
-	// runtime so per-peer tracks still frame the round in trace timelines.
+	// Per-peer lifetime spans, so per-peer tracks frame the round in trace
+	// timelines.
 	var lives []obs.Span
 	if n.tracer.Enabled() {
 		for _, id := range n.order {
@@ -539,21 +492,10 @@ func (n *Network) Run(initial []Message, timeout time.Duration) (Stats, error) {
 		}
 	}
 
-	// Workers exit only once the network stops: a standalone network stops
-	// itself at quiescence, a cluster member stops via the coordinator (or
-	// a failure) — even a node hosting no peers must keep answering polls
-	// until then, which the waiting workers cover.
-	var wg sync.WaitGroup
-	for i := n.poolWidth(); i > 0; i-- {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			n.workerLoop()
-		}()
-	}
-
-	timer := time.AfterFunc(timeout, func() { n.abort(ErrTimeout) })
-	wg.Wait()
+	// deliver returns once the network has stopped: at quiescence (at once,
+	// if nothing was seeded) or, a cluster member, when the coordinator says.
+	timer := time.AfterFunc(timeout, func() { n.Stop(ErrTimeout) })
+	n.deliver()
 	timer.Stop()
 	for _, sp := range lives {
 		sp.End()

@@ -62,7 +62,7 @@ func TestLateAbortIsNoOp(t *testing.T) {
 	if _, err := n.Run([]Message{{From: "x", To: "a", Payload: 0}}, 5*time.Second); err != nil {
 		t.Fatal(err)
 	}
-	n.abort(ErrTimeout) // the AfterFunc body, firing late
+	n.Stop(ErrTimeout) // the AfterFunc body, firing late
 	if n.Err() != nil {
 		t.Fatalf("late abort overwrote result: Err = %v", n.Err())
 	}

@@ -4,7 +4,6 @@ import (
 	"maps"
 	"slices"
 	"strings"
-	"sync"
 	"time"
 
 	"repro/internal/adorn"
@@ -36,22 +35,18 @@ type TraceEntry struct {
 	Key  adorn.Key
 }
 
-// OnlineTrace is the order in which peers performed their rewritings.
+// OnlineTrace is the order in which peers performed their rewritings. Like
+// the session it belongs to, it is read between queries, not during one.
 type OnlineTrace struct {
-	mu      sync.Mutex
 	Entries []TraceEntry
 }
 
 func (tr *OnlineTrace) add(peer dist.PeerID, key adorn.Key) {
-	tr.mu.Lock()
 	tr.Entries = append(tr.Entries, TraceEntry{Peer: peer, Key: key})
-	tr.mu.Unlock()
 }
 
-// Snapshot returns the entries recorded so far.
+// Snapshot returns a copy of the entries recorded so far.
 func (tr *OnlineTrace) Snapshot() []TraceEntry {
-	tr.mu.Lock()
-	defer tr.mu.Unlock()
 	return append([]TraceEntry(nil), tr.Entries...)
 }
 
@@ -83,10 +78,10 @@ func splitAdorned(name rel.Name) (rel.Name, adorn.Adornment, bool) {
 // facts and — because both Figure 5's rewriting and the engine's activation
 // follow rule bodies, never data — the whole rewritten, compiled program a
 // query shape reaches; Prime builds that once and Clone hands it out, so
-// the sessions of one program share it read-only. Per session: term stores,
-// relation arenas, activation and subscription state, counters. Per query:
-// the rewriting of rules extended in since (a supervisor's re-indexed query)
-// and the facts derived.
+// the sessions of one program share it read-only. Per session: the term
+// store, relation arenas, activation and subscription state, counters. Per
+// query: the rewriting of rules extended in since (a supervisor's
+// re-indexed query) and the facts derived.
 //
 // Sessions are not safe for concurrent use; callers serialize Extend and
 // Query (internal/serve wraps one mutex per session).
@@ -156,9 +151,6 @@ func NewOnlineSession(prog *ddatalog.Program, budget datalog.Budget) (*OnlineSes
 // session is restored from a snapshot — the hook is a closure over live
 // session state and cannot itself be serialized.
 func (sess *OnlineSession) installHook() {
-	// The hook runs on peer goroutines under the engine's hook lock
-	// (hooks of different peers share the program store and their
-	// rewriters' output buffer handling below).
 	sess.eng.SetActivationHook(func(peer dist.PeerID, relName rel.Name) []ddatalog.PRule {
 		baseRel, adr, ok := splitAdorned(relName)
 		if !ok {
@@ -172,8 +164,8 @@ func (sess *OnlineSession) installHook() {
 		if pr.done[key] {
 			return nil
 		}
-		// The engine takes what it needs of the rules before the hook runs
-		// again, so one buffer serves every call.
+		// The engine copies the rules out before the hook runs again, so one
+		// buffer serves every call.
 		pr.out.Rules = pr.out.Rules[:0]
 		pr.handle(key) // follow-up requests are ignored: activation drives them
 		rules := pr.out.Rules
@@ -222,7 +214,7 @@ func (s *OnlineSession) Prime(r ddatalog.PRule, timeout time.Duration) error {
 // Clone returns a session in s's state that evolves independently of it,
 // under its own lifetime fact budget (see ddatalog.Engine.Clone: what s
 // derived counts against it, and the trace and counters continue from
-// s's). Rules, compiled rules and base facts are shared with s; stores,
+// s's). Rules, compiled rules and base facts are shared with s; the store,
 // relations and activation state are copied. s must not be extended or
 // queried afterwards — its clones keep reading it — and may be cloned from
 // many goroutines at once.
@@ -320,12 +312,6 @@ func (s *OnlineSession) Trace() *OnlineTrace { return s.trace }
 
 // Engine exposes the warm engine for materialization metrics.
 func (s *OnlineSession) Engine() *ddatalog.Engine { return s.eng }
-
-// SetParallelism fixes the worker-pool width of the per-query evaluation
-// networks (see ddatalog.Engine.SetParallelism): 1 forces sequential
-// evaluation, <= 0 restores the GOMAXPROCS default. Results are identical
-// either way — evaluation is confluent. Call between queries only.
-func (s *OnlineSession) SetParallelism(n int) { s.eng.SetParallelism(n) }
 
 // Program exposes the session program (base facts plus every extension);
 // restored sessions hand it back to the supervisor that owns them.

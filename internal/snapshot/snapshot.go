@@ -40,9 +40,11 @@ import (
 const Magic = "DSNP"
 
 // Major and Minor are the format version this build writes. A reader
-// accepts exactly its own major.
+// accepts exactly its own major. Major 2 dropped the per-peer and collector
+// term stores from engine sections: an engine's tuples refer into the one
+// store its session serializes.
 const (
-	Major = 1
+	Major = 2
 	Minor = 0
 )
 

@@ -57,9 +57,9 @@ type cell struct {
 	depth  int32  // 0 for constants and variables, 1+max(args) for compounds
 }
 
-// Store hash-conses terms. It is not safe for concurrent mutation; the
-// distributed runtime gives each peer its own Store and exchanges terms in
-// a portable wire form (see Extern/Intern).
+// Store hash-conses terms. It is not safe for concurrent mutation: an
+// engine has one Store, which its peers share because their handlers take
+// turns, and processes exchange terms in a portable wire form (see Extern).
 type Store struct {
 	cells   []cell
 	consts  map[string]ID

@@ -6,11 +6,12 @@ import (
 )
 
 // Extern is the store-independent form of a tuple of terms, used to ship
-// facts between peers (each peer owns a private Store). It preserves the
-// sharing of the hash-consed representation: nodes are listed once, in an
-// order where arguments precede their users, so encoding and decoding are
-// linear in the DAG size even for terms whose tree expansion is
-// exponential (deep Skolem terms of the unfolding programs).
+// facts and rules between processes (the peers of one engine share its Store
+// and exchange IDs). It preserves the sharing of the hash-consed
+// representation: nodes are listed once, in an order where arguments precede
+// their users, so encoding and decoding are linear in the DAG size even for
+// terms whose tree expansion is exponential (deep Skolem terms of the
+// unfolding programs).
 type Extern struct {
 	Nodes []ExternNode
 	Roots []int32 // indexes into Nodes, one per tuple column
@@ -118,6 +119,30 @@ func (s *Store) ExternalizeTuple(tuple []ID) Extern {
 		}
 	}
 	return e
+}
+
+// WalkExtern visits what ExternalizeTuple(tuple) would hold without building
+// it: node is called once per node, in listing order, with the term it
+// encodes, and ref once per reference — each argument of the node just
+// listed, then each root — with the number of the node referred to. Nothing
+// is allocated for a DAG of at most externInline nodes. It is what a codec
+// needs to size an encoding.
+func (s *Store) WalkExtern(tuple []ID, node func(t ID), ref func(n int32)) {
+	var idbuf [externInline]ID
+	var tabbuf [2 * externInline]externSlot
+	ids, tab := idbuf[:0], tabbuf[:]
+	for _, t := range tuple {
+		ids, tab = s.externOrder(ids, tab, t)
+	}
+	for _, t := range ids {
+		node(t)
+		for _, a := range s.cells[t].args {
+			ref(externNode(tab, a))
+		}
+	}
+	for _, t := range tuple {
+		ref(externNode(tab, t))
+	}
 }
 
 // Externalize encodes a single term.

@@ -541,6 +541,31 @@ func atomSize(a Atom) int {
 	return stringSize(string(a.Rel)) + stringSize(a.Peer) + externSize(a.Args)
 }
 
+// tupleSize is externSize(s.ExternalizeTuple(tuple)), from a walk of the
+// store that builds nothing.
+func tupleSize(s *term.Store, tuple []term.ID) int {
+	nodes, n := 0, 0
+	s.WalkExtern(tuple, func(t term.ID) {
+		nodes++
+		n += 1 + stringSize(s.Name(t))
+		if s.Kind(t) == term.Comp {
+			n += uvarintSize(uint64(len(s.Args(t))))
+		}
+	}, func(ref int32) {
+		n += uvarintSize(uint64(ref))
+	})
+	return n + uvarintSize(uint64(nodes)) + uvarintSize(uint64(len(tuple)))
+}
+
+// FactsSize is the PayloadSize of Facts{qual, len(tuple),
+// s.ExternalizeTuple(tuple)}, a payload never built when the fact goes to a
+// peer of the same process: the message carries the tuple's IDs in the store
+// both share, and only the byte counters need to know what its wire form
+// would have weighed.
+func FactsSize(s *term.Store, qual rel.Name, tuple []term.ID) int {
+	return 1 + stringSize(string(qual)) + uvarintSize(uint64(len(tuple))) + tupleSize(s, tuple)
+}
+
 // AppendFrame encodes f, preceded by its sequence number, after dst.
 // Sequence numbers order the frames of one directed node-to-node stream;
 // unsequenced frames (Hello, Ack) use seq 0.

@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"math/rand"
 	"reflect"
 	"testing"
 
@@ -228,5 +229,64 @@ func TestDecodedExternInternalizes(t *testing.T) {
 	}
 	if got := s.String(ids[0]) + ", " + s.String(ids[1]); got != "f(g(X,c),c), X" {
 		t.Fatalf("internalized tuple = %q", got)
+	}
+}
+
+// randomTerm builds a random term over a small vocabulary, so random tuples
+// share structure.
+func randomTerm(s *term.Store, r *rand.Rand, depth int) term.ID {
+	if depth == 0 || r.Intn(3) == 0 {
+		if r.Intn(2) == 0 {
+			return s.Constant(string(rune('a' + r.Intn(4))))
+		}
+		return s.Variable(string(rune('X' + r.Intn(3))))
+	}
+	args := make([]term.ID, 1+r.Intn(3))
+	for i := range args {
+		args[i] = randomTerm(s, r, depth-1)
+	}
+	return s.Compound(string(rune('f'+r.Intn(2))), args...)
+}
+
+// TestFactsSizeMatchesTheEncoder: FactsSize, which never builds the payload,
+// reports the size of the payload ExternalizeTuple and the encoder would
+// have built — for 1 000 random tuples, the empty tuple and a 641-node DAG,
+// far past what the walk indexes in its own frame — and allocates nothing
+// for a DAG that fits it.
+func TestFactsSizeMatchesTheEncoder(t *testing.T) {
+	s := term.NewStore()
+	r := rand.New(rand.NewSource(1))
+	tuples := [][]term.ID{nil, {}}
+	for i := 0; i < 1000; i++ {
+		tuple := make([]term.ID, r.Intn(6))
+		for j := range tuple {
+			tuple[j] = randomTerm(s, r, 4)
+		}
+		tuples = append(tuples, tuple)
+	}
+	deep := s.Constant("a")
+	for i := 0; i < 640; i++ {
+		deep = s.Compound("d", deep, deep)
+	}
+	tuples = append(tuples, []term.ID{deep, s.Constant("a")})
+	if n := len(s.ExternalizeTuple(tuples[len(tuples)-1]).Nodes); n != 641 {
+		t.Fatalf("deep DAG has %d nodes, want 641", n)
+	}
+
+	for i, tuple := range tuples {
+		e := s.ExternalizeTuple(tuple)
+		want, _ := PayloadSize(Facts{Qual: "conf@p2", Arity: len(tuple), Tuple: e})
+		if got := FactsSize(s, "conf@p2", tuple); got != want || want != len(AppendPayload(nil, Facts{Qual: "conf@p2", Arity: len(tuple), Tuple: e})) {
+			t.Fatalf("tuple %d: FactsSize %d, PayloadSize %d", i, got, want)
+		}
+	}
+
+	for _, tuple := range tuples[:len(tuples)-1] {
+		if n := len(s.ExternalizeTuple(tuple).Nodes); n > 128 {
+			t.Fatalf("random tuple of %d nodes: the allocation guard is for DAGs the walk indexes inline", n)
+		}
+		if allocs := testing.AllocsPerRun(10, func() { FactsSize(s, "conf@p2", tuple) }); allocs != 0 {
+			t.Fatalf("FactsSize allocates %v times on %d columns", allocs, len(tuple))
+		}
 	}
 }

@@ -4,7 +4,15 @@
 # the session server, and the packages whose state the sessions of one net
 # share: the per-net template and what it is cloned from). CI and
 # pre-commit both run this.
+#
+# Deterministic steps stop the script where they fail (set -e). The timing
+# guards at the end compare two measurements taken on this box, so one of
+# them going red says nothing about the next: all of them run, every red
+# verdict is printed again at the end, and the exit status is non-zero if
+# there was one.
 set -eu
+
+red="" # the guards that went red, one per line
 
 cd "$(dirname "$0")/.."
 
@@ -32,7 +40,8 @@ echo "== bench module (nested: tier-1 does not compile it)"
 # Deterministic, so it runs before the smokes and timing guards: a
 # box-dependent ratio going red must not hide a broken nested module.
 # bench/ pins engine surface by name; these signatures must not change
-# without a bench/ change of their own: OnlineDiagnoser.SetParallelism and
+# without a bench/ change of their own: OnlineDiagnoser.SetParallelism (a
+# no-op since evaluation went sequential; bench/ still calls it) and
 # .Session, OnlineSession.Engine, Engine.Peers/PeerDB/PeerStore,
 # rel.Relation.All/InsertPos/Scan, Store.ExternalizeTuple/InternalizeTuple,
 # wire.AppendFrame/DecodeFrame.
@@ -122,7 +131,8 @@ echo "$bench_out" | awk '
             exit 1
         }
         printf "guard: ok (off %s ns/op, on %s ns/op)\n", off, on
-    }'
+    }' || red="$red
+  tracing-overhead"
 go run ./cmd/benchreport -exp trace_overhead -max 3 -json
 go run ./cmd/benchreport -exp transport_overhead -max 3 -json
 
@@ -144,7 +154,8 @@ echo "$ctrace_out" | awk -F'|' '
         }
         printf "guard: ok (off %d ns/op, on %d ns/op, %d member events)\n", off, on, $6 + 0
     }
-    END { if (!found) { print "guard: cluster_trace_overhead row missing" > "/dev/stderr"; exit 1 } }'
+    END { if (!found) { print "guard: cluster_trace_overhead row missing" > "/dev/stderr"; exit 1 } }' || red="$red
+  cluster-telemetry-overhead"
 
 echo "== checkpoint-overhead guard"
 # Restoring a checkpoint must be cheaper than replaying the sequence it
@@ -167,7 +178,8 @@ echo "$snap_out" | awk -F'|' '
         }
         printf "guard: ok (restore %d ns vs replay %d ns, snapshot %d bytes)\n", restore, replay, $6 + 0
     }
-    END { if (!found) { print "guard: snapshot_overhead row missing" > "/dev/stderr"; exit 1 } }'
+    END { if (!found) { print "guard: snapshot_overhead row missing" > "/dev/stderr"; exit 1 } }' || red="$red
+  checkpoint-overhead"
 
 echo "== wal-overhead guard"
 # Logging every append with fsync=interval must stay within 2x of the
@@ -189,7 +201,8 @@ echo "$wal_out" | awk -F'|' '
         }
         printf "guard: ok (plain %d ns/append, interval %d ns/append, always %d ns/append)\n", plain, interval, $4 + 0
     }
-    END { if (!found) { print "guard: wal_overhead row missing" > "/dev/stderr"; exit 1 } }'
+    END { if (!found) { print "guard: wal_overhead row missing" > "/dev/stderr"; exit 1 } }' || red="$red
+  wal-overhead"
 
 echo "== repl-overhead guard"
 # Shipping the WAL to a live follower is asynchronous, so the primary's
@@ -217,7 +230,8 @@ echo "$repl_out" | awk -F'|' '
         }
         printf "guard: ok (p50 %d -> %d ns with a follower, group commit %.2fx)\n", p50zero, p50one, gain
     }
-    END { if (!found) { print "guard: repl_overhead row missing" > "/dev/stderr"; exit 1 } }'
+    END { if (!found) { print "guard: repl_overhead row missing" > "/dev/stderr"; exit 1 } }' || red="$red
+  repl-overhead"
 
 echo "== pool-overhead guard"
 # An append through the session pool pays the wire codec, dispatch, the
@@ -241,6 +255,11 @@ echo "$pool_out" | awk -F'|' '
         }
         printf "guard: ok (direct %d ns/append, pooled %d ns/append, 3-worker batch gain %.2fx)\n", direct, pooled, gain
     }
-    END { if (!found) { print "guard: pool_overhead row missing" > "/dev/stderr"; exit 1 } }'
+    END { if (!found) { print "guard: pool_overhead row missing" > "/dev/stderr"; exit 1 } }' || red="$red
+  pool-overhead"
 
+if [ -n "$red" ]; then
+    echo "verify: red guards:$red" >&2
+    exit 1
+fi
 echo "verify: OK"
