@@ -3,7 +3,7 @@ package diagnosis
 import (
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 	"time"
 
 	"repro/internal/alarm"
@@ -29,37 +29,37 @@ import (
 //     must not change as alarms arrive. Peers that never emit keep their
 //     index column pinned at position 0 by an inert extension rule.
 //
-//   - The completion query is versioned: appending the n-th alarm batch
-//     installs q.v<n>(z,x) :- configPrefixes(z,w,y,final_n...),
-//     transInConf(z,x) with the new final-position constants, and queries
-//     it. Earlier versions stay installed (they are cheap single joins);
-//     the warm dqsq.OnlineSession reuses every configPrefixes /
-//     trans / places fact already derived.
+//   - The completion query stands: q(z, i_1…i_k, x) :- configPrefixes(z,
+//     w, y, i_1…i_k), transInConf(z, x) is asked once, with every argument
+//     free, when the net's template is built. An append only injects its
+//     alarmSeq facts: semi-naive deltas extend the configurations whose
+//     index reached the alarm's position, and nothing is rewritten or
+//     installed. The diagnoses after n alarms are the standing answers
+//     whose index columns hold the final positions of the n-alarm prefix,
+//     read by index probe.
 //
 // What is built when:
 //
-//   - Per net, once per process (template.go): Prog(N,M) and the
-//     supervisor's rules, their dQSQ rewriting for the versioned query's
-//     shape, the compiled rules and join plans hosted at every peer, and the
-//     activation and subscription state they leave. The first session of a
-//     net pays for it; it is immutable afterwards and shared.
+//   - Per net, once per process (template.go): Prog(N,M), the supervisor's
+//     rules and the standing query, their dQSQ rewriting, the compiled
+//     rules and join plans hosted at every peer, and the activation,
+//     subscription and alarm-free derivations they leave. The first session
+//     of a net pays for it; it is immutable afterwards and shared.
 //   - Per session (NewOnlineDiagnoser): a clone — its own term store,
 //     relation arenas, activation flags and counters, starting from the
 //     template's; the rules are the template's own.
-//   - Per append: the alarm facts, the six rules that q.v<n> rewrites to,
-//     and whatever those derive over the warm prefix.
+//   - Per append: the alarm facts and whatever they derive over the warm
+//     prefix.
 type OnlineDiagnoser struct {
-	pn      *petri.PetriNet // original net (diagnosis names are reported on it)
-	padded  *petri.PetriNet
-	sess    *dqsq.OnlineSession
-	prog    *ddatalog.Program
-	peers   []petri.Peer // fixed index order: all net peers, sorted
-	counts  map[petri.Peer]int
-	seq     alarm.Seq
-	version int
-	last    *Report
-	broken  error      // first evaluation failure; poisons every later Append
-	tracer  obs.Tracer // never nil; obs.Nop by default
+	pn     *petri.PetriNet // original net (diagnosis names are reported on it)
+	sess   *dqsq.OnlineSession
+	prog   *ddatalog.Program
+	peers  []petri.Peer // fixed index order: all net peers, sorted
+	counts map[petri.Peer]int
+	seq    alarm.Seq
+	last   *Report
+	broken error      // first evaluation failure; poisons every later Append
+	tracer obs.Tracer // never nil; obs.Nop by default
 	// built is the open span of the net's template build, if this create was
 	// the one that ran it; SetTracer ends it.
 	built obs.Span
@@ -76,8 +76,14 @@ var ErrPoisoned = errors.New("diagnosis: online session poisoned by earlier fail
 // index order of the incremental supervisor program.
 func indexPeers(pn *petri.PetriNet) []petri.Peer {
 	peers := append([]petri.Peer(nil), pn.Net.Peers()...)
-	sort.Slice(peers, func(i, j int) bool { return peers[i] < peers[j] })
+	slices.Sort(peers)
 	return peers
+}
+
+// hasPeer reports whether peer is one of the net's.
+func (d *OnlineDiagnoser) hasPeer(peer petri.Peer) bool {
+	_, ok := slices.BinarySearch(d.peers, peer)
+	return ok
 }
 
 // NewOnlineDiagnoser opens a session on pn: a clone of the net's template
@@ -138,12 +144,12 @@ func (d *OnlineDiagnoser) Poisoned() error { return d.broken }
 // incrementality is that they grow by the new frontier only. A zero
 // timeout means one minute.
 //
-// Append is transactional on the diagnoser's durable state: counts, seq
-// and version commit only after the query succeeds, so a failed append
-// never leaves Seq claiming alarms the evaluation did not cover. The warm
-// engine itself cannot be rolled back — a timed-out query may have
-// partially injected the new alarm facts — so an evaluation failure
-// poisons the session: every later Append fails with ErrPoisoned.
+// Append is transactional on the diagnoser's durable state: counts and seq
+// commit only after the query succeeds, so a failed append never leaves Seq
+// claiming alarms the evaluation did not cover. The warm engine itself
+// cannot be rolled back — a timed-out query may have partially injected the
+// new alarm facts — so an evaluation failure poisons the session: every
+// later Append fails with ErrPoisoned.
 func (d *OnlineDiagnoser) Append(batch []alarm.Obs, timeout time.Duration) (*Report, error) {
 	if d.broken != nil {
 		return nil, fmt.Errorf("%w: %v", ErrPoisoned, d.broken)
@@ -155,7 +161,7 @@ func (d *OnlineDiagnoser) Append(batch []alarm.Obs, timeout time.Duration) (*Rep
 	}
 	var facts []ddatalog.PAtom
 	for _, o := range batch {
-		if !hasPeer(d.padded, o.Peer) {
+		if !d.hasPeer(o.Peer) {
 			return nil, fmt.Errorf("diagnosis: alarm from unknown peer %q", o.Peer)
 		}
 		i := counts[o.Peer]
@@ -167,13 +173,7 @@ func (d *OnlineDiagnoser) Append(batch []alarm.Obs, timeout time.Duration) (*Rep
 		))
 		counts[o.Peer] = i + 1
 	}
-
-	version := d.version + 1
-	rule := versionedQuery(s, d.peers, version, counts)
-	if err := d.sess.Extend(facts, []ddatalog.PRule{rule}); err != nil {
-		// Extend queues facts and rules without touching the running
-		// engine, but a partial extension (rules in, facts rejected)
-		// still desynchronizes the program from the diagnoser.
+	if err := d.sess.Extend(facts, nil); err != nil {
 		d.broken = err
 		return nil, err
 	}
@@ -181,10 +181,9 @@ func (d *OnlineDiagnoser) Append(batch []alarm.Obs, timeout time.Duration) (*Rep
 	start := time.Now()
 	var sp obs.Span
 	if d.tracer.Enabled() {
-		sp = d.tracer.Begin("diagnosis", fmt.Sprintf("append.v%d (%d alarms)", version, len(batch)))
+		sp = d.tracer.Begin("diagnosis", fmt.Sprintf("append (%d alarms)", len(batch)))
 	}
-	query := ddatalog.At(rule.Head.Rel, SupervisorPeer, s.Variable("AnsZ"), s.Variable("AnsX"))
-	res, err := d.sess.Query(query, timeout)
+	res, err := d.sess.Query(answers(s, d.peers, counts), timeout)
 	sp.End()
 	if err != nil {
 		d.broken = err
@@ -192,7 +191,6 @@ func (d *OnlineDiagnoser) Append(batch []alarm.Obs, timeout time.Duration) (*Rep
 	}
 	d.counts = counts
 	d.seq = append(d.seq, batch...)
-	d.version = version
 	rep := &Report{
 		Engine:    EngineDQSQ,
 		Diagnoses: ExtractDiagnoses(res.Store, res.Answers, true),

@@ -89,8 +89,8 @@ func DecodeSeqSnapshot(r *snapshot.Reader) alarm.Seq {
 
 // EncodeSnapshot writes the diagnoser into f: the warm dQSQ session (term
 // store, program, rewriters, engine) in its own sections, plus a
-// diagnoser section with the observed sequence, per-peer alarm counts,
-// query version and last report. The Petri net itself is NOT serialized —
+// diagnoser section with the per-peer alarm counts, the observed sequence
+// and the last report. The Petri net itself is NOT serialized —
 // the caller persists the net text alongside and passes the parsed net to
 // DecodeOnlineDiagnoserSnapshot; net parsing and padding are
 // deterministic, so the rebuilt structures match the original exactly.
@@ -117,7 +117,6 @@ func (d *OnlineDiagnoser) EncodeSnapshot(f *snapshot.File) error {
 		w.Uvarint(uint64(d.counts[petri.Peer(p)]))
 	}
 	EncodeSeqSnapshot(w, d.seq)
-	w.Uvarint(uint64(d.version))
 	EncodeReportSnapshot(w, d.last)
 	return nil
 }
@@ -125,9 +124,9 @@ func (d *OnlineDiagnoser) EncodeSnapshot(f *snapshot.File) error {
 // DecodeOnlineDiagnoserSnapshot restores a diagnoser from the sections
 // EncodeSnapshot wrote, over the given (re-parsed) Petri net. The restored
 // diagnoser continues exactly where the snapshot was taken: the next
-// Append installs query version n+1 over the warm unfolding prefix, at
-// the cost of decoding the snapshot — not of re-running the n appends
-// that produced it.
+// Append lets its alarms flow into the warm unfolding prefix, at the cost
+// of decoding the snapshot — not of re-running the n appends that
+// produced it.
 func DecodeOnlineDiagnoserSnapshot(o *snapshot.OpenFile, pn *petri.PetriNet) (*OnlineDiagnoser, error) {
 	padded, err := petri.Pad2(pn)
 	if err != nil {
@@ -143,7 +142,6 @@ func DecodeOnlineDiagnoserSnapshot(o *snapshot.OpenFile, pn *petri.PetriNet) (*O
 	}
 	d := &OnlineDiagnoser{
 		pn:     pn,
-		padded: padded,
 		sess:   sess,
 		prog:   sess.Program(),
 		peers:  indexPeers(padded),
@@ -157,20 +155,19 @@ func DecodeOnlineDiagnoserSnapshot(o *snapshot.OpenFile, pn *petri.PetriNet) (*O
 		if r.Err() != nil {
 			break
 		}
-		if !hasPeer(padded, p) {
+		if !d.hasPeer(p) {
 			r.Failf("alarm count for peer %q not in net", p)
 			break
 		}
 		d.counts[p] = int(c)
 	}
 	d.seq = DecodeSeqSnapshot(r)
-	d.version = int(r.Uvarint())
 	d.last = DecodeReportSnapshot(r)
 	if err := r.Finish(); err != nil {
 		return nil, err
 	}
 	for _, ob := range d.seq {
-		if !hasPeer(padded, ob.Peer) {
+		if !d.hasPeer(ob.Peer) {
 			return nil, fmt.Errorf("%w: alarm from peer %q not in net", snapshot.ErrCorrupt, ob.Peer)
 		}
 	}

@@ -152,13 +152,13 @@ func TestDiagnoserSnapshotRejectsCorruption(t *testing.T) {
 	}
 }
 
-// TestDiagnoserSnapshotOfMajor1IsRefused: format 1 kept a term store per
-// peer and one for the collector inside the engine section; format 2 has the
-// one store of the session. There is no shim: a file that says it is format
-// 1 — here a diagnoser's whole snapshot (store, program, session, engine)
-// with its header patched — is refused with ErrVersion before any section is
-// decoded, read whole or streamed.
-func TestDiagnoserSnapshotOfMajor1IsRefused(t *testing.T) {
+// TestDiagnoserSnapshotOfMajor2IsRefused: format 2 held a versioned query
+// rule per append and the query version in the diagnoser section; format 3
+// has the one standing query of the net's template. There is no shim: a
+// file that says it is format 2 — here a diagnoser's whole snapshot (store,
+// program, session, engine) with its header patched — is refused with
+// ErrVersion before any section is decoded, read whole or streamed.
+func TestDiagnoserSnapshotOfMajor2IsRefused(t *testing.T) {
 	d, err := NewOnlineDiagnoser(petri.Example(), datalog.Budget{})
 	if err != nil {
 		t.Fatal(err)
@@ -171,14 +171,14 @@ func TestDiagnoserSnapshotOfMajor1IsRefused(t *testing.T) {
 		t.Fatal(err)
 	}
 	old := f.Bytes()
-	if old[len(snapshot.Magic)] != snapshot.Major || snapshot.Major != 2 {
-		t.Fatalf("header says major %d, this build writes %d, the test expects 2", old[len(snapshot.Magic)], snapshot.Major)
+	if old[len(snapshot.Magic)] != snapshot.Major || snapshot.Major != 3 {
+		t.Fatalf("header says major %d, this build writes %d, the test expects 3", old[len(snapshot.Magic)], snapshot.Major)
 	}
-	old[len(snapshot.Magic)] = 1
+	old[len(snapshot.Magic)] = 2
 	if _, err := snapshot.Open(old); !errors.Is(err, snapshot.ErrVersion) {
-		t.Fatalf("Open of a format-1 file: %v, want ErrVersion", err)
+		t.Fatalf("Open of a format-2 file: %v, want ErrVersion", err)
 	}
 	if _, err := snapshot.FromReader(bytes.NewReader(old)); !errors.Is(err, snapshot.ErrVersion) {
-		t.Fatalf("FromReader of a format-1 stream: %v, want ErrVersion", err)
+		t.Fatalf("FromReader of a format-2 stream: %v, want ErrVersion", err)
 	}
 }

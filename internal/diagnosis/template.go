@@ -14,7 +14,6 @@ import (
 	"repro/internal/dqsq"
 	"repro/internal/obs"
 	"repro/internal/petri"
-	"repro/internal/rel"
 	"repro/internal/term"
 )
 
@@ -22,32 +21,41 @@ import (
 //
 // Figure 5's rewriting reads the program and the query's adornment, never
 // the data, and the engine's activation (which drives Remark 2's lazy
-// rewriting) walks rule bodies, not tuples. Every versioned query q.vN has
-// the same shape — configPrefixes with the final positions bound,
-// transInConf with the configuration bound — so everything a session's
-// queries install apart from the q.vN rules themselves is a function of the
-// net: Prog(N,M), the supervisor's rules, their distributed rewriting, its
-// compiled per-peer form, which relations are active and who subscribes to
-// whom. A template is that state, built by priming a dQSQ session (see
-// dqsq.OnlineSession.Prime) and then frozen; sessions are clones of it.
+// rewriting) walks rule bodies, not tuples. A session asks one query for
+// its whole life, the standing query
+//
+//	q(z, i_1…i_k, x) :- configPrefixes(z, w, y, i_1…i_k), transInConf(z, x)
+//
+// with every argument free, so everything its evaluation installs is a
+// function of the net: Prog(N,M), the supervisor's rules, their distributed
+// rewriting, its compiled per-peer form, which relations are active and who
+// subscribes to whom, and what the alarm-free base facts already derive. A
+// template is that state, built by priming a dQSQ session with the standing
+// query (see dqsq.OnlineSession.Prime) and then frozen; sessions are clones
+// of it.
+//
+// Because no index column is bound, configPrefixes is evaluated under two
+// adornments only — all free, and the id-bound form transInConf and
+// notParent ask for — where a query binding the k final positions reaches
+// one per subset of the columns the extension rules free: 2^k.
 
 // template is the frozen per-net state. Nothing writes to it after
 // newTemplate returns, so any number of goroutines may clone it at once.
 type template struct {
-	padded *petri.PetriNet
-	peers  []petri.Peer // fixed index order: all net peers, sorted
-	sess   *dqsq.OnlineSession
+	peers []petri.Peer // fixed index order: all net peers, sorted
+	sess  *dqsq.OnlineSession
 }
 
 // primeTimeout bounds the one evaluation round that primes a template. It
-// moves no data, so it is generous rather than tuned.
+// moves no alarm, so it is generous rather than tuned.
 const primeTimeout = time.Minute
 
 // newTemplate builds the alarm-independent part of P_A(N,M,·) — Prog(N,M),
-// the petriNet facts, the initial configuration and the extension and
-// membership rules over the fixed all-peer index — starts an online dQSQ
-// session over it and primes it for the versioned query. maxTermDepth is
-// the Section 4.4 depth gadget, which the compiled program bakes in.
+// the petriNet facts, the initial configuration, the extension and
+// membership rules over the fixed all-peer index and the standing query —
+// starts an online dQSQ session over it and primes it with the standing
+// query. maxTermDepth is the Section 4.4 depth gadget, which the compiled
+// program bakes in.
 func newTemplate(pn *petri.PetriNet, maxTermDepth int) (*template, error) {
 	padded, err := petri.Pad2(pn)
 	if err != nil {
@@ -83,39 +91,45 @@ func newTemplate(pn *petri.PetriNet, maxTermDepth int) (*template, error) {
 	}
 	addMembershipRules(p, k)
 
+	// The standing query, q(z, i_1…i_k, x) :- configPrefixes(z, w, y,
+	// i_1…i_k), transInConf(z, x).
+	z, w, y, x := s.Variable("Qz"), s.Variable("Qw"), s.Variable("Qy"), s.Variable("Qx")
+	prefix := []term.ID{z, w, y}
+	head := []term.ID{z}
+	for l := 0; l < k; l++ {
+		i := s.Variable(fmt.Sprintf("Qi%d", l))
+		prefix = append(prefix, i)
+		head = append(head, i)
+	}
+	q := ddatalog.PAtom{Rel: RelQuery, Peer: SupervisorPeer, Args: append(head, x)}
+	p.AddRule(ddatalog.PRule{
+		Head: q,
+		Body: []ddatalog.PAtom{
+			{Rel: RelConfigPrefixes, Peer: SupervisorPeer, Args: prefix},
+			ddatalog.At(RelTransInConf, SupervisorPeer, z, x),
+		},
+	})
+
 	sess, err := dqsq.NewOnlineSession(p, datalog.Budget{MaxTermDepth: maxTermDepth})
 	if err != nil {
 		return nil, err
 	}
-	if err := sess.Prime(versionedQuery(s, peers, 0, nil), primeTimeout); err != nil {
+	if err := sess.Prime(q, primeTimeout); err != nil {
 		return nil, fmt.Errorf("diagnosis: priming the session program: %w", err)
 	}
-	return &template{padded: padded, peers: peers, sess: sess}, nil
+	return &template{peers: peers, sess: sess}, nil
 }
 
-// versionedQuery is the completion query of the version-th append,
-//
-//	q.v<n>(z,x) :- configPrefixes(z,w,y,final...), transInConf(z,x)
-//
-// where final holds, per index peer, the position after the counts[peer]
-// alarms it has emitted.
-func versionedQuery(s *term.Store, peers []petri.Peer, version int, counts map[petri.Peer]int) ddatalog.PRule {
-	z, w, y, x := s.Variable("Qz"), s.Variable("Qw"), s.Variable("Qy"), s.Variable("Qx")
-	final := []term.ID{z, w, y}
+// answers is the atom that reads, off the standing query, the diagnoses
+// after the alarms counted so far: q(AnsZ, final..., AnsX), where final
+// holds, per index peer, the position after the counts[peer] alarms it has
+// emitted.
+func answers(s *term.Store, peers []petri.Peer, counts map[petri.Peer]int) ddatalog.PAtom {
+	args := []term.ID{s.Variable("AnsZ")}
 	for _, peer := range peers {
-		final = append(final, s.Constant(idxConst(peer, counts[peer])))
+		args = append(args, s.Constant(idxConst(peer, counts[peer])))
 	}
-	return ddatalog.PRule{
-		Head: ddatalog.At(versionedQueryRel(version), SupervisorPeer, z, x),
-		Body: []ddatalog.PAtom{
-			{Rel: RelConfigPrefixes, Peer: SupervisorPeer, Args: final},
-			ddatalog.At(RelTransInConf, SupervisorPeer, z, x),
-		},
-	}
-}
-
-func versionedQueryRel(version int) rel.Name {
-	return rel.Name(fmt.Sprintf("%s.v%d", RelQuery, version))
+	return ddatalog.PAtom{Rel: RelQuery, Peer: SupervisorPeer, Args: append(args, s.Variable("AnsX"))}
 }
 
 // session clones the template into a diagnoser for pn (the net the
@@ -124,7 +138,6 @@ func (t *template) session(pn *petri.PetriNet, budget datalog.Budget) *OnlineDia
 	sess := t.sess.Clone(budget)
 	return &OnlineDiagnoser{
 		pn:     pn,
-		padded: t.padded,
 		sess:   sess,
 		prog:   sess.Program(),
 		peers:  t.peers,

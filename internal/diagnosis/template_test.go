@@ -17,6 +17,7 @@ import (
 	"repro/internal/gen"
 	"repro/internal/obs"
 	"repro/internal/petri"
+	"repro/internal/product"
 	"repro/internal/rel"
 	"repro/internal/snapshot"
 )
@@ -56,12 +57,13 @@ func streamCases(n int) []streamCase {
 // template of its net and a session that is the only clone of a template of
 // its own report, after every append, the same diagnoses byte for byte —
 // the product engine's — the same counters and the same materialized trans
-// and places (Theorem 4: the prefix is a function of net and alarms, not of
-// how the session came to be); and the cached one does so across a
-// checkpoint and restore mid-stream, in the snapshot format as it was.
+// and places; the cached one does so across a checkpoint and restore
+// mid-stream. Theorem 4 holds online: after every append the trans events
+// the session has materialized are the prefix the algorithm of [8] builds
+// for the alarms so far.
 func TestClonedSessionsMatchPrivateTemplate(t *testing.T) {
-	if snapshot.Major != 2 || snapshot.Minor != 0 {
-		t.Fatalf("snapshot format is %d.%d, want 2.0: clones must not need a new one", snapshot.Major, snapshot.Minor)
+	if snapshot.Major != 3 || snapshot.Minor != 0 {
+		t.Fatalf("snapshot format is %d.%d, want 3.0: clones must not need a new one", snapshot.Major, snapshot.Minor)
 	}
 	for _, tc := range streamCases(50) {
 		t.Run(tc.name, func(t *testing.T) {
@@ -92,12 +94,12 @@ func TestClonedSessionsMatchPrivateTemplate(t *testing.T) {
 				if g, w := strings.Join(got.Diagnoses.Keys(), "|"), strings.Join(want.Diagnoses.Keys(), "|"); g != w {
 					t.Fatalf("append %d: diagnoses\n%s\n!= private template's\n%s", i, g, w)
 				}
-				oracle, err := Run(tc.pn, tc.seq[:i+1], EngineProduct, Options{Timeout: time.Minute})
+				oracle, err := product.Run(tc.pn, tc.seq[:i+1], product.Options{})
 				if err != nil {
 					t.Fatal(err)
 				}
-				if !got.Diagnoses.Equal(oracle.Diagnoses) {
-					t.Fatalf("append %d: diagnoses\n%v\n!= product\n%v", i, got.Diagnoses.Keys(), oracle.Diagnoses.Keys())
+				if !got.Diagnoses.Equal(toDiagnoses(oracle.Diagnoses)) {
+					t.Fatalf("append %d: diagnoses\n%v\n!= product\n%v", i, got.Diagnoses.Keys(), oracle.Diagnoses)
 				}
 				if got.Derived != want.Derived || got.Messages != want.Messages {
 					t.Fatalf("append %d: derived %d, messages %d; private template: %d, %d",
@@ -109,6 +111,9 @@ func TestClonedSessionsMatchPrivateTemplate(t *testing.T) {
 					if !reflect.DeepEqual(g, w) {
 						t.Fatalf("append %d: materialized %s differ:\n%v\n%v", i, base, g, w)
 					}
+				}
+				if g := adornedNodes(cached.Session().Engine(), RelTrans); !reflect.DeepEqual(g, oracle.PrefixEvents) {
+					t.Fatalf("append %d: materialized events\n%v\n!= the [8] prefix\n%v", i, g, oracle.PrefixEvents)
 				}
 			}
 		})
@@ -221,17 +226,23 @@ func TestClonesAreIsolated(t *testing.T) {
 }
 
 // cloneBytesBound pins what one session of Pipeline(6,2) allocates at
-// creation: its own store, relation headers and activation state (1.31 MB
-// measured). The rewritten program — 9 084 rules, which every session's
-// first append used to rewrite, compile and keep (35.5 MB allocated) — is
+// creation: its own store, relation headers and activation state (428 kB
+// measured on linux/amd64). The rewritten program, which every session's
+// first append used to rewrite, compile and keep (35.5 MB allocated), is
 // not part of it.
 const cloneBytesBound = 2 << 20
 
-// TestFirstAppendInstallsOnlyQueryRules: on a net whose template is cached,
-// what a session's first append rewrites and installs is its versioned
-// query and nothing else — as little as its second — two sessions run the
-// very same compiled rules, and creating one stays cheap.
-func TestFirstAppendInstallsOnlyQueryRules(t *testing.T) {
+// templateRules is the number of compiled rules the Pipeline(6,2) template
+// hosts across its peers with the standing query, whose configPrefixes
+// index is free: 2 595 (9 084 when every append's query bound the six index
+// columns and configPrefixes met 2^6 adornments).
+const templateRules = 2595
+
+// TestAppendsInstallNothing: on a net whose template is cached, a session's
+// appends — its first as much as its second — rewrite no adornment and
+// install no rule, two sessions run the very same compiled rules, and
+// creating one stays cheap.
+func TestAppendsInstallNothing(t *testing.T) {
 	pn := gen.Pipeline(6, 2)
 	seq := gen.PipelineSeq(pn, rand.New(rand.NewSource(1)), 2)
 	open := func() *OnlineDiagnoser {
@@ -249,35 +260,34 @@ func TestFirstAppendInstallsOnlyQueryRules(t *testing.T) {
 		}
 		return n
 	}
-	var installs []int
 	for i := range seq {
 		rules, rewrites := hosted(), len(d.Session().Trace().Snapshot())
 		if _, err := d.Append(seq[i:i+1], time.Minute); err != nil {
 			t.Fatal(err)
 		}
-		installs = append(installs, hosted()-rules)
-		for _, e := range d.Session().Trace().Snapshot()[rewrites:] {
-			if want := versionedQueryRel(i + 1); e.Key.Rel != want {
-				t.Fatalf("append %d rewrote %s#%s at %s; only %s is new to the session", i+1, e.Key.Rel, e.Key.Ad, e.Peer, want)
-			}
+		if n := hosted() - rules; n != 0 {
+			t.Fatalf("append %d installed %d rules, want none", i+1, n)
 		}
-	}
-	if installs[0] != 6 || installs[1] != 6 {
-		t.Fatalf("appends installed %v rules, want the 6 of their versioned query each", installs)
+		if keys := d.Session().Trace().Snapshot()[rewrites:]; len(keys) != 0 {
+			t.Fatalf("append %d rewrote %v, want nothing", i+1, keys)
+		}
 	}
 
 	shared := 0
 	for _, id := range other.Session().Engine().Peers() {
 		mine, theirs := d.Session().Engine().Rules(id), other.Session().Engine().Rules(id)
-		for ri := range theirs { // other has appended nothing: these are the template's
+		if len(mine) != len(theirs) {
+			t.Fatalf("peer %s: a session that appended hosts %d rules, one that did not %d", id, len(mine), len(theirs))
+		}
+		for ri := range theirs {
 			if mine[ri] != theirs[ri] {
 				t.Fatalf("peer %s, rule %d: two sessions of one net hold two compiled copies", id, ri)
 			}
 			shared++
 		}
 	}
-	if shared < 9000 {
-		t.Fatalf("sessions share %d compiled rules, want the pipeline's 9 000-odd", shared)
+	if shared != templateRules {
+		t.Fatalf("sessions share %d compiled rules, want the pipeline template's %d", shared, templateRules)
 	}
 
 	const n = 20
@@ -371,5 +381,45 @@ func TestTemplateBuildIsTraced(t *testing.T) {
 	}
 	if n := testing.AllocsPerRun(10, func() { second.SetTracer(nil) }); n != 0 {
 		t.Fatalf("SetTracer(nil) allocates %v times", n)
+	}
+}
+
+// TestStreamedDerivesNoMoreThanBatched: with the standing query an append
+// only extends the configurations its alarms open, so streaming a sequence
+// one alarm per append derives no more facts in all than one append of the
+// whole sequence does.
+func TestStreamedDerivesNoMoreThanBatched(t *testing.T) {
+	pipeline, telecom := gen.Pipeline(6, 2), gen.Telecom(3)
+	for _, tc := range []streamCase{
+		{"pipeline(6,2)", pipeline, gen.PipelineSeq(pipeline, rand.New(rand.NewSource(1)), 12)},
+		{"telecom(3)", telecom, gen.TelecomSeq(telecom, rand.New(rand.NewSource(1)), 6)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			streamed, err := NewOnlineDiagnoser(tc.pn, datalog.Budget{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			var last *Report
+			for i := range tc.seq {
+				if last, err = streamed.Append(tc.seq[i:i+1], time.Minute); err != nil {
+					t.Fatal(err)
+				}
+			}
+			batched, err := NewOnlineDiagnoser(tc.pn, datalog.Budget{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			all, err := batched.Append(tc.seq, time.Minute)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !last.Diagnoses.Equal(all.Diagnoses) {
+				t.Fatalf("streamed diagnoses %v, batched %v", last.Diagnoses.Keys(), all.Diagnoses.Keys())
+			}
+			t.Logf("derived: streamed %d, batched %d", last.Derived, all.Derived)
+			if last.Derived > all.Derived {
+				t.Fatalf("%d one-alarm appends derived %d facts, one append of them %d", len(tc.seq), last.Derived, all.Derived)
+			}
+		})
 	}
 }

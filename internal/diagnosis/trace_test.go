@@ -15,8 +15,10 @@ import (
 
 // TestOnlineDiagnoserTrace drives an instrumented online session and
 // checks that the whole stack reports through one tracer: append spans
-// (diagnosis), subquery counters (dqsq), derivation counters (ddatalog)
-// and the unfolding-nodes gauge.
+// (diagnosis), supplementary-relation gauges (dqsq), derivation counters
+// (ddatalog) and the unfolding-nodes gauge. The session's appends open no
+// subquery — the standing query's rules came with the template — so no
+// subquery counter moves.
 func TestOnlineDiagnoserTrace(t *testing.T) {
 	pn := petri.Example()
 	d, err := NewOnlineDiagnoser(pn, datalog.Budget{})
@@ -49,13 +51,15 @@ func TestOnlineDiagnoserTrace(t *testing.T) {
 	}
 
 	appendSpans := 0
-	subqueries, derived, lastNodes := 0.0, 0.0, -1.0
+	subqueries, supTuples, derived, lastNodes := 0.0, -1.0, 0.0, -1.0
 	for _, e := range file.TraceEvents {
 		switch {
-		case e.Ph == "X" && strings.HasPrefix(e.Name, "append.v"):
+		case e.Ph == "X" && strings.HasPrefix(e.Name, "append "):
 			appendSpans++
 		case e.Ph == "C" && e.Name == "dqsq_subqueries_total":
 			subqueries = e.Args["value"].(float64) // running total
+		case e.Ph == "C" && e.Name == "dqsq_sup_tuples":
+			supTuples = e.Args["value"].(float64)
 		case e.Ph == "C" && e.Name == "ddatalog_facts_derived_total":
 			derived = e.Args["value"].(float64)
 		case e.Ph == "C" && e.Name == "diagnosis_unfolding_nodes":
@@ -65,11 +69,21 @@ func TestOnlineDiagnoserTrace(t *testing.T) {
 	if appendSpans != len(seqA1) {
 		t.Fatalf("append spans = %d, want %d", appendSpans, len(seqA1))
 	}
-	if subqueries == 0 {
-		t.Fatal("no dqsq_subqueries_total counter")
+	if subqueries != 0 {
+		t.Fatalf("dqsq_subqueries_total = %v, want no subquery opened by an append", subqueries)
 	}
-	if derived != float64(rep.Derived) {
-		t.Fatalf("ddatalog_facts_derived_total = %v, Report.Derived = %d", derived, rep.Derived)
+	if supTuples <= 0 {
+		t.Fatalf("dqsq_sup_tuples = %v, want the supplementary relations sampled", supTuples)
+	}
+	// Report.Derived counts from the template's state on; the tracer only
+	// what the session derived itself.
+	tmpl, _, err := cachedTemplate(pn, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	primed, _ := tmpl.sess.Engine().Totals()
+	if derived != float64(rep.Derived-primed) {
+		t.Fatalf("ddatalog_facts_derived_total = %v, Report.Derived = %d of which %d by the template", derived, rep.Derived, primed)
 	}
 	if lastNodes != float64(rep.TransFacts+rep.PlaceFacts) {
 		t.Fatalf("diagnosis_unfolding_nodes = %v, want %d", lastNodes, rep.TransFacts+rep.PlaceFacts)

@@ -1,6 +1,7 @@
 package dqsq
 
 import (
+	"fmt"
 	"maps"
 	"slices"
 	"strings"
@@ -68,11 +69,11 @@ func splitAdorned(name rel.Name) (rel.Name, adorn.Adornment, bool) {
 // OnlineSession is a long-lived online dQSQ evaluation: the per-peer lazy
 // rewriters and the distributed engine stay warm between queries, so a
 // supervisor can extend the program — new extensional facts (alarms), new
-// rules (a re-indexed query) — and re-query, paying only for the frontier
-// the extension opens up. This is the paper's Remark 2 machinery turned
-// into a service substrate: "the dQSQ computation, and the generation of
-// results, may start even before the rewriting is complete" — here it
-// also continues after the first answers have been served.
+// rules — and re-query, paying only for the frontier the extension opens
+// up. This is the paper's Remark 2 machinery turned into a service
+// substrate: "the dQSQ computation, and the generation of results, may
+// start even before the rewriting is complete" — here it also continues
+// after the first answers have been served.
 //
 // What a session holds splits three ways. Per program: the rules, the base
 // facts and — because both Figure 5's rewriting and the engine's activation
@@ -80,8 +81,8 @@ func splitAdorned(name rel.Name) (rel.Name, adorn.Adornment, bool) {
 // query shape reaches; Prime builds that once and Clone hands it out, so
 // the sessions of one program share it read-only. Per session: the term
 // store, relation arenas, activation and subscription state, counters. Per
-// query: the rewriting of rules extended in since (a supervisor's
-// re-indexed query) and the facts derived.
+// query: the facts derived, and the rewriting of rules extended in since or
+// of a binding pattern no earlier query opened.
 //
 // Sessions are not safe for concurrent use; callers serialize Extend and
 // Query (internal/serve wraps one mutex per session).
@@ -180,34 +181,24 @@ func (sess *OnlineSession) installHook() {
 	})
 }
 
-// Prime sets up everything a query through rule r would, short of r itself
-// and of any fact: the relations r's body reads are activated under the
-// adornments a query of r's head with no argument bound gives them, which
-// rewrites, installs and activates the rules behind them, transitively, at
-// every peer. r is a pattern and is not added to the program: rules of its
-// shape extended in later (same body relations, same positions bound) find
-// their whole sub-program in place and are all a query still has to
-// rewrite. A primed session that has answered no query is what Clone is
-// for.
-func (s *OnlineSession) Prime(r ddatalog.PRule, timeout time.Duration) error {
-	pr, ok := s.rewriters[r.Head.Peer]
+// Prime opens q, an atom over a relation with rules and no argument bound,
+// as the session's standing query: its input relation is seeded and the
+// session evaluated, which rewrites, installs and activates, transitively
+// at every peer, the rules q's all-free adornment reaches, and derives what
+// the base facts already imply. From then on every Query of q's relation
+// reads that adornment, whatever constants it carries (see Query): facts
+// extended in later flow as deltas through rules already in place, and a
+// query rewrites nothing. A primed session is what Clone is for.
+func (s *OnlineSession) Prime(q ddatalog.PAtom, timeout time.Duration) error {
+	pr, ok := s.rewriters[q.Peer]
 	if !ok {
-		return errUnknownPeer(r.Head.Peer)
+		return errUnknownPeer(q.Peer)
 	}
-	st := s.prog.Store
-	bound := adorn.VarSet{}
-	var reads []ddatalog.PAtom
-	for _, a := range r.Body {
-		read := ddatalog.PAtom{Rel: a.Rel, Peer: a.Peer}
-		if pr.intensional(a) {
-			read.Rel = adorn.Name(a.Rel, adorn.Compute(st, bound, a.Args))
-		}
-		reads = append(reads, read)
-		for _, t := range a.Args {
-			bound.AddTerm(st, t)
-		}
+	free := adorn.AllFree(len(q.Args))
+	if !pr.hasRules[q.Rel] || adorn.Compute(s.prog.Store, adorn.VarSet{}, q.Args) != free {
+		return fmt.Errorf("dqsq: standing query %s@%s must be intensional with every argument free", q.Rel, q.Peer)
 	}
-	_, err := s.eng.Activate(reads, timeout)
+	_, err := s.Query(q, timeout)
 	return err
 }
 
@@ -278,7 +269,10 @@ func (s *OnlineSession) Extend(facts []ddatalog.PAtom, rules []ddatalog.PRule) e
 // Query evaluates the located atom q over the warm session state,
 // injecting any facts queued by Extend first. Repeated queries (same or
 // different atoms) reuse everything already materialized; Stats are
-// cumulative over the session's lifetime.
+// cumulative over the session's lifetime. A query of a relation the session
+// already evaluates with every argument free — a standing query, see Prime —
+// reads that adornment, its constants selecting the answers by index probe,
+// instead of opening a subquery under the binding pattern they would give.
 func (s *OnlineSession) Query(q ddatalog.PAtom, timeout time.Duration) (*Result, error) {
 	st := s.prog.Store
 	injects := s.pending
@@ -292,7 +286,10 @@ func (s *OnlineSession) Query(q ddatalog.PAtom, timeout time.Duration) (*Result,
 	if qr.hasRules[q.Rel] {
 		// Intensional query: seed the in-relation and ask for the adorned
 		// answers (re-seeding an already-known in-fact deduplicates away).
-		ad := adorn.Compute(st, adorn.VarSet{}, q.Args)
+		ad := adorn.AllFree(len(q.Args))
+		if !qr.done[adorn.Key{Rel: q.Rel, Ad: ad}] {
+			ad = adorn.Compute(st, adorn.VarSet{}, q.Args)
+		}
 		injects = append(injects, ddatalog.PAtom{
 			Rel: adorn.InputName(q.Rel, ad), Peer: q.Peer,
 			Args: adorn.BoundArgs(ad, q.Args),

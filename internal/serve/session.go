@@ -106,7 +106,7 @@ type Session struct {
 // consumers: the session's own bounded Chrome trace buffer, and (when reg
 // is non-nil) a metrics sink folding engine counters into the server
 // registry — that is how /metrics gains ddatalog_facts_derived_total,
-// dist_messages_total{from,to}, dqsq_subqueries_total,
+// dist_messages_total{from,to}, dqsq_sup_tuples,
 // diagnosis_unfolding_nodes and the diagnosis_append_engine_seconds
 // histogram. Counters accumulate across sessions; gauges report the most
 // recently evaluated session.

@@ -42,9 +42,11 @@ const Magic = "DSNP"
 // Major and Minor are the format version this build writes. A reader
 // accepts exactly its own major. Major 2 dropped the per-peer and collector
 // term stores from engine sections: an engine's tuples refer into the one
-// store its session serializes.
+// store its session serializes. Major 3 is the standing-query session: one
+// query relation with the index columns in its head instead of a versioned
+// query rule per append, and no query version in the diagnoser section.
 const (
-	Major = 2
+	Major = 3
 	Minor = 0
 )
 
