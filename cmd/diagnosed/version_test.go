@@ -19,11 +19,12 @@ import (
 )
 
 // TestDiagnosedOldSnapshotFallsBackToWAL: a data dir left by a build that
-// wrote snapshot format 1 holds session files this build refuses
-// (ErrVersion, no shim). The boot logs the session as not restored and the
-// write-ahead log recreates it: GET answers what the uninterrupted server
-// answered. The format-1 file is a real session snapshot of this build with
-// its header patched.
+// wrote snapshot format 3 — a session's whole state, where format 4 holds
+// what it added past its net's template — holds session files this build
+// refuses (ErrVersion, no shim). The boot logs the session as not restored
+// and the write-ahead log recreates it: GET answers what the uninterrupted
+// server answered. The format-3 file is a real session snapshot of this
+// build with its header patched.
 func TestDiagnosedOldSnapshotFallsBackToWAL(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds a binary and spawns processes")
@@ -118,17 +119,17 @@ func TestDiagnosedOldSnapshotFallsBackToWAL(t *testing.T) {
 	if file[len(snapshot.Magic)] != snapshot.Major {
 		t.Fatalf("snapshot header says major %d, this build writes %d", file[len(snapshot.Magic)], snapshot.Major)
 	}
-	file[len(snapshot.Magic)] = 1
+	file[len(snapshot.Magic)] = 3
 	old := filepath.Join(dataDir, created.ID+".dsnp")
 	if err := os.WriteFile(old, file, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := serve.LoadSessionFile(old, nil); !errors.Is(err, snapshot.ErrVersion) {
-		t.Fatalf("loading a format-1 session file: %v, want ErrVersion", err)
+		t.Fatalf("loading a format-3 session file: %v, want ErrVersion", err)
 	}
 
 	start("-data-dir", dataDir)
 	if got := body(created.ID); !reflect.DeepEqual(got, want) {
-		t.Fatalf("session rebuilt from the log next to a format-1 snapshot:\n%v\nuninterrupted:\n%v", got, want)
+		t.Fatalf("session rebuilt from the log next to a format-3 snapshot:\n%v\nuninterrupted:\n%v", got, want)
 	}
 }

@@ -15,11 +15,14 @@ import (
 // Incremental handles checkpoint to a snapshot file and restore from
 // one. Two forms exist:
 //
-//   - Full form (healthy DQSQ handles): the warm online-dQSQ state —
-//     term store, program, rewriters, engine, diagnoser — is serialized
-//     section by section. Restore costs O(snapshot size) and the handle
-//     continues exactly where it stopped: identical diagnoses, derived
-//     counts and message counts on every later append.
+//   - Full form (healthy DQSQ handles): the warm online-dQSQ session is
+//     serialized as what it added past its net's template — the template's
+//     fingerprint, then the terms, tuples and counters past it — plus the
+//     diagnoser's sequence, counts and last report. Restore clones the
+//     net's cached template (building it on the process's first restore of
+//     the net) and appends the rest, and the handle continues exactly
+//     where it stopped: identical diagnoses, derived counts and message
+//     counts on every later append.
 //
 //   - Meta form (re-evaluating engines, or a poisoned DQSQ handle): only
 //     the observed sequence and the last report are kept. Re-evaluating

@@ -12,18 +12,20 @@ import (
 // This file copies a quiescent engine. What a session over a rewritten
 // program sets up before its first fact arrives — rules hosted and compiled,
 // relations activated and subscribed to, base facts replicated — depends on
-// the program alone, so it is built once (see Activate) and every session
-// starts from a clone: the store, relation arenas and activation state
-// copied, the hosted rules shared.
+// the program alone, so it is built once, by a query that primes the engine
+// (see dqsq.OnlineSession.Prime), and every session starts from a clone: the
+// store, relation arenas and activation state copied, the hosted rules
+// shared.
 
 // Clone returns an engine in e's state that evaluates independently of it,
 // under its own fact budget (MaxTermDepth stays e's: it has shaped what e
 // derived). store is the clone's program store: a clone of e's. The counters
 // carry over — the facts e derived count against budget and in Stats, as if
-// the clone had derived them — while the tracer, activation hook, net
-// factory and parallelism are the defaults of a new engine. e must be
-// quiescent and must not run again: its clones keep reading it. It may be
-// cloned from many goroutines at once.
+// the clone had derived them — while the tracer, activation hook and net
+// factory are the defaults of a new engine. e must be quiescent and must not
+// run again: its clones keep reading it, and its lengths are where their
+// snapshots start (see EncodeSnapshot). It may be cloned from many goroutines
+// at once.
 func (e *Engine) Clone(store *term.Store, budget datalog.Budget) *Engine {
 	if budget.MaxFacts == 0 {
 		budget.MaxFacts = datalog.DefaultBudget.MaxFacts
@@ -41,6 +43,7 @@ func (e *Engine) Clone(store *term.Store, budget datalog.Budget) *Engine {
 		lastInstalled:  e.lastInstalled,
 		colDB:          e.colDB.Clone(store),
 		derived:        e.derived,
+		origin:         e,
 	}
 	for id, ps := range e.peers {
 		c.peers[id] = ps.clone(c)

@@ -9,12 +9,11 @@ import (
 	"repro/internal/term"
 )
 
-// TestActivatedEngineClones: Activate sets a query's relations up without
-// a query — rules evaluated, subscriptions in place, no collector — and the
-// clones of the engine it leaves answer like an engine that ran the query
-// cold; they share its compiled rules, carry its counters on (against
-// their own budgets), and neither a clone's new facts nor its new rules
-// reach a sibling or the origin.
+// TestActivatedEngineClones: a query primes an engine — rules evaluated,
+// subscriptions in place — and the clones of the engine it leaves answer
+// like an engine that ran the query cold; they share its compiled rules,
+// carry its counters on (against their own budgets), and neither a clone's
+// new facts nor its new rules reach a sibling or the origin.
 func TestActivatedEngineClones(t *testing.T) {
 	edges := [][2]string{{"1", "2"}, {"2", "3"}}
 	cold, coldQ := reachProgram(term.NewStore(), edges)
@@ -29,12 +28,12 @@ func TestActivatedEngineClones(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	stats, err := origin.Activate([]PAtom{{Rel: q.Rel, Peer: q.Peer}}, 10*time.Second)
+	primed, err := origin.Run(q, 10*time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if stats.Derived != want.Stats.Derived {
-		t.Fatalf("activation derived %d facts, the cold query %d", stats.Derived, want.Stats.Derived)
+	if primed.Stats.Derived != want.Stats.Derived {
+		t.Fatalf("priming derived %d facts, the cold query %d", primed.Stats.Derived, want.Stats.Derived)
 	}
 	tuplesA, tuplesB, terms := origin.PeerDB("a").FactCount(), origin.PeerDB("b").FactCount(), s.Len()
 
@@ -89,7 +88,7 @@ func TestActivatedEngineClones(t *testing.T) {
 
 	// What the origin derived is spent from a clone's budget too.
 	s3 := s.Clone()
-	tight := origin.Clone(s3, datalog.Budget{MaxFacts: stats.Derived})
+	tight := origin.Clone(s3, datalog.Budget{MaxFacts: primed.Stats.Derived})
 	if _, err := tight.RunDelta(q, []PAtom{At("edge", "a", s3.Constant("3"), s3.Constant("4"))}, nil, 10*time.Second); !errors.Is(err, datalog.ErrBudget) {
 		t.Fatalf("clone with its budget already spent by its origin: %v, want ErrBudget", err)
 	}

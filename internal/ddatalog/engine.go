@@ -96,6 +96,8 @@ type Engine struct {
 	// The collector persists across runs so that answers accumulated in
 	// earlier rounds remain extractable in later ones.
 	colDB *rel.DB
+	// origin is the engine this one was cloned from, nil if none.
+	origin *Engine
 }
 
 // peerState is the private state of one peer: only its own handler turns
@@ -144,7 +146,7 @@ type relState struct {
 }
 
 // hostedRule is one rule of a peer's program: the located form it arrived
-// in (activation routing, snapshots), the kernel's compiled form over
+// in (activation routing, Fingerprint), the kernel's compiled form over
 // qualified relation names, so the join never rebuilds a "rel@peer" name
 // or re-hashes one, and the number of its head relation. All three are
 // immutable, and relations are numbered alike in an engine and its clones,
@@ -676,27 +678,6 @@ func (e *Engine) RunDelta(q PAtom, facts []PAtom, rules []PRule, timeout time.Du
 	// relation.
 	res.Answers = datalog.Answers(e.colDB, e.store, datalog.Atom{Rel: q.Qualified(), Args: q.Args})
 	return res, nil
-}
-
-// Activate activates the located relations and, through the bodies of
-// their rules, every relation those read — running the activation hook on
-// each, installing and evaluating what it returns — without subscribing
-// anyone to them and without a query: what a later RunDelta over these
-// relations would set up before its first fact arrives. Activation follows
-// rule bodies, not data, so an engine activated this way is the common
-// starting state of every evaluation that reads the relations; Clone hands
-// it out.
-func (e *Engine) Activate(atoms []PAtom, timeout time.Duration) (Stats, error) {
-	initial := make([]dist.Message, 0, len(atoms))
-	for _, a := range atoms {
-		if _, hosted := e.peers[a.Peer]; !hosted {
-			return Stats{}, fmt.Errorf("ddatalog: peer %q of %s not hosted", a.Peer, a.Qualified())
-		}
-		// The empty sender is activateLocal's "no subscriber".
-		initial = append(initial, dist.Message{To: a.Peer, Payload: wire.Activate{Rel: a.Rel}})
-	}
-	res, err := e.round(initial, timeout)
-	return res.Stats, err
 }
 
 // round delivers initial on a fresh network over the hosted peers and the

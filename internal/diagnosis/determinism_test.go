@@ -26,10 +26,11 @@ func (n statsNet) Run(initial []dist.Message, timeout time.Duration) (dist.Stats
 
 // TestSessionsAreDeterministic: an engine's peers take turns on one
 // goroutine and share one store, so a session is a function of its net and
-// its alarms, down to the bytes. Two sessions cloned from the cached
-// template and a third cloned from a template built on the side, fed the
-// same alarms one by one, hold after every append the same snapshot byte
-// for byte, have sent the same number of messages and bytes on every
+// its alarms, down to the bytes. A template built on the side has the
+// cached template's fingerprint, and two sessions cloned from the cached
+// template and a third cloned from the one on the side, fed the same alarms
+// one by one, hold after every append the same tail past their template
+// byte for byte, have sent the same number of messages and bytes on every
 // channel, and host the same rules in the same order. Run it under -race
 // -count=5: there is nothing left to interleave.
 func TestSessionsAreDeterministic(t *testing.T) {
@@ -38,6 +39,13 @@ func TestSessionsAreDeterministic(t *testing.T) {
 			tmpl, err := newTemplate(tc.pn, 0)
 			if err != nil {
 				t.Fatal(err)
+			}
+			cached, _, err := cachedTemplate(tc.pn, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if tmpl.fingerprint != cached.fingerprint {
+				t.Fatalf("two templates of one net: fingerprints %x and %x", tmpl.fingerprint, cached.fingerprint)
 			}
 			sessions := []*OnlineDiagnoser{tmpl.session(tc.pn, datalog.Budget{})}
 			for len(sessions) < 3 {
@@ -53,12 +61,12 @@ func TestSessionsAreDeterministic(t *testing.T) {
 					return statsNet{dist.NewNetwork(), &stats[i]}
 				})
 			}
-			state := func(d *OnlineDiagnoser) []byte {
-				f := snapshot.New()
-				if err := d.Session().EncodeSnapshot(f); err != nil {
+			tail := func(d *OnlineDiagnoser) []byte {
+				var w snapshot.Writer
+				if err := d.Session().EncodeSnapshot(&w); err != nil {
 					t.Fatal(err)
 				}
-				return f.Bytes()
+				return w.Body()
 			}
 			for n := range tc.seq {
 				for i, d := range sessions {
@@ -66,10 +74,10 @@ func TestSessionsAreDeterministic(t *testing.T) {
 						t.Fatalf("append %d, session %d: %v", n+1, i, err)
 					}
 				}
-				want, eng := state(sessions[0]), sessions[0].Session().Engine()
+				want, eng := tail(sessions[0]), sessions[0].Session().Engine()
 				for i, d := range sessions[1:] {
-					if !bytes.Equal(state(d), want) {
-						t.Fatalf("append %d: the snapshots of sessions 0 and %d differ", n+1, i+1)
+					if !bytes.Equal(tail(d), want) {
+						t.Fatalf("append %d: the tails of sessions 0 and %d differ", n+1, i+1)
 					}
 					if !reflect.DeepEqual(stats[i+1].MessagesByPair, stats[0].MessagesByPair) ||
 						!reflect.DeepEqual(stats[i+1].BytesSentByPair, stats[0].BytesSentByPair) {

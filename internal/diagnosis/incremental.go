@@ -52,9 +52,8 @@ import (
 //     prefix.
 type OnlineDiagnoser struct {
 	pn     *petri.PetriNet // original net (diagnosis names are reported on it)
+	tmpl   *template       // the template sess is a clone of
 	sess   *dqsq.OnlineSession
-	prog   *ddatalog.Program
-	peers  []petri.Peer // fixed index order: all net peers, sorted
 	counts map[petri.Peer]int
 	seq    alarm.Seq
 	last   *Report
@@ -82,7 +81,7 @@ func indexPeers(pn *petri.PetriNet) []petri.Peer {
 
 // hasPeer reports whether peer is one of the net's.
 func (d *OnlineDiagnoser) hasPeer(peer petri.Peer) bool {
-	_, ok := slices.BinarySearch(d.peers, peer)
+	_, ok := slices.BinarySearch(d.tmpl.peers, peer)
 	return ok
 }
 
@@ -154,7 +153,7 @@ func (d *OnlineDiagnoser) Append(batch []alarm.Obs, timeout time.Duration) (*Rep
 	if d.broken != nil {
 		return nil, fmt.Errorf("%w: %v", ErrPoisoned, d.broken)
 	}
-	s := d.prog.Store
+	s := d.sess.Program().Store
 	counts := make(map[petri.Peer]int, len(d.counts))
 	for p, n := range d.counts {
 		counts[p] = n
@@ -183,7 +182,7 @@ func (d *OnlineDiagnoser) Append(batch []alarm.Obs, timeout time.Duration) (*Rep
 	if d.tracer.Enabled() {
 		sp = d.tracer.Begin("diagnosis", fmt.Sprintf("append (%d alarms)", len(batch)))
 	}
-	res, err := d.sess.Query(answers(s, d.peers, counts), timeout)
+	res, err := d.sess.Query(answers(s, d.tmpl.peers, counts), timeout)
 	sp.End()
 	if err != nil {
 		d.broken = err

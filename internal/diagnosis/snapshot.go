@@ -1,13 +1,13 @@
 package diagnosis
 
 import (
+	"bytes"
 	"fmt"
 	"sort"
 	"time"
 
 	"repro/internal/alarm"
-	"repro/internal/dqsq"
-	"repro/internal/obs"
+	"repro/internal/datalog"
 	"repro/internal/petri"
 	"repro/internal/snapshot"
 	"repro/internal/snapshot/snapnames"
@@ -87,13 +87,13 @@ func DecodeSeqSnapshot(r *snapshot.Reader) alarm.Seq {
 	return seq
 }
 
-// EncodeSnapshot writes the diagnoser into f: the warm dQSQ session (term
-// store, program, rewriters, engine) in its own sections, plus a
-// diagnoser section with the per-peer alarm counts, the observed sequence
-// and the last report. The Petri net itself is NOT serialized —
-// the caller persists the net text alongside and passes the parsed net to
-// DecodeOnlineDiagnoserSnapshot; net parsing and padding are
-// deterministic, so the rebuilt structures match the original exactly.
+// EncodeSnapshot writes the diagnoser into f: in the engine section, the
+// fingerprint of its net's template, its budget and what the session added
+// past the template (see dqsq.OnlineSession.EncodeSnapshot); in the
+// diagnoser section, the per-peer alarm counts, the observed sequence and
+// the last report. Neither the net nor the template is serialized: the
+// caller persists the net text alongside and passes the parsed net to
+// DecodeOnlineDiagnoserSnapshot, which finds the template again.
 //
 // A poisoned diagnoser refuses to snapshot: its warm state may be
 // desynchronized from its durable state, which is the very thing
@@ -102,10 +102,16 @@ func (d *OnlineDiagnoser) EncodeSnapshot(f *snapshot.File) error {
 	if d.broken != nil {
 		return fmt.Errorf("diagnosis: cannot snapshot poisoned session: %w", d.broken)
 	}
-	if err := d.sess.EncodeSnapshot(f); err != nil {
+	w := f.Section(snapnames.Engine)
+	w.Bytes(d.tmpl.fingerprint[:])
+	b := d.sess.Engine().Budget()
+	w.Uvarint(uint64(b.MaxTermDepth))
+	w.Uvarint(uint64(b.MaxFacts))
+	w.Uvarint(uint64(b.MaxIters))
+	if err := d.sess.EncodeSnapshot(w); err != nil {
 		return err
 	}
-	w := f.Section(snapnames.Diagnoser)
+	w = f.Section(snapnames.Diagnoser)
 	peers := make([]string, 0, len(d.counts))
 	for p := range d.counts {
 		peers = append(peers, string(p))
@@ -122,31 +128,43 @@ func (d *OnlineDiagnoser) EncodeSnapshot(f *snapshot.File) error {
 }
 
 // DecodeOnlineDiagnoserSnapshot restores a diagnoser from the sections
-// EncodeSnapshot wrote, over the given (re-parsed) Petri net. The restored
-// diagnoser continues exactly where the snapshot was taken: the next
-// Append lets its alarms flow into the warm unfolding prefix, at the cost
-// of decoding the snapshot — not of re-running the n appends that
-// produced it.
+// EncodeSnapshot wrote, over the given (re-parsed) Petri net: it opens a
+// session on the net's template, as NewOnlineDiagnoser does, and appends
+// what the snapshot holds to it. The restored diagnoser continues exactly
+// where the snapshot was taken, sharing the template's compiled rules. A
+// snapshot of a session of another template — another build, another
+// net — is refused with snapshot.ErrVersion.
 func DecodeOnlineDiagnoserSnapshot(o *snapshot.OpenFile, pn *petri.PetriNet) (*OnlineDiagnoser, error) {
-	padded, err := petri.Pad2(pn)
+	r, err := o.Section(snapnames.Engine)
 	if err != nil {
 		return nil, err
 	}
-	sess, err := dqsq.DecodeOnlineSessionSnapshot(o)
+	fingerprint := r.Bytes()
+	var budget datalog.Budget
+	for _, n := range []*int{&budget.MaxTermDepth, &budget.MaxFacts, &budget.MaxIters} {
+		*n = int(r.Uvarint())
+	}
+	if r.Err() != nil {
+		return nil, r.Err()
+	}
+	t, built, err := cachedTemplate(pn, budget.MaxTermDepth)
 	if err != nil {
 		return nil, err
 	}
-	r, err := o.Section(snapnames.Diagnoser)
-	if err != nil {
+	if !bytes.Equal(fingerprint, t.fingerprint[:]) {
+		return nil, fmt.Errorf("%w: session of template %x, the net's is %x", snapshot.ErrVersion, fingerprint, t.fingerprint[:])
+	}
+	d := t.session(pn, budget)
+	d.built = built
+	if err := d.sess.DecodeSnapshot(r); err != nil {
 		return nil, err
 	}
-	d := &OnlineDiagnoser{
-		pn:     pn,
-		sess:   sess,
-		prog:   sess.Program(),
-		peers:  indexPeers(padded),
-		counts: make(map[petri.Peer]int),
-		tracer: obs.Nop,
+	if err := r.Finish(); err != nil {
+		return nil, err
+	}
+
+	if r, err = o.Section(snapnames.Diagnoser); err != nil {
+		return nil, err
 	}
 	n := r.Count(2)
 	for i := 0; i < n && r.Err() == nil; i++ {

@@ -152,13 +152,13 @@ func TestDiagnoserSnapshotRejectsCorruption(t *testing.T) {
 	}
 }
 
-// TestDiagnoserSnapshotOfMajor2IsRefused: format 2 held a versioned query
-// rule per append and the query version in the diagnoser section; format 3
-// has the one standing query of the net's template. There is no shim: a
-// file that says it is format 2 — here a diagnoser's whole snapshot (store,
-// program, session, engine) with its header patched — is refused with
-// ErrVersion before any section is decoded, read whole or streamed.
-func TestDiagnoserSnapshotOfMajor2IsRefused(t *testing.T) {
+// TestDiagnoserSnapshotOfMajor3IsRefused: format 3 held a session's whole
+// state — store, program, rewriters, engine — where format 4 holds what the
+// session added past its net's template. There is no shim: a file that says
+// it is format 3 — here a diagnoser's snapshot with its header patched — is
+// refused with ErrVersion before any section is decoded, read whole or
+// streamed.
+func TestDiagnoserSnapshotOfMajor3IsRefused(t *testing.T) {
 	d, err := NewOnlineDiagnoser(petri.Example(), datalog.Budget{})
 	if err != nil {
 		t.Fatal(err)
@@ -171,14 +171,92 @@ func TestDiagnoserSnapshotOfMajor2IsRefused(t *testing.T) {
 		t.Fatal(err)
 	}
 	old := f.Bytes()
-	if old[len(snapshot.Magic)] != snapshot.Major || snapshot.Major != 3 {
-		t.Fatalf("header says major %d, this build writes %d, the test expects 3", old[len(snapshot.Magic)], snapshot.Major)
+	if old[len(snapshot.Magic)] != snapshot.Major || snapshot.Major != 4 {
+		t.Fatalf("header says major %d, this build writes %d, the test expects 4", old[len(snapshot.Magic)], snapshot.Major)
 	}
-	old[len(snapshot.Magic)] = 2
+	old[len(snapshot.Magic)] = 3
 	if _, err := snapshot.Open(old); !errors.Is(err, snapshot.ErrVersion) {
-		t.Fatalf("Open of a format-2 file: %v, want ErrVersion", err)
+		t.Fatalf("Open of a format-3 file: %v, want ErrVersion", err)
 	}
 	if _, err := snapshot.FromReader(bytes.NewReader(old)); !errors.Is(err, snapshot.ErrVersion) {
-		t.Fatalf("FromReader of a format-2 stream: %v, want ErrVersion", err)
+		t.Fatalf("FromReader of a format-3 stream: %v, want ErrVersion", err)
+	}
+}
+
+// TestRestoreClonesTheCachedTemplate: restoring a session of a net whose
+// template is cached finds the template in the cache and compiles nothing —
+// the restored engine runs the template's compiled rules — and snapshots to
+// the bytes it was restored from. A snapshot taken over another
+// template than the one cached for its net is refused with ErrVersion and
+// restores no session.
+func TestRestoreClonesTheCachedTemplate(t *testing.T) {
+	pn := petri.Example()
+	tmpl, _, err := cachedTemplate(pn, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := tmpl.session(pn, datalog.Budget{})
+	if _, err := d.Append(seqA1[:2], time.Minute); err != nil {
+		t.Fatal(err)
+	}
+	f := snapshot.New()
+	if err := d.EncodeSnapshot(f); err != nil {
+		t.Fatal(err)
+	}
+	data := f.Bytes()
+	o, err := snapshot.Open(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hits, misses, _ := ProgramCacheStats()
+	restored, err := DecodeOnlineDiagnoserSnapshot(o, pn)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if h, m, _ := ProgramCacheStats(); h != hits+1 || m != misses {
+		t.Fatalf("a restore of a cached net: %d cache hits and %d builds, want 1 and 0", h-hits, m-misses)
+	}
+	again := snapshot.New()
+	if err := restored.EncodeSnapshot(again); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(again.Bytes(), data) {
+		t.Fatal("a restored session snapshots to other bytes than the session it restores")
+	}
+	eng := restored.Session().Engine()
+	for _, id := range eng.Peers() {
+		mine, theirs := eng.Rules(id), tmpl.sess.Engine().Rules(id)
+		if len(mine) != len(theirs) {
+			t.Fatalf("peer %s: the restored session hosts %d rules, its template %d", id, len(mine), len(theirs))
+		}
+		for ri := range mine {
+			if mine[ri] != theirs[ri] {
+				t.Fatalf("peer %s, rule %d: the restored session compiled its own copy", id, ri)
+			}
+		}
+	}
+
+	other, _, err := cachedTemplate(freshNet(t), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	key := templateKey{net: netDigest(pn)}
+	c := &programCache
+	c.mu.Lock()
+	kept := c.entries[key]
+	swapped := &cacheEntry{ready: make(chan struct{}), tmpl: other}
+	close(swapped.ready)
+	c.entries[key] = swapped
+	c.mu.Unlock()
+	defer func() {
+		c.mu.Lock()
+		c.entries[key] = kept
+		c.mu.Unlock()
+	}()
+	if other.fingerprint == tmpl.fingerprint {
+		t.Fatal("the templates of two nets have one fingerprint")
+	}
+	if got, err := DecodeOnlineDiagnoserSnapshot(o, pn); !errors.Is(err, snapshot.ErrVersion) || got != nil {
+		t.Fatalf("restore over another template: %v, %v; want no session and ErrVersion", got, err)
 	}
 }

@@ -44,6 +44,9 @@ import (
 type template struct {
 	peers []petri.Peer // fixed index order: all net peers, sorted
 	sess  *dqsq.OnlineSession
+	// fingerprint digests the primed engine (ddatalog.Engine.Fingerprint):
+	// a snapshot of one of its sessions restores onto this template only.
+	fingerprint [sha256.Size]byte
 }
 
 // primeTimeout bounds the one evaluation round that primes a template. It
@@ -117,7 +120,7 @@ func newTemplate(pn *petri.PetriNet, maxTermDepth int) (*template, error) {
 	if err := sess.Prime(q, primeTimeout); err != nil {
 		return nil, fmt.Errorf("diagnosis: priming the session program: %w", err)
 	}
-	return &template{peers: peers, sess: sess}, nil
+	return &template{peers: peers, sess: sess, fingerprint: sess.Engine().Fingerprint()}, nil
 }
 
 // answers is the atom that reads, off the standing query, the diagnoses
@@ -135,12 +138,10 @@ func answers(s *term.Store, peers []petri.Peer, counts map[petri.Peer]int) ddata
 // session clones the template into a diagnoser for pn (the net the
 // template was built from, or one with the same digest).
 func (t *template) session(pn *petri.PetriNet, budget datalog.Budget) *OnlineDiagnoser {
-	sess := t.sess.Clone(budget)
 	return &OnlineDiagnoser{
 		pn:     pn,
-		sess:   sess,
-		prog:   sess.Program(),
-		peers:  t.peers,
+		tmpl:   t,
+		sess:   t.sess.Clone(budget),
 		counts: make(map[petri.Peer]int),
 		tracer: obs.Nop,
 	}

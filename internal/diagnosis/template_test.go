@@ -60,10 +60,13 @@ func streamCases(n int) []streamCase {
 // and places; the cached one does so across a checkpoint and restore
 // mid-stream. Theorem 4 holds online: after every append the trans events
 // the session has materialized are the prefix the algorithm of [8] builds
-// for the alarms so far.
+// for the alarms so far. And after every append both sessions hold what a
+// snapshot takes from their template: its hosted rules, its rewriting
+// trace, and relations in its slots, arities, activation and subscribers,
+// which the snapshot encoder checks.
 func TestClonedSessionsMatchPrivateTemplate(t *testing.T) {
-	if snapshot.Major != 3 || snapshot.Minor != 0 {
-		t.Fatalf("snapshot format is %d.%d, want 3.0: clones must not need a new one", snapshot.Major, snapshot.Minor)
+	if snapshot.Major != 4 || snapshot.Minor != 0 {
+		t.Fatalf("snapshot format is %d.%d, want 4.0: clones must not need a new one", snapshot.Major, snapshot.Minor)
 	}
 	for _, tc := range streamCases(50) {
 		t.Run(tc.name, func(t *testing.T) {
@@ -115,9 +118,37 @@ func TestClonedSessionsMatchPrivateTemplate(t *testing.T) {
 				if g := adornedNodes(cached.Session().Engine(), RelTrans); !reflect.DeepEqual(g, oracle.PrefixEvents) {
 					t.Fatalf("append %d: materialized events\n%v\n!= the [8] prefix\n%v", i, g, oracle.PrefixEvents)
 				}
+				for _, d := range []*OnlineDiagnoser{cached, private} {
+					if err := holdsTemplateState(d); err != nil {
+						t.Fatalf("append %d: %v", i, err)
+					}
+				}
 			}
 		})
 	}
+}
+
+// holdsTemplateState reports how d has moved past its template in what a
+// snapshot of d takes from the template rather than writing: the rules each
+// peer hosts, the rewriting trace and — through the encoder's own refusal —
+// each peer's relation slots, arities, activation flags and subscribers.
+func holdsTemplateState(d *OnlineDiagnoser) error {
+	eng, tmpl := d.Session().Engine(), d.tmpl.sess.Engine()
+	for _, id := range tmpl.Peers() {
+		mine, theirs := eng.Rules(id), tmpl.Rules(id)
+		if len(mine) != len(theirs) {
+			return fmt.Errorf("peer %s hosts %d rules, its template %d", id, len(mine), len(theirs))
+		}
+		for ri := range mine {
+			if mine[ri] != theirs[ri] {
+				return fmt.Errorf("peer %s, rule %d is not its template's", id, ri)
+			}
+		}
+	}
+	if g, w := d.Session().Trace().Snapshot(), d.tmpl.sess.Trace().Snapshot(); !reflect.DeepEqual(g, w) {
+		return fmt.Errorf("rewriting trace of %d entries, its template's %d", len(g), len(w))
+	}
+	return d.Session().EncodeSnapshot(&snapshot.Writer{})
 }
 
 var freshNets atomic.Int64

@@ -53,7 +53,6 @@ type peerRewriter struct {
 	store    *term.Store
 	rules    []ddatalog.PRule
 	hasRules map[rel.Name]bool
-	edbArity map[rel.Name]int
 	facts    map[rel.Name][][]term.ID // local base facts, by relation
 	done     map[adorn.Key]bool
 	keys     []adorn.Key
@@ -101,7 +100,6 @@ func RewritePlaced(prog *ddatalog.Program, q ddatalog.PAtom, place Placement) (*
 			place:    place,
 			store:    s,
 			hasRules: make(map[rel.Name]bool),
-			edbArity: make(map[rel.Name]int),
 			facts:    make(map[rel.Name][][]term.ID),
 			done:     make(map[adorn.Key]bool),
 			out:      out,
@@ -114,7 +112,6 @@ func RewritePlaced(prog *ddatalog.Program, q ddatalog.PAtom, place Placement) (*
 	}
 	for _, f := range prog.Facts {
 		pr := rewriters[f.Peer]
-		pr.edbArity[f.Rel] = len(f.Args)
 		pr.facts[f.Rel] = append(pr.facts[f.Rel], f.Args)
 	}
 
@@ -195,15 +192,13 @@ func (pr *peerRewriter) handle(k adorn.Key) []request {
 
 // bridge handles an adornment request for a relation this peer holds only
 // extensionally: the adorned answer relation is defined directly from the
-// base relation, filtered by the shipped bindings.
+// base relation, filtered by the shipped bindings. The adornment has a
+// letter per argument, so it gives the arity whether or not the relation
+// holds a fact yet.
 //
 //	R#ad@p(v1,...,vn) :- in-R#ad@p(bound vi...), R@p(v1,...,vn)
 func (pr *peerRewriter) bridge(k adorn.Key) {
-	n, ok := pr.edbArity[k.Rel]
-	if !ok {
-		n = len(k.Ad) // relation is completely absent; arity from the adornment
-	}
-	vars := make([]term.ID, n)
+	vars := make([]term.ID, len(k.Ad))
 	for i := range vars {
 		vars[i] = pr.store.FreshVar("v")
 	}

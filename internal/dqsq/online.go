@@ -93,6 +93,7 @@ type OnlineSession struct {
 	tracer    obs.Tracer // never nil; obs.Nop by default
 	rewriters map[dist.PeerID]*peerRewriter
 	pending   []ddatalog.PAtom // base-fact appends queued for the next Query
+	origin    *OnlineSession   // the session this one was cloned from, nil if none
 }
 
 // NewOnlineSession prepares a session over prog: the engine starts with
@@ -120,7 +121,6 @@ func NewOnlineSession(prog *ddatalog.Program, budget datalog.Budget) (*OnlineSes
 			place:    PlaceAtData,
 			store:    s,
 			hasRules: make(map[rel.Name]bool),
-			edbArity: make(map[rel.Name]int),
 			facts:    make(map[rel.Name][][]term.ID),
 			done:     make(map[adorn.Key]bool),
 			out:      ddatalog.NewProgram(s), // per-call buffer, drained by the hook
@@ -133,7 +133,6 @@ func NewOnlineSession(prog *ddatalog.Program, budget datalog.Budget) (*OnlineSes
 	}
 	for _, f := range prog.Facts {
 		pr := rewriters[f.Peer]
-		pr.edbArity[f.Rel] = len(f.Args)
 		pr.facts[f.Rel] = append(pr.facts[f.Rel], f.Args)
 	}
 
@@ -147,10 +146,9 @@ func NewOnlineSession(prog *ddatalog.Program, budget datalog.Budget) (*OnlineSes
 	return sess, nil
 }
 
-// installHook (re)installs the lazy-rewriting activation hook on the
-// session's engine. It is called once at construction and again after a
-// session is restored from a snapshot — the hook is a closure over live
-// session state and cannot itself be serialized.
+// installHook installs the lazy-rewriting activation hook on the session's
+// engine: at construction and on every clone, since the hook is a closure
+// over the session it serves.
 func (sess *OnlineSession) installHook() {
 	sess.eng.SetActivationHook(func(peer dist.PeerID, relName rel.Name) []ddatalog.PRule {
 		baseRel, adr, ok := splitAdorned(relName)
@@ -218,6 +216,7 @@ func (s *OnlineSession) Clone(budget datalog.Budget) *OnlineSession {
 		tracer:    obs.Nop,
 		rewriters: make(map[dist.PeerID]*peerRewriter, len(s.rewriters)),
 		pending:   slices.Clip(s.pending),
+		origin:    s,
 	}
 	for id, pr := range s.rewriters {
 		c.rewriters[id] = &peerRewriter{
@@ -226,7 +225,6 @@ func (s *OnlineSession) Clone(budget datalog.Budget) *OnlineSession {
 			store:    store,
 			rules:    slices.Clip(pr.rules),
 			hasRules: maps.Clone(pr.hasRules),
-			edbArity: maps.Clone(pr.edbArity),
 			facts:    pr.facts, // base facts only: never written after construction
 			done:     maps.Clone(pr.done),
 			keys:     slices.Clip(pr.keys),
@@ -252,16 +250,12 @@ func (s *OnlineSession) Extend(facts []ddatalog.PAtom, rules []ddatalog.PRule) e
 		}
 		pr.rules = append(pr.rules, r)
 		pr.hasRules[r.Head.Rel] = true
-		s.prog.Rules = append(s.prog.Rules, r)
 	}
 	for _, f := range facts {
-		pr, ok := s.rewriters[f.Peer]
-		if !ok {
+		if _, ok := s.rewriters[f.Peer]; !ok {
 			return errUnknownPeer(f.Peer)
 		}
-		pr.edbArity[f.Rel] = len(f.Args)
 		s.pending = append(s.pending, f)
-		s.prog.Facts = append(s.prog.Facts, f)
 	}
 	return nil
 }
@@ -310,8 +304,8 @@ func (s *OnlineSession) Trace() *OnlineTrace { return s.trace }
 // Engine exposes the warm engine for materialization metrics.
 func (s *OnlineSession) Engine() *ddatalog.Engine { return s.eng }
 
-// Program exposes the session program (base facts plus every extension);
-// restored sessions hand it back to the supervisor that owns them.
+// Program exposes the program the session was opened on, whose store the
+// session interns in. Extensions do not grow it.
 func (s *OnlineSession) Program() *ddatalog.Program { return s.prog }
 
 // RunOnline evaluates prog for q with lazy per-peer rewriting. It returns

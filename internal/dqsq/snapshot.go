@@ -1,237 +1,35 @@
 package dqsq
 
 import (
-	"sort"
+	"errors"
+	"fmt"
 
-	"repro/internal/adorn"
-	"repro/internal/ddatalog"
-	"repro/internal/dist"
-	"repro/internal/obs"
-	"repro/internal/rel"
 	"repro/internal/snapshot"
-	"repro/internal/snapshot/snapnames"
-	"repro/internal/term"
 )
 
-// Session snapshots serialize everything an online dQSQ evaluation keeps
-// warm: the shared program store, the session program (base facts plus
-// every rule extended in so far), the per-peer lazy rewriters (which
-// adornments have been expanded, in which order), the rewriting trace,
-// queued-but-uninjected facts, and the distributed engine underneath.
-// The activation hook is a closure over live state and is re-installed by
-// DecodeOnlineSessionSnapshot, not serialized.
-
-// EncodeSnapshot writes the session into its own sections of f: the term
-// store, the program, the rewriters, and the engine.
-func (s *OnlineSession) EncodeSnapshot(f *snapshot.File) error {
-	s.prog.Store.EncodeSnapshot(f.Section(snapnames.TermStore))
-	s.prog.EncodeSnapshot(f.Section(snapnames.Program))
-
-	w := f.Section(snapnames.Session)
-	ids := make([]string, 0, len(s.rewriters))
-	for id := range s.rewriters {
-		ids = append(ids, string(id))
+// EncodeSnapshot writes what s, a clone, holds past the session it was
+// cloned from: its engine's tail (see ddatalog.Engine.EncodeSnapshot). The
+// rewriters and the trace are the origin's, so it refuses a session that
+// has moved them — extended with a rule, rewritten an adornment — or that
+// holds extended facts no query has injected yet.
+func (s *OnlineSession) EncodeSnapshot(w *snapshot.Writer) error {
+	o := s.origin
+	if o == nil {
+		return errors.New("dqsq: only a clone can be snapshotted")
 	}
-	sort.Strings(ids)
-	w.Uvarint(uint64(len(ids)))
-	for _, id := range ids {
-		pr := s.rewriters[dist.PeerID(id)]
-		w.String(id)
-		w.Uvarint(uint64(pr.place))
-		w.Uvarint(uint64(len(pr.rules)))
-		for _, ru := range pr.rules {
-			ddatalog.EncodePRuleSnapshot(w, ru)
-		}
-		hr := make([]string, 0, len(pr.hasRules))
-		for n := range pr.hasRules {
-			hr = append(hr, string(n))
-		}
-		sort.Strings(hr)
-		w.Uvarint(uint64(len(hr)))
-		for _, n := range hr {
-			w.String(n)
-		}
-		ea := make([]string, 0, len(pr.edbArity))
-		for n := range pr.edbArity {
-			ea = append(ea, string(n))
-		}
-		sort.Strings(ea)
-		w.Uvarint(uint64(len(ea)))
-		for _, n := range ea {
-			w.String(n)
-			w.Uvarint(uint64(pr.edbArity[rel.Name(n)]))
-		}
-		fn := make([]string, 0, len(pr.facts))
-		for n := range pr.facts {
-			fn = append(fn, string(n))
-		}
-		sort.Strings(fn)
-		w.Uvarint(uint64(len(fn)))
-		for _, n := range fn {
-			tuples := pr.facts[rel.Name(n)]
-			w.String(n)
-			w.Uvarint(uint64(len(tuples)))
-			for _, tup := range tuples {
-				w.Uvarint(uint64(len(tup)))
-				for _, t := range tup {
-					w.Uvarint(uint64(t))
-				}
-			}
-		}
-		// keys is the expansion order; done is exactly its set form.
-		w.Uvarint(uint64(len(pr.keys)))
-		for _, k := range pr.keys {
-			w.String(string(k.Rel))
-			w.String(string(k.Ad))
+	if len(s.pending) > 0 || len(s.trace.Entries) > len(o.trace.Entries) {
+		return errors.New("dqsq: cannot snapshot a session with queued facts or rewritings of its own")
+	}
+	for id, pr := range s.rewriters {
+		if len(pr.rules) > len(o.rewriters[id].rules) {
+			return fmt.Errorf("dqsq: cannot snapshot a session extended with rules at %s", id)
 		}
 	}
-	w.Uvarint(uint64(len(s.pending)))
-	for _, f := range s.pending {
-		ddatalog.EncodePAtomSnapshot(w, f)
-	}
-	entries := s.trace.Snapshot()
-	w.Uvarint(uint64(len(entries)))
-	for _, e := range entries {
-		w.String(string(e.Peer))
-		w.String(string(e.Key.Rel))
-		w.String(string(e.Key.Ad))
-	}
-
-	return s.eng.EncodeSnapshot(f.Section(snapnames.Engine))
+	return s.eng.EncodeSnapshot(w)
 }
 
-// DecodeOnlineSessionSnapshot rebuilds a session from the sections
-// EncodeSnapshot wrote, re-installing the lazy-rewriting hook on the
-// restored engine. The caller re-attaches a tracer if it had one.
-func DecodeOnlineSessionSnapshot(o *snapshot.OpenFile) (*OnlineSession, error) {
-	sr, err := o.Section(snapnames.TermStore)
-	if err != nil {
-		return nil, err
-	}
-	store, err := term.DecodeStoreSnapshot(sr)
-	if err != nil {
-		return nil, err
-	}
-	if err := sr.Finish(); err != nil {
-		return nil, err
-	}
-	pr, err := o.Section(snapnames.Program)
-	if err != nil {
-		return nil, err
-	}
-	prog, err := ddatalog.DecodeProgramSnapshot(pr, store)
-	if err != nil {
-		return nil, err
-	}
-	if err := pr.Finish(); err != nil {
-		return nil, err
-	}
-
-	r, err := o.Section(snapnames.Session)
-	if err != nil {
-		return nil, err
-	}
-	sess := &OnlineSession{prog: prog, rewriters: make(map[dist.PeerID]*peerRewriter), trace: &OnlineTrace{}, tracer: obs.Nop}
-	n := r.Count(2)
-	for i := 0; i < n && r.Err() == nil; i++ {
-		id := dist.PeerID(r.String())
-		if _, dup := sess.rewriters[id]; dup {
-			r.Failf("duplicate rewriter %q", id)
-			break
-		}
-		rw := &peerRewriter{
-			id:       id,
-			store:    store,
-			hasRules: make(map[rel.Name]bool),
-			edbArity: make(map[rel.Name]int),
-			facts:    make(map[rel.Name][][]term.ID),
-			done:     make(map[adorn.Key]bool),
-			out:      ddatalog.NewProgram(store),
-		}
-		place := r.Uvarint()
-		if r.Err() == nil && place > uint64(PlaceAtHead) {
-			r.Failf("unknown placement %d", place)
-			break
-		}
-		rw.place = Placement(place)
-		m := r.Count(3)
-		for j := 0; j < m && r.Err() == nil; j++ {
-			rw.rules = append(rw.rules, ddatalog.DecodePRuleSnapshot(r, store.Len()))
-		}
-		m = r.Count(1)
-		for j := 0; j < m && r.Err() == nil; j++ {
-			rw.hasRules[rel.Name(r.String())] = true
-		}
-		m = r.Count(2)
-		for j := 0; j < m && r.Err() == nil; j++ {
-			name := rel.Name(r.String())
-			ar := r.Uvarint()
-			if r.Err() == nil && ar >= 64 {
-				r.Failf("edb arity %d for %s", ar, name)
-				break
-			}
-			rw.edbArity[name] = int(ar)
-		}
-		m = r.Count(2)
-		for j := 0; j < m && r.Err() == nil; j++ {
-			name := rel.Name(r.String())
-			nt := r.Count(1)
-			for k := 0; k < nt && r.Err() == nil; k++ {
-				na := r.Count(1)
-				tup := make([]term.ID, 0, na)
-				for a := 0; a < na && r.Err() == nil; a++ {
-					t := r.Uvarint()
-					if t >= uint64(store.Len()) {
-						r.Failf("rewriter fact term outside store")
-						break
-					}
-					tup = append(tup, term.ID(t))
-				}
-				rw.facts[name] = append(rw.facts[name], tup)
-			}
-		}
-		m = r.Count(2)
-		for j := 0; j < m && r.Err() == nil; j++ {
-			k := adorn.Key{Rel: rel.Name(r.String()), Ad: adorn.Adornment(r.String())}
-			if rw.done[k] {
-				r.Failf("duplicate rewriter key %s#%s", k.Rel, k.Ad)
-				break
-			}
-			rw.done[k] = true
-			rw.keys = append(rw.keys, k)
-		}
-		if r.Err() != nil {
-			break
-		}
-		sess.rewriters[id] = rw
-	}
-	n = r.Count(2)
-	for i := 0; i < n && r.Err() == nil; i++ {
-		sess.pending = append(sess.pending, ddatalog.DecodePAtomSnapshot(r, store.Len()))
-	}
-	n = r.Count(3)
-	for i := 0; i < n && r.Err() == nil; i++ {
-		sess.trace.Entries = append(sess.trace.Entries, TraceEntry{
-			Peer: dist.PeerID(r.String()),
-			Key:  adorn.Key{Rel: rel.Name(r.String()), Ad: adorn.Adornment(r.String())},
-		})
-	}
-	if err := r.Finish(); err != nil {
-		return nil, err
-	}
-
-	er, err := o.Section(snapnames.Engine)
-	if err != nil {
-		return nil, err
-	}
-	eng, err := ddatalog.DecodeEngineSnapshot(er, store)
-	if err != nil {
-		return nil, err
-	}
-	if err := er.Finish(); err != nil {
-		return nil, err
-	}
-	sess.eng = eng
-	sess.installHook()
-	return sess, nil
+// DecodeSnapshot appends what EncodeSnapshot wrote to s, a clone of the
+// snapshotted session's origin that has not been queried.
+func (s *OnlineSession) DecodeSnapshot(r *snapshot.Reader) error {
+	return s.eng.DecodeSnapshot(r)
 }

@@ -5,101 +5,72 @@ import (
 	"repro/internal/term"
 )
 
-// EncodeSnapshot writes the relation's arity and tuples (in insertion
-// order) into w. The arena keeps insertion order, so the byte format is
-// unchanged from the slice-of-tuples representation. The dedup set and the
-// lazily built indexes are derived state and are rebuilt on demand after
-// decode. The writer is grown up front by the exact encoded size of the
-// arena, not a per-column worst case.
-func (r *Relation) EncodeSnapshot(w *snapshot.Writer) {
-	w.Uvarint(uint64(r.arity))
-	w.Uvarint(uint64(r.n))
-	total := 0
-	for _, id := range r.flat {
-		total += snapshot.UvarintLen(uint64(id))
-	}
-	w.Reserve(total)
-	for _, id := range r.flat {
+// encodeTail writes the tuples of r from position from on, in insertion
+// order. The dedup set and the indexes are derived state, rebuilt by the
+// inserts that decode them.
+func (r *Relation) encodeTail(w *snapshot.Writer, from int) {
+	w.Uvarint(uint64(r.n - from))
+	for _, id := range r.flat[from*r.arity:] {
 		w.Uvarint(uint64(id))
 	}
 }
 
-// DecodeRelationSnapshot rebuilds a relation from r. Every term ID is
-// validated against storeLen, the size of the term store the tuples refer
-// into; duplicate tuples are rejected (an append-only relation never
-// contains them, so their presence means corruption).
-func DecodeRelationSnapshot(rd *snapshot.Reader, storeLen int) (*Relation, error) {
-	arity := rd.Uvarint()
-	if rd.Err() == nil && arity >= 64 {
-		rd.Failf("relation arity %d", arity)
-	}
-	if rd.Err() != nil {
-		return nil, rd.Err()
-	}
-	rel := New(int(arity))
-	min := int(arity)
-	if min < 1 {
-		min = 1
-	}
-	n := rd.Count(min)
-	tup := make([]term.ID, arity)
-	for i := 0; i < n; i++ {
+// decodeTail appends the tuples encodeTail wrote. Every term ID is checked
+// against storeLen, the length of the store the tuples refer into, and a
+// duplicate tuple is refused: an append-only relation never holds one, so
+// its presence means corruption.
+func (r *Relation) decodeTail(rd *snapshot.Reader, storeLen int) {
+	tup := make([]term.ID, r.arity)
+	for n := rd.Count(max(r.arity, 1)); n > 0 && rd.Err() == nil; n-- {
 		for j := range tup {
 			id := rd.Uvarint()
-			if rd.Err() != nil {
-				return nil, rd.Err()
-			}
 			if id >= uint64(storeLen) {
 				rd.Failf("tuple term %d outside store of %d terms", id, storeLen)
-				return nil, rd.Err()
 			}
 			tup[j] = term.ID(id)
 		}
-		if !rel.Insert(tup) {
-			rd.Failf("duplicate tuple %d in relation", i)
-			return nil, rd.Err()
+		if rd.Err() == nil && !r.Insert(tup) {
+			rd.Failf("duplicate tuple in relation")
 		}
 	}
-	if rd.Err() != nil {
-		return nil, rd.Err()
-	}
-	return rel, nil
 }
 
-// EncodeSnapshot writes the database's relations in creation order. The
-// shared term store is snapshotted separately by the caller — a DB does
-// not own its store.
-func (db *DB) EncodeSnapshot(w *snapshot.Writer) {
-	w.Uvarint(uint64(len(db.rels)))
-	for i, r := range db.rels {
+// EncodeTail writes what db holds past mark, the database db was cloned
+// from, which has not grown since: the tuples past the length of each of
+// mark's relations, then the relations created since — name, arity and
+// tuples — in creation order.
+func (db *DB) EncodeTail(w *snapshot.Writer, mark *DB) {
+	for i, r := range mark.rels {
+		db.rels[i].encodeTail(w, r.n)
+	}
+	w.Uvarint(uint64(len(db.rels) - len(mark.rels)))
+	for i := len(mark.rels); i < len(db.rels); i++ {
 		w.String(string(db.names.Name(i)))
-		r.EncodeSnapshot(w)
+		w.Uvarint(uint64(db.rels[i].arity))
+		db.rels[i].encodeTail(w, 0)
 	}
 }
 
-// DecodeDBSnapshot rebuilds a database over store from rd, restoring the
-// relations in their original creation order (Names() and Dump() are
-// order-sensitive).
-func DecodeDBSnapshot(rd *snapshot.Reader, store *term.Store) (*DB, error) {
-	db := NewDB(store)
-	n := rd.Count(3) // name length + arity + tuple count minimum
-	for i := 0; i < n; i++ {
-		name := Name(rd.String())
+// DecodeTail appends to db, a clone of the mark EncodeTail was given that
+// has not grown since, what EncodeTail wrote, and returns the names of the
+// relations it created. Term IDs are checked against db's store, whose own
+// tail must have been decoded first.
+func (db *DB) DecodeTail(rd *snapshot.Reader) ([]Name, error) {
+	storeLen := db.Store.Len()
+	for _, r := range db.rels {
+		r.decodeTail(rd, storeLen)
+	}
+	var added []Name
+	for n := rd.Count(3); n > 0 && rd.Err() == nil; n-- { // name length + arity + tuple count
+		name, arity := Name(rd.String()), rd.Uvarint()
+		if rd.Err() == nil && (db.Lookup(name) != nil || arity >= 64) {
+			rd.Failf("relation %q: present already, or arity %d", name, arity)
+		}
 		if rd.Err() != nil {
-			return nil, rd.Err()
+			break
 		}
-		if db.Lookup(name) != nil {
-			rd.Failf("duplicate relation %q", name)
-			return nil, rd.Err()
-		}
-		r, err := DecodeRelationSnapshot(rd, store.Len())
-		if err != nil {
-			return nil, err
-		}
-		db.add(name, r)
+		db.add(name, New(int(arity))).decodeTail(rd, storeLen)
+		added = append(added, name)
 	}
-	if rd.Err() != nil {
-		return nil, rd.Err()
-	}
-	return db, nil
+	return added, rd.Err()
 }

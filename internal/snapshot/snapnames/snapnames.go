@@ -9,19 +9,12 @@ package snapnames
 const (
 	// Meta describes what the file holds (consumer, engine, net text).
 	Meta = "meta"
-	// TermStore is a hash-consed term store replayed cell-by-cell.
-	TermStore = "term.store"
-	// Program is a ddatalog program (rules, facts, declared peers) over
-	// the file's TermStore.
-	Program = "ddatalog.program"
-	// Engine is warm ddatalog.Engine state (per-peer stores, relations,
-	// rules, subscriptions, counters).
+	// Engine is a warm online session as what it added to its net's
+	// template: the template's fingerprint, the budget, then the terms,
+	// tuples and counters past the template's (ddatalog.Engine).
 	Engine = "ddatalog.engine"
-	// Session is dqsq.OnlineSession state (rewriters, pending appends,
-	// rewriting trace).
-	Session = "dqsq.session"
-	// Diagnoser is diagnosis.OnlineDiagnoser state (alarm seq, query
-	// version, per-peer counts, last report).
+	// Diagnoser is diagnosis.OnlineDiagnoser state (alarm seq, per-peer
+	// counts, last report).
 	Diagnoser = "diagnosis.online"
 	// Report is a diagnosis.Report (used alone by engines that re-run
 	// the full sequence per append and need no warm state).

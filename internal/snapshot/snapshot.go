@@ -45,8 +45,10 @@ const Magic = "DSNP"
 // store its session serializes. Major 3 is the standing-query session: one
 // query relation with the index columns in its head instead of a versioned
 // query rule per append, and no query version in the diagnoser section.
+// Major 4 holds a session as its template's fingerprint plus what the
+// session added past the template: no rules, program or rewriters.
 const (
-	Major = 3
+	Major = 4
 	Minor = 0
 )
 
@@ -149,27 +151,6 @@ func (w *Writer) Bool(v bool) {
 
 // Byte appends one raw byte.
 func (w *Writer) Byte(v byte) { w.b = append(w.b, v) }
-
-// Reserve grows the writer's capacity by n bytes so a caller that knows the
-// exact encoded size of a bulk append (see UvarintLen) pays one allocation
-// instead of log-many doublings.
-func (w *Writer) Reserve(n int) {
-	if free := cap(w.b) - len(w.b); free < n {
-		grown := make([]byte, len(w.b), len(w.b)+n)
-		copy(grown, w.b)
-		w.b = grown
-	}
-}
-
-// UvarintLen returns the number of bytes Uvarint(v) appends.
-func UvarintLen(v uint64) int {
-	n := 1
-	for v >= 0x80 {
-		v >>= 7
-		n++
-	}
-	return n
-}
 
 // Body returns the bytes written so far. Together with NewReader it
 // lets the section primitives double as a standalone payload codec —

@@ -2,15 +2,14 @@ package term
 
 import "repro/internal/snapshot"
 
-// EncodeSnapshot writes the store's full contents — every interned cell in
-// ID order, plus the fresh-variable counter — into w. Because IDs are
-// dense and assigned in insertion order, replaying the cells into an empty
-// store on decode reproduces exactly the same ID for every term, so IDs
-// persisted elsewhere in the snapshot (tuples, rule atoms) remain valid
-// without a remap table.
-func (s *Store) EncodeSnapshot(w *snapshot.Writer) {
-	w.Uvarint(uint64(len(s.cells)))
-	for _, c := range s.cells {
+// EncodeTail writes the cells interned from ID from on, in ID order, plus
+// the fresh-variable counter. IDs are dense and assigned in insertion
+// order, so replaying the cells into a store of length from (a clone of the
+// store that was that long) reproduces the same ID for every term, and IDs
+// persisted elsewhere in the snapshot stay valid without a remap table.
+func (s *Store) EncodeTail(w *snapshot.Writer, from int) {
+	w.Uvarint(uint64(len(s.cells) - from))
+	for _, c := range s.cells[from:] {
 		w.Byte(byte(c.kind))
 		w.String(c.name)
 		if c.kind == Comp {
@@ -23,22 +22,20 @@ func (s *Store) EncodeSnapshot(w *snapshot.Writer) {
 	w.Uvarint(uint64(s.fresh))
 }
 
-// DecodeStoreSnapshot rebuilds a store from r by re-interning every cell
-// in ID order. It validates what the interning functions would otherwise
-// panic on — argument references must point backward, compounds must have
-// at least one argument — and additionally checks that re-interning cell i
-// yields ID i: a duplicate cell in corrupt input would silently shift all
-// later IDs, so it is rejected here rather than surfacing as garbled terms
-// downstream.
-func DecodeStoreSnapshot(r *snapshot.Reader) (*Store, error) {
+// DecodeTail re-interns the cells EncodeTail wrote onto s. It validates
+// what the interning functions would otherwise panic on — argument
+// references must point backward, compounds must have at least one argument
+// — and additionally checks that re-interning cell i yields ID i: a cell s
+// already holds would silently shift all later IDs, so it is rejected here
+// rather than surfacing as garbled terms downstream.
+func (s *Store) DecodeTail(r *snapshot.Reader) error {
 	n := r.Count(2) // kind byte + name length byte minimum
-	s := NewStore()
 	var args []ID
-	for i := 0; i < n; i++ {
+	for i := len(s.cells); r.Err() == nil && n > 0; i, n = i+1, n-1 {
 		kind := Kind(r.Byte())
 		name := r.String()
 		if r.Err() != nil {
-			return nil, r.Err()
+			break
 		}
 		var id ID
 		switch kind {
@@ -47,40 +44,29 @@ func DecodeStoreSnapshot(r *snapshot.Reader) (*Store, error) {
 		case Var:
 			id = s.Variable(name)
 		case Comp:
-			nArgs := r.Count(1)
-			if r.Err() != nil {
-				return nil, r.Err()
-			}
-			if nArgs == 0 {
-				r.Failf("zero-ary compound %q", name)
-				return nil, r.Err()
-			}
 			args = args[:0]
-			for j := 0; j < nArgs; j++ {
-				a := r.Uvarint()
-				if r.Err() != nil {
-					return nil, r.Err()
-				}
-				if a >= uint64(i) {
+			for j := r.Count(1); j > 0 && r.Err() == nil; j-- {
+				if a := r.Uvarint(); a < uint64(i) {
+					args = append(args, ID(a))
+				} else {
 					r.Failf("forward term reference %d in cell %d", a, i)
-					return nil, r.Err()
 				}
-				args = append(args, ID(a))
+			}
+			if r.Err() == nil && len(args) == 0 {
+				r.Failf("zero-ary compound %q", name)
+			}
+			if r.Err() != nil {
+				return r.Err()
 			}
 			id = s.Compound(name, args...)
 		default:
 			r.Failf("unknown term kind %d", kind)
-			return nil, r.Err()
+			return r.Err()
 		}
 		if id != ID(i) {
 			r.Failf("duplicate cell %d re-interned as %d", i, id)
-			return nil, r.Err()
 		}
 	}
-	fresh := r.Uvarint()
-	if r.Err() != nil {
-		return nil, r.Err()
-	}
-	s.fresh = int(fresh)
-	return s, nil
+	s.fresh = int(r.Uvarint())
+	return r.Err()
 }
