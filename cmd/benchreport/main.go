@@ -1,44 +1,34 @@
 // Command benchreport re-runs the reproduction's experiment suite and
 // prints the EXPERIMENTS.md tables: Theorem 1 (dQSQ ≡ QSQ), Theorem 4 /
 // S1 (materialized prefix: dQSQ = product[8] ≪ naive), S2 (peer scaling),
-// S3 (concurrency), and the QSQ-vs-magic-sets ablation.
+// S3 (concurrency), the QSQ-vs-magic-sets ablation, Remark 1 placement,
+// and the checkpoint restore-vs-replay row that scripts/verify.sh guards.
+// Serving performance is measured by bench/ (BENCHMARK.json), not here.
 //
 // Usage:
 //
 //	benchreport                 # every experiment at default sizes
 //	benchreport -exp s1 -max 5  # one experiment, custom size
-//	benchreport -json           # also write BENCH_<exp>.json per experiment
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
-	"path/filepath"
 	"runtime/pprof"
 	"strings"
 
 	"repro/internal/experiments"
 )
 
-// benchDir is where -json drops the BENCH_<exp>.json files ("." in the
-// binary; tests point it at a temp dir).
-var benchDir = "."
-
-// emitJSON mirrors the -json flag.
-var emitJSON = false
-
 func main() {
 	var (
-		exp        = flag.String("exp", "all", "all | t1 | s1 | s2 | s3 | ablation | placement | trace_overhead | cluster_trace_overhead | transport_overhead | snapshot_overhead | wal_overhead | repl_overhead | pool_overhead")
+		exp        = flag.String("exp", "all", "all | t1 | s1 | s2 | s3 | ablation | placement | snapshot_overhead")
 		max        = flag.Int("max", 0, "sweep size override (0 = defaults)")
-		jsonOut    = flag.Bool("json", false, "also write machine-readable rows to BENCH_<exp>.json")
 		cpuProfile = flag.String("cpuprofile", "", "write a CPU profile of the selected experiments to this file")
 		memProfile = flag.String("memprofile", "", "write a heap profile (after the experiments) to this file")
 	)
 	flag.Parse()
-	emitJSON = *jsonOut
 
 	if *cpuProfile != "" {
 		f, err := os.Create(*cpuProfile)
@@ -83,57 +73,7 @@ func main() {
 	run("s3", func() error { return reportS3(*max) })
 	run("ablation", func() error { return reportAblation(*max) })
 	run("placement", func() error { return reportPlacement(*max) })
-	run("trace_overhead", func() error { return reportTraceOverhead(*max) })
-	run("cluster_trace_overhead", func() error { return reportClusterTraceOverhead(*max) })
-	run("transport_overhead", func() error { return reportTransportOverhead(*max) })
 	run("snapshot_overhead", func() error { return reportSnapshotOverhead(*max) })
-	run("wal_overhead", func() error { return reportWALOverhead(*max) })
-	run("repl_overhead", func() error { return reportReplOverhead(*max) })
-	run("pool_overhead", func() error { return reportPoolOverhead(*max) })
-}
-
-func reportPoolOverhead(max int) error {
-	rows, err := experiments.PoolOverhead(max) // max doubles as the append count
-	if err != nil {
-		return err
-	}
-	header("Session-pool overhead — pipeline net appends, direct backend vs pooled over a mesh; 8-session batch by fleet width (hedging off)",
-		"appends", "local ns/append", "pooled ns/append", "ratio", "bodies equal?",
-		"sessions", "1-worker ms", "3-worker ms", "1-worker cpu ms", "3-worker cpu ms", "gain")
-	row(rows.Appends, rows.LocalNsPerAppend, rows.PooledNsPerAppend,
-		fmt.Sprintf("%.2f", rows.OverheadRatio), rows.BodiesEqual,
-		rows.Sessions, rows.OneWorkerMs, rows.ThreeWorkerMs,
-		rows.OneWorkerCPUMs, rows.ThreeWorkerCPUMs, fmt.Sprintf("%.2f", rows.WorkerGain))
-	return maybeBench("pool_overhead", []experiments.PoolOverheadRow{*rows})
-}
-
-func reportReplOverhead(max int) error {
-	rows, err := experiments.ReplOverhead(max) // max doubles as the append count
-	if err != nil {
-		return err
-	}
-	header("Replication overhead — SyncAlways WAL appends with followers tailing over loopback; 8-writer group commit",
-		"appends", "p50 ns (0 fo)", "p50 ns (1 fo)", "p50 ns (2 fo)", "1-fo ratio", "caught up?",
-		"group ns/op", "solo ns/op", "group gain")
-	row(rows.Appends, rows.P50NsNoFollower, rows.P50NsOneFollower, rows.P50NsTwoFollowers,
-		fmt.Sprintf("%.2f", rows.OneFollowerRatio), rows.FollowersCaughtUp,
-		rows.GroupNsPerOp, rows.SoloNsPerOp, fmt.Sprintf("%.2f", rows.GroupCommitGain))
-	return maybeBench("repl_overhead", []experiments.ReplOverheadRow{*rows})
-}
-
-func reportWALOverhead(max int) error {
-	rows, err := experiments.WALOverhead(max) // max doubles as the append count
-	if err != nil {
-		return err
-	}
-	header("WAL overhead — warm dQSQ session, per-append logging by fsync policy; snapshot+replay vs recompute",
-		"appends", "plain ns/append", "always ns/append", "interval ns/append", "never ns/append",
-		"always %", "interval %", "replay ns", "recompute ns", "equal?")
-	row(rows.Appends, rows.PlainNsPerAppend, rows.AlwaysNsPerAppend,
-		rows.IntervalNsPerAppend, rows.NeverNsPerAppend,
-		fmt.Sprintf("%.1f", rows.AlwaysOverheadPct), fmt.Sprintf("%.1f", rows.IntervalOverheadPct),
-		rows.ReplayNs, rows.RecomputeNs, rows.Equal)
-	return maybeBench("wal_overhead", []experiments.WALOverheadRow{*rows})
 }
 
 func reportSnapshotOverhead(max int) error {
@@ -147,43 +87,7 @@ func reportSnapshotOverhead(max int) error {
 	row(rows.Appends, rows.PlainNsPerAppend, rows.CkptNsPerAppend,
 		fmt.Sprintf("%.1f", rows.OverheadPct), rows.SnapshotBytes,
 		rows.RestoreNs, rows.ReplayNs, rows.Equal)
-	return maybeBench("snapshot_overhead", []experiments.SnapshotOverheadRow{*rows})
-}
-
-func reportTransportOverhead(max int) error {
-	rows, err := experiments.TransportOverhead(max) // max doubles as the iteration count
-	if err != nil {
-		return err
-	}
-	header("Transport overhead — quickstart distributed diagnosis, in-process mesh vs TCP loopback",
-		"iters", "msgs/op", "inproc ns/op", "tcp ns/op", "overhead %", "tcp bytes/op")
-	row(rows.Iters, rows.Messages, rows.InProcNsPerOp, rows.TCPNsPerOp,
-		fmt.Sprintf("%.1f", rows.OverheadPct), rows.TCPBytesPerOp)
-	return maybeBench("transport_overhead", []experiments.TransportOverheadRow{*rows})
-}
-
-func reportTraceOverhead(max int) error {
-	rows, err := experiments.TraceOverhead(max) // max doubles as the iteration count
-	if err != nil {
-		return err
-	}
-	header("Tracing overhead — quickstart diagnosis, no-op tracer vs ChromeTraceWriter capture",
-		"iters", "nop ns/op", "traced ns/op", "overhead %", "trace events")
-	row(rows.Iters, rows.NopNsPerOp, rows.TracedNsPerOp,
-		fmt.Sprintf("%.1f", rows.OverheadPct), rows.TraceEvents)
-	return maybeBench("trace_overhead", []experiments.TraceOverheadRow{*rows})
-}
-
-func reportClusterTraceOverhead(max int) error {
-	rows, err := experiments.ClusterTraceOverhead(max) // max doubles as the iteration count
-	if err != nil {
-		return err
-	}
-	header("Cluster telemetry overhead — distributed quickstart diagnosis, telemetry off vs on (mesh, 2 members)",
-		"iters", "off ns/op", "on ns/op", "overhead %", "member events", "telemetry nodes")
-	row(rows.Iters, rows.OffNsPerOp, rows.OnNsPerOp,
-		fmt.Sprintf("%.1f", rows.OverheadPct), rows.MemberEvents, rows.TelemetryNodes)
-	return maybeBench("cluster_trace_overhead", []experiments.ClusterTraceOverheadRow{*rows})
+	return nil
 }
 
 func reportPlacement(max int) error {
@@ -203,31 +107,7 @@ func reportPlacement(max int) error {
 	for _, r := range rows {
 		row(r.ChainLen, r.AtDataMsgs, r.AtDataRepl, r.AtHeadMsgs, r.AtHeadRepl, r.SameAnswers)
 	}
-	return maybeBench("placement", rows)
-}
-
-// writeBench writes one experiment's rows as an indented JSON array to
-// dir/BENCH_<name>.json. Durations serialize as nanoseconds (Go's
-// time.Duration JSON default).
-func writeBench(dir, name string, rows any) error {
-	b, err := json.MarshalIndent(rows, "", "  ")
-	if err != nil {
-		return err
-	}
-	path := filepath.Join(dir, "BENCH_"+name+".json")
-	if err := os.WriteFile(path, append(b, '\n'), 0o644); err != nil {
-		return err
-	}
-	fmt.Fprintf(os.Stderr, "benchreport: wrote %s\n", path)
 	return nil
-}
-
-// maybeBench is writeBench gated on the -json flag.
-func maybeBench(name string, rows any) error {
-	if !emitJSON {
-		return nil
-	}
-	return writeBench(benchDir, name, rows)
 }
 
 func header(title string, cols ...string) {
@@ -265,7 +145,7 @@ func reportT1(max int) error {
 	for _, r := range rows {
 		row(r.ChainLen, r.Answers, r.QSQDerived, r.DQSQDerived, r.NaiveDerived, r.Equal)
 	}
-	return maybeBench("t1", rows)
+	return nil
 }
 
 func reportS1(max int) error {
@@ -283,7 +163,7 @@ func reportS1(max int) error {
 		row(r.SeqLen, r.Diagnoses, r.ProductEvents, r.DQSQEvents, r.NaiveEvents,
 			r.DQSQDerived, r.NaiveDerived, r.ExactPrefixEq)
 	}
-	return maybeBench("s1", rows)
+	return nil
 }
 
 func reportS2(max int) error {
@@ -305,7 +185,7 @@ func reportS2(max int) error {
 		row(r.Peers, r.Diagnoses, r.DQSQDerived, r.DQSQMessages, r.NaiveDerived, r.NaiveMsgs,
 			r.DQSQElapsed.Milliseconds(), r.NaiveElapsed.Milliseconds())
 	}
-	return maybeBench("s2", rows)
+	return nil
 }
 
 func reportS3(max int) error {
@@ -326,7 +206,7 @@ func reportS3(max int) error {
 		row(r.Branches, r.SeqLen, r.Diagnoses, r.ProductEvents, r.DQSQEvents,
 			r.DirectElapsed.Milliseconds(), r.DQSQElapsed.Milliseconds())
 	}
-	return maybeBench("s3", rows)
+	return nil
 }
 
 func reportAblation(max int) error {
@@ -346,5 +226,5 @@ func reportAblation(max int) error {
 	for _, r := range rows {
 		row(r.ChainLen, r.QSQDerived, r.MagicDerived, r.SameAnswers)
 	}
-	return maybeBench("ablation", rows)
+	return nil
 }

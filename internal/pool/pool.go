@@ -45,6 +45,20 @@ const (
 	StateDead     = "dead"
 )
 
+// Dispatch and failure-detection constants.
+const (
+	// rpcMargin pads each request deadline past the evaluation timeout it
+	// carries (network + queueing headroom).
+	rpcMargin = 2 * time.Second
+	// retries bounds re-sends of one request after its first attempt.
+	retries = 2
+	// retryBackoff is the first retry's delay, doubled per retry.
+	retryBackoff = 50 * time.Millisecond
+	// failAfter is the consecutive probe failures that declare a worker
+	// dead (triggering re-materialization of its sessions).
+	failAfter = 3
+)
+
 // Config tunes a frontend pool.
 type Config struct {
 	// Transport carries SessionJob/SessionReply frames. The pool owns
@@ -61,24 +75,8 @@ type Config struct {
 	Policy Policy
 	// Metrics receives the pool_* series; nil discards.
 	Metrics obs.Registry
-	// RPCMargin pads each request deadline past the evaluation timeout it
-	// carries (network + queueing headroom). 0 means 2s.
-	RPCMargin time.Duration
-	// Retries bounds re-sends of one request after its first attempt.
-	// 0 means 2; negative disables.
-	Retries int
-	// RetryBackoff is the first retry's delay, doubled per retry.
-	// 0 means 50ms.
-	RetryBackoff time.Duration
-	// HedgeAfter re-sends a still-unanswered append after this delay
-	// (same index — the worker dedups). 0 derives it from the worker's
-	// EWMA append latency; negative disables hedging.
-	HedgeAfter time.Duration
 	// ProbeEvery is the health-probe period. 0 means 1s.
 	ProbeEvery time.Duration
-	// FailAfter is the consecutive probe failures that declare a worker
-	// dead (triggering re-materialization of its sessions). 0 means 3.
-	FailAfter int
 	// ShipEvery refreshes a session's journal checkpoint after this many
 	// appends since the last one, bounding tail-replay cost. 0 means 16;
 	// negative disables (the tail carries everything).
@@ -94,23 +92,8 @@ func (c Config) withDefaults() Config {
 	if c.Metrics == nil {
 		c.Metrics = nopRegistry{}
 	}
-	if c.RPCMargin == 0 {
-		c.RPCMargin = 2 * time.Second
-	}
-	if c.Retries == 0 {
-		c.Retries = 2
-	}
-	if c.Retries < 0 {
-		c.Retries = 0
-	}
-	if c.RetryBackoff == 0 {
-		c.RetryBackoff = 50 * time.Millisecond
-	}
 	if c.ProbeEvery == 0 {
 		c.ProbeEvery = time.Second
-	}
-	if c.FailAfter == 0 {
-		c.FailAfter = 3
 	}
 	if c.ShipEvery == 0 {
 		c.ShipEvery = 16
@@ -262,15 +245,15 @@ func (p *Pool) handle(from string, f wire.Frame) {
 // error return means the worker never answered; a reply with an error
 // Code is returned as-is.
 func (p *Pool) call(worker string, job wire.SessionJob, evalTimeout time.Duration) (wire.SessionReply, error) {
-	deadline := evalTimeout + p.cfg.RPCMargin
+	deadline := evalTimeout + rpcMargin
 	job.TimeoutMS = uint32(evalTimeout / time.Millisecond)
 	job.Frontend, job.FrontendAddr = p.self, p.addr
 
 	var lastErr error
-	for attempt := 0; attempt <= p.cfg.Retries; attempt++ {
+	for attempt := 0; attempt <= retries; attempt++ {
 		if attempt > 0 {
 			p.m.Add("pool_retries_total", 1)
-			time.Sleep(p.cfg.RetryBackoff << (attempt - 1))
+			time.Sleep(retryBackoff << (attempt - 1))
 		}
 		if p.workerDead(worker) {
 			// The probe loop already declared it: fail fast so the caller
@@ -321,7 +304,7 @@ func (p *Pool) dispatch(worker string, job wire.SessionJob, deadline time.Durati
 	vitals := time.NewTicker(250 * time.Millisecond)
 	defer vitals.Stop()
 	var hedge <-chan time.Time
-	if job.Op == wire.SessAppend && p.cfg.HedgeAfter >= 0 {
+	if job.Op == wire.SessAppend {
 		ht := time.NewTimer(p.hedgeDelay(worker, deadline))
 		defer ht.Stop()
 		hedge = ht.C
@@ -350,13 +333,10 @@ func (p *Pool) dispatch(worker string, job wire.SessionJob, deadline time.Durati
 	}
 }
 
-// hedgeDelay is when to re-send an unanswered append: the configured
-// delay, or 4x the worker's EWMA append latency clamped to [25ms,
-// deadline/2] — late enough to stay rare, early enough to matter.
+// hedgeDelay is when to re-send an unanswered append: 4x the worker's
+// EWMA append latency clamped to [25ms, deadline/2] — late enough to stay
+// rare, early enough to matter.
 func (p *Pool) hedgeDelay(worker string, deadline time.Duration) time.Duration {
-	if p.cfg.HedgeAfter > 0 {
-		return p.cfg.HedgeAfter
-	}
 	p.mu.Lock()
 	ewma := time.Duration(0)
 	if w := p.workers[worker]; w != nil {
@@ -652,7 +632,7 @@ func (p *Pool) noteFailure(worker string) {
 	var evict bool
 	if w != nil && w.state != StateDead {
 		w.fails++
-		if w.fails >= p.cfg.FailAfter && !w.migrating {
+		if w.fails >= failAfter && !w.migrating {
 			w.state = StateDead
 			w.migrating = true
 			evict = true

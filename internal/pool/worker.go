@@ -40,6 +40,16 @@ type Backend interface {
 	Active() int
 }
 
+const (
+	// executors is the number of job-executor goroutines per worker; jobs
+	// are sharded to them by session ID, so per-session operations are
+	// serialized (the idempotent-append dedup depends on that).
+	executors = 2
+	// queueDepth bounds each executor's queue; a job arriving past it is
+	// refused immediately with SessSaturated.
+	queueDepth = 64
+)
+
 // WorkerConfig tunes a pool worker.
 type WorkerConfig struct {
 	// Transport receives SessionJob frames and sends SessionReply frames.
@@ -50,13 +60,6 @@ type WorkerConfig struct {
 	// AdminAddr is this worker's HTTP admin address, advertised on every
 	// reply so frontends can health-probe /healthz. Empty disables.
 	AdminAddr string
-	// Executors is the number of job-executor goroutines; jobs are sharded
-	// to them by session ID, so per-session operations are serialized (the
-	// idempotent-append dedup depends on that). 0 means 2.
-	Executors int
-	// QueueDepth bounds each executor's queue; a job arriving past it is
-	// refused immediately with SessSaturated. 0 means 64.
-	QueueDepth int
 	// Metrics receives worker-side counters; nil discards.
 	Metrics obs.Registry
 	// Logger receives send-failure logs; nil discards.
@@ -101,12 +104,6 @@ type Worker struct {
 
 // NewWorker builds a worker; Start begins serving.
 func NewWorker(cfg WorkerConfig) *Worker {
-	if cfg.Executors <= 0 {
-		cfg.Executors = 2
-	}
-	if cfg.QueueDepth <= 0 {
-		cfg.QueueDepth = 64
-	}
 	if cfg.Metrics == nil {
 		cfg.Metrics = nopRegistry{}
 	}
@@ -119,12 +116,12 @@ func NewWorker(cfg WorkerConfig) *Worker {
 		adminAddr: cfg.AdminAddr,
 		metrics:   cfg.Metrics,
 		log:       cfg.Logger,
-		queues:    make([]chan wire.SessionJob, cfg.Executors),
+		queues:    make([]chan wire.SessionJob, executors),
 		applied:   make(map[string]*appliedState),
 		stop:      make(chan struct{}),
 	}
 	for i := range w.queues {
-		w.queues[i] = make(chan wire.SessionJob, cfg.QueueDepth)
+		w.queues[i] = make(chan wire.SessionJob, queueDepth)
 	}
 	return w
 }

@@ -136,7 +136,7 @@ func tcpPair(t *testing.T, aHandler, bHandler Handler) (*TCP, *TCP) {
 
 func TestTCPFIFOExactlyOnce(t *testing.T) {
 	col := newCollector()
-	a, _ := tcpPair(t, func(string, wire.Frame) {}, col.handle)
+	a, b := tcpPair(t, func(string, wire.Frame) {}, col.handle)
 
 	const n = 500
 	for i := 0; i < n; i++ {
@@ -145,6 +145,13 @@ func TestTCPFIFOExactlyOnce(t *testing.T) {
 		}
 	}
 	assertSequential(t, col.waitFor(t, n), n)
+	// Every frame crossed the socket and was counted on both ends.
+	if st := a.Stats(); st.FramesSent < n || st.BytesSent == 0 {
+		t.Fatalf("sender stats = %+v", st)
+	}
+	if st := b.Stats(); st.FramesReceived != n || st.BytesReceived == 0 {
+		t.Fatalf("receiver stats = %+v", st)
+	}
 }
 
 func TestTCPBidirectional(t *testing.T) {

@@ -244,31 +244,23 @@ func TestSkipToMirrorsNumbering(t *testing.T) {
 }
 
 // BenchmarkAppend8Writers measures SyncAlways append throughput with 8
-// concurrent writers, group commit on vs off. SyncDelay models a
-// device where fsync is not free; the batched path shares that cost
-// across the group, the ablation pays it per record.
+// concurrent writers. SyncDelay models a device where fsync is not free;
+// group commit shares that cost across the writers waiting on one sync.
 func BenchmarkAppend8Writers(b *testing.B) {
-	for _, mode := range []struct {
-		name string
-		off  bool
-	}{{"GroupCommit", false}, {"PerAppendFsync", true}} {
-		b.Run(mode.name, func(b *testing.B) {
-			l, err := Open(b.TempDir(), Options{Fsync: SyncAlways, SyncDelay: 200 * time.Microsecond, NoGroupCommit: mode.off})
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer l.Close()
-			payload := make([]byte, 128)
-			b.SetParallelism(8)
-			b.ResetTimer()
-			b.RunParallel(func(pb *testing.PB) {
-				for pb.Next() {
-					if _, err := l.Append(payload); err != nil {
-						b.Error(err)
-						return
-					}
-				}
-			})
-		})
+	l, err := Open(b.TempDir(), Options{Fsync: SyncAlways, SyncDelay: 200 * time.Microsecond})
+	if err != nil {
+		b.Fatal(err)
 	}
+	defer l.Close()
+	payload := make([]byte, 128)
+	b.SetParallelism(8)
+	b.ResetTimer()
+	b.RunParallel(func(pb *testing.PB) {
+		for pb.Next() {
+			if _, err := l.Append(payload); err != nil {
+				b.Error(err)
+				return
+			}
+		}
+	})
 }

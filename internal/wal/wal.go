@@ -140,10 +140,6 @@ type Options struct {
 	// group-commit batching effect stays measurable on CI filesystems
 	// where a real fsync is nearly free. 0 (production) disables it.
 	SyncDelay time.Duration
-	// NoGroupCommit forces the pre-batching SyncAlways path: each Append
-	// fsyncs on its own while holding the append lock. Ablation hook for
-	// the group-commit benchmark; leave false in production.
-	NoGroupCommit bool
 }
 
 func (o Options) withDefaults() Options {
@@ -452,14 +448,6 @@ func (l *Log) Append(payload []byte) (uint64, error) {
 	l.wakeLocked()
 	switch l.opt.Fsync {
 	case SyncAlways:
-		if l.opt.NoGroupCommit {
-			err := l.syncLocked()
-			l.mu.Unlock()
-			if err != nil {
-				return 0, err
-			}
-			return seq, nil
-		}
 		l.mu.Unlock()
 		if err := l.groupSync(seq); err != nil {
 			return 0, err

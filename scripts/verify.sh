@@ -5,11 +5,14 @@
 # share: the per-net template and what it is cloned from). CI and
 # pre-commit both run this.
 #
-# Deterministic steps stop the script where they fail (set -e). The timing
-# guards at the end compare two measurements taken on this box, so one of
-# them going red says nothing about the next: all of them run, every red
-# verdict is printed again at the end, and the exit status is non-zero if
-# there was one.
+# Deterministic steps stop the script where they fail (set -e). Two timing
+# guards close the run, each comparing two measurements taken in one
+# process on this box with a wide margin: the no-op tracer against a full
+# trace (bound 1.5x) and checkpoint restore against replay (restore must
+# be cheaper). Both always run; a red one is printed again at the end and
+# makes the exit status non-zero. Serving performance is measured by
+# bench/ against BENCHMARK.json in alternating parent/change pairs, not
+# here.
 set -eu
 
 red="" # the guards that went red, one per line
@@ -133,29 +136,6 @@ echo "$bench_out" | awk '
         printf "guard: ok (off %s ns/op, on %s ns/op)\n", off, on
     }' || red="$red
   tracing-overhead"
-go run ./cmd/benchreport -exp trace_overhead -max 3 -json
-go run ./cmd/benchreport -exp transport_overhead -max 3 -json
-
-echo "== cluster-telemetry-overhead guard"
-# Full cluster telemetry — members recording spans, Telemetry frames every
-# round, the driver merging timelines — must stay within 1.15x of the
-# untelemetered distributed run. Both sides are best-of-three batches over
-# one warm mesh cluster, so the ratio compares floors, not noise.
-ctrace_out=$(go run ./cmd/benchreport -exp cluster_trace_overhead -max 3 -json)
-echo "$ctrace_out"
-echo "$ctrace_out" | awk -F'|' '
-    NF >= 7 && $2 + 0 > 0 && $3 + 0 > 0 {
-        found = 1
-        off = $3 + 0; on = $4 + 0; nodes = $7 + 0
-        if (nodes != 2) { printf "guard: telemetry from %d nodes, want 2\n", nodes > "/dev/stderr"; exit 1 }
-        if (on > 1.15 * off) {
-            printf "guard: telemetry-on (%d ns/op) is >1.15x telemetry-off (%d ns/op)\n", on, off > "/dev/stderr"
-            exit 1
-        }
-        printf "guard: ok (off %d ns/op, on %d ns/op, %d member events)\n", off, on, $6 + 0
-    }
-    END { if (!found) { print "guard: cluster_trace_overhead row missing" > "/dev/stderr"; exit 1 } }' || red="$red
-  cluster-telemetry-overhead"
 
 echo "== checkpoint-overhead guard"
 # Restoring a checkpoint must be cheaper than replaying the sequence it
@@ -164,7 +144,7 @@ echo "== checkpoint-overhead guard"
 # the uninterrupted one. On a 2-vCPU guest the medians of 8 runs read
 # restore 1.6 ms vs replay 10.9 ms at 8 appends (3.7-10.9x per run), so a
 # direct comparison has plenty of noise margin.
-snap_out=$(go run ./cmd/benchreport -exp snapshot_overhead -max 8 -json)
+snap_out=$(go run ./cmd/benchreport -exp snapshot_overhead -max 8)
 echo "$snap_out"
 echo "$snap_out" | awk -F'|' '
     NF >= 9 && $2 + 0 == 8 {
@@ -181,83 +161,6 @@ echo "$snap_out" | awk -F'|' '
     }
     END { if (!found) { print "guard: snapshot_overhead row missing" > "/dev/stderr"; exit 1 } }' || red="$red
   checkpoint-overhead"
-
-echo "== wal-overhead guard"
-# Logging every append with fsync=interval must stay within 2x of the
-# no-WAL baseline (the write is a small sequential buffered append; only
-# fsync=always is allowed to be expensive), and a session recovered from
-# snapshot + WAL replay must be equivalent to the uninterrupted run.
-wal_out=$(go run ./cmd/benchreport -exp wal_overhead -max 8 -json)
-echo "$wal_out"
-echo "$wal_out" | awk -F'|' '
-    NF >= 11 && $2 + 0 == 8 {
-        found = 1
-        plain = $3 + 0; interval = $5 + 0; equal = $11
-        gsub(/ /, "", equal)
-        if (equal != "true") { print "guard: WAL-replayed session diverged from the uninterrupted run" > "/dev/stderr"; exit 1 }
-        if (plain <= 0 || interval <= 0) { print "guard: missing timings" > "/dev/stderr"; exit 1 }
-        if (interval > 2 * plain) {
-            printf "guard: fsync=interval appends (%d ns) are >2x the no-WAL baseline (%d ns)\n", interval, plain > "/dev/stderr"
-            exit 1
-        }
-        printf "guard: ok (plain %d ns/append, interval %d ns/append, always %d ns/append)\n", plain, interval, $4 + 0
-    }
-    END { if (!found) { print "guard: wal_overhead row missing" > "/dev/stderr"; exit 1 } }' || red="$red
-  wal-overhead"
-
-echo "== repl-overhead guard"
-# Shipping the WAL to a live follower is asynchronous, so the primary's
-# p50 append latency with one follower attached must stay within 1.25x
-# of the no-follower baseline, every follower must end holding every
-# appended record, and group commit must buy >=2x append throughput at
-# 8 concurrent writers under fsync=always. Each latency configuration is
-# best-of-three batches, so the ratio compares floors, not noise.
-repl_out=$(go run ./cmd/benchreport -exp repl_overhead -json)
-echo "$repl_out"
-echo "$repl_out" | awk -F'|' '
-    NF >= 10 && $2 + 0 > 0 {
-        found = 1
-        p50zero = $3 + 0; p50one = $4 + 0; ratio = $6 + 0; caught = $7; gain = $10 + 0
-        gsub(/ /, "", caught)
-        if (caught != "true") { print "guard: a follower lost appended records" > "/dev/stderr"; exit 1 }
-        if (p50zero <= 0 || p50one <= 0) { print "guard: missing timings" > "/dev/stderr"; exit 1 }
-        if (ratio > 1.25) {
-            printf "guard: one-follower p50 (%d ns) is >1.25x the baseline (%d ns)\n", p50one, p50zero > "/dev/stderr"
-            exit 1
-        }
-        if (gain < 2) {
-            printf "guard: group commit gain %.2fx at 8 writers, want >=2x\n", gain > "/dev/stderr"
-            exit 1
-        }
-        printf "guard: ok (p50 %d -> %d ns with a follower, group commit %.2fx)\n", p50zero, p50one, gain
-    }
-    END { if (!found) { print "guard: repl_overhead row missing" > "/dev/stderr"; exit 1 } }' || red="$red
-  repl-overhead"
-
-echo "== pool-overhead guard"
-# An append through the session pool pays the wire codec, dispatch, the
-# worker executor queue, and journal bookkeeping on top of the evaluation
-# itself; that machinery must stay within 1.5x of the direct backend on
-# the pipeline-net stream, and pooled bodies must stay byte-identical to
-# the local serving path. The worker-fleet batch gain is reported but not
-# guarded — it tracks the cores actually available on the box.
-pool_out=$(go run ./cmd/benchreport -exp pool_overhead -json)
-echo "$pool_out"
-echo "$pool_out" | awk -F'|' '
-    NF >= 12 && $2 + 0 > 0 {
-        found = 1
-        direct = $3 + 0; pooled = $4 + 0; equal = $6; gain = $12 + 0
-        gsub(/ /, "", equal)
-        if (equal != "true") { print "guard: pooled session bodies diverged from the local serving path" > "/dev/stderr"; exit 1 }
-        if (direct <= 0 || pooled <= 0) { print "guard: missing timings" > "/dev/stderr"; exit 1 }
-        if (pooled > 1.5 * direct) {
-            printf "guard: pooled appends (%d ns) are >1.5x the direct backend (%d ns)\n", pooled, direct > "/dev/stderr"
-            exit 1
-        }
-        printf "guard: ok (direct %d ns/append, pooled %d ns/append, 3-worker batch gain %.2fx)\n", direct, pooled, gain
-    }
-    END { if (!found) { print "guard: pool_overhead row missing" > "/dev/stderr"; exit 1 } }' || red="$red
-  pool-overhead"
 
 if [ -n "$red" ]; then
     echo "verify: red guards:$red" >&2
