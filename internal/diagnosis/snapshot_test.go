@@ -3,6 +3,8 @@ package diagnosis
 import (
 	"bytes"
 	"errors"
+	"os"
+	"path/filepath"
 	"testing"
 	"time"
 
@@ -156,8 +158,8 @@ func TestDiagnoserSnapshotRejectsCorruption(t *testing.T) {
 // state — store, program, rewriters, engine — where format 4 holds what the
 // session added past its net's template. There is no shim: a file that says
 // it is format 3 — here a diagnoser's snapshot with its header patched — is
-// refused with ErrVersion before any section is decoded, read whole or
-// streamed.
+// refused with ErrVersion before any section is decoded, whether Open
+// reads it from memory or from disk.
 func TestDiagnoserSnapshotOfMajor3IsRefused(t *testing.T) {
 	d, err := NewOnlineDiagnoser(petri.Example(), datalog.Budget{})
 	if err != nil {
@@ -178,8 +180,12 @@ func TestDiagnoserSnapshotOfMajor3IsRefused(t *testing.T) {
 	if _, err := snapshot.Open(old); !errors.Is(err, snapshot.ErrVersion) {
 		t.Fatalf("Open of a format-3 file: %v, want ErrVersion", err)
 	}
-	if _, err := snapshot.FromReader(bytes.NewReader(old)); !errors.Is(err, snapshot.ErrVersion) {
-		t.Fatalf("FromReader of a format-3 stream: %v, want ErrVersion", err)
+	path := filepath.Join(t.TempDir(), "old.dsnp")
+	if err := os.WriteFile(path, old, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := snapshot.ReadFile(path); !errors.Is(err, snapshot.ErrVersion) {
+		t.Fatalf("Open of a format-3 file on disk: %v, want ErrVersion", err)
 	}
 }
 

@@ -142,7 +142,7 @@ type session struct {
 	engine    string
 	maxFacts  int
 	nextIndex uint64 // index the next append will carry (acked appends + 1)
-	snapBlob  []byte // last shipped checkpoint (ship-blob encoding); nil before the first ship
+	snapBlob  []byte // last shipped checkpoint; nil before the first ship
 	snapIndex uint64 // appends covered by snapBlob
 	tail      []string
 }
@@ -531,7 +531,8 @@ func (p *Pool) Delete(id string, evalTimeout time.Duration) Result {
 }
 
 // refreshCheckpoint ships the session's current checkpoint into the
-// journal and truncates the tail it covers.
+// journal. On failure the tail keeps covering; the next append tries
+// again.
 func (p *Pool) refreshCheckpoint(id string) {
 	s := p.session(id)
 	if s == nil {
@@ -539,18 +540,21 @@ func (p *Pool) refreshCheckpoint(id string) {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	rep, err := p.call(s.worker, wire.SessionJob{Op: wire.SessShip, Session: id}, 10*time.Second)
-	if err != nil || rep.Code != wire.SessOK {
-		return // the tail keeps covering; the next append tries again
+	p.shipLocked(s, s.worker)
+}
+
+// shipLocked asks the worker for s's checkpoint and makes it the base of
+// the journal (locked by the caller), truncating the tail it covers.
+// Reports success.
+func (p *Pool) shipLocked(s *session, worker string) bool {
+	rep, err := p.call(worker, wire.SessionJob{Op: wire.SessShip, Session: s.id}, 10*time.Second)
+	if err != nil || rep.Code != wire.SessOK || rep.Index < s.snapIndex || rep.Index > s.snapIndex+uint64(len(s.tail)) {
+		return false
 	}
-	idx, _, derr := decodeShip(rep.Blob)
-	if derr != nil || idx < s.snapIndex || idx >= s.snapIndex+uint64(len(s.tail))+1 {
-		return
-	}
-	s.tail = append([]string(nil), s.tail[idx-s.snapIndex:]...)
-	s.snapBlob = rep.Blob
-	s.snapIndex = idx
+	s.tail = append([]string(nil), s.tail[rep.Index-s.snapIndex:]...)
+	s.snapBlob, s.snapIndex = rep.Blob, rep.Index
 	p.m.Add("pool_checkpoints_total", 1)
+	return true
 }
 
 // rematerializeLocked brings s (journal-locked by the caller) up on a
@@ -579,7 +583,7 @@ func (p *Pool) rematerializeLocked(s *session, exclude string) error {
 // plus tail replay. Reports success.
 func (p *Pool) installLocked(s *session, worker string) bool {
 	if s.snapBlob != nil {
-		rep, err := p.call(worker, wire.SessionJob{Op: wire.SessLoad, Session: s.id, Blob: s.snapBlob}, 10*time.Second)
+		rep, err := p.call(worker, wire.SessionJob{Op: wire.SessLoad, Session: s.id, Index: s.snapIndex, Blob: s.snapBlob}, 10*time.Second)
 		if err != nil || rep.Code != wire.SessOK {
 			return false
 		}
@@ -728,26 +732,25 @@ func (p *Pool) markDraining(name string) {
 	}
 }
 
-// sessionsOn lists the sessions whose journal names the worker.
-func (p *Pool) sessionsOn(worker string) []*session {
+// sessionList lists every session in the journal. Callers filter by
+// worker under each session's own lock: a placement may move between
+// this listing and their pass over it.
+func (p *Pool) sessionList() []*session {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	var out []*session
+	out := make([]*session, 0, len(p.sessions))
 	for _, s := range p.sessions {
 		out = append(out, s)
 	}
-	// Filtering happens under each session's own lock: the placement may
-	// move between this snapshot and the migration pass.
-	_ = worker
 	return out
 }
 
 // migrateSessions moves every session off a draining worker by
-// checkpoint: ship from the drainer (it still serves), load on a ready
-// worker, truncate the journal tail the checkpoint covers.
+// checkpoint: ship it from the drainer (which still serves) into the
+// journal, then re-materialize it from there on a ready worker.
 func (p *Pool) migrateSessions(worker string) {
 	defer p.clearMigrating(worker)
-	for _, s := range p.sessionsOn(worker) {
+	for _, s := range p.sessionList() {
 		s.mu.Lock()
 		if s.worker != worker {
 			s.mu.Unlock()
@@ -759,42 +762,23 @@ func (p *Pool) migrateSessions(worker string) {
 }
 
 func (p *Pool) migrateLocked(s *session, from string) {
-	rep, err := p.call(from, wire.SessionJob{Op: wire.SessShip, Session: s.id}, 10*time.Second)
-	if err == nil && rep.Code == wire.SessOK {
-		if idx, _, derr := decodeShip(rep.Blob); derr == nil && idx == s.nextIndex-1 {
-			tried := map[string]bool{from: true}
-			for {
-				to, ok := p.place(s.id, tried)
-				if !ok {
-					break
-				}
-				lrep, lerr := p.call(to, wire.SessionJob{Op: wire.SessLoad, Session: s.id, Blob: rep.Blob}, 10*time.Second)
-				if lerr != nil || lrep.Code != wire.SessOK {
-					tried[to] = true
-					continue
-				}
-				s.snapBlob, s.snapIndex, s.tail = rep.Blob, idx, nil
-				old := s.worker
-				s.worker = to
-				p.m.Add("pool_migrations_total", 1)
-				p.log.Info("pool: session migrated", "session", s.id, "from", old, "to", to)
-				// Best effort: free the drainer's copy so its drain finishes.
-				p.call(old, wire.SessionJob{Op: wire.SessDelete, Session: s.id}, 5*time.Second) //nolint:errcheck
-				return
-			}
-		}
+	// A drainer that died mid-drain (or shipped garbage) leaves the
+	// journal's older checkpoint and tail, which still work.
+	shipped := p.shipLocked(s, from)
+	if err := p.rematerializeLocked(s, from); err != nil {
+		p.log.Warn("pool: migration failed", "session", s.id, "err", err)
+		return
 	}
-	// The drainer died mid-drain (or shipped garbage): the journal path
-	// still works.
-	if rerr := p.rematerializeLocked(s, from); rerr != nil {
-		p.log.Warn("pool: migration failed", "session", s.id, "err", rerr)
+	if shipped {
+		// Best effort: free the drainer's copy so its drain finishes.
+		p.call(from, wire.SessionJob{Op: wire.SessDelete, Session: s.id}, 5*time.Second) //nolint:errcheck
 	}
 }
 
 // recoverSessions re-materializes every session homed on a dead worker.
 func (p *Pool) recoverSessions(worker string) {
 	defer p.clearMigrating(worker)
-	for _, s := range p.sessionsOn(worker) {
+	for _, s := range p.sessionList() {
 		s.mu.Lock()
 		if s.worker == worker {
 			if err := p.rematerializeLocked(s, worker); err != nil {

@@ -118,24 +118,6 @@ func TestConsistentHashSpread(t *testing.T) {
 	}
 }
 
-// ---- ship-blob codec ----
-
-func TestShipCodecRoundTrip(t *testing.T) {
-	for _, idx := range []uint64{0, 1, 16, 1 << 40} {
-		blob := encodeShip(idx, []byte("checkpoint-bytes"))
-		gotIdx, gotCp, err := decodeShip(blob)
-		if err != nil {
-			t.Fatalf("idx %d: %v", idx, err)
-		}
-		if gotIdx != idx || string(gotCp) != "checkpoint-bytes" {
-			t.Fatalf("idx %d: round-tripped to (%d, %q)", idx, gotIdx, gotCp)
-		}
-	}
-	if _, _, err := decodeShip(nil); err == nil {
-		t.Fatal("decodeShip(nil) accepted")
-	}
-}
-
 // ---- worker idempotency over a mesh ----
 
 // fakeBackend counts evaluations so the dedup tests can prove a retried
@@ -145,10 +127,11 @@ type fakeBackend struct {
 	creates int
 	appends map[string]int
 	live    map[string]bool
+	loaded  map[string]string // checkpoint bytes each Load received
 }
 
 func newFakeBackend() *fakeBackend {
-	return &fakeBackend{appends: make(map[string]int), live: make(map[string]bool)}
+	return &fakeBackend{appends: make(map[string]int), live: make(map[string]bool), loaded: make(map[string]string)}
 }
 
 func (b *fakeBackend) Create(id, netText, engine string, maxFacts int) ([]byte, error) {
@@ -166,31 +149,36 @@ func (b *fakeBackend) Append(id, alarms string, timeout time.Duration) ([]byte, 
 	return []byte(fmt.Sprintf("append:%d", b.appends[id])), nil
 }
 
-func (b *fakeBackend) Get(id string) ([]byte, error)           { return []byte("state"), nil }
-func (b *fakeBackend) Delete(id string) error                  { return nil }
-func (b *fakeBackend) Ship(id string) ([]byte, error)          { return []byte("cp"), nil }
-func (b *fakeBackend) Load(id string, checkpoint []byte) error { return nil }
-func (b *fakeBackend) Classify(error) (uint32, uint32)         { return wire.SessRetry, 0 }
-func (b *fakeBackend) Active() int                             { b.mu.Lock(); defer b.mu.Unlock(); return len(b.live) }
+func (b *fakeBackend) Get(id string) ([]byte, error)   { return []byte("state"), nil }
+func (b *fakeBackend) Delete(id string) error          { return nil }
+func (b *fakeBackend) Ship(id string) ([]byte, error)  { return []byte("cp:" + id), nil }
+func (b *fakeBackend) Classify(error) (uint32, uint32) { return wire.SessRetry, 0 }
+func (b *fakeBackend) Active() int                     { b.mu.Lock(); defer b.mu.Unlock(); return len(b.live) }
+func (b *fakeBackend) Load(id string, checkpoint []byte) error {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	b.loaded[id] = string(checkpoint)
+	return nil
+}
 func (b *fakeBackend) appendEvals(id string) int {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	return b.appends[id]
 }
 
-// TestWorkerAppendDedup drives a worker directly with SessionJob frames
-// and checks the idempotency contract retry and hedging depend on:
-// duplicate indexes return the memoized reply without re-evaluating,
-// gaps are refused with SessOutOfSync.
-func TestWorkerAppendDedup(t *testing.T) {
+// workerRig starts one Worker per name over an in-process mesh, all on
+// one backend, and returns a synchronous call into any of them.
+func workerRig(t *testing.T, backend Backend, names ...string) func(worker string, job wire.SessionJob) wire.SessionReply {
+	t.Helper()
 	mesh := transport.NewMesh()
-	backend := newFakeBackend()
-	w := NewWorker(WorkerConfig{Transport: mesh.Node("w1"), Backend: backend})
-	if err := w.Start(); err != nil {
-		t.Fatal(err)
+	for _, name := range names {
+		w := NewWorker(WorkerConfig{Transport: mesh.Node(name), Backend: backend})
+		if err := w.Start(); err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(w.Close)
+		t.Cleanup(func() { mesh.Node(name).Close() }) //nolint:errcheck
 	}
-	t.Cleanup(w.Close)
-	t.Cleanup(func() { mesh.Node("w1").Close() }) //nolint:errcheck
 
 	replies := make(chan wire.SessionReply, 16)
 	fe := mesh.Node("fe")
@@ -204,11 +192,11 @@ func TestWorkerAppendDedup(t *testing.T) {
 	t.Cleanup(func() { fe.Close() }) //nolint:errcheck
 
 	var req uint64
-	roundTrip := func(job wire.SessionJob) wire.SessionReply {
+	return func(worker string, job wire.SessionJob) wire.SessionReply {
 		t.Helper()
 		req++
 		job.Req, job.Frontend, job.FrontendAddr = req, "fe", "fe"
-		if err := fe.Send("w1", job); err != nil {
+		if err := fe.Send(worker, job); err != nil {
 			t.Fatal(err)
 		}
 		select {
@@ -222,6 +210,16 @@ func TestWorkerAppendDedup(t *testing.T) {
 			return wire.SessionReply{}
 		}
 	}
+}
+
+// TestWorkerAppendDedup drives a worker directly with SessionJob frames
+// and checks the idempotency contract retry and hedging depend on:
+// duplicate indexes return the memoized reply without re-evaluating,
+// gaps are refused with SessOutOfSync.
+func TestWorkerAppendDedup(t *testing.T) {
+	backend := newFakeBackend()
+	call := workerRig(t, backend, "w1")
+	roundTrip := func(job wire.SessionJob) wire.SessionReply { return call("w1", job) }
 
 	if rep := roundTrip(wire.SessionJob{Op: wire.SessCreate, Session: "s1"}); rep.Code != wire.SessOK {
 		t.Fatalf("create: code %d err %q", rep.Code, rep.Err)
@@ -258,7 +256,7 @@ func TestWorkerAppendDedup(t *testing.T) {
 		t.Fatalf("ghost append: code %d, want SessNotFound", rep.Code)
 	}
 	// A load installs the shipped applied-index so dedup resumes there.
-	if rep := roundTrip(wire.SessionJob{Op: wire.SessLoad, Session: "s2", Blob: encodeShip(7, []byte("cp"))}); rep.Code != wire.SessOK {
+	if rep := roundTrip(wire.SessionJob{Op: wire.SessLoad, Session: "s2", Index: 7, Blob: []byte("cp")}); rep.Code != wire.SessOK {
 		t.Fatalf("load: code %d err %q", rep.Code, rep.Err)
 	}
 	if rep := roundTrip(wire.SessionJob{Op: wire.SessAppend, Session: "s2", Index: 9}); rep.Code != wire.SessOutOfSync {
@@ -266,5 +264,46 @@ func TestWorkerAppendDedup(t *testing.T) {
 	}
 	if rep := roundTrip(wire.SessionJob{Op: wire.SessAppend, Session: "s2", Index: 8}); rep.Code != wire.SessOK {
 		t.Fatalf("post-load append: code %d", rep.Code)
+	}
+}
+
+// TestWorkerShipLoadIndex: a ship reply carries the applied-append index
+// beside the bare checkpoint bytes, and a load that sends both back
+// resumes dedup exactly there on another worker — the drain migration
+// path.
+func TestWorkerShipLoadIndex(t *testing.T) {
+	backend := newFakeBackend()
+	call := workerRig(t, backend, "w1", "w2")
+	if rep := call("w1", wire.SessionJob{Op: wire.SessCreate, Session: "s1"}); rep.Code != wire.SessOK {
+		t.Fatalf("create: code %d err %q", rep.Code, rep.Err)
+	}
+	for i := uint64(1); i <= 3; i++ {
+		if rep := call("w1", wire.SessionJob{Op: wire.SessAppend, Session: "s1", Index: i}); rep.Code != wire.SessOK {
+			t.Fatalf("append %d: code %d err %q", i, rep.Code, rep.Err)
+		}
+	}
+	ship := call("w1", wire.SessionJob{Op: wire.SessShip, Session: "s1"})
+	if ship.Code != wire.SessOK || ship.Index != 3 || string(ship.Blob) != "cp:s1" {
+		t.Fatalf("ship: code %d index %d blob %q, want index 3 and the bare checkpoint", ship.Code, ship.Index, ship.Blob)
+	}
+
+	if rep := call("w2", wire.SessionJob{Op: wire.SessLoad, Session: "s1", Index: ship.Index, Blob: ship.Blob}); rep.Code != wire.SessOK {
+		t.Fatalf("load: code %d err %q", rep.Code, rep.Err)
+	}
+	backend.mu.Lock()
+	loaded := backend.loaded["s1"]
+	backend.mu.Unlock()
+	if loaded != "cp:s1" {
+		t.Fatalf("backend loaded %q, want the shipped checkpoint", loaded)
+	}
+	evals := backend.appendEvals("s1")
+	if rep := call("w2", wire.SessionJob{Op: wire.SessAppend, Session: "s1", Index: 3}); rep.Code != wire.SessOK || backend.appendEvals("s1") != evals {
+		t.Fatalf("append 3 after load: code %d, %d evaluations (want a dedup, %d)", rep.Code, backend.appendEvals("s1"), evals)
+	}
+	if rep := call("w2", wire.SessionJob{Op: wire.SessAppend, Session: "s1", Index: 5}); rep.Code != wire.SessOutOfSync {
+		t.Fatalf("append 5 after load: code %d, want SessOutOfSync", rep.Code)
+	}
+	if rep := call("w2", wire.SessionJob{Op: wire.SessAppend, Session: "s1", Index: 4}); rep.Code != wire.SessOK || backend.appendEvals("s1") != evals+1 {
+		t.Fatalf("append 4 after load: code %d, %d evaluations, want %d", rep.Code, backend.appendEvals("s1"), evals+1)
 	}
 }

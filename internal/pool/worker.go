@@ -295,7 +295,7 @@ func (w *Worker) execShip(job wire.SessionJob) {
 		w.send(job, w.replyFor(nil, err))
 		return
 	}
-	w.send(job, wire.SessionReply{Blob: encodeShip(st.index, checkpoint)})
+	w.send(job, wire.SessionReply{Index: st.index, Blob: checkpoint})
 }
 
 func (w *Worker) execLoad(job wire.SessionJob) {
@@ -304,17 +304,12 @@ func (w *Worker) execLoad(job wire.SessionJob) {
 			Err: "pool: worker draining", RetryAfterMS: 1000})
 		return
 	}
-	idx, checkpoint, err := decodeShip(job.Blob)
-	if err != nil {
-		w.send(job, wire.SessionReply{Code: wire.SessBad, Err: err.Error()})
-		return
-	}
-	if err := w.backend.Load(job.Session, checkpoint); err != nil {
+	if err := w.backend.Load(job.Session, job.Blob); err != nil {
 		w.send(job, w.replyFor(nil, err))
 		return
 	}
 	w.mu.Lock()
-	w.applied[job.Session] = &appliedState{index: idx}
+	w.applied[job.Session] = &appliedState{index: job.Index}
 	w.mu.Unlock()
 	w.send(job, wire.SessionReply{})
 }

@@ -240,7 +240,7 @@ func (f *Follower) session(conn net.Conn) error {
 	br := bufio.NewReader(conn)
 	lastSeq, lastCRC := f.app.LastApplied()
 	conn.SetWriteDeadline(time.Now().Add(6 * hb)) //nolint:errcheck
-	if _, err := writeFrame(conn, encodeHello(lastSeq, lastCRC, f.Epoch())); err != nil {
+	if _, err := conn.Write(snapshot.AppendFrame(nil, encodeHello(lastSeq, lastCRC, f.Epoch()))); err != nil {
 		return err
 	}
 
@@ -252,7 +252,7 @@ func (f *Follower) session(conn net.Conn) error {
 	sawWelcome := false
 	for {
 		conn.SetReadDeadline(time.Now().Add(6 * hb)) //nolint:errcheck
-		body, err := readFrame(br)
+		body, err := snapshot.ReadFrame(br, snapshot.MaxFrame)
 		if err != nil {
 			return err
 		}
@@ -380,7 +380,7 @@ func (f *Follower) noteEpoch(epoch uint64) error {
 func (f *Follower) ack(conn net.Conn) error {
 	applied, _ := f.app.LastApplied()
 	conn.SetWriteDeadline(time.Now().Add(6 * f.opt.Heartbeat)) //nolint:errcheck
-	_, err := writeFrame(conn, encodeAck(applied))
+	_, err := conn.Write(snapshot.AppendFrame(nil, encodeAck(applied)))
 	return err
 }
 

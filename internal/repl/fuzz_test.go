@@ -1,9 +1,10 @@
 package repl
 
 import (
-	"bufio"
 	"bytes"
 	"testing"
+
+	"repro/internal/snapshot"
 )
 
 // FuzzDecodeFrame checks the frame parser is total: any body either
@@ -31,39 +32,9 @@ func FuzzDecodeFrame(f *testing.F) {
 			t.Fatalf("decoded unknown kind %d without error", fr.kind)
 		}
 		// A decodable body must survive the framing layer byte-for-byte.
-		var buf bytes.Buffer
-		if _, err := writeFrame(&buf, body); err != nil {
-			t.Fatalf("writeFrame: %v", err)
-		}
-		got, err := readFrame(bufio.NewReader(&buf))
-		if err != nil {
-			t.Fatalf("readFrame: %v", err)
-		}
-		if !bytes.Equal(got, body) {
-			t.Fatalf("frame round-trip mutated body")
-		}
-	})
-}
-
-// FuzzReadFrame checks the frame reader rejects arbitrary byte streams
-// without panicking and never over-allocates past MaxFrame.
-func FuzzReadFrame(f *testing.F) {
-	var buf bytes.Buffer
-	writeFrame(&buf, encodeAck(7)) //nolint:errcheck
-	f.Add(buf.Bytes())
-	f.Add([]byte{0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x01}) // huge uvarint length
-	f.Add([]byte{})
-
-	f.Fuzz(func(t *testing.T, stream []byte) {
-		br := bufio.NewReader(bytes.NewReader(stream))
-		for {
-			body, err := readFrame(br)
-			if err != nil {
-				return
-			}
-			if _, err := decodeFrame(body); err != nil {
-				return
-			}
+		got, rest, err := snapshot.NextFrame(snapshot.AppendFrame(nil, body))
+		if err != nil || len(rest) != 0 || !bytes.Equal(got, body) {
+			t.Fatalf("frame round-trip mutated body: %q, %d trailing bytes, %v", got, len(rest), err)
 		}
 	})
 }

@@ -11,6 +11,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/snapshot"
 	"repro/internal/wal"
 )
 
@@ -187,7 +188,7 @@ func (p *Primary) serveFollower(conn net.Conn, st *connState) {
 	br := bufio.NewReader(conn)
 
 	conn.SetReadDeadline(time.Now().Add(6 * hb)) //nolint:errcheck
-	body, err := readFrame(br)
+	body, err := snapshot.ReadFrame(br, snapshot.MaxFrame)
 	if err != nil {
 		log.Warn("repl: handshake read failed", "err", err)
 		return
@@ -236,7 +237,7 @@ func (p *Primary) serveFollower(conn net.Conn, st *connState) {
 		defer close(readerDone)
 		for {
 			conn.SetReadDeadline(time.Now().Add(6 * hb)) //nolint:errcheck
-			body, err := readFrame(br)
+			body, err := snapshot.ReadFrame(br, snapshot.MaxFrame)
 			if err != nil {
 				return
 			}
@@ -376,7 +377,7 @@ func (p *Primary) send(conn net.Conn, st *connState, body []byte) error {
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	conn.SetWriteDeadline(time.Now().Add(6 * p.opt.Heartbeat)) //nolint:errcheck
-	n, err := writeFrame(conn, body)
+	n, err := conn.Write(snapshot.AppendFrame(nil, body))
 	if n > 0 {
 		p.metricAdd("repl_bytes_shipped_total", int64(n))
 	}

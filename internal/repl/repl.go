@@ -6,12 +6,10 @@
 // system; this package makes the supervisor itself survive being part
 // of one.
 //
-// Protocol. Both directions speak length-prefixed, CRC-checked frames:
-//
-//	uvarint len | body | crc32(body) LE
-//
-// with bodies encoded by the snapshot section primitives (the same
-// codec WAL record payloads use). A session opens with the follower's
+// Protocol. Both directions speak the snapshot package's CRC frames
+// (at most snapshot.MaxFrame per body, so session snapshots ship in
+// chunks), with bodies encoded by the snapshot section primitives (the
+// same codec WAL record payloads use). A session opens with the follower's
 // Hello carrying its last applied WAL sequence plus the CRC of that
 // record; the primary verifies the CRC against its own log and either
 // resumes the stream at lastSeq+1 or — for fresh followers, after
@@ -31,12 +29,8 @@
 package repl
 
 import (
-	"bufio"
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
-	"io"
 	"os"
 	"path/filepath"
 	"strconv"
@@ -49,11 +43,6 @@ import (
 // ProtoVersion is the stream protocol version. There are no
 // compatibility shims: both ends must match (the wire/snapshot policy).
 const ProtoVersion = 1
-
-// MaxFrame bounds one frame body (64 MiB), so a corrupt length prefix
-// cannot force a giant allocation. Session snapshots larger than a
-// frame are chunked.
-const MaxFrame = 1 << 26
 
 // snapChunk is the chunk size for shipping snapshot bodies (256 KiB):
 // large enough to amortize framing, small enough to interleave
@@ -76,7 +65,9 @@ const (
 // node has seen: a partitioned ex-primary trying to feed stale state.
 var ErrFenced = errors.New("repl: frame from fenced primary (stale epoch)")
 
-// ErrBadFrame reports a structurally invalid frame.
+// ErrBadFrame reports a frame that arrives out of protocol order. A
+// frame that is torn, corrupted or does not decode is snapshot's
+// ErrTruncated or ErrCorrupt.
 var ErrBadFrame = errors.New("repl: bad frame")
 
 // Metrics is the registry surface both ends feed (a subset of what
@@ -115,39 +106,7 @@ type Applier interface {
 	Apply(seq uint64, payload []byte) error
 }
 
-// --- frame codec ---------------------------------------------------------
-
-// writeFrame frames body onto w and returns the bytes written.
-func writeFrame(w io.Writer, body []byte) (int, error) {
-	buf := make([]byte, 0, len(body)+16)
-	buf = binary.AppendUvarint(buf, uint64(len(body)))
-	buf = append(buf, body...)
-	buf = binary.LittleEndian.AppendUint32(buf, crc32.ChecksumIEEE(body))
-	return w.Write(buf)
-}
-
-// readFrame reads one frame body off br, verifying length bound and CRC.
-func readFrame(br *bufio.Reader) ([]byte, error) {
-	n, err := binary.ReadUvarint(br)
-	if err != nil {
-		return nil, err
-	}
-	if n > MaxFrame {
-		return nil, fmt.Errorf("%w: %d-byte frame exceeds MaxFrame", ErrBadFrame, n)
-	}
-	body := make([]byte, n)
-	if _, err := io.ReadFull(br, body); err != nil {
-		return nil, err
-	}
-	var crc [4]byte
-	if _, err := io.ReadFull(br, crc[:]); err != nil {
-		return nil, err
-	}
-	if crc32.ChecksumIEEE(body) != binary.LittleEndian.Uint32(crc[:]) {
-		return nil, fmt.Errorf("%w: CRC mismatch", ErrBadFrame)
-	}
-	return body, nil
-}
+// --- frame bodies --------------------------------------------------------
 
 // frame is the decoded union of every message kind.
 type frame struct {
@@ -174,7 +133,7 @@ type frame struct {
 // decodes or returns an error, never panics (FuzzDecodeFrame enforces
 // this).
 func decodeFrame(body []byte) (*frame, error) {
-	r := newReader(body)
+	r := snapshot.NewReader(body)
 	f := &frame{kind: r.Byte()}
 	switch f.kind {
 	case kindHello:
@@ -207,16 +166,16 @@ func decodeFrame(body []byte) (*frame, error) {
 	case kindAck:
 		f.acked = r.Uvarint()
 	default:
-		return nil, fmt.Errorf("%w: unknown kind %d", ErrBadFrame, f.kind)
+		return nil, fmt.Errorf("repl: %w: unknown frame kind %d", snapshot.ErrCorrupt, f.kind)
 	}
 	if err := r.Finish(); err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrBadFrame, err)
+		return nil, fmt.Errorf("repl: frame kind %d: %w", f.kind, err)
 	}
 	return f, nil
 }
 
 func encodeHello(lastSeq uint64, lastCRC uint32, epochSeen uint64) []byte {
-	w := newWriter()
+	w := &snapshot.Writer{}
 	w.Byte(kindHello)
 	w.Uvarint(ProtoVersion)
 	w.Uvarint(lastSeq)
@@ -226,7 +185,7 @@ func encodeHello(lastSeq uint64, lastCRC uint32, epochSeen uint64) []byte {
 }
 
 func encodeWelcome(epoch uint64, resync bool, startSeq uint64) []byte {
-	w := newWriter()
+	w := &snapshot.Writer{}
 	w.Byte(kindWelcome)
 	w.Uvarint(ProtoVersion)
 	w.Uvarint(epoch)
@@ -236,7 +195,7 @@ func encodeWelcome(epoch uint64, resync bool, startSeq uint64) []byte {
 }
 
 func encodeSnap(epoch uint64, id string, done bool, chunk []byte) []byte {
-	w := newWriter()
+	w := &snapshot.Writer{}
 	w.Byte(kindSnap)
 	w.Uvarint(epoch)
 	w.String(id)
@@ -246,7 +205,7 @@ func encodeSnap(epoch uint64, id string, done bool, chunk []byte) []byte {
 }
 
 func encodeSnapDone(epoch, resume, sessions uint64) []byte {
-	w := newWriter()
+	w := &snapshot.Writer{}
 	w.Byte(kindSnapDone)
 	w.Uvarint(epoch)
 	w.Uvarint(resume)
@@ -255,7 +214,7 @@ func encodeSnapDone(epoch, resume, sessions uint64) []byte {
 }
 
 func encodeRecord(epoch, seq uint64, payload []byte) []byte {
-	w := newWriter()
+	w := &snapshot.Writer{}
 	w.Byte(kindRecord)
 	w.Uvarint(epoch)
 	w.Uvarint(seq)
@@ -264,7 +223,7 @@ func encodeRecord(epoch, seq uint64, payload []byte) []byte {
 }
 
 func encodeHeartbeat(epoch, lastSeq uint64, wallMicros int64) []byte {
-	w := newWriter()
+	w := &snapshot.Writer{}
 	w.Byte(kindHeartbeat)
 	w.Uvarint(epoch)
 	w.Uvarint(lastSeq)
@@ -273,7 +232,7 @@ func encodeHeartbeat(epoch, lastSeq uint64, wallMicros int64) []byte {
 }
 
 func encodeAck(acked uint64) []byte {
-	w := newWriter()
+	w := &snapshot.Writer{}
 	w.Byte(kindAck)
 	w.Uvarint(acked)
 	return w.Body()
@@ -331,13 +290,5 @@ func SaveEpoch(path string, epoch uint64) error {
 	}
 	return nil
 }
-
-// --- shared small helpers ------------------------------------------------
-
-// newWriter / newReader alias the snapshot section primitives, which
-// double as the standalone payload codec for frame bodies (exactly how
-// WAL record payloads are encoded).
-func newWriter() *snapshot.Writer         { return &snapshot.Writer{} }
-func newReader(b []byte) *snapshot.Reader { return snapshot.NewReader(b) }
 
 func nowMicros() int64 { return time.Now().UnixMicro() }

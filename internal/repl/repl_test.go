@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/snapshot"
 	"repro/internal/wal"
 )
 
@@ -292,11 +293,11 @@ func TestFencedPrimaryFramesRejected(t *testing.T) {
 	// try to feed an epoch-1 record.
 	go func() {
 		br := bufio.NewReader(server)
-		if _, err := readFrame(br); err != nil {
+		if _, err := snapshot.ReadFrame(br, snapshot.MaxFrame); err != nil {
 			return
 		}
-		writeFrame(server, encodeWelcome(1, false, 1))        //nolint:errcheck
-		writeFrame(server, encodeRecord(1, 1, []byte("bad"))) //nolint:errcheck
+		server.Write(snapshot.AppendFrame(nil, encodeWelcome(1, false, 1)))        //nolint:errcheck
+		server.Write(snapshot.AppendFrame(nil, encodeRecord(1, 1, []byte("bad")))) //nolint:errcheck
 	}()
 
 	err := f.session(client)
@@ -324,13 +325,13 @@ func TestFencedMidStream(t *testing.T) {
 
 	go func() {
 		br := bufio.NewReader(server)
-		if _, err := readFrame(br); err != nil {
+		if _, err := snapshot.ReadFrame(br, snapshot.MaxFrame); err != nil {
 			return
 		}
 		// Welcome at epoch 2 (the follower advances), then a record from
 		// epoch 1 — a fenced ex-primary's frame.
-		writeFrame(server, encodeWelcome(2, false, 1))          //nolint:errcheck
-		writeFrame(server, encodeRecord(1, 1, []byte("stale"))) //nolint:errcheck
+		server.Write(snapshot.AppendFrame(nil, encodeWelcome(2, false, 1)))          //nolint:errcheck
+		server.Write(snapshot.AppendFrame(nil, encodeRecord(1, 1, []byte("stale")))) //nolint:errcheck
 	}()
 
 	err := f.session(client)
@@ -364,13 +365,13 @@ func TestStalePrimaryRefusesSuperiorFollower(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	if _, err := writeFrame(conn, encodeHello(0, 0, 9)); err != nil {
+	if _, err := conn.Write(snapshot.AppendFrame(nil, encodeHello(0, 0, 9))); err != nil {
 		t.Fatal(err)
 	}
 	// The primary must hang up without a welcome.
 	br := bufio.NewReader(conn)
 	conn.SetReadDeadline(time.Now().Add(5 * time.Second)) //nolint:errcheck
-	if body, err := readFrame(br); err == nil {
+	if body, err := snapshot.ReadFrame(br, snapshot.MaxFrame); err == nil {
 		fr, _ := decodeFrame(body)
 		t.Fatalf("fenced primary answered with kind %d", fr.kind)
 	}

@@ -47,10 +47,10 @@ type Config struct {
 	// fsyncs every record before acknowledging; SyncInterval batches;
 	// SyncNever leaves flushing to the OS).
 	Fsync wal.Policy
-	// SnapshotDelay stalls each write-behind snapshot (test hook: it
-	// widens the window in which acknowledged appends exist only in the
-	// WAL, so crash tests can target it deterministically). 0 in
-	// production.
+	// SnapshotDelay stalls each write-behind snapshot, not the drain
+	// (test hook: it widens the window in which acknowledged appends
+	// exist only in the WAL, so crash tests can target it
+	// deterministically). 0 in production.
 	SnapshotDelay time.Duration
 	// ReadOnly starts the server as a replication follower: create,
 	// append and delete refuse with 503 ErrReadOnly until a promote
@@ -137,7 +137,7 @@ func NewServer(cfg Config) *Server {
 			// Recovery order: snapshots first (the coarse base state), then
 			// the WAL replayed on top of them — it holds exactly the
 			// acknowledged work the snapshots had not absorbed yet.
-			restoreSessions(cfg.DataDir, s.store, m, log)
+			mark := restoreSessions(cfg.DataDir, s.store, m, log)
 			walLog, err := wal.Open(filepath.Join(cfg.DataDir, walDirName), wal.Options{
 				Fsync:   cfg.Fsync,
 				Metrics: m,
@@ -152,6 +152,7 @@ func NewServer(cfg Config) *Server {
 			s.store.SetWAL(s.wal)
 			if s.wal != nil {
 				s.replayWAL()
+				s.rebaseWAL(mark)
 			}
 		}
 	}

@@ -137,8 +137,9 @@ type persister struct {
 	log     *slog.Logger
 	wal     *serverWAL // nil when write-ahead logging is disabled
 
-	// delay stalls each snapshot write (Config.SnapshotDelay): a test
-	// hook widening the window in which state exists only in the WAL.
+	// delay stalls each write-behind intent (Config.SnapshotDelay): a
+	// test hook widening the window in which state exists only in the
+	// WAL. The synchronous drain is not stalled.
 	delay time.Duration
 
 	mu    sync.Mutex
@@ -206,6 +207,9 @@ func (p *persister) flush() {
 	p.dirty = make(map[string]*Session)
 	p.mu.Unlock()
 	for id, s := range batch {
+		if p.delay > 0 {
+			time.Sleep(p.delay)
+		}
 		if s == nil {
 			p.remove(id)
 			continue
@@ -220,9 +224,6 @@ func (p *persister) flush() {
 // records: with the file gone, nothing on disk can resurrect the
 // session, so even a pending delete intent is compactable.
 func (p *persister) remove(id string) {
-	if p.delay > 0 {
-		time.Sleep(p.delay)
-	}
 	os.Remove(p.path(id)) //nolint:errcheck // absent is as good as removed
 	if p.wal != nil {
 		p.wal.removeApplied(id)
@@ -238,9 +239,6 @@ func (p *persister) write(s *Session) (int, error) {
 	walSeq, err := s.EncodeSnapshot(f)
 	if err != nil {
 		return 0, err
-	}
-	if p.delay > 0 {
-		time.Sleep(p.delay)
 	}
 	start := time.Now()
 	n, err := snapshot.WriteFile(p.path(s.ID), f)
@@ -287,13 +285,14 @@ func (p *persister) drain(live []*Session) {
 }
 
 // restoreSessions loads every snapshot in the data dir back into the
-// store. A file that fails to open, decode or fit the table is logged
-// and skipped — a corrupt checkpoint must not keep the server down.
-func restoreSessions(dir string, st *Store, metrics *Metrics, log *slog.Logger) {
+// store and returns the highest WAL coverage mark among them. A file
+// that fails to open, decode or fit the table is logged and skipped — a
+// corrupt checkpoint must not keep the server down.
+func restoreSessions(dir string, st *Store, metrics *Metrics, log *slog.Logger) (mark uint64) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
 		log.Error("snapshot dir unreadable", "dir", dir, "err", err)
-		return
+		return 0
 	}
 	for _, e := range entries {
 		name := e.Name()
@@ -312,7 +311,9 @@ func restoreSessions(dir string, st *Store, metrics *Metrics, log *slog.Logger) 
 		}
 		metrics.Add("snapshot_restore_total", 1)
 		log.Info("session restored", "session", sess.ID, "alarms", sess.alarms)
+		mark = max(mark, sess.walSeq)
 	}
+	return mark
 }
 
 // LoadSessionFile opens one session snapshot off the data dir — restore

@@ -316,6 +316,26 @@ func (s *Server) replayWAL() {
 	}
 }
 
+// rebaseWAL keeps new sequence numbers above mark, the highest WAL
+// coverage among the restored snapshots. A log that restarted below it
+// (its directory removed after a drain, say) would hand new appends
+// numbers the next boot's replay skips as already covered. So every
+// live session is persisted, pending removals first, and the log moves
+// past mark. A log at or above mark — every normal boot — is left as
+// it is.
+func (s *Server) rebaseWAL(mark uint64) {
+	if s.wal.log.LastSeq() >= mark {
+		return
+	}
+	s.persist.drain(s.store.Sessions())
+	s.wal.reset()
+	if err := s.wal.log.SkipTo(mark + 1); err != nil {
+		s.log.Error("wal: cannot move past the snapshots' coverage", "mark", mark, "err", err)
+		return
+	}
+	s.log.Warn("wal: log restarted below the snapshots' coverage; moved past it", "mark", mark)
+}
+
 // walAppendError wraps a WAL write failure on the append path.
 func walAppendError(err error) error {
 	return fmt.Errorf("serve: append evaluated but not durably logged: %w", err)

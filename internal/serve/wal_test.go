@@ -4,6 +4,8 @@ import (
 	"context"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"reflect"
 	"testing"
 	"time"
@@ -96,6 +98,48 @@ func TestWALReplayAfterCrash(t *testing.T) {
 	if got.Seq != want.Seq || !reflect.DeepEqual(essence(t, got.Report), essence(t, want.Report)) {
 		t.Fatalf("post-replay append diverged from control:\n got seq=%q %+v\nwant seq=%q %+v",
 			got.Seq, essence(t, got.Report), want.Seq, essence(t, want.Report))
+	}
+}
+
+// TestWALRestartBelowSnapshotsKeepsAppends: a drained server's wal/
+// directory is removed, so the log restarts empty below the restored
+// snapshot's coverage mark (seq 4: one create, three appends). An append
+// acknowledged after that restart must survive a crash: boot moves the
+// log past the mark, so the next replay does not skip the record as
+// covered.
+func TestWALRestartBelowSnapshotsKeepsAppends(t *testing.T) {
+	dir := t.TempDir()
+	s := NewServer(Config{DataDir: dir, SweepEvery: -1})
+	ts := httptest.NewServer(s)
+	sess := createSession(t, ts, createRequest{Net: exampleNetText(t), Engine: "dqsq"})
+	for _, a := range quickstartAlarms {
+		appendAlarms(t, ts, sess.ID, a)
+	}
+	ts.Close()
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	if err := s.Shutdown(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.RemoveAll(filepath.Join(dir, walDirName)); err != nil {
+		t.Fatal(err)
+	}
+
+	_, ts2 := crashServer(t, dir)
+	appendAlarms(t, ts2, sess.ID, "b@p1")
+	ts2.Close() // crash: the new append lives only in the WAL
+
+	_, ts3 := newTestServer(t, Config{DataDir: dir})
+	got := getSession(t, ts3, sess.ID)
+	_, tsCtl := newTestServer(t, Config{})
+	ctl := createSession(t, tsCtl, createRequest{Net: exampleNetText(t), Engine: "dqsq"})
+	for _, a := range append(append([]string{}, quickstartAlarms...), "b@p1") {
+		appendAlarms(t, tsCtl, ctl.ID, a)
+	}
+	want := getSession(t, tsCtl, ctl.ID)
+	if got.Alarms != want.Alarms || got.Seq != want.Seq || !reflect.DeepEqual(essence(t, got.Report), essence(t, want.Report)) {
+		t.Fatalf("after the restart below the mark: alarms=%d seq=%q, want alarms=%d seq=%q",
+			got.Alarms, got.Seq, want.Alarms, want.Seq)
 	}
 }
 

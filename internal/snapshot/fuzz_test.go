@@ -1,7 +1,11 @@
 package snapshot
 
 import (
+	"bufio"
 	"bytes"
+	"encoding/binary"
+	"errors"
+	"io"
 	"testing"
 )
 
@@ -97,6 +101,49 @@ func FuzzReader(f *testing.F) {
 			if r.Err() != nil {
 				return
 			}
+		}
+	})
+}
+
+// FuzzFrame: frame parsing is total and agrees across its two readers.
+// Over arbitrary bytes, NextFrame either errors or returns a frame, and
+// ReadFrame over the same stream returns the same bodies and the same
+// failure kind; every body round-trips through AppendFrame.
+func FuzzFrame(f *testing.F) {
+	f.Add(AppendFrame(nil, []byte("body")))
+	f.Add(AppendFrame(AppendFrame(nil, nil), []byte{1, 2, 3}))
+	f.Add(AppendFrame(nil, []byte("body"))[:5])
+	f.Add([]byte{0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x01}) // huge length
+	f.Add(bytes.Repeat([]byte{0x80}, 11))                                     // overflowing length
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, b []byte) {
+		br := bufio.NewReader(bytes.NewReader(b))
+		rest := b
+		for len(rest) > 0 {
+			body, next, err := NextFrame(rest)
+			got, rerr := ReadFrame(br, MaxFrame)
+			if err != nil {
+				if rerr == nil {
+					t.Fatalf("NextFrame: %v, but ReadFrame read %d bytes", err, len(got))
+				}
+				n, _ := binary.Uvarint(rest)
+				if n <= MaxFrame && errors.Is(err, ErrTruncated) != errors.Is(rerr, ErrTruncated) {
+					t.Fatalf("NextFrame: %v, ReadFrame: %v", err, rerr)
+				}
+				return
+			}
+			if rerr != nil || !bytes.Equal(got, body) {
+				t.Fatalf("NextFrame read %q, ReadFrame %q (%v)", body, got, rerr)
+			}
+			enc := AppendFrame(nil, body)
+			again, tail, err := NextFrame(enc)
+			if err != nil || len(tail) != 0 || !bytes.Equal(again, body) || len(enc) != FrameSize(len(body)) {
+				t.Fatalf("frame of %q does not round-trip: %q, %d trailing bytes, %v", body, again, len(tail), err)
+			}
+			rest = next
+		}
+		if _, err := ReadFrame(br, MaxFrame); err != io.EOF {
+			t.Fatalf("ReadFrame at the end of the stream: %v, want io.EOF", err)
 		}
 	})
 }

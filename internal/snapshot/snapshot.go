@@ -1,27 +1,31 @@
-// Package snapshot is the durable counterpart of the wire codec: a
-// stdlib-only, versioned binary container for checkpoint files. Where
-// package wire frames the messages of a live evaluation, this package
-// frames the state those messages build up — term stores, relations,
-// engine and session state — so a process can be killed and restored
-// without recomputing the unfolding from scratch.
+// Package snapshot is the repository's one binary codec: the total,
+// bounds-checked Writer/Reader primitives every payload is encoded with,
+// the CRC frame every durable or shipped byte stream is cut into, and the
+// versioned container for checkpoint files built from both.
+//
+// A frame is
+//
+//	uvarint len | body | crc32(body) LE
+//
+// AppendFrame writes one; NextFrame parses one off a slice, ReadFrame off
+// a stream (refusing a length over the caller's limit, MaxFrame off a
+// socket, before allocating). WAL records, checkpoint sections, and
+// replication and TCP transport messages are all frames. ErrTruncated,
+// ErrCorrupt and ErrVersion (a well-formed header of another format
+// version) are the only framing errors in the repository.
 //
 // A snapshot file is a sequence of named sections behind a magic+version
-// header. Every section carries a CRC-32 of its body, checked eagerly on
-// Open, so torn writes and bit rot surface as ErrCorrupt before any state
-// is rebuilt. Section bodies use the same primitives as the wire format
-// (uvarints, length-prefixed strings) and the same total-decoder
-// discipline: any byte slice either decodes or returns an error — the
-// reader never panics and never allocates more than the input could
-// justify. FuzzOpen enforces this.
-//
-// Layout:
+// header, each section body one frame:
 //
 //	"DSNP" | uvarint major | uvarint minor | uvarint nSections
-//	then per section: string name | uvarint bodyLen | body | crc32(body) LE
+//	then per section: string name | frame(body)
 //
-// The major version gates compatibility: readers refuse files from a
-// different major outright (there are no compatibility shims, matching
-// wire's handshake policy). The minor version is informational.
+// Open checks every CRC eagerly, so torn writes and bit rot surface before
+// any state is rebuilt. Decoding is total: any input either decodes or
+// returns an error, never panics and never allocates more than the input
+// could justify (FuzzOpen and FuzzFrame enforce this). Readers refuse a
+// file of another major version outright — no compatibility shims,
+// matching wire's handshake policy; the minor version is informational.
 package snapshot
 
 import (
@@ -53,10 +57,14 @@ const (
 )
 
 // MaxSnapshot bounds the size of a snapshot file this package will open
-// (256 MiB) — like wire.MaxFrame it stops a corrupt length from forcing a
+// (256 MiB) — like MaxFrame it stops a corrupt length from forcing a
 // giant allocation, scaled up because a checkpoint carries whole stores,
 // not single messages.
 const MaxSnapshot = 1 << 28
+
+// MaxFrame bounds one frame body read off a stream (64 MiB), so a
+// corrupt or hostile length prefix cannot force a giant allocation.
+const MaxFrame = 1 << 26
 
 // ErrTruncated reports an input that ended mid-structure.
 var ErrTruncated = errors.New("snapshot: truncated input")
@@ -67,6 +75,81 @@ var ErrCorrupt = errors.New("snapshot: corrupt input")
 
 // ErrVersion reports a snapshot written by an incompatible major version.
 var ErrVersion = errors.New("snapshot: unsupported version")
+
+// --- frames --------------------------------------------------------------
+
+// AppendFrame appends body to dst as one frame.
+func AppendFrame(dst, body []byte) []byte {
+	dst = binary.AppendUvarint(dst, uint64(len(body)))
+	dst = append(dst, body...)
+	return binary.LittleEndian.AppendUint32(dst, crc32.ChecksumIEEE(body))
+}
+
+// FrameSize reports the encoded size of a frame with an n-byte body.
+func FrameSize(n int) int {
+	var hdr [binary.MaxVarintLen64]byte
+	return binary.PutUvarint(hdr[:], uint64(n)) + n + 4
+}
+
+// NextFrame parses the frame at the head of b and returns its body (a
+// view into b) and the bytes after the frame. It never panics and never
+// allocates.
+func NextFrame(b []byte) (body, rest []byte, err error) {
+	n, k := binary.Uvarint(b)
+	if k == 0 {
+		return nil, nil, ErrTruncated
+	}
+	if k < 0 {
+		return nil, nil, fmt.Errorf("%w: frame length overflows", ErrCorrupt)
+	}
+	b = b[k:]
+	if n > uint64(len(b)) || len(b)-int(n) < 4 {
+		return nil, nil, ErrTruncated
+	}
+	body, rest = b[:n], b[n+4:]
+	if crc32.ChecksumIEEE(body) != binary.LittleEndian.Uint32(b[n:]) {
+		return nil, nil, fmt.Errorf("%w: frame CRC mismatch", ErrCorrupt)
+	}
+	return body, rest, nil
+}
+
+// ReadFrame reads one frame off br, refusing a length over max before
+// allocating. A stream that ends before the frame's first byte returns
+// io.EOF (a clean close between frames), one that ends inside it
+// ErrTruncated; other read errors pass through.
+func ReadFrame(br *bufio.Reader, max int) ([]byte, error) {
+	var buf [binary.MaxVarintLen64 + 1]byte // the length prefix, decoded as NextFrame would
+	hdr := buf[:0]
+	for len(hdr) == 0 || hdr[len(hdr)-1] >= 0x80 && len(hdr) < len(buf) {
+		c, err := br.ReadByte()
+		if err == io.EOF && len(hdr) > 0 {
+			err = ErrTruncated
+		}
+		if err != nil {
+			return nil, err
+		}
+		hdr = append(hdr, c)
+	}
+	n, k := binary.Uvarint(hdr)
+	if k <= 0 {
+		return nil, fmt.Errorf("%w: frame length overflows", ErrCorrupt)
+	}
+	if n > uint64(max) {
+		return nil, fmt.Errorf("%w: %d-byte frame exceeds the %d-byte limit", ErrCorrupt, n, max)
+	}
+	frame := make([]byte, n+4)
+	if _, err := io.ReadFull(br, frame); err != nil {
+		if err == io.EOF || err == io.ErrUnexpectedEOF {
+			err = ErrTruncated
+		}
+		return nil, err
+	}
+	body := frame[:n]
+	if crc32.ChecksumIEEE(body) != binary.LittleEndian.Uint32(frame[n:]) {
+		return nil, fmt.Errorf("%w: frame CRC mismatch", ErrCorrupt)
+	}
+	return body, nil
+}
 
 // --- writing -------------------------------------------------------------
 
@@ -96,8 +179,8 @@ func (f *File) Section(name string) *Writer {
 	return w
 }
 
-// Bytes serializes the whole file: header, then each section with its
-// length prefix and CRC.
+// Bytes serializes the whole file: header, then each section's name and
+// framed body.
 func (f *File) Bytes() []byte {
 	out := make([]byte, 0, 64)
 	out = append(out, Magic...)
@@ -107,9 +190,7 @@ func (f *File) Bytes() []byte {
 	for i, w := range f.sections {
 		out = binary.AppendUvarint(out, uint64(len(f.names[i])))
 		out = append(out, f.names[i]...)
-		out = binary.AppendUvarint(out, uint64(len(w.b)))
-		out = append(out, w.b...)
-		out = binary.LittleEndian.AppendUint32(out, crc32.ChecksumIEEE(w.b))
+		out = AppendFrame(out, w.b)
 	}
 	return out
 }
@@ -188,25 +269,14 @@ func Open(b []byte) (*OpenFile, error) {
 	o := &OpenFile{major: int(major), minor: int(minor), bodies: make(map[string][]byte, n)}
 	for i := 0; i < n && r.err == nil; i++ {
 		name := r.String()
-		blen := r.Uvarint()
 		if r.err != nil {
 			break
 		}
-		if blen > uint64(len(b)-r.off) {
-			r.err = ErrTruncated
-			break
+		body, rest, err := NextFrame(b[r.off:])
+		if err != nil {
+			return nil, fmt.Errorf("section %q: %w", name, err)
 		}
-		body := b[r.off : r.off+int(blen)]
-		r.off += int(blen)
-		if len(b)-r.off < 4 {
-			r.err = ErrTruncated
-			break
-		}
-		want := binary.LittleEndian.Uint32(b[r.off:])
-		r.off += 4
-		if crc32.ChecksumIEEE(body) != want {
-			return nil, fmt.Errorf("%w: CRC mismatch in section %q", ErrCorrupt, name)
-		}
+		r.off = len(b) - len(rest)
 		if _, dup := o.bodies[name]; dup {
 			return nil, fmt.Errorf("%w: duplicate section %q", ErrCorrupt, name)
 		}
@@ -220,113 +290,6 @@ func Open(b []byte) (*OpenFile, error) {
 		return nil, fmt.Errorf("%w: %d trailing bytes", ErrCorrupt, len(b)-r.off)
 	}
 	return o, nil
-}
-
-// FromReader parses and validates a snapshot incrementally from a
-// stream: header first, then section by section, each CRC-checked as
-// soon as its body arrives. A corrupt or over-budget stream fails
-// early without buffering anything beyond the offending section —
-// unlike Open, which needs the whole file in memory up front. The
-// replication follower validates shipped snapshots straight off the
-// connection this way. The cumulative section-body budget is
-// MaxSnapshot, the same bound Open enforces on whole files.
-func FromReader(rd io.Reader) (*OpenFile, error) {
-	br := bufio.NewReader(rd)
-	magic := make([]byte, len(Magic))
-	if _, err := io.ReadFull(br, magic); err != nil {
-		return nil, streamErr(err)
-	}
-	if string(magic) != Magic {
-		return nil, fmt.Errorf("%w: bad magic", ErrCorrupt)
-	}
-	major, err := streamUvarint(br)
-	if err != nil {
-		return nil, err
-	}
-	minor, err := streamUvarint(br)
-	if err != nil {
-		return nil, err
-	}
-	if major != Major {
-		return nil, fmt.Errorf("%w: stream has major version %d, this build reads %d", ErrVersion, major, Major)
-	}
-	n, err := streamUvarint(br)
-	if err != nil {
-		return nil, err
-	}
-	// Same allocation guard as Open: the smallest section needs 6 bytes.
-	if n > MaxSnapshot/6 {
-		return nil, fmt.Errorf("%w: %d sections", ErrCorrupt, n)
-	}
-	budget := uint64(MaxSnapshot)
-	o := &OpenFile{major: int(major), minor: int(minor), bodies: make(map[string][]byte)}
-	for i := uint64(0); i < n; i++ {
-		nameLen, err := streamUvarint(br)
-		if err != nil {
-			return nil, err
-		}
-		if nameLen > budget {
-			return nil, fmt.Errorf("%w: section name of %d bytes", ErrCorrupt, nameLen)
-		}
-		nameBuf := make([]byte, nameLen)
-		if _, err := io.ReadFull(br, nameBuf); err != nil {
-			return nil, streamErr(err)
-		}
-		name := string(nameBuf)
-		blen, err := streamUvarint(br)
-		if err != nil {
-			return nil, err
-		}
-		if blen > budget {
-			return nil, fmt.Errorf("%w: section %q of %d bytes exceeds the %d-byte budget", ErrCorrupt, name, blen, MaxSnapshot)
-		}
-		budget -= blen
-		body := make([]byte, blen)
-		if _, err := io.ReadFull(br, body); err != nil {
-			return nil, streamErr(err)
-		}
-		var crc [4]byte
-		if _, err := io.ReadFull(br, crc[:]); err != nil {
-			return nil, streamErr(err)
-		}
-		if crc32.ChecksumIEEE(body) != binary.LittleEndian.Uint32(crc[:]) {
-			return nil, fmt.Errorf("%w: CRC mismatch in section %q", ErrCorrupt, name)
-		}
-		if _, dup := o.bodies[name]; dup {
-			return nil, fmt.Errorf("%w: duplicate section %q", ErrCorrupt, name)
-		}
-		o.order = append(o.order, name)
-		o.bodies[name] = body
-	}
-	if _, err := br.ReadByte(); err != io.EOF {
-		if err != nil {
-			return nil, err
-		}
-		return nil, fmt.Errorf("%w: trailing bytes", ErrCorrupt)
-	}
-	return o, nil
-}
-
-// streamUvarint reads one uvarint from the stream, mapping stream ends
-// to ErrTruncated and malformed encodings to ErrCorrupt.
-func streamUvarint(br *bufio.Reader) (uint64, error) {
-	v, err := binary.ReadUvarint(br)
-	if err == io.EOF || err == io.ErrUnexpectedEOF {
-		return 0, ErrTruncated
-	}
-	if err != nil {
-		return 0, fmt.Errorf("%w: %v", ErrCorrupt, err)
-	}
-	return v, nil
-}
-
-// streamErr maps short reads to ErrTruncated and passes real I/O
-// errors through.
-func streamErr(err error) error {
-	if err == io.EOF || err == io.ErrUnexpectedEOF {
-		return ErrTruncated
-	}
-	return err
 }
 
 // Major reports the file's major format version.

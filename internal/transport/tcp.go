@@ -5,12 +5,12 @@ import (
 	crand "crypto/rand"
 	"encoding/binary"
 	"fmt"
-	"io"
 	"math/rand"
 	"net"
 	"sync"
 	"time"
 
+	"repro/internal/snapshot"
 	"repro/internal/wire"
 )
 
@@ -94,7 +94,7 @@ type outbound struct {
 
 type outFrame struct {
 	seq uint64
-	enc []byte // full frame including length prefix
+	enc []byte // the whole snapshot frame: length prefix, body, CRC
 }
 
 // ListenTCP creates a TCP transport for node self, listening on addr
@@ -247,12 +247,11 @@ func (t *TCP) Send(node string, f wire.Frame) error {
 	seq := o.nextSeq
 	o.nextSeq++
 	body := wire.AppendFrame(nil, seq, f)
-	if len(body) > wire.MaxFrame {
+	if len(body) > snapshot.MaxFrame {
 		o.mu.Unlock()
-		return fmt.Errorf("transport: frame of %d bytes exceeds wire.MaxFrame", len(body))
+		return fmt.Errorf("transport: frame of %d bytes exceeds snapshot.MaxFrame", len(body))
 	}
-	enc := binary.AppendUvarint(make([]byte, 0, len(body)+4), uint64(len(body)))
-	enc = append(enc, body...)
+	enc := snapshot.AppendFrame(make([]byte, 0, snapshot.FrameSize(len(body))), body)
 	o.buf = append(o.buf, outFrame{seq: seq, enc: enc})
 	o.cond.Broadcast()
 	o.mu.Unlock()
@@ -324,12 +323,6 @@ func (t *TCP) Close() error {
 	return nil
 }
 
-func (t *TCP) isClosed() bool {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.closed
-}
-
 // --- inbound -------------------------------------------------------------
 
 func (t *TCP) acceptLoop() {
@@ -379,7 +372,11 @@ func (t *TCP) serveConn(conn net.Conn) {
 
 	br := bufio.NewReader(conn)
 	conn.SetReadDeadline(time.Now().Add(handshakeTimeout))
-	_, f, err := readFrame(br)
+	body, err := snapshot.ReadFrame(br, snapshot.MaxFrame)
+	if err != nil {
+		return
+	}
+	_, f, err := wire.DecodeFrame(body)
 	if err != nil {
 		return
 	}
@@ -405,17 +402,23 @@ func (t *TCP) serveConn(conn net.Conn) {
 	reply := wire.Hello{Version: wire.Version, Node: t.self, Boot: t.boot, WallMicros: uint64(time.Now().UnixMicro()), LastSeq: rs.lastSeq}
 	rs.mu.Unlock()
 	conn.SetWriteDeadline(time.Now().Add(handshakeTimeout))
-	if err := writeFrame(conn, 0, reply); err != nil {
+	if _, err := conn.Write(snapshot.AppendFrame(nil, wire.AppendFrame(nil, 0, reply))); err != nil {
 		return
 	}
 	conn.SetReadDeadline(time.Time{})
 
 	for {
-		n, f, err := readFrame(br)
+		// A torn or corrupted frame ends the connection before anything
+		// is delivered; the sender redials and replays from the last
+		// delivered sequence number.
+		body, err := snapshot.ReadFrame(br, snapshot.MaxFrame)
 		if err != nil {
 			return
 		}
-		seq, frame := n, f
+		seq, frame, err := wire.DecodeFrame(body)
+		if err != nil {
+			return
+		}
 		if seq == 0 {
 			continue // unsequenced frames are connection control; none inbound today
 		}
@@ -443,7 +446,7 @@ func (t *TCP) serveConn(conn net.Conn) {
 		}
 		t.mu.Lock()
 		t.stats.FramesReceived++
-		t.stats.BytesReceived += frameBytes(seq, frame)
+		t.stats.BytesReceived += uint64(snapshot.FrameSize(len(body)))
 		h := t.handler
 		t.mu.Unlock()
 		h(from, frame)
@@ -451,58 +454,11 @@ func (t *TCP) serveConn(conn net.Conn) {
 
 		if ack {
 			conn.SetWriteDeadline(time.Now().Add(writeTimeout))
-			if err := writeFrame(conn, 0, wire.Ack{Seq: seq}); err != nil {
+			if _, err := conn.Write(snapshot.AppendFrame(nil, wire.AppendFrame(nil, 0, wire.Ack{Seq: seq}))); err != nil {
 				return
 			}
 		}
 	}
-}
-
-func frameBytes(seq uint64, f wire.Frame) uint64 {
-	body := wire.AppendFrame(nil, seq, f)
-	return uint64(len(body)) + uint64(uvarintLen(uint64(len(body))))
-}
-
-func uvarintLen(v uint64) int {
-	n := 1
-	for v >= 0x80 {
-		v >>= 7
-		n++
-	}
-	return n
-}
-
-// readFrame reads one length-prefixed frame and decodes it.
-func readFrame(br *bufio.Reader) (uint64, wire.Frame, error) {
-	size, err := binary.ReadUvarint(br)
-	if err != nil {
-		return 0, nil, err
-	}
-	if size > wire.MaxFrame {
-		return 0, nil, fmt.Errorf("transport: frame length %d exceeds wire.MaxFrame", size)
-	}
-	body := make([]byte, size)
-	if _, err := io.ReadFull(br, body); err != nil {
-		return 0, nil, err
-	}
-	return decode(body)
-}
-
-func decode(body []byte) (uint64, wire.Frame, error) {
-	seq, f, err := wire.DecodeFrame(body)
-	if err != nil {
-		return 0, nil, err
-	}
-	return seq, f, nil
-}
-
-// writeFrame writes one length-prefixed frame directly to w.
-func writeFrame(w io.Writer, seq uint64, f wire.Frame) error {
-	body := wire.AppendFrame(nil, seq, f)
-	enc := binary.AppendUvarint(make([]byte, 0, len(body)+4), uint64(len(body)))
-	enc = append(enc, body...)
-	_, err := w.Write(enc)
-	return err
 }
 
 // --- outbound ------------------------------------------------------------
@@ -585,7 +541,12 @@ func (o *outbound) run() {
 		// handshake's buffered reader so no bytes are stranded.
 		go func(c net.Conn, br *bufio.Reader) {
 			for {
-				_, f, err := readFrame(br)
+				body, err := snapshot.ReadFrame(br, snapshot.MaxFrame)
+				if err != nil {
+					o.dropConn(c)
+					return
+				}
+				_, f, err := wire.DecodeFrame(body)
 				if err != nil {
 					o.dropConn(c)
 					return
@@ -678,18 +639,19 @@ func (o *outbound) dial(attemptBase int) (net.Conn, *bufio.Reader, uint64, error
 		if err == nil {
 			conn.SetDeadline(time.Now().Add(handshakeTimeout))
 			t0 := time.Now().UnixMicro()
-			err = writeFrame(conn, 0, wire.Hello{Version: wire.Version, Node: o.t.self, Boot: o.t.boot, WallMicros: uint64(t0)})
-			var hello wire.Hello
+			_, err = conn.Write(snapshot.AppendFrame(nil, wire.AppendFrame(nil, 0, wire.Hello{Version: wire.Version, Node: o.t.self, Boot: o.t.boot, WallMicros: uint64(t0)})))
 			br := bufio.NewReader(conn)
+			var body []byte
 			if err == nil {
-				var f wire.Frame
-				_, f, err = readFrame(br)
-				if err == nil {
-					var ok bool
-					if hello, ok = f.(wire.Hello); !ok || hello.Version != wire.Version {
-						err = fmt.Errorf("transport: bad handshake from %q", o.node)
-					}
-				}
+				body, err = snapshot.ReadFrame(br, snapshot.MaxFrame)
+			}
+			var f wire.Frame
+			if err == nil {
+				_, f, err = wire.DecodeFrame(body)
+			}
+			hello, ok := f.(wire.Hello)
+			if err == nil && (!ok || hello.Version != wire.Version) {
+				err = fmt.Errorf("transport: bad handshake from %q", o.node)
 			}
 			if err == nil {
 				// The dialer saw the whole round trip: symmetrize the sample.

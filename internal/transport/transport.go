@@ -15,6 +15,10 @@
 //     across dropped connections (TCP reconnects, replays its unacked
 //     tail, and the receiver drops duplicates by stream sequence number).
 //
+// On TCP each message is one snapshot frame (see internal/snapshot) around
+// its wire body: a torn or corrupted frame drops its connection unseen, and
+// the sender's redial replays it.
+//
 // Frames are delivered to the handler one sender at a time, so handlers
 // need no per-sender locking of their own; handlers must be cheap (an
 // enqueue), never blocking, because they run on the receive path.

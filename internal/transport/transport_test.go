@@ -3,11 +3,13 @@ package transport
 import (
 	"bufio"
 	"fmt"
+	"io"
 	"net"
 	"sync"
 	"testing"
 	"time"
 
+	"repro/internal/snapshot"
 	"repro/internal/wire"
 )
 
@@ -145,12 +147,17 @@ func TestTCPFIFOExactlyOnce(t *testing.T) {
 		}
 	}
 	assertSequential(t, col.waitFor(t, n), n)
-	// Every frame crossed the socket and was counted on both ends.
-	if st := a.Stats(); st.FramesSent < n || st.BytesSent == 0 {
-		t.Fatalf("sender stats = %+v", st)
+	// Every frame crossed the socket and was counted on both ends: each
+	// as its wire body plus length prefix and 4 CRC bytes.
+	want := uint64(0)
+	for i := 0; i < n; i++ {
+		want += uint64(len(frameBytes(uint64(i+1), wire.Stop{Err: fmt.Sprint(i)})))
 	}
-	if st := b.Stats(); st.FramesReceived != n || st.BytesReceived == 0 {
-		t.Fatalf("receiver stats = %+v", st)
+	if st := b.Stats(); st.FramesReceived != n || st.BytesReceived != want {
+		t.Fatalf("receiver stats = %+v, want %d frames in %d bytes", st, n, want)
+	}
+	if st := a.Stats(); st.FramesSent < n || st.BytesSent < want || (st.FramesSent == n && st.BytesSent != want) {
+		t.Fatalf("sender stats = %+v, want %d frames in %d bytes", st, n, want)
 	}
 }
 
@@ -221,6 +228,35 @@ func TestTCPReconnectExactlyOnce(t *testing.T) {
 	}
 }
 
+// frameBytes encodes f as it crosses the socket: one snapshot frame
+// around its wire body.
+func frameBytes(seq uint64, f wire.Frame) []byte {
+	return snapshot.AppendFrame(nil, wire.AppendFrame(nil, seq, f))
+}
+
+// dialRaw opens a hand-driven connection to tr as node "x" and completes
+// the handshake, returning the acceptor's Hello.
+func dialRaw(t *testing.T, tr *TCP) (net.Conn, wire.Hello) {
+	t.Helper()
+	conn, err := net.Dial("tcp", tr.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { conn.Close() })
+	if _, err := conn.Write(frameBytes(0, wire.Hello{Version: wire.Version, Node: "x"})); err != nil {
+		t.Fatal(err)
+	}
+	body, err := snapshot.ReadFrame(bufio.NewReader(conn), snapshot.MaxFrame)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, f, err := wire.DecodeFrame(body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return conn, f.(wire.Hello)
+}
+
 // TestTCPDuplicateSuppression speaks the protocol by hand: a client that
 // ignores the handshake's LastSeq and replays already-delivered frames
 // must have exactly the replays discarded.
@@ -235,48 +271,86 @@ func TestTCPDuplicateSuppression(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	dial := func() (net.Conn, wire.Hello) {
-		t.Helper()
-		conn, err := net.Dial("tcp", b.Addr())
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { conn.Close() })
-		if err := writeFrame(conn, 0, wire.Hello{Version: wire.Version, Node: "x"}); err != nil {
-			t.Fatal(err)
-		}
-		_, f, err := readFrame(bufio.NewReader(conn))
-		if err != nil {
-			t.Fatal(err)
-		}
-		return conn, f.(wire.Hello)
-	}
-
-	conn, hello := dial()
+	conn, hello := dialRaw(t, b)
 	if hello.LastSeq != 0 {
 		t.Fatalf("fresh handshake LastSeq = %d", hello.LastSeq)
 	}
 	for seq := uint64(1); seq <= 10; seq++ {
-		if err := writeFrame(conn, seq, wire.Stop{Err: fmt.Sprint(seq - 1)}); err != nil {
+		if _, err := conn.Write(frameBytes(seq, wire.Stop{Err: fmt.Sprint(seq - 1)})); err != nil {
 			t.Fatal(err)
 		}
 	}
 	col.waitFor(t, 10)
 	conn.Close()
 
-	conn2, hello2 := dial()
+	conn2, hello2 := dialRaw(t, b)
 	if hello2.LastSeq != 10 {
 		t.Fatalf("reconnect handshake LastSeq = %d, want 10", hello2.LastSeq)
 	}
 	// Replay 5..10 (already delivered) and continue with 11..15.
 	for seq := uint64(5); seq <= 15; seq++ {
-		if err := writeFrame(conn2, seq, wire.Stop{Err: fmt.Sprint(seq - 1)}); err != nil {
+		if _, err := conn2.Write(frameBytes(seq, wire.Stop{Err: fmt.Sprint(seq - 1)})); err != nil {
 			t.Fatal(err)
 		}
 	}
 	assertSequential(t, col.waitFor(t, 15), 15)
 	if st := b.Stats(); st.Duplicates != 6 || st.FramesReceived != 15 {
 		t.Fatalf("stats = %+v, want 6 duplicates over 15 frames", st)
+	}
+}
+
+// TestTCPCorruptFrameDropped: a frame whose body was damaged in flight
+// fails its CRC. The receiver drops it with its connection, the handler
+// never sees it, and the counters hold only the frames delivered; the
+// sender's replay on a new connection then delivers it intact.
+func TestTCPCorruptFrameDropped(t *testing.T) {
+	col := newCollector()
+	b, err := ListenTCP("b", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { b.Close() })
+	if err := b.Start(col.handle); err != nil {
+		t.Fatal(err)
+	}
+
+	stop := func(seq uint64) wire.Frame { return wire.Stop{Err: fmt.Sprint(seq - 1)} }
+	conn, _ := dialRaw(t, b)
+	var good uint64
+	for seq := uint64(1); seq <= 3; seq++ {
+		enc := frameBytes(seq, stop(seq))
+		good += uint64(len(enc))
+		if _, err := conn.Write(enc); err != nil {
+			t.Fatal(err)
+		}
+	}
+	col.waitFor(t, 3)
+	bad := frameBytes(4, stop(4))
+	bad[len(bad)-5] ^= 0x01 // the body's last byte: a digit of Stop.Err
+	if _, err := conn.Write(bad); err != nil {
+		t.Fatal(err)
+	}
+	// The receiver hangs up instead of delivering: past the acks it
+	// already wrote, the connection reads EOF.
+	conn.SetReadDeadline(time.Now().Add(10 * time.Second))
+	if _, err := io.Copy(io.Discard, conn); err != nil {
+		t.Fatalf("receiver kept the connection after a corrupt frame: %v", err)
+	}
+
+	conn2, hello := dialRaw(t, b)
+	if hello.LastSeq != 3 {
+		t.Fatalf("reconnect handshake LastSeq = %d, want 3", hello.LastSeq)
+	}
+	for seq := uint64(4); seq <= 5; seq++ {
+		enc := frameBytes(seq, stop(seq))
+		good += uint64(len(enc))
+		if _, err := conn2.Write(enc); err != nil {
+			t.Fatal(err)
+		}
+	}
+	assertSequential(t, col.waitFor(t, 5), 5)
+	if st := b.Stats(); st.FramesReceived != 5 || st.BytesReceived != good || st.Duplicates != 0 {
+		t.Fatalf("stats = %+v, want 5 frames in %d bytes and no duplicates", st, good)
 	}
 }
 

@@ -3,11 +3,13 @@ package wal
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
-	"hash/crc32"
 	"os"
 	"path/filepath"
 	"testing"
+
+	"repro/internal/snapshot"
 )
 
 // validSegment builds a well-formed segment with n records for seeding.
@@ -16,19 +18,18 @@ func validSegment(n int) []byte {
 	b = binary.AppendUvarint(b, Version)
 	b = binary.AppendUvarint(b, 1)
 	for i := 0; i < n; i++ {
-		start := len(b)
-		b = binary.AppendUvarint(b, uint64(i+1))
-		payload := bytes.Repeat([]byte{byte(i)}, i)
-		b = binary.AppendUvarint(b, uint64(len(payload)))
-		b = append(b, payload...)
-		b = binary.LittleEndian.AppendUint32(b, crc32.ChecksumIEEE(b[start:]))
+		body := binary.AppendUvarint(nil, uint64(i+1))
+		body = append(body, bytes.Repeat([]byte{byte(i)}, i)...)
+		b = snapshot.AppendFrame(b, body)
 	}
 	return b
 }
 
 // FuzzSegment: Open over arbitrary segment bytes is total — it repairs
 // or discards, never panics, and the repaired file opens cleanly a
-// second time with the same contents (repair is idempotent).
+// second time with the same contents (repair is idempotent). The one
+// input Open refuses is a segment of another format version, which it
+// must leave byte for byte as it was.
 func FuzzSegment(f *testing.F) {
 	f.Add(validSegment(0))
 	f.Add(validSegment(3))
@@ -36,6 +37,7 @@ func FuzzSegment(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte("DWAL"))
 	f.Add([]byte("DWAX\x01\x01"))
+	f.Add([]byte("DWAL\x01\x01")) // another version: refused, untouched
 	f.Add(bytes.Repeat([]byte{0xFF}, 64))
 	corrupt := validSegment(2)
 	corrupt[len(corrupt)-1] ^= 0xA5
@@ -47,6 +49,12 @@ func FuzzSegment(f *testing.F) {
 			t.Fatal(err)
 		}
 		l, err := Open(dir, Options{Fsync: SyncNever})
+		if errors.Is(err, snapshot.ErrVersion) {
+			if after, rerr := os.ReadFile(path); rerr != nil || !bytes.Equal(after, b) {
+				t.Fatalf("Open refused the segment (%v) but changed it", err)
+			}
+			return
+		}
 		if err != nil {
 			t.Fatalf("Open must repair, not fail: %v", err)
 		}

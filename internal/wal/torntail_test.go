@@ -6,6 +6,8 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+
+	"repro/internal/snapshot"
 )
 
 // buildSegment writes a log of n records into a fresh directory and
@@ -41,20 +43,20 @@ func buildSegment(t *testing.T, n int) (data []byte, boundaries map[int]int) {
 
 	// Recompute the record boundaries independently of the writer.
 	boundaries = map[int]int{} // offset -> number of complete records at it
-	off := headerLen(data)
-	if off == 0 {
-		t.Fatal("segment has no valid header")
+	rest, err := parseHeader(data, 1)
+	if err != nil {
+		t.Fatalf("segment has no valid header: %v", err)
 	}
-	boundaries[off] = 0
+	boundaries[len(data)-len(rest)] = 0
 	records := 0
-	for off < len(data) {
-		_, _, _, next, ok := parseRecord(data, off)
-		if !ok {
-			t.Fatalf("writer produced an invalid record at offset %d", off)
+	for len(rest) > 0 {
+		_, next, err := snapshot.NextFrame(rest)
+		if err != nil {
+			t.Fatalf("writer produced an invalid record at offset %d: %v", len(data)-len(rest), err)
 		}
+		rest = next
 		records++
-		off = next
-		boundaries[off] = records
+		boundaries[len(data)-len(rest)] = records
 	}
 	if records != n {
 		t.Fatalf("segment holds %d records, want %d", records, n)

@@ -10,15 +10,18 @@
 //
 // Layout. The log is a directory of segment files named
 // <firstSeq>.wal. Each segment opens with a magic+version header and
-// its first sequence number, then carries CRC-framed records:
+// its first sequence number, then carries one snapshot frame (see
+// internal/snapshot) per record:
 //
 //	"DWAL" | uvarint version | uvarint firstSeq
-//	then per record: uvarint seq | uvarint len | payload | crc32 LE
+//	then per record: frame(uvarint seq | payload)
 //
-// The CRC covers the encoded seq, length and payload, so a bit flip in
-// any of them surfaces. Sequence numbers are assigned by the log,
-// start at 1 and increase by exactly one per record; a CRC-valid
-// record with the wrong sequence number is treated as corruption.
+// The frame's CRC covers the seq and the payload, so a bit flip in
+// either surfaces. Sequence numbers are assigned by the log, start at 1
+// and increase by exactly one per record; a CRC-valid record with the
+// wrong sequence number is treated as corruption. A segment whose
+// complete header names another version is refused: Open fails with an
+// error wrapping snapshot.ErrVersion and touches no file.
 //
 // Torn tails. A crash mid-write leaves a partial record at the end of
 // the active segment. Open scans every segment and stops at the first
@@ -39,7 +42,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"os"
 	"path/filepath"
 	"sort"
@@ -47,6 +49,8 @@ import (
 	"strings"
 	"sync"
 	"time"
+
+	"repro/internal/snapshot"
 )
 
 // Magic identifies a WAL segment file.
@@ -54,11 +58,8 @@ const Magic = "DWAL"
 
 // Version is the segment format version this build writes and the only
 // one it reads (matching the snapshot container's no-shims policy).
-const Version = 1
-
-// MaxRecord bounds one record's payload (64 MiB): a corrupt length
-// prefix must read as a torn tail, not force a giant allocation.
-const MaxRecord = 1 << 26
+// Version 2 framed each record with the snapshot frame.
+const Version = 2
 
 // segmentExt names segment files inside the log directory.
 const segmentExt = ".wal"
@@ -186,7 +187,9 @@ type Log struct {
 
 // Open creates dir if needed, scans the segments already there,
 // truncates any torn tail (counting it on wal_truncated_tail_total) and
-// returns a log positioned to append after the last valid record.
+// returns a log positioned to append after the last valid record. A
+// segment of another format version fails Open with an error wrapping
+// snapshot.ErrVersion, before any file is touched.
 func Open(dir string, opt Options) (*Log, error) {
 	opt = opt.withDefaults()
 	if err := os.MkdirAll(dir, 0o755); err != nil {
@@ -204,9 +207,6 @@ func Open(dir string, opt Options) (*Log, error) {
 	}
 	return l, nil
 }
-
-// Dir reports the log's directory.
-func (l *Log) Dir() string { return l.dir }
 
 // LastSeq reports the sequence number of the last record in the log (0
 // when empty).
@@ -304,24 +304,28 @@ func (l *Log) scan() error {
 		if err != nil {
 			return err
 		}
-		validLen, last, ok := scanSegment(b, s.first)
-		s.last = last
-		if !ok {
+		s.last = s.first - 1
+		validLen, err := walk(b, s.first, func(seq uint64, _ []byte) bool {
+			s.last = seq
+			return true
+		})
+		if errors.Is(err, snapshot.ErrVersion) {
+			return fmt.Errorf("wal: %s: %w", s.path, err)
+		}
+		if err != nil {
 			torn = true
+			keep := i + 1
 			if validLen == 0 {
 				// Not even a whole header: the file holds nothing usable.
-				if err := os.Remove(s.path); err != nil {
-					return err
-				}
-				l.dropFrom(segs, i+1)
-				segs = segs[:i]
+				keep, err = i, os.Remove(s.path)
 			} else {
-				if err := os.Truncate(s.path, int64(validLen)); err != nil {
-					return err
-				}
-				l.dropFrom(segs, i+1)
-				segs = segs[:i+1]
+				err = os.Truncate(s.path, int64(validLen))
 			}
+			if err != nil {
+				return err
+			}
+			l.dropFrom(segs, i+1)
+			segs = segs[:keep]
 			break
 		}
 	}
@@ -345,67 +349,58 @@ func (l *Log) dropFrom(segs []segment, i int) {
 	}
 }
 
-// scanSegment walks one segment body: header, then records with
-// contiguous sequence numbers starting at first. It returns the byte
-// length of the valid prefix, the last valid sequence number (first-1
-// when no record is valid) and whether the whole file parsed cleanly.
-// It never panics on arbitrary input.
-func scanSegment(b []byte, first uint64) (validLen int, last uint64, ok bool) {
-	last = first - 1
-	off := len(Magic)
-	if len(b) < off || string(b[:off]) != Magic {
-		return 0, last, false
+// parseHeader checks a segment's header against the first sequence
+// number its file name promises and returns the bytes after it. A
+// complete header of another version is ErrVersion; anything else that
+// does not parse is a torn or foreign file.
+func parseHeader(b []byte, first uint64) ([]byte, error) {
+	if len(b) < len(Magic) || string(b[:len(Magic)]) != Magic {
+		return nil, fmt.Errorf("%w: no segment magic", snapshot.ErrCorrupt)
 	}
-	v, n := binary.Uvarint(b[off:])
-	if n <= 0 || v != Version {
-		return 0, last, false
+	v, n := binary.Uvarint(b[len(Magic):])
+	if n <= 0 {
+		return nil, snapshot.ErrTruncated
 	}
-	off += n
-	f, n := binary.Uvarint(b[off:])
-	if n <= 0 || f != first {
-		return 0, last, false
+	b = b[len(Magic)+n:]
+	f, n := binary.Uvarint(b)
+	if n <= 0 {
+		return nil, snapshot.ErrTruncated
 	}
-	off += n
-	validLen = off
-	want := first
-	for off < len(b) {
-		seq, plen, payload, next, recOK := parseRecord(b, off)
-		if !recOK || seq != want || plen > MaxRecord {
-			return validLen, last, false
-		}
-		_ = payload
-		off = next
-		validLen = off
-		last = seq
-		want++
+	if v != Version {
+		return nil, fmt.Errorf("%w: segment has version %d, this build reads %d", snapshot.ErrVersion, v, Version)
 	}
-	return validLen, last, true
+	if f != first {
+		return nil, fmt.Errorf("%w: segment header names first seq %d, its file name %d", snapshot.ErrCorrupt, f, first)
+	}
+	return b[n:], nil
 }
 
-// parseRecord decodes the record at off: seq, payload length, payload
-// view, the offset past the record, and validity (framing + CRC).
-func parseRecord(b []byte, off int) (seq, plen uint64, payload []byte, next int, ok bool) {
-	start := off
-	seq, n := binary.Uvarint(b[off:])
-	if n <= 0 {
-		return 0, 0, nil, 0, false
+// walk parses one segment: its header, then each record, which must
+// carry the sequence numbers first, first+1, ... in turn. fn sees each
+// record's seq and payload (a view into b) and returns false to stop.
+// walk returns the byte length of the prefix it accepted (0 when the
+// header is bad) and the first parse error; a stop by fn is none. It
+// never panics on arbitrary input.
+func walk(b []byte, first uint64, fn func(seq uint64, payload []byte) bool) (int, error) {
+	rest, err := parseHeader(b, first)
+	if err != nil {
+		return 0, err
 	}
-	off += n
-	plen, n = binary.Uvarint(b[off:])
-	if n <= 0 || plen > MaxRecord || plen > uint64(len(b)-off-n) {
-		return 0, 0, nil, 0, false
+	for seq := first; len(rest) > 0; seq++ {
+		body, next, err := snapshot.NextFrame(rest)
+		if err != nil {
+			return len(b) - len(rest), err
+		}
+		got, n := binary.Uvarint(body)
+		if n <= 0 || got != seq {
+			return len(b) - len(rest), fmt.Errorf("%w: record %d where %d belongs", snapshot.ErrCorrupt, got, seq)
+		}
+		rest = next
+		if !fn(seq, body[n:]) {
+			break
+		}
 	}
-	off += n
-	payload = b[off : off+int(plen)]
-	off += int(plen)
-	if len(b)-off < 4 {
-		return 0, 0, nil, 0, false
-	}
-	want := binary.LittleEndian.Uint32(b[off:])
-	if crc32.ChecksumIEEE(b[start:off]) != want {
-		return 0, 0, nil, 0, false
-	}
-	return seq, plen, payload, off + 4, true
+	return len(b) - len(rest), nil
 }
 
 // Append durably logs one record per the fsync policy and returns its
@@ -425,11 +420,9 @@ func (l *Log) Append(payload []byte) (uint64, error) {
 		l.mu.Unlock()
 		return 0, ErrClosed
 	}
-	rec := make([]byte, 0, 16+len(payload))
-	rec = binary.AppendUvarint(rec, l.nextSeq)
-	rec = binary.AppendUvarint(rec, uint64(len(payload)))
-	rec = append(rec, payload...)
-	rec = binary.LittleEndian.AppendUint32(rec, crc32.ChecksumIEEE(rec))
+	body := binary.AppendUvarint(make([]byte, 0, binary.MaxVarintLen64+len(payload)), l.nextSeq)
+	body = append(body, payload...)
+	rec := snapshot.AppendFrame(make([]byte, 0, snapshot.FrameSize(len(body))), body)
 
 	if err := l.ensureActiveLocked(len(rec)); err != nil {
 		l.mu.Unlock()
@@ -639,46 +632,30 @@ func (l *Log) Replay(from uint64, fn func(seq uint64, payload []byte) error) err
 		if err != nil {
 			return err
 		}
-		off := headerLen(b)
-		if off == 0 {
-			return fmt.Errorf("wal: segment %s lost its header", s.path)
-		}
-		for off < len(b) {
-			seq, _, payload, next, ok := parseRecord(b, off)
-			if !ok {
-				// Open repaired the tail; bytes going bad afterwards stop
-				// the replay at the last good record, like a torn tail.
-				return nil
-			}
-			off = next
+		var ferr error
+		n, err := walk(b, s.first, func(seq uint64, payload []byte) bool {
 			if seq < from {
-				continue
+				return true
 			}
-			if err := fn(seq, payload); err != nil {
-				return err
+			if ferr = fn(seq, payload); ferr != nil {
+				return false
 			}
 			replayed++
+			return true
+		})
+		if ferr != nil {
+			return ferr
+		}
+		if n == 0 {
+			return fmt.Errorf("wal: segment %s lost its header: %w", s.path, err)
+		}
+		if err != nil {
+			// Open repaired the tail; bytes going bad afterwards stop
+			// the replay at the last good record, like a torn tail.
+			return nil
 		}
 	}
 	return nil
-}
-
-// headerLen returns the byte length of a valid segment header, or 0.
-func headerLen(b []byte) int {
-	off := len(Magic)
-	if len(b) < off || string(b[:off]) != Magic {
-		return 0
-	}
-	v, n := binary.Uvarint(b[off:])
-	if n <= 0 || v != Version {
-		return 0
-	}
-	off += n
-	_, n = binary.Uvarint(b[off:])
-	if n <= 0 {
-		return 0
-	}
-	return off + n
 }
 
 // ReadRange streams the records with from <= seq <= to, in order, to
@@ -728,31 +705,27 @@ func (l *Log) ReadRange(from, to uint64, fn func(seq uint64, payload []byte) err
 			}
 			return err
 		}
-		off := headerLen(b)
-		if off == 0 {
-			return fmt.Errorf("wal: segment %s lost its header", s.path)
-		}
-		for off < len(b) {
-			seq, _, payload, next, ok := parseRecord(b, off)
-			if !ok {
-				// Bytes below `to` were fully written before their seq was
-				// published; an unreadable record inside the promised range
-				// is real corruption, not a concurrent-append tail.
-				return fmt.Errorf("wal: segment %s unreadable at offset %d", s.path, off)
-			}
-			if seq > to {
-				return nil
-			}
-			off = next
+		var ferr error
+		done := false
+		n, err := walk(b, s.first, func(seq uint64, payload []byte) bool {
 			if seq < from {
-				continue
+				return true
 			}
-			if err := fn(seq, payload); err != nil {
-				return err
-			}
-			if seq == to {
-				return nil
-			}
+			ferr = fn(seq, payload)
+			done = seq == to
+			return ferr == nil && !done
+		})
+		if ferr != nil {
+			return ferr
+		}
+		if err != nil {
+			// Bytes up to `to` were fully written before their seq was
+			// published; an unreadable record inside the promised range
+			// is real corruption, not a concurrent-append tail.
+			return fmt.Errorf("wal: segment %s unreadable at offset %d: %w", s.path, n, err)
+		}
+		if done {
+			return nil
 		}
 	}
 	return nil

@@ -2,12 +2,17 @@ package wal
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
+	"strings"
 	"sync"
 	"testing"
 	"time"
+
+	"repro/internal/snapshot"
 )
 
 // collect replays the whole log into a slice.
@@ -97,6 +102,65 @@ func TestReopenContinuesSequence(t *testing.T) {
 			t.Fatalf("record %d holds %v", i, payloads[i])
 		}
 	}
+}
+
+// TestOpenRefusesOtherVersion: a segment whose complete header names
+// another format version is not a torn tail to repair. Open fails with
+// ErrVersion naming both versions, and every segment stays as it was.
+func TestOpenRefusesOtherVersion(t *testing.T) {
+	for _, v := range []byte{1, Version + 1} {
+		dir := t.TempDir()
+		l, err := Open(dir, Options{Fsync: SyncNever, SegmentBytes: 64})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 6; i++ {
+			if _, err := l.Append(bytes.Repeat([]byte{byte(i)}, 20)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		l.Close()
+		// Rewrite the first segment's version: a log another build wrote.
+		first := filepath.Join(dir, fmt.Sprintf("%020d%s", 1, segmentExt))
+		b, err := os.ReadFile(first)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b[len(Magic)] = v
+		if err := os.WriteFile(first, b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		before := readDir(t, dir)
+
+		_, err = Open(dir, Options{Fsync: SyncNever})
+		if !errors.Is(err, snapshot.ErrVersion) {
+			t.Fatalf("version %d: Open = %v, want ErrVersion", v, err)
+		}
+		if msg := err.Error(); !strings.Contains(msg, fmt.Sprintf("version %d", v)) || !strings.Contains(msg, fmt.Sprintf("reads %d", Version)) {
+			t.Fatalf("version %d: error %q does not name both versions", v, msg)
+		}
+		if after := readDir(t, dir); !reflect.DeepEqual(after, before) || len(after) < 2 {
+			t.Fatalf("version %d: Open touched the log: %d segments before, %d after", v, len(before), len(after))
+		}
+	}
+}
+
+// readDir maps every file in dir to its contents.
+func readDir(t *testing.T, dir string) map[string]string {
+	t.Helper()
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := make(map[string]string, len(entries))
+	for _, e := range entries {
+		b, err := os.ReadFile(filepath.Join(dir, e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		out[e.Name()] = string(b)
+	}
+	return out
 }
 
 func TestRotationAndTruncate(t *testing.T) {

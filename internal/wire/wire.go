@@ -1,5 +1,6 @@
-// Package wire is the binary codec of the peer transport: a stdlib-only,
-// varint-based, length-prefixed frame format that carries the distributed
+// Package wire is the binary codec of the peer transport: stdlib-only,
+// varint-based frame bodies (a transport cuts its byte stream into them
+// with the snapshot package's CRC frame) that carry the distributed
 // evaluation's messages (relation activations, fact streams, runtime fact
 // and rule installation) plus the control frames of the multi-process
 // runtime (handshake, job shipping, quiescence waves, shutdown).
@@ -17,7 +18,6 @@ package wire
 
 import (
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"math"
 
@@ -32,18 +32,9 @@ import (
 // Version 4 added cluster telemetry: wall-clock samples in Hello, trace
 // context on Job, flow IDs on Data, and the Telemetry frame.
 // Version 5 added the session-pool RPC frames (SessionJob, SessionReply).
-const Version = 5
-
-// MaxFrame bounds the encoded size of a single frame (64 MiB). The
-// transport rejects longer length prefixes before reading the body, so a
-// corrupt or hostile prefix cannot force a giant allocation.
-const MaxFrame = 1 << 26
-
-// ErrTruncated reports an input that ended mid-frame.
-var ErrTruncated = errors.New("wire: truncated input")
-
-// ErrCorrupt reports structurally invalid input.
-var ErrCorrupt = errors.New("wire: corrupt input")
+// Version 6 moved a shipped session's applied-append index out of the
+// checkpoint blob into SessionReply.Index, and CRC-framed TCP traffic.
+const Version = 6
 
 // frame type tags.
 const (
@@ -251,10 +242,12 @@ const (
 	SessDelete
 	// SessPing is a no-op carrying back only the load sample.
 	SessPing
-	// SessShip asks the worker to serialize the session (checkpoint bytes
-	// in the reply blob) — the migrate-by-checkpoint path of a drain.
+	// SessShip asks the worker to serialize the session: checkpoint bytes
+	// in the reply's Blob, the appends they cover in its Index — the
+	// migrate-by-checkpoint path of a drain.
 	SessShip
-	// SessLoad installs a shipped checkpoint on this worker.
+	// SessLoad installs a shipped checkpoint (Blob) on this worker, whose
+	// append dedup then resumes past Index.
 	SessLoad
 )
 
@@ -291,7 +284,7 @@ type SessionJob struct {
 	Req          uint64 // request ID, echoed by SessionReply
 	Op           uint32 // SessCreate..SessLoad
 	Session      string // session ID (frontend-assigned)
-	Index        uint64 // SessAppend: 1-based append index for dedup
+	Index        uint64 // SessAppend: 1-based append index for dedup; SessLoad: appends Blob covers
 	NetText      string // SessCreate: textual net description
 	Engine       uint32 // SessCreate: engine ordinal (core.Engine)
 	MaxFacts     uint32 // SessCreate: per-session fact budget
@@ -311,13 +304,14 @@ type SessionReply struct {
 	Op           uint32 // echoed operation
 	Session      string // echoed session ID
 	Code         uint32 // SessOK or a SessionReply error code
+	Index        uint64 // SessShip: appends the checkpoint in Blob covers
 	Err          string // human-readable error detail (Code != SessOK)
 	RetryAfterMS uint32 // backpressure hint (SessSaturated/SessDraining)
 	Active       uint32 // load: live sessions on the worker
 	Queued       uint32 // load: jobs waiting in the worker's queue
 	EWMAMicros   uint64 // load: EWMA append latency, microseconds
 	AdminAddr    string // worker's HTTP admin address (health probes)
-	Blob         []byte // op result payload (pool codec)
+	Blob         []byte // op result payload: a backend body, or SessShip's checkpoint
 }
 
 // FrameGen returns the job generation carried by f, and whether f is a
@@ -684,6 +678,7 @@ func AppendFrame(dst []byte, seq uint64, f Frame) []byte {
 		dst = putUvarint(dst, uint64(v.Op))
 		dst = putString(dst, v.Session)
 		dst = putUvarint(dst, uint64(v.Code))
+		dst = putUvarint(dst, v.Index)
 		dst = putString(dst, v.Err)
 		dst = putUvarint(dst, uint64(v.RetryAfterMS))
 		dst = putUvarint(dst, uint64(v.Active))
@@ -731,8 +726,8 @@ func putPairs(dst []byte, ps []PairCount) []byte {
 // bounds-checked uvarint cursor: methods return zero values once an error
 // is set, every count is validated against the remaining input, and a
 // failure at end of input is "truncated", anywhere else "corrupt".
-// DecodeFrame translates its errors to this package's ErrTruncated and
-// ErrCorrupt.
+// DecodeFrame wraps its errors, so errors.Is matches snapshot.ErrTruncated
+// and snapshot.ErrCorrupt.
 
 // blob reads a length-prefixed byte slice (nil for an empty blob).
 func blob(r *snapshot.Reader) []byte {
@@ -870,12 +865,12 @@ func payload(r *snapshot.Reader) Payload {
 	}
 }
 
-// DecodeFrame decodes one frame body (as framed by the transport: the
-// bytes after the length prefix). It returns the stream sequence number
+// DecodeFrame decodes one frame body (as the transport reads it: the
+// body of one snapshot frame). It returns the stream sequence number
 // and the frame, or an error; it never panics.
 func DecodeFrame(b []byte) (uint64, Frame, error) {
-	if len(b) > MaxFrame {
-		return 0, nil, fmt.Errorf("%w: frame of %d bytes exceeds MaxFrame", ErrCorrupt, len(b))
+	if len(b) > snapshot.MaxFrame {
+		return 0, nil, fmt.Errorf("wire: %w: frame of %d bytes exceeds snapshot.MaxFrame", snapshot.ErrCorrupt, len(b))
 	}
 	r := snapshot.NewReader(b)
 	seq := r.Uvarint()
@@ -955,7 +950,7 @@ func DecodeFrame(b []byte) (uint64, Frame, error) {
 		j.Blob = blob(r)
 		f = j
 	case tagSessionReply:
-		p := SessionReply{Req: r.Uvarint(), Op: u32(r), Session: r.String(), Code: u32(r)}
+		p := SessionReply{Req: r.Uvarint(), Op: u32(r), Session: r.String(), Code: u32(r), Index: r.Uvarint()}
 		p.Err = r.String()
 		p.RetryAfterMS = u32(r)
 		p.Active = u32(r)
@@ -967,10 +962,8 @@ func DecodeFrame(b []byte) (uint64, Frame, error) {
 	default:
 		r.Fail()
 	}
-	if err := r.Finish(); errors.Is(err, snapshot.ErrTruncated) {
-		return 0, nil, ErrTruncated
-	} else if err != nil {
-		return 0, nil, fmt.Errorf("%w (%v)", ErrCorrupt, err)
+	if err := r.Finish(); err != nil {
+		return 0, nil, fmt.Errorf("wire: %w", err)
 	}
 	return seq, f, nil
 }

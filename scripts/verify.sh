@@ -56,11 +56,15 @@ echo "== wire codec fuzz smoke"
 go test -run '^$' -fuzz '^FuzzDecodeFrame$' -fuzztime 3s ./internal/wire
 go test -run '^$' -fuzz '^FuzzFrameRoundTrip$' -fuzztime 3s ./internal/wire
 
-echo "== snapshot container fuzz smoke"
-# Same deal for the checkpoint container: corrupt or truncated snapshots
-# must error, never panic or over-allocate.
+echo "== snapshot codec fuzz smoke"
+# Same deal for the checkpoint container and the one CRC frame every
+# persisted or shipped stream is cut into (WAL records, snapshot
+# sections, repl and TCP transport messages): corrupt or truncated input
+# must error, never panic or over-allocate, and the slice and stream
+# frame readers must agree.
 go test -run '^$' -fuzz '^FuzzOpen$' -fuzztime 3s ./internal/snapshot
 go test -run '^$' -fuzz '^FuzzReader$' -fuzztime 3s ./internal/snapshot
+go test -run '^$' -fuzz '^FuzzFrame$' -fuzztime 3s ./internal/snapshot
 
 echo "== wal fuzz smoke"
 # And for the write-ahead log: arbitrary segment bytes and multi-segment
@@ -68,12 +72,12 @@ echo "== wal fuzz smoke"
 go test -run '^$' -fuzz '^FuzzSegment$' -fuzztime 3s ./internal/wal
 go test -run '^$' -fuzz '^FuzzReplay$' -fuzztime 3s ./internal/wal
 
-echo "== repl stream-framing fuzz smoke"
-# And for the replication protocol: arbitrary frame bytes off the wire
-# must decode-or-error (and round-trip byte-identically when they do) —
-# a malicious or corrupted primary must never panic a follower.
+echo "== repl message fuzz smoke"
+# And for the replication protocol: arbitrary message bodies must
+# decode-or-error (and survive the frame byte-identically when they do)
+# — a malicious or corrupted primary must never panic a follower. The
+# framing itself is FuzzFrame's, above.
 go test -run '^$' -fuzz '^FuzzDecodeFrame$' -fuzztime 3s ./internal/repl
-go test -run '^$' -fuzz '^FuzzReadFrame$' -fuzztime 3s ./internal/repl
 
 echo "== multi-process smoke"
 # Two peerd daemons on ephemeral ports, diagnosed against from a separate
