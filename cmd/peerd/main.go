@@ -25,7 +25,8 @@
 //
 //	GET /metrics   engine counters plus Go runtime gauges, Prometheus text
 //	GET /healthz   200 "ok" once the node is bound and any checkpoint is
-//	               restored; 503 "starting" before that
+//	               restored; 503 "starting" before that, 503 "draining"
+//	               after SIGTERM
 //	GET /v1/trace  this node's spans as Chrome trace-event JSON
 //
 // The admin line "peerd admin listening ADDR" prints after the transport
@@ -88,9 +89,10 @@ func (a *adminEndpoint) serveHTTP(addr string) (string, error) {
 		a.metrics.WriteText(w)
 	})
 	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, _ *http.Request) {
-		// Draining is 503 like dead-adjacent states, but the body tells a
-		// pool frontend (and ops scripts) "stop placing, migrate" apart
-		// from "evict": a drained worker is cooperating, not failing.
+		// Draining is 503 like dead-adjacent states, but the body tells
+		// operators "stop placing, migrate" apart from "evict": a drained
+		// worker is cooperating, not failing. (Pool frontends learn of
+		// the drain from the worker's ping reply, not from here.)
 		if a.draining.Load() {
 			w.Header().Set("Retry-After", "1")
 			http.Error(w, "draining", http.StatusServiceUnavailable)
@@ -192,7 +194,6 @@ func main() {
 		worker = pool.NewWorker(pool.WorkerConfig{
 			Transport: ptr,
 			Backend:   serve.NewPoolBackend(store, metrics),
-			AdminAddr: adminAddr,
 			Metrics:   metrics,
 		})
 		if err := worker.Start(); err != nil {

@@ -6,15 +6,15 @@
 // warm incremental state of the sessions placed on it.
 //
 // The frontend keeps a registry of workers (health-probed via SessPing
-// frames and the peerd /healthz admin endpoint, load-sampled from every
-// reply), a pluggable placement policy (least-loaded by default,
-// consistent-hash affinity optionally), and a per-session journal: the
-// create parameters, the last shipped checkpoint, and the acknowledged
-// appends past it. The journal is what makes worker failure survivable
-// — a session is re-materialized on a healthy worker from checkpoint
-// plus tail replay, losing nothing that was acknowledged — and what
-// makes drain cheap: ship the checkpoint, load it elsewhere, truncate
-// the tail.
+// frames, which a draining worker answers with SessDraining, and
+// load-sampled from every reply), a pluggable placement policy
+// (least-loaded by default, consistent-hash affinity optionally), and a
+// per-session journal: the create parameters, the last shipped
+// checkpoint, and the acknowledged appends past it. The journal is what
+// makes worker failure survivable — a session is re-materialized on a
+// healthy worker from checkpoint plus tail replay, losing nothing that
+// was acknowledged — and what makes drain cheap: ship the checkpoint,
+// load it elsewhere, truncate the tail.
 //
 // Appends are idempotent on the wire (1-based indexes, worker-side
 // dedup), so dispatch can retry with backoff and hedge stragglers
@@ -27,9 +27,7 @@ import (
 	"fmt"
 	"io"
 	"log/slog"
-	"net/http"
 	"sort"
-	"strings"
 	"sync"
 	"time"
 
@@ -125,7 +123,6 @@ type workerState struct {
 	state     string
 	fails     int // consecutive probe failures
 	load      WorkerLoad
-	adminAddr string
 	migrating bool // a drain/recovery pass is already running
 }
 
@@ -165,9 +162,8 @@ type Pool struct {
 	nextReq  uint64
 	nextID   uint64
 
-	probeClient *http.Client
-	stop        chan struct{}
-	done        chan struct{}
+	stop chan struct{}
+	done chan struct{}
 }
 
 // New builds the pool, starts its transport handler and health-probe
@@ -188,11 +184,8 @@ func New(cfg Config) (*Pool, error) {
 		workers:  make(map[string]*workerState),
 		sessions: make(map[string]*session),
 		reqs:     make(map[uint64]chan wire.SessionReply),
-		probeClient: &http.Client{
-			Timeout: 500 * time.Millisecond,
-		},
-		stop: make(chan struct{}),
-		done: make(chan struct{}),
+		stop:     make(chan struct{}),
+		done:     make(chan struct{}),
 	}
 	for _, addr := range cfg.Workers {
 		// The address IS the worker's node name: peerd binds its pool
@@ -226,9 +219,6 @@ func (p *Pool) handle(from string, f wire.Frame) {
 	p.mu.Lock()
 	if w := p.workers[from]; w != nil {
 		w.load = WorkerLoad{Name: from, Active: int(rep.Active), Queued: int(rep.Queued), EWMAMicros: rep.EWMAMicros}
-		if rep.AdminAddr != "" {
-			w.adminAddr = rep.AdminAddr
-		}
 	}
 	ch := p.reqs[rep.Req]
 	p.mu.Unlock()
@@ -649,8 +639,8 @@ func (p *Pool) noteFailure(worker string) {
 	}
 }
 
-// probeLoop drives periodic SessPing probes and /healthz checks, and
-// refreshes the pool gauges.
+// probeLoop drives periodic SessPing probes and refreshes the pool
+// gauges.
 func (p *Pool) probeLoop() {
 	defer close(p.done)
 	t := time.NewTicker(p.cfg.ProbeEvery)
@@ -668,10 +658,8 @@ func (p *Pool) probeLoop() {
 func (p *Pool) probeOnce() {
 	p.mu.Lock()
 	names := make([]string, 0, len(p.workers))
-	admins := make(map[string]string, len(p.workers))
-	for name, w := range p.workers {
+	for name := range p.workers {
 		names = append(names, name)
-		admins[name] = w.adminAddr
 	}
 	p.mu.Unlock()
 
@@ -691,28 +679,13 @@ func (p *Pool) probeOnce() {
 		default:
 			p.noteAlive(name)
 		}
-		if admin := admins[name]; admin != "" {
-			p.probeAdmin(name, admin)
-		}
 	}
 	p.updateGauges()
 }
 
-// probeAdmin checks the worker's /healthz: a 503 whose body says
-// "draining" means "stop placing, migrate" — emphatically NOT a
-// failure, so it never feeds the eviction counter.
-func (p *Pool) probeAdmin(name, admin string) {
-	resp, err := p.probeClient.Get("http://" + admin + "/healthz")
-	if err != nil {
-		return // transport pings own liveness; the admin side is advisory
-	}
-	body, _ := io.ReadAll(io.LimitReader(resp.Body, 256))
-	resp.Body.Close() //nolint:errcheck // read fully above
-	if resp.StatusCode == http.StatusServiceUnavailable && strings.Contains(string(body), "draining") {
-		p.markDraining(name)
-	}
-}
-
+// markDraining stops placing on the worker and migrates its sessions
+// away. A drain is cooperative, not a failure: it never feeds the
+// eviction counter.
 func (p *Pool) markDraining(name string) {
 	p.mu.Lock()
 	w := p.workers[name]

@@ -57,9 +57,6 @@ type WorkerConfig struct {
 	Transport transport.Transport
 	// Backend executes the session operations.
 	Backend Backend
-	// AdminAddr is this worker's HTTP admin address, advertised on every
-	// reply so frontends can health-probe /healthz. Empty disables.
-	AdminAddr string
 	// Metrics receives worker-side counters; nil discards.
 	Metrics obs.Registry
 	// Logger receives send-failure logs; nil discards.
@@ -84,11 +81,10 @@ type appliedState struct {
 // refuses new placements (creates and loads) while continuing to serve,
 // ship and delete the sessions it holds.
 type Worker struct {
-	tr        transport.Transport
-	backend   Backend
-	adminAddr string
-	metrics   obs.Registry
-	log       *slog.Logger
+	tr      transport.Transport
+	backend Backend
+	metrics obs.Registry
+	log     *slog.Logger
 
 	queues   []chan wire.SessionJob
 	queued   atomic.Int64
@@ -111,14 +107,13 @@ func NewWorker(cfg WorkerConfig) *Worker {
 		cfg.Logger = slog.New(slog.NewTextHandler(io.Discard, nil))
 	}
 	w := &Worker{
-		tr:        cfg.Transport,
-		backend:   cfg.Backend,
-		adminAddr: cfg.AdminAddr,
-		metrics:   cfg.Metrics,
-		log:       cfg.Logger,
-		queues:    make([]chan wire.SessionJob, executors),
-		applied:   make(map[string]*appliedState),
-		stop:      make(chan struct{}),
+		tr:      cfg.Transport,
+		backend: cfg.Backend,
+		metrics: cfg.Metrics,
+		log:     cfg.Logger,
+		queues:  make([]chan wire.SessionJob, executors),
+		applied: make(map[string]*appliedState),
+		stop:    make(chan struct{}),
 	}
 	for i := range w.queues {
 		w.queues[i] = make(chan wire.SessionJob, queueDepth)
@@ -148,9 +143,6 @@ func (w *Worker) Close() {
 // refused with SessDraining so the frontend migrates instead of placing.
 func (w *Worker) SetDraining(v bool) { w.draining.Store(v) }
 
-// Draining reports the drain bit (peerd's /healthz surfaces it).
-func (w *Worker) Draining() bool { return w.draining.Load() }
-
 // Active counts live sessions on the backend.
 func (w *Worker) Active() int { return w.backend.Active() }
 
@@ -169,7 +161,7 @@ func (w *Worker) handle(from string, f wire.Frame) {
 		// worker grinding through a long evaluation is alive. Queuing it
 		// behind session work would read as death to a tight probe deadline.
 		// A draining worker answers SessDraining (it still serves what it
-		// holds) so frontends migrate even when the admin endpoint is off.
+		// holds): that answer is how a frontend learns of the drain.
 		if w.draining.Load() {
 			w.send(job, wire.SessionReply{Code: wire.SessDraining, Err: "pool: worker draining"})
 		} else {
@@ -332,7 +324,6 @@ func (w *Worker) send(job wire.SessionJob, rep wire.SessionReply) {
 		rep.Queued = uint32(q)
 	}
 	rep.EWMAMicros = w.ewma.Load()
-	rep.AdminAddr = w.adminAddr
 	if job.Frontend == "" {
 		return
 	}

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -137,7 +138,7 @@ func NewServer(cfg Config) *Server {
 			// Recovery order: snapshots first (the coarse base state), then
 			// the WAL replayed on top of them — it holds exactly the
 			// acknowledged work the snapshots had not absorbed yet.
-			mark := restoreSessions(cfg.DataDir, s.store, m, log)
+			mark := restoreSessions(cfg.DataDir, s.store, log)
 			walLog, err := wal.Open(filepath.Join(cfg.DataDir, walDirName), wal.Options{
 				Fsync:   cfg.Fsync,
 				Metrics: m,
@@ -366,141 +367,15 @@ type sessionResponse struct {
 	SnapshotAgeSeconds *float64 `json:"snapshot_age_seconds,omitempty"`
 }
 
-type errorResponse struct {
-	Error string `json:"error"`
-}
-
-// ---- handlers ----
-
-func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
-	if s.readOnly.Load() {
-		s.fail(w, ErrReadOnly)
-		return
-	}
-	start := time.Now()
-	var req createRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		s.badRequest(w, fmt.Errorf("bad request body: %w", err))
-		return
-	}
-	if req.Net == "" {
-		s.badRequest(w, errors.New("missing net"))
-		return
-	}
-	engine, err := ParseEngine(req.Engine)
-	if err != nil {
-		s.badRequest(w, err)
-		return
-	}
-	if s.pool != nil {
-		// Frontend mode: the worker parses the net and warms the engine;
-		// the frontend only burns cycles on admission and placement.
-		res := s.pool.Create(req.Net, req.Engine, req.MaxFacts, s.evalTimeout(r))
-		s.metrics.Observe("diagnosed_create_seconds", time.Since(start))
-		s.writePoolResult(w, http.StatusCreated, res)
-		return
-	}
-	sys, err := core.LoadNet(req.Net)
-	if err != nil {
-		s.badRequest(w, err)
-		return
-	}
-	sess, err := s.store.Create(sys, engine, req.MaxFacts, time.Now())
-	if err != nil {
-		if errors.Is(err, ErrOverloaded) {
-			s.fail(w, err)
-		} else {
-			// Engine warm-up rejected the net (e.g. a peer name that
-			// collides with the supervisor) — the client's fault.
-			s.badRequest(w, err)
-		}
-		return
-	}
-	if s.wal != nil {
-		// Log the create before the 201. The session is technically live in
-		// the table already, but its crypto-random ID is unknown to any
-		// client until this response goes out, so no append can precede the
-		// create record in the log.
-		seq, err := s.wal.logCreate(sess.ID, req.Net, EngineName(engine), sess.Facts, sess.Created.UnixNano())
-		if err != nil {
-			s.store.Delete(sess.ID)
-			s.fail(w, fmt.Errorf("session not durably logged: %w", err))
-			return
-		}
-		sess.setWALSeq(seq)
-	}
+func newCreateResponse(sess *Session) createResponse {
 	peers := []string{}
-	for _, p := range sys.Peers() {
+	for _, p := range sess.inc.System().Peers() {
 		peers = append(peers, string(p))
 	}
-	s.metrics.Observe("diagnosed_create_seconds", time.Since(start))
-	s.writeJSON(w, http.StatusCreated, createResponse{
-		ID: sess.ID, Engine: EngineName(engine), Peers: peers, MaxFacts: sess.Facts,
-	})
+	return createResponse{ID: sess.ID, Engine: EngineName(sess.Engine), Peers: peers, MaxFacts: sess.Facts}
 }
 
-func (s *Server) handleAppend(w http.ResponseWriter, r *http.Request) {
-	if s.readOnly.Load() {
-		s.fail(w, ErrReadOnly)
-		return
-	}
-	if s.pool != nil {
-		var req appendRequest
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			s.badRequest(w, fmt.Errorf("bad request body: %w", err))
-			return
-		}
-		start := time.Now()
-		res := s.pool.Append(r.PathValue("id"), req.Alarms, s.evalTimeout(r))
-		s.metrics.Observe("diagnosed_append_seconds", time.Since(start))
-		s.writePoolResult(w, http.StatusOK, res)
-		return
-	}
-	sess, ok := s.store.Get(r.PathValue("id"), time.Now())
-	if !ok {
-		s.notFound(w)
-		return
-	}
-	var req appendRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		s.badRequest(w, fmt.Errorf("bad request body: %w", err))
-		return
-	}
-	seq, err := core.ParseAlarms(req.Alarms)
-	if err != nil {
-		s.badRequest(w, err)
-		return
-	}
-	if len(seq) == 0 {
-		s.badRequest(w, errors.New("no alarms in request"))
-		return
-	}
-	for _, o := range seq {
-		if !sess.HasPeer(string(o.Peer)) {
-			s.badRequest(w, fmt.Errorf("alarm from unknown peer %q", o.Peer))
-			return
-		}
-	}
-
-	start := time.Now()
-	res, err := sess.Append(seq, s.evalTimeout(r))
-	s.metrics.Observe("diagnosed_append_seconds", time.Since(start))
-	if s.persist != nil {
-		// Write-behind on success AND failure: an append that poisoned the
-		// session must persist the poisoning, or a restart would resurrect
-		// a session whose warm state is not trustworthy as healthy.
-		s.persist.markDirty(sess)
-	}
-	if err != nil {
-		s.metrics.Add("diagnosed_append_errors_total", 1)
-		s.fail(w, err)
-		return
-	}
-	s.metrics.Add("diagnosed_alarms_total", int64(len(seq)))
-	s.metrics.Add("diagnosed_appends_total", 1)
-	s.metrics.Add("diagnosed_facts_materialized_total", int64(res.DerivedDelta))
-	s.metrics.Add("diagnosed_messages_total", int64(res.MessagesDelta))
-
+func newAppendResponse(res *AppendResult) appendResponse {
 	added, removed := res.Added, res.Removed
 	if added == nil {
 		added = []string{}
@@ -508,32 +383,16 @@ func (s *Server) handleAppend(w http.ResponseWriter, r *http.Request) {
 	if removed == nil {
 		removed = []string{}
 	}
-	s.writeJSON(w, http.StatusOK, appendResponse{
+	return appendResponse{
 		Alarms:       res.Alarms,
 		Added:        added,
 		Removed:      removed,
 		DerivedDelta: res.DerivedDelta,
 		Report:       toReportJSON(res.Report),
-	})
+	}
 }
 
-func (s *Server) handleGet(w http.ResponseWriter, r *http.Request) {
-	if s.pool != nil {
-		// The worker is authoritative for session state (seq, report,
-		// exhaustion); the frontend only journals placement.
-		s.writePoolResult(w, http.StatusOK, s.pool.Get(r.PathValue("id"), 10*time.Second))
-		return
-	}
-	sess, ok := s.store.Get(r.PathValue("id"), time.Now())
-	if !ok {
-		s.notFound(w)
-		return
-	}
-	st, err := sess.Snapshot()
-	if err != nil {
-		s.fail(w, err)
-		return
-	}
+func newSessionResponse(st State) sessionResponse {
 	resp := sessionResponse{
 		ID:        st.ID,
 		Engine:    EngineName(st.Engine),
@@ -549,7 +408,100 @@ func (s *Server) handleGet(w http.ResponseWriter, r *http.Request) {
 		age := time.Since(st.LastSnap).Seconds()
 		resp.SnapshotAgeSeconds = &age
 	}
-	s.writeJSON(w, http.StatusOK, resp)
+	return resp
+}
+
+type errorResponse struct {
+	Error string `json:"error"`
+}
+
+// ---- handlers ----
+
+func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
+	if s.readOnly.Load() {
+		s.fail(w, ErrReadOnly)
+		return
+	}
+	start := time.Now()
+	var req createRequest
+	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+		s.fail(w, badInput(fmt.Errorf("bad request body: %w", err)))
+		return
+	}
+	if s.pool != nil {
+		// Frontend mode: the worker parses the net and warms the engine;
+		// the frontend only burns cycles on admission and placement. The
+		// wire carries the engine as an ordinal, so an unknown name is
+		// refused here, before it could read as the default.
+		if _, err := ParseEngine(req.Engine); err != nil {
+			s.fail(w, badInput(err))
+			return
+		}
+		res := s.pool.Create(req.Net, req.Engine, req.MaxFacts, s.evalTimeout(r))
+		s.metrics.Observe("diagnosed_create_seconds", time.Since(start))
+		s.writePoolResult(w, http.StatusCreated, res)
+		return
+	}
+	sess, err := s.store.Create(req.Net, req.Engine, req.MaxFacts, time.Now())
+	if err != nil {
+		s.fail(w, err)
+		return
+	}
+	if s.wal != nil {
+		// Log the create before the 201. The session is technically live in
+		// the table already, but its crypto-random ID is unknown to any
+		// client until this response goes out, so no append can precede the
+		// create record in the log.
+		seq, err := s.wal.logCreate(sess.ID, req.Net, EngineName(sess.Engine), sess.Facts, sess.Created.UnixNano())
+		if err != nil {
+			s.store.Delete(sess.ID)
+			s.fail(w, fmt.Errorf("session not durably logged: %w", err))
+			return
+		}
+		sess.setWALSeq(seq)
+	}
+	s.metrics.Observe("diagnosed_create_seconds", time.Since(start))
+	s.writeJSON(w, http.StatusCreated, newCreateResponse(sess))
+}
+
+func (s *Server) handleAppend(w http.ResponseWriter, r *http.Request) {
+	if s.readOnly.Load() {
+		s.fail(w, ErrReadOnly)
+		return
+	}
+	var req appendRequest
+	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+		s.fail(w, badInput(fmt.Errorf("bad request body: %w", err)))
+		return
+	}
+	if s.pool != nil {
+		start := time.Now()
+		res := s.pool.Append(r.PathValue("id"), req.Alarms, s.evalTimeout(r))
+		s.metrics.Observe("diagnosed_append_seconds", time.Since(start))
+		s.writePoolResult(w, http.StatusOK, res)
+		return
+	}
+	body, err := s.store.appendBody(r.PathValue("id"), req.Alarms, s.evalTimeout(r))
+	if err != nil {
+		s.fail(w, err)
+		return
+	}
+	writeBody(w, http.StatusOK, body)
+}
+
+func (s *Server) handleGet(w http.ResponseWriter, r *http.Request) {
+	if s.pool != nil {
+		// The worker is authoritative for session state (seq, report,
+		// exhaustion); the frontend only journals placement.
+		s.writePoolResult(w, http.StatusOK, s.pool.Get(r.PathValue("id"), 10*time.Second))
+		return
+	}
+	body, err := s.store.getBody(r.PathValue("id"))
+	if err != nil {
+		s.fail(w, err)
+		return
+	}
+	writeBody(w, http.StatusOK, body)
 }
 
 // handleTrace exports the session's evaluation trace as Chrome
@@ -559,12 +511,12 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 		// The trace buffer lives with the warm engine on the worker; the
 		// frontend has nothing to export. Scrape the worker's admin
 		// endpoint instead.
-		s.notFound(w)
+		s.fail(w, errNoSession)
 		return
 	}
 	sess, ok := s.store.Get(r.PathValue("id"), time.Now())
 	if !ok {
-		s.notFound(w)
+		s.fail(w, errNoSession)
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
@@ -595,7 +547,7 @@ func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) {
 		// resurrecting the session on restart. Existence is checked first so
 		// the log never carries deletes of sessions that were never there.
 		if _, ok := s.store.Get(id, time.Now()); !ok {
-			s.notFound(w)
+			s.fail(w, errNoSession)
 			return
 		}
 		if _, err := s.wal.logDelete(id); err != nil {
@@ -604,7 +556,7 @@ func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	if !s.store.Delete(id) {
-		s.notFound(w)
+		s.fail(w, errNoSession)
 		return
 	}
 	w.WriteHeader(http.StatusNoContent)
@@ -677,26 +629,34 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 // ---- error mapping ----
 
 func (s *Server) writeJSON(w http.ResponseWriter, status int, v any) {
+	writeBody(w, status, encodeBody(v))
+}
+
+// encodeBody is the one JSON body encoder (two-space indent, trailing
+// newline), for local responses and worker-rendered pool bodies alike:
+// that is what keeps the two byte-identical.
+func encodeBody(v any) []byte {
+	var buf bytes.Buffer
+	enc := json.NewEncoder(&buf)
+	enc.SetIndent("", "  ")
+	enc.Encode(v) //nolint:errcheck // in-memory encode of plain structs
+	return buf.Bytes()
+}
+
+func writeBody(w http.ResponseWriter, status int, body []byte) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(v) //nolint:errcheck // nothing to do about a dead client
+	w.Write(body) //nolint:errcheck // nothing to do about a dead client
 }
 
-func (s *Server) badRequest(w http.ResponseWriter, err error) {
-	s.writeJSON(w, http.StatusBadRequest, errorResponse{Error: err.Error()})
-}
-
-func (s *Server) notFound(w http.ResponseWriter) {
-	s.writeJSON(w, http.StatusNotFound, errorResponse{Error: "no such session"})
-}
-
-// fail maps service errors to statuses: exhausted per-session budget 429,
-// overload or drain 503, evaluation timeout 504, vanished session 404.
+// fail maps service errors to statuses: bad input 400, exhausted
+// per-session budget 429, overload or drain 503, evaluation timeout 504,
+// unknown or vanished session 404.
 func (s *Server) fail(w http.ResponseWriter, err error) {
 	status := http.StatusInternalServerError
 	switch {
+	case errors.Is(err, ErrBadInput):
+		status = http.StatusBadRequest
 	case errors.Is(err, ErrExhausted):
 		status = http.StatusTooManyRequests
 	case errors.Is(err, ErrOverloaded), errors.Is(err, ErrDraining), errors.Is(err, ErrReadOnly):
@@ -719,9 +679,7 @@ func (s *Server) writePoolResult(w http.ResponseWriter, okStatus int, res pool.R
 			w.WriteHeader(okStatus)
 			return
 		}
-		w.Header().Set("Content-Type", "application/json")
-		w.WriteHeader(okStatus)
-		w.Write(res.Body) //nolint:errcheck // nothing to do about a dead client
+		writeBody(w, okStatus, res.Body)
 		return
 	}
 	if res.RetryAfterMS > 0 {

@@ -362,6 +362,17 @@ func TestLRUEviction(t *testing.T) {
 			t.Fatalf("%s should survive", id)
 		}
 	}
+	// A create the engine refuses (peer p2 renamed into the supervisor's
+	// name) must not evict anyone from the full table.
+	clash := strings.ReplaceAll(exampleNetText(t), "p2", "p0")
+	if code := doJSON(t, "POST", ts.URL+"/v1/sessions", createRequest{Net: clash}, nil); code != http.StatusBadRequest {
+		t.Fatalf("create with a supervisor-named peer: status %d, want 400", code)
+	}
+	for _, id := range []string{a.ID, c.ID} {
+		if code := doJSON(t, "GET", ts.URL+"/v1/sessions/"+id, nil, nil); code != http.StatusOK {
+			t.Fatalf("%s evicted by a refused create: status %d", id, code)
+		}
+	}
 	if got := metricValue(t, ts, "diagnosed_sessions_evicted_total"); got != 1 {
 		t.Fatalf("evicted counter = %d", got)
 	}

@@ -284,11 +284,11 @@ func (p *persister) drain(live []*Session) {
 	}
 }
 
-// restoreSessions loads every snapshot in the data dir back into the
+// restoreSessions installs every snapshot in the data dir into the
 // store and returns the highest WAL coverage mark among them. A file
-// that fails to open, decode or fit the table is logged and skipped — a
+// that fails to read, decode or fit the table is logged and skipped — a
 // corrupt checkpoint must not keep the server down.
-func restoreSessions(dir string, st *Store, metrics *Metrics, log *slog.Logger) (mark uint64) {
+func restoreSessions(dir string, st *Store, log *slog.Logger) (mark uint64) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
 		log.Error("snapshot dir unreadable", "dir", dir, "err", err)
@@ -300,16 +300,21 @@ func restoreSessions(dir string, st *Store, metrics *Metrics, log *slog.Logger) 
 			continue
 		}
 		path := filepath.Join(dir, name)
-		sess, err := LoadSessionFile(path, metrics)
+		data, err := os.ReadFile(path)
 		if err != nil {
 			log.Warn("session not restored", "file", name, "err", err)
 			continue
 		}
-		if err := st.Adopt(sess); err != nil {
+		sess, err := st.install(strings.TrimSuffix(name, snapshotExt), data)
+		if err != nil {
 			log.Warn("session not restored", "file", name, "err", err)
 			continue
 		}
-		metrics.Add("snapshot_restore_total", 1)
+		if fi, err := os.Stat(path); err == nil {
+			// The file IS the session's last snapshot; its mtime is the
+			// honest snapshot age across the restart.
+			sess.lastSnap.Store(fi.ModTime().UnixNano())
+		}
 		log.Info("session restored", "session", sess.ID, "alarms", sess.alarms)
 		mark = max(mark, sess.walSeq)
 	}

@@ -193,6 +193,24 @@ func checkPoolEquivalence(t *testing.T, pooled, local *httptest.Server, in poolI
 		t.Fatalf("engine %q: session bodies diverge\npooled: %s\nlocal:  %s", engine, scrub(pBody), scrub(lBody))
 	}
 
+	// Client faults get the same status and the same message in both
+	// modes (the last row's session is unknown and its body malformed).
+	for _, f := range []struct{ path, body string }{
+		{"/v1/sessions/ID/alarms", `{"alarms": "zz@@"}`},
+		{"/v1/sessions/ID/alarms", `{"alarms": ""}`},
+		{"/v1/sessions/ID/alarms", `{"alarms": "b@ghost"}`},
+		{"/v1/sessions", `{"net": "nonsense"}`},
+		{"/v1/sessions/nope/alarms", `{"alarms": `},
+	} {
+		pCode, pBody = rawDo(t, "POST", pooled.URL+strings.Replace(f.path, "ID", pID, 1), f.body)
+		lCode, lBody = rawDo(t, "POST", local.URL+strings.Replace(f.path, "ID", lID, 1), f.body)
+		if pCode != lCode || scrub(pBody) != scrub(lBody) {
+			t.Fatalf("engine %q: client fault %s diverges\npooled: %d %s\nlocal:  %d %s", engine, f.body, pCode, pBody, lCode, lBody)
+		}
+		if lCode != http.StatusBadRequest && lCode != http.StatusNotFound {
+			t.Fatalf("engine %q: client fault %s: status %d, want 400 or 404", engine, f.body, lCode)
+		}
+	}
 	if code, _ := rawDo(t, "POST", pooled.URL+"/v1/sessions/"+pID+"/alarms", `{"alarms": "b@nowhere"}`); code != http.StatusBadRequest {
 		t.Fatalf("engine %q: pooled unknown-peer append: status %d, want 400", engine, code)
 	}
@@ -380,5 +398,27 @@ func TestPoolBackpressure(t *testing.T) {
 	}
 	if resp.Header.Get("Retry-After") == "" {
 		t.Fatal("saturated create: no Retry-After header")
+	}
+}
+
+// TestPoolBackendCountsOnce: a worker that hands one registry to both
+// its store and its backend (as cmd/peerd does) counts each session
+// operation once.
+func TestPoolBackendCountsOnce(t *testing.T) {
+	m := NewMetrics()
+	b := NewPoolBackend(NewStore(StoreConfig{}, m), m)
+	if _, err := b.Create("s1", exampleNetText(t), "direct", 0); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := b.Append("s1", "b@p1", time.Minute); err != nil {
+		t.Fatal(err)
+	}
+	if err := b.Delete("s1"); err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{"diagnosed_sessions_created_total", "diagnosed_appends_total", "diagnosed_sessions_deleted_total"} {
+		if got := m.Counter(name); got != 1 {
+			t.Errorf("%s = %d, want 1", name, got)
+		}
 	}
 }

@@ -9,7 +9,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/parser"
 	"repro/internal/petri"
 )
@@ -110,13 +109,13 @@ func TestMetricsScrapeDuringEviction(t *testing.T) {
 	m := NewMetrics()
 	st := NewStore(StoreConfig{MaxSessions: 2}, m)
 	defer st.Clear()
-	sys := core.Example()
+	netText := exampleNetText(t)
 
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
 		for i := 0; i < 40; i++ {
-			if _, err := st.Create(sys, core.Direct, 0, time.Now()); err != nil {
+			if _, err := st.Create(netText, "direct", 0, time.Now()); err != nil {
 				t.Errorf("create %d: %v", i, err)
 				return
 			}

@@ -131,18 +131,11 @@ func (r replApplier) Resync(snaps []repl.Snapshot, resume uint64) error {
 	}
 	adopted := 0
 	for _, sn := range snaps {
-		o, err := snapshot.Open(sn.Data)
-		if err != nil {
+		sess, err := s.store.install(sn.ID, sn.Data)
+		if errors.Is(err, ErrBadInput) {
 			return fmt.Errorf("serve: shipped session %s: %w", sn.ID, err)
 		}
-		sess, err := decodeSession(o, s.metrics)
 		if err != nil {
-			return fmt.Errorf("serve: shipped session %s: %w", sn.ID, err)
-		}
-		if sess.ID != sn.ID {
-			return fmt.Errorf("serve: shipped session id %q decodes as %q", sn.ID, sess.ID)
-		}
-		if err := s.store.Adopt(sess); err != nil {
 			// Table or budget limits below the primary's: serve what fits
 			// rather than wedging the stream (the same policy boot restore
 			// applies to a too-large snapshot dir).

@@ -31,7 +31,28 @@ var (
 	// ErrReadOnly: the server is a replication follower; mutations are
 	// refused until a promote (503).
 	ErrReadOnly = errors.New("serve: read-only replica (following a primary)")
+	// ErrBadInput: the client sent a net, alarm text or checkpoint the
+	// server cannot use (400; SessBad from a pool worker). It only
+	// classifies: the error message is the cause's own.
+	ErrBadInput = errors.New("serve: bad input")
 )
+
+// classed tags an error with a sentinel for errors.Is while keeping the
+// wrapped error's message, so a class never changes what a client reads.
+type classed struct {
+	error
+	class error
+}
+
+func (e classed) Is(target error) bool { return target == e.class }
+func (e classed) Unwrap() error        { return e.error }
+
+// badInput marks err as the client's fault.
+func badInput(err error) error { return classed{err, ErrBadInput} }
+
+// errNoSession answers an operation on an ID the table does not hold
+// (404, like a session closed mid-request).
+var errNoSession error = classed{errors.New("no such session"), ErrClosed}
 
 // ParseEngine maps the wire names onto engines. Empty defaults to dQSQ —
 // the engine with a genuinely incremental warm session.
@@ -132,9 +153,25 @@ func newSession(id string, sys *core.System, engine core.Engine, facts int, now 
 	return s, nil
 }
 
-// HasPeer reports whether the session's net has the peer — handlers
-// reject alarms from unknown peers as bad requests before evaluating.
-func (s *Session) HasPeer(peer string) bool { return s.peers[peer] }
+// parseAlarms reads alarm text for this session — the one parse of
+// alarms shared by HTTP, pool workers and WAL replay. Unparsable text,
+// no alarms at all, and alarms from a peer the net lacks are the
+// client's fault, refused before anything is evaluated.
+func (s *Session) parseAlarms(text string) (alarm.Seq, error) {
+	seq, err := core.ParseAlarms(text)
+	if err != nil {
+		return nil, badInput(err)
+	}
+	if len(seq) == 0 {
+		return nil, badInput(errors.New("no alarms in request"))
+	}
+	for _, o := range seq {
+		if !s.peers[string(o.Peer)] {
+			return nil, badInput(fmt.Errorf("alarm from unknown peer %q", o.Peer))
+		}
+	}
+	return seq, nil
+}
 
 // WriteTrace exports the session's trace buffer as Chrome trace-event
 // JSON (chrome://tracing, Perfetto). Safe concurrently with appends.
@@ -264,7 +301,7 @@ func (s *Session) append(obs []alarm.Obs, timeout time.Duration, replaySeq uint6
 	case s.wal != nil:
 		// Log AFTER the evaluation so only appends that actually landed in
 		// the warm engine are replayed. The canonical text round-trips:
-		// core.ParseAlarms(parser.FormatAlarms(obs)) == obs.
+		// parsing parser.FormatAlarms(obs) gives obs back.
 		seq, err := s.wal.logAppend(s.ID, parser.FormatAlarms(alarm.Seq(obs)))
 		if err != nil {
 			// The in-memory state absorbed the alarms but the durable log

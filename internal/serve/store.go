@@ -4,12 +4,13 @@ import (
 	"container/list"
 	"crypto/rand"
 	"encoding/hex"
+	"errors"
 	"fmt"
+	"sync"
 	"time"
 
-	"sync"
-
 	"repro/internal/core"
+	"repro/internal/snapshot"
 )
 
 // StoreConfig bounds the session table.
@@ -140,11 +141,13 @@ func (st *Store) newID() string {
 	return fmt.Sprintf("s%06d-%s", st.nextID, hex.EncodeToString(b[:]))
 }
 
-// Create admits a new session or load-sheds with ErrOverloaded. facts=0
-// takes the configured per-session default. The expensive part — parsing
-// the net and warming the engine — runs outside the table lock; the
-// budget is reserved first and released if setup fails.
-func (st *Store) Create(sys *core.System, engine core.Engine, facts int, now time.Time) (*Session, error) {
+// Create admits a new session under a fresh ID or load-sheds with
+// ErrOverloaded. facts=0 takes the configured per-session default. The
+// expensive part — parsing the net and warming the engine — runs outside
+// the table lock; the budget is reserved first and released if setup
+// fails. Only a session that warmed up evicts another: a net the engine
+// refuses must not cost a live session its place.
+func (st *Store) Create(netText, engine string, facts int, now time.Time) (*Session, error) {
 	if facts <= 0 {
 		facts = st.cfg.SessionFacts
 	}
@@ -157,20 +160,10 @@ func (st *Store) Create(sys *core.System, engine core.Engine, facts int, now tim
 			ErrOverloaded, st.reserved, st.cfg.GlobalFacts)
 	}
 	st.reserved += facts
-	evicted := 0
-	for len(st.sessions) >= st.cfg.MaxSessions {
-		if !st.evictOldestLocked() {
-			break
-		}
-		evicted++
-	}
 	id := st.newID()
 	st.mu.Unlock()
-	if evicted > 0 {
-		st.metrics.Add("diagnosed_sessions_evicted_total", int64(evicted))
-	}
 
-	sess, err := newSession(id, sys, engine, facts, now, st.metrics)
+	sess, err := st.build(id, netText, engine, facts, now)
 	if err != nil {
 		st.mu.Lock()
 		st.reserved -= facts
@@ -178,12 +171,12 @@ func (st *Store) Create(sys *core.System, engine core.Engine, facts int, now tim
 		return nil, err
 	}
 
-	// Setup ran unlocked, so concurrent creates may have refilled the
-	// table; evict again before inserting so MaxSessions holds at all
-	// times, not just transiently.
+	// Evict only now, under the same lock as the insert: setup ran
+	// unlocked, so concurrent creates may have refilled the table, and
+	// MaxSessions must hold at all times, not just transiently.
 	st.mu.Lock()
 	sess.wal = st.wal // pre-publication: no lock on the session needed
-	evicted = 0
+	evicted := 0
 	for len(st.sessions) >= st.cfg.MaxSessions {
 		if !st.evictOldestLocked() {
 			break
@@ -196,6 +189,108 @@ func (st *Store) Create(sys *core.System, engine core.Engine, facts int, now tim
 		st.metrics.Add("diagnosed_sessions_evicted_total", int64(evicted))
 	}
 	st.metrics.Add("diagnosed_sessions_created_total", 1)
+	return sess, nil
+}
+
+// build is the one create path — HTTP, pool workers and WAL replay all
+// warm sessions here; admission is each caller's own. It checks the
+// engine name, parses the net and warms the engine; every refusal is
+// the client's fault (a peer name colliding with the supervisor, say).
+// facts=0 takes the configured per-session default.
+func (st *Store) build(id, netText, engine string, facts int, now time.Time) (*Session, error) {
+	if netText == "" {
+		return nil, badInput(errors.New("missing net"))
+	}
+	eng, err := ParseEngine(engine)
+	if err != nil {
+		return nil, badInput(err)
+	}
+	sys, err := core.LoadNet(netText)
+	if err != nil {
+		return nil, badInput(err)
+	}
+	if facts <= 0 {
+		facts = st.cfg.SessionFacts
+	}
+	sess, err := newSession(id, sys, eng, facts, now, st.metrics)
+	if err != nil {
+		return nil, badInput(err)
+	}
+	return sess, nil
+}
+
+// appendBody is the one live append path, for HTTP and pool workers: it
+// parses and checks the alarm text, evaluates, counts the diagnosed_*
+// series and renders the response body. (WAL replay shares the parse
+// and the evaluation, but neither logs nor counts.)
+func (st *Store) appendBody(id, alarms string, timeout time.Duration) ([]byte, error) {
+	sess, ok := st.Get(id, time.Now())
+	if !ok {
+		return nil, errNoSession
+	}
+	seq, err := sess.parseAlarms(alarms)
+	if err != nil {
+		return nil, err
+	}
+	start := time.Now()
+	res, err := sess.Append(seq, timeout)
+	st.metrics.Observe("diagnosed_append_seconds", time.Since(start))
+	st.mu.Lock()
+	persist := st.persist
+	st.mu.Unlock()
+	if persist != nil {
+		// Write-behind on success AND failure: an append that poisoned the
+		// session must persist the poisoning, or a restart would resurrect
+		// a session whose warm state is not trustworthy as healthy.
+		persist.markDirty(sess)
+	}
+	if err != nil {
+		st.metrics.Add("diagnosed_append_errors_total", 1)
+		return nil, err
+	}
+	st.metrics.Add("diagnosed_alarms_total", int64(len(seq)))
+	st.metrics.Add("diagnosed_appends_total", 1)
+	st.metrics.Add("diagnosed_facts_materialized_total", int64(res.DerivedDelta))
+	st.metrics.Add("diagnosed_messages_total", int64(res.MessagesDelta))
+	return encodeBody(newAppendResponse(res)), nil
+}
+
+// getBody renders the session-state body, for HTTP and pool workers.
+func (st *Store) getBody(id string) ([]byte, error) {
+	sess, ok := st.Get(id, time.Now())
+	if !ok {
+		return nil, errNoSession
+	}
+	state, err := sess.Snapshot()
+	if err != nil {
+		return nil, err
+	}
+	return encodeBody(newSessionResponse(state)), nil
+}
+
+// install is the one checkpoint install path — boot restore, replication
+// resync and pool migration: decode the checkpoint, check it is the
+// session id names, and put it in the table in place of any copy
+// already live (a failover flap may have left a stale one). A checkpoint
+// that does not decode, or names another session, is bad input; a table
+// that cannot take it refuses with ErrOverloaded, as Adopt does.
+func (st *Store) install(id string, checkpoint []byte) (*Session, error) {
+	o, err := snapshot.Open(checkpoint)
+	if err != nil {
+		return nil, badInput(err)
+	}
+	sess, err := decodeSession(o, st.metrics)
+	if err != nil {
+		return nil, badInput(err)
+	}
+	if sess.ID != id {
+		return nil, badInput(fmt.Errorf("checkpoint is for session %s, not %s", sess.ID, id))
+	}
+	st.Delete(id)
+	if err := st.Adopt(sess); err != nil {
+		return nil, err
+	}
+	st.metrics.Add("snapshot_restore_total", 1)
 	return sess, nil
 }
 

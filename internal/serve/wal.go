@@ -22,7 +22,6 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/snapshot"
 	"repro/internal/wal"
 )
@@ -205,17 +204,7 @@ func (s *Server) applyWALRecord(seq uint64, payload []byte) (touched *Session, d
 		if _, live := s.store.Get(id, time.Now()); live {
 			return nil, "" // the snapshot already covers the create
 		}
-		engine, err := ParseEngine(engineName)
-		if err != nil {
-			s.log.Warn("wal: create not replayed", "seq", seq, "session", id, "err", err)
-			return nil, ""
-		}
-		sys, err := core.LoadNet(netText)
-		if err != nil {
-			s.log.Warn("wal: create not replayed", "seq", seq, "session", id, "err", err)
-			return nil, ""
-		}
-		sess, err := newSession(id, sys, engine, facts, time.Unix(0, createdNS), s.metrics)
+		sess, err := s.store.build(id, netText, engineName, facts, time.Unix(0, createdNS))
 		if err != nil {
 			s.log.Warn("wal: create not replayed", "seq", seq, "session", id, "err", err)
 			return nil, ""
@@ -242,7 +231,7 @@ func (s *Server) applyWALRecord(seq uint64, payload []byte) (touched *Session, d
 		if seq <= sess.WALSeq() {
 			return nil, "" // the snapshot already covers this append
 		}
-		obs, err := core.ParseAlarms(alarms)
+		obs, err := sess.parseAlarms(alarms)
 		if err != nil {
 			s.log.Warn("wal: append not replayed", "seq", seq, "session", id, "err", err)
 			return nil, ""

@@ -60,7 +60,7 @@ func seedCorpus(f *testing.F) {
 		SessionJob{Req: 9, Op: SessLoad, Session: "s1", Blob: []byte{1, 2, 3},
 			Frontend: "fe", FrontendAddr: "127.0.0.1:9"},
 		SessionReply{Req: 8, Op: SessAppend, Session: "s1", Active: 3, Queued: 1,
-			EWMAMicros: 420, AdminAddr: "127.0.0.1:10", Blob: []byte{9}},
+			EWMAMicros: 420, Blob: []byte{9}},
 		SessionReply{Req: 9, Op: SessLoad, Session: "s1", Code: SessSaturated,
 			Err: "table full", RetryAfterMS: 1000},
 	}

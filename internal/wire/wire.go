@@ -34,7 +34,9 @@ import (
 // Version 5 added the session-pool RPC frames (SessionJob, SessionReply).
 // Version 6 moved a shipped session's applied-append index out of the
 // checkpoint blob into SessionReply.Index, and CRC-framed TCP traffic.
-const Version = 6
+// Version 7 dropped SessionReply.AdminAddr: frontends learn of a drain
+// from the SessPing reply alone.
+const Version = 7
 
 // frame type tags.
 const (
@@ -310,7 +312,6 @@ type SessionReply struct {
 	Active       uint32 // load: live sessions on the worker
 	Queued       uint32 // load: jobs waiting in the worker's queue
 	EWMAMicros   uint64 // load: EWMA append latency, microseconds
-	AdminAddr    string // worker's HTTP admin address (health probes)
 	Blob         []byte // op result payload: a backend body, or SessShip's checkpoint
 }
 
@@ -684,7 +685,6 @@ func AppendFrame(dst []byte, seq uint64, f Frame) []byte {
 		dst = putUvarint(dst, uint64(v.Active))
 		dst = putUvarint(dst, uint64(v.Queued))
 		dst = putUvarint(dst, v.EWMAMicros)
-		dst = putString(dst, v.AdminAddr)
 		dst = putBytes(dst, v.Blob)
 	default:
 		panic(fmt.Sprintf("wire: unencodable frame %T", f))
@@ -956,7 +956,6 @@ func DecodeFrame(b []byte) (uint64, Frame, error) {
 		p.Active = u32(r)
 		p.Queued = u32(r)
 		p.EWMAMicros = r.Uvarint()
-		p.AdminAddr = r.String()
 		p.Blob = blob(r)
 		f = p
 	default:

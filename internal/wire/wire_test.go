@@ -95,7 +95,7 @@ func sampleFrames(t *testing.T) []Frame {
 		SessionJob{Req: 14, Op: SessLoad, Session: "s000001-ab",
 			Blob: []byte{0xDE, 0xAD, 0xBE, 0xEF}, Frontend: "fe-1", FrontendAddr: "127.0.0.1:7701"},
 		SessionReply{Req: 12, Op: SessAppend, Session: "s000001-ab",
-			Active: 17, Queued: 3, EWMAMicros: 1234, AdminAddr: "127.0.0.1:7702",
+			Active: 17, Queued: 3, EWMAMicros: 1234,
 			Blob: []byte{1, 0, 2}},
 		SessionReply{Req: 14, Op: SessLoad, Session: "s000001-ab",
 			Code: SessSaturated, Err: "serve: server overloaded", RetryAfterMS: 1500},

@@ -42,12 +42,18 @@ go test -race ./internal/serve ./internal/dist ./internal/transport ./internal/w
 echo "== bench module (nested: tier-1 does not compile it)"
 # Deterministic, so it runs before the smokes and timing guards: a
 # box-dependent ratio going red must not hide a broken nested module.
-# bench/ pins engine surface by name; these signatures must not change
-# without a bench/ change of their own: OnlineDiagnoser.SetParallelism (a
+# bench/ pins surface by name; these signatures must not change without
+# a bench/ change of their own. Engine: OnlineDiagnoser.SetParallelism (a
 # no-op since evaluation went sequential; bench/ still calls it) and
 # .Session, OnlineSession.Engine, Engine.Peers/PeerDB/PeerStore,
 # rel.Relation.All/InsertPos/Scan, Store.ExternalizeTuple/InternalizeTuple,
-# wire.AppendFrame/DecodeFrame.
+# wire.AppendFrame/DecodeFrame. Serving: serve.NewServer and
+# serve.Config{EvalTimeout,SweepEvery}, serve.NewStore/StoreConfig,
+# serve.NewPoolBackend and PoolBackend.Create/Append; pool.New and
+# pool.Config{Transport,Workers}, pool.NewWorker and
+# pool.WorkerConfig{Transport,Backend}, Pool.Create/Append and
+# pool.Result; transport.NewMesh; wal.Open, wal.Options{Fsync},
+# wal.SyncAlways/SyncNever; obs.Tracer/Span/Multi.
 (cd bench && go vet ./... && go test ./...)
 
 echo "== wire codec fuzz smoke"
@@ -114,7 +120,8 @@ go test -run '^TestDiagnosedFailoverSmoke$' -count 1 ./cmd/diagnosed
 
 echo "== session-pool smoke (kill -9 a worker mid-stream, drain another)"
 # A diagnosed frontend schedules sessions across three peerd workers; one
-# worker dies by SIGKILL and another drains via SIGTERM mid-stream. Every
+# worker dies by SIGKILL and another drains via SIGTERM mid-stream (the
+# frontend learns of the drain from the worker's ping reply). Every
 # session must migrate (snapshot ship or journal replay) and finish with
 # diagnoses identical to an in-process run, and fresh creates must still
 # land on the survivors.
