@@ -14,22 +14,24 @@
 //	GET    /healthz
 //	GET    /metrics
 //
-// With -replicate-listen the server additionally streams its WAL (and
-// full session snapshots, when a follower needs a fresh start) to live
-// replicas; with -follow ADDR it runs as a read-only follower of the
-// primary at ADDR, applying the stream through the same replay path
-// boot recovery uses. POST /v1/admin/promote turns a follower into the
-// primary: the stream drains, the fencing epoch bumps (persisted to
+// With -replicate-listen the server additionally streams its WAL to
+// live replicas (a follower that cannot resume wipes its state and
+// streams from the first record the primary holds); with -follow ADDR it
+// runs as a read-only follower of the primary at ADDR, applying the
+// stream through the same replay path boot recovery uses. POST
+// /v1/admin/promote turns a follower into the primary: the stream
+// drains, the fencing epoch bumps (persisted to
 // <data-dir>/repl.epoch, and stamped on every replication frame, so a
 // partitioned ex-primary can never feed promoted nodes again), and the
 // mutating endpoints open.
 //
 // SIGINT/SIGTERM drain gracefully: new work is refused with 503 (plus a
 // Retry-After header) while in-flight evaluations finish (bounded by
-// -drain-timeout). With -data-dir, sessions are snapshotted to disk on
-// every append (write-behind) and on drain, and a restarted server
-// restores them: even a kill -9 loses at most the appends that had not
-// been flushed yet.
+// -drain-timeout). With -data-dir, every create, append and delete is
+// logged to the write-ahead log under <data-dir>/wal before it is
+// acknowledged, session checkpoints are records of the same log (every
+// 16 appends and on drain), and a restarted server replays it: under
+// -fsync always a kill -9 loses no acknowledged append.
 //
 // Every request is access-logged to stderr as structured log/slog lines
 // (method, path, session, status, duration; /healthz and /metrics polls
@@ -72,9 +74,8 @@ func main() {
 		sweepEvery   = flag.Duration("sweep", 30*time.Second, "TTL sweep period")
 		evalTimeout  = flag.Duration("eval-timeout", 30*time.Second, "per-append evaluation timeout")
 		drainTimeout = flag.Duration("drain-timeout", 30*time.Second, "graceful shutdown bound")
-		dataDir      = flag.String("data-dir", "", "directory for session snapshots (enables restart recovery)")
+		dataDir      = flag.String("data-dir", "", "directory for the session write-ahead log (enables restart recovery; a kill -9 loses no acknowledged append under -fsync always)")
 		fsync        = flag.String("fsync", "always", "WAL fsync policy: always | interval | never")
-		snapDelay    = flag.Duration("snapshot-delay", 0, "stall each write-behind snapshot (crash-test hook)")
 		replListen   = flag.String("replicate-listen", "", "address to stream the WAL to followers on (requires -data-dir)")
 		follow       = flag.String("follow", "", "primary replication address to follow; the server starts read-only (requires -data-dir)")
 		replHB       = flag.Duration("repl-heartbeat", 500*time.Millisecond, "replication heartbeat interval (must match on both ends)")
@@ -111,13 +112,12 @@ func main() {
 			GlobalFacts:  *globalFacts,
 			TTL:          *ttl,
 		},
-		EvalTimeout:   *evalTimeout,
-		SweepEvery:    *sweepEvery,
-		DataDir:       *dataDir,
-		Fsync:         policy,
-		SnapshotDelay: *snapDelay,
-		ReadOnly:      *follow != "",
-		Logger:        logger,
+		EvalTimeout: *evalTimeout,
+		SweepEvery:  *sweepEvery,
+		DataDir:     *dataDir,
+		Fsync:       policy,
+		ReadOnly:    *follow != "",
+		Logger:      logger,
 	})
 	start := time.Now()
 	srv.Metrics().Gauge("diagnosed_uptime_seconds", func() int64 {
@@ -183,7 +183,7 @@ func main() {
 				logger.Error("replication listen failed", "addr", *replListen, "err", err)
 				os.Exit(1)
 			}
-			replPrimary = repl.NewPrimary(srv.WALLog(), srv.ReplSource(), repl.PrimaryOptions{
+			replPrimary = repl.NewPrimary(srv.WALLog(), repl.PrimaryOptions{
 				Epoch:     epoch,
 				Heartbeat: *replHB,
 				Metrics:   srv.Metrics(),

@@ -5,16 +5,17 @@ import (
 	"encoding/json"
 	"net"
 	"net/http"
+	"os"
 	"os/exec"
 	"path/filepath"
 	"reflect"
+	"syscall"
 	"testing"
 	"time"
 
 	"repro/internal/core"
 	"repro/internal/parser"
 	"repro/internal/petri"
-	"repro/internal/serve"
 )
 
 // freeAddr reserves a TCP port and releases it for the server to take.
@@ -75,11 +76,13 @@ type wireReport struct {
 }
 
 // TestDiagnosedRestartSmoke is the end-to-end durability acceptance for
-// the server: stream alarms into a session, kill the process with
-// SIGKILL once the write-behind snapshot is on disk, restart it on the
-// same address and data dir, and finish the sequence. The final report
-// must be byte-identical to an uninterrupted in-process run — same
-// diagnoses, same derived-fact count, same message count.
+// the server: stream alarms into a session until a checkpoint record
+// has landed in the write-ahead log, append once more past it, kill the
+// process with SIGKILL, restart it on the same address and data dir,
+// and finish the sequence. The final report must be byte-identical to
+// an uninterrupted in-process run — same diagnoses, same derived-fact
+// count, same message count. The data dir holds nothing but wal/, after
+// the kill and after a graceful drain.
 func TestDiagnosedRestartSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds a binary and spawns processes")
@@ -106,7 +109,14 @@ func TestDiagnosedRestartSmoke(t *testing.T) {
 		return cmd
 	}
 
-	alarms := []string{"b@p1", "a@p2", "c@p1"}
+	// Peer p2 cycles through transitions v (a) and vi (b) for as long as
+	// the alarms keep coming: 16 appends earn a checkpoint record, the
+	// 17th lands past it, the 18th follows the restart.
+	var alarms []string
+	for i := 0; i < 18; i++ {
+		alarms = append(alarms, []string{"a@p2", "b@p2"}[i%2])
+	}
+	last := len(alarms) - 1
 
 	// Uninterrupted reference: the same per-alarm appends on a warm
 	// in-process handle.
@@ -138,31 +148,34 @@ func TestDiagnosedRestartSmoke(t *testing.T) {
 	if code != http.StatusCreated || created.ID == "" {
 		t.Fatalf("create: status %d id %q", code, created.ID)
 	}
-	for _, a := range alarms[:2] {
+	appendOne := func(a string) {
+		t.Helper()
 		if code := postJSON(t, base+"/v1/sessions/"+created.ID+"/alarms",
 			map[string]string{"alarms": a}, nil); code != http.StatusOK {
 			t.Fatalf("append %q: status %d", a, code)
 		}
 	}
-
-	// The write-behind snapshot lands without any shutdown; wait until
-	// the on-disk file holds both appends (a snapshot of the first append
-	// alone can land first), then kill -9.
-	snap := filepath.Join(dataDir, created.ID+".dsnp")
+	for _, a := range alarms[:last-1] {
+		appendOne(a)
+	}
+	// The checkpoint record lands behind the appends, without any
+	// shutdown; wait for it, append once more past it, then kill -9.
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		if sess, err := serve.LoadSessionFile(snap, nil); err == nil && sess.Alarms() == 2 {
+		if n, ok := scrapeMetric(t, base, "snapshot_write_seconds_count"); ok && n >= 1 {
 			break
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("write-behind snapshot %s never reached 2 alarms", snap)
+			t.Fatal("no checkpoint record landed")
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
+	appendOne(alarms[last-1])
 	srv.Process.Kill() //nolint:errcheck
 	srv.Wait()         //nolint:errcheck
+	onlyWAL(t, dataDir)
 
-	start()
+	srv = start()
 	var got struct {
 		Alarms int         `json:"alarms"`
 		Report *wireReport `json:"report"`
@@ -178,15 +191,15 @@ func TestDiagnosedRestartSmoke(t *testing.T) {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
-	if got.Alarms != 2 {
-		t.Fatalf("restored session has %d alarms, want 2", got.Alarms)
+	if got.Alarms != last {
+		t.Fatalf("restored session has %d alarms, want %d", got.Alarms, last)
 	}
 
 	var final struct {
 		Report *wireReport `json:"report"`
 	}
 	if code := postJSON(t, base+"/v1/sessions/"+created.ID+"/alarms",
-		map[string]string{"alarms": alarms[2]}, &final); code != http.StatusOK {
+		map[string]string{"alarms": alarms[last]}, &final); code != http.StatusOK {
 		t.Fatalf("append after restart: status %d", code)
 	}
 	if !reflect.DeepEqual(final.Report.Diagnoses, [][]string(want.Diagnoses)) {
@@ -196,5 +209,28 @@ func TestDiagnosedRestartSmoke(t *testing.T) {
 	if final.Report.Derived != want.Derived || final.Report.Messages != want.Messages {
 		t.Fatalf("counters diverge after kill -9 + restore: got %d derived/%d messages, want %d/%d",
 			final.Report.Derived, final.Report.Messages, want.Derived, want.Messages)
+	}
+
+	srv.Process.Signal(syscall.SIGTERM) //nolint:errcheck
+	if err := srv.Wait(); err != nil {
+		t.Fatalf("graceful drain: %v", err)
+	}
+	onlyWAL(t, dataDir)
+}
+
+// onlyWAL checks that the data dir holds nothing but the write-ahead
+// log's directory.
+func onlyWAL(t *testing.T, dataDir string) {
+	t.Helper()
+	entries, err := os.ReadDir(dataDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(entries) != 1 || entries[0].Name() != "wal" || !entries[0].IsDir() {
+		var names []string
+		for _, e := range entries {
+			names = append(names, e.Name())
+		}
+		t.Fatalf("data dir holds %v, want only wal/", names)
 	}
 }

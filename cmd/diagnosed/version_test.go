@@ -1,30 +1,32 @@
 package main
 
 import (
+	"bytes"
 	"encoding/json"
-	"errors"
 	"io"
 	"net/http"
 	"os"
 	"os/exec"
 	"path/filepath"
 	"reflect"
+	"strings"
+	"syscall"
 	"testing"
-	"time"
 
 	"repro/internal/parser"
 	"repro/internal/petri"
-	"repro/internal/serve"
 	"repro/internal/snapshot"
+	"repro/internal/wal"
 )
 
-// TestDiagnosedOldSnapshotFallsBackToWAL: a data dir left by a build that
-// wrote snapshot format 3 — a session's whole state, where format 4 holds
-// what it added past its net's template — holds session files this build
-// refuses (ErrVersion, no shim). The boot logs the session as not restored
-// and the write-ahead log recreates it: GET answers what the uninterrupted
-// server answered. The format-3 file is a real session snapshot of this
-// build with its header patched.
+// TestDiagnosedOldSnapshotFallsBackToWAL: a checkpoint record this
+// build can no longer decode — here one in snapshot format 3, a
+// session's whole state, where format 4 holds what it added past its
+// net's template (ErrVersion, no shim) — is logged as not restored, and
+// the session's create and append records still in the log rebuild it:
+// GET answers what the uninterrupted server answered. The format-3
+// record is the drain's real checkpoint record with its container's
+// header patched, written back under its own sequence number.
 func TestDiagnosedOldSnapshotFallsBackToWAL(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds a binary and spawns processes")
@@ -34,12 +36,15 @@ func TestDiagnosedOldSnapshotFallsBackToWAL(t *testing.T) {
 	if out, err := exec.Command("go", "build", "-o", bin, "repro/cmd/diagnosed").CombinedOutput(); err != nil {
 		t.Fatalf("go build diagnosed: %v\n%s", err, out)
 	}
-	dataDir, copyDir := filepath.Join(dir, "data"), filepath.Join(dir, "copy")
+	dataDir := filepath.Join(dir, "data")
+	walDir := filepath.Join(dataDir, "wal")
 	addr := freeAddr(t)
 	base := "http://" + addr
 
-	start := func(args ...string) *exec.Cmd {
-		cmd := exec.Command(bin, append([]string{"-addr", addr, "-fsync", "always"}, args...)...)
+	var stderr bytes.Buffer
+	start := func() *exec.Cmd {
+		cmd := exec.Command(bin, "-addr", addr, "-fsync", "always", "-data-dir", dataDir)
+		cmd.Stderr = &stderr
 		if err := cmd.Start(); err != nil {
 			t.Fatal(err)
 		}
@@ -49,10 +54,6 @@ func TestDiagnosedOldSnapshotFallsBackToWAL(t *testing.T) {
 		})
 		waitReady(t, base)
 		return cmd
-	}
-	kill := func(cmd *exec.Cmd) {
-		cmd.Process.Kill() //nolint:errcheck
-		cmd.Wait()         //nolint:errcheck
 	}
 	// body is the session's GET body without what depends on the clock of
 	// the process that answers.
@@ -78,9 +79,8 @@ func TestDiagnosedOldSnapshotFallsBackToWAL(t *testing.T) {
 		return m
 	}
 
-	// The uninterrupted run. Its snapshots are stalled, so the log is never
-	// compacted: it holds the whole session.
-	srv := start("-data-dir", dataDir, "-snapshot-delay", "1h")
+	// The uninterrupted run; its drain checkpoints the session.
+	srv := start()
 	var created struct {
 		ID string `json:"id"`
 	}
@@ -94,42 +94,71 @@ func TestDiagnosedOldSnapshotFallsBackToWAL(t *testing.T) {
 		}
 	}
 	want := body(created.ID)
-	kill(srv)
-
-	// A server over a copy of the log writes the session's snapshot.
-	if out, err := exec.Command("cp", "-r", dataDir, copyDir).CombinedOutput(); err != nil {
-		t.Fatalf("cp -r: %v\n%s", err, out)
+	srv.Process.Signal(syscall.SIGTERM) //nolint:errcheck
+	if err := srv.Wait(); err != nil {
+		t.Fatalf("graceful drain: %v", err)
 	}
-	srv = start("-data-dir", copyDir)
-	snap := filepath.Join(copyDir, created.ID+".dsnp")
-	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(5 * time.Millisecond) {
-		if sess, err := serve.LoadSessionFile(snap, nil); err == nil && sess.Alarms() == 2 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("snapshot %s never reached 2 alarms", snap)
-		}
-	}
-	kill(srv)
 
-	file, err := os.ReadFile(snap)
+	// Rewrite the log with the checkpoint record's container in format 3.
+	l, err := wal.Open(walDir, wal.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if file[len(snapshot.Magic)] != snapshot.Major {
-		t.Fatalf("snapshot header says major %d, this build writes %d", file[len(snapshot.Magic)], snapshot.Major)
+	first := l.FirstSeq()
+	var payloads [][]byte
+	patched := 0
+	err = l.Replay(1, func(_ uint64, p []byte) error {
+		r := snapshot.NewReader(p)
+		if kind := r.Byte(); kind == 4 { // a checkpoint record
+			id, written, container := r.String(), r.Int(), r.Bytes()
+			if err := r.Finish(); err != nil {
+				return err
+			}
+			if container[len(snapshot.Magic)] != snapshot.Major {
+				t.Fatalf("checkpoint header says major %d, this build writes %d", container[len(snapshot.Magic)], snapshot.Major)
+			}
+			container = append([]byte(nil), container...)
+			container[len(snapshot.Magic)] = 3
+			w := &snapshot.Writer{}
+			w.Byte(4)
+			w.String(id)
+			w.Int(written)
+			w.Bytes(container)
+			p = w.Body()
+			patched++
+		}
+		payloads = append(payloads, append([]byte(nil), p...))
+		return nil
+	})
+	l.Close()
+	if err != nil || patched != 1 {
+		t.Fatalf("rewriting the log: %v, %d checkpoint records patched, want 1", err, patched)
 	}
-	file[len(snapshot.Magic)] = 3
-	old := filepath.Join(dataDir, created.ID+".dsnp")
-	if err := os.WriteFile(old, file, 0o644); err != nil {
+	if err := os.RemoveAll(walDir); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := serve.LoadSessionFile(old, nil); !errors.Is(err, snapshot.ErrVersion) {
-		t.Fatalf("loading a format-3 session file: %v, want ErrVersion", err)
+	l, err = wal.Open(walDir, wal.Options{})
+	if err != nil {
+		t.Fatal(err)
 	}
+	if err := l.SkipTo(first); err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range payloads {
+		if _, err := l.Append(p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	l.Close()
 
-	start("-data-dir", dataDir)
+	stderr.Reset()
+	srv = start()
 	if got := body(created.ID); !reflect.DeepEqual(got, want) {
-		t.Fatalf("session rebuilt from the log next to a format-3 snapshot:\n%v\nuninterrupted:\n%v", got, want)
+		t.Fatalf("session rebuilt from the log next to a format-3 checkpoint:\n%v\nuninterrupted:\n%v", got, want)
+	}
+	srv.Process.Kill() //nolint:errcheck
+	srv.Wait()         //nolint:errcheck // the stderr copy is complete once Wait returns
+	if !strings.Contains(stderr.String(), "checkpoint not restored") {
+		t.Fatalf("the format-3 checkpoint was not refused:\n%s", stderr.String())
 	}
 }

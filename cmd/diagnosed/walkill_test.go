@@ -14,10 +14,9 @@ import (
 )
 
 // TestDiagnosedWALKillSmoke is the zero-loss acceptance for the WAL:
-// with -fsync=always and the write-behind snapshot stalled so it can
-// NEVER land (-snapshot-delay far beyond the test), every acknowledged
-// append exists only in the write-ahead log when the process is killed
-// with SIGKILL. The restarted server must replay the session to the
+// with -fsync=always and fewer appends than earn a checkpoint record,
+// every acknowledged append exists only as its own record in the
+// write-ahead log when the process is killed with SIGKILL. The restarted server must replay the session to the
 // exact state an uninterrupted run reaches — same diagnoses, same
 // derived-fact count, same message count — and keep serving appends.
 func TestDiagnosedWALKillSmoke(t *testing.T) {
@@ -68,7 +67,7 @@ func TestDiagnosedWALKillSmoke(t *testing.T) {
 		}
 	}
 
-	srv := start("-fsync", "always", "-snapshot-delay", "1h")
+	srv := start("-fsync", "always")
 	var created struct {
 		ID string `json:"id"`
 	}
@@ -84,9 +83,9 @@ func TestDiagnosedWALKillSmoke(t *testing.T) {
 		}
 	}
 
-	// Kill -9 the instant the second append is acknowledged: no snapshot
-	// exists (the persister is stalled for an hour), so recovery rides on
-	// the fsynced log alone.
+	// Kill -9 the instant the second append is acknowledged: no
+	// checkpoint exists, so recovery replays the fsynced create and append
+	// records alone.
 	srv.Process.Kill() //nolint:errcheck
 	srv.Wait()         //nolint:errcheck
 

@@ -55,6 +55,9 @@ const (
 	// failAfter is the consecutive probe failures that declare a worker
 	// dead (triggering re-materialization of its sessions).
 	failAfter = 3
+	// shipEvery refreshes a session's journal checkpoint after this many
+	// appends since the last one, bounding tail-replay cost.
+	shipEvery = 16
 )
 
 // Config tunes a frontend pool.
@@ -75,10 +78,6 @@ type Config struct {
 	Metrics obs.Registry
 	// ProbeEvery is the health-probe period. 0 means 1s.
 	ProbeEvery time.Duration
-	// ShipEvery refreshes a session's journal checkpoint after this many
-	// appends since the last one, bounding tail-replay cost. 0 means 16;
-	// negative disables (the tail carries everything).
-	ShipEvery int
 	// Logger receives lifecycle logs; nil discards.
 	Logger *slog.Logger
 }
@@ -92,9 +91,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.ProbeEvery == 0 {
 		c.ProbeEvery = time.Second
-	}
-	if c.ShipEvery == 0 {
-		c.ShipEvery = 16
 	}
 	if c.Logger == nil {
 		c.Logger = slog.New(slog.NewTextHandler(io.Discard, nil))
@@ -464,7 +460,7 @@ func (p *Pool) Append(id, alarms string, evalTimeout time.Duration) Result {
 		}
 		s.tail = append(s.tail, alarms)
 		s.nextIndex++
-		if p.cfg.ShipEvery > 0 && len(s.tail) >= p.cfg.ShipEvery {
+		if len(s.tail) >= shipEvery {
 			go p.refreshCheckpoint(id)
 		}
 		return fromReply(rep)

@@ -244,11 +244,7 @@ func (f *Follower) session(conn net.Conn) error {
 		return err
 	}
 
-	var (
-		snapBufs  map[string][]byte
-		snapOrder []string
-		unacked   int
-	)
+	unacked := 0
 	sawWelcome := false
 	for {
 		conn.SetReadDeadline(time.Now().Add(6 * hb)) //nolint:errcheck
@@ -276,45 +272,21 @@ func (f *Follower) session(conn net.Conn) error {
 				return fmt.Errorf("repl: protocol version mismatch (primary %d, local %d)", fr.version, ProtoVersion)
 			}
 			sawWelcome = true
-			if !fr.resync && fr.startSeq != lastSeq+1 {
-				return fmt.Errorf("repl: primary resumes at %d, expected %d", fr.startSeq, lastSeq+1)
+			if !fr.wipe {
+				if fr.startSeq != lastSeq+1 {
+					return fmt.Errorf("repl: primary resumes at %d, expected %d", fr.startSeq, lastSeq+1)
+				}
+				continue
 			}
-			if fr.resync {
-				snapBufs = make(map[string][]byte)
+			if fr.startSeq == 0 {
+				return fmt.Errorf("%w: wipe to sequence 0", ErrBadFrame)
 			}
-		case kindSnap:
-			if !sawWelcome {
-				return fmt.Errorf("%w: snap before welcome", ErrBadFrame)
-			}
-			if snapBufs == nil {
-				snapBufs = make(map[string][]byte) // mid-stream resync
-			}
-			buf, seen := snapBufs[fr.id]
-			if !seen {
-				snapOrder = append(snapOrder, fr.id)
-			}
-			if len(buf)+len(fr.chunk) > snapshot.MaxSnapshot {
-				return fmt.Errorf("repl: shipped snapshot %q exceeds %d bytes", fr.id, snapshot.MaxSnapshot)
-			}
-			snapBufs[fr.id] = append(buf, fr.chunk...)
-		case kindSnapDone:
-			if snapBufs == nil {
-				return fmt.Errorf("%w: snap-done without snaps", ErrBadFrame)
-			}
-			if uint64(len(snapBufs)) != fr.sessions {
-				return fmt.Errorf("repl: dump shipped %d sessions, announced %d", len(snapBufs), fr.sessions)
-			}
-			snaps := make([]Snapshot, 0, len(snapOrder))
-			for _, id := range snapOrder {
-				snaps = append(snaps, Snapshot{ID: id, Data: snapBufs[id]})
-			}
-			if err := f.app.Resync(snaps, fr.resume); err != nil {
-				return fmt.Errorf("repl: resync failed: %w", err)
+			if err := f.app.Wipe(fr.startSeq); err != nil {
+				return fmt.Errorf("repl: wipe failed: %w", err)
 			}
 			f.metricAdd("repl_resyncs_total", 1)
-			f.opt.Logger.Info("repl: resynced from snapshot ship", "sessions", len(snaps), "resume", fr.resume)
-			snapBufs, snapOrder = nil, nil
-			lastSeq, _ = f.app.LastApplied()
+			f.opt.Logger.Info("repl: wiped; streaming from the primary's first record", "from", fr.startSeq)
+			lastSeq = fr.startSeq - 1
 			f.publishLag()
 			if err := f.ack(conn); err != nil {
 				return err

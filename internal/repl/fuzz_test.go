@@ -12,16 +12,17 @@ import (
 // round-trips through the framing layer.
 func FuzzDecodeFrame(f *testing.F) {
 	f.Add(encodeHello(17, 0xdeadbeef, 3))
+	f.Add(encodeHello(0, 0, 1)) // a fresh follower: the primary answers with a wipe
 	f.Add(encodeWelcome(4, true, 18))
-	f.Add(encodeSnap(4, "sess-1", false, []byte("chunk-bytes")))
-	f.Add(encodeSnap(4, "sess-1", true, nil))
-	f.Add(encodeSnapDone(4, 19, 2))
+	f.Add(encodeWelcome(4, false, 18))
 	f.Add(encodeRecord(4, 20, []byte("payload")))
+	f.Add(encodeRecord(4, 20, nil))
 	f.Add(encodeHeartbeat(4, 21, 1700000000000000))
 	f.Add(encodeAck(21))
 	f.Add([]byte{})
 	f.Add([]byte{0xff})
 	f.Add([]byte{kindRecord})
+	f.Add([]byte{kindAck + 1}) // protocol 1 numbered its heartbeat 6; no kind now
 
 	f.Fuzz(func(t *testing.T, body []byte) {
 		fr, err := decodeFrame(body)

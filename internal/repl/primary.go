@@ -25,8 +25,8 @@ type PrimaryOptions struct {
 	Heartbeat time.Duration
 	// Metrics receives repl_followers, repl_lag_seqs,
 	// repl_bytes_shipped_total, repl_records_shipped_total,
-	// repl_snapshot_ships_total, repl_stale_primary_total and
-	// repl_epoch. nil discards them.
+	// repl_wipes_sent_total, repl_stale_primary_total and repl_epoch.
+	// nil discards them.
 	Metrics Metrics
 	// Logger receives per-follower session logs; nil discards them.
 	Logger *slog.Logger
@@ -45,12 +45,11 @@ func (o PrimaryOptions) withDefaults() PrimaryOptions {
 	return o
 }
 
-// Primary streams a server's WAL (and snapshot dumps) to any number of
-// followers. One Primary serves many concurrent follower connections;
-// each gets its own tail-follow over the shared log.
+// Primary streams a server's WAL to any number of followers. One
+// Primary serves many concurrent follower connections; each gets its
+// own tail-follow over the shared log.
 type Primary struct {
 	log   *wal.Log
-	src   Source
 	opt   PrimaryOptions
 	epoch atomic.Uint64
 
@@ -68,13 +67,12 @@ type connState struct {
 	acked uint64
 }
 
-// NewPrimary builds a shipping primary over the server's log and
-// snapshot source. Call Serve with a listener to start accepting.
-func NewPrimary(log *wal.Log, src Source, opt PrimaryOptions) *Primary {
+// NewPrimary builds a shipping primary over the server's log. Call
+// Serve with a listener to start accepting.
+func NewPrimary(log *wal.Log, opt PrimaryOptions) *Primary {
 	opt = opt.withDefaults()
 	p := &Primary{
 		log:   log,
-		src:   src,
 		opt:   opt,
 		conns: make(map[net.Conn]*connState),
 		stop:  make(chan struct{}),
@@ -179,9 +177,8 @@ func (p *Primary) dropConn(conn net.Conn) {
 	p.mu.Unlock()
 }
 
-// serveFollower runs one follower session: handshake, optional
-// snapshot ship, then the record stream with heartbeats, while a
-// reader goroutine consumes acks.
+// serveFollower runs one follower session: handshake, then the record
+// stream with heartbeats, while a reader goroutine consumes acks.
 func (p *Primary) serveFollower(conn net.Conn, st *connState) {
 	log := p.opt.Logger.With("follower", conn.RemoteAddr().String())
 	hb := p.opt.Heartbeat
@@ -212,24 +209,17 @@ func (p *Primary) serveFollower(conn net.Conn, st *connState) {
 
 	// Resume only when the follower's last record provably matches ours;
 	// anything else — fresh follower, compacted history, divergent tail
-	// from a fenced primary — gets a full snapshot dump.
+	// from a fenced primary — wipes and streams from our first record.
 	start := hello.lastSeq + 1
-	resume := hello.lastSeq > 0 && p.verifyTail(hello.lastSeq, hello.lastCRC)
-	if err := p.send(conn, st, encodeWelcome(p.epoch.Load(), !resume, start)); err != nil {
+	wipe := hello.lastSeq == 0 || !p.verifyTail(hello.lastSeq, hello.lastCRC)
+	if wipe {
+		start = p.first()
+	}
+	if err := p.welcome(conn, st, wipe, start); err != nil {
 		log.Warn("repl: welcome write failed", "err", err)
 		return
 	}
-	if !resume {
-		next, err := p.ship(conn, st)
-		if err != nil {
-			log.Warn("repl: snapshot ship failed", "err", err)
-			return
-		}
-		start = next
-		log.Info("repl: follower resynced via snapshot ship", "resume", next)
-	} else {
-		log.Info("repl: follower resumed", "from", start)
-	}
+	log.Info("repl: follower streaming", "from", start, "wiped", wipe)
 
 	// Ack reader: its exit (deadline, close, error) tears the session down.
 	readerDone := make(chan struct{})
@@ -293,8 +283,8 @@ func (p *Primary) serveFollower(conn net.Conn, st *connState) {
 	}()
 
 	// Stream loop: follow the log tail, shipping each new record. A
-	// compaction gap mid-stream (slow follower) falls back to a fresh
-	// snapshot ship on the same connection.
+	// compaction gap mid-stream (slow follower) restarts it from the first
+	// record on the same connection.
 	next := start
 	for {
 		last, err := p.log.WaitSeq(next, sessStop)
@@ -310,13 +300,12 @@ func (p *Primary) serveFollower(conn net.Conn, st *connState) {
 		})
 		switch {
 		case errors.Is(err, wal.ErrCompacted):
-			n, serr := p.ship(conn, st)
-			if serr != nil {
-				log.Warn("repl: mid-stream resync failed", "err", serr)
+			next = p.first()
+			if err := p.welcome(conn, st, true, next); err != nil {
+				log.Warn("repl: welcome write failed", "err", err)
 				return
 			}
-			log.Info("repl: follower lagged past compaction; resynced", "resume", n)
-			next = n
+			log.Info("repl: follower lagged past compaction; wiped", "from", next)
 		case err != nil:
 			log.Info("repl: stream ended", "err", err)
 			return
@@ -339,36 +328,25 @@ func (p *Primary) verifyTail(seq uint64, want uint32) bool {
 	return err == nil && match
 }
 
-// ship sends a full snapshot dump and returns the sequence to stream
-// from. The dump is taken fresh, so dump + records-from-resume equals
-// the primary's own recovery state.
-func (p *Primary) ship(conn net.Conn, st *connState) (uint64, error) {
-	snaps, resume, err := p.src.Dump()
-	if err != nil {
-		return 0, err
+// first is the sequence a wiped follower streams from: the first
+// record the log still holds. Those records rebuild every live session.
+func (p *Primary) first() uint64 {
+	if first := p.log.FirstSeq(); first != 0 {
+		return first
 	}
-	epoch := p.epoch.Load()
-	for _, s := range snaps {
-		data := s.Data
-		for off := 0; ; off += snapChunk {
-			end := off + snapChunk
-			done := end >= len(data)
-			if done {
-				end = len(data)
-			}
-			if err := p.send(conn, st, encodeSnap(epoch, s.ID, done, data[off:end])); err != nil {
-				return 0, err
-			}
-			if done {
-				break
-			}
-		}
+	return p.log.LastSeq() + 1
+}
+
+// welcome tells the follower where the stream starts and whether to
+// wipe its state first.
+func (p *Primary) welcome(conn net.Conn, st *connState, wipe bool, start uint64) error {
+	if err := p.send(conn, st, encodeWelcome(p.epoch.Load(), wipe, start)); err != nil {
+		return err
 	}
-	if err := p.send(conn, st, encodeSnapDone(epoch, resume, uint64(len(snaps)))); err != nil {
-		return 0, err
+	if wipe {
+		p.metricAdd("repl_wipes_sent_total", 1)
 	}
-	p.metricAdd("repl_snapshot_ships_total", 1)
-	return resume, nil
+	return nil
 }
 
 // send writes one frame under the connection's write lock, counting

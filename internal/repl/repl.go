@@ -1,23 +1,25 @@
-// Package repl ships a diagnosed server's durable state — WAL records
-// and, when the log alone cannot reconstruct it, whole .dsnp session
-// snapshots — from a primary to read-only followers over TCP, so a
-// replica can take over serving live sessions the moment the primary
-// dies. The paper's supervisor observes an asynchronous distributed
-// system; this package makes the supervisor itself survive being part
-// of one.
+// Package repl ships a diagnosed server's write-ahead log from a
+// primary to read-only followers over TCP, so a replica can take over
+// serving live sessions the moment the primary dies. The log is the
+// whole durable state — session checkpoints are records of it — so the
+// stream is the only thing ever shipped. The paper's supervisor observes
+// an asynchronous distributed system; this package makes the supervisor
+// itself survive being part of one.
 //
-// Protocol. Both directions speak the snapshot package's CRC frames
-// (at most snapshot.MaxFrame per body, so session snapshots ship in
-// chunks), with bodies encoded by the snapshot section primitives (the
-// same codec WAL record payloads use). A session opens with the follower's
-// Hello carrying its last applied WAL sequence plus the CRC of that
-// record; the primary verifies the CRC against its own log and either
-// resumes the stream at lastSeq+1 or — for fresh followers, after
-// compaction gaps, or on CRC mismatch (a divergent history) — ships a
-// full snapshot dump first and streams from the dump's resume point.
-// Records then flow as they land in the primary's log (a tail-follow
-// over wal.WaitSeq/ReadRange), interleaved with heartbeats; the
-// follower acks applied sequences so the primary can report lag.
+// Protocol. Both directions speak the snapshot package's CRC frames,
+// with bodies encoded by the snapshot section primitives (the same codec
+// WAL record payloads use). A session opens with the follower's Hello
+// carrying its last applied WAL sequence plus the CRC of that record;
+// the primary verifies the CRC against its own log and either resumes
+// the stream at lastSeq+1 or — for fresh followers, after compaction
+// gaps, or on CRC mismatch (a divergent history) — has the follower wipe
+// its state and streams from the first record it still holds, which
+// rebuilds every live session (compaction never drops a live session's
+// create or latest checkpoint). Records then flow as they land in the
+// primary's log (a tail-follow over wal.WaitSeq/ReadRange), interleaved
+// with heartbeats; the follower acks applied sequences so the primary
+// can report lag. A follower that lags past compaction mid-stream gets
+// a fresh Welcome telling it to wipe again.
 //
 // Fencing. Every primary→follower frame carries a monotonic epoch.
 // A follower tracks the highest epoch it has ever seen (persisted via
@@ -42,23 +44,18 @@ import (
 
 // ProtoVersion is the stream protocol version. There are no
 // compatibility shims: both ends must match (the wire/snapshot policy).
-const ProtoVersion = 1
-
-// snapChunk is the chunk size for shipping snapshot bodies (256 KiB):
-// large enough to amortize framing, small enough to interleave
-// heartbeats on slow links.
-const snapChunk = 1 << 18
+// Version 2 dropped the snapshot ship: a follower that cannot resume
+// wipes its state and streams from the primary's first record.
+const ProtoVersion = 2
 
 // Frame kinds. Hello and Ack travel follower→primary; the rest
 // primary→follower.
 const (
 	kindHello     = 1 // proto version, lastSeq, lastCRC, epochSeen
-	kindWelcome   = 2 // proto version, epoch, resync?, startSeq
-	kindSnap      = 3 // epoch, session id, done?, chunk
-	kindSnapDone  = 4 // epoch, resumeSeq, session count
-	kindRecord    = 5 // epoch, seq, payload
-	kindHeartbeat = 6 // epoch, lastSeq, wallMicros
-	kindAck       = 7 // last applied seq
+	kindWelcome   = 2 // proto version, epoch, wipe?, startSeq
+	kindRecord    = 3 // epoch, seq, payload
+	kindHeartbeat = 4 // epoch, lastSeq, wallMicros
+	kindAck       = 5 // last applied seq
 )
 
 // ErrFenced reports a frame carrying an epoch below the highest this
@@ -77,30 +74,15 @@ type Metrics interface {
 	SetGauge(name string, value int64)
 }
 
-// Snapshot is one session's encoded .dsnp container, shipped whole
-// during a resync.
-type Snapshot struct {
-	ID   string
-	Data []byte
-}
-
-// Source is the primary's view of the server state it replicates: a
-// dump is every live session freshly encoded, plus the WAL sequence
-// the follower must stream from so that dump+suffix equals the
-// primary's own recovery state.
-type Source interface {
-	Dump() (snaps []Snapshot, resume uint64, err error)
-}
-
 // Applier is the follower's side: the same replay path the server uses
 // at boot, plus the bookkeeping repl needs for resume.
 type Applier interface {
 	// LastApplied reports the last locally mirrored WAL sequence and the
 	// CRC-32 of that record's payload (0, 0 when nothing is applied).
 	LastApplied() (seq uint64, crc uint32)
-	// Resync replaces all local state with the shipped dump and
-	// repositions the local WAL mirror at resume.
-	Resync(snaps []Snapshot, resume uint64) error
+	// Wipe drops all local state and positions the local WAL mirror so
+	// the next applied record is next.
+	Wipe(next uint64) error
 	// Apply mirrors one record into the local WAL and applies it through
 	// the boot replay path. seq must be exactly LastApplied()+1.
 	Apply(seq uint64, payload []byte) error
@@ -116,13 +98,8 @@ type frame struct {
 	lastSeq  uint64 // hello, heartbeat
 	lastCRC  uint32 // hello
 	epoch    uint64 // every primary→follower frame; hello carries epochSeen
-	resync   bool   // welcome
+	wipe     bool   // welcome
 	startSeq uint64 // welcome
-	id       string // snap
-	done     bool   // snap
-	chunk    []byte // snap
-	resume   uint64 // snapDone
-	sessions uint64 // snapDone
 	seq      uint64 // record
 	payload  []byte // record
 	wall     int64  // heartbeat
@@ -144,17 +121,8 @@ func decodeFrame(body []byte) (*frame, error) {
 	case kindWelcome:
 		f.version = r.Uvarint()
 		f.epoch = r.Uvarint()
-		f.resync = r.Bool()
+		f.wipe = r.Bool()
 		f.startSeq = r.Uvarint()
-	case kindSnap:
-		f.epoch = r.Uvarint()
-		f.id = r.String()
-		f.done = r.Bool()
-		f.chunk = r.Bytes()
-	case kindSnapDone:
-		f.epoch = r.Uvarint()
-		f.resume = r.Uvarint()
-		f.sessions = r.Uvarint()
 	case kindRecord:
 		f.epoch = r.Uvarint()
 		f.seq = r.Uvarint()
@@ -184,32 +152,13 @@ func encodeHello(lastSeq uint64, lastCRC uint32, epochSeen uint64) []byte {
 	return w.Body()
 }
 
-func encodeWelcome(epoch uint64, resync bool, startSeq uint64) []byte {
+func encodeWelcome(epoch uint64, wipe bool, startSeq uint64) []byte {
 	w := &snapshot.Writer{}
 	w.Byte(kindWelcome)
 	w.Uvarint(ProtoVersion)
 	w.Uvarint(epoch)
-	w.Bool(resync)
+	w.Bool(wipe)
 	w.Uvarint(startSeq)
-	return w.Body()
-}
-
-func encodeSnap(epoch uint64, id string, done bool, chunk []byte) []byte {
-	w := &snapshot.Writer{}
-	w.Byte(kindSnap)
-	w.Uvarint(epoch)
-	w.String(id)
-	w.Bool(done)
-	w.Bytes(chunk)
-	return w.Body()
-}
-
-func encodeSnapDone(epoch, resume, sessions uint64) []byte {
-	w := &snapshot.Writer{}
-	w.Byte(kindSnapDone)
-	w.Uvarint(epoch)
-	w.Uvarint(resume)
-	w.Uvarint(sessions)
 	return w.Body()
 }
 

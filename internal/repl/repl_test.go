@@ -41,43 +41,13 @@ func (m *fakeMetrics) counter(name string) int64 {
 	return m.counters[name]
 }
 
-// fakeSource dumps a fixed session set with the primary log's natural
-// resume point.
-type fakeSource struct {
-	log *wal.Log
-	mu  sync.Mutex
-	// state holds the "sessions" a dump would ship.
-	state map[string][]byte
-}
-
-func (s *fakeSource) set(id string, data []byte) {
-	s.mu.Lock()
-	s.state[id] = data
-	s.mu.Unlock()
-}
-
-func (s *fakeSource) Dump() ([]Snapshot, uint64, error) {
-	s.mu.Lock()
-	snaps := make([]Snapshot, 0, len(s.state))
-	for id, data := range s.state {
-		snaps = append(snaps, Snapshot{ID: id, Data: append([]byte(nil), data...)})
-	}
-	s.mu.Unlock()
-	resume := s.log.FirstSeq()
-	if resume == 0 {
-		resume = s.log.LastSeq() + 1
-	}
-	return snaps, resume, nil
-}
-
 // fakeApplier mirrors records into its own log, like the server does.
 type fakeApplier struct {
 	log *wal.Log
 	mu  sync.Mutex
 	// applied maps seq -> payload for every Apply.
 	applied map[uint64]string
-	snaps   map[string][]byte
-	resyncs int
+	wipes   int
 }
 
 func newFakeApplier(t *testing.T) *fakeApplier {
@@ -87,7 +57,7 @@ func newFakeApplier(t *testing.T) *fakeApplier {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { l.Close() })
-	return &fakeApplier{log: l, applied: map[uint64]string{}, snaps: map[string][]byte{}}
+	return &fakeApplier{log: l, applied: map[uint64]string{}}
 }
 
 func (a *fakeApplier) LastApplied() (uint64, uint32) {
@@ -106,17 +76,13 @@ func (a *fakeApplier) LastApplied() (uint64, uint32) {
 	return last, crc
 }
 
-func (a *fakeApplier) Resync(snaps []Snapshot, resume uint64) error {
-	if err := a.log.SkipTo(resume); err != nil {
+func (a *fakeApplier) Wipe(next uint64) error {
+	if err := a.log.SkipTo(next); err != nil {
 		return err
 	}
 	a.mu.Lock()
-	a.snaps = map[string][]byte{}
-	for _, s := range snaps {
-		a.snaps[s.ID] = s.Data
-	}
 	a.applied = map[uint64]string{}
-	a.resyncs++
+	a.wipes++
 	a.mu.Unlock()
 	return nil
 }
@@ -148,10 +114,10 @@ func (a *fakeApplier) get(seq uint64) (string, bool) {
 	return s, ok
 }
 
-func (a *fakeApplier) resyncCount() int {
+func (a *fakeApplier) wipeCount() int {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	return a.resyncs
+	return a.wipes
 }
 
 // waitFor polls until cond or the deadline.
@@ -179,19 +145,28 @@ func startPrimary(t *testing.T, p *Primary) string {
 	return ln.Addr().String()
 }
 
-// TestShipResumeResync walks the whole life of a follower: initial
-// snapshot ship, live streaming, clean resume after a disconnect, and
-// a forced full resync once compaction has eaten the suffix it missed.
+// TestShipResumeResync walks the whole life of a follower: a fresh
+// follower wipes and streams from the primary's first record, live
+// records follow, a disconnect resumes cleanly, and once compaction has
+// eaten the suffix it missed, the follower wipes again and streams from
+// the first record the primary still holds.
 func TestShipResumeResync(t *testing.T) {
 	plog, err := wal.Open(t.TempDir(), wal.Options{Fsync: wal.SyncNever, SegmentBytes: 256})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer plog.Close()
-	src := &fakeSource{log: plog, state: map[string][]byte{}}
-	src.set("s1", []byte("session-one-bytes"))
+	appendRecs := func(from, to int) {
+		t.Helper()
+		for i := from; i <= to; i++ {
+			if _, err := plog.Append([]byte(fmt.Sprintf("rec-%d", i))); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	appendRecs(1, 2) // history a fresh follower must receive
 	pm := newFakeMetrics()
-	p := NewPrimary(plog, src, PrimaryOptions{Heartbeat: 50 * time.Millisecond, Metrics: pm})
+	p := NewPrimary(plog, PrimaryOptions{Heartbeat: 50 * time.Millisecond, Metrics: pm})
 	addr := startPrimary(t, p)
 
 	app := newFakeApplier(t)
@@ -199,76 +174,66 @@ func TestShipResumeResync(t *testing.T) {
 	f := NewFollower(addr, app, FollowerOptions{Heartbeat: 50 * time.Millisecond, Metrics: fm})
 	f.Start()
 
-	// Fresh follower: first contact must snapshot-ship.
-	waitFor(t, "initial resync", func() bool { return app.resyncCount() == 1 })
-	app.mu.Lock()
-	shipped := string(app.snaps["s1"])
-	app.mu.Unlock()
-	if shipped != "session-one-bytes" {
-		t.Fatalf("shipped snapshot = %q", shipped)
+	// Fresh follower: first contact wipes and streams from record 1.
+	waitFor(t, "history applied", func() bool { return app.appliedCount() == 2 })
+	if app.wipeCount() != 1 {
+		t.Fatalf("wipes = %d on first contact, want 1", app.wipeCount())
+	}
+	if got, _ := app.get(1); got != "rec-1" {
+		t.Fatalf("applied[1] = %q", got)
 	}
 
 	// Live streaming.
-	for i := 1; i <= 5; i++ {
-		if _, err := plog.Append([]byte(fmt.Sprintf("rec-%d", i))); err != nil {
-			t.Fatal(err)
-		}
-	}
-	waitFor(t, "5 records applied", func() bool { return app.appliedCount() == 5 })
-	if got, _ := app.get(3); got != "rec-3" {
-		t.Fatalf("applied[3] = %q", got)
+	appendRecs(3, 7)
+	waitFor(t, "7 records applied", func() bool { return app.appliedCount() == 7 })
+	if got, _ := app.get(5); got != "rec-5" {
+		t.Fatalf("applied[5] = %q", got)
 	}
 
 	// Disconnect, append while away, reconnect: sequence resume, no
-	// second resync.
+	// second wipe.
 	f.Stop()
-	for i := 6; i <= 8; i++ {
-		if _, err := plog.Append([]byte(fmt.Sprintf("rec-%d", i))); err != nil {
-			t.Fatal(err)
-		}
-	}
+	appendRecs(8, 10)
 	f2 := NewFollower(addr, app, FollowerOptions{Heartbeat: 50 * time.Millisecond, Metrics: fm})
 	f2.Start()
-	waitFor(t, "resume catches up", func() bool { return app.appliedCount() == 8 })
-	if app.resyncCount() != 1 {
-		t.Fatalf("resyncs = %d after clean resume, want 1", app.resyncCount())
+	waitFor(t, "resume catches up", func() bool { return app.appliedCount() == 10 })
+	if app.wipeCount() != 1 {
+		t.Fatalf("wipes = %d after clean resume, want 1", app.wipeCount())
 	}
-	if got, _ := app.get(7); got != "rec-7" {
-		t.Fatalf("applied[7] = %q", got)
+	if got, _ := app.get(9); got != "rec-9" {
+		t.Fatalf("applied[9] = %q", got)
 	}
 
 	// Lag past compaction: stop, let the primary truncate everything the
-	// follower would need, reconnect — must resync.
+	// follower would need, reconnect — it must wipe and stream from the
+	// first record still held.
 	f2.Stop()
-	for i := 9; i <= 40; i++ {
-		if _, err := plog.Append([]byte(fmt.Sprintf("rec-%d", i))); err != nil {
-			t.Fatal(err)
-		}
-	}
+	appendRecs(11, 40)
 	if err := plog.Truncate(plog.LastSeq()); err != nil {
 		t.Fatal(err)
 	}
-	if first := plog.FirstSeq(); first <= 9 {
-		t.Fatalf("compaction left FirstSeq=%d; the gap scenario needs > 9", first)
+	first := plog.FirstSeq()
+	if first <= 11 {
+		t.Fatalf("compaction left FirstSeq=%d; the gap scenario needs > 11", first)
 	}
-	src.set("s1", []byte("session-one-after-compaction"))
 	f3 := NewFollower(addr, app, FollowerOptions{Heartbeat: 50 * time.Millisecond, Metrics: fm})
 	defer f3.Stop()
 	f3.Start()
-	waitFor(t, "gap resync", func() bool { return app.resyncCount() == 2 })
-	// The stream continues from the dump's resume point to the tail.
-	waitFor(t, "post-resync catch-up", func() bool {
+	waitFor(t, "gap wipe", func() bool { return app.wipeCount() == 2 })
+	waitFor(t, "post-wipe catch-up", func() bool {
 		seq, _ := app.LastApplied()
 		return seq == plog.LastSeq()
 	})
-	app.mu.Lock()
-	shipped = string(app.snaps["s1"])
-	app.mu.Unlock()
-	if shipped != "session-one-after-compaction" {
-		t.Fatalf("second ship = %q", shipped)
+	if n, want := app.appliedCount(), int(plog.LastSeq()-first+1); n != want {
+		t.Fatalf("after the wipe the follower holds %d records, want %d (from %d)", n, want, first)
 	}
-	if pm.counter("repl_snapshot_ships_total") < 2 {
-		t.Fatalf("repl_snapshot_ships_total = %d, want >= 2", pm.counter("repl_snapshot_ships_total"))
+	if got, _ := app.get(first); got != fmt.Sprintf("rec-%d", first) {
+		t.Fatalf("applied[%d] = %q", first, got)
+	}
+	// At least 2: the stream of a stopped follower may still count one
+	// into a connection its peer already closed.
+	if pm.counter("repl_wipes_sent_total") < 2 {
+		t.Fatalf("repl_wipes_sent_total = %d, want >= 2", pm.counter("repl_wipes_sent_total"))
 	}
 	if pm.counter("repl_bytes_shipped_total") == 0 {
 		t.Fatal("repl_bytes_shipped_total never counted")
@@ -356,8 +321,7 @@ func TestStalePrimaryRefusesSuperiorFollower(t *testing.T) {
 	}
 	defer plog.Close()
 	pm := newFakeMetrics()
-	p := NewPrimary(plog, &fakeSource{log: plog, state: map[string][]byte{}},
-		PrimaryOptions{Epoch: 3, Heartbeat: 50 * time.Millisecond, Metrics: pm})
+	p := NewPrimary(plog, PrimaryOptions{Epoch: 3, Heartbeat: 50 * time.Millisecond, Metrics: pm})
 	addr := startPrimary(t, p)
 
 	conn, err := net.Dial("tcp", addr)
@@ -398,8 +362,7 @@ func TestEpochPersistence(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer plog.Close()
-	p := NewPrimary(plog, &fakeSource{log: plog, state: map[string][]byte{}},
-		PrimaryOptions{Epoch: 9, Heartbeat: 50 * time.Millisecond})
+	p := NewPrimary(plog, PrimaryOptions{Epoch: 9, Heartbeat: 50 * time.Millisecond})
 	addr := startPrimary(t, p)
 	app := newFakeApplier(t)
 	persisted := make(chan uint64, 4)
@@ -429,8 +392,7 @@ func TestFollowerHealth(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer plog.Close()
-	p := NewPrimary(plog, &fakeSource{log: plog, state: map[string][]byte{}},
-		PrimaryOptions{Heartbeat: 20 * time.Millisecond})
+	p := NewPrimary(plog, PrimaryOptions{Heartbeat: 20 * time.Millisecond})
 	addr := startPrimary(t, p)
 	app := newFakeApplier(t)
 	f := NewFollower(addr, app, FollowerOptions{Heartbeat: 20 * time.Millisecond, LagBound: 250 * time.Millisecond})

@@ -9,7 +9,6 @@ import (
 	"io"
 	"log/slog"
 	"net/http"
-	"os"
 	"path/filepath"
 	"strconv"
 	"sync"
@@ -35,24 +34,16 @@ type Config struct {
 	SweepEvery time.Duration
 	// MaxBody caps request bodies. 0 means 1MiB.
 	MaxBody int64
-	// DataDir enables write-behind session durability: every append
-	// schedules a snapshot of the session to <DataDir>/<id>.dsnp, graceful
-	// shutdown persists every live session, and a restarted server
-	// restores the files back into its table. It also enables the
-	// write-ahead log at <DataDir>/wal: every create, append and delete is
-	// logged before its HTTP acknowledgement, and boot replays the log on
-	// top of the restored snapshots — with Fsync always, a kill -9 loses
-	// nothing that was acknowledged. Empty disables persistence.
+	// DataDir enables durability: every create, append, delete, eviction
+	// and expiry is logged to the write-ahead log at <DataDir>/wal before
+	// it is acknowledged, session checkpoints are records of the same log,
+	// and a restarted server replays it — with Fsync always, a kill -9
+	// loses nothing that was acknowledged. Empty disables persistence.
 	DataDir string
 	// Fsync is the WAL durability policy (wal.SyncAlways, the zero value,
 	// fsyncs every record before acknowledging; SyncInterval batches;
 	// SyncNever leaves flushing to the OS).
 	Fsync wal.Policy
-	// SnapshotDelay stalls each write-behind snapshot, not the drain
-	// (test hook: it widens the window in which acknowledged appends
-	// exist only in the WAL, so crash tests can target it
-	// deterministically). 0 in production.
-	SnapshotDelay time.Duration
 	// ReadOnly starts the server as a replication follower: create,
 	// append and delete refuse with 503 ErrReadOnly until a promote
 	// (POST /v1/admin/promote) flips the server writable. Reads, health
@@ -85,13 +76,12 @@ type Server struct {
 	metrics *Metrics
 	mux     *http.ServeMux
 	log     *slog.Logger
-	persist *persister // nil when Config.DataDir is empty
-	wal     *serverWAL // nil when Config.DataDir is empty or the log failed to open
+	wal     *serverWAL // nil when Config.DataDir is empty or unusable
 
 	drainMu  sync.Mutex
 	draining bool
 	inflight sync.WaitGroup
-	finalize sync.Once // persist-and-clear runs exactly once across concurrent Shutdowns
+	finalize sync.Once // checkpoint-and-clear runs exactly once across concurrent Shutdowns
 
 	// pool, when non-nil, turns the server into a frontend: session
 	// operations are dispatched to remote peerd workers instead of the
@@ -108,9 +98,9 @@ type Server struct {
 	sweepDone chan struct{}
 }
 
-// NewServer builds the service, restores any persisted sessions from
+// NewServer builds the service, replays the write-ahead log under
 // Config.DataDir, and starts its TTL sweeper (unless disabled). Callers
-// must Shutdown it to stop the sweeper and persist the session table.
+// must Shutdown it to stop the sweeper and checkpoint the session table.
 func NewServer(cfg Config) *Server {
 	cfg = cfg.withDefaults()
 	m := NewMetrics()
@@ -130,32 +120,7 @@ func NewServer(cfg Config) *Server {
 	}
 	s.readOnly.Store(cfg.ReadOnly)
 	if cfg.DataDir != "" {
-		if err := os.MkdirAll(cfg.DataDir, 0o755); err != nil {
-			// Serving sessions beats refusing to start; the server just
-			// runs non-durable, loudly.
-			log.Error("data dir unusable; persistence disabled", "dir", cfg.DataDir, "err", err)
-		} else {
-			// Recovery order: snapshots first (the coarse base state), then
-			// the WAL replayed on top of them — it holds exactly the
-			// acknowledged work the snapshots had not absorbed yet.
-			mark := restoreSessions(cfg.DataDir, s.store, log)
-			walLog, err := wal.Open(filepath.Join(cfg.DataDir, walDirName), wal.Options{
-				Fsync:   cfg.Fsync,
-				Metrics: m,
-			})
-			if err != nil {
-				log.Error("wal unusable; write-ahead logging disabled", "err", err)
-			} else {
-				s.wal = newServerWAL(walLog)
-			}
-			s.persist = newPersister(cfg.DataDir, m, log, s.wal, cfg.SnapshotDelay)
-			s.store.SetPersister(s.persist)
-			s.store.SetWAL(s.wal)
-			if s.wal != nil {
-				s.replayWAL()
-				s.rebaseWAL(mark)
-			}
-		}
+		s.openDataDir()
 	}
 	s.mux.HandleFunc("POST /v1/sessions", s.handleCreate)
 	s.mux.HandleFunc("POST /v1/sessions/{id}/alarms", s.handleAppend)
@@ -172,6 +137,37 @@ func NewServer(cfg Config) *Server {
 		close(s.sweepDone)
 	}
 	return s
+}
+
+// openDataDir opens the write-ahead log under Config.DataDir and
+// replays it. An unusable data dir is logged and the server runs
+// without persistence — serving sessions beats refusing to start. So is
+// one an older build left session snapshot files in: those files are
+// not read, and nothing in the dir is touched.
+func (s *Server) openDataDir() {
+	dir := s.cfg.DataDir
+	legacy, _ := filepath.Glob(filepath.Join(dir, "*.dsnp"))
+	if len(legacy) > 0 {
+		s.log.Error("data dir holds session snapshot files of an older build; persistence disabled (see README, Upgrading)",
+			"dir", dir, "files", legacy)
+		return
+	}
+	l, err := wal.Open(filepath.Join(dir, walDirName), wal.Options{Fsync: s.cfg.Fsync, Metrics: s.metrics})
+	if err != nil {
+		s.log.Error("data dir unusable; persistence disabled", "dir", dir, "err", err)
+		return
+	}
+	s.useWAL(l)
+}
+
+// useWAL makes l the server's durable store: it replays l, starts the
+// checkpointer and, unless the server follows a primary, logs to l.
+func (s *Server) useWAL(l *wal.Log) {
+	s.wal = newServerWAL(l, s.store, s.metrics, s.log)
+	s.replayWAL()
+	if !s.cfg.ReadOnly {
+		s.store.SetWAL(s.wal)
+	}
 }
 
 // Metrics exposes the registry (cmd/diagnosed adds process gauges).
@@ -194,7 +190,11 @@ func (s *Server) sweeper() {
 		case <-s.sweepStop:
 			return
 		case now := <-t.C:
-			s.store.Sweep(now)
+			if !s.readOnly.Load() {
+				// A follower's sessions end with the primary's delete
+				// records; it must not expire them on its own.
+				s.store.Sweep(now)
+			}
 		}
 	}
 }
@@ -254,18 +254,9 @@ func (s *Server) Shutdown(ctx context.Context) error {
 		return ctx.Err()
 	}
 	s.finalize.Do(func() {
-		if s.persist != nil {
-			// In-flight appends are done; persist the final state of every
-			// live session synchronously, then detach the persister so
-			// Clear does not delete the files just written.
-			s.persist.close()
-			s.persist.drain(s.store.Sessions())
-			s.store.SetPersister(nil)
-		}
 		if s.wal != nil {
-			// Drain covered every live session, so compaction drops what it
-			// can before the final flush-and-close.
-			s.wal.compact()
+			// In-flight appends are done: checkpoint every live session, then
+			// close the log so Clear cannot log anything.
 			s.wal.close()
 		}
 		s.store.Clear()
@@ -361,9 +352,9 @@ type sessionResponse struct {
 	Exhausted bool        `json:"exhausted"`
 	Seq       string      `json:"seq"`
 	Report    *reportJSON `json:"report"`
-	// SnapshotAgeSeconds is how stale the session's persisted snapshot is
-	// (what a kill -9 right now would lose). Absent while the session has
-	// never been persisted or persistence is disabled.
+	// SnapshotAgeSeconds is how old the session's latest checkpoint
+	// record is. Absent while the session has never been checkpointed or
+	// persistence is disabled.
 	SnapshotAgeSeconds *float64 `json:"snapshot_age_seconds,omitempty"`
 }
 
@@ -447,19 +438,6 @@ func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, err)
 		return
 	}
-	if s.wal != nil {
-		// Log the create before the 201. The session is technically live in
-		// the table already, but its crypto-random ID is unknown to any
-		// client until this response goes out, so no append can precede the
-		// create record in the log.
-		seq, err := s.wal.logCreate(sess.ID, req.Net, EngineName(sess.Engine), sess.Facts, sess.Created.UnixNano())
-		if err != nil {
-			s.store.Delete(sess.ID)
-			s.fail(w, fmt.Errorf("session not durably logged: %w", err))
-			return
-		}
-		sess.setWALSeq(seq)
-	}
 	s.metrics.Observe("diagnosed_create_seconds", time.Since(start))
 	s.writeJSON(w, http.StatusCreated, newCreateResponse(sess))
 }
@@ -541,22 +519,8 @@ func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) {
 		s.writePoolResult(w, http.StatusNoContent, res)
 		return
 	}
-	if s.wal != nil {
-		// Log the delete intent before acknowledging it: the record is what
-		// keeps a crash between the 204 and the snapshot file's removal from
-		// resurrecting the session on restart. Existence is checked first so
-		// the log never carries deletes of sessions that were never there.
-		if _, ok := s.store.Get(id, time.Now()); !ok {
-			s.fail(w, errNoSession)
-			return
-		}
-		if _, err := s.wal.logDelete(id); err != nil {
-			s.fail(w, fmt.Errorf("delete not durably logged: %w", err))
-			return
-		}
-	}
-	if !s.store.Delete(id) {
-		s.fail(w, errNoSession)
+	if err := s.store.remove(id); err != nil {
+		s.fail(w, err)
 		return
 	}
 	w.WriteHeader(http.StatusNoContent)
@@ -590,6 +554,9 @@ func (s *Server) handlePromote(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		epoch = e
+	}
+	if s.wal != nil {
+		s.store.SetWAL(s.wal) // the log is this server's own from here on
 	}
 	s.readOnly.Store(false)
 	s.log.Info("promoted to primary", "epoch", epoch)

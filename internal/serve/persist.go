@@ -1,56 +1,52 @@
 package serve
 
-// Write-behind session durability. With Config.DataDir set, every append
-// schedules a snapshot of the session to <DataDir>/<id>.dsnp on a
-// background writer, graceful shutdown persists every live session
-// synchronously (logging a per-session disposition), and a restarted
-// server restores the files back into its table. The file is a
+// Checkpoints. A checkpoint record (wal.go) holds a session as a
 // core.Incremental checkpoint (internal/snapshot container) plus one
 // ServeSession section carrying the table-level metadata: id, budget,
 // alarm count, exhaustion flag and the delta-tracking state, so a
 // restored session keeps producing exactly the deltas an uninterrupted
-// one would.
+// one would. The same container ships between pool workers.
 //
-// Deletion and eviction enqueue the file's removal on the same writer
-// goroutine that performs writes, so a session's final file state is
-// decided by the last intent in program order — a slow write can never
-// resurrect a deleted session.
+// One checkpointer goroutine writes them, behind the appends: when a
+// session reaches checkpointEvery appends since its last one, when an
+// append poisons it (the failed append is not logged, so only a
+// checkpoint carries the poisoning across a restart), when its base
+// record pins the oldest sealed segment, and on drain.
 
 import (
+	"errors"
 	"fmt"
 	"log/slog"
-	"os"
-	"path/filepath"
 	"sort"
-	"strings"
-	"sync"
 	"time"
 
 	"repro/internal/core"
 	"repro/internal/obs"
 	"repro/internal/snapshot"
 	"repro/internal/snapshot/snapnames"
+	"repro/internal/wal"
 )
 
-// snapshotExt names session snapshot files inside the data dir.
-const snapshotExt = ".dsnp"
+// checkpointEvery is how many logged appends a session may carry past
+// its base record before the checkpointer logs a fresh checkpoint (the
+// pool's ship cadence).
+const checkpointEvery = 16
 
 // EncodeSnapshot writes the session — warm engine state plus table
 // metadata — into f. It takes the session mutex, so the snapshot is a
 // consistent post-append state. Closed sessions refuse with ErrClosed.
-// The returned walSeq is the WAL coverage mark captured atomically with
-// the encoded state: once this snapshot is on disk, log records up to
-// walSeq are redundant for this session. (It must be captured here, not
-// read after the file lands — a concurrent append would inflate it past
-// what the snapshot actually holds.)
-func (s *Session) EncodeSnapshot(f *snapshot.File) (walSeq uint64, err error) {
+func (s *Session) EncodeSnapshot(f *snapshot.File) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	return s.encodeLocked(f)
+}
+
+func (s *Session) encodeLocked(f *snapshot.File) error {
 	if s.closed.Load() {
-		return 0, ErrClosed
+		return ErrClosed
 	}
 	if err := s.inc.EncodeSnapshot(f); err != nil {
-		return 0, err
+		return err
 	}
 	w := f.Section(snapnames.ServeSession)
 	w.String(s.ID)
@@ -70,8 +66,7 @@ func (s *Session) EncodeSnapshot(f *snapshot.File) (walSeq uint64, err error) {
 	for _, k := range keys {
 		w.String(k)
 	}
-	w.Uvarint(s.walSeq)
-	return s.walSeq, nil
+	return nil
 }
 
 // decodeSession restores a session from an opened snapshot, rewiring the
@@ -99,7 +94,6 @@ func decodeSession(o *snapshot.OpenFile, reg *Metrics) (*Session, error) {
 	for i := 0; i < n; i++ {
 		prevKeys[r.String()] = true
 	}
-	walSeq := r.Uvarint()
 	if err := r.Finish(); err != nil {
 		return nil, err
 	}
@@ -120,7 +114,6 @@ func decodeSession(o *snapshot.OpenFile, reg *Metrics) (*Session, error) {
 		inc:     inc, trace: trace, peers: make(map[string]bool),
 		alarms: alarms, exhausted: exhausted,
 		prevDerived: prevDerived, prevMessages: prevMessages, prevKeys: prevKeys,
-		walSeq: walSeq,
 	}
 	for _, p := range inc.System().Peers() {
 		s.peers[string(p)] = true
@@ -129,214 +122,150 @@ func decodeSession(o *snapshot.OpenFile, reg *Metrics) (*Session, error) {
 	return s, nil
 }
 
-// persister owns the data dir. All file operations — write-behind
-// snapshots and removals — run on its single goroutine, in intent order.
-type persister struct {
-	dir     string
-	metrics *Metrics
-	log     *slog.Logger
-	wal     *serverWAL // nil when write-ahead logging is disabled
-
-	// delay stalls each write-behind intent (Config.SnapshotDelay): a
-	// test hook widening the window in which state exists only in the
-	// WAL. The synchronous drain is not stalled.
-	delay time.Duration
-
-	mu    sync.Mutex
-	dirty map[string]*Session // latest intent per session; nil = remove file
-
-	kick chan struct{}
-	stop chan struct{}
-	done chan struct{}
-}
-
-func newPersister(dir string, metrics *Metrics, log *slog.Logger, wal *serverWAL, delay time.Duration) *persister {
-	p := &persister{
-		dir: dir, metrics: metrics, log: log, wal: wal, delay: delay,
-		dirty: make(map[string]*Session),
-		kick:  make(chan struct{}, 1),
-		stop:  make(chan struct{}),
-		done:  make(chan struct{}),
+// newServerWAL wraps the log and starts its checkpointer.
+func newServerWAL(l *wal.Log, st *Store, metrics *Metrics, logger *slog.Logger) *serverWAL {
+	w := &serverWAL{
+		log: l, store: st, metrics: metrics, logger: logger,
+		due:  make(map[*Session]bool),
+		kick: make(chan struct{}, 1),
+		stop: make(chan struct{}),
+		done: make(chan struct{}),
 	}
-	go p.loop()
-	return p
+	go w.loop()
+	return w
 }
 
-func (p *persister) path(id string) string { return filepath.Join(p.dir, id+snapshotExt) }
-
-// markDirty schedules a write-behind snapshot. Appends between two
-// flushes coalesce: only the latest state is written.
-func (p *persister) markDirty(s *Session) {
-	p.mu.Lock()
-	p.dirty[s.ID] = s
-	p.mu.Unlock()
+// poke wakes the checkpointer without blocking.
+func (w *serverWAL) poke() {
 	select {
-	case p.kick <- struct{}{}:
+	case w.kick <- struct{}{}:
 	default:
 	}
 }
 
-// forget schedules the removal of the session's snapshot file — a
-// deleted or evicted session must stay gone across a restart.
-func (p *persister) forget(id string) {
-	p.mu.Lock()
-	p.dirty[id] = nil
-	p.mu.Unlock()
-	select {
-	case p.kick <- struct{}{}:
-	default:
-	}
+// markDue schedules a checkpoint of the session. It only takes dueMu,
+// so it is safe under the session mutex.
+func (w *serverWAL) markDue(s *Session) {
+	w.dueMu.Lock()
+	w.due[s] = true
+	w.dueMu.Unlock()
+	w.poke()
 }
 
-func (p *persister) loop() {
-	defer close(p.done)
+func (w *serverWAL) loop() {
+	defer close(w.done)
 	for {
 		select {
-		case <-p.stop:
+		case <-w.stop:
 			return
-		case <-p.kick:
-			p.flush()
+		case <-w.kick:
+			w.dueMu.Lock()
+			due := w.due
+			w.due = make(map[*Session]bool)
+			w.dueMu.Unlock()
+			for sess := range due {
+				w.checkpointLogged(sess, false)
+			}
+			w.compact()
 		}
 	}
 }
 
-// flush applies every pending intent once.
-func (p *persister) flush() {
-	p.mu.Lock()
-	batch := p.dirty
-	p.dirty = make(map[string]*Session)
-	p.mu.Unlock()
-	for id, s := range batch {
-		if p.delay > 0 {
-			time.Sleep(p.delay)
-		}
-		if s == nil {
-			p.remove(id)
-			continue
-		}
-		if _, err := p.write(s); err != nil && err != ErrClosed {
-			p.log.Error("session snapshot failed", "session", id, "err", err)
-		}
+// checkpoint logs the session's state as a checkpoint record and makes
+// it the session's base, returning the record's size. The state is
+// encoded and logged under the session mutex, so no append of the
+// session lands between the two. A session with nothing logged past its
+// base is skipped unless force is set; a closed session refuses with
+// ErrClosed, as does a read-only (follower) session, which never writes
+// records of its own.
+func (w *serverWAL) checkpoint(sess *Session, force bool) (int, error) {
+	sess.mu.Lock()
+	defer sess.mu.Unlock()
+	if sess.wal == nil {
+		return 0, ErrReadOnly
 	}
-}
-
-// remove deletes the session's snapshot file and releases its WAL
-// records: with the file gone, nothing on disk can resurrect the
-// session, so even a pending delete intent is compactable.
-func (p *persister) remove(id string) {
-	os.Remove(p.path(id)) //nolint:errcheck // absent is as good as removed
-	if p.wal != nil {
-		p.wal.removeApplied(id)
-		p.wal.compact()
-	}
-}
-
-// write snapshots one session to its file, feeding the snapshot metrics.
-// Once the file is durably on disk, the WAL records it covers are
-// released for compaction.
-func (p *persister) write(s *Session) (int, error) {
-	f := snapshot.New()
-	walSeq, err := s.EncodeSnapshot(f)
-	if err != nil {
-		return 0, err
+	if !force && sess.sinceBase == 0 {
+		return 0, nil
 	}
 	start := time.Now()
-	n, err := snapshot.WriteFile(p.path(s.ID), f)
+	f := snapshot.New()
+	if err := sess.encodeLocked(f); err != nil {
+		return 0, err
+	}
+	sw := &snapshot.Writer{}
+	sw.Byte(walKindCheckpoint)
+	sw.String(sess.ID)
+	sw.Int(start.UnixNano())
+	sw.Bytes(f.Bytes())
+	payload := sw.Body()
+	w.mu.Lock()
+	if sess.closed.Load() {
+		w.mu.Unlock()
+		return 0, ErrClosed // its delete record is in, or on its way
+	}
+	seq, err := w.append(payload)
+	w.mu.Unlock()
 	if err != nil {
 		return 0, err
 	}
-	p.metrics.Observe("snapshot_write_seconds", time.Since(start))
-	p.metrics.Add("snapshot_bytes_total", int64(n))
-	s.lastSnap.Store(time.Now().UnixNano())
-	if p.wal != nil {
-		p.wal.covered(s.ID, walSeq)
-		p.wal.compact()
-	}
-	return n, nil
+	sess.base.Store(seq)
+	sess.sinceBase = 0
+	sess.lastSnap.Store(start.UnixNano())
+	w.metrics.Observe("snapshot_write_seconds", time.Since(start))
+	w.metrics.Add("snapshot_bytes_total", int64(len(payload)))
+	return len(payload), nil
 }
 
-// close stops the writer goroutine, abandoning pending intents (shutdown
-// follows with a synchronous drain pass over the live table).
-func (p *persister) close() {
-	close(p.stop)
-	<-p.done
-}
-
-// drain persists every live session synchronously, logging a per-session
-// disposition: persisted (with the snapshot size) or dropped (with why).
-// Pending removals are applied first so deleted sessions stay deleted.
-func (p *persister) drain(live []*Session) {
-	p.mu.Lock()
-	batch := p.dirty
-	p.dirty = make(map[string]*Session)
-	p.mu.Unlock()
-	for id, s := range batch {
-		if s == nil {
-			p.remove(id)
-		}
-	}
-	for _, s := range live {
-		if n, err := p.write(s); err != nil {
-			p.log.Warn("drain: session dropped", "session", s.ID, "err", err)
-		} else {
-			p.log.Info("drain: session persisted", "session", s.ID, "bytes", n)
-		}
+// checkpointLogged is checkpoint for the background paths: a failure
+// other than a closed or read-only session is logged.
+func (w *serverWAL) checkpointLogged(sess *Session, force bool) {
+	if _, err := w.checkpoint(sess, force); err != nil && !errors.Is(err, ErrClosed) && !errors.Is(err, ErrReadOnly) {
+		w.logger.Error("session checkpoint failed", "session", sess.ID, "err", err)
 	}
 }
 
-// restoreSessions installs every snapshot in the data dir into the
-// store and returns the highest WAL coverage mark among them. A file
-// that fails to read, decode or fit the table is logged and skipped — a
-// corrupt checkpoint must not keep the server down.
-func restoreSessions(dir string, st *Store, log *slog.Logger) (mark uint64) {
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		log.Error("snapshot dir unreadable", "dir", dir, "err", err)
-		return 0
+// compact truncates the log below the lowest base of any live session,
+// first checkpointing forward every session whose base pins the oldest
+// sealed segment. A session with no base yet pins everything.
+func (w *serverWAL) compact() {
+	sealed := w.log.Sealed()
+	if sealed == 0 {
+		return
 	}
-	for _, e := range entries {
-		name := e.Name()
-		if e.IsDir() || !strings.HasSuffix(name, snapshotExt) {
-			continue
+	for _, sess := range w.store.Sessions() {
+		if sess.base.Load() <= sealed {
+			w.checkpointLogged(sess, true)
 		}
-		path := filepath.Join(dir, name)
-		data, err := os.ReadFile(path)
-		if err != nil {
-			log.Warn("session not restored", "file", name, "err", err)
-			continue
-		}
-		sess, err := st.install(strings.TrimSuffix(name, snapshotExt), data)
-		if err != nil {
-			log.Warn("session not restored", "file", name, "err", err)
-			continue
-		}
-		if fi, err := os.Stat(path); err == nil {
-			// The file IS the session's last snapshot; its mtime is the
-			// honest snapshot age across the restart.
-			sess.lastSnap.Store(fi.ModTime().UnixNano())
-		}
-		log.Info("session restored", "session", sess.ID, "alarms", sess.alarms)
-		mark = max(mark, sess.walSeq)
 	}
-	return mark
+	w.pubMu.Lock()
+	defer w.pubMu.Unlock()
+	floor := w.log.LastSeq() + 1
+	for _, sess := range w.store.Sessions() {
+		floor = min(floor, sess.base.Load())
+	}
+	if floor > 1 {
+		w.log.Truncate(floor - 1) //nolint:errcheck // compaction is advisory; the next pass retries
+	}
 }
 
-// LoadSessionFile opens one session snapshot off the data dir — restore
-// uses it, and operators (or tests) can inspect what a file holds
-// without a server. metrics may be nil.
-func LoadSessionFile(path string, metrics *Metrics) (*Session, error) {
-	o, err := snapshot.ReadFile(path)
-	if err != nil {
-		return nil, err
+// close stops the checkpointer, checkpoints every live session that
+// logged anything past its base (logging a per-session disposition),
+// compacts, and closes the log.
+func (w *serverWAL) close() {
+	close(w.stop)
+	<-w.done
+	for _, sess := range w.store.Sessions() {
+		n, err := w.checkpoint(sess, false)
+		switch {
+		case errors.Is(err, ErrReadOnly):
+		case err != nil:
+			w.logger.Warn("drain: session not checkpointed", "session", sess.ID, "err", err)
+		case n > 0:
+			w.logger.Info("drain: session checkpointed", "session", sess.ID, "bytes", n)
+		}
 	}
-	sess, err := decodeSession(o, metrics)
-	if err != nil {
-		return nil, err
+	w.compact()
+	if err := w.log.Close(); err != nil {
+		w.logger.Error("drain: wal close failed", "err", err)
 	}
-	if fi, err := os.Stat(path); err == nil {
-		// The file IS the session's last snapshot; its mtime is the honest
-		// snapshot age across the restart.
-		sess.lastSnap.Store(fi.ModTime().UnixNano())
-	}
-	return sess, nil
 }

@@ -1,15 +1,20 @@
 package serve
 
 import (
+	"bytes"
 	"context"
+	"log/slog"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/snapshot"
 )
 
 // appendAlarms posts one append and returns the response.
@@ -32,17 +37,25 @@ func getSession(t *testing.T, ts *httptest.Server, id string) sessionResponse {
 	return resp
 }
 
-// waitForFile polls until the path exists (the write-behind persister
-// renames complete snapshots into place, so existence means complete).
-func waitForFile(t *testing.T, path string) {
+// waitForCheckpoints polls until the server has logged at least n
+// checkpoint records.
+func waitForCheckpoints(t *testing.T, s *Server, n int64) {
 	t.Helper()
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		if _, err := os.Stat(path); err == nil {
-			return
+	count := func() int64 {
+		var buf bytes.Buffer
+		s.Metrics().WriteText(&buf)
+		for _, line := range strings.Split(buf.String(), "\n") {
+			if v, ok := strings.CutPrefix(line, "snapshot_write_seconds_count "); ok {
+				n, _ := strconv.ParseInt(v, 10, 64)
+				return n
+			}
 		}
+		return 0
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for count() < n {
 		if time.Now().After(deadline) {
-			t.Fatalf("snapshot %s never appeared", path)
+			t.Fatalf("fewer than %d checkpoint records landed", n)
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
@@ -111,55 +124,68 @@ func TestPersistRestartEquivalence(t *testing.T) {
 	}
 }
 
-// TestPersistWriteBehind checks the durability a kill -9 relies on: an
-// append's snapshot reaches disk without any shutdown, and the file
-// decodes back to the session's state.
+// TestPersistWriteBehind: the checkpointer logs a checkpoint record
+// behind a session's checkpointEvery-th append, without any shutdown,
+// and the record decodes back to the session's state.
 func TestPersistWriteBehind(t *testing.T) {
-	dir := t.TempDir()
-	s, ts := newTestServer(t, Config{DataDir: dir})
+	s, ts := newTestServer(t, Config{DataDir: t.TempDir()})
 	sess := createSession(t, ts, createRequest{Net: exampleNetText(t)})
-	appendAlarms(t, ts, sess.ID, "b@p1 a@p2")
-
-	path := filepath.Join(dir, sess.ID+snapshotExt)
-	waitForFile(t, path)
-	restored, err := LoadSessionFile(path, nil)
-	if err != nil {
-		t.Fatalf("write-behind snapshot does not decode: %v", err)
+	for i := 0; i < checkpointEvery; i++ {
+		appendAlarms(t, ts, sess.ID, cycleAlarm(i))
 	}
-	if restored.ID != sess.ID || restored.alarms != 2 {
-		t.Fatalf("write-behind snapshot holds id=%s alarms=%d, want %s/2", restored.ID, restored.alarms, sess.ID)
+	waitForCheckpoints(t, s, 1)
+
+	var restored *Session
+	err := s.wal.log.Replay(1, func(_ uint64, payload []byte) error {
+		r := snapshot.NewReader(payload)
+		if r.Byte() != walKindCheckpoint {
+			return nil
+		}
+		_, _ = r.String(), r.Int()
+		o, err := snapshot.Open(r.Bytes())
+		if err != nil {
+			return err
+		}
+		restored, err = decodeSession(o, nil)
+		return err
+	})
+	if err != nil || restored == nil {
+		t.Fatalf("checkpoint record does not decode: %v", err)
+	}
+	if restored.ID != sess.ID || restored.alarms != checkpointEvery {
+		t.Fatalf("checkpoint holds id=%s alarms=%d, want %s/%d", restored.ID, restored.alarms, sess.ID, checkpointEvery)
 	}
 	if n := s.Metrics().Counter("snapshot_bytes_total"); n <= 0 {
 		t.Fatalf("snapshot_bytes_total = %d, want > 0", n)
 	}
-	// The session now advertises how stale its snapshot is.
+	// The session now advertises how old its checkpoint is.
 	if st := getSession(t, ts, sess.ID); st.SnapshotAgeSeconds == nil {
-		t.Fatal("session reports no snapshot age after write-behind persist")
+		t.Fatal("session reports no snapshot age after its checkpoint")
 	}
 }
 
-// TestPersistDeleteRemovesFile: a deleted session must stay gone across
-// a restart, so DELETE also removes its snapshot.
-func TestPersistDeleteRemovesFile(t *testing.T) {
+// TestPersistDeleteLogsRecord: DELETE logs a delete record before it
+// answers, so the session stays gone across a restart.
+func TestPersistDeleteLogsRecord(t *testing.T) {
 	dir := t.TempDir()
-	_, ts := newTestServer(t, Config{DataDir: dir})
+	s, ts := newTestServer(t, Config{DataDir: dir})
 	sess := createSession(t, ts, createRequest{Net: exampleNetText(t)})
 	appendAlarms(t, ts, sess.ID, "b@p1")
-	path := filepath.Join(dir, sess.ID+snapshotExt)
-	waitForFile(t, path)
-
 	if code := doJSON(t, "DELETE", ts.URL+"/v1/sessions/"+sess.ID, nil, nil); code != http.StatusNoContent {
 		t.Fatalf("delete: status %d", code)
 	}
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		if _, err := os.Stat(path); os.IsNotExist(err) {
-			return
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("snapshot %s still present after DELETE", path)
-		}
-		time.Sleep(5 * time.Millisecond)
+	kinds, ids, _ := records(t, s.wal.log)
+	if n := len(kinds); n == 0 || kinds[n-1] != walKindDelete || ids[n-1] != sess.ID {
+		t.Fatalf("the log does not end with the session's delete record: kinds %v", kinds)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	if err := s.Shutdown(ctx); err != nil {
+		t.Fatal(err)
+	}
+	_, ts2 := newTestServer(t, Config{DataDir: dir})
+	if code := doJSON(t, "GET", ts2.URL+"/v1/sessions/"+sess.ID, nil, nil); code != http.StatusNotFound {
+		t.Fatalf("deleted session after the restart: GET status %d", code)
 	}
 }
 
@@ -176,8 +202,7 @@ func TestPersistExhaustionSurvivesRestart(t *testing.T) {
 		appendRequest{Alarms: "b@p1 a@p2 c@p1"}, &errResp); code != http.StatusTooManyRequests {
 		t.Fatalf("append under tiny budget: status %d, want 429", code)
 	}
-	path := filepath.Join(dir, sess.ID+snapshotExt)
-	waitForFile(t, path)
+	waitForCheckpoints(t, a, 1) // the poisoning reaches the log as a checkpoint
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
 	if err := a.Shutdown(ctx); err != nil {
@@ -196,25 +221,65 @@ func TestPersistExhaustionSurvivesRestart(t *testing.T) {
 	}
 }
 
-// TestRestoreSkipsCorrupt: corrupt snapshot files are logged and
-// skipped; the server still starts and serves.
+// TestRestoreSkipsCorrupt: a checkpoint record that does not decode is
+// logged and skipped — the session stays as its create and append
+// records rebuilt it — and the server still starts and serves.
 func TestRestoreSkipsCorrupt(t *testing.T) {
 	dir := t.TempDir()
-	if err := os.WriteFile(filepath.Join(dir, "garbage.dsnp"), []byte("not a snapshot"), 0o644); err != nil {
-		t.Fatal(err)
+	s, ts := crashServer(t, dir)
+	sess := createSession(t, ts, createRequest{Net: exampleNetText(t)})
+	appendAlarms(t, ts, sess.ID, "b@p1 a@p2")
+	want := scrubbedBody(t, ts, sess.ID)
+	for _, junk := range [][]byte{[]byte("not a snapshot"), []byte("DSNP")} {
+		sw := &snapshot.Writer{}
+		sw.Byte(walKindCheckpoint)
+		sw.String(sess.ID)
+		sw.Int(time.Now().UnixNano())
+		sw.Bytes(junk)
+		if _, err := s.wal.log.Append(sw.Body()); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if err := os.WriteFile(filepath.Join(dir, "truncated.dsnp"), []byte("DSNP"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	s, ts := newTestServer(t, Config{DataDir: dir})
-	if n := s.Store().Len(); n != 0 {
-		t.Fatalf("restored %d sessions from garbage", n)
-	}
-	if got := s.Metrics().Counter("snapshot_restore_total"); got != 0 {
+	crash(s, ts)
+
+	s2, ts2 := newTestServer(t, Config{DataDir: dir})
+	if got := s2.Metrics().Counter("snapshot_restore_total"); got != 0 {
 		t.Fatalf("snapshot_restore_total = %d, want 0", got)
 	}
-	// Server is healthy despite the bad files.
-	createSession(t, ts, createRequest{Net: exampleNetText(t)})
+	if got := scrubbedBody(t, ts2, sess.ID); got != want {
+		t.Fatalf("session next to corrupt checkpoints:\n%s\nwant\n%s", got, want)
+	}
+	// Server is healthy despite the bad records.
+	createSession(t, ts2, createRequest{Net: exampleNetText(t)})
+}
+
+// TestLegacySnapshotDirRefused: a data dir an older build left session
+// snapshot files in is refused untouched — the error names the files,
+// the server runs without persistence, and nothing is deleted.
+func TestLegacySnapshotDirRefused(t *testing.T) {
+	dir := t.TempDir()
+	legacy := filepath.Join(dir, "s000001-0123456789ab.dsnp")
+	if err := os.WriteFile(legacy, []byte("an old session"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.MkdirAll(filepath.Join(dir, walDirName), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	var logs bytes.Buffer
+	s, ts := newTestServer(t, Config{DataDir: dir, Logger: slog.New(slog.NewTextHandler(&logs, nil))})
+	if s.ReplEnabled() {
+		t.Fatal("persistence is on over a data dir holding .dsnp files")
+	}
+	if !strings.Contains(logs.String(), "level=ERROR") || !strings.Contains(logs.String(), legacy) {
+		t.Fatalf("the refusal is not logged with the file names:\n%s", logs.String())
+	}
+	createSession(t, ts, createRequest{Net: exampleNetText(t)}) // still serves, in memory
+	if b, err := os.ReadFile(legacy); err != nil || string(b) != "an old session" {
+		t.Fatalf("the legacy file was touched: %q, %v", b, err)
+	}
+	if entries, err := os.ReadDir(filepath.Join(dir, walDirName)); err != nil || len(entries) != 0 {
+		t.Fatalf("the refused dir's wal/ was written: %v, %v", entries, err)
+	}
 }
 
 // TestDrainRetryAfter: the 503s served while draining carry Retry-After

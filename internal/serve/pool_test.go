@@ -247,7 +247,6 @@ func TestPoolWorkerKillEquivalence(t *testing.T) {
 		Workers:    []string{"w1", "w2"},
 		Metrics:    pooledSrv.Metrics(),
 		ProbeEvery: 50 * time.Millisecond,
-		ShipEvery:  -1, // force the journal-replay path, no checkpoint shortcut
 	})
 	if err != nil {
 		t.Fatal(err)

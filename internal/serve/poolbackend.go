@@ -62,14 +62,14 @@ func (b *PoolBackend) Delete(id string) error {
 }
 
 // Ship implements pool.Backend: the session's checkpoint bytes, the
-// same container the write-behind persister puts on disk.
+// same container a checkpoint record of the write-ahead log holds.
 func (b *PoolBackend) Ship(id string) ([]byte, error) {
 	sess, ok := b.store.Get(id, time.Now())
 	if !ok {
 		return nil, errNoSession
 	}
 	f := snapshot.New()
-	if _, err := sess.EncodeSnapshot(f); err != nil {
+	if err := sess.EncodeSnapshot(f); err != nil {
 		return nil, err
 	}
 	return f.Bytes(), nil

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"context"
 	"fmt"
 	"net"
 	"net/http"
@@ -9,6 +10,7 @@ import (
 	"time"
 
 	"repro/internal/repl"
+	"repro/internal/wal"
 )
 
 // startReplPair wires a primary server and a read-only follower server
@@ -16,9 +18,14 @@ import (
 // follower handle (for Stop/promote).
 func startReplPair(t *testing.T) (ps, fs *Server, pts, fts string, fol *repl.Follower) {
 	t.Helper()
-	pServer, pHTTP := newTestServer(t, Config{DataDir: t.TempDir()})
-	prim := repl.NewPrimary(pServer.WALLog(), pServer.ReplSource(),
-		repl.PrimaryOptions{Heartbeat: 50 * time.Millisecond, Metrics: pServer.Metrics()})
+	return startReplPairWith(t, StoreConfig{})
+}
+
+// startReplPairWith is startReplPair with the primary's table bounds.
+func startReplPairWith(t *testing.T, primary StoreConfig) (ps, fs *Server, pts, fts string, fol *repl.Follower) {
+	t.Helper()
+	pServer, pHTTP := newTestServer(t, Config{DataDir: t.TempDir(), Store: primary})
+	prim := repl.NewPrimary(pServer.WALLog(), repl.PrimaryOptions{Heartbeat: 50 * time.Millisecond, Metrics: pServer.Metrics()})
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -177,9 +184,9 @@ func TestPromoteOpensWrites(t *testing.T) {
 	}
 }
 
-// TestFollowerResyncFromLaggedState checks the server-level resync: a
-// follower that connects only after the primary built state (and the
-// log was compacted by snapshots) adopts the shipped dump.
+// TestFollowerResyncFromLaggedState checks the server-level restart: a
+// follower that connects only after the primary built state rebuilds it
+// from the primary's records.
 func TestFollowerResyncFromLaggedState(t *testing.T) {
 	pServer, pHTTP := newTestServer(t, Config{DataDir: t.TempDir()})
 	var created createResponse
@@ -194,8 +201,7 @@ func TestFollowerResyncFromLaggedState(t *testing.T) {
 		}
 	}
 
-	prim := repl.NewPrimary(pServer.WALLog(), pServer.ReplSource(),
-		repl.PrimaryOptions{Heartbeat: 50 * time.Millisecond})
+	prim := repl.NewPrimary(pServer.WALLog(), repl.PrimaryOptions{Heartbeat: 50 * time.Millisecond})
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -209,8 +215,75 @@ func TestFollowerResyncFromLaggedState(t *testing.T) {
 	f.Start()
 	t.Cleanup(f.Stop)
 
-	waitUntil(t, "late follower adopts the dump", func() bool {
+	waitUntil(t, "late follower rebuilds the state", func() bool {
 		sess, ok := fServer.Store().Get(created.ID, time.Now())
 		return ok && sess.Alarms() == len(quickstartAlarms)
 	})
+}
+
+// TestFollowerDropsRemovedSessions: sessions the primary's TTL sweep
+// and LRU eviction removed leave the follower too — the primary logs
+// their delete records and the follower applies them. And a read-only
+// follower never appends a record of its own: not when its own table
+// expires sessions, not on drain. Its log stays the primary's, record
+// for record.
+func TestFollowerDropsRemovedSessions(t *testing.T) {
+	pServer, fServer, pURL, _, fol := startReplPairWith(t, StoreConfig{MaxSessions: 2})
+	create := func() string {
+		var created createResponse
+		if code := doJSON(t, http.MethodPost, pURL+"/v1/sessions",
+			createRequest{Net: exampleNetText(t)}, &created); code != http.StatusCreated {
+			t.Fatalf("create: status %d", code)
+		}
+		return created.ID
+	}
+	live := func(s *Server, id string) bool {
+		_, ok := s.Store().Get(id, time.Now())
+		return ok
+	}
+	swept := create()
+	waitUntil(t, "follower has the first session", func() bool { return live(fServer, swept) })
+	if n := pServer.Store().Sweep(time.Now().Add(time.Hour)); n != 1 {
+		t.Fatalf("primary sweep removed %d sessions, want 1", n)
+	}
+	evicted := create()
+	for i := 0; i < checkpointEvery; i++ { // a checkpoint record rides the stream too
+		if code := doJSON(t, http.MethodPost, fmt.Sprintf("%s/v1/sessions/%s/alarms", pURL, evicted),
+			appendRequest{Alarms: cycleAlarm(i)}, nil); code != http.StatusOK {
+			t.Fatalf("append: status %d", code)
+		}
+	}
+	kept := create()
+	last := create() // evicts the LRU session
+	waitUntil(t, "follower converges", func() bool {
+		return !live(fServer, swept) && !live(fServer, evicted) && live(fServer, kept) && live(fServer, last) &&
+			fServer.WALLog().LastSeq() == pServer.WALLog().LastSeq()
+	})
+
+	payloads := func(l *wal.Log) (out []string) {
+		err := l.ReadRange(1, l.LastSeq(), func(_ uint64, p []byte) error {
+			out = append(out, string(p))
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return out
+	}
+	if got, want := payloads(fServer.WALLog()), payloads(pServer.WALLog()); !reflect.DeepEqual(got, want) {
+		t.Fatalf("the follower's log holds %d records, the primary's %d; they must be the same records", len(got), len(want))
+	}
+
+	// The follower's own expiry is not logged, nor is its drain.
+	applied := fServer.WALLog().LastSeq()
+	fServer.Store().Sweep(time.Now().Add(time.Hour))
+	fol.Stop()
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	if err := fServer.Shutdown(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if got := fServer.WALLog().LastSeq(); got != applied {
+		t.Fatalf("the follower logged records of its own: its log ends at %d, the stream at %d", got, applied)
+	}
 }

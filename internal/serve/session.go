@@ -98,7 +98,7 @@ type Session struct {
 	peers   map[string]bool // net peers, fixed at creation
 
 	lastUsed atomic.Int64 // unix nanoseconds; TTL sweeps and GET read it
-	lastSnap atomic.Int64 // unix nanoseconds of the last persisted snapshot; 0 = never
+	lastSnap atomic.Int64 // unix nanoseconds of the last checkpoint record; 0 = never
 	closed   atomic.Bool  // set lock-free by eviction, so the store never waits on an evaluation
 
 	// trace buffers the session's evaluation events (per-peer spans,
@@ -115,12 +115,15 @@ type Session struct {
 	prevDerived  int             // cumulative Derived after the previous append (DQSQ)
 	prevMessages int             // cumulative Messages after the previous append (DQSQ)
 
-	// wal, when non-nil, receives a record for every acknowledged append.
-	// walSeq is the sequence of the last WAL record concerning this
-	// session (create or append); a snapshot carrying it tells the boot
-	// replay which log prefix the snapshot already covers.
-	wal    *serverWAL
-	walSeq uint64
+	// wal, when non-nil, receives a record for every acknowledged append
+	// and a checkpoint every checkpointEvery of them; a read-only
+	// follower's sessions have none. base is the sequence of the
+	// session's create or latest checkpoint record — what compaction must
+	// keep — and sinceBase counts the changes since (logged appends and
+	// the poisoning of the session).
+	wal       *serverWAL
+	base      atomic.Uint64
+	sinceBase int
 }
 
 // newSession warms an incremental handle instrumented with two tracer
@@ -228,18 +231,19 @@ type AppendResult struct {
 // fsync=always, fsynced) before Append returns success — that is the
 // durable point: a crash after the HTTP 200 replays the append, a crash
 // before it leaves the session exactly as if the append never happened.
+// An append that poisons the session schedules a checkpoint, and so does
+// every checkpointEvery-th logged one.
 func (s *Session) Append(obs []alarm.Obs, timeout time.Duration) (*AppendResult, error) {
-	return s.append(obs, timeout, 0)
+	return s.append(obs, timeout, false)
 }
 
-// replayAppend re-applies a WAL record during boot replay: the record is
-// already in the log, so nothing is re-logged; its sequence is adopted
-// as the session's coverage mark instead.
-func (s *Session) replayAppend(obs []alarm.Obs, timeout time.Duration, seq uint64) (*AppendResult, error) {
-	return s.append(obs, timeout, seq)
+// replayAppend re-applies an append record of the log: the record is
+// already there, so nothing is logged.
+func (s *Session) replayAppend(obs []alarm.Obs, timeout time.Duration) (*AppendResult, error) {
+	return s.append(obs, timeout, true)
 }
 
-func (s *Session) append(obs []alarm.Obs, timeout time.Duration, replaySeq uint64) (*AppendResult, error) {
+func (s *Session) append(obs []alarm.Obs, timeout time.Duration, replay bool) (*AppendResult, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	switch {
@@ -251,22 +255,19 @@ func (s *Session) append(obs []alarm.Obs, timeout time.Duration, replaySeq uint6
 	rep, err := s.inc.Append(obs, timeout)
 	if err != nil {
 		switch {
-		case errors.Is(err, datalog.ErrBudget):
-			s.exhausted = true
-			return nil, fmt.Errorf("%w: %v", ErrExhausted, err)
-		case errors.Is(err, core.ErrPoisoned):
-			s.exhausted = true
+		case errors.Is(err, datalog.ErrBudget), errors.Is(err, core.ErrPoisoned):
+			s.poison()
 			return nil, fmt.Errorf("%w: %v", ErrExhausted, err)
 		case s.Engine == core.DQSQ && timeoutErr(err):
 			// First failure: surface the timeout (504) but mark the
 			// session exhausted so later appends 429 immediately
 			// instead of re-entering the poisoned handle.
-			s.exhausted = true
+			s.poison()
 		}
 		return nil, err
 	}
 	if rep.Truncated {
-		s.exhausted = true
+		s.poison()
 		return nil, fmt.Errorf("%w: evaluation truncated", ErrExhausted)
 	}
 	s.alarms += len(obs)
@@ -295,41 +296,33 @@ func (s *Session) append(obs []alarm.Obs, timeout time.Duration, replaySeq uint6
 	}
 	s.prevKeys = keys
 
-	switch {
-	case replaySeq != 0:
-		s.walSeq = replaySeq
-	case s.wal != nil:
+	s.sinceBase++
+	if s.wal != nil && !replay {
 		// Log AFTER the evaluation so only appends that actually landed in
 		// the warm engine are replayed. The canonical text round-trips:
 		// parsing parser.FormatAlarms(obs) gives obs back.
-		seq, err := s.wal.logAppend(s.ID, parser.FormatAlarms(alarm.Seq(obs)))
-		if err != nil {
+		if _, err := s.wal.logAppend(s.ID, parser.FormatAlarms(alarm.Seq(obs))); err != nil {
 			// The in-memory state absorbed the alarms but the durable log
 			// did not: the two have diverged, so no later answer from this
 			// session can be trusted across a restart. Poison it.
-			s.exhausted = true
+			s.poison()
 			return nil, walAppendError(err)
 		}
-		s.walSeq = seq
+		if s.sinceBase >= checkpointEvery {
+			s.wal.markDue(s)
+		}
 	}
 	return res, nil
 }
 
-// WALSeq reads the session's WAL coverage mark.
-func (s *Session) WALSeq() uint64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.walSeq
-}
-
-// setWALSeq raises the coverage mark (the create record's sequence,
-// assigned by the handler after the store published the session).
-func (s *Session) setWALSeq(seq uint64) {
-	s.mu.Lock()
-	if seq > s.walSeq {
-		s.walSeq = seq
+// poison marks the session exhausted. The failed append is not logged,
+// so the poisoning reaches the log only as a checkpoint: one is due now.
+func (s *Session) poison() {
+	s.exhausted = true
+	s.sinceBase++
+	if s.wal != nil {
+		s.wal.markDue(s)
 	}
-	s.mu.Unlock()
 }
 
 // attachWAL wires the session to the server's WAL.
@@ -346,7 +339,7 @@ type State struct {
 	Facts     int
 	Created   time.Time
 	LastUsed  time.Time
-	LastSnap  time.Time // zero if never persisted
+	LastSnap  time.Time // zero if never checkpointed
 	Alarms    int
 	Exhausted bool
 	Seq       alarm.Seq

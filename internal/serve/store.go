@@ -59,22 +59,13 @@ type Store struct {
 	lru      *list.List               // front = most recently used
 	reserved int                      // sum of live sessions' fact budgets
 	nextID   uint64
-	persist  *persister // nil when persistence is disabled
-	wal      *serverWAL // nil when write-ahead logging is disabled
+	wal      *serverWAL // nil when nothing is logged (no data dir, or a follower)
 }
 
-// SetPersister attaches (or, with nil, detaches) the durability layer:
-// removed sessions forget their snapshot files. Shutdown detaches it
-// before Clear so the drain-persisted files survive the final close.
-func (st *Store) SetPersister(p *persister) {
-	st.mu.Lock()
-	st.persist = p
-	st.mu.Unlock()
-}
-
-// SetWAL attaches the write-ahead log: sessions created or adopted from
-// now on log their appends, and sessions already live (snapshot-restored
-// before the log was opened) are wired up retroactively.
+// SetWAL attaches the write-ahead log: creates, evictions and expiries
+// are logged from now on, and so are the appends of every session,
+// those already live included (replayed or followed before the server
+// went writable).
 func (st *Store) SetWAL(w *serverWAL) {
 	st.mu.Lock()
 	st.wal = w
@@ -164,6 +155,20 @@ func (st *Store) Create(netText, engine string, facts int, now time.Time) (*Sess
 	st.mu.Unlock()
 
 	sess, err := st.build(id, netText, engine, facts, now)
+	st.mu.Lock()
+	w := st.wal
+	st.mu.Unlock()
+	if err == nil && w != nil {
+		// Log the create before the session is published, so no record of
+		// it can precede this one; compaction waits for the publication.
+		w.pubMu.RLock()
+		defer w.pubMu.RUnlock()
+		var seq uint64
+		if seq, err = w.logCreate(id, netText, EngineName(sess.Engine), sess.Facts, now.UnixNano()); err != nil {
+			err = fmt.Errorf("session not durably logged: %w", err)
+		}
+		sess.base.Store(seq)
+	}
 	if err != nil {
 		st.mu.Lock()
 		st.reserved -= facts
@@ -175,21 +180,33 @@ func (st *Store) Create(netText, engine string, facts int, now time.Time) (*Sess
 	// unlocked, so concurrent creates may have refilled the table, and
 	// MaxSessions must hold at all times, not just transiently.
 	st.mu.Lock()
-	sess.wal = st.wal // pre-publication: no lock on the session needed
-	evicted := 0
-	for len(st.sessions) >= st.cfg.MaxSessions {
-		if !st.evictOldestLocked() {
-			break
-		}
-		evicted++
+	sess.wal = w // pre-publication: no lock on the session needed
+	var evicted []*Session
+	for len(st.sessions) >= st.cfg.MaxSessions && st.lru.Len() > 0 {
+		evicted = append(evicted, st.removeLocked(st.lru.Back()))
 	}
 	st.sessions[id] = st.lru.PushFront(sess)
 	st.mu.Unlock()
-	if evicted > 0 {
-		st.metrics.Add("diagnosed_sessions_evicted_total", int64(evicted))
+	if len(evicted) > 0 {
+		st.logRemoved(w, evicted)
+		st.metrics.Add("diagnosed_sessions_evicted_total", int64(len(evicted)))
 	}
 	st.metrics.Add("diagnosed_sessions_created_total", 1)
 	return sess, nil
+}
+
+// logRemoved logs the delete records of sessions the table dropped by
+// itself (eviction, expiry), so a restart does not bring them back.
+// The logging runs after the table lock is released, never under it.
+func (st *Store) logRemoved(w *serverWAL, removed []*Session) {
+	if w == nil {
+		return
+	}
+	for _, sess := range removed {
+		if err := w.logDelete(sess); err != nil {
+			w.logger.Error("session removal not durably logged", "session", sess.ID, "err", err)
+		}
+	}
 }
 
 // build is the one create path — HTTP, pool workers and WAL replay all
@@ -235,15 +252,6 @@ func (st *Store) appendBody(id, alarms string, timeout time.Duration) ([]byte, e
 	start := time.Now()
 	res, err := sess.Append(seq, timeout)
 	st.metrics.Observe("diagnosed_append_seconds", time.Since(start))
-	st.mu.Lock()
-	persist := st.persist
-	st.mu.Unlock()
-	if persist != nil {
-		// Write-behind on success AND failure: an append that poisoned the
-		// session must persist the poisoning, or a restart would resurrect
-		// a session whose warm state is not trustworthy as healthy.
-		persist.markDirty(sess)
-	}
 	if err != nil {
 		st.metrics.Add("diagnosed_append_errors_total", 1)
 		return nil, err
@@ -268,10 +276,11 @@ func (st *Store) getBody(id string) ([]byte, error) {
 	return encodeBody(newSessionResponse(state)), nil
 }
 
-// install is the one checkpoint install path — boot restore, replication
-// resync and pool migration: decode the checkpoint, check it is the
-// session id names, and put it in the table in place of any copy
-// already live (a failover flap may have left a stale one). A checkpoint
+// install is the one checkpoint install path — checkpoint records on
+// boot replay and on a follower, and pool migration: decode the
+// checkpoint, check it is the session id names, and put it in the table
+// in place of any copy already live (the records before a checkpoint
+// record rebuilt one; a failover flap may have left a stale one). A checkpoint
 // that does not decode, or names another session, is bad input; a table
 // that cannot take it refuses with ErrOverloaded, as Adopt does.
 func (st *Store) install(id string, checkpoint []byte) (*Session, error) {
@@ -308,7 +317,31 @@ func (st *Store) Get(id string, now time.Time) (*Session, bool) {
 	return sess, true
 }
 
-// Delete removes a session, releasing its reserved budget.
+// remove is the client's delete: with a WAL, the delete record is
+// logged before the session leaves the table, so a restart cannot
+// bring back a session whose delete was acknowledged.
+func (st *Store) remove(id string) error {
+	sess, ok := st.Get(id, time.Now())
+	if !ok {
+		return errNoSession
+	}
+	st.mu.Lock()
+	w := st.wal
+	st.mu.Unlock()
+	if w != nil {
+		if err := w.logDelete(sess); err != nil {
+			return fmt.Errorf("delete not durably logged: %w", err)
+		}
+	}
+	if !st.Delete(id) {
+		return errNoSession
+	}
+	return nil
+}
+
+// Delete removes a session, releasing its reserved budget. It logs
+// nothing: replay, followers and checkpoint installs call it for
+// records already in the log.
 func (st *Store) Delete(id string) bool {
 	st.mu.Lock()
 	el, ok := st.sessions[id]
@@ -333,10 +366,13 @@ func (st *Store) Sweep(now time.Time) int {
 		}
 		expired = append(expired, el)
 	}
+	removed := make([]*Session, 0, len(expired))
 	for _, el := range expired {
-		st.removeLocked(el)
+		removed = append(removed, st.removeLocked(el))
 	}
+	w := st.wal
 	st.mu.Unlock()
+	st.logRemoved(w, removed)
 	if n := len(expired); n > 0 {
 		st.metrics.Add("diagnosed_sessions_expired_total", int64(n))
 		return n
@@ -344,7 +380,8 @@ func (st *Store) Sweep(now time.Time) int {
 	return 0
 }
 
-// Clear closes every session (shutdown).
+// Clear closes every session (shutdown). It logs no deletes: the
+// sessions must come back on restart.
 func (st *Store) Clear() {
 	st.mu.Lock()
 	for st.lru.Len() > 0 {
@@ -353,31 +390,18 @@ func (st *Store) Clear() {
 	st.mu.Unlock()
 }
 
-// evictOldestLocked drops the LRU session, reporting whether one existed.
-// It must not touch metrics: the registered gauges acquire st.mu from
-// inside Metrics.WriteText, so calling metrics.Add while holding st.mu
-// would order the two mutexes both ways and deadlock a concurrent
-// /metrics scrape. Callers count evictions and Add after unlocking.
-func (st *Store) evictOldestLocked() bool {
-	el := st.lru.Back()
-	if el == nil {
-		return false
-	}
-	st.removeLocked(el)
-	return true
-}
-
-func (st *Store) removeLocked(el *list.Element) {
+// removeLocked unlinks and closes a session. It must not touch metrics:
+// the registered gauges acquire st.mu from inside Metrics.WriteText, so
+// calling metrics.Add while holding st.mu would order the two mutexes
+// both ways and deadlock a concurrent /metrics scrape. Callers count
+// and log after unlocking.
+func (st *Store) removeLocked(el *list.Element) *Session {
 	sess := el.Value.(*Session)
 	delete(st.sessions, sess.ID)
 	st.lru.Remove(el)
 	st.reserved -= sess.Facts
 	sess.Close()
-	if st.persist != nil {
-		// forget only enqueues on the persister's own mutex — no file IO,
-		// no metrics, so holding st.mu here cannot deadlock.
-		st.persist.forget(sess.ID)
-	}
+	return sess
 }
 
 // Adopt inserts a restored session under its original ID, reserving its
@@ -403,7 +427,7 @@ func (st *Store) Adopt(sess *Session) error {
 	return nil
 }
 
-// Sessions returns the live sessions (drain iterates them to persist).
+// Sessions returns the live sessions (drain and compaction iterate them).
 func (st *Store) Sessions() []*Session {
 	st.mu.Lock()
 	defer st.mu.Unlock()

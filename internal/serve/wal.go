@@ -1,24 +1,22 @@
 package serve
 
-// Write-ahead logging for the session server: the zero-loss half of the
-// durability story. The write-behind persister (persist.go) coalesces
-// appends into whole-session snapshots, which bounds recovery time but
-// loses every append since the last flush on kill -9. With a WAL, every
-// intent that gets an HTTP acknowledgement — session create, alarm
-// append, session delete — is logged (and, under fsync=always, fsynced)
-// first. Boot replays the log on top of the restored snapshots: because
-// the online dQSQ evaluation is deterministic per append, the replayed
-// sessions are byte-identical to uninterrupted ones.
+// The write-ahead log is the one durable store of a served session. With
+// Config.DataDir set, every intent that gets an acknowledgement —
+// session create, alarm append, session delete, eviction — is logged
+// (and, under fsync=always, fsynced) first, and a checkpoint is one more
+// record: the session's encoded state, written behind the appends by the
+// checkpointer (persist.go). Boot replays the log from its first record:
+// because the online dQSQ evaluation is deterministic per append, the
+// replayed sessions are byte-identical to uninterrupted ones, and a
+// checkpoint record replaces what the records before it rebuilt.
 //
-// Compaction: each session snapshot records the WAL sequence it covers
-// (Session.walSeq). The coordinator tracks, per session, the lowest
-// logged sequence NOT yet covered by an on-disk snapshot, plus delete
-// records awaiting their file removal; everything below the minimum is
-// safe to drop, and the log is truncated whenever the persister lands a
-// snapshot or applies a removal.
+// Compaction: a session's base is the sequence of its create or latest
+// checkpoint record; everything below the lowest base of any live
+// session is redundant, and the log is truncated there.
 
 import (
 	"fmt"
+	"log/slog"
 	"sync"
 	"time"
 
@@ -26,52 +24,52 @@ import (
 	"repro/internal/wal"
 )
 
-// WAL record kinds. The payloads are encoded with the snapshot
-// primitives (snapshot.Writer / snapshot.NewReader).
+// WAL record kinds. Every payload opens with the kind and the session
+// id, and is encoded with the snapshot primitives (snapshot.Writer /
+// snapshot.NewReader).
 const (
-	walKindCreate = 1 // id, net text, engine, fact budget, created ns
-	walKindAppend = 2 // id, alarms text
-	walKindDelete = 3 // id
+	walKindCreate     = 1 // id, net text, engine, fact budget, created ns
+	walKindAppend     = 2 // id, alarms text
+	walKindDelete     = 3 // id
+	walKindCheckpoint = 4 // id, written ns, session container (EncodeSnapshot)
 )
 
 // walDirName is the log's directory inside Config.DataDir.
 const walDirName = "wal"
 
-// serverWAL couples the log with the coverage bookkeeping compaction
-// needs. All mutations of the maps happen under mu, and records are
-// appended under the same mu so a concurrent compaction can never
-// truncate a record whose coverage entry is not registered yet.
+// serverWAL couples the log with the checkpointer that keeps it short.
 type serverWAL struct {
-	log *wal.Log
+	log     *wal.Log
+	store   *Store
+	metrics *Metrics
+	logger  *slog.Logger
 
-	mu         sync.Mutex
-	pending    map[string]uint64 // lowest logged seq not covered by the session's snapshot
-	lastLogged map[string]uint64 // highest logged seq per session
-	deletes    map[string]uint64 // delete-record seq awaiting the snapshot file's removal
+	// mu orders a session's checkpoint record against its delete record:
+	// both are logged under it, and a checkpoint only while the session is
+	// not closed, so no checkpoint can follow the delete that ended it.
+	mu sync.Mutex
+
+	// pubMu keeps compaction from truncating a record whose session is
+	// not in the table yet: creates and applied records hold it shared
+	// from their log append until the session is published.
+	pubMu sync.RWMutex
+
+	dueMu sync.Mutex
+	due   map[*Session]bool // sessions owed a checkpoint record
+
+	kick chan struct{}
+	stop chan struct{}
+	done chan struct{}
 }
 
-func newServerWAL(log *wal.Log) *serverWAL {
-	return &serverWAL{
-		log:        log,
-		pending:    make(map[string]uint64),
-		lastLogged: make(map[string]uint64),
-		deletes:    make(map[string]uint64),
-	}
-}
-
-// logRecord appends one record and registers it as uncovered.
-func (w *serverWAL) logRecord(id string, payload []byte) (uint64, error) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
+// append logs one record, waking the checkpointer while a sealed
+// segment waits to be compacted.
+func (w *serverWAL) append(payload []byte) (uint64, error) {
 	seq, err := w.log.Append(payload)
-	if err != nil {
-		return 0, err
+	if err == nil && w.log.Sealed() != 0 {
+		w.poke()
 	}
-	if _, ok := w.pending[id]; !ok {
-		w.pending[id] = seq
-	}
-	w.lastLogged[id] = seq
-	return seq, nil
+	return seq, err
 }
 
 // logCreate logs a session-create intent.
@@ -83,7 +81,7 @@ func (w *serverWAL) logCreate(id, netText, engine string, facts int, createdNS i
 	sw.String(engine)
 	sw.Uvarint(uint64(facts))
 	sw.Int(createdNS)
-	return w.logRecord(id, sw.Body())
+	return w.append(sw.Body())
 }
 
 // logAppend logs one acknowledged alarm append.
@@ -92,237 +90,131 @@ func (w *serverWAL) logAppend(id, alarms string) (uint64, error) {
 	sw.Byte(walKindAppend)
 	sw.String(id)
 	sw.String(alarms)
-	return w.logRecord(id, sw.Body())
+	return w.append(sw.Body())
 }
 
-// logDelete logs a session-delete intent. The record must outlive the
-// session's append records: it is what keeps a stale snapshot file from
-// resurrecting the session if the crash lands between the HTTP 204 and
-// the file's removal.
-func (w *serverWAL) logDelete(id string) (uint64, error) {
+// logDelete logs the end of a session — an HTTP delete, an eviction or
+// a TTL expiry — and closes it, both under mu (see there). A failed
+// write leaves the session open.
+func (w *serverWAL) logDelete(sess *Session) error {
 	sw := &snapshot.Writer{}
 	sw.Byte(walKindDelete)
-	sw.String(id)
+	sw.String(sess.ID)
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	seq, err := w.log.Append(sw.Body())
-	if err != nil {
-		return 0, err
+	if _, err := w.append(sw.Body()); err != nil {
+		return err
 	}
-	w.deletes[id] = seq
-	delete(w.pending, id)
-	delete(w.lastLogged, id)
-	return seq, nil
-}
-
-// covered records that a snapshot covering WAL records up to seq landed
-// on disk for the session, advancing the compaction floor.
-func (w *serverWAL) covered(id string, seq uint64) {
-	w.mu.Lock()
-	if p, ok := w.pending[id]; ok && p <= seq {
-		if w.lastLogged[id] <= seq {
-			delete(w.pending, id)
-		} else {
-			// Records after seq exist; seq+1 is a safe (conservative)
-			// lower bound for the first uncovered one.
-			w.pending[id] = seq + 1
-		}
-	}
-	w.mu.Unlock()
-}
-
-// removeApplied records that the session's snapshot file is gone
-// (delete or eviction): nothing on disk can resurrect it, so all its
-// records — including a pending delete intent — are compactable.
-func (w *serverWAL) removeApplied(id string) {
-	w.mu.Lock()
-	delete(w.deletes, id)
-	delete(w.pending, id)
-	delete(w.lastLogged, id)
-	w.mu.Unlock()
-}
-
-// compact truncates the log below the lowest uncovered record.
-func (w *serverWAL) compact() {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	safe := w.log.LastSeq()
-	for _, p := range w.pending {
-		if p-1 < safe {
-			safe = p - 1
-		}
-	}
-	for _, d := range w.deletes {
-		if d-1 < safe {
-			safe = d - 1
-		}
-	}
-	if safe > 0 {
-		w.log.Truncate(safe) //nolint:errcheck // compaction is advisory; next flush retries
-	}
-}
-
-// close flushes and closes the log.
-func (w *serverWAL) close() {
-	w.log.Close() //nolint:errcheck // shutdown path; drain already persisted state
-}
-
-// seedPending registers a replayed record as uncovered (boot-time
-// bookkeeping: the record predates this process, so logRecord never saw
-// it).
-func (w *serverWAL) seedPending(id string, seq uint64) {
-	w.mu.Lock()
-	if _, ok := w.pending[id]; !ok {
-		w.pending[id] = seq
-	}
-	w.lastLogged[id] = seq
-	w.mu.Unlock()
+	sess.Close()
+	w.poke()
+	return nil
 }
 
 // applyWALRecord applies one log record to the live table: the single
 // apply path shared by boot replay and the replication follower, so a
 // follower's state after applying a sequence is exactly what a primary
-// recovering through the same records would hold. It returns the
-// session the record touched (nil if none) and, for delete records,
-// the deleted session id. A record that no longer applies (unknown
-// session, decode error) is logged and skipped — neither recovery nor
-// a replication stream may take the server down.
-func (s *Server) applyWALRecord(seq uint64, payload []byte) (touched *Session, deleted string) {
-	w := s.wal
+// recovering through the same records would hold. A record that no
+// longer applies (unknown session, decode error, a checkpoint this
+// build cannot read) is logged and skipped — neither recovery nor a
+// replication stream may take the server down. A skipped checkpoint
+// leaves the session as the records before it rebuilt it.
+func (s *Server) applyWALRecord(seq uint64, payload []byte) {
 	r := snapshot.NewReader(payload)
-	switch kind := r.Byte(); kind {
+	kind := r.Byte()
+	id := r.String()
+	switch kind {
 	case walKindCreate:
-		id := r.String()
 		netText := r.String()
 		engineName := r.String()
 		facts := int(r.Uvarint())
 		createdNS := r.Int()
 		if err := r.Finish(); err != nil {
 			s.log.Warn("wal: bad create record", "seq", seq, "err", err)
-			return nil, ""
-		}
-		if _, live := s.store.Get(id, time.Now()); live {
-			return nil, "" // the snapshot already covers the create
+			return
 		}
 		sess, err := s.store.build(id, netText, engineName, facts, time.Unix(0, createdNS))
+		if err == nil {
+			sess.base.Store(seq)
+			err = s.store.Adopt(sess)
+		}
 		if err != nil {
 			s.log.Warn("wal: create not replayed", "seq", seq, "session", id, "err", err)
-			return nil, ""
 		}
-		sess.walSeq = seq
-		if err := s.store.Adopt(sess); err != nil {
-			s.log.Warn("wal: create not replayed", "seq", seq, "session", id, "err", err)
-			return nil, ""
-		}
-		w.seedPending(id, seq)
-		s.log.Info("wal: session recreated", "session", id, "seq", seq)
-		return sess, ""
 	case walKindAppend:
-		id := r.String()
 		alarms := r.String()
 		if err := r.Finish(); err != nil {
 			s.log.Warn("wal: bad append record", "seq", seq, "err", err)
-			return nil, ""
+			return
 		}
 		sess, live := s.store.Get(id, time.Now())
 		if !live {
-			return nil, "" // deleted later in the log, or its create was refused
-		}
-		if seq <= sess.WALSeq() {
-			return nil, "" // the snapshot already covers this append
+			return // deleted later in the log, or its create was refused
 		}
 		obs, err := sess.parseAlarms(alarms)
+		if err == nil {
+			_, err = sess.replayAppend(obs, s.cfg.EvalTimeout)
+		}
 		if err != nil {
 			s.log.Warn("wal: append not replayed", "seq", seq, "session", id, "err", err)
-			return nil, ""
 		}
-		if _, err := sess.replayAppend(obs, s.cfg.EvalTimeout, seq); err != nil {
-			s.log.Warn("wal: append not replayed", "seq", seq, "session", id, "err", err)
-			return nil, ""
+	case walKindCheckpoint:
+		written := r.Int()
+		data := r.Bytes()
+		if err := r.Finish(); err != nil {
+			s.log.Warn("wal: bad checkpoint record", "seq", seq, "err", err)
+			return
 		}
-		w.seedPending(id, seq)
-		return sess, ""
+		sess, err := s.store.install(id, data)
+		if err != nil {
+			s.log.Warn("wal: checkpoint not restored; keeping the session its records rebuilt",
+				"seq", seq, "session", id, "err", err)
+			return
+		}
+		sess.base.Store(seq)
+		sess.lastSnap.Store(written)
 	case walKindDelete:
-		id := r.String()
 		if err := r.Finish(); err != nil {
 			s.log.Warn("wal: bad delete record", "seq", seq, "err", err)
-			return nil, ""
+			return
 		}
-		w.mu.Lock()
-		w.deletes[id] = seq
-		delete(w.pending, id)
-		delete(w.lastLogged, id)
-		w.mu.Unlock()
-		// Delete via the store when live; always enqueue the file
-		// removal — a snapshot may exist even when Adopt was refused.
 		s.store.Delete(id)
-		s.persist.forget(id)
-		s.log.Info("wal: session deleted on replay", "session", id, "seq", seq)
-		return nil, id
 	default:
 		s.log.Warn("wal: unknown record kind", "seq", seq, "kind", kind)
-		return nil, ""
 	}
 }
 
-// reset wipes the coverage bookkeeping — a replication resync replaces
-// the whole table, and the repositioned log carries no records yet.
-func (w *serverWAL) reset() {
-	w.mu.Lock()
-	w.pending = make(map[string]uint64)
-	w.lastLogged = make(map[string]uint64)
-	w.deletes = make(map[string]uint64)
-	w.mu.Unlock()
-}
-
-// replayWAL applies the log on top of the snapshot-restored session
-// table: creates sessions whose snapshots never landed, re-appends
-// acknowledged alarms past each session's snapshot coverage, and
-// re-applies delete intents. Any session the replay touched is marked
-// dirty so a fresh snapshot lands and the log can compact.
+// replayWAL rebuilds the session table from the log's first record. A
+// session deleted later in the log is skipped up to its delete: those
+// records could only rebuild what the delete removes again, and on a
+// churning server they are most of the log.
 func (s *Server) replayWAL() {
-	touched := make(map[string]*Session)
-	err := s.wal.log.Replay(1, func(seq uint64, payload []byte) error {
-		sess, deleted := s.applyWALRecord(seq, payload)
-		if sess != nil {
-			touched[sess.ID] = sess
+	l := s.wal.log
+	deleted := make(map[string]uint64) // session id -> seq of its delete record
+	err := l.ReadRange(l.FirstSeq(), l.LastSeq(), func(seq uint64, payload []byte) error {
+		r := snapshot.NewReader(payload)
+		if r.Byte() == walKindDelete {
+			deleted[r.String()] = seq
 		}
-		if deleted != "" {
-			delete(touched, deleted)
+		return nil
+	})
+	if err != nil {
+		// What the scan found still holds; the replay just skips less.
+		s.log.Error("wal: replay scan failed", "err", err)
+	}
+	err = l.Replay(1, func(seq uint64, payload []byte) error {
+		r := snapshot.NewReader(payload)
+		_ = r.Byte() // the kind; every record's id follows it
+		if seq >= deleted[r.String()] {
+			s.applyWALRecord(seq, payload)
 		}
 		return nil
 	})
 	if err != nil {
 		s.log.Error("wal: replay stopped early", "err", err)
 	}
-	replayed := 0
-	for _, sess := range touched {
-		s.persist.markDirty(sess)
-		replayed++
+	if n := s.store.Len(); n > 0 {
+		s.log.Info("wal: replay complete", "sessions", n)
 	}
-	if replayed > 0 {
-		s.log.Info("wal: replay complete", "sessions", replayed)
-	}
-}
-
-// rebaseWAL keeps new sequence numbers above mark, the highest WAL
-// coverage among the restored snapshots. A log that restarted below it
-// (its directory removed after a drain, say) would hand new appends
-// numbers the next boot's replay skips as already covered. So every
-// live session is persisted, pending removals first, and the log moves
-// past mark. A log at or above mark — every normal boot — is left as
-// it is.
-func (s *Server) rebaseWAL(mark uint64) {
-	if s.wal.log.LastSeq() >= mark {
-		return
-	}
-	s.persist.drain(s.store.Sessions())
-	s.wal.reset()
-	if err := s.wal.log.SkipTo(mark + 1); err != nil {
-		s.log.Error("wal: cannot move past the snapshots' coverage", "mark", mark, "err", err)
-		return
-	}
-	s.log.Warn("wal: log restarted below the snapshots' coverage; moved past it", "mark", mark)
 }
 
 // walAppendError wraps a WAL write failure on the append path.

@@ -1,12 +1,11 @@
-// Package wal is a segmented, append-only write-ahead log: the
-// zero-loss half of the durability story whose snapshot half lives in
-// internal/snapshot. A snapshot bounds recovery work but loses every
-// append since it was taken; logging each append here *before*
-// acknowledging it shrinks that window to nothing. Because the online
-// dQSQ evaluation is deterministic per append (the paper's Remark 2), a
-// replayed log atop a snapshot reproduces byte-identical diagnoses,
-// derived-fact counts and message counts — the log is the recoverable
-// ground truth, the snapshot only an accelerator.
+// Package wal is a segmented, append-only write-ahead log: the one
+// durable store of a served session. Every intent that gets an
+// acknowledgement is logged (and, per policy, fsynced) here first.
+// Because the online dQSQ evaluation is deterministic per append (the
+// paper's Remark 2), replaying a session's records reproduces
+// byte-identical diagnoses, derived-fact counts and message counts; a
+// checkpoint is just one more record, holding the session's encoded
+// state so recovery need not re-run everything before it.
 //
 // Layout. The log is a directory of segment files named
 // <firstSeq>.wal. Each segment opens with a magic+version header and
@@ -33,9 +32,10 @@
 // Durability is tunable per Options.Fsync: SyncAlways fsyncs before
 // Append returns (an acknowledged append survives kill -9), SyncInterval
 // fsyncs on a timer (bounded loss, near-zero per-append cost), SyncNever
-// leaves flushing to the OS. Truncate(upTo) drops whole segments once a
-// snapshot covers their records — compaction, not history rewriting:
-// the active segment is never touched.
+// leaves flushing to the OS. Truncate(upTo) drops whole segments once
+// later records (checkpoints, deletes) make theirs redundant —
+// compaction, not history rewriting: the active segment is never
+// touched.
 package wal
 
 import (
@@ -68,7 +68,8 @@ const segmentExt = ".wal"
 var ErrClosed = errors.New("wal: log closed")
 
 // ErrCompacted reports a read of records that Truncate already dropped.
-// Replication primaries treat it as "fall back to a snapshot ship".
+// Replication primaries treat it as "restart the follower from the
+// first record still held".
 var ErrCompacted = errors.New("wal: records compacted away")
 
 // ErrStopped reports a WaitSeq canceled by its stop channel.
@@ -228,6 +229,18 @@ func (l *Log) FirstSeq() uint64 {
 		}
 	}
 	return 0
+}
+
+// Sealed reports the sequence number of the last record in the oldest
+// sealed segment — the one Truncate would drop first — or 0 while the
+// active segment is the only one holding records.
+func (l *Log) Sealed() uint64 {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if len(l.segs) < 2 {
+		return 0
+	}
+	return l.segs[0].last
 }
 
 // wakeLocked releases every parked WaitSeq. Callers hold l.mu.
@@ -663,9 +676,8 @@ func (l *Log) Replay(from uint64, fn func(seq uint64, payload []byte) error) err
 // <= LastSeq() at the time of the call: a record's bytes are fully
 // written before its sequence number is published, so the range is
 // readable even while later records land. It returns ErrCompacted when
-// Truncate has already dropped part of the range (the caller falls
-// back to a snapshot ship) and an error if a promised record turns out
-// unreadable.
+// Truncate has already dropped part of the range and an error if a
+// promised record turns out unreadable.
 func (l *Log) ReadRange(from, to uint64, fn func(seq uint64, payload []byte) error) error {
 	if from == 0 {
 		from = 1
@@ -732,11 +744,11 @@ func (l *Log) ReadRange(from, to uint64, fn func(seq uint64, payload []byte) err
 }
 
 // SkipTo discards every record and positions the log so the next
-// append is assigned sequence seq. Replication followers call it after
-// a full snapshot resync: the shipped state already covers everything
-// below seq, and the local log must mirror the primary's numbering
-// from there on. Anything previously in the log — possibly a divergent
-// history from a fenced primary — is deleted.
+// append is assigned sequence seq. Replication followers call it when
+// they restart from the primary's first record: the local log must
+// mirror the primary's numbering from there on. Anything previously in
+// the log — possibly a divergent history from a fenced primary — is
+// deleted.
 func (l *Log) SkipTo(seq uint64) error {
 	if seq == 0 {
 		return fmt.Errorf("wal: SkipTo(0): sequences start at 1")
@@ -765,8 +777,8 @@ func (l *Log) SkipTo(seq uint64) error {
 	return nil
 }
 
-// Truncate drops every segment whose records are all covered by seq
-// upTo — compaction once a snapshot covers a prefix. The active (last)
+// Truncate drops every segment whose records are all at or below seq
+// upTo — compaction once later records make a prefix redundant. The active (last)
 // segment is never removed, so Truncate(LastSeq()) keeps the log
 // append-ready; rotation retires it eventually.
 func (l *Log) Truncate(upTo uint64) error {

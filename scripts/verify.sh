@@ -64,8 +64,8 @@ go test -run '^$' -fuzz '^FuzzFrameRoundTrip$' -fuzztime 3s ./internal/wire
 
 echo "== snapshot codec fuzz smoke"
 # Same deal for the checkpoint container and the one CRC frame every
-# persisted or shipped stream is cut into (WAL records, snapshot
-# sections, repl and TCP transport messages): corrupt or truncated input
+# persisted or shipped stream is cut into (WAL records — checkpoints
+# included — snapshot sections, repl and TCP transport messages): corrupt or truncated input
 # must error, never panic or over-allocate, and the slice and stream
 # frame readers must agree.
 go test -run '^$' -fuzz '^FuzzOpen$' -fuzztime 3s ./internal/snapshot
@@ -97,17 +97,19 @@ echo "== cluster trace smoke (peerd admin endpoints + merged timeline)"
 # spans from all three processes.
 go test -run '^TestClusterTraceSmoke$' -count 1 ./cmd/diagnose
 
-echo "== snapshot round-trip smoke (write-behind, kill -9, restart, re-query)"
-# Stream alarms into a diagnosed session, SIGKILL the server once the
-# write-behind snapshot is on disk, restart it on the same address and
-# data dir, and finish the sequence; the final report must match an
-# uninterrupted run exactly.
+echo "== checkpoint-record smoke (checkpoint in the WAL, kill -9, restart, re-query)"
+# Stream alarms into a diagnosed session until /metrics shows a
+# checkpoint record landed in the WAL, append once more past it, SIGKILL
+# the server, restart it on the same address and data dir, and finish
+# the sequence; the final report must match an uninterrupted run
+# exactly, and the data dir must hold only wal/, after the kill and after
+# a graceful drain.
 go test -run '^TestDiagnosedRestartSmoke$' -count 1 ./cmd/diagnosed
 
-echo "== WAL round-trip smoke (kill -9 mid-append, before any snapshot)"
-# Same drill with snapshots stalled for an hour: every acknowledged
-# append survives on the WAL alone, and the restarted session's next
-# report matches an uninterrupted run exactly.
+echo "== WAL round-trip smoke (kill -9 mid-append, before any checkpoint)"
+# Same drill before any checkpoint record: every acknowledged append
+# survives as its own record, and the restarted session's next report
+# matches an uninterrupted run exactly.
 go test -run '^TestDiagnosedWALKillSmoke$' -count 1 ./cmd/diagnosed
 
 echo "== replication failover smoke (kill -9 the primary, promote the follower)"
