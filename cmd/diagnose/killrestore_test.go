@@ -47,24 +47,10 @@ func (p *peerProc) kill() {
 	p.cmd.Wait()         //nolint:errcheck
 }
 
-// waitForStderr polls for a substring in the process's stderr: the exec
-// package copies stderr through a pipe goroutine, so output ordered
-// before the stdout ready line can still arrive after it.
-func waitForStderr(t *testing.T, p *peerProc, substr string) {
+// startPeerd spawns a peerd and waits for its listening line.
+func startPeerd(t *testing.T, bin, name, listen string) *peerProc {
 	t.Helper()
-	deadline := time.Now().Add(5 * time.Second)
-	for !strings.Contains(p.stderr.String(), substr) {
-		if time.Now().After(deadline) {
-			t.Fatalf("peerd stderr never contained %q; stderr:\n%s", substr, p.stderr.String())
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-}
-
-// startPeerd spawns a peerd and waits for its ready line.
-func startPeerd(t *testing.T, bin, name, listen, dataDir string) *peerProc {
-	t.Helper()
-	cmd := exec.Command(bin, "-name", name, "-listen", listen, "-data-dir", dataDir)
+	cmd := exec.Command(bin, "-name", name, "-listen", listen)
 	stderr := &lockedBuffer{}
 	cmd.Stderr = stderr
 	stdout, err := cmd.StdoutPipe()
@@ -88,12 +74,13 @@ func startPeerd(t *testing.T, bin, name, listen, dataDir string) *peerProc {
 	return p
 }
 
-// TestPeerdKillRestore is the cluster half of the checkpoint subsystem's
-// acceptance: a peerd member killed with SIGKILL and restarted from its
-// -data-dir checkpoint must rejoin the cluster, and every evaluation —
+// TestPeerdKillRestore: a peerd member killed with SIGKILL and restarted
+// (with nothing on disk) must rejoin the cluster, and every evaluation —
 // including one that was mid-round when the member died — must end with
 // exactly the diagnoses, derived-fact count and message count of a
-// single-process run.
+// single-process run. The mid-round one must end by a retry, well inside
+// its evaluation timeout: the restarted member tells the driver its round
+// is lost instead of leaving the driver to time out.
 func TestPeerdKillRestore(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds binaries and spawns processes")
@@ -103,10 +90,8 @@ func TestPeerdKillRestore(t *testing.T) {
 	if out, err := exec.Command("go", "build", "-o", bin, "repro/cmd/peerd").CombinedOutput(); err != nil {
 		t.Fatalf("go build peerd: %v\n%s", err, out)
 	}
-	dataDir1 := filepath.Join(dir, "n1-data")
-	dataDir2 := filepath.Join(dir, "n2-data")
-	n1 := startPeerd(t, bin, "n1", "127.0.0.1:0", dataDir1)
-	n2 := startPeerd(t, bin, "n2", "127.0.0.1:0", dataDir2)
+	n1 := startPeerd(t, bin, "n1", "127.0.0.1:0")
+	n2 := startPeerd(t, bin, "n2", "127.0.0.1:0")
 
 	drv, err := transport.ListenTCP("driver", "127.0.0.1:0")
 	if err != nil {
@@ -143,17 +128,16 @@ func TestPeerdKillRestore(t *testing.T) {
 	}
 	check("fresh cluster", quickPN, quickSeq, quickBase)
 
-	// Kill n1 between evaluations and restart it on the same address from
-	// its checkpoint. The next evaluation ships a new job generation; the
-	// restarted member must accept it and the results stay exact.
+	// Kill n1 between evaluations and restart it on the same address. The
+	// next evaluation ships a new job generation; the restarted member
+	// must accept it and the results stay exact.
 	n1.kill()
-	n1 = startPeerd(t, bin, "n1", n1.addr, dataDir1)
-	waitForStderr(t, n1, "restored checkpoint")
+	n1 = startPeerd(t, bin, "n1", n1.addr)
 	check("after idle kill+restore", quickPN, quickSeq, quickBase)
 
 	// Kill n1 mid-round: start the longer telecom evaluation, wait until
 	// round traffic is flowing, SIGKILL the member, restart it. The
-	// restored member refuses the dead round (the driver fails fast and
+	// restarted member refuses the dead round (the driver fails fast and
 	// retries under a fresh generation), and the retried evaluation must
 	// be exact.
 	telePN, teleSeq := gen.Telecom(3), gen.TelecomSeqFixed()
@@ -165,10 +149,12 @@ func TestPeerdKillRestore(t *testing.T) {
 		rep *diagnosis.Report
 		err error
 	}
+	const evalTimeout = 30 * time.Second
 	resCh := make(chan result, 1)
+	evalStart := time.Now()
 	go func() {
 		rep, err := diagnosis.RunDistributed(telePN, teleSeq, diagnosis.EngineNaive,
-			diagnosis.Options{Timeout: 30 * time.Second}, cl)
+			diagnosis.Options{Timeout: evalTimeout}, cl)
 		resCh <- result{rep, err}
 	}()
 	target := drv.Stats().FramesReceived + 15
@@ -192,11 +178,14 @@ func TestPeerdKillRestore(t *testing.T) {
 			time.Sleep(time.Millisecond)
 		}
 	}
-	n1 = startPeerd(t, bin, "n1", n1.addr, dataDir1)
-	waitForStderr(t, n1, "restored checkpoint")
+	n1 = startPeerd(t, bin, "n1", n1.addr)
 	res := <-resCh
 	if res.err != nil {
 		t.Fatalf("mid-round kill+restore: %v", res.err)
+	}
+	if took := time.Since(evalStart); took >= evalTimeout {
+		t.Fatalf("mid-round kill+restore took %v, not less than the %v evaluation timeout: the dead round timed out instead of being refused and retried",
+			took, evalTimeout)
 	}
 	rep := res.rep
 	if !rep.Diagnoses.Equal(teleBase.Diagnoses) || rep.Derived != teleBase.Derived || rep.Messages != teleBase.Messages {

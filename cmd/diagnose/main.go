@@ -7,8 +7,13 @@
 //
 //	diagnose -example -alarms "b@p1 a@p2 c@p1" -engine dqsq
 //	diagnose -net mynet.txt -alarms "fail@line1 overload@switch" -engine all
-//	diagnose -example -alarms "b@p1 a@p2" -checkpoint ck.dsnp
-//	diagnose -resume ck.dsnp -alarms "c@p1"
+//	diagnose -example -alarms "b@p1 a@p2" -checkpoint ck
+//	diagnose -resume ck -alarms "c@p1"
+//
+// -checkpoint DIR starts one session in a diagnosed data dir: DIR/wal
+// logs its create and every append, and a checkpoint record on exit.
+// -resume DIR brings the session back through the server's boot replay
+// and logs the new appends there; diagnosed -data-dir DIR serves it too.
 //
 // Engines: direct (explicit search), product (the dedicated algorithm of
 // reference [8]), naive (naive distributed Datalog), dqsq (distributed
@@ -17,10 +22,14 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"flag"
 	"fmt"
+	"log/slog"
+	"math"
 	"os"
+	"path/filepath"
 	"time"
 
 	"repro/internal/alarm"
@@ -29,9 +38,8 @@ import (
 	"repro/internal/diagnosis"
 	"repro/internal/obs"
 	"repro/internal/parser"
-	"repro/internal/snapshot"
+	"repro/internal/serve"
 	"repro/internal/viz"
-	"repro/internal/wal"
 )
 
 // Exit statuses. exitBudget is distinct so scripts can tell "the answer
@@ -57,8 +65,8 @@ func main() {
 		listen     = flag.String("listen", "127.0.0.1:0", "driver listen address for -peers mode")
 		dot        = flag.String("dot", "", "write the explanations as Graphviz DOT to this file ('-' for stdout)")
 		trace      = flag.String("trace", "", "write the evaluation as Chrome trace-event JSON to this file ('-' for stdout); open in chrome://tracing or Perfetto")
-		checkpoint = flag.String("checkpoint", "", "write a session checkpoint to this file after the run (resume with -resume)")
-		resume     = flag.String("resume", "", "resume from a checkpoint file; the net and engine come from it and -alarms extend its sequence")
+		checkpoint = flag.String("checkpoint", "", "start a one-session log in this dir, a diagnosed data dir (continue it with -resume)")
+		resume     = flag.String("resume", "", "continue the session logged in this dir; the net and engine come from it and -alarms extend its sequence")
 	)
 	flag.Parse()
 
@@ -84,7 +92,7 @@ func main() {
 		if *peers != "" {
 			fatal(errors.New("-checkpoint/-resume cannot combine with -peers"))
 		}
-		runCheckpointed(*resume, *checkpoint, *netFile, *example, engines, seq, opt, tw, *trace, *dot, *quiet)
+		runCheckpointed(*resume, *checkpoint, *netFile, *example, engines, seq, opt, *trace, *dot, *quiet)
 		return
 	}
 
@@ -128,10 +136,7 @@ func main() {
 		prev = rep
 	}
 	if *dot != "" && prev != nil {
-		out := viz.Report(sys.PN, prev)
-		if *dot == "-" {
-			fmt.Print(out)
-		} else if err := os.WriteFile(*dot, []byte(out), 0o644); err != nil {
+		if err := writeOutput([]byte(viz.Report(sys.PN, prev)), *dot); err != nil {
 			fatal(err)
 		}
 	}
@@ -168,160 +173,122 @@ func main() {
 }
 
 // runCheckpointed is the -checkpoint/-resume path: a single-engine
-// incremental session that can be saved after the run and picked up
-// later. Resuming restores the net, engine, options and warm engine
-// state from the snapshot — a resumed dQSQ session continues exactly
-// where the checkpointed one stopped — and -alarms extend its sequence.
+// session of a diagnosed server whose data dir is the checkpoint dir.
+// -checkpoint creates the session, logging its create and appends, and
+// Shutdown writes its checkpoint record. -resume rebuilds it through the
+// server's boot replay — a resumed dQSQ session continues exactly where
+// the logged one stopped — and -alarms extend its sequence.
 func runCheckpointed(resume, checkpoint, netFile string, example bool,
-	engines []core.Engine, seq alarm.Seq, opt core.Options,
-	tw *obs.ChromeTraceWriter, tracePath, dot string, quiet bool) {
-	if len(engines) != 1 {
+	engines []core.Engine, seq alarm.Seq, opt core.Options, tracePath, dot string, quiet bool) {
+	switch {
+	case len(engines) != 1:
 		fatal(errors.New("-checkpoint/-resume need a single -engine, not all"))
+	case resume != "" && checkpoint != "":
+		fatal(errors.New("-resume logs to the dir it resumes; drop -checkpoint"))
+	case resume != "" && (netFile != "" || example):
+		fatal(errors.New("-resume carries its net; drop -net/-example"))
+	case opt.Budget.MaxTermDepth != 0:
+		fatal(errors.New("-depth cannot combine with -checkpoint/-resume: the session log records no depth bound"))
 	}
-	engineSet := false
-	flag.Visit(func(f *flag.Flag) { engineSet = engineSet || f.Name == "engine" })
-
-	var inc *core.Incremental
-	if resume != "" {
-		if netFile != "" || example {
-			fatal(errors.New("-resume carries its net; drop -net/-example"))
-		}
-		var err error
-		if inc, err = core.LoadIncremental(resume); err != nil {
+	dir := resume + checkpoint
+	if fi, err := os.Stat(dir); err == nil && !fi.IsDir() {
+		fatal(fmt.Errorf("%s is a file (a checkpoint of an older build?), not a checkpoint dir; it was not read", dir))
+	}
+	_, err := os.Stat(filepath.Join(dir, "wal"))
+	switch {
+	case resume != "" && err != nil:
+		fatal(fmt.Errorf("%s holds no session log: %w", dir, err))
+	case checkpoint != "" && err == nil:
+		fatal(fmt.Errorf("%s already holds a session log; continue it with -resume", dir))
+	}
+	var sys *core.System
+	if checkpoint != "" {
+		if sys, err = loadSystem(netFile, example); err != nil {
 			fatal(err)
 		}
-		if engineSet && inc.Engine() != engines[0] {
-			fatal(fmt.Errorf("checkpoint %s was taken with engine %v; -engine %v cannot resume it",
-				resume, inc.Engine(), engines[0]))
+		if len(seq) == 0 {
+			fatal(errors.New("nothing to diagnose: give -alarms"))
 		}
-		snapped := len(inc.Seq())
-		records, recovered := replayCheckpointWAL(resume, inc)
-		fmt.Fprintf(os.Stderr, "diagnose: resumed %s (%d alarms in checkpoint); wal: %d records replayed (%d alarms recovered)\n",
-			resume, snapped, records, recovered)
-		if tw != nil {
-			inc.SetTracer(tw)
+	}
+	srv := serve.NewServer(serve.Config{
+		DataDir:     dir,
+		EvalTimeout: opt.Timeout,
+		SweepEvery:  -1,
+		Store:       serve.StoreConfig{GlobalFacts: math.MaxInt},
+		Logger:      slog.New(slog.NewTextHandler(os.Stderr, &slog.HandlerOptions{Level: slog.LevelWarn})),
+	})
+	if !srv.ReplEnabled() {
+		fatal(fmt.Errorf("%s is not a usable checkpoint dir (see the log above)", dir))
+	}
+	var sess *serve.Session
+	if resume != "" {
+		m := srv.Metrics()
+		if m.Counter("wal_truncated_tail_total") > 0 {
+			fmt.Fprintf(os.Stderr, "diagnose: %s: the log ended in a torn record, cut back to the last whole one\n", dir)
+		}
+		sessions := srv.Store().Sessions()
+		if len(sessions) != 1 {
+			fatal(fmt.Errorf("%s holds %d sessions; -resume continues exactly one", dir, len(sessions)))
+		}
+		sess = sessions[0]
+		engineSet := false
+		flag.Visit(func(f *flag.Flag) { engineSet = engineSet || f.Name == "engine" })
+		if engineSet && sess.Engine != engines[0] {
+			fatal(fmt.Errorf("%s was logged with engine %v; -engine %v cannot resume it", dir, sess.Engine, engines[0]))
+		}
+		fmt.Fprintf(os.Stderr, "diagnose: resumed %s (%d alarms); wal: %d records replayed\n",
+			dir, sess.Alarms(), m.Counter("wal_replay_records_total"))
+	} else {
+		facts := opt.Budget.MaxFacts
+		if facts == 0 {
+			facts = datalog.DefaultBudget.MaxFacts
+		}
+		if sess, err = srv.Store().Create(parser.FormatNet(sys.PN), serve.EngineName(engines[0]), facts, time.Now()); err != nil {
+			fatal(err)
+		}
+	}
+
+	var rep *core.Report
+	if len(seq) > 0 {
+		var res *serve.AppendResult
+		if res, err = sess.Append(seq, opt.Timeout); err == nil {
+			rep = res.Report
 		}
 	} else {
-		sys, err := loadSystem(netFile, example)
-		if err != nil {
-			fatal(err)
-		}
-		if inc, err = sys.NewIncremental(engines[0], opt); err != nil {
-			fatal(err)
-		}
+		var st serve.State
+		st, err = sess.Snapshot()
+		rep = st.Report
 	}
-
-	// With -checkpoint, every append intent is logged (and fsynced) to
-	// <checkpoint>.wal before the evaluation runs: a run killed between
-	// the append and the snapshot write leaves its progress in the log,
-	// and the next -resume replays it on top of the old snapshot.
-	var ckLog *wal.Log
-	if checkpoint != "" {
-		var err error
-		if ckLog, err = wal.Open(checkpoint+walSuffix, wal.Options{Fsync: wal.SyncAlways}); err != nil {
-			fmt.Fprintf(os.Stderr, "diagnose: wal unavailable (%v); checkpointing without it\n", err)
-		}
+	if err == nil && rep == nil {
+		err = errors.New("nothing to diagnose: the session has no alarms (give -alarms)")
 	}
-
-	rep := inc.Report()
-	if len(seq) > 0 {
-		if ckLog != nil {
-			sw := &snapshot.Writer{}
-			sw.Uvarint(uint64(len(inc.Seq())))
-			sw.String(parser.FormatAlarms(seq))
-			if _, err := ckLog.Append(sw.Body()); err != nil {
-				fmt.Fprintf(os.Stderr, "diagnose: wal append failed (%v); this run's progress is snapshot-only\n", err)
-			}
-		}
-		var err error
-		if rep, err = inc.Append(seq, 0); err != nil {
-			exit(fmt.Errorf("%v: %w", inc.Engine(), err), exitStatus(err, false))
-		}
-	}
-	if rep == nil {
-		fatal(errors.New("nothing to diagnose: the session has no alarms (give -alarms)"))
+	if err != nil {
+		srv.Shutdown(context.Background()) //nolint:errcheck // Background never expires
+		exit(fmt.Errorf("%v: %w", sess.Engine, err), exitStatus(err, false))
 	}
 	printReport(rep, quiet)
 	if dot != "" {
-		out := viz.Report(inc.System().PN, rep)
-		if dot == "-" {
-			fmt.Print(out)
-		} else if err := os.WriteFile(dot, []byte(out), 0o644); err != nil {
+		if err := writeOutput([]byte(viz.Report(sess.System().PN, rep)), dot); err != nil {
 			fatal(err)
 		}
 	}
-	if tw != nil {
-		if err := writeTrace(tw, tracePath); err != nil {
+	if tracePath != "" {
+		var buf bytes.Buffer
+		if err := sess.WriteTrace(&buf); err != nil {
+			fatal(err)
+		}
+		if err := writeOutput(buf.Bytes(), tracePath); err != nil {
 			fatal(err)
 		}
 	}
-	if checkpoint != "" {
-		n, err := core.SaveIncremental(checkpoint, inc)
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Fprintf(os.Stderr, "diagnose: checkpoint written to %s (%d bytes, %d alarms)\n",
-			checkpoint, n, len(inc.Seq()))
-		if ckLog != nil {
-			// The snapshot covers everything; the log prefix is redundant.
-			ckLog.Truncate(ckLog.LastSeq()) //nolint:errcheck // compaction is advisory
-		}
-	}
-	if ckLog != nil {
-		ckLog.Close() //nolint:errcheck // records were fsynced on append
-	}
-	if rep.Truncated {
-		exit(errors.New("evaluation hit a budget or depth bound; the diagnosis above may be incomplete"),
-			exitBudget)
-	}
-}
-
-// walSuffix names the append log next to a checkpoint file: ck.dsnp's
-// log lives at ck.dsnp.wal.
-const walSuffix = ".wal"
-
-// replayCheckpointWAL applies the checkpoint's append log on top of a
-// freshly loaded session: records whose alarms-before mark lines up with
-// the session's current sequence length are progress the snapshot never
-// absorbed (the run was killed between the append and the snapshot
-// write); anything else is a stale, already-covered record and is
-// skipped. Returns how many records and alarms were recovered. A missing
-// or unreadable log recovers nothing — the snapshot alone is a complete
-// session.
-func replayCheckpointWAL(path string, inc *core.Incremental) (records, alarms int) {
-	l, err := wal.Open(path+walSuffix, wal.Options{Fsync: wal.SyncAlways})
-	if err != nil {
-		return 0, 0
-	}
-	defer l.Close() //nolint:errcheck // read-only use
-	err = l.Replay(1, func(seq uint64, payload []byte) error {
-		r := snapshot.NewReader(payload)
-		before := int(r.Uvarint())
-		text := r.String()
-		if r.Finish() != nil || before != len(inc.Seq()) {
-			return nil
-		}
-		obs, err := core.ParseAlarms(text)
-		if err != nil {
-			return nil
-		}
-		if _, err := inc.Append(obs, 0); err != nil {
-			return fmt.Errorf("replaying logged append %q: %w", text, err)
-		}
-		records++
-		alarms += len(obs)
-		return nil
-	})
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "diagnose: wal replay stopped: %v\n", err)
-	}
-	return records, alarms
+	srv.Shutdown(context.Background()) //nolint:errcheck // Background never expires
+	fmt.Fprintf(os.Stderr, "diagnose: session logged in %s (%d alarms)\n", dir, sess.Alarms())
 }
 
 // exitStatus classifies a run outcome: budget exhaustion (by error or by
 // a truncated report) gets the distinct exitBudget status.
 func exitStatus(err error, truncated bool) int {
-	if truncated || errors.Is(err, datalog.ErrBudget) {
+	if truncated || errors.Is(err, datalog.ErrBudget) || errors.Is(err, serve.ErrExhausted) {
 		return exitBudget
 	}
 	if err != nil {
@@ -398,7 +365,7 @@ func writeTrace(tw *obs.ChromeTraceWriter, dest string) error {
 	if err := tw.WriteJSON(&buf); err != nil {
 		return err
 	}
-	return writeTraceFile(buf, dest)
+	return writeOutput(buf.Bytes(), dest)
 }
 
 // writeClusterTrace merges the driver's trace with the member telemetry
@@ -409,15 +376,16 @@ func writeClusterTrace(tw *obs.ChromeTraceWriter, cl *diagnosis.Cluster, dest st
 	if err := obs.WriteClusterJSON(&buf, procs); err != nil {
 		return err
 	}
-	return writeTraceFile(buf, dest)
+	return writeOutput(buf.Bytes(), dest)
 }
 
-func writeTraceFile(buf bytes.Buffer, dest string) error {
+// writeOutput writes b to the file dest, or to stdout when dest is "-".
+func writeOutput(b []byte, dest string) error {
 	if dest == "-" {
-		_, err := os.Stdout.Write(buf.Bytes())
+		_, err := os.Stdout.Write(b)
 		return err
 	}
-	return os.WriteFile(dest, buf.Bytes(), 0o644)
+	return os.WriteFile(dest, b, 0o644)
 }
 
 func fatal(err error) { exit(err, exitErr) }

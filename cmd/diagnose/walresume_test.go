@@ -1,77 +1,52 @@
 package main
 
 import (
-	"os/exec"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
-
-	"repro/internal/snapshot"
-	"repro/internal/wal"
 )
 
-// TestDiagnoseWALResume: a run killed between the append and the
-// checkpoint write leaves its progress only in the <ck>.wal append log;
-// the next -resume must replay it on top of the stale snapshot, report
-// the recovery on stderr, and end up byte-identical to an uninterrupted
-// run over the whole sequence.
+// TestDiagnoseWALResume: a run killed while writing its exit checkpoint
+// leaves a torn record at the end of the log. The next -resume must cut
+// it, report the cut and the replayed records on stderr, rebuild the
+// session from the create and append records before it, and end up
+// byte-identical to an uninterrupted run over the whole sequence.
 func TestDiagnoseWALResume(t *testing.T) {
-	if testing.Short() {
-		t.Skip("builds a binary and spawns processes")
-	}
-	dir := t.TempDir()
-	bin := filepath.Join(dir, "diagnose")
-	if out, err := exec.Command("go", "build", "-o", bin, "repro/cmd/diagnose").CombinedOutput(); err != nil {
-		t.Fatalf("go build diagnose: %v\n%s", err, out)
-	}
-	ck := filepath.Join(dir, "ck.dsnp")
+	bin, dir := buildDiagnose(t)
+	ck := filepath.Join(dir, "ck")
 
-	run := func(args ...string) (stdout, stderr string) {
-		t.Helper()
-		cmd := exec.Command(bin, args...)
-		var errBuf strings.Builder
-		cmd.Stderr = &errBuf
-		out, err := cmd.Output()
-		if err != nil {
-			t.Fatalf("diagnose %v: %v\n%s", args, err, errBuf.String())
-		}
-		return string(out), errBuf.String()
-	}
+	// Log: create, append b, checkpoint, append a, checkpoint.
+	runDiagnose(t, bin, "-example", "-alarms", "b@p1", "-checkpoint", ck, "-q")
+	runDiagnose(t, bin, "-resume", ck, "-alarms", "a@p2", "-q")
 
-	// Checkpoint after the first alarm. The run completed cleanly, so the
-	// log holds only a stale record (covered by the snapshot).
-	run("-example", "-alarms", "b@p1", "-checkpoint", ck, "-q")
-
-	// Simulate the crash window: the second append was logged (the intent
-	// record is in ck.dsnp.wal, alarms-before = 1) but the process died
-	// before SaveIncremental — the snapshot still holds one alarm.
-	l, err := wal.Open(ck+walSuffix, wal.Options{Fsync: wal.SyncAlways})
+	// Simulate the crash window: the last checkpoint record was half
+	// written when the process died.
+	seg := segment(t, ck)
+	fi, err := os.Stat(seg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sw := &snapshot.Writer{}
-	sw.Uvarint(1)
-	sw.String("a@p2")
-	if _, err := l.Append(sw.Body()); err != nil {
-		t.Fatal(err)
-	}
-	if err := l.Close(); err != nil {
+	if err := os.Truncate(seg, fi.Size()-3); err != nil {
 		t.Fatal(err)
 	}
 
-	resumed, logs := run("-resume", ck, "-alarms", "c@p1", "-q")
-	if !strings.Contains(logs, "1 records replayed (1 alarms recovered)") {
-		t.Fatalf("-resume stderr does not report the WAL recovery:\n%s", logs)
+	resumed, logs := runDiagnose(t, bin, "-resume", ck, "-alarms", "c@p1", "-q")
+	if !strings.Contains(logs, "torn record") || !strings.Contains(logs, "(2 alarms); wal: 4 records replayed") {
+		t.Fatalf("-resume stderr does not report the cut tail and the replay:\n%s", logs)
 	}
-	full, _ := run("-example", "-alarms", "b@p1 a@p2 c@p1", "-q")
+	full, _ := runDiagnose(t, bin, "-example", "-alarms", "b@p1 a@p2 c@p1", "-q")
 	if resumed != full {
 		t.Fatalf("WAL-recovered run diverges from the uninterrupted one:\nresumed:\n%s\nfull:\n%s", resumed, full)
 	}
 
-	// A clean resume (nothing pending) reports zero replayed records.
-	run("-example", "-alarms", "b@p1 a@p2", "-checkpoint", ck, "-q")
-	_, logs = run("-resume", ck, "-alarms", "c@p1", "-q")
-	if !strings.Contains(logs, "0 records replayed") {
-		t.Fatalf("clean -resume should report zero replayed records:\n%s", logs)
+	// A clean resume (its exit checkpoint whole) reports no cut and
+	// reprints the same diagnoses.
+	again, logs := runDiagnose(t, bin, "-resume", ck, "-q")
+	if strings.Contains(logs, "torn record") || !strings.Contains(logs, "(3 alarms)") {
+		t.Fatalf("clean -resume stderr:\n%s", logs)
+	}
+	if again != full {
+		t.Fatalf("clean resume diverges from the uninterrupted run:\nresumed:\n%s\nfull:\n%s", again, full)
 	}
 }

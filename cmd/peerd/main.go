@@ -8,14 +8,13 @@
 //
 //	peerd -name n1                          # pick a free port
 //	peerd -name n2 -listen 127.0.0.1:7402
-//	peerd -name n2 -listen 127.0.0.1:7402 -data-dir /var/lib/peerd
 //
-// With -data-dir, peerd checkpoints every accepted job before
-// acknowledging it. A killed process restarted with the same flags
-// restores the checkpoint and rejoins the cluster: a round that was in
-// flight when it died is refused with an error report (so the driver
-// fails fast and re-ships instead of timing out), and the next shipped
-// job proceeds normally.
+// peerd keeps nothing on disk: its share of the program is rebuilt from
+// every job the driver ships. A killed process restarted with the same
+// flags answers the frames of a round that was in flight when it died
+// with an error report (so the driver fails fast and re-ships instead of
+// timing out), and the next shipped job proceeds normally. It reaches the
+// driver over the route its transport learns when the driver dials in.
 //
 // It prints "peerd listening ADDR" once the socket is bound, then serves
 // until killed. The -name must match the name the driver uses for this
@@ -24,9 +23,8 @@
 // With -admin ADDR, peerd also serves an HTTP admin endpoint:
 //
 //	GET /metrics   engine counters plus Go runtime gauges, Prometheus text
-//	GET /healthz   200 "ok" once the node is bound and any checkpoint is
-//	               restored; 503 "starting" before that, 503 "draining"
-//	               after SIGTERM
+//	GET /healthz   200 "ok" once the node is bound; 503 "starting" before
+//	               that, 503 "draining" after SIGTERM
 //	GET /v1/trace  this node's spans as Chrome trace-event JSON
 //
 // The admin line "peerd admin listening ADDR" prints after the transport
@@ -53,7 +51,7 @@ import (
 
 // adminEndpoint is the peerd observability surface: a metrics registry fed
 // by the node's tracer, a bounded trace buffer, and the lifecycle bits
-// health probes read: ready (bound, checkpoint restored) and draining
+// health probes read: ready (bound) and draining
 // (finishing owned work, place nothing new here).
 type adminEndpoint struct {
 	metrics  *serve.Metrics
@@ -121,7 +119,6 @@ func main() {
 		name         = flag.String("name", "", "this node's name in the cluster (required)")
 		listen       = flag.String("listen", "127.0.0.1:0", "TCP listen address")
 		driver       = flag.String("driver", "driver", "the driver node's name")
-		dataDir      = flag.String("data-dir", "", "directory for job checkpoints (enables kill/restart recovery)")
 		admin        = flag.String("admin", "", "HTTP admin listen address (/metrics, /healthz, /v1/trace); empty disables")
 		poolAddr     = flag.String("pool", "", "session-pool listen address (host:port; doubles as this worker's pool identity); empty disables worker mode")
 		poolSessions = flag.Int("pool-max-sessions", 64, "session table cap in pool worker mode")
@@ -132,12 +129,6 @@ func main() {
 	if *name == "" {
 		fmt.Fprintln(os.Stderr, "peerd: -name is required")
 		os.Exit(2)
-	}
-	if *dataDir != "" {
-		if err := os.MkdirAll(*dataDir, 0o755); err != nil {
-			fmt.Fprintf(os.Stderr, "peerd: %v\n", err)
-			os.Exit(1)
-		}
 	}
 	tr, err := transport.ListenTCP(*name, *listen)
 	if err != nil {
@@ -159,19 +150,6 @@ func main() {
 			os.Exit(1)
 		}
 		n.SetTracer(adm.tracer())
-	}
-	if err := n.SetDataDir(*dataDir); err != nil {
-		// Serve checkpoint-only rather than refuse to start: job durability
-		// degrades to the synchronous checkpoint-before-ack path.
-		fmt.Fprintf(os.Stderr, "peerd: job log unavailable: %v\n", err)
-	}
-	if job, err := n.RestoreCheckpoint(); err != nil {
-		// A bad checkpoint must not keep the node down: report it and
-		// serve fresh — the next shipped job overwrites it.
-		fmt.Fprintf(os.Stderr, "peerd: checkpoint not restored: %v\n", err)
-	} else if job != nil {
-		fmt.Fprintf(os.Stderr, "peerd: restored checkpoint (job generation %d, %d hosted peers); rejoining\n",
-			job.Gen, len(job.Hosted))
 	}
 	// Pool worker mode: a second transport (identity = the advertised
 	// pool address, which is what frontends dial and name it by) feeding
@@ -206,7 +184,7 @@ func main() {
 
 	fmt.Printf("peerd listening %s\n", tr.Addr())
 	if adm != nil {
-		// Bound and restored: the node is ready for a driver's jobs.
+		// Bound: the node is ready for a driver's jobs.
 		adm.ready.Store(true)
 		fmt.Printf("peerd admin listening %s\n", adminAddr)
 	}

@@ -35,8 +35,9 @@ import (
 // section; parsing and padding are deterministic, so the restored
 // structures match the snapshot exactly.
 
-// snapshotConsumer tags core.Incremental checkpoints so other snapshot
-// consumers (peerd member checkpoints, …) are rejected early.
+// snapshotConsumer tags core.Incremental checkpoints (a serve session
+// checkpoint embeds one), so a container written for anything else is
+// rejected early.
 const snapshotConsumer = "core.incremental"
 
 // EncodeSnapshot writes the handle into f.

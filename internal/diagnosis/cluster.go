@@ -23,7 +23,6 @@ import (
 	"repro/internal/parser"
 	"repro/internal/petri"
 	"repro/internal/transport"
-	"repro/internal/wal"
 	"repro/internal/wire"
 )
 
@@ -84,11 +83,11 @@ type Cluster struct {
 	// peer) always stays with the driver, next to the answer collector.
 	Assign map[string]string
 	// Retries is how many times RunDistributed re-ships the job and
-	// re-runs the evaluation after a member failure (a member that
-	// crashed mid-round and rejoined from its checkpoint reports exactly
-	// such a failure). Each re-ship bumps the job generation, so frames
-	// of the failed attempt cannot leak into the retry. 0 means no
-	// retries.
+	// re-runs the evaluation after a member failure (a member restarted
+	// mid-round reports exactly such a failure: it holds no job of the
+	// round's generation). Each re-ship bumps the job generation, so
+	// frames of the failed attempt cannot leak into the retry. 0 means
+	// no retries.
 	Retries int
 	// Metrics, when set, receives the driver's cluster health series:
 	// dist_round_latency_seconds{node,phase} observations and
@@ -305,17 +304,14 @@ func runDistributedOnce(pn *petri.PetriNet, seq alarm.Seq, engine Engine, opt Op
 }
 
 // Node is the member side of distributed diagnosis: one peerd process.
-// Create it with NewNode, block in Serve, stop it with Close. With a data
-// directory set (SetDataDir), the node checkpoints every accepted job
-// before acknowledging it, and RestoreCheckpoint lets a restarted process
-// rejoin the cluster where the killed one left it.
+// Create it with NewNode, block in Serve, stop it with Close. A node keeps
+// nothing on disk: everything it holds is rebuilt from the job the driver
+// ships, so a restarted node simply waits for the next one (the dead
+// round's frames make it tell the driver to re-ship; see dist.Member).
 type Node struct {
-	m       *dist.Member
-	tr      transport.Transport
-	driver  string
-	dataDir string
-	walLog  *wal.Log // nil when the data dir is unset or the log failed to open
-	tracer  obs.Tracer
+	m      *dist.Member
+	tr     transport.Transport
+	tracer obs.Tracer
 }
 
 // NewNode creates the member endpoint over tr (starting it), reporting to
@@ -325,24 +321,7 @@ func NewNode(tr transport.Transport, driver string) (*Node, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Node{m: m, tr: tr, driver: driver}, nil
-}
-
-// SetDataDir enables job durability into dir: the write-ahead job log
-// (appended and fsynced before each job's ack) plus the member.ckpt
-// written behind the ack. Call before Serve. An error means the log
-// could not be opened; the node still works checkpoint-only.
-func (n *Node) SetDataDir(dir string) error {
-	n.dataDir = dir
-	if dir == "" {
-		return nil
-	}
-	l, err := openMemberWAL(dir)
-	if err != nil {
-		return err
-	}
-	n.walLog = l
-	return nil
+	return &Node{m: m, tr: tr}, nil
 }
 
 // SetTracer attaches the node's own tracer — typically the peerd admin
@@ -351,54 +330,6 @@ func (n *Node) SetDataDir(dir string) error {
 // Serve.
 func (n *Node) SetTracer(t obs.Tracer) {
 	n.tracer = t
-}
-
-// RestoreCheckpoint loads the member checkpoint from the node's data
-// directory, if one exists: it re-validates the checkpointed job (the
-// program must still build from it), reinstalls the cluster routes and
-// peer assignment it carries, and puts the member in rejoin mode for the
-// job's generation — any round of that generation died with the previous
-// process, so its frames are refused with an error report that makes the
-// driver re-ship instead of waiting out a timeout. Returns the restored
-// job, or nil if the directory holds no checkpoint.
-func (n *Node) RestoreCheckpoint() (*wire.Job, error) {
-	if n.dataDir == "" {
-		return nil, nil
-	}
-	ck, ckErr := loadMemberCheckpoint(n.dataDir, n.tr.Self(), n.driver)
-
-	// The WAL tail may hold a job newer than the checkpoint: a crash
-	// between the ack (WAL record durable) and the write-behind
-	// member.ckpt leaves the accepted job only in the log. Prefer the
-	// newest generation; fall back to the other candidate if the newest
-	// no longer builds.
-	var candidates []*wire.Job
-	if n.walLog != nil {
-		if wj := lastWALJob(n.walLog); wj != nil {
-			candidates = append(candidates, wj)
-		}
-	}
-	if ck != nil {
-		candidates = append(candidates, ck)
-	}
-	if len(candidates) == 2 && candidates[1].Gen > candidates[0].Gen {
-		candidates[0], candidates[1] = candidates[1], candidates[0]
-	}
-	if len(candidates) == 0 {
-		return nil, ckErr
-	}
-	var lastErr error
-	for _, job := range candidates {
-		budget := datalog.Budget{MaxTermDepth: int(job.MaxDepth), MaxFacts: int(job.MaxFacts)}
-		if _, _, _, err := PrepareDatalog(job.NetText, job.Alarms, Engine(job.Engine), budget); err != nil {
-			lastErr = fmt.Errorf("diagnosis: checkpointed job no longer builds: %w", err)
-			continue
-		}
-		n.installJobRouting(*job)
-		n.m.Rejoin(job.Gen)
-		return job, nil
-	}
-	return nil, lastErr
 }
 
 // installJobRouting applies a job's peer assignment and node address book.
@@ -415,11 +346,8 @@ func (n *Node) installJobRouting(job wire.Job) {
 	}
 }
 
-// Close stops Serve and closes the transport and job log. Idempotent.
+// Close stops Serve and closes the transport. Idempotent.
 func (n *Node) Close() error {
-	if n.walLog != nil {
-		n.walLog.Close() //nolint:errcheck // the transport close is the one that matters
-	}
 	return n.m.Close()
 }
 
@@ -449,7 +377,7 @@ func ServeNode(tr transport.Transport, driver string) error {
 // serveJob hosts one job's peers until the member closes (true) or a new
 // job preempts this one (false).
 func (n *Node) serveJob(job wire.Job) bool {
-	m, tr := n.m, n.tr
+	m := n.m
 	budget := datalog.Budget{MaxTermDepth: int(job.MaxDepth), MaxFacts: int(job.MaxFacts)}
 	prog, _, budget, err := PrepareDatalog(job.NetText, job.Alarms, Engine(job.Engine), budget)
 	if err != nil {
@@ -477,33 +405,8 @@ func (n *Node) serveJob(job wire.Job) bool {
 		eng.SetTracer(n.tracer)
 	}
 	n.installJobRouting(job)
-	switch {
-	case n.walLog != nil:
-		// Log (and fsync) the job before acknowledging: once the driver
-		// sees the ack, this node has promised it can rejoin after a
-		// crash. The sequential append is cheap; the full member.ckpt
-		// rewrite moves behind the ack.
-		if _, err := n.walLog.Append(wire.AppendFrame(nil, 0, job)); err != nil {
-			m.SendJobOK(job.Gen, fmt.Sprintf("wal append failed: %v", err)) //nolint:errcheck
-			return false
-		}
-	case n.dataDir != "":
-		// No log (it failed to open): fall back to the synchronous
-		// checkpoint-before-ack path.
-		if err := saveMemberCheckpoint(n.dataDir, tr.Self(), n.driver, job); err != nil {
-			m.SendJobOK(job.Gen, fmt.Sprintf("checkpoint write failed: %v", err)) //nolint:errcheck
-			return false
-		}
-	}
 	if err := m.SendJobOK(job.Gen, ""); err != nil {
 		return true
-	}
-	if n.walLog != nil && n.dataDir != "" {
-		// Write-behind checkpoint: once it lands, the log prefix it covers
-		// is redundant and can be compacted away.
-		if err := saveMemberCheckpoint(n.dataDir, tr.Self(), n.driver, job); err == nil {
-			n.walLog.Truncate(n.walLog.LastSeq()) //nolint:errcheck // compaction is advisory
-		}
 	}
 	timeout := time.Duration(job.TimeoutMS) * time.Millisecond
 	if timeout <= 0 {

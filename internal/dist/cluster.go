@@ -678,14 +678,13 @@ type Member struct {
 	driver string
 	jobs   chan wire.Job
 
-	mu       sync.Mutex
-	assign   map[PeerID]string
-	gen      uint64 // generation of the current job
-	rejoined bool   // restored from a checkpoint into gen; round state lost
-	notified bool   // rejoin Done already sent for this restoration
-	cur      *MemberRound
-	backlog  []queuedFrame
-	closed   bool
+	mu      sync.Mutex
+	assign  map[PeerID]string
+	gen     uint64 // generation of the current job
+	lost    uint64 // newest generation refused with a Done (see handle)
+	cur     *MemberRound
+	backlog []queuedFrame
+	closed  bool
 }
 
 type queuedFrame struct {
@@ -722,21 +721,6 @@ func (m *Member) SendJobOK(gen uint64, errText string) error {
 	return m.tr.Send(m.driver, wire.JobOK{Gen: gen, Node: m.tr.Self(), Err: errText})
 }
 
-// Rejoin marks the member as restarted from a checkpoint taken in job
-// generation gen. The in-memory state of any round of that generation
-// died with the previous process, so the member must not take part in it:
-// the first frame of that generation triggers an end-of-round error
-// report telling the driver to stop the round and re-ship, and every such
-// frame is dropped. A newly shipped job (a later generation) leaves
-// rejoin mode.
-func (m *Member) Rejoin(gen uint64) {
-	m.mu.Lock()
-	m.gen = gen
-	m.rejoined = true
-	m.notified = false
-	m.mu.Unlock()
-}
-
 func (m *Member) handle(from string, f wire.Frame) {
 	if job, isJob := f.(wire.Job); isJob {
 		m.mu.Lock()
@@ -751,7 +735,6 @@ func (m *Member) handle(from string, f wire.Frame) {
 			accepted = true
 			cur = m.cur
 			m.gen = job.Gen
-			m.rejoined = false
 		default:
 		}
 		m.mu.Unlock()
@@ -764,25 +747,24 @@ func (m *Member) handle(from string, f wire.Frame) {
 	}
 	gen, tagged := wire.FrameGen(f)
 	m.mu.Lock()
-	if tagged && gen != m.gen {
-		// Another generation's frame: a transport replay from a round that
-		// was superseded. Every round of the current generation starts
-		// from state the driver also has, so dropping is safe.
+	if tagged && gen > m.gen {
+		// A generation newer than this member's job: the driver starts a
+		// round only after every member acked its job, so the job — and
+		// the round state — died with an earlier process under this name.
+		// Tell the driver once per generation, as soon as there is a route
+		// to it (ending the round with a clear error instead of a timeout,
+		// so it re-ships); drop the frame either way.
+		if gen != m.lost && m.tr.Send(m.driver, wire.Done{Gen: gen, Err: "member restarted; round state lost"}) == nil {
+			m.lost = gen
+		}
 		m.mu.Unlock()
 		return
 	}
-	if m.rejoined && m.cur == nil {
-		// A current-generation frame, but this process restored the
-		// generation from a checkpoint: the round the frame belongs to
-		// died with the previous process. Tell the driver once (ending
-		// the round with a clear error instead of a timeout), drop the
-		// frame either way.
-		notify := !m.notified
-		m.notified = true
+	if tagged && gen != m.gen {
+		// An older generation's frame: a transport replay from a round
+		// that was superseded. Every round of the current generation
+		// starts from state the driver also has, so dropping is safe.
 		m.mu.Unlock()
-		if notify {
-			m.tr.Send(m.driver, wire.Done{Gen: gen, Err: "member restarted from checkpoint; round state lost"}) //nolint:errcheck
-		}
 		return
 	}
 	cur := m.cur

@@ -209,3 +209,101 @@ func TestClusterOverTCP(t *testing.T) {
 	}
 	wg.Wait()
 }
+
+// TestMemberLostGeneration: a member whose job is older than a frame's
+// generation lost that generation's job to a restart. It answers the
+// first such frame of each generation with one Done carrying an error
+// (so the driver re-ships instead of timing out), drops older
+// generations silently, and accepts the next shipped job as usual.
+func TestMemberLostGeneration(t *testing.T) {
+	mesh := transport.NewMesh()
+	var (
+		mu    sync.Mutex
+		dones []wire.Done
+	)
+	drv := mesh.Node("drv")
+	if err := drv.Start(func(_ string, f wire.Frame) {
+		if d, ok := f.(wire.Done); ok {
+			mu.Lock()
+			dones = append(dones, d)
+			mu.Unlock()
+		}
+	}); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { drv.Close() })
+	m, err := NewMember(mesh.Node("m"), "drv")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { m.Close() })
+	ship := func(gen uint64) {
+		t.Helper()
+		if err := drv.Send("m", wire.Job{Gen: gen}); err != nil {
+			t.Fatal(err)
+		}
+		select {
+		case job := <-m.Jobs():
+			if job.Gen != gen {
+				t.Fatalf("member accepted job generation %d, want %d", job.Gen, gen)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("member never accepted job generation %d", gen)
+		}
+	}
+	// waitDones sends a marker the member answers (a newer generation)
+	// and returns every Done up to and including its answer: the mesh
+	// delivers in order, so nothing sent before the marker is still due.
+	waitDones := func(marker uint64) []wire.Done {
+		t.Helper()
+		if err := drv.Send("m", wire.Poll{Gen: marker, Epoch: 1}); err != nil {
+			t.Fatal(err)
+		}
+		deadline := time.Now().Add(5 * time.Second)
+		for {
+			mu.Lock()
+			got := dones
+			if n := len(got); n > 0 && got[n-1].Gen == marker {
+				dones = nil
+				mu.Unlock()
+				return got[:n-1]
+			}
+			mu.Unlock()
+			if time.Now().After(deadline) {
+				t.Fatalf("no Done for marker generation %d; have %+v", marker, got)
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+
+	ship(4)
+	for _, f := range []wire.Frame{
+		wire.Poll{Gen: 3, Epoch: 1}, // older: silent
+		wire.Stop{Gen: 2},           // older: silent
+		wire.Poll{Gen: 6, Epoch: 1}, // lost: one Done ...
+		wire.Data{Gen: 6, From: "p", To: "q", Payload: wire.Activate{Rel: "r"}},
+		wire.Poll{Gen: 6, Epoch: 2}, // ... however many frames follow
+		wire.Poll{Gen: 7, Epoch: 1}, // the next lost generation: one more
+		wire.Stop{Gen: 7},
+	} {
+		if err := drv.Send("m", f); err != nil {
+			t.Fatal(err)
+		}
+	}
+	got := waitDones(8)
+	if len(got) != 2 || got[0].Gen != 6 || got[1].Gen != 7 || got[0].Err == "" || got[1].Err == "" {
+		t.Fatalf("Dones for lost generations = %+v, want one with an error for each of 6 and 7", got)
+	}
+
+	// The next job is accepted; its own frames are no loss, and older
+	// ones stay silent.
+	ship(9)
+	for _, f := range []wire.Frame{wire.Poll{Gen: 9, Epoch: 1}, wire.Poll{Gen: 8, Epoch: 1}} {
+		if err := drv.Send("m", f); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := waitDones(10); len(got) != 0 {
+		t.Fatalf("frames of the accepted job or older drew Dones: %+v", got)
+	}
+}

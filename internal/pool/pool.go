@@ -65,10 +65,6 @@ type Config struct {
 	// Transport carries SessionJob/SessionReply frames. The pool owns
 	// Start; Close closes it.
 	Transport transport.Transport
-	// Addr is this frontend's advertised transport address (workers dial
-	// back through it). Empty takes the transport's bound address when it
-	// has one (TCP); in-process meshes need none.
-	Addr string
 	// Workers are the worker transport addresses; each doubles as the
 	// worker's node name.
 	Workers []string
@@ -94,11 +90,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Logger == nil {
 		c.Logger = slog.New(slog.NewTextHandler(io.Discard, nil))
-	}
-	if c.Addr == "" {
-		if a, ok := c.Transport.(interface{ Addr() string }); ok {
-			c.Addr = a.Addr()
-		}
 	}
 	return c
 }
@@ -146,7 +137,6 @@ type Pool struct {
 	cfg    Config
 	tr     transport.Transport
 	self   string
-	addr   string
 	policy Policy
 	m      obs.Registry
 	log    *slog.Logger
@@ -173,7 +163,6 @@ func New(cfg Config) (*Pool, error) {
 		cfg:      cfg,
 		tr:       cfg.Transport,
 		self:     cfg.Transport.Self(),
-		addr:     cfg.Addr,
 		policy:   cfg.Policy,
 		m:        cfg.Metrics,
 		log:      cfg.Logger,
@@ -233,7 +222,7 @@ func (p *Pool) handle(from string, f wire.Frame) {
 func (p *Pool) call(worker string, job wire.SessionJob, evalTimeout time.Duration) (wire.SessionReply, error) {
 	deadline := evalTimeout + rpcMargin
 	job.TimeoutMS = uint32(evalTimeout / time.Millisecond)
-	job.Frontend, job.FrontendAddr = p.self, p.addr
+	job.Frontend = p.self
 
 	var lastErr error
 	for attempt := 0; attempt <= retries; attempt++ {
@@ -666,7 +655,7 @@ func (p *Pool) probeOnce() {
 		if probeTimeout > time.Second {
 			probeTimeout = time.Second
 		}
-		rep, err := p.dispatch(name, wire.SessionJob{Op: wire.SessPing, Frontend: p.self, FrontendAddr: p.addr}, probeTimeout)
+		rep, err := p.dispatch(name, wire.SessionJob{Op: wire.SessPing, Frontend: p.self}, probeTimeout)
 		switch {
 		case err != nil:
 			p.noteFailure(name)

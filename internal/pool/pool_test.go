@@ -195,7 +195,7 @@ func workerRig(t *testing.T, backend Backend, names ...string) func(worker strin
 	return func(worker string, job wire.SessionJob) wire.SessionReply {
 		t.Helper()
 		req++
-		job.Req, job.Frontend, job.FrontendAddr = req, "fe", "fe"
+		job.Req, job.Frontend = req, "fe"
 		if err := fe.Send(worker, job); err != nil {
 			t.Fatal(err)
 		}

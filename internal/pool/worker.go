@@ -146,15 +146,14 @@ func (w *Worker) SetDraining(v bool) { w.draining.Store(v) }
 // Active counts live sessions on the backend.
 func (w *Worker) Active() int { return w.backend.Active() }
 
-// handle is the transport receive path: route the reply, shard to the
-// session's executor, shed immediately when that queue is full.
+// handle is the transport receive path: answer pings inline, shard the
+// rest to the session's executor, shed immediately when that queue is
+// full. Replies go to job.Frontend over the route the transport learned
+// when the frontend dialed in.
 func (w *Worker) handle(from string, f wire.Frame) {
 	job, ok := f.(wire.SessionJob)
 	if !ok {
 		return
-	}
-	if job.Frontend != "" && job.FrontendAddr != "" {
-		w.tr.AddRoute(job.Frontend, job.FrontendAddr)
 	}
 	if job.Op == wire.SessPing {
 		// Answered inline, never queued: a ping is a liveness probe, and a

@@ -180,6 +180,9 @@ func (s *Session) parseAlarms(text string) (alarm.Seq, error) {
 // JSON (chrome://tracing, Perfetto). Safe concurrently with appends.
 func (s *Session) WriteTrace(w io.Writer) error { return s.trace.WriteJSON(w) }
 
+// System returns the system the session diagnoses.
+func (s *Session) System() *core.System { return s.inc.System() }
+
 // Alarms counts the alarms appended over the session's lifetime.
 func (s *Session) Alarms() int {
 	s.mu.Lock()

@@ -4,8 +4,8 @@
 package snapnames
 
 // Section names. A snapshot file contains the subset relevant to what it
-// checkpoints: an offline diagnose checkpoint has Meta+Diagnoser+…, a
-// serve session adds ServeSession, a peerd checkpoint has MemberJob+….
+// checkpoints: a core.Incremental snapshot has Meta+Diagnoser+… (or
+// Meta+Report), and a serve session checkpoint adds ServeSession.
 const (
 	// Meta describes what the file holds (consumer, engine, net text).
 	Meta = "meta"
@@ -22,7 +22,4 @@ const (
 	// ServeSession is internal/serve session metadata (ID, budgets,
 	// alarm log, exhaustion state).
 	ServeSession = "serve.session"
-	// MemberJob is a peerd member checkpoint: the accepted wire.Job and
-	// its round generation.
-	MemberJob = "dist.member.job"
 )

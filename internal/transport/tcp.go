@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"math/rand"
 	"net"
+	"strconv"
 	"sync"
 	"time"
 
@@ -44,6 +45,13 @@ const ackEvery = 32
 // the unacked tail, and deliver exactly once — the receiver tracks the
 // last sequence number delivered per sending node (across connections)
 // and discards replays.
+//
+// Routes come from AddRoute or are learned: a dialer's Hello carries its
+// listen port, and the acceptor routes replies to the connection's
+// remote host at that port. So a node can answer whoever dialed it — a
+// restarted cluster member its driver, a pool worker its frontend —
+// without being told where they live. A route is learned only for a
+// node that has none, so it never overrides one set with AddRoute.
 type TCP struct {
 	self string
 	boot uint64 // this instance's incarnation, exchanged in the handshake
@@ -127,11 +135,29 @@ func (t *TCP) Self() string { return t.self }
 // Addr returns the listener's bound address.
 func (t *TCP) Addr() string { return t.ln.Addr().String() }
 
+// port is the listener's bound port, announced in every dialed Hello.
+func (t *TCP) port() uint32 { return uint32(t.ln.Addr().(*net.TCPAddr).Port) }
+
 // AddRoute maps a node name to its host:port.
 func (t *TCP) AddRoute(node, addr string) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	t.routes[node] = addr
+}
+
+// learnRoute routes replies to node, if it has no route yet, at the
+// remote host of its inbound connection and the listen port its Hello
+// announced.
+func (t *TCP) learnRoute(node string, remote net.Addr, port uint32) {
+	ta, ok := remote.(*net.TCPAddr)
+	if !ok || port == 0 {
+		return
+	}
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if _, set := t.routes[node]; !set {
+		t.routes[node] = net.JoinHostPort(ta.IP.String(), strconv.Itoa(int(port)))
+	}
 }
 
 // clockEstimate is one node's wall-clock offset estimate (remote −
@@ -386,6 +412,7 @@ func (t *TCP) serveConn(conn net.Conn) {
 	}
 	from := hello.Node
 	t.noteClock(from, hello.WallMicros)
+	t.learnRoute(from, conn.RemoteAddr(), hello.Port)
 
 	// Reply with the last sequence number already delivered from this
 	// node, so a reconnecting sender replays exactly the lost tail. A new
@@ -639,7 +666,7 @@ func (o *outbound) dial(attemptBase int) (net.Conn, *bufio.Reader, uint64, error
 		if err == nil {
 			conn.SetDeadline(time.Now().Add(handshakeTimeout))
 			t0 := time.Now().UnixMicro()
-			_, err = conn.Write(snapshot.AppendFrame(nil, wire.AppendFrame(nil, 0, wire.Hello{Version: wire.Version, Node: o.t.self, Boot: o.t.boot, WallMicros: uint64(t0)})))
+			_, err = conn.Write(snapshot.AppendFrame(nil, wire.AppendFrame(nil, 0, wire.Hello{Version: wire.Version, Node: o.t.self, Boot: o.t.boot, WallMicros: uint64(t0), Port: o.t.port()})))
 			br := bufio.NewReader(conn)
 			var body []byte
 			if err == nil {

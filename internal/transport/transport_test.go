@@ -185,6 +185,59 @@ func TestTCPBidirectional(t *testing.T) {
 	}
 }
 
+// TestTCPLearnedRoute: a node answers a dialer it has no route for, at
+// the connection's remote host and the listen port the dialer's Hello
+// announced; a route set with AddRoute is never overwritten by one
+// learned.
+func TestTCPLearnedRoute(t *testing.T) {
+	start := func(name string, h Handler) *TCP {
+		tr, err := ListenTCP(name, "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { tr.Close() })
+		if err := tr.Start(h); err != nil {
+			t.Fatal(err)
+		}
+		return tr
+	}
+	route := func(tr *TCP, node string) string {
+		tr.mu.Lock()
+		defer tr.mu.Unlock()
+		return tr.routes[node]
+	}
+	colA, colB, colC := newCollector(), newCollector(), newCollector()
+	a, b, c := start("a", colA.handle), start("b", colB.handle), start("c", colC.handle)
+
+	// b knows nothing of a until a dials in; then its reply reaches a.
+	a.AddRoute("b", b.Addr())
+	if err := a.Send("b", wire.Poll{Epoch: 1}); err != nil {
+		t.Fatal(err)
+	}
+	colB.waitFor(t, 1)
+	if got := route(b, "a"); got != a.Addr() {
+		t.Fatalf("b learned route %q for a, want %q", got, a.Addr())
+	}
+	if err := b.Send("a", wire.Status{Epoch: 1, Idle: true}); err != nil {
+		t.Fatal(err)
+	}
+	if f := colA.waitFor(t, 1)[0]; !f.(wire.Status).Idle {
+		t.Fatalf("a got %#v", f)
+	}
+
+	// c was told where a lives; a dialing in must not change that.
+	const configured = "127.0.0.1:1"
+	c.AddRoute("a", configured)
+	a.AddRoute("c", c.Addr())
+	if err := a.Send("c", wire.Poll{Epoch: 2}); err != nil {
+		t.Fatal(err)
+	}
+	colC.waitFor(t, 1)
+	if got := route(c, "a"); got != configured {
+		t.Fatalf("a dialing in overwrote c's configured route: %q, want %q", got, configured)
+	}
+}
+
 // TestTCPReconnectExactlyOnce is the transport-level fault-injection
 // test: connections are torn down repeatedly in mid-stream and every
 // frame must still arrive exactly once, in order, via handshake replay

@@ -38,6 +38,7 @@ func seedCorpus(f *testing.F) {
 			ByPair: []PairCount{{"p", "q", 2}}, BytesSent: []PairCount{{"p", "q", 64}},
 			Extras: []KV{{"derived", 3}}},
 		Hello{Version: Version, Node: "m1", Boot: 3, WallMicros: 1_700_000_000_000_000},
+		Hello{Version: Version, Node: "drv", Boot: 4, Port: 7401},
 		Data{Gen: 2, Flow: 1 << 40, From: "p1", To: "p2", Payload: Activate{Rel: "r"}},
 		Job{NetText: "place p [a]\n", Alarms: "a@p\n", Engine: 1,
 			Trace: true, TraceID: 12345, ParentSpan: 6,
@@ -54,11 +55,11 @@ func seedCorpus(f *testing.F) {
 			}},
 		SessionJob{Req: 7, Op: SessCreate, Session: "s1", NetText: "place p [a]\n",
 			Engine: 3, MaxFacts: 1 << 20, TimeoutMS: 30000,
-			Frontend: "fe", FrontendAddr: "127.0.0.1:9"},
+			Frontend: "fe"},
 		SessionJob{Req: 8, Op: SessAppend, Session: "s1", Index: 2, Alarms: "a@p",
-			TimeoutMS: 30000, Frontend: "fe", FrontendAddr: "127.0.0.1:9"},
+			TimeoutMS: 30000, Frontend: "fe"},
 		SessionJob{Req: 9, Op: SessLoad, Session: "s1", Blob: []byte{1, 2, 3},
-			Frontend: "fe", FrontendAddr: "127.0.0.1:9"},
+			Frontend: "fe"},
 		SessionReply{Req: 8, Op: SessAppend, Session: "s1", Active: 3, Queued: 1,
 			EWMAMicros: 420, Blob: []byte{9}},
 		SessionReply{Req: 9, Op: SessLoad, Session: "s1", Code: SessSaturated,

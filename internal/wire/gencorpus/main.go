@@ -1,5 +1,5 @@
 // Command gencorpus regenerates the checked-in fuzz seed corpus under
-// internal/wire/testdata/fuzz: one file per protocol-v4 frame shape, in
+// internal/wire/testdata/fuzz: one file per frame shape added since protocol v4, in
 // the `go test fuzz v1` encoding, shared by both wire fuzz targets.
 package main
 
@@ -17,6 +17,10 @@ func main() {
 		"hello_v4_wallclock": wire.Hello{
 			Version: wire.Version, Node: "m1", Boot: 3,
 			WallMicros: 1_700_000_000_000_000,
+		},
+		"hello_v8_port": wire.Hello{
+			Version: wire.Version, Node: "drv", Boot: 4,
+			WallMicros: 1_700_000_000_000_000, Port: 7401,
 		},
 		"data_flow_id": wire.Data{
 			Gen: 2, Flow: 1 << 40, From: "p1", To: "p2",

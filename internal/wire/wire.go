@@ -36,7 +36,9 @@ import (
 // checkpoint blob into SessionReply.Index, and CRC-framed TCP traffic.
 // Version 7 dropped SessionReply.AdminAddr: frontends learn of a drain
 // from the SessPing reply alone.
-const Version = 7
+// Version 8 added Hello.Port (acceptors learn a reply route from it) and
+// dropped SessionJob.FrontendAddr, which that route replaces.
+const Version = 8
 
 // frame type tags.
 const (
@@ -82,6 +84,7 @@ type Hello struct {
 	Boot       uint64 // sender's transport incarnation
 	WallMicros uint64 // sender's wall clock at encode time (µs since epoch)
 	LastSeq    uint64 // acceptor→dialer only: last delivered seq from the dialer
+	Port       uint32 // dialer→acceptor only: the dialer's listen port (0 = none)
 }
 
 // Ack tells the sending node that every sequenced frame up to Seq has
@@ -279,22 +282,21 @@ const (
 )
 
 // SessionJob ships one session operation to a pool worker. Req matches
-// the reply to the request; Frontend/FrontendAddr teach the worker where
-// to send it (the worker adds the route before replying, so the frontend
-// needs no a-priori registration on the worker side).
+// the reply to the request; Frontend names the node to send it to (the
+// worker's transport learned that node's route when the frontend dialed
+// in, so the frontend needs no a-priori registration on the worker side).
 type SessionJob struct {
-	Req          uint64 // request ID, echoed by SessionReply
-	Op           uint32 // SessCreate..SessLoad
-	Session      string // session ID (frontend-assigned)
-	Index        uint64 // SessAppend: 1-based append index for dedup; SessLoad: appends Blob covers
-	NetText      string // SessCreate: textual net description
-	Engine       uint32 // SessCreate: engine ordinal (core.Engine)
-	MaxFacts     uint32 // SessCreate: per-session fact budget
-	TimeoutMS    uint32 // evaluation deadline for this operation
-	Alarms       string // SessAppend: alarm text (parser.Alarms format)
-	Frontend     string // requesting frontend's node name
-	FrontendAddr string // requesting frontend's transport address
-	Blob         []byte // SessLoad: checkpoint bytes to install
+	Req       uint64 // request ID, echoed by SessionReply
+	Op        uint32 // SessCreate..SessLoad
+	Session   string // session ID (frontend-assigned)
+	Index     uint64 // SessAppend: 1-based append index for dedup; SessLoad: appends Blob covers
+	NetText   string // SessCreate: textual net description
+	Engine    uint32 // SessCreate: engine ordinal (core.Engine)
+	MaxFacts  uint32 // SessCreate: per-session fact budget
+	TimeoutMS uint32 // evaluation deadline for this operation
+	Alarms    string // SessAppend: alarm text (parser.Alarms format)
+	Frontend  string // requesting frontend's node name
+	Blob      []byte // SessLoad: checkpoint bytes to install
 }
 
 // SessionReply answers one SessionJob. Every reply piggybacks the
@@ -574,6 +576,7 @@ func AppendFrame(dst []byte, seq uint64, f Frame) []byte {
 		dst = putUvarint(dst, v.Boot)
 		dst = putUvarint(dst, v.WallMicros)
 		dst = putUvarint(dst, v.LastSeq)
+		dst = putUvarint(dst, uint64(v.Port))
 	case Ack:
 		dst = append(dst, tagAck)
 		dst = putUvarint(dst, v.Seq)
@@ -671,7 +674,6 @@ func AppendFrame(dst []byte, seq uint64, f Frame) []byte {
 		dst = putUvarint(dst, uint64(v.TimeoutMS))
 		dst = putString(dst, v.Alarms)
 		dst = putString(dst, v.Frontend)
-		dst = putString(dst, v.FrontendAddr)
 		dst = putBytes(dst, v.Blob)
 	case SessionReply:
 		dst = append(dst, tagSessionReply)
@@ -877,7 +879,7 @@ func DecodeFrame(b []byte) (uint64, Frame, error) {
 	var f Frame
 	switch tag := r.Byte(); tag {
 	case tagHello:
-		f = Hello{Version: u32(r), Node: r.String(), Boot: r.Uvarint(), WallMicros: r.Uvarint(), LastSeq: r.Uvarint()}
+		f = Hello{Version: u32(r), Node: r.String(), Boot: r.Uvarint(), WallMicros: r.Uvarint(), LastSeq: r.Uvarint(), Port: u32(r)}
 	case tagAck:
 		f = Ack{Seq: r.Uvarint()}
 	case tagData:
@@ -946,7 +948,6 @@ func DecodeFrame(b []byte) (uint64, Frame, error) {
 		j.TimeoutMS = u32(r)
 		j.Alarms = r.String()
 		j.Frontend = r.String()
-		j.FrontendAddr = r.String()
 		j.Blob = blob(r)
 		f = j
 	case tagSessionReply:

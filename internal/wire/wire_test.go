@@ -27,6 +27,7 @@ func sampleFrames(t *testing.T) []Frame {
 	return []Frame{
 		Hello{Version: Version, Node: "m0", LastSeq: 41},
 		Hello{Version: Version, Node: "m1", Boot: 7, WallMicros: 1_720_000_000_000_017},
+		Hello{Version: Version, Node: "drv", Boot: 2, WallMicros: 1_720_000_000_000_018, Port: 7401},
 		Ack{Seq: 1 << 40},
 		Data{Gen: 4, From: "p1", To: "p2", Payload: Activate{Rel: "conf@p2"}},
 		Data{Gen: 4, Flow: 0xAB00_0000_0042, From: "p1", To: "p2", Payload: Activate{Rel: "conf@p2"}},
@@ -88,12 +89,12 @@ func sampleFrames(t *testing.T) []Frame {
 		},
 		SessionJob{Req: 11, Op: SessCreate, Session: "s000001-ab",
 			NetText: "place p [a b]\n", Engine: 3, MaxFacts: 1 << 20, TimeoutMS: 30000,
-			Frontend: "fe-1", FrontendAddr: "127.0.0.1:7701"},
+			Frontend: "fe-1"},
 		SessionJob{Req: 12, Op: SessAppend, Session: "s000001-ab", Index: 4,
-			Alarms: "a@p b@p", TimeoutMS: 5000, Frontend: "fe-1", FrontendAddr: "127.0.0.1:7701"},
-		SessionJob{Req: 13, Op: SessPing, Frontend: "fe-1", FrontendAddr: "127.0.0.1:7701"},
+			Alarms: "a@p b@p", TimeoutMS: 5000, Frontend: "fe-1"},
+		SessionJob{Req: 13, Op: SessPing, Frontend: "fe-1"},
 		SessionJob{Req: 14, Op: SessLoad, Session: "s000001-ab",
-			Blob: []byte{0xDE, 0xAD, 0xBE, 0xEF}, Frontend: "fe-1", FrontendAddr: "127.0.0.1:7701"},
+			Blob: []byte{0xDE, 0xAD, 0xBE, 0xEF}, Frontend: "fe-1"},
 		SessionReply{Req: 12, Op: SessAppend, Session: "s000001-ab",
 			Active: 17, Queued: 3, EWMAMicros: 1234,
 			Blob: []byte{1, 0, 2}},

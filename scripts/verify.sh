@@ -97,6 +97,15 @@ echo "== cluster trace smoke (peerd admin endpoints + merged timeline)"
 # spans from all three processes.
 go test -run '^TestClusterTraceSmoke$' -count 1 ./cmd/diagnose
 
+echo "== restart smoke (stateless peerd member, CLI checkpoint dir)"
+# A peerd member SIGKILLed idle and mid-round and restarted with nothing
+# on disk: every evaluation must match a single-process run exactly, and
+# the mid-round one must end by a retry inside its timeout. Then the CLI
+# checkpoint dir: -resume must continue the logged session byte-equal to
+# an uninterrupted run, refuse what it cannot honour untouched, and
+# report a torn tail and the replayed records on stderr.
+go test -run '^(TestPeerdKillRestore|TestDiagnoseCheckpointResume|TestDiagnoseWALResume)$' -count 1 ./cmd/diagnose
+
 echo "== checkpoint-record smoke (checkpoint in the WAL, kill -9, restart, re-query)"
 # Stream alarms into a diagnosed session until /metrics shows a
 # checkpoint record landed in the WAL, append once more past it, SIGKILL
