@@ -33,6 +33,12 @@
 // 16 appends and on drain), and a restarted server replays it: under
 // -fsync always a kill -9 loses no acknowledged append.
 //
+// With -pool the server is a frontend: sessions run on the listed peerd
+// workers, and the frontend logs their records as it logs its own — to
+// -data-dir when given (a restarted frontend re-materializes each session
+// on a worker from it), else to a private directory, removed at
+// shutdown. A frontend does not replicate.
+//
 // Every request is access-logged to stderr as structured log/slog lines
 // (method, path, session, status, duration; /healthz and /metrics polls
 // log at debug level and are hidden unless -v). Per-session evaluation
@@ -74,7 +80,7 @@ func main() {
 		sweepEvery   = flag.Duration("sweep", 30*time.Second, "TTL sweep period")
 		evalTimeout  = flag.Duration("eval-timeout", 30*time.Second, "per-append evaluation timeout")
 		drainTimeout = flag.Duration("drain-timeout", 30*time.Second, "graceful shutdown bound")
-		dataDir      = flag.String("data-dir", "", "directory for the session write-ahead log (enables restart recovery; a kill -9 loses no acknowledged append under -fsync always)")
+		dataDir      = flag.String("data-dir", "", "directory for the session write-ahead log (enables restart recovery, pooled sessions included; a kill -9 loses no acknowledged append under -fsync always)")
 		fsync        = flag.String("fsync", "always", "WAL fsync policy: always | interval | never")
 		replListen   = flag.String("replicate-listen", "", "address to stream the WAL to followers on (requires -data-dir)")
 		follow       = flag.String("follow", "", "primary replication address to follow; the server starts read-only (requires -data-dir)")
@@ -82,7 +88,7 @@ func main() {
 		replLagBound = flag.Duration("repl-lag-bound", 15*time.Second, "how stale the replication stream may go before the follower reports unhealthy")
 		poolAddrs    = flag.String("pool", "", "comma-separated peerd pool worker addresses; enables frontend mode (sessions run on workers, not in-process)")
 		poolListen   = flag.String("pool-listen", "127.0.0.1:0", "transport listen address for pool replies (frontend mode)")
-		poolPolicy   = flag.String("pool-policy", "least", "pool placement policy: least (least-loaded) | hash (consistent-hash session affinity)")
+		poolPolicy   = flag.String("pool-policy", "least", "pool placement policy: least (least-loaded, the only one)")
 		withPprof    = flag.Bool("pprof", false, "serve runtime profiles at /debug/pprof/")
 		verbose      = flag.Bool("v", false, "log /healthz and /metrics polls too")
 	)
@@ -100,12 +106,18 @@ func main() {
 	}
 	logger := slog.New(slog.NewTextHandler(os.Stderr, &slog.HandlerOptions{Level: level}))
 
-	if (*replListen != "" || *follow != "") && *dataDir == "" {
-		logger.Error("replication requires -data-dir (the WAL is what gets shipped)")
+	// A follower would evaluate a pool frontend's sessions in-process,
+	// and a read-only frontend has nothing to serve.
+	if (*replListen != "" || *follow != "") && (*dataDir == "" || *poolAddrs != "") {
+		logger.Error("replication requires -data-dir (the WAL is what gets shipped) and no -pool")
+		os.Exit(2)
+	}
+	if *poolPolicy != "least" {
+		logger.Error("bad -pool-policy (want least)", "got", *poolPolicy)
 		os.Exit(2)
 	}
 
-	srv := serve.NewServer(serve.Config{
+	cfg := serve.Config{
 		Store: serve.StoreConfig{
 			MaxSessions:  *maxSessions,
 			SessionFacts: *sessionFacts,
@@ -118,26 +130,13 @@ func main() {
 		Fsync:       policy,
 		ReadOnly:    *follow != "",
 		Logger:      logger,
-	})
-	start := time.Now()
-	srv.Metrics().Gauge("diagnosed_uptime_seconds", func() int64 {
-		return int64(time.Since(start).Seconds())
-	})
-
-	// Frontend mode: schedule sessions onto a fleet of peerd workers
-	// instead of evaluating them in-process.
-	var sessPool *pool.Pool
-	if *poolAddrs != "" {
-		var policy pool.Policy
-		switch *poolPolicy {
-		case "least":
-			policy = pool.LeastLoaded{}
-		case "hash":
-			policy = pool.ConsistentHash{}
-		default:
-			logger.Error("bad -pool-policy (want least | hash)", "got", *poolPolicy)
-			os.Exit(2)
-		}
+	}
+	var srv *serve.Server
+	if *poolAddrs == "" {
+		srv = serve.NewServer(cfg)
+	} else {
+		// Frontend mode: schedule sessions onto a fleet of peerd workers
+		// instead of evaluating them in-process.
 		var suffix [4]byte
 		rand.Read(suffix[:]) //nolint:errcheck // crypto/rand never fails here
 		tr, err := transport.ListenTCP("fe-"+hex.EncodeToString(suffix[:]), *poolListen)
@@ -145,20 +144,16 @@ func main() {
 			logger.Error("pool transport listen failed", "addr", *poolListen, "err", err)
 			os.Exit(1)
 		}
-		sessPool, err = pool.New(pool.Config{
-			Transport: tr,
-			Workers:   strings.Split(*poolAddrs, ","),
-			Policy:    policy,
-			Metrics:   srv.Metrics(),
-			Logger:    logger,
-		})
-		if err != nil {
+		if srv, err = serve.NewFrontend(cfg, pool.Config{Transport: tr, Workers: strings.Split(*poolAddrs, ",")}); err != nil {
 			logger.Error("pool setup failed", "err", err)
 			os.Exit(1)
 		}
-		srv.SetPool(sessPool)
-		logger.Info("frontend mode: pooling sessions", "workers", *poolAddrs, "policy", *poolPolicy)
+		logger.Info("frontend mode: pooling sessions", "workers", *poolAddrs)
 	}
+	start := time.Now()
+	srv.Metrics().Gauge("diagnosed_uptime_seconds", func() int64 {
+		return int64(time.Since(start).Seconds())
+	})
 
 	// Replication: ship the WAL to followers and/or follow a primary.
 	// The fencing epoch lives next to the data it fences.
@@ -280,9 +275,6 @@ func main() {
 	if err := srv.Shutdown(ctx); err != nil {
 		logger.Error("drain incomplete", "err", err)
 		os.Exit(1)
-	}
-	if sessPool != nil {
-		sessPool.Close()
 	}
 	logger.Info("drained cleanly")
 }

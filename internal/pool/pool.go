@@ -7,14 +7,15 @@
 //
 // The frontend keeps a registry of workers (health-probed via SessPing
 // frames, which a draining worker answers with SessDraining, and
-// load-sampled from every reply), a pluggable placement policy
-// (least-loaded by default, consistent-hash affinity optionally), and a
-// per-session journal: the create parameters, the last shipped
-// checkpoint, and the acknowledged appends past it. The journal is what
-// makes worker failure survivable — a session is re-materialized on a
-// healthy worker from checkpoint plus tail replay, losing nothing that
-// was acknowledged — and what makes drain cheap: ship the checkpoint,
-// load it elsewhere, truncate the tail.
+// load-sampled from every reply), places each session on the least
+// loaded one, and remembers per session only its worker and its next
+// append index. A session's durable state is the frontend's log, which
+// the pool reaches through a Log and whose records it never reads:
+// every acknowledged create, append and delete is committed to it
+// before the pool answers, and so is every checkpoint a worker ships.
+// Worker failure and drain re-materialize a session on a healthy worker
+// from its records, from its base onward, in one SessReplay job; the
+// worker applies them as the frontend's own boot replay would.
 //
 // Appends are idempotent on the wire (1-based indexes, worker-side
 // dedup), so dispatch can retry with backoff and hedge stragglers
@@ -27,7 +28,6 @@ import (
 	"fmt"
 	"io"
 	"log/slog"
-	"sort"
 	"sync"
 	"time"
 
@@ -55,10 +55,24 @@ const (
 	// failAfter is the consecutive probe failures that declare a worker
 	// dead (triggering re-materialization of its sessions).
 	failAfter = 3
-	// shipEvery refreshes a session's journal checkpoint after this many
-	// appends since the last one, bounding tail-replay cost.
-	shipEvery = 16
+	// replayTimeout bounds each append a SessReplay job re-evaluates.
+	replayTimeout = 30 * time.Second
 )
+
+// Log is the frontend's durable record of its sessions. The pool calls
+// Commit under the session's lock, so a session's records are logged in
+// the order its worker applied them.
+type Log interface {
+	// Commit records an operation the worker acknowledged, before the
+	// pool answers it: a create, an append (with its reply: a poisoning
+	// one is logged as no append, but asks for a checkpoint), a delete,
+	// or a ship, whose reply carries the checkpoint. An error fails the
+	// operation.
+	Commit(job wire.SessionJob, rep wire.SessionReply) error
+	// Records returns, in one read of the log, each named session's
+	// records from its base onward, packed for a SessReplay job.
+	Records(ids []string) map[string][]byte
+}
 
 // Config tunes a frontend pool.
 type Config struct {
@@ -68,8 +82,9 @@ type Config struct {
 	// Workers are the worker transport addresses; each doubles as the
 	// worker's node name.
 	Workers []string
-	// Policy places sessions; nil means LeastLoaded.
-	Policy Policy
+	// Log keeps the sessions' records; nil keeps none, and a session
+	// whose worker is lost is then lost with it.
+	Log Log
 	// Metrics receives the pool_* series; nil discards.
 	Metrics obs.Registry
 	// ProbeEvery is the health-probe period. 0 means 1s.
@@ -79,8 +94,8 @@ type Config struct {
 }
 
 func (c Config) withDefaults() Config {
-	if c.Policy == nil {
-		c.Policy = LeastLoaded{}
+	if c.Log == nil {
+		c.Log = nopLog{}
 	}
 	if c.Metrics == nil {
 		c.Metrics = nopRegistry{}
@@ -106,40 +121,37 @@ type Result struct {
 
 // workerState is the registry entry for one worker.
 type workerState struct {
-	name      string
-	state     string
-	fails     int // consecutive probe failures
-	load      WorkerLoad
-	migrating bool // a drain/recovery pass is already running
+	state string
+	fails int // consecutive probe failures
+	load  WorkerLoad
 }
 
-// session is the frontend journal for one pooled session: everything
-// needed to re-materialize it on another worker. Its mutex serializes
-// appends, migration and recovery for the session; the append index
-// order is the session's history, so there is exactly one writer.
+// nopLog keeps no records.
+type nopLog struct{}
+
+func (nopLog) Commit(wire.SessionJob, wire.SessionReply) error { return nil }
+func (nopLog) Records([]string) map[string][]byte              { return nil }
+
+// session is the frontend's view of one pooled session. Its mutex
+// serializes the session's operations, commits, migration and recovery;
+// the append index order is the session's history, so there is exactly
+// one writer.
 type session struct {
 	id string
 
 	mu        sync.Mutex
-	worker    string
-	netText   string
-	engine    string
-	maxFacts  int
+	worker    string // "" while on no worker: adopted, deleted, or its commit failed
 	nextIndex uint64 // index the next append will carry (acked appends + 1)
-	snapBlob  []byte // last shipped checkpoint; nil before the first ship
-	snapIndex uint64 // appends covered by snapBlob
-	tail      []string
 }
 
 // Pool is the frontend scheduler. All methods are safe for concurrent
-// use; operations on one session serialize on its journal.
+// use; operations on one session serialize on its lock.
 type Pool struct {
-	cfg    Config
-	tr     transport.Transport
-	self   string
-	policy Policy
-	m      obs.Registry
-	log    *slog.Logger
+	cfg  Config
+	tr   transport.Transport
+	self string
+	m    obs.Registry
+	log  *slog.Logger
 
 	mu       sync.Mutex
 	workers  map[string]*workerState
@@ -163,7 +175,6 @@ func New(cfg Config) (*Pool, error) {
 		cfg:      cfg,
 		tr:       cfg.Transport,
 		self:     cfg.Transport.Self(),
-		policy:   cfg.Policy,
 		m:        cfg.Metrics,
 		log:      cfg.Logger,
 		workers:  make(map[string]*workerState),
@@ -175,7 +186,7 @@ func New(cfg Config) (*Pool, error) {
 	for _, addr := range cfg.Workers {
 		// The address IS the worker's node name: peerd binds its pool
 		// transport under the advertised address, so handshakes line up.
-		p.workers[addr] = &workerState{name: addr, state: StateReady}
+		p.workers[addr] = &workerState{state: StateReady, load: WorkerLoad{Name: addr}}
 		p.tr.AddRoute(addr, addr)
 	}
 	if err := p.tr.Start(p.handle); err != nil {
@@ -330,8 +341,8 @@ func (p *Pool) hedgeDelay(worker string, deadline time.Duration) time.Duration {
 
 // ---- placement ----
 
-// place picks a ready worker for the session, excluding tried ones.
-func (p *Pool) place(sessionID string, tried map[string]bool) (string, bool) {
+// place picks the least-loaded ready worker, excluding tried ones.
+func (p *Pool) place(tried map[string]bool) (string, bool) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	candidates := make([]WorkerLoad, 0, len(p.workers))
@@ -339,18 +350,12 @@ func (p *Pool) place(sessionID string, tried map[string]bool) (string, bool) {
 		if w.state != StateReady || tried[name] {
 			continue
 		}
-		candidates = append(candidates, w.load.withName(name))
+		candidates = append(candidates, w.load)
 	}
 	if len(candidates) == 0 {
 		return "", false
 	}
-	sort.Slice(candidates, func(i, j int) bool { return candidates[i].Name < candidates[j].Name })
-	return p.policy.Pick(sessionID, candidates), true
-}
-
-func (l WorkerLoad) withName(name string) WorkerLoad {
-	l.Name = name
-	return l
+	return leastLoaded(candidates), true
 }
 
 func (p *Pool) newID() string {
@@ -372,9 +377,6 @@ func notFoundResult() Result {
 }
 
 func saturatedResult(msg string) Result {
-	if msg == "" {
-		msg = "pool: all workers saturated or unavailable"
-	}
 	return Result{Code: wire.SessSaturated, Err: msg, RetryAfterMS: 1000}
 }
 
@@ -382,16 +384,16 @@ func fromReply(rep wire.SessionReply) Result {
 	return Result{Code: rep.Code, Err: rep.Err, RetryAfterMS: rep.RetryAfterMS, Body: rep.Blob}
 }
 
-// Create places a new session on a worker and journals it.
+// Create places a new session on a worker and commits it to the log.
 func (p *Pool) Create(netText, engine string, maxFacts int, evalTimeout time.Duration) Result {
 	id := p.newID()
 	job := wire.SessionJob{Op: wire.SessCreate, Session: id, NetText: netText,
-		Engine: engineOrdinal(engine), MaxFacts: uint32(maxFacts)}
+		Engine: engine, MaxFacts: uint32(maxFacts)}
 	tried := make(map[string]bool)
 	for {
-		worker, ok := p.place(id, tried)
+		worker, ok := p.place(tried)
 		if !ok {
-			return saturatedResult("")
+			return saturatedResult("pool: all workers saturated or unavailable")
 		}
 		rep, err := p.call(worker, job, evalTimeout)
 		if err != nil {
@@ -400,10 +402,14 @@ func (p *Pool) Create(netText, engine string, maxFacts int, evalTimeout time.Dur
 		}
 		switch rep.Code {
 		case wire.SessOK:
-			s := &session{id: id, worker: worker, netText: netText,
-				engine: engine, maxFacts: maxFacts, nextIndex: 1}
+			if err := p.cfg.Log.Commit(job, rep); err != nil {
+				// Best effort: the worker's copy would otherwise wait for its
+				// TTL. The client reads 503, as for other transient failures.
+				p.call(worker, wire.SessionJob{Op: wire.SessDelete, Session: id}, evalTimeout) //nolint:errcheck
+				return Result{Code: wire.SessRetry, Err: err.Error()}
+			}
 			p.mu.Lock()
-			p.sessions[id] = s
+			p.sessions[id] = &session{id: id, worker: worker, nextIndex: 1}
 			p.mu.Unlock()
 			return fromReply(rep)
 		case wire.SessSaturated, wire.SessDraining:
@@ -420,11 +426,19 @@ func (p *Pool) session(id string) *session {
 	return p.sessions[id]
 }
 
-// Append ships one append to the session's worker. The journal records
-// it only after the worker acknowledged — the HTTP 200 implies the
-// append survives any later worker failure. A worker that stopped
-// answering (or lost the session) triggers re-materialization on a
-// healthy worker, then one more attempt.
+// Adopt registers a session the frontend's log holds, on no worker: it
+// is re-materialized on one before it next answers. appends is how many
+// appends its records cover, where its append numbering resumes. A
+// restarted frontend adopts its log's sessions.
+func (p *Pool) Adopt(id string, appends uint64) {
+	p.mu.Lock()
+	p.sessions[id] = &session{id: id, nextIndex: appends + 1}
+	p.mu.Unlock()
+}
+
+// Append ships one append to the session's worker and commits the reply
+// before answering: an HTTP 200 implies the append is in the log, so it
+// survives any later worker failure.
 func (p *Pool) Append(id, alarms string, evalTimeout time.Duration) Result {
 	s := p.session(id)
 	if s == nil {
@@ -433,28 +447,20 @@ func (p *Pool) Append(id, alarms string, evalTimeout time.Duration) Result {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	job := wire.SessionJob{Op: wire.SessAppend, Session: id, Index: s.nextIndex, Alarms: alarms}
-	for attempt := 0; attempt < 2; attempt++ {
-		worker := s.worker
-		rep, err := p.call(worker, job, evalTimeout)
-		if err != nil || rep.Code == wire.SessNotFound || rep.Code == wire.SessOutOfSync {
-			// The worker is gone, restarted empty, or diverged: bring the
-			// session up elsewhere from checkpoint + tail and try again.
-			if rerr := p.rematerializeLocked(s, worker); rerr != nil {
-				return saturatedResult(rerr.Error())
-			}
-			continue
-		}
-		if rep.Code != wire.SessOK {
-			return fromReply(rep)
-		}
-		s.tail = append(s.tail, alarms)
-		s.nextIndex++
-		if len(s.tail) >= shipEvery {
-			go p.refreshCheckpoint(id)
-		}
-		return fromReply(rep)
+	rep, err := p.callLocked(s, job, evalTimeout)
+	if err != nil {
+		return saturatedResult(err.Error())
 	}
-	return saturatedResult("")
+	if err := p.cfg.Log.Commit(job, rep); err != nil {
+		// The worker holds an append the log lacks: rebuild the session
+		// from the log before it next answers.
+		s.worker = ""
+		return Result{Code: wire.SessRetry, Err: err.Error()}
+	}
+	if rep.Code == wire.SessOK {
+		s.nextIndex++
+	}
+	return fromReply(rep)
 }
 
 // Get reads the session state from its worker (the worker is
@@ -466,120 +472,104 @@ func (p *Pool) Get(id string, evalTimeout time.Duration) Result {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	job := wire.SessionJob{Op: wire.SessGet, Session: id}
-	for attempt := 0; attempt < 2; attempt++ {
-		rep, err := p.call(s.worker, job, evalTimeout)
-		if err != nil || rep.Code == wire.SessNotFound {
-			if rerr := p.rematerializeLocked(s, s.worker); rerr != nil {
-				return saturatedResult(rerr.Error())
-			}
-			continue
-		}
-		return fromReply(rep)
+	rep, err := p.callLocked(s, wire.SessionJob{Op: wire.SessGet, Session: id}, evalTimeout)
+	if err != nil {
+		return saturatedResult(err.Error())
 	}
-	return saturatedResult("")
+	return fromReply(rep)
 }
 
-// Delete removes the session from its worker (best effort — the journal
-// entry goes regardless, so the pool never resurrects it).
+// callLocked sends job to the worker of s (locked by the caller). A
+// session on no worker, or whose worker stopped answering, lost it or
+// diverged, is re-materialized on a healthy worker and tried once more.
+func (p *Pool) callLocked(s *session, job wire.SessionJob, evalTimeout time.Duration) (wire.SessionReply, error) {
+	for attempt := 0; attempt < 2; attempt++ {
+		if s.worker != "" {
+			rep, err := p.call(s.worker, job, evalTimeout)
+			if err == nil && rep.Code != wire.SessNotFound && rep.Code != wire.SessOutOfSync {
+				return rep, nil
+			}
+		}
+		if err := p.rematerializeLocked(s, nil); err != nil {
+			return wire.SessionReply{}, err
+		}
+	}
+	return wire.SessionReply{}, fmt.Errorf("pool: session %s: no worker answers", s.id)
+}
+
+// Delete removes the session from its worker (best effort: a worker
+// that does not answer drops its copy with its TTL) and commits the
+// delete, after which the pool never resurrects it.
 func (p *Pool) Delete(id string, evalTimeout time.Duration) Result {
 	s := p.session(id)
 	if s == nil {
 		return notFoundResult()
 	}
 	s.mu.Lock()
-	worker := s.worker
-	s.mu.Unlock()
+	defer s.mu.Unlock()
+	job := wire.SessionJob{Op: wire.SessDelete, Session: id}
+	if s.worker != "" {
+		p.call(s.worker, job, evalTimeout) //nolint:errcheck // best effort, see above
+	}
+	if err := p.cfg.Log.Commit(job, wire.SessionReply{}); err != nil {
+		return Result{Code: wire.SessRetry, Err: err.Error()}
+	}
+	s.worker = "" // a pass that listed it before now skips it
 	p.mu.Lock()
 	delete(p.sessions, id)
 	p.mu.Unlock()
-	rep, err := p.call(worker, wire.SessionJob{Op: wire.SessDelete, Session: id}, evalTimeout)
-	if err != nil {
-		// The worker will rediscover the deletion when it dies or the
-		// session TTLs out; acknowledge the delete anyway.
-		return Result{Code: wire.SessOK}
-	}
-	if rep.Code == wire.SessNotFound {
-		return Result{Code: wire.SessOK}
-	}
-	return fromReply(rep)
+	return Result{Code: wire.SessOK}
 }
 
-// refreshCheckpoint ships the session's current checkpoint into the
-// journal. On failure the tail keeps covering; the next append tries
-// again.
-func (p *Pool) refreshCheckpoint(id string) {
+// Checkpoint ships the session's state from its worker and commits it,
+// which makes it the session's new base in the log. A session on no
+// worker has nothing to ship.
+func (p *Pool) Checkpoint(id string) error {
 	s := p.session(id)
 	if s == nil {
-		return
+		return nil
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	p.shipLocked(s, s.worker)
-}
-
-// shipLocked asks the worker for s's checkpoint and makes it the base of
-// the journal (locked by the caller), truncating the tail it covers.
-// Reports success.
-func (p *Pool) shipLocked(s *session, worker string) bool {
-	rep, err := p.call(worker, wire.SessionJob{Op: wire.SessShip, Session: s.id}, 10*time.Second)
-	if err != nil || rep.Code != wire.SessOK || rep.Index < s.snapIndex || rep.Index > s.snapIndex+uint64(len(s.tail)) {
-		return false
+	if s.worker == "" {
+		return nil
 	}
-	s.tail = append([]string(nil), s.tail[rep.Index-s.snapIndex:]...)
-	s.snapBlob, s.snapIndex = rep.Blob, rep.Index
-	p.m.Add("pool_checkpoints_total", 1)
-	return true
+	job := wire.SessionJob{Op: wire.SessShip, Session: id}
+	rep, err := p.call(s.worker, job, 10*time.Second)
+	if err == nil && rep.Code != wire.SessOK {
+		err = fmt.Errorf("pool: ship %s: %s", id, rep.Err)
+	}
+	if err != nil {
+		return err
+	}
+	return p.cfg.Log.Commit(job, rep)
 }
 
-// rematerializeLocked brings s (journal-locked by the caller) up on a
-// healthy worker: install the last checkpoint (or re-create from the
-// net), then replay the acknowledged tail with its original indexes.
-// This is the snapshot+WAL story of the serving layer, with the journal
-// as the log.
-func (p *Pool) rematerializeLocked(s *session, exclude string) error {
-	tried := map[string]bool{exclude: true, s.worker: true}
+// rematerializeLocked brings s (locked by the caller) up on a healthy
+// worker other than its own: one SessReplay job carries its records
+// (read from the log when nil) and the appends they cover, so the
+// worker rebuilds it as the frontend's own boot replay would.
+func (p *Pool) rematerializeLocked(s *session, records []byte) error {
+	if records == nil {
+		if records = p.cfg.Log.Records([]string{s.id})[s.id]; records == nil {
+			return fmt.Errorf("pool: no records of session %s", s.id)
+		}
+	}
+	job := wire.SessionJob{Op: wire.SessReplay, Session: s.id, Index: s.nextIndex - 1, Blob: records}
+	tried := map[string]bool{s.worker: true}
 	for {
-		worker, ok := p.place(s.id, tried)
+		worker, ok := p.place(tried)
 		if !ok {
 			return fmt.Errorf("pool: no healthy worker to re-materialize session %s", s.id)
 		}
-		if p.installLocked(s, worker) {
-			p.log.Info("pool: session re-materialized", "session", s.id, "from", s.worker, "to", worker, "replayed", len(s.tail))
+		if rep, err := p.call(worker, job, replayTimeout); err == nil && rep.Code == wire.SessOK {
+			p.log.Info("pool: session re-materialized", "session", s.id, "from", s.worker, "to", worker, "appends", job.Index)
 			s.worker = worker
 			p.m.Add("pool_migrations_total", 1)
 			return nil
 		}
 		tried[worker] = true
 	}
-}
-
-// installLocked installs s on the worker: checkpoint load or re-create,
-// plus tail replay. Reports success.
-func (p *Pool) installLocked(s *session, worker string) bool {
-	if s.snapBlob != nil {
-		rep, err := p.call(worker, wire.SessionJob{Op: wire.SessLoad, Session: s.id, Index: s.snapIndex, Blob: s.snapBlob}, 10*time.Second)
-		if err != nil || rep.Code != wire.SessOK {
-			return false
-		}
-	} else {
-		rep, err := p.call(worker, wire.SessionJob{Op: wire.SessCreate, Session: s.id,
-			NetText: s.netText, Engine: engineOrdinal(s.engine), MaxFacts: uint32(s.maxFacts)}, 10*time.Second)
-		if err != nil || rep.Code != wire.SessOK {
-			return false
-		}
-	}
-	for i, alarms := range s.tail {
-		idx := s.snapIndex + 1 + uint64(i)
-		rep, err := p.call(worker, wire.SessionJob{Op: wire.SessAppend, Session: s.id,
-			Index: idx, Alarms: alarms}, 30*time.Second)
-		// An exhausted reply reproduces the poisoned state faithfully;
-		// anything else unanswered or diverging disqualifies the worker.
-		if err != nil || (rep.Code != wire.SessOK && rep.Code != wire.SessExhausted) {
-			return false
-		}
-	}
-	return true
 }
 
 // ---- worker lifecycle ----
@@ -611,16 +601,15 @@ func (p *Pool) noteFailure(worker string) {
 	var evict bool
 	if w != nil && w.state != StateDead {
 		w.fails++
-		if w.fails >= failAfter && !w.migrating {
+		if w.fails >= failAfter {
 			w.state = StateDead
-			w.migrating = true
 			evict = true
 		}
 	}
 	p.mu.Unlock()
 	if evict {
 		p.log.Warn("pool: worker dead, re-homing its sessions", "worker", worker)
-		go p.recoverSessions(worker)
+		go p.rehome(worker, false)
 	}
 }
 
@@ -674,25 +663,21 @@ func (p *Pool) probeOnce() {
 func (p *Pool) markDraining(name string) {
 	p.mu.Lock()
 	w := p.workers[name]
-	var migrate bool
-	if w != nil && w.state == StateReady {
+	migrate := w != nil && w.state == StateReady
+	if migrate {
 		w.state = StateDraining
 		w.fails = 0 // draining is cooperative, not a failure
-		if !w.migrating {
-			w.migrating = true
-			migrate = true
-		}
 	}
 	p.mu.Unlock()
 	if migrate {
 		p.log.Info("pool: worker draining, migrating its sessions", "worker", name)
-		go p.migrateSessions(name)
+		go p.rehome(name, true)
 	}
 }
 
-// sessionList lists every session in the journal. Callers filter by
-// worker under each session's own lock: a placement may move between
-// this listing and their pass over it.
+// sessionList lists every session. Callers filter by worker under each
+// session's own lock: a placement may move between this listing and
+// their pass over it.
 func (p *Pool) sessionList() []*session {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -703,56 +688,41 @@ func (p *Pool) sessionList() []*session {
 	return out
 }
 
-// migrateSessions moves every session off a draining worker by
-// checkpoint: ship it from the drainer (which still serves) into the
-// journal, then re-materialize it from there on a ready worker.
-func (p *Pool) migrateSessions(worker string) {
-	defer p.clearMigrating(worker)
-	for _, s := range p.sessionList() {
-		s.mu.Lock()
-		if s.worker != worker {
-			s.mu.Unlock()
-			continue
-		}
-		p.migrateLocked(s, worker)
-		s.mu.Unlock()
-	}
-}
-
-func (p *Pool) migrateLocked(s *session, from string) {
-	// A drainer that died mid-drain (or shipped garbage) leaves the
-	// journal's older checkpoint and tail, which still work.
-	shipped := p.shipLocked(s, from)
-	if err := p.rematerializeLocked(s, from); err != nil {
-		p.log.Warn("pool: migration failed", "session", s.id, "err", err)
-		return
-	}
-	if shipped {
-		// Best effort: free the drainer's copy so its drain finishes.
-		p.call(from, wire.SessionJob{Op: wire.SessDelete, Session: s.id}, 5*time.Second) //nolint:errcheck
-	}
-}
-
-// recoverSessions re-materializes every session homed on a dead worker.
-func (p *Pool) recoverSessions(worker string) {
-	defer p.clearMigrating(worker)
+// rehome moves every session homed on worker to a healthy one, from
+// its records in the log, read once for the pass. A session that took
+// an append since (its index moved) reads its own records again. A
+// drained worker, still answering, then drops its copies.
+//
+// A session is moved under its own lock, so passes that overlap (a
+// drainer dying mid-drain) move each session once.
+func (p *Pool) rehome(worker string, drain bool) {
+	homed := make(map[*session]uint64)
+	var ids []string
 	for _, s := range p.sessionList() {
 		s.mu.Lock()
 		if s.worker == worker {
-			if err := p.rematerializeLocked(s, worker); err != nil {
+			homed[s] = s.nextIndex
+			ids = append(ids, s.id)
+		}
+		s.mu.Unlock()
+	}
+	records := p.cfg.Log.Records(ids)
+	for s, next := range homed {
+		s.mu.Lock()
+		if s.worker == worker {
+			recs := records[s.id]
+			if s.nextIndex != next {
+				recs = nil
+			}
+			if err := p.rematerializeLocked(s, recs); err != nil {
 				p.log.Warn("pool: session lost until a worker recovers", "session", s.id, "err", err)
+			} else if drain {
+				// Best effort: free the drainer's copy so its drain finishes.
+				p.call(worker, wire.SessionJob{Op: wire.SessDelete, Session: s.id}, 5*time.Second) //nolint:errcheck
 			}
 		}
 		s.mu.Unlock()
 	}
-}
-
-func (p *Pool) clearMigrating(worker string) {
-	p.mu.Lock()
-	if w := p.workers[worker]; w != nil {
-		w.migrating = false
-	}
-	p.mu.Unlock()
 }
 
 // updateGauges refreshes the pool_* gauge series.
@@ -769,7 +739,9 @@ func (p *Pool) updateGauges() {
 	for _, s := range p.sessions {
 		// s.worker is read without its lock: a stale value skews a gauge
 		// for one probe period, nothing more.
-		perWorker[s.worker]++
+		if s.worker != "" {
+			perWorker[s.worker]++
+		}
 	}
 	p.mu.Unlock()
 	for state, n := range states {

@@ -2,6 +2,7 @@ package pool
 
 import (
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -17,9 +18,8 @@ import (
 // spread between the fullest and emptiest worker at most one.
 func TestLeastLoadedBalanceBound(t *testing.T) {
 	workers := []WorkerLoad{{Name: "w1"}, {Name: "w2"}, {Name: "w3"}}
-	var p LeastLoaded
 	for i := 0; i < 300; i++ {
-		pick := p.Pick(fmt.Sprintf("s%d", i), workers)
+		pick := leastLoaded(workers)
 		found := false
 		for j := range workers {
 			if workers[j].Name == pick {
@@ -48,73 +48,12 @@ func TestLeastLoadedBalanceBound(t *testing.T) {
 // TestLeastLoadedCountsQueue: a worker with a deep queue loses to an
 // idle one even when it holds fewer sessions.
 func TestLeastLoadedCountsQueue(t *testing.T) {
-	got := LeastLoaded{}.Pick("s", []WorkerLoad{
+	got := leastLoaded([]WorkerLoad{
 		{Name: "a", Active: 1, Queued: 10},
 		{Name: "b", Active: 3, Queued: 0},
 	})
 	if got != "b" {
 		t.Fatalf("picked %q, want the shallow-queue worker", got)
-	}
-}
-
-// TestConsistentHashAffinity: the ring is a pure function of session and
-// candidate set, and removing one worker only moves the sessions that
-// hashed to it — everyone else's placement is stable.
-func TestConsistentHashAffinity(t *testing.T) {
-	full := []WorkerLoad{{Name: "w1"}, {Name: "w2"}, {Name: "w3"}, {Name: "w4"}, {Name: "w5"}}
-	var without []WorkerLoad
-	for _, w := range full {
-		if w.Name != "w3" {
-			without = append(without, w)
-		}
-	}
-	var p ConsistentHash
-	moved, onRemoved := 0, 0
-	for i := 0; i < 500; i++ {
-		id := fmt.Sprintf("session-%d", i)
-		first := p.Pick(id, full)
-		if again := p.Pick(id, full); again != first {
-			t.Fatalf("%s: unstable pick %q then %q on identical candidates", id, first, again)
-		}
-		second := p.Pick(id, without)
-		if first == "w3" {
-			onRemoved++
-			if second == "w3" {
-				t.Fatalf("%s: picked the removed worker", id)
-			}
-			continue
-		}
-		if second != first {
-			moved++
-		}
-	}
-	if onRemoved == 0 {
-		t.Fatal("no session ever hashed to w3; ring is degenerate")
-	}
-	if moved != 0 {
-		t.Fatalf("%d sessions moved that were not on the removed worker", moved)
-	}
-}
-
-// TestConsistentHashSpread: with the default 64 virtual nodes no worker
-// captures a grossly lopsided share. FNV and the vnode keys are fixed,
-// so this is deterministic, not flaky.
-func TestConsistentHashSpread(t *testing.T) {
-	candidates := []WorkerLoad{{Name: "w1"}, {Name: "w2"}, {Name: "w3"}, {Name: "w4"}, {Name: "w5"}}
-	counts := make(map[string]int)
-	var p ConsistentHash
-	const n = 1000
-	for i := 0; i < n; i++ {
-		counts[p.Pick(fmt.Sprintf("session-%d", i), candidates)]++
-	}
-	for _, c := range candidates {
-		got := counts[c.Name]
-		if got == 0 {
-			t.Fatalf("worker %s never picked: %v", c.Name, counts)
-		}
-		if got > n/2 {
-			t.Fatalf("worker %s captured %d of %d sessions: %v", c.Name, got, n, counts)
-		}
 	}
 }
 
@@ -127,11 +66,11 @@ type fakeBackend struct {
 	creates int
 	appends map[string]int
 	live    map[string]bool
-	loaded  map[string]string // checkpoint bytes each Load received
+	replays map[string][]string // records each Replay received
 }
 
 func newFakeBackend() *fakeBackend {
-	return &fakeBackend{appends: make(map[string]int), live: make(map[string]bool), loaded: make(map[string]string)}
+	return &fakeBackend{appends: make(map[string]int), live: make(map[string]bool), replays: make(map[string][]string)}
 }
 
 func (b *fakeBackend) Create(id, netText, engine string, maxFacts int) ([]byte, error) {
@@ -154,10 +93,11 @@ func (b *fakeBackend) Delete(id string) error          { return nil }
 func (b *fakeBackend) Ship(id string) ([]byte, error)  { return []byte("cp:" + id), nil }
 func (b *fakeBackend) Classify(error) (uint32, uint32) { return wire.SessRetry, 0 }
 func (b *fakeBackend) Active() int                     { b.mu.Lock(); defer b.mu.Unlock(); return len(b.live) }
-func (b *fakeBackend) Load(id string, checkpoint []byte) error {
+func (b *fakeBackend) Replay(id string, records []byte, timeout time.Duration) error {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	b.loaded[id] = string(checkpoint)
+	b.replays[id] = append(b.replays[id], string(records))
+	b.live[id] = true
 	return nil
 }
 func (b *fakeBackend) appendEvals(id string) int {
@@ -255,23 +195,22 @@ func TestWorkerAppendDedup(t *testing.T) {
 	if rep := roundTrip(wire.SessionJob{Op: wire.SessAppend, Session: "ghost", Index: 1}); rep.Code != wire.SessNotFound {
 		t.Fatalf("ghost append: code %d, want SessNotFound", rep.Code)
 	}
-	// A load installs the shipped applied-index so dedup resumes there.
-	if rep := roundTrip(wire.SessionJob{Op: wire.SessLoad, Session: "s2", Index: 7, Blob: []byte("cp")}); rep.Code != wire.SessOK {
-		t.Fatalf("load: code %d err %q", rep.Code, rep.Err)
+	// A replay installs the appends its records cover so dedup resumes there.
+	if rep := roundTrip(wire.SessionJob{Op: wire.SessReplay, Session: "s2", Index: 7, Blob: []byte("records")}); rep.Code != wire.SessOK {
+		t.Fatalf("replay: code %d err %q", rep.Code, rep.Err)
 	}
 	if rep := roundTrip(wire.SessionJob{Op: wire.SessAppend, Session: "s2", Index: 9}); rep.Code != wire.SessOutOfSync {
-		t.Fatalf("post-load gap: code %d, want SessOutOfSync", rep.Code)
+		t.Fatalf("post-replay gap: code %d, want SessOutOfSync", rep.Code)
 	}
 	if rep := roundTrip(wire.SessionJob{Op: wire.SessAppend, Session: "s2", Index: 8}); rep.Code != wire.SessOK {
-		t.Fatalf("post-load append: code %d", rep.Code)
+		t.Fatalf("post-replay append: code %d", rep.Code)
 	}
 }
 
-// TestWorkerShipLoadIndex: a ship reply carries the applied-append index
-// beside the bare checkpoint bytes, and a load that sends both back
-// resumes dedup exactly there on another worker — the drain migration
-// path.
-func TestWorkerShipLoadIndex(t *testing.T) {
+// TestWorkerReplayIndex: a ship reply carries the bare checkpoint, and
+// a replay job carrying a session's records and the appends they cover
+// resumes dedup exactly there on another worker — the migration path.
+func TestWorkerReplayIndex(t *testing.T) {
 	backend := newFakeBackend()
 	call := workerRig(t, backend, "w1", "w2")
 	if rep := call("w1", wire.SessionJob{Op: wire.SessCreate, Session: "s1"}); rep.Code != wire.SessOK {
@@ -283,27 +222,125 @@ func TestWorkerShipLoadIndex(t *testing.T) {
 		}
 	}
 	ship := call("w1", wire.SessionJob{Op: wire.SessShip, Session: "s1"})
-	if ship.Code != wire.SessOK || ship.Index != 3 || string(ship.Blob) != "cp:s1" {
-		t.Fatalf("ship: code %d index %d blob %q, want index 3 and the bare checkpoint", ship.Code, ship.Index, ship.Blob)
+	if ship.Code != wire.SessOK || string(ship.Blob) != "cp:s1" {
+		t.Fatalf("ship: code %d blob %q, want the bare checkpoint", ship.Code, ship.Blob)
 	}
 
-	if rep := call("w2", wire.SessionJob{Op: wire.SessLoad, Session: "s1", Index: ship.Index, Blob: ship.Blob}); rep.Code != wire.SessOK {
-		t.Fatalf("load: code %d err %q", rep.Code, rep.Err)
+	if rep := call("w2", wire.SessionJob{Op: wire.SessReplay, Session: "s1", Index: 3, Blob: []byte("records:s1")}); rep.Code != wire.SessOK {
+		t.Fatalf("replay: code %d err %q", rep.Code, rep.Err)
 	}
 	backend.mu.Lock()
-	loaded := backend.loaded["s1"]
+	replayed := backend.replays["s1"]
 	backend.mu.Unlock()
-	if loaded != "cp:s1" {
-		t.Fatalf("backend loaded %q, want the shipped checkpoint", loaded)
+	if len(replayed) != 1 || replayed[0] != "records:s1" {
+		t.Fatalf("backend replayed %q, want the shipped records once", replayed)
 	}
 	evals := backend.appendEvals("s1")
 	if rep := call("w2", wire.SessionJob{Op: wire.SessAppend, Session: "s1", Index: 3}); rep.Code != wire.SessOK || backend.appendEvals("s1") != evals {
-		t.Fatalf("append 3 after load: code %d, %d evaluations (want a dedup, %d)", rep.Code, backend.appendEvals("s1"), evals)
+		t.Fatalf("append 3 after replay: code %d, %d evaluations (want a dedup, %d)", rep.Code, backend.appendEvals("s1"), evals)
 	}
 	if rep := call("w2", wire.SessionJob{Op: wire.SessAppend, Session: "s1", Index: 5}); rep.Code != wire.SessOutOfSync {
-		t.Fatalf("append 5 after load: code %d, want SessOutOfSync", rep.Code)
+		t.Fatalf("append 5 after replay: code %d, want SessOutOfSync", rep.Code)
 	}
 	if rep := call("w2", wire.SessionJob{Op: wire.SessAppend, Session: "s1", Index: 4}); rep.Code != wire.SessOK || backend.appendEvals("s1") != evals+1 {
-		t.Fatalf("append 4 after load: code %d, %d evaluations, want %d", rep.Code, backend.appendEvals("s1"), evals+1)
+		t.Fatalf("append 4 after replay: code %d, %d evaluations, want %d", rep.Code, backend.appendEvals("s1"), evals+1)
+	}
+}
+
+// memLog is a Log over an in-memory record list: each record names its
+// op, and a ship record is a session's new base.
+type memLog struct {
+	mu      sync.Mutex
+	records map[string][]string
+	reads   int
+}
+
+func (l *memLog) Commit(job wire.SessionJob, rep wire.SessionReply) error {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	switch {
+	case job.Op == wire.SessShip:
+		l.records[job.Session] = []string{"checkpoint:" + string(rep.Blob)}
+	case job.Op == wire.SessCreate || job.Op == wire.SessAppend && rep.Code == wire.SessOK:
+		l.records[job.Session] = append(l.records[job.Session], fmt.Sprintf("op%d:%s", job.Op, job.Alarms))
+	case job.Op == wire.SessDelete:
+		delete(l.records, job.Session)
+	}
+	return nil
+}
+
+func (l *memLog) Records(ids []string) map[string][]byte {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	l.reads++
+	out := make(map[string][]byte)
+	for _, id := range ids {
+		out[id] = []byte(strings.Join(l.records[id], "|"))
+	}
+	return out
+}
+
+// TestRematerializeIsOneJob: a session whose worker dies after k appends
+// past its checkpoint comes back on another worker from one replay job
+// carrying the checkpoint and the k appends, with its append index intact
+// — not from a create or load plus k append round trips.
+func TestRematerializeIsOneJob(t *testing.T) {
+	mesh := transport.NewMesh()
+	backends := map[string]*fakeBackend{"w1": newFakeBackend(), "w2": newFakeBackend()}
+	for _, name := range []string{"w1", "w2"} {
+		w := NewWorker(WorkerConfig{Transport: mesh.Node(name), Backend: backends[name]})
+		if err := w.Start(); err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(w.Close)
+	}
+	log := &memLog{records: make(map[string][]string)}
+	p, err := New(Config{Transport: mesh.Node("fe"), Workers: []string{"w1", "w2"}, Log: log, ProbeEvery: time.Hour})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(p.Close)
+
+	res := p.Create("net", "dqsq", 0, time.Second)
+	if res.Code != wire.SessOK {
+		t.Fatalf("create: code %d err %q", res.Code, res.Err)
+	}
+	id := strings.TrimPrefix(string(res.Body), "created:")
+	appendOK := func(alarms string) {
+		t.Helper()
+		if res := p.Append(id, alarms, time.Second); res.Code != wire.SessOK {
+			t.Fatalf("append %s: code %d err %q", alarms, res.Code, res.Err)
+		}
+	}
+	for _, a := range []string{"a1", "a2", "a3"} {
+		appendOK(a)
+	}
+	if err := p.Checkpoint(id); err != nil {
+		t.Fatal(err)
+	}
+	const k = 4
+	for i := 1; i <= k; i++ {
+		appendOK(fmt.Sprintf("b%d", i))
+	}
+	home, _ := p.SessionWorker(id)
+	other := map[string]string{"w1": "w2", "w2": "w1"}[home]
+	mesh.Node(home).Close() //nolint:errcheck // the kill under test
+
+	appendOK("c1")
+	if now, _ := p.SessionWorker(id); now != other {
+		t.Fatalf("session on %q after the kill, want %q", now, other)
+	}
+	b := backends[other]
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	want := "checkpoint:cp:" + id + "|op2:b1|op2:b2|op2:b3|op2:b4"
+	if got := b.replays[id]; len(got) != 1 || got[0] != want {
+		t.Fatalf("replays on %s: %q, want one carrying %q", other, got, want)
+	}
+	if b.creates != 0 || b.appends[id] != 1 {
+		t.Fatalf("%s evaluated %d creates and %d appends, want 0 and only the new one", other, b.creates, b.appends[id])
+	}
+	if log.reads != 1 {
+		t.Fatalf("log read %d times, want 1", log.reads)
 	}
 }

@@ -1,10 +1,6 @@
 package pool
 
-import (
-	"hash/fnv"
-	"sort"
-	"strings"
-)
+import "hash/fnv"
 
 // WorkerLoad is the scheduler's view of one placeable worker: the load
 // sample piggybacked on its last reply or probe.
@@ -15,24 +11,11 @@ type WorkerLoad struct {
 	EWMAMicros uint64 // EWMA append latency
 }
 
-// Policy picks a worker for a session. Implementations must be pure
-// functions of their arguments (plus immutable configuration): the pool
-// calls them under its lock.
-type Policy interface {
-	// Pick chooses one of the candidates for the session. Candidates are
-	// the ready workers not yet tried for this placement; the slice is
-	// never empty.
-	Pick(session string, candidates []WorkerLoad) string
-}
-
-// LeastLoaded places each session on the worker with the fewest
-// sessions plus queued jobs, breaking ties by name so placement is
-// deterministic under equal load. It is the default policy: simple,
-// and self-correcting as load reports flow back on every reply.
-type LeastLoaded struct{}
-
-// Pick implements Policy.
-func (LeastLoaded) Pick(session string, candidates []WorkerLoad) string {
+// leastLoaded picks the candidate with the fewest sessions plus queued
+// jobs, breaking ties by name so placement is deterministic under equal
+// load: simple, and self-correcting as load reports flow back on every
+// reply. Candidates are never empty.
+func leastLoaded(candidates []WorkerLoad) string {
 	best := candidates[0]
 	for _, c := range candidates[1:] {
 		bl, cl := best.Active+best.Queued, c.Active+c.Queued
@@ -43,58 +26,9 @@ func (LeastLoaded) Pick(session string, candidates []WorkerLoad) string {
 	return best.Name
 }
 
-// ConsistentHash places each session by its position on a hash ring of
-// worker virtual nodes, so a session's placement is stable across
-// probes and re-placements (its warm dQSQ state stays put) and adding
-// or removing one worker only moves the sessions that hashed to it.
-type ConsistentHash struct {
-	// Replicas is the virtual nodes per worker; 0 means 64.
-	Replicas int
-}
-
-// Pick implements Policy: the first candidate clockwise from the
-// session's hash. The ring is rebuilt per call from the candidate set —
-// candidate sets are small (a pool is a handful of workers) and change
-// as workers drain or die, so caching would buy complexity, not time.
-func (c ConsistentHash) Pick(session string, candidates []WorkerLoad) string {
-	replicas := c.Replicas
-	if replicas == 0 {
-		replicas = 64
-	}
-	type vnode struct {
-		hash uint64
-		name string
-	}
-	ring := make([]vnode, 0, len(candidates)*replicas)
-	var b strings.Builder
-	for _, cand := range candidates {
-		for i := 0; i < replicas; i++ {
-			b.Reset()
-			b.WriteString(cand.Name)
-			b.WriteByte('#')
-			b.WriteByte(byte('0' + i%10))
-			b.WriteByte(byte('0' + (i/10)%10))
-			ring = append(ring, vnode{hash: hash64(b.String()), name: cand.Name})
-		}
-	}
-	sort.Slice(ring, func(i, j int) bool {
-		if ring[i].hash != ring[j].hash {
-			return ring[i].hash < ring[j].hash
-		}
-		return ring[i].name < ring[j].name
-	})
-	h := hash64(session)
-	i := sort.Search(len(ring), func(i int) bool { return ring[i].hash >= h })
-	if i == len(ring) {
-		i = 0
-	}
-	return ring[i].name
-}
-
-// hash64 is FNV-1a with a murmur-style finalizer. Plain FNV leaves
-// near-identical strings (sequential session IDs, vnode keys) with
-// near-identical hashes — fatal for a hash ring, where closeness in
-// hash space is closeness on the ring. The avalanche pass spreads them.
+// hash64 is FNV-1a with a murmur-style finalizer, which spreads
+// near-identical strings (sequential session IDs) across executor
+// shards.
 func hash64(s string) uint64 {
 	h := fnv.New64a()
 	h.Write([]byte(s)) //nolint:errcheck // fnv never errors

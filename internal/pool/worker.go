@@ -30,9 +30,10 @@ type Backend interface {
 	Delete(id string) error
 	// Ship serializes the session's checkpoint (opaque to the pool).
 	Ship(id string) ([]byte, error)
-	// Load installs a shipped checkpoint, replacing any session already
-	// live under the ID.
-	Load(id string, checkpoint []byte) error
+	// Replay rebuilds the session from its frontend's records (opaque to
+	// the pool), replacing any copy already live under the ID; timeout
+	// bounds each append it re-evaluates.
+	Replay(id string, records []byte, timeout time.Duration) error
 	// Classify maps a method error onto a wire reply code and an optional
 	// Retry-After hint in milliseconds.
 	Classify(err error) (code uint32, retryAfterMS uint32)
@@ -68,18 +69,19 @@ type WorkerConfig struct {
 // hedged duplicate of the latest operation returns the memoized reply
 // instead of re-evaluating.
 type appliedState struct {
-	index     uint64 // appends applied (SessAppend.Index of the last success)
-	lastCode  uint32
-	lastErr   string
-	lastRetry uint32
-	lastBlob  []byte
+	index    uint64 // appends applied (SessAppend.Index of the last success)
+	lastBlob []byte // body of the last successful create or append
 }
+
+// drainingReply refuses a placement (a create or a replay) on a draining
+// worker.
+var drainingReply = wire.SessionReply{Code: wire.SessDraining, Err: "pool: worker draining", RetryAfterMS: 1000}
 
 // Worker turns a peerd process into a pool member: it accepts
 // SessionJob frames, executes them against the Backend (serialized per
 // session), and replies with the result plus a load sample. Draining
-// refuses new placements (creates and loads) while continuing to serve,
-// ship and delete the sessions it holds.
+// refuses new placements (creates and replays) while continuing to
+// serve, ship and delete the sessions it holds.
 type Worker struct {
 	tr      transport.Transport
 	backend Backend
@@ -139,7 +141,7 @@ func (w *Worker) Close() {
 	w.wg.Wait()
 }
 
-// SetDraining flips the drain bit: once set, creates and loads are
+// SetDraining flips the drain bit: once set, creates and replays are
 // refused with SessDraining so the frontend migrates instead of placing.
 func (w *Worker) SetDraining(v bool) { w.draining.Store(v) }
 
@@ -208,9 +210,21 @@ func (w *Worker) exec(job wire.SessionJob) {
 		w.mu.Unlock()
 		w.send(job, w.replyFor(nil, err))
 	case wire.SessShip:
-		w.execShip(job)
-	case wire.SessLoad:
-		w.execLoad(job)
+		checkpoint, err := w.backend.Ship(job.Session)
+		w.send(job, w.replyFor(checkpoint, err))
+	case wire.SessReplay:
+		// Rebuild the session from its records; append dedup resumes past
+		// the Index appends they cover.
+		if w.draining.Load() {
+			w.send(job, drainingReply)
+		} else if err := w.backend.Replay(job.Session, job.Blob, timeoutOf(job)); err != nil {
+			w.send(job, w.replyFor(nil, err))
+		} else {
+			w.mu.Lock()
+			w.applied[job.Session] = &appliedState{index: job.Index}
+			w.mu.Unlock()
+			w.send(job, wire.SessionReply{})
+		}
 	default:
 		w.send(job, wire.SessionReply{Code: wire.SessBad, Err: "pool: unknown op"})
 	}
@@ -222,16 +236,14 @@ func (w *Worker) execCreate(job wire.SessionJob) {
 	w.mu.Unlock()
 	if exists {
 		// A retried create: the first attempt landed. Resend its reply.
-		w.send(job, wire.SessionReply{Code: st.lastCode, Err: st.lastErr,
-			RetryAfterMS: st.lastRetry, Blob: st.lastBlob})
+		w.send(job, wire.SessionReply{Blob: st.lastBlob})
 		return
 	}
 	if w.draining.Load() {
-		w.send(job, wire.SessionReply{Code: wire.SessDraining,
-			Err: "pool: worker draining", RetryAfterMS: 1000})
+		w.send(job, drainingReply)
 		return
 	}
-	body, err := w.backend.Create(job.Session, job.NetText, engineName(job.Engine), int(job.MaxFacts))
+	body, err := w.backend.Create(job.Session, job.NetText, job.Engine, int(job.MaxFacts))
 	rep := w.replyFor(body, err)
 	if err == nil {
 		w.mu.Lock()
@@ -253,8 +265,7 @@ func (w *Worker) execAppend(job wire.SessionJob) {
 		// Duplicate of an already-applied append (retry or hedge): the
 		// memoized reply, never a second evaluation.
 		w.metrics.Add("pool_worker_dedup_total", 1)
-		w.send(job, wire.SessionReply{Code: st.lastCode, Err: st.lastErr,
-			RetryAfterMS: st.lastRetry, Blob: st.lastBlob})
+		w.send(job, wire.SessionReply{Blob: st.lastBlob})
 		return
 	case job.Index != st.index+1:
 		w.send(job, wire.SessionReply{Code: wire.SessOutOfSync, Err: "pool: append index gap"})
@@ -266,43 +277,10 @@ func (w *Worker) execAppend(job wire.SessionJob) {
 	if err == nil {
 		w.noteAppend(time.Since(start))
 		w.mu.Lock()
-		st.index = job.Index
-		st.lastCode, st.lastErr, st.lastRetry, st.lastBlob = rep.Code, rep.Err, rep.RetryAfterMS, rep.Blob
+		st.index, st.lastBlob = job.Index, body
 		w.mu.Unlock()
 	}
 	w.send(job, rep)
-}
-
-func (w *Worker) execShip(job wire.SessionJob) {
-	w.mu.Lock()
-	st := w.applied[job.Session]
-	w.mu.Unlock()
-	if st == nil {
-		w.send(job, wire.SessionReply{Code: wire.SessNotFound, Err: "pool: no such session on worker"})
-		return
-	}
-	checkpoint, err := w.backend.Ship(job.Session)
-	if err != nil {
-		w.send(job, w.replyFor(nil, err))
-		return
-	}
-	w.send(job, wire.SessionReply{Index: st.index, Blob: checkpoint})
-}
-
-func (w *Worker) execLoad(job wire.SessionJob) {
-	if w.draining.Load() {
-		w.send(job, wire.SessionReply{Code: wire.SessDraining,
-			Err: "pool: worker draining", RetryAfterMS: 1000})
-		return
-	}
-	if err := w.backend.Load(job.Session, job.Blob); err != nil {
-		w.send(job, w.replyFor(nil, err))
-		return
-	}
-	w.mu.Lock()
-	w.applied[job.Session] = &appliedState{index: job.Index}
-	w.mu.Unlock()
-	w.send(job, wire.SessionReply{})
 }
 
 // replyFor maps a backend result onto a reply via Backend.Classify.
@@ -317,7 +295,7 @@ func (w *Worker) replyFor(body []byte, err error) wire.SessionReply {
 // send stamps the reply with the echo fields and the load sample, then
 // ships it back to the requesting frontend.
 func (w *Worker) send(job wire.SessionJob, rep wire.SessionReply) {
-	rep.Req, rep.Op, rep.Session = job.Req, job.Op, job.Session
+	rep.Req = job.Req
 	rep.Active = uint32(w.backend.Active())
 	if q := w.queued.Load(); q > 0 {
 		rep.Queued = uint32(q)
@@ -352,39 +330,6 @@ func timeoutOf(job wire.SessionJob) time.Duration {
 		return 30 * time.Second
 	}
 	return time.Duration(job.TimeoutMS) * time.Millisecond
-}
-
-// engineName maps the wire engine ordinal back to its HTTP-API name.
-// Zero means "server default" and stays the empty string.
-func engineName(e uint32) string {
-	switch e {
-	case 1:
-		return "direct"
-	case 2:
-		return "product"
-	case 3:
-		return "naive"
-	case 4:
-		return "dqsq"
-	default:
-		return ""
-	}
-}
-
-// engineOrdinal is engineName's inverse (the frontend encodes requests).
-func engineOrdinal(name string) uint32 {
-	switch name {
-	case "direct":
-		return 1
-	case "product":
-		return 2
-	case "naive":
-		return 3
-	case "dqsq":
-		return 4
-	default:
-		return 0
-	}
 }
 
 // nopRegistry discards metrics.

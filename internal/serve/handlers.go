@@ -9,6 +9,7 @@ import (
 	"io"
 	"log/slog"
 	"net/http"
+	"os"
 	"path/filepath"
 	"strconv"
 	"sync"
@@ -83,10 +84,12 @@ type Server struct {
 	inflight sync.WaitGroup
 	finalize sync.Once // checkpoint-and-clear runs exactly once across concurrent Shutdowns
 
-	// pool, when non-nil, turns the server into a frontend: session
-	// operations are dispatched to remote peerd workers instead of the
-	// local store. Set before serving (SetPool); never changed after.
-	pool *pool.Pool
+	// pool, when non-nil, turns the server into a frontend (NewFrontend):
+	// session operations are dispatched to remote peerd workers instead
+	// of the local store. privateDir is the log's directory when the
+	// server made it, removed at shutdown.
+	pool       *pool.Pool
+	privateDir string
 
 	// readOnly gates the mutating handlers while the server follows a
 	// replication primary; promote flips it off exactly once.
@@ -101,6 +104,8 @@ type Server struct {
 // NewServer builds the service, replays the write-ahead log under
 // Config.DataDir, and starts its TTL sweeper (unless disabled). Callers
 // must Shutdown it to stop the sweeper and checkpoint the session table.
+// An unusable data dir is logged and the server runs without
+// persistence: serving sessions beats refusing to start.
 func NewServer(cfg Config) *Server {
 	cfg = cfg.withDefaults()
 	m := NewMetrics()
@@ -120,7 +125,11 @@ func NewServer(cfg Config) *Server {
 	}
 	s.readOnly.Store(cfg.ReadOnly)
 	if cfg.DataDir != "" {
-		s.openDataDir()
+		if l, err := s.openLog(); err != nil {
+			s.log.Error("data dir unusable; persistence disabled", "dir", cfg.DataDir, "err", err)
+		} else {
+			s.useWAL(l)
+		}
 	}
 	s.mux.HandleFunc("POST /v1/sessions", s.handleCreate)
 	s.mux.HandleFunc("POST /v1/sessions/{id}/alarms", s.handleAppend)
@@ -139,32 +148,25 @@ func NewServer(cfg Config) *Server {
 	return s
 }
 
-// openDataDir opens the write-ahead log under Config.DataDir and
-// replays it. An unusable data dir is logged and the server runs
-// without persistence — serving sessions beats refusing to start. So is
-// one an older build left session snapshot files in: those files are
-// not read, and nothing in the dir is touched.
-func (s *Server) openDataDir() {
+// openLog opens the write-ahead log under Config.DataDir. It refuses,
+// touching nothing, a dir an older build left session snapshot files
+// in: those files are not read.
+func (s *Server) openLog() (*wal.Log, error) {
 	dir := s.cfg.DataDir
-	legacy, _ := filepath.Glob(filepath.Join(dir, "*.dsnp"))
-	if len(legacy) > 0 {
-		s.log.Error("data dir holds session snapshot files of an older build; persistence disabled (see README, Upgrading)",
-			"dir", dir, "files", legacy)
-		return
+	if legacy, _ := filepath.Glob(filepath.Join(dir, "*.dsnp")); len(legacy) > 0 {
+		return nil, fmt.Errorf("data dir holds session snapshot files of an older build (see README, Upgrading): %v", legacy)
 	}
-	l, err := wal.Open(filepath.Join(dir, walDirName), wal.Options{Fsync: s.cfg.Fsync, Metrics: s.metrics})
-	if err != nil {
-		s.log.Error("data dir unusable; persistence disabled", "dir", dir, "err", err)
-		return
-	}
-	s.useWAL(l)
+	return wal.Open(filepath.Join(dir, walDirName), wal.Options{Fsync: s.cfg.Fsync, Metrics: s.metrics})
 }
 
 // useWAL makes l the server's durable store: it replays l, starts the
 // checkpointer and, unless the server follows a primary, logs to l.
 func (s *Server) useWAL(l *wal.Log) {
 	s.wal = newServerWAL(l, s.store, s.metrics, s.log)
-	s.replayWAL()
+	s.replayWAL(s.applyWALRecord)
+	if n := s.store.Len(); n > 0 {
+		s.log.Info("wal: replay complete", "sessions", n)
+	}
 	if !s.cfg.ReadOnly {
 		s.store.SetWAL(s.wal)
 	}
@@ -172,11 +174,6 @@ func (s *Server) useWAL(l *wal.Log) {
 
 // Metrics exposes the registry (cmd/diagnosed adds process gauges).
 func (s *Server) Metrics() *Metrics { return s.metrics }
-
-// SetPool switches the server into frontend mode: session creates,
-// appends, reads and deletes are scheduled onto the pool's workers
-// instead of the local store. Must be called before serving requests.
-func (s *Server) SetPool(p *pool.Pool) { s.pool = p }
 
 // Store exposes the session table (tests drive Sweep directly).
 func (s *Server) Store() *Store { return s.store }
@@ -256,10 +253,15 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	s.finalize.Do(func() {
 		if s.wal != nil {
 			// In-flight appends are done: checkpoint every live session, then
-			// close the log so Clear cannot log anything.
-			s.wal.close()
+			// close the log so Clear cannot log anything. Nothing reads a
+			// private log again, so its sessions are not checkpointed.
+			s.wal.close(s.privateDir == "")
 		}
 		s.store.Clear()
+		if s.pool != nil {
+			s.pool.Close()
+		}
+		os.RemoveAll(s.privateDir) //nolint:errcheck // best effort; "" removes nothing
 	})
 	return nil
 }
@@ -421,13 +423,7 @@ func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 	}
 	if s.pool != nil {
 		// Frontend mode: the worker parses the net and warms the engine;
-		// the frontend only burns cycles on admission and placement. The
-		// wire carries the engine as an ordinal, so an unknown name is
-		// refused here, before it could read as the default.
-		if _, err := ParseEngine(req.Engine); err != nil {
-			s.fail(w, badInput(err))
-			return
-		}
+		// the frontend only burns cycles on placement and its log.
 		res := s.pool.Create(req.Net, req.Engine, req.MaxFacts, s.evalTimeout(r))
 		s.metrics.Observe("diagnosed_create_seconds", time.Since(start))
 		s.writePoolResult(w, http.StatusCreated, res)
@@ -470,7 +466,7 @@ func (s *Server) handleAppend(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleGet(w http.ResponseWriter, r *http.Request) {
 	if s.pool != nil {
 		// The worker is authoritative for session state (seq, report,
-		// exhaustion); the frontend only journals placement.
+		// exhaustion); the frontend only logs what changes it.
 		s.writePoolResult(w, http.StatusOK, s.pool.Get(r.PathValue("id"), 10*time.Second))
 		return
 	}
@@ -484,14 +480,10 @@ func (s *Server) handleGet(w http.ResponseWriter, r *http.Request) {
 
 // handleTrace exports the session's evaluation trace as Chrome
 // trace-event JSON, loadable in chrome://tracing or Perfetto.
+//
+// A pool frontend's table is empty: the trace buffer lives with the warm
+// engine on the worker, whose admin endpoint exports it.
 func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
-	if s.pool != nil {
-		// The trace buffer lives with the warm engine on the worker; the
-		// frontend has nothing to export. Scrape the worker's admin
-		// endpoint instead.
-		s.fail(w, errNoSession)
-		return
-	}
 	sess, ok := s.store.Get(r.PathValue("id"), time.Now())
 	if !ok {
 		s.fail(w, errNoSession)
@@ -511,12 +503,7 @@ func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) {
 	}
 	id := r.PathValue("id")
 	if s.pool != nil {
-		res := s.pool.Delete(id, 10*time.Second)
-		if res.Code == wire.SessOK {
-			w.WriteHeader(http.StatusNoContent)
-			return
-		}
-		s.writePoolResult(w, http.StatusNoContent, res)
+		s.writePoolResult(w, http.StatusNoContent, s.pool.Delete(id, 10*time.Second))
 		return
 	}
 	if err := s.store.remove(id); err != nil {

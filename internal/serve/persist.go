@@ -5,13 +5,15 @@ package serve
 // ServeSession section carrying the table-level metadata: id, budget,
 // alarm count, exhaustion flag and the delta-tracking state, so a
 // restored session keeps producing exactly the deltas an uninterrupted
-// one would. The same container ships between pool workers.
+// one would. A pool worker ships the same container to its frontend,
+// which logs it as a pooled session's checkpoint record.
 //
 // One checkpointer goroutine writes them, behind the appends: when a
 // session reaches checkpointEvery appends since its last one, when an
 // append poisons it (the failed append is not logged, so only a
 // checkpoint carries the poisoning across a restart), when its base
-// record pins the oldest sealed segment, and on drain.
+// record pins the oldest sealed segment, and on drain. It drives local
+// and pooled sessions alike (checkpointable).
 
 import (
 	"errors"
@@ -28,9 +30,20 @@ import (
 )
 
 // checkpointEvery is how many logged appends a session may carry past
-// its base record before the checkpointer logs a fresh checkpoint (the
-// pool's ship cadence).
+// its base record before the checkpointer logs a fresh checkpoint.
 const checkpointEvery = 16
+
+// checkpointable is a session the checkpointer keeps short in the log:
+// a local Session, or a pooledSession whose worker ships its state.
+type checkpointable interface {
+	// checkpoint logs the session's state as a checkpoint record, its new
+	// base, and returns the record's size. Unless force is set, a session
+	// that logged nothing past its base is skipped.
+	checkpoint(w *serverWAL, force bool) (int, error)
+	// logBase is the sequence of the session's base record.
+	logBase() uint64
+	logID() string
+}
 
 // EncodeSnapshot writes the session — warm engine state plus table
 // metadata — into f. It takes the session mutex, so the snapshot is a
@@ -126,10 +139,11 @@ func decodeSession(o *snapshot.OpenFile, reg *Metrics) (*Session, error) {
 func newServerWAL(l *wal.Log, st *Store, metrics *Metrics, logger *slog.Logger) *serverWAL {
 	w := &serverWAL{
 		log: l, store: st, metrics: metrics, logger: logger,
-		due:  make(map[*Session]bool),
-		kick: make(chan struct{}, 1),
-		stop: make(chan struct{}),
-		done: make(chan struct{}),
+		due:    make(map[checkpointable]bool),
+		pooled: make(map[string]*pooledSession),
+		kick:   make(chan struct{}, 1),
+		stop:   make(chan struct{}),
+		done:   make(chan struct{}),
 	}
 	go w.loop()
 	return w
@@ -145,7 +159,7 @@ func (w *serverWAL) poke() {
 
 // markDue schedules a checkpoint of the session. It only takes dueMu,
 // so it is safe under the session mutex.
-func (w *serverWAL) markDue(s *Session) {
+func (w *serverWAL) markDue(s checkpointable) {
 	w.dueMu.Lock()
 	w.due[s] = true
 	w.dueMu.Unlock()
@@ -161,7 +175,7 @@ func (w *serverWAL) loop() {
 		case <-w.kick:
 			w.dueMu.Lock()
 			due := w.due
-			w.due = make(map[*Session]bool)
+			w.due = make(map[checkpointable]bool)
 			w.dueMu.Unlock()
 			for sess := range due {
 				w.checkpointLogged(sess, false)
@@ -171,57 +185,81 @@ func (w *serverWAL) loop() {
 	}
 }
 
-// checkpoint logs the session's state as a checkpoint record and makes
-// it the session's base, returning the record's size. The state is
-// encoded and logged under the session mutex, so no append of the
-// session lands between the two. A session with nothing logged past its
-// base is skipped unless force is set; a closed session refuses with
-// ErrClosed, as does a read-only (follower) session, which never writes
-// records of its own.
-func (w *serverWAL) checkpoint(sess *Session, force bool) (int, error) {
-	sess.mu.Lock()
-	defer sess.mu.Unlock()
-	if sess.wal == nil {
+// checkpoint implements checkpointable. The state is encoded and logged
+// under the session mutex, so no append of the session lands between
+// the two. A closed session refuses with ErrClosed, as does a read-only
+// (follower) session, which never writes records of its own.
+func (s *Session) checkpoint(w *serverWAL, force bool) (int, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.wal == nil {
 		return 0, ErrReadOnly
 	}
-	if !force && sess.sinceBase == 0 {
+	if !force && s.sinceBase == 0 {
 		return 0, nil
 	}
 	start := time.Now()
 	f := snapshot.New()
-	if err := sess.encodeLocked(f); err != nil {
+	if err := s.encodeLocked(f); err != nil {
 		return 0, err
 	}
-	sw := &snapshot.Writer{}
-	sw.Byte(walKindCheckpoint)
-	sw.String(sess.ID)
-	sw.Int(start.UnixNano())
-	sw.Bytes(f.Bytes())
-	payload := sw.Body()
 	w.mu.Lock()
-	if sess.closed.Load() {
-		w.mu.Unlock()
+	defer w.mu.Unlock()
+	if s.closed.Load() {
 		return 0, ErrClosed // its delete record is in, or on its way
 	}
-	seq, err := w.append(payload)
-	w.mu.Unlock()
+	seq, n, err := w.logCheckpoint(s.ID, f.Bytes(), start)
 	if err != nil {
 		return 0, err
 	}
-	sess.base.Store(seq)
-	sess.sinceBase = 0
-	sess.lastSnap.Store(start.UnixNano())
+	s.base.Store(seq)
+	s.sinceBase = 0
+	s.lastSnap.Store(start.UnixNano())
+	return n, nil
+}
+
+func (s *Session) logBase() uint64 { return s.base.Load() }
+func (s *Session) logID() string   { return s.ID }
+
+// logCheckpoint logs a checkpoint record of session id holding state,
+// the container EncodeSnapshot writes, and counts it. start is when the
+// checkpoint began; the record carries it as its write time.
+func (w *serverWAL) logCheckpoint(id string, state []byte, start time.Time) (seq uint64, size int, err error) {
+	sw := &snapshot.Writer{}
+	sw.Byte(walKindCheckpoint)
+	sw.String(id)
+	sw.Int(start.UnixNano())
+	sw.Bytes(state)
+	payload := sw.Body()
+	if seq, err = w.append(payload); err != nil {
+		return 0, 0, err
+	}
 	w.metrics.Observe("snapshot_write_seconds", time.Since(start))
 	w.metrics.Add("snapshot_bytes_total", int64(len(payload)))
-	return len(payload), nil
+	return seq, len(payload), nil
 }
 
 // checkpointLogged is checkpoint for the background paths: a failure
 // other than a closed or read-only session is logged.
-func (w *serverWAL) checkpointLogged(sess *Session, force bool) {
-	if _, err := w.checkpoint(sess, force); err != nil && !errors.Is(err, ErrClosed) && !errors.Is(err, ErrReadOnly) {
-		w.logger.Error("session checkpoint failed", "session", sess.ID, "err", err)
+func (w *serverWAL) checkpointLogged(sess checkpointable, force bool) {
+	if _, err := sess.checkpoint(w, force); err != nil && !errors.Is(err, ErrClosed) && !errors.Is(err, ErrReadOnly) {
+		w.logger.Error("session checkpoint failed", "session", sess.logID(), "err", err)
 	}
+}
+
+// sessions lists what the log holds records of: the table's sessions
+// and the pooled ones.
+func (w *serverWAL) sessions() []checkpointable {
+	var out []checkpointable
+	for _, sess := range w.store.Sessions() {
+		out = append(out, sess)
+	}
+	w.pmu.Lock()
+	defer w.pmu.Unlock()
+	for _, ps := range w.pooled {
+		out = append(out, ps)
+	}
+	return out
 }
 
 // compact truncates the log below the lowest base of any live session,
@@ -232,36 +270,39 @@ func (w *serverWAL) compact() {
 	if sealed == 0 {
 		return
 	}
-	for _, sess := range w.store.Sessions() {
-		if sess.base.Load() <= sealed {
+	for _, sess := range w.sessions() {
+		if sess.logBase() <= sealed {
 			w.checkpointLogged(sess, true)
 		}
 	}
 	w.pubMu.Lock()
 	defer w.pubMu.Unlock()
 	floor := w.log.LastSeq() + 1
-	for _, sess := range w.store.Sessions() {
-		floor = min(floor, sess.base.Load())
+	for _, sess := range w.sessions() {
+		floor = min(floor, sess.logBase())
 	}
 	if floor > 1 {
 		w.log.Truncate(floor - 1) //nolint:errcheck // compaction is advisory; the next pass retries
 	}
 }
 
-// close stops the checkpointer, checkpoints every live session that
-// logged anything past its base (logging a per-session disposition),
-// compacts, and closes the log.
-func (w *serverWAL) close() {
+// close stops the checkpointer, checkpoints (when asked) every live
+// session that logged anything past its base, logging a per-session
+// disposition, compacts, and closes the log.
+func (w *serverWAL) close(checkpoint bool) {
 	close(w.stop)
 	<-w.done
-	for _, sess := range w.store.Sessions() {
-		n, err := w.checkpoint(sess, false)
+	for _, sess := range w.sessions() {
+		if !checkpoint {
+			break
+		}
+		n, err := sess.checkpoint(w, false)
 		switch {
 		case errors.Is(err, ErrReadOnly):
 		case err != nil:
-			w.logger.Warn("drain: session not checkpointed", "session", sess.ID, "err", err)
+			w.logger.Warn("drain: session not checkpointed", "session", sess.logID(), "err", err)
 		case n > 0:
-			w.logger.Info("drain: session checkpointed", "session", sess.ID, "bytes", n)
+			w.logger.Info("drain: session checkpointed", "session", sess.logID(), "bytes", n)
 		}
 	}
 	w.compact()

@@ -7,6 +7,7 @@ package serve
 // across worker death and cooperative drain.
 
 import (
+	"context"
 	"encoding/json"
 	"io"
 	"math/rand"
@@ -54,20 +55,35 @@ func newPooledPair(t *testing.T, workerCfg StoreConfig, poolCfg pool.Config, wor
 	}
 	poolCfg.Transport = mesh.Node("fe")
 	poolCfg.Workers = workerNames
-	if poolCfg.ProbeEvery == 0 {
-		poolCfg.ProbeEvery = 50 * time.Millisecond
+	pooledSrv, pooledTS := newTestFrontend(t, Config{}, poolCfg)
+	_, localTS := newTestServer(t, Config{})
+	return pooledSrv.pool, pooledTS, localTS, workers
+}
+
+// newTestFrontend is newTestServer for a pool frontend; a zero
+// ProbeEvery probes every 50ms.
+func newTestFrontend(t *testing.T, cfg Config, pc pool.Config) (*Server, *httptest.Server) {
+	t.Helper()
+	if cfg.SweepEvery == 0 {
+		cfg.SweepEvery = -1
 	}
-	pooledSrv, pooledTS := newTestServer(t, Config{})
-	poolCfg.Metrics = pooledSrv.Metrics()
-	var err error
-	p, err = pool.New(poolCfg)
+	if pc.ProbeEvery == 0 {
+		pc.ProbeEvery = 50 * time.Millisecond
+	}
+	s, err := NewFrontend(cfg, pc)
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(p.Close)
-	pooledSrv.SetPool(p)
-	_, localTS := newTestServer(t, Config{})
-	return p, pooledTS, localTS, workers
+	ts := httptest.NewServer(s)
+	t.Cleanup(func() {
+		ts.Close()
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		defer cancel()
+		if err := s.Shutdown(ctx); err != nil {
+			t.Errorf("shutdown: %v", err)
+		}
+	})
+	return s, ts
 }
 
 // rawDo issues the request and returns status plus the exact body bytes.
@@ -233,7 +249,7 @@ func jsonString(s string) (string, error) {
 
 // TestPoolWorkerKillEquivalence kills the worker homing a session
 // mid-stream (its transport goes away, like a kill -9) and checks the
-// pool re-materializes the session elsewhere from the journal with zero
+// pool re-materializes the session elsewhere from the frontend's log with zero
 // acknowledged-append loss: the remaining appends succeed and the final
 // state is byte-identical to an uninterrupted local run.
 func TestPoolWorkerKillEquivalence(t *testing.T) {
@@ -241,18 +257,8 @@ func TestPoolWorkerKillEquivalence(t *testing.T) {
 	for _, name := range []string{"w1", "w2"} {
 		startPoolWorker(t, mesh, name, StoreConfig{})
 	}
-	pooledSrv, pooled := newTestServer(t, Config{})
-	p, err := pool.New(pool.Config{
-		Transport:  mesh.Node("fe"),
-		Workers:    []string{"w1", "w2"},
-		Metrics:    pooledSrv.Metrics(),
-		ProbeEvery: 50 * time.Millisecond,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(p.Close)
-	pooledSrv.SetPool(p)
+	pooledSrv, pooled := newTestFrontend(t, Config{}, pool.Config{Transport: mesh.Node("fe"), Workers: []string{"w1", "w2"}})
+	p := pooledSrv.pool
 	_, local := newTestServer(t, Config{})
 
 	netText := exampleNetText(t)
@@ -307,7 +313,7 @@ func TestPoolWorkerKillEquivalence(t *testing.T) {
 }
 
 // TestPoolDrainMigration drains the worker homing a session and waits
-// for the pool to migrate it by checkpoint: placement moves off the
+// for the pool to migrate it from its records: placement moves off the
 // drainer without any failed request, and the session keeps answering
 // with state identical to a local run.
 func TestPoolDrainMigration(t *testing.T) {
@@ -419,5 +425,58 @@ func TestPoolBackendCountsOnce(t *testing.T) {
 		if got := m.Counter(name); got != 1 {
 			t.Errorf("%s = %d, want 1", name, got)
 		}
+	}
+}
+
+// TestPoolPoisonSurvivesWorkerKill: a session its budget poisoned is
+// checkpointed into the frontend's log, so when its worker dies it comes
+// back poisoned on another — its state reads as a local session's,
+// "exhausted" included — not healthy from its acknowledged appends.
+func TestPoolPoisonSurvivesWorkerKill(t *testing.T) {
+	mesh := transport.NewMesh()
+	for _, name := range []string{"w1", "w2"} {
+		startPoolWorker(t, mesh, name, StoreConfig{})
+	}
+	pooledSrv, pooled := newTestFrontend(t, Config{}, pool.Config{Transport: mesh.Node("fe"), Workers: []string{"w1", "w2"}})
+	_, local := newTestServer(t, Config{})
+
+	netJSON, err := jsonString(exampleNetText(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	createBody := `{"net": ` + netJSON + `, "engine": "dqsq", "max_facts": 120}`
+	_, pBody := rawDo(t, "POST", pooled.URL+"/v1/sessions", createBody)
+	_, lBody := rawDo(t, "POST", local.URL+"/v1/sessions", createBody)
+	pID, lID := extractID(t, pBody), extractID(t, lBody)
+	for _, step := range []struct {
+		alarm string
+		want  int
+	}{{"b@p1", http.StatusOK}, {"a@p2", http.StatusTooManyRequests}} {
+		pCode, pb := rawDo(t, "POST", pooled.URL+"/v1/sessions/"+pID+"/alarms", `{"alarms": "`+step.alarm+`"}`)
+		lCode, lb := rawDo(t, "POST", local.URL+"/v1/sessions/"+lID+"/alarms", `{"alarms": "`+step.alarm+`"}`)
+		if pCode != step.want || lCode != step.want || scrub(pb) != scrub(lb) {
+			t.Fatalf("append %q: pooled %d %s\nlocal %d %s\nwant %d", step.alarm, pCode, pb, lCode, lb, step.want)
+		}
+	}
+
+	// The poisoning reaches the log as a checkpoint record, behind the
+	// reply as it does locally.
+	deadline := time.Now().Add(5 * time.Second)
+	for pooledSrv.Metrics().Counter("snapshot_bytes_total") == 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("the poisoned session was never checkpointed")
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	victim, _ := pooledSrv.pool.SessionWorker(pID)
+	mesh.Node(victim).Close() //nolint:errcheck // the kill under test
+
+	_, pBody = rawDo(t, "GET", pooled.URL+"/v1/sessions/"+pID, "")
+	_, lBody = rawDo(t, "GET", local.URL+"/v1/sessions/"+lID, "")
+	if scrub(pBody) != scrub(lBody) || !strings.Contains(lBody, `"exhausted": true`) {
+		t.Fatalf("post-kill state diverges\npooled: %s\nlocal:  %s", scrub(pBody), scrub(lBody))
+	}
+	if now, _ := pooledSrv.pool.SessionWorker(pID); now == victim {
+		t.Fatalf("session still placed on the killed worker %s", victim)
 	}
 }

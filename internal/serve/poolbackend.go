@@ -10,6 +10,7 @@ package serve
 
 import (
 	"errors"
+	"fmt"
 	"time"
 
 	"repro/internal/snapshot"
@@ -75,11 +76,27 @@ func (b *PoolBackend) Ship(id string) ([]byte, error) {
 	return f.Bytes(), nil
 }
 
-// Load implements pool.Backend: install a shipped checkpoint, replacing
-// any copy already live under the ID.
-func (b *PoolBackend) Load(id string, checkpoint []byte) error {
-	_, err := b.store.install(id, checkpoint)
-	return err
+// Replay implements pool.Backend: rebuild the session from its
+// frontend's records (serverWAL.Records packs them) with the apply path
+// of boot replay, in place of any copy live under the ID. A record that
+// does not apply is skipped, as boot replay skips it. A worker keeps no
+// log, so its copy reports no checkpoint age.
+func (b *PoolBackend) Replay(id string, records []byte, timeout time.Duration) error {
+	b.store.Delete(id)
+	for len(records) > 0 {
+		rec, rest, err := snapshot.NextFrame(records)
+		if err != nil {
+			return badInput(err)
+		}
+		b.store.applyRecord(0, rec, timeout) //nolint:errcheck // skipped, see above
+		records = rest
+	}
+	sess, ok := b.store.Get(id, time.Now())
+	if !ok {
+		return fmt.Errorf("session %s not rebuilt from its records: %w", id, errNoSession)
+	}
+	sess.lastSnap.Store(0)
+	return nil
 }
 
 // Classify implements pool.Backend: the wire-code analogue of

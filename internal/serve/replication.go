@@ -2,7 +2,7 @@ package serve
 
 // Replication adapters: the thin surface internal/repl needs. A primary
 // ships nothing but its write-ahead log; a follower mirrors each record
-// into its own log and runs applyWALRecord — so at every acked sequence
+// into its own log and applies it as boot replay does — so at every acked sequence
 // the follower's store is exactly what the primary would recover to.
 
 import (

@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/snapshot"
 )
 
 // StoreConfig bounds the session table.
@@ -274,33 +273,6 @@ func (st *Store) getBody(id string) ([]byte, error) {
 		return nil, err
 	}
 	return encodeBody(newSessionResponse(state)), nil
-}
-
-// install is the one checkpoint install path — checkpoint records on
-// boot replay and on a follower, and pool migration: decode the
-// checkpoint, check it is the session id names, and put it in the table
-// in place of any copy already live (the records before a checkpoint
-// record rebuilt one; a failover flap may have left a stale one). A checkpoint
-// that does not decode, or names another session, is bad input; a table
-// that cannot take it refuses with ErrOverloaded, as Adopt does.
-func (st *Store) install(id string, checkpoint []byte) (*Session, error) {
-	o, err := snapshot.Open(checkpoint)
-	if err != nil {
-		return nil, badInput(err)
-	}
-	sess, err := decodeSession(o, st.metrics)
-	if err != nil {
-		return nil, badInput(err)
-	}
-	if sess.ID != id {
-		return nil, badInput(fmt.Errorf("checkpoint is for session %s, not %s", sess.ID, id))
-	}
-	st.Delete(id)
-	if err := st.Adopt(sess); err != nil {
-		return nil, err
-	}
-	st.metrics.Add("snapshot_restore_total", 1)
-	return sess, nil
 }
 
 // Get looks a session up and marks it most-recently-used.

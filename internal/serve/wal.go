@@ -20,6 +20,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/pool"
 	"repro/internal/snapshot"
 	"repro/internal/wal"
 )
@@ -55,7 +56,13 @@ type serverWAL struct {
 	pubMu sync.RWMutex
 
 	dueMu sync.Mutex
-	due   map[*Session]bool // sessions owed a checkpoint record
+	due   map[checkpointable]bool // sessions owed a checkpoint record
+
+	// pool and pooled are a frontend's (front.go): the pool its sessions
+	// run on, and the log's view of each.
+	pool   *pool.Pool
+	pmu    sync.Mutex
+	pooled map[string]*pooledSession
 
 	kick chan struct{}
 	stop chan struct{}
@@ -97,97 +104,121 @@ func (w *serverWAL) logAppend(id, alarms string) (uint64, error) {
 // a TTL expiry — and closes it, both under mu (see there). A failed
 // write leaves the session open.
 func (w *serverWAL) logDelete(sess *Session) error {
-	sw := &snapshot.Writer{}
-	sw.Byte(walKindDelete)
-	sw.String(sess.ID)
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	if _, err := w.append(sw.Body()); err != nil {
+	if err := w.appendDelete(sess.ID); err != nil {
 		return err
 	}
 	sess.Close()
-	w.poke()
 	return nil
 }
 
-// applyWALRecord applies one log record to the live table: the single
-// apply path shared by boot replay and the replication follower, so a
-// follower's state after applying a sequence is exactly what a primary
-// recovering through the same records would hold. A record that no
-// longer applies (unknown session, decode error, a checkpoint this
-// build cannot read) is logged and skipped — neither recovery nor a
-// replication stream may take the server down. A skipped checkpoint
-// leaves the session as the records before it rebuilt it.
-func (s *Server) applyWALRecord(seq uint64, payload []byte) {
+// appendDelete logs the delete record of session id and wakes the
+// checkpointer, which compacts what the delete made redundant.
+func (w *serverWAL) appendDelete(id string) error {
+	sw := &snapshot.Writer{}
+	sw.Byte(walKindDelete)
+	sw.String(id)
+	_, err := w.append(sw.Body())
+	w.poke()
+	return err
+}
+
+// applyRecord applies one log record to the table: the single apply
+// path shared by boot replay, the replication follower and a pool
+// worker rebuilding a session from its frontend's records, so each
+// holds exactly what a server recovering through the same records
+// would. seq is the record's position in its log, the base of a session
+// the record creates or checkpoints; timeout bounds a replayed append.
+// A record that no longer applies (unknown session, decode error, a
+// checkpoint this build cannot read) returns why; callers log it and
+// go on, since neither recovery nor a replication stream may take the
+// server down. A skipped checkpoint leaves the session as the records
+// before it rebuilt it, and a replayed append that exhausts the budget
+// leaves the session poisoned, as the original append did.
+func (st *Store) applyRecord(seq uint64, payload []byte, timeout time.Duration) error {
 	r := snapshot.NewReader(payload)
 	kind := r.Byte()
 	id := r.String()
 	switch kind {
 	case walKindCreate:
-		netText := r.String()
-		engineName := r.String()
-		facts := int(r.Uvarint())
-		createdNS := r.Int()
+		netText, engineName, facts, createdNS := r.String(), r.String(), int(r.Uvarint()), r.Int()
 		if err := r.Finish(); err != nil {
-			s.log.Warn("wal: bad create record", "seq", seq, "err", err)
-			return
+			return fmt.Errorf("bad create record: %w", err)
 		}
-		sess, err := s.store.build(id, netText, engineName, facts, time.Unix(0, createdNS))
+		sess, err := st.build(id, netText, engineName, facts, time.Unix(0, createdNS))
 		if err == nil {
 			sess.base.Store(seq)
-			err = s.store.Adopt(sess)
+			err = st.Adopt(sess)
 		}
 		if err != nil {
-			s.log.Warn("wal: create not replayed", "seq", seq, "session", id, "err", err)
+			return fmt.Errorf("create of session %s not replayed: %w", id, err)
 		}
 	case walKindAppend:
 		alarms := r.String()
 		if err := r.Finish(); err != nil {
-			s.log.Warn("wal: bad append record", "seq", seq, "err", err)
-			return
+			return fmt.Errorf("bad append record: %w", err)
 		}
-		sess, live := s.store.Get(id, time.Now())
+		sess, live := st.Get(id, time.Now())
 		if !live {
-			return // deleted later in the log, or its create was refused
+			return nil // deleted later in the log, or its create was refused
 		}
 		obs, err := sess.parseAlarms(alarms)
 		if err == nil {
-			_, err = sess.replayAppend(obs, s.cfg.EvalTimeout)
+			_, err = sess.replayAppend(obs, timeout)
 		}
 		if err != nil {
-			s.log.Warn("wal: append not replayed", "seq", seq, "session", id, "err", err)
+			return fmt.Errorf("append to session %s not replayed: %w", id, err)
 		}
 	case walKindCheckpoint:
-		written := r.Int()
-		data := r.Bytes()
+		written, data := r.Int(), r.Bytes()
 		if err := r.Finish(); err != nil {
-			s.log.Warn("wal: bad checkpoint record", "seq", seq, "err", err)
-			return
+			return fmt.Errorf("bad checkpoint record: %w", err)
 		}
-		sess, err := s.store.install(id, data)
+		// The checkpoint replaces the copy the records before it rebuilt
+		// (or a failover flap left).
+		o, err := snapshot.Open(data)
+		var sess *Session
+		if err == nil {
+			sess, err = decodeSession(o, st.metrics)
+		}
+		if err == nil && sess.ID != id {
+			err = fmt.Errorf("checkpoint is for session %s", sess.ID)
+		}
+		if err == nil {
+			st.Delete(id)
+			err = st.Adopt(sess)
+		}
 		if err != nil {
-			s.log.Warn("wal: checkpoint not restored; keeping the session its records rebuilt",
-				"seq", seq, "session", id, "err", err)
-			return
+			return fmt.Errorf("checkpoint not restored; keeping the session its records rebuilt: session %s: %w", id, err)
 		}
+		st.metrics.Add("snapshot_restore_total", 1)
 		sess.base.Store(seq)
 		sess.lastSnap.Store(written)
 	case walKindDelete:
 		if err := r.Finish(); err != nil {
-			s.log.Warn("wal: bad delete record", "seq", seq, "err", err)
-			return
+			return fmt.Errorf("bad delete record: %w", err)
 		}
-		s.store.Delete(id)
+		st.Delete(id)
 	default:
-		s.log.Warn("wal: unknown record kind", "seq", seq, "kind", kind)
+		return fmt.Errorf("unknown record kind %d", kind)
+	}
+	return nil
+}
+
+// applyWALRecord applies one record of the server's own log (boot
+// replay, a follower's stream), logging one that does not apply.
+func (s *Server) applyWALRecord(seq uint64, payload []byte) {
+	if err := s.store.applyRecord(seq, payload, s.cfg.EvalTimeout); err != nil {
+		s.log.Warn("wal: record not applied", "seq", seq, "err", err)
 	}
 }
 
-// replayWAL rebuilds the session table from the log's first record. A
-// session deleted later in the log is skipped up to its delete: those
-// records could only rebuild what the delete removes again, and on a
-// churning server they are most of the log.
-func (s *Server) replayWAL() {
+// replayWAL feeds the log, from its first record, to apply. A session
+// deleted later in the log is skipped up to its delete: those records
+// could only rebuild what the delete removes again, and on a churning
+// server they are most of the log.
+func (s *Server) replayWAL(apply func(seq uint64, payload []byte)) {
 	l := s.wal.log
 	deleted := make(map[string]uint64) // session id -> seq of its delete record
 	err := l.ReadRange(l.FirstSeq(), l.LastSeq(), func(seq uint64, payload []byte) error {
@@ -205,15 +236,12 @@ func (s *Server) replayWAL() {
 		r := snapshot.NewReader(payload)
 		_ = r.Byte() // the kind; every record's id follows it
 		if seq >= deleted[r.String()] {
-			s.applyWALRecord(seq, payload)
+			apply(seq, payload)
 		}
 		return nil
 	})
 	if err != nil {
 		s.log.Error("wal: replay stopped early", "err", err)
-	}
-	if n := s.store.Len(); n > 0 {
-		s.log.Info("wal: replay complete", "sessions", n)
 	}
 }
 

@@ -402,7 +402,7 @@ func TestCheckpointIsAtomicWithAppends(t *testing.T) {
 			running = false
 		default:
 		}
-		if _, err := s.wal.checkpoint(sess, true); err != nil {
+		if _, err := sess.checkpoint(s.wal, true); err != nil {
 			t.Fatal(err)
 		}
 		checkpoints++

@@ -54,16 +54,14 @@ func seedCorpus(f *testing.F) {
 				{Track: "p", Name: "msg", Ph: 'f', Wall: 1_700_000_000_000_002, ID: 1 << 40},
 			}},
 		SessionJob{Req: 7, Op: SessCreate, Session: "s1", NetText: "place p [a]\n",
-			Engine: 3, MaxFacts: 1 << 20, TimeoutMS: 30000,
+			Engine: "naive", MaxFacts: 1 << 20, TimeoutMS: 30000,
 			Frontend: "fe"},
 		SessionJob{Req: 8, Op: SessAppend, Session: "s1", Index: 2, Alarms: "a@p",
 			TimeoutMS: 30000, Frontend: "fe"},
-		SessionJob{Req: 9, Op: SessLoad, Session: "s1", Blob: []byte{1, 2, 3},
+		SessionJob{Req: 9, Op: SessReplay, Session: "s1", Index: 5, Blob: []byte{1, 2, 3},
 			Frontend: "fe"},
-		SessionReply{Req: 8, Op: SessAppend, Session: "s1", Active: 3, Queued: 1,
-			EWMAMicros: 420, Blob: []byte{9}},
-		SessionReply{Req: 9, Op: SessLoad, Session: "s1", Code: SessSaturated,
-			Err: "table full", RetryAfterMS: 1000},
+		SessionReply{Req: 8, Active: 3, Queued: 1, EWMAMicros: 420, Blob: []byte{9}},
+		SessionReply{Req: 9, Code: SessSaturated, Err: "table full", RetryAfterMS: 1000},
 	}
 	for i, fr := range frames {
 		f.Add(AppendFrame(nil, uint64(i), fr))

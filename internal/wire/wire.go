@@ -38,7 +38,11 @@ import (
 // from the SessPing reply alone.
 // Version 8 added Hello.Port (acceptors learn a reply route from it) and
 // dropped SessionJob.FrontendAddr, which that route replaces.
-const Version = 8
+// Version 9 replaced SessLoad with SessReplay (a session travels as its
+// frontend's log records, not as a checkpoint plus per-append replays),
+// made SessionJob.Engine the engine's name, and dropped SessionReply's
+// Index and its echoed operation and session.
+const Version = 9
 
 // frame type tags.
 const (
@@ -248,12 +252,13 @@ const (
 	// SessPing is a no-op carrying back only the load sample.
 	SessPing
 	// SessShip asks the worker to serialize the session: checkpoint bytes
-	// in the reply's Blob, the appends they cover in its Index — the
-	// migrate-by-checkpoint path of a drain.
+	// in the reply's Blob, which the frontend logs as a checkpoint record.
 	SessShip
-	// SessLoad installs a shipped checkpoint (Blob) on this worker, whose
-	// append dedup then resumes past Index.
-	SessLoad
+	// SessReplay rebuilds a session on this worker from the frontend's
+	// log records (Blob, from the session's base onward), replacing any
+	// copy it holds; Index is the appends they cover, where the worker's
+	// append dedup resumes.
+	SessReplay
 )
 
 // SessionReply codes (SessionReply.Code). Zero is success.
@@ -287,16 +292,16 @@ const (
 // in, so the frontend needs no a-priori registration on the worker side).
 type SessionJob struct {
 	Req       uint64 // request ID, echoed by SessionReply
-	Op        uint32 // SessCreate..SessLoad
+	Op        uint32 // SessCreate..SessReplay
 	Session   string // session ID (frontend-assigned)
-	Index     uint64 // SessAppend: 1-based append index for dedup; SessLoad: appends Blob covers
+	Index     uint64 // SessAppend: 1-based append index for dedup; SessReplay: appends Blob covers
 	NetText   string // SessCreate: textual net description
-	Engine    uint32 // SessCreate: engine ordinal (core.Engine)
+	Engine    string // SessCreate: engine name as the HTTP API spells it ("" = default)
 	MaxFacts  uint32 // SessCreate: per-session fact budget
 	TimeoutMS uint32 // evaluation deadline for this operation
 	Alarms    string // SessAppend: alarm text (parser.Alarms format)
 	Frontend  string // requesting frontend's node name
-	Blob      []byte // SessLoad: checkpoint bytes to install
+	Blob      []byte // SessReplay: the session's log records
 }
 
 // SessionReply answers one SessionJob. Every reply piggybacks the
@@ -305,10 +310,7 @@ type SessionJob struct {
 // hedging policy feed on between health probes.
 type SessionReply struct {
 	Req          uint64 // echoed request ID
-	Op           uint32 // echoed operation
-	Session      string // echoed session ID
 	Code         uint32 // SessOK or a SessionReply error code
-	Index        uint64 // SessShip: appends the checkpoint in Blob covers
 	Err          string // human-readable error detail (Code != SessOK)
 	RetryAfterMS uint32 // backpressure hint (SessSaturated/SessDraining)
 	Active       uint32 // load: live sessions on the worker
@@ -669,7 +671,7 @@ func AppendFrame(dst []byte, seq uint64, f Frame) []byte {
 		dst = putString(dst, v.Session)
 		dst = putUvarint(dst, v.Index)
 		dst = putString(dst, v.NetText)
-		dst = putUvarint(dst, uint64(v.Engine))
+		dst = putString(dst, v.Engine)
 		dst = putUvarint(dst, uint64(v.MaxFacts))
 		dst = putUvarint(dst, uint64(v.TimeoutMS))
 		dst = putString(dst, v.Alarms)
@@ -678,10 +680,7 @@ func AppendFrame(dst []byte, seq uint64, f Frame) []byte {
 	case SessionReply:
 		dst = append(dst, tagSessionReply)
 		dst = putUvarint(dst, v.Req)
-		dst = putUvarint(dst, uint64(v.Op))
-		dst = putString(dst, v.Session)
 		dst = putUvarint(dst, uint64(v.Code))
-		dst = putUvarint(dst, v.Index)
 		dst = putString(dst, v.Err)
 		dst = putUvarint(dst, uint64(v.RetryAfterMS))
 		dst = putUvarint(dst, uint64(v.Active))
@@ -943,7 +942,7 @@ func DecodeFrame(b []byte) (uint64, Frame, error) {
 	case tagSessionJob:
 		j := SessionJob{Req: r.Uvarint(), Op: u32(r), Session: r.String(), Index: r.Uvarint()}
 		j.NetText = r.String()
-		j.Engine = u32(r)
+		j.Engine = r.String()
 		j.MaxFacts = u32(r)
 		j.TimeoutMS = u32(r)
 		j.Alarms = r.String()
@@ -951,7 +950,7 @@ func DecodeFrame(b []byte) (uint64, Frame, error) {
 		j.Blob = blob(r)
 		f = j
 	case tagSessionReply:
-		p := SessionReply{Req: r.Uvarint(), Op: u32(r), Session: r.String(), Code: u32(r), Index: r.Uvarint()}
+		p := SessionReply{Req: r.Uvarint(), Code: u32(r)}
 		p.Err = r.String()
 		p.RetryAfterMS = u32(r)
 		p.Active = u32(r)

@@ -88,18 +88,16 @@ func sampleFrames(t *testing.T) []Frame {
 			},
 		},
 		SessionJob{Req: 11, Op: SessCreate, Session: "s000001-ab",
-			NetText: "place p [a b]\n", Engine: 3, MaxFacts: 1 << 20, TimeoutMS: 30000,
+			NetText: "place p [a b]\n", Engine: "naive", MaxFacts: 1 << 20, TimeoutMS: 30000,
 			Frontend: "fe-1"},
 		SessionJob{Req: 12, Op: SessAppend, Session: "s000001-ab", Index: 4,
 			Alarms: "a@p b@p", TimeoutMS: 5000, Frontend: "fe-1"},
 		SessionJob{Req: 13, Op: SessPing, Frontend: "fe-1"},
-		SessionJob{Req: 14, Op: SessLoad, Session: "s000001-ab",
+		SessionJob{Req: 14, Op: SessReplay, Session: "s000001-ab", Index: 16,
 			Blob: []byte{0xDE, 0xAD, 0xBE, 0xEF}, Frontend: "fe-1"},
-		SessionReply{Req: 12, Op: SessAppend, Session: "s000001-ab",
-			Active: 17, Queued: 3, EWMAMicros: 1234,
-			Blob: []byte{1, 0, 2}},
-		SessionReply{Req: 14, Op: SessLoad, Session: "s000001-ab",
-			Code: SessSaturated, Err: "serve: server overloaded", RetryAfterMS: 1500},
+		SessionJob{Req: 15, Op: SessShip, Session: "s000001-ab", Frontend: "fe-1"},
+		SessionReply{Req: 12, Active: 17, Queued: 3, EWMAMicros: 1234, Blob: []byte{1, 0, 2}},
+		SessionReply{Req: 14, Code: SessSaturated, Err: "serve: server overloaded", RetryAfterMS: 1500},
 	}
 }
 

@@ -129,14 +129,19 @@ echo "== replication failover smoke (kill -9 the primary, promote the follower)"
 # must flow again under the bumped fencing epoch.
 go test -run '^TestDiagnosedFailoverSmoke$' -count 1 ./cmd/diagnosed
 
-echo "== session-pool smoke (kill -9 a worker mid-stream, drain another)"
+echo "== session-pool smoke (kill -9 a worker mid-stream, drain another; kill -9 the frontend)"
 # A diagnosed frontend schedules sessions across three peerd workers; one
 # worker dies by SIGKILL and another drains via SIGTERM mid-stream (the
 # frontend learns of the drain from the worker's ping reply). Every
-# session must migrate (snapshot ship or journal replay) and finish with
+# session must migrate (one job carrying its records from the frontend's
+# log, from its latest checkpoint record onward) and finish with
 # diagnoses identical to an in-process run, and fresh creates must still
 # land on the survivors.
 go test -run '^TestPoolWorkerKillMigration$' -count 1 ./cmd/diagnosed
+# A frontend on a data dir dies by SIGKILL and restarts on it with the
+# same two workers: sessions past a checkpoint record, without one,
+# poisoned and deleted must all read as on an uninterrupted local server.
+go test -run '^TestPoolFrontendRestart$' -count 1 ./cmd/diagnosed
 
 echo "== tracing-overhead guard"
 # The no-op tracer is what every untraced run pays, so it must never cost
