@@ -494,7 +494,12 @@ func (n *Network) Run(initial []Message, timeout time.Duration) (Stats, error) {
 
 	// deliver returns once the network has stopped: at quiescence (at once,
 	// if nothing was seeded) or, a cluster member, when the coordinator says.
+	// A deadline that seeding already outlived stops the round here: the
+	// timer's goroutine may not get a CPU before a short round quiesces.
 	timer := time.AfterFunc(timeout, func() { n.Stop(ErrTimeout) })
+	if time.Since(start) >= timeout {
+		n.Stop(ErrTimeout)
+	}
 	n.deliver()
 	timer.Stop()
 	for _, sp := range lives {
