@@ -50,7 +50,9 @@ import (
 )
 
 // adminEndpoint is the peerd observability surface: a metrics registry fed
-// by the node's tracer, a bounded trace buffer, and the lifecycle bits
+// by the node's tracer, a flight recorder of its newest trace events
+// (the process lives across many rounds, so the ring keeps the latest
+// ones rather than the first), and the lifecycle bits
 // health probes read: ready (bound) and draining
 // (finishing owned work, place nothing new here).
 type adminEndpoint struct {

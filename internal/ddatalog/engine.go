@@ -132,17 +132,18 @@ type peerState struct {
 // Rules and queued facts point at it, so the per-fact path never hashes a
 // relation name.
 type relState struct {
-	q         rel.Name
-	slot      int           // its number in peerState.rels
-	arity     int           // -1 until a rule, fact or message fixes it
-	active    bool          // local relation activated
-	requested bool          // remote relation already activated
-	hooked    bool          // activation hook already ran
-	derived   int           // facts derived into it while tracing, and how many of
-	reported  int           // them earlier runs' trace counters have covered
-	subs      []dist.PeerID // subscribers, in registration order
-	defs      []int         // hosted rules deriving into it
-	occs      []ruleAt      // occurrences in hosted rule bodies
+	q           rel.Name
+	slot        int           // its number in peerState.rels
+	arity       int           // -1 until a rule, fact or message fixes it
+	active      bool          // local relation activated
+	requested   bool          // remote relation already activated
+	hooked      bool          // activation hook already ran
+	derived     int           // facts derived into it while tracing, and how many of
+	reported    int           // them earlier runs' trace counters have covered
+	derivedName string        // "derived <q>", the counter they are traced as, built once
+	subs        []dist.PeerID // subscribers, in registration order
+	defs        []int         // hosted rules deriving into it
+	occs        []ruleAt      // occurrences in hosted rule bodies
 }
 
 // hostedRule is one rule of a peer's program: the located form it arrived
@@ -392,9 +393,6 @@ func (ps *peerState) inject(ctx *dist.Context, r rel.Name, tuple []term.ID) {
 // reused from turn to turn; the consumed entries are cleared because their
 // tuple views would keep outgrown arenas alive.
 func (ps *peerState) drain(ctx *dist.Context) {
-	if ps.eng.traceOn && len(ps.pending) > 0 {
-		ps.eng.tracer.Gauge(string(ps.id), "ddatalog_pending_delta", int64(len(ps.pending)))
-	}
 	done := 0
 	for ; done < len(ps.pending) && !ps.eng.aborted && !ctx.Stopped(); done++ {
 		ps.deltaJoin(ps.pending[done])
@@ -621,7 +619,10 @@ func (e *Engine) finishRun(res *Result) {
 		for _, id := range e.order {
 			for _, rs := range e.peers[id].rels {
 				if d := rs.derived - rs.reported; d > 0 {
-					e.tracer.Counter("ddatalog", "derived "+string(rs.q), int64(d))
+					if rs.derivedName == "" {
+						rs.derivedName = "derived " + string(rs.q)
+					}
+					e.tracer.Counter("ddatalog", rs.derivedName, int64(d))
 					rs.reported = rs.derived
 				}
 			}

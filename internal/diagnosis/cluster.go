@@ -396,10 +396,12 @@ func (n *Node) serveJob(job wire.Job) bool {
 	// The driver's trace context: when the job ships with Trace set, this
 	// node records its spans into a per-job buffer and returns them in a
 	// Telemetry frame at every round boundary. The node's own tracer (the
-	// admin endpoint's) keeps observing either way.
+	// admin endpoint's) keeps observing either way. The buffer is drained
+	// every round, so its bound is per round, and it is wide: the merged
+	// timeline wants each round whole, not a flight recorder's tail.
 	var jobTW *obs.ChromeTraceWriter
 	if job.Trace {
-		jobTW = obs.NewChromeTraceWriter(0)
+		jobTW = obs.NewChromeTraceWriter(1 << 16)
 		eng.SetTracer(obs.Multi(n.tracer, jobTW))
 	} else if n.tracer != nil {
 		eng.SetTracer(n.tracer)

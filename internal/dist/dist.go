@@ -75,13 +75,32 @@ type Local interface {
 	Wire() (name string, size int)
 }
 
-// payloadName is the type a handler span is labelled with.
-func payloadName(p any) string {
-	if l, ok := p.(Local); ok {
-		name, _ := l.Wire()
-		return name
+// handleName labels the handler span of payload p with the type of the
+// wire payload it is or stands in for. The wire kinds' labels are
+// constants, so a traced message builds no string.
+func handleName(p any) string {
+	switch v := p.(type) {
+	case wire.Facts:
+		return "handle wire.Facts"
+	case wire.Inject:
+		return "handle wire.Inject"
+	case wire.Install:
+		return "handle wire.Install"
+	case wire.Activate:
+		return "handle wire.Activate"
+	case Local:
+		switch name, _ := v.Wire(); name {
+		case "wire.Facts":
+			return "handle wire.Facts"
+		case "wire.Inject":
+			return "handle wire.Inject"
+		case "wire.Install":
+			return "handle wire.Install"
+		default:
+			return "handle " + name
+		}
 	}
-	return fmt.Sprintf("%T", p)
+	return fmt.Sprintf("handle %T", p)
 }
 
 // payloadSize is the wire-encoded size of payload p (0 for payloads the
@@ -422,7 +441,7 @@ func (n *Network) deliver() {
 			n.mu.Unlock()
 			if tr.Enabled() {
 				tr.FlowEnd(string(p.id), "msg", m.seq)
-				sp := tr.Begin(string(p.id), "handle "+payloadName(m.Payload))
+				sp := tr.Begin(string(p.id), handleName(m.Payload))
 				p.handler(&p.ctx, m)
 				sp.End()
 			} else {

@@ -3,6 +3,8 @@ package obs
 import (
 	"encoding/json"
 	"io"
+	"maps"
+	"slices"
 	"sync"
 	"time"
 )
@@ -13,45 +15,55 @@ import (
 //
 // Each track becomes a named thread of one synthetic process; spans are
 // complete ("X") events, message hops are flow ("s"/"f") event pairs,
-// counters and gauges are counter ("C") samples. The buffer is bounded:
-// past MaxEvents the writer drops new events and counts them, so a
-// long-lived session's trace costs bounded memory.
+// counters and gauges are counter ("C") samples. A bounded writer is a
+// flight recorder: a ring holding the newest events, where each event
+// recorded past the bound overwrites the oldest one and is counted as
+// dropped, so a long-lived session's trace costs bounded memory and
+// always shows its latest work. Recording into a ring that has filled
+// allocates nothing.
 type ChromeTraceWriter struct {
 	mu      sync.Mutex
 	start   time.Time
-	max     int
+	max     int // ring size; negative keeps every event
 	dropped int64
-	events  []chromeEvent
-	tids    map[string]int
-	tracks  []string // track names in first-seen order, index+1 = tid
+	// events grows by append until it holds max events; from then on it
+	// is a ring whose oldest event sits at next.
+	events []chromeEvent
+	next   int
+	// overwritten carries the deltas of counter events the ring
+	// overwrote, per (track, name), so the export's running totals still
+	// count from the start of the trace.
+	overwritten map[counterKey]int64
 }
 
-// DefaultMaxEvents bounds a trace buffer when NewChromeTraceWriter is
-// given 0.
-const DefaultMaxEvents = 1 << 16
+// DefaultMaxEvents is the ring size NewChromeTraceWriter(0) gets. The
+// one-alarm appends of a 6-peer pipeline session record from a few dozen
+// to about 19 000 events, most of them fewer than this: the ring holds a
+// typical append whole and the tail of a heavy one.
+const DefaultMaxEvents = 4096
 
 // chromeEvent is one recorded event; the JSON field set depends on ph.
+// It holds its track name, so recording takes no lookup: tracks get
+// their thread IDs when the buffer is exported.
 type chromeEvent struct {
+	track string
 	name  string
-	ph    byte // X, i, C, s, f
-	tid   int
+	ph    byte  // X, i, C, G, s, f
 	ts    int64 // microseconds since trace start
-	dur   int64 // X only
-	value int64 // C only
-	id    uint64
+	arg   int64 // X: duration in µs; C: delta; G: level; s, f: flow id
 }
 
-// NewChromeTraceWriter returns an empty trace buffer holding at most
-// maxEvents events (0 means DefaultMaxEvents, negative means unbounded).
+// counterKey names one counter series of one track.
+type counterKey struct{ track, name string }
+
+// NewChromeTraceWriter returns an empty trace buffer keeping the newest
+// maxEvents events (0 means DefaultMaxEvents, negative keeps every
+// event). The buffer grows as events arrive, up to its bound.
 func NewChromeTraceWriter(maxEvents int) *ChromeTraceWriter {
 	if maxEvents == 0 {
 		maxEvents = DefaultMaxEvents
 	}
-	return &ChromeTraceWriter{
-		start: time.Now(),
-		max:   maxEvents,
-		tids:  make(map[string]int),
-	}
+	return &ChromeTraceWriter{start: time.Now(), max: maxEvents, overwritten: make(map[counterKey]int64)}
 }
 
 // Enabled reports true: call sites should format real event names.
@@ -61,27 +73,28 @@ func (w *ChromeTraceWriter) since(t time.Time) int64 {
 	return t.Sub(w.start).Microseconds()
 }
 
-// tidLocked maps a track name to its thread ID, registering it on first
-// sight. Caller holds w.mu.
-func (w *ChromeTraceWriter) tidLocked(track string) int {
-	if tid, ok := w.tids[track]; ok {
-		return tid
-	}
-	tid := len(w.tracks) + 1
-	w.tids[track] = tid
-	w.tracks = append(w.tracks, track)
-	return tid
-}
-
-func (w *ChromeTraceWriter) record(track string, ev chromeEvent) {
+func (w *ChromeTraceWriter) record(ev chromeEvent) {
 	w.mu.Lock()
-	if w.max > 0 && len(w.events) >= w.max {
-		w.dropped++
+	if w.max < 0 || len(w.events) < w.max {
+		if len(w.events) == cap(w.events) && w.max > 0 {
+			// Double, but never past the bound: a full ring wastes nothing.
+			grown := make([]chromeEvent, len(w.events), min(max(2*cap(w.events), 64), w.max))
+			copy(grown, w.events)
+			w.events = grown
+		}
+		w.events = append(w.events, ev)
 		w.mu.Unlock()
 		return
 	}
-	ev.tid = w.tidLocked(track)
-	w.events = append(w.events, ev)
+	old := &w.events[w.next]
+	if old.ph == 'C' {
+		w.overwritten[counterKey{old.track, old.name}] += old.arg
+	}
+	*old = ev
+	if w.next++; w.next == len(w.events) {
+		w.next = 0
+	}
+	w.dropped++
 	w.mu.Unlock()
 }
 
@@ -95,38 +108,38 @@ func (w *ChromeTraceWriter) End(s Span) {
 	if s.Start.IsZero() {
 		return
 	}
-	w.record(s.Track, chromeEvent{
-		name: s.Name, ph: 'X',
-		ts: w.since(s.Start), dur: time.Since(s.Start).Microseconds(),
+	w.record(chromeEvent{
+		track: s.Track, name: s.Name, ph: 'X',
+		ts: w.since(s.Start), arg: time.Since(s.Start).Microseconds(),
 	})
 }
 
 // Instant records a zero-duration event.
 func (w *ChromeTraceWriter) Instant(track, name string) {
-	w.record(track, chromeEvent{name: name, ph: 'i', ts: w.since(time.Now())})
+	w.record(chromeEvent{track: track, name: name, ph: 'i', ts: w.since(time.Now())})
 }
 
 // Counter records a counter increment. The export accumulates deltas per
 // (track, name) so the rendered counter track shows the running total.
 func (w *ChromeTraceWriter) Counter(track, name string, delta int64) {
-	w.record(track, chromeEvent{name: name, ph: 'C', ts: w.since(time.Now()), value: delta})
+	w.record(chromeEvent{track: track, name: name, ph: 'C', ts: w.since(time.Now()), arg: delta})
 }
 
 // Gauge records a level sample, exported as an absolute counter value.
 func (w *ChromeTraceWriter) Gauge(track, name string, value int64) {
 	// ph 'G' is internal shorthand; exported as a "C" sample holding the
 	// absolute value rather than an accumulated delta.
-	w.record(track, chromeEvent{name: name, ph: 'G', ts: w.since(time.Now()), value: value})
+	w.record(chromeEvent{track: track, name: name, ph: 'G', ts: w.since(time.Now()), arg: value})
 }
 
 // FlowBegin records the sending half of a hop.
 func (w *ChromeTraceWriter) FlowBegin(track, name string, id uint64) {
-	w.record(track, chromeEvent{name: name, ph: 's', ts: w.since(time.Now()), id: id})
+	w.record(chromeEvent{track: track, name: name, ph: 's', ts: w.since(time.Now()), arg: int64(id)})
 }
 
 // FlowEnd records the receiving half of a hop.
 func (w *ChromeTraceWriter) FlowEnd(track, name string, id uint64) {
-	w.record(track, chromeEvent{name: name, ph: 'f', ts: w.since(time.Now()), id: id})
+	w.record(chromeEvent{track: track, name: name, ph: 'f', ts: w.since(time.Now()), arg: int64(id)})
 }
 
 // Len reports how many events are buffered.
@@ -150,40 +163,53 @@ type Event struct {
 	ID    uint64
 }
 
+// orderedLocked returns the buffered events oldest first: a ring that
+// has wrapped starts at next. Caller holds w.mu.
+func (w *ChromeTraceWriter) orderedLocked() []chromeEvent {
+	return slices.Concat(w.events[w.next:], w.events[:w.next])
+}
+
 func (w *ChromeTraceWriter) exportLocked() []Event {
 	base := w.start.UnixMicro()
-	out := make([]Event, len(w.events))
-	for i, ev := range w.events {
-		out[i] = Event{
-			Track: w.tracks[ev.tid-1], Name: ev.name, Ph: ev.ph,
-			Wall: base + ev.ts, Dur: ev.dur, Value: ev.value, ID: ev.id,
+	events := w.orderedLocked()
+	out := make([]Event, len(events))
+	for i, ev := range events {
+		out[i] = Event{Track: ev.track, Name: ev.name, Ph: ev.ph, Wall: base + ev.ts}
+		switch ev.ph {
+		case 'X':
+			out[i].Dur = ev.arg
+		case 'C', 'G':
+			out[i].Value = ev.arg
+		case 's', 'f':
+			out[i].ID = uint64(ev.arg)
 		}
 	}
 	return out
 }
 
-// Events snapshots the buffered events in wall-clock form without
-// clearing them.
+// Events snapshots the buffered events in wall-clock form, oldest
+// first, without clearing them.
 func (w *ChromeTraceWriter) Events() []Event {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	return w.exportLocked()
 }
 
-// DrainEvents returns the buffered events in wall-clock form and clears
-// the buffer, so the bound applies afresh to what is recorded next. The
-// cumulative dropped count is returned alongside and keeps accumulating
-// across drains. A cluster member drains once per round and ships the
-// batch to the driver.
+// DrainEvents returns the buffered events in wall-clock form, oldest
+// first, and empties the ring, so what is recorded next overwrites
+// nothing until the ring fills again. The cumulative dropped count is
+// returned alongside and keeps accumulating across drains. A cluster
+// member drains once per round and ships the batch to the driver.
 func (w *ChromeTraceWriter) DrainEvents() (events []Event, dropped int64) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	events = w.exportLocked()
-	w.events = w.events[:0]
+	w.events, w.next = w.events[:0], 0
+	clear(w.overwritten)
 	return events, w.dropped
 }
 
-// Dropped reports how many events the bound discarded.
+// Dropped reports how many events the ring overwrote.
 func (w *ChromeTraceWriter) Dropped() int64 {
 	w.mu.Lock()
 	defer w.mu.Unlock()
@@ -211,53 +237,55 @@ type traceFile struct {
 	OtherData       map[string]any `json:"otherData,omitempty"`
 }
 
-// WriteJSON renders the buffered trace. The writer stays usable — a
+// WriteJSON renders the buffered trace, oldest event first, with the
+// dropped count as otherData.droppedEvents. The writer stays usable — a
 // session trace can be exported mid-flight and again later.
 func (w *ChromeTraceWriter) WriteJSON(out io.Writer) error {
 	w.mu.Lock()
-	events := append([]chromeEvent(nil), w.events...)
-	tracks := append([]string(nil), w.tracks...)
+	events := w.orderedLocked()
+	totals := maps.Clone(w.overwritten)
 	dropped := w.dropped
 	w.mu.Unlock()
 
+	// Tracks become threads in the order the kept events first name them.
 	const pid = 1
 	file := traceFile{DisplayTimeUnit: "ms", TraceEvents: []jsonEvent{
 		{Name: "process_name", Ph: "M", PID: pid, Args: map[string]any{"name": "diagnosis"}},
 	}}
-	for i, track := range tracks {
-		file.TraceEvents = append(file.TraceEvents, jsonEvent{
-			Name: "thread_name", Ph: "M", PID: pid, TID: i + 1,
-			Args: map[string]any{"name": track},
-		})
+	tids := make(map[string]int)
+	for _, ev := range events {
+		if _, ok := tids[ev.track]; !ok {
+			tids[ev.track] = len(tids) + 1
+			file.TraceEvents = append(file.TraceEvents, jsonEvent{
+				Name: "thread_name", Ph: "M", PID: pid, TID: len(tids),
+				Args: map[string]any{"name": ev.track},
+			})
+		}
 	}
 
-	// Counter deltas accumulate per (tid, name) so the exported samples
-	// form a running total; gauges pass through as absolute levels.
-	type counterKey struct {
-		tid  int
-		name string
-	}
-	totals := make(map[counterKey]int64)
+	// Counter deltas accumulate per (track, name), from what the ring
+	// overwrote, so the exported samples form a running total; gauges
+	// pass through as absolute levels.
 	for _, ev := range events {
-		je := jsonEvent{Name: ev.name, TS: ev.ts, PID: pid, TID: ev.tid}
+		je := jsonEvent{Name: ev.name, TS: ev.ts, PID: pid, TID: tids[ev.track]}
 		switch ev.ph {
 		case 'X':
-			dur := ev.dur
+			dur := ev.arg
 			je.Ph = "X"
 			je.Dur = &dur
 		case 'i':
 			je.Ph = "i"
 			je.Args = map[string]any{}
 		case 'C':
-			k := counterKey{ev.tid, ev.name}
-			totals[k] += ev.value
+			k := counterKey{ev.track, ev.name}
+			totals[k] += ev.arg
 			je.Ph = "C"
 			je.Args = map[string]any{"value": totals[k]}
 		case 'G':
 			je.Ph = "C"
-			je.Args = map[string]any{"value": ev.value}
+			je.Args = map[string]any{"value": ev.arg}
 		case 's', 'f':
-			id := ev.id
+			id := uint64(ev.arg)
 			je.Ph = string(ev.ph)
 			je.Cat = "msg"
 			je.ID = &id

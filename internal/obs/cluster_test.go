@@ -3,27 +3,30 @@ package obs
 import (
 	"bytes"
 	"encoding/json"
+	"strings"
 	"testing"
 )
 
+// TestDrainEvents: a drain returns the ring's events oldest first and
+// empties it; the dropped count is cumulative across drains.
 func TestDrainEvents(t *testing.T) {
 	w := NewChromeTraceWriter(3)
-	w.Instant("t", "a")
+	w.Instant("t", "a") // overwritten by the fourth event
 	w.Counter("t", "c_total", 5)
 	w.FlowBegin("t", "msg", 42)
-	w.Instant("t", "overflow") // fourth event: dropped
+	w.Instant("u", "newest")
 
 	events, dropped := w.DrainEvents()
 	if len(events) != 3 || dropped != 1 {
 		t.Fatalf("drain: %d events, %d dropped, want 3/1", len(events), dropped)
 	}
-	if events[0].Track != "t" || events[0].Name != "a" || events[0].Ph != 'i' {
+	if events[0].Track != "t" || events[0].Ph != 'C' || events[0].Value != 5 {
 		t.Fatalf("event[0] = %+v", events[0])
 	}
-	if events[1].Ph != 'C' || events[1].Value != 5 {
+	if events[1].Ph != 's' || events[1].ID != 42 {
 		t.Fatalf("event[1] = %+v", events[1])
 	}
-	if events[2].Ph != 's' || events[2].ID != 42 {
+	if events[2].Track != "u" || events[2].Name != "newest" || events[2].Ph != 'i' {
 		t.Fatalf("event[2] = %+v", events[2])
 	}
 	// Wall-clock form: timestamps are epoch µs, not trace-relative.
@@ -31,14 +34,25 @@ func TestDrainEvents(t *testing.T) {
 		t.Fatalf("event Wall = %d, not epoch microseconds", events[0].Wall)
 	}
 
-	// The drain frees the bound; dropped stays cumulative.
+	// The drain frees the ring: three more events overwrite nothing, a
+	// fourth overwrites the oldest of them; dropped stays cumulative.
 	if w.Len() != 0 {
 		t.Fatalf("len after drain = %d", w.Len())
 	}
-	w.Instant("t", "b")
+	for _, name := range []string{"b", "c", "d"} {
+		w.Instant("t", name)
+	}
+	if w.Dropped() != 1 {
+		t.Fatalf("dropped = %d after refilling a drained ring, want 1", w.Dropped())
+	}
+	w.Instant("t", "e")
 	events, dropped = w.DrainEvents()
-	if len(events) != 1 || dropped != 1 {
-		t.Fatalf("second drain: %d events, %d dropped, want 1/1", len(events), dropped)
+	var names []string
+	for _, ev := range events {
+		names = append(names, ev.Name)
+	}
+	if got := strings.Join(names, " "); got != "c d e" || dropped != 2 {
+		t.Fatalf("second drain: %q, %d dropped, want \"c d e\", 2", got, dropped)
 	}
 }
 

@@ -109,13 +109,16 @@ func Multi(tracers ...Tracer) Tracer {
 	case 1:
 		return live[0]
 	}
-	return live
+	return &live
 }
 
+// multi is used through a pointer, so the Span that Begin returns holds
+// it without boxing a slice header: a span through Multi allocates
+// nothing.
 type multi []Tracer
 
-func (m multi) Enabled() bool {
-	for _, t := range m {
+func (m *multi) Enabled() bool {
+	for _, t := range *m {
 		if t.Enabled() {
 			return true
 		}
@@ -123,42 +126,42 @@ func (m multi) Enabled() bool {
 	return false
 }
 
-func (m multi) Begin(track, name string) Span {
+func (m *multi) Begin(track, name string) Span {
 	return Span{tr: m, Track: track, Name: name, Start: time.Now()}
 }
 
-func (m multi) End(s Span) {
-	for _, t := range m {
+func (m *multi) End(s Span) {
+	for _, t := range *m {
 		t.End(s)
 	}
 }
 
-func (m multi) Instant(track, name string) {
-	for _, t := range m {
+func (m *multi) Instant(track, name string) {
+	for _, t := range *m {
 		t.Instant(track, name)
 	}
 }
 
-func (m multi) Counter(track, name string, delta int64) {
-	for _, t := range m {
+func (m *multi) Counter(track, name string, delta int64) {
+	for _, t := range *m {
 		t.Counter(track, name, delta)
 	}
 }
 
-func (m multi) Gauge(track, name string, value int64) {
-	for _, t := range m {
+func (m *multi) Gauge(track, name string, value int64) {
+	for _, t := range *m {
 		t.Gauge(track, name, value)
 	}
 }
 
-func (m multi) FlowBegin(track, name string, id uint64) {
-	for _, t := range m {
+func (m *multi) FlowBegin(track, name string, id uint64) {
+	for _, t := range *m {
 		t.FlowBegin(track, name, id)
 	}
 }
 
-func (m multi) FlowEnd(track, name string, id uint64) {
-	for _, t := range m {
+func (m *multi) FlowEnd(track, name string, id uint64) {
+	for _, t := range *m {
 		t.FlowEnd(track, name, id)
 	}
 }

@@ -3,6 +3,8 @@ package obs
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
+	"strings"
 	"testing"
 	"time"
 )
@@ -24,6 +26,32 @@ func TestNopZeroAllocs(t *testing.T) {
 		sp.End()
 	}); n != 0 {
 		t.Fatalf("Nop tracer allocates %v per op, want 0", n)
+	}
+}
+
+// TestRingZeroAllocs: once a bounded writer's ring has filled, recording
+// overwrites in place, so a served session's trace costs no allocation
+// per event — through Multi too, as sessions record (trace plus metrics).
+func TestRingZeroAllocs(t *testing.T) {
+	w := NewChromeTraceWriter(64)
+	tr := Multi(w, NewChromeTraceWriter(64))
+	emit := func() {
+		sp := tr.Begin("p1", "handle wire.Facts")
+		tr.FlowBegin("p1", "msg", 7)
+		tr.FlowEnd("p2", "msg", 7)
+		tr.Counter("ddatalog", "ddatalog_facts_derived_total", 1)
+		tr.Gauge("diagnosis", "diagnosis_unfolding_nodes", 3)
+		tr.Instant("p1", "install")
+		sp.End()
+	}
+	for w.Dropped() == 0 {
+		emit()
+	}
+	if n := testing.AllocsPerRun(1000, emit); n != 0 {
+		t.Fatalf("recording into a full ring allocates %v per op, want 0", n)
+	}
+	if w.Len() != 64 {
+		t.Fatalf("ring holds %d events, want 64", w.Len())
 	}
 }
 
@@ -123,18 +151,45 @@ func TestChromeTraceWriterExport(t *testing.T) {
 	}
 }
 
+// TestChromeTraceWriterBound pins the flight recorder: a bounded writer
+// keeps its newest events, oldest first, and counts each one it
+// overwrote; counter samples still total from the start of the trace.
 func TestChromeTraceWriterBound(t *testing.T) {
-	w := NewChromeTraceWriter(2)
-	for i := 0; i < 5; i++ {
-		w.Instant("t", "e")
+	w := NewChromeTraceWriter(3)
+	w.Counter("t", "c_total", 2)
+	w.Counter("t", "c_total", 3)
+	for _, name := range []string{"e0", "e1"} {
+		w.Instant("t", name)
 	}
-	if w.Len() != 2 || w.Dropped() != 3 {
-		t.Fatalf("len=%d dropped=%d, want 2/3", w.Len(), w.Dropped())
+	w.Counter("t", "c_total", 4)
+	if w.Len() != 3 || w.Dropped() != 2 {
+		t.Fatalf("len=%d dropped=%d, want 3/2", w.Len(), w.Dropped())
 	}
+	var kept []string
+	for _, ev := range w.Events() {
+		kept = append(kept, ev.Name)
+	}
+	if got := strings.Join(kept, " "); got != "e0 e1 c_total" {
+		t.Fatalf("kept events %q, want \"e0 e1 c_total\"", got)
+	}
+
 	file := decodeTrace(t, w)
 	other, ok := file["otherData"].(map[string]any)
-	if !ok || other["droppedEvents"].(float64) != 3 {
+	if !ok || other["droppedEvents"].(float64) != 2 {
 		t.Fatalf("droppedEvents missing: %v", file["otherData"])
+	}
+	var exported []string
+	for _, e := range traceEvents(t, file) {
+		switch e["ph"] {
+		case "i":
+			exported = append(exported, e["name"].(string))
+		case "C":
+			// The overwritten deltas 2 and 3 still count: 2+3+4.
+			exported = append(exported, fmt.Sprint(e["args"].(map[string]any)["value"]))
+		}
+	}
+	if got := strings.Join(exported, " "); got != "e0 e1 9" {
+		t.Fatalf("exported %q, want \"e0 e1 9\"", got)
 	}
 }
 

@@ -3,11 +3,21 @@ package serve
 import (
 	"bytes"
 	"encoding/json"
+	"math"
+	"math/rand"
 	"net/http"
+	"net/http/httptest"
+	"runtime"
 	"strconv"
 	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/alarm"
+	"repro/internal/core"
+	"repro/internal/datalog"
+	"repro/internal/gen"
+	"repro/internal/parser"
 )
 
 // TestMetricsWriteTextGolden pins the exposition format: plain counters,
@@ -171,22 +181,7 @@ func TestTraceEndpoint(t *testing.T) {
 		t.Fatalf("append: status %d", code)
 	}
 
-	httpResp, err := http.Get(ts.URL + "/v1/sessions/" + sess.ID + "/trace")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer httpResp.Body.Close()
-	if httpResp.StatusCode != http.StatusOK {
-		t.Fatalf("trace: status %d", httpResp.StatusCode)
-	}
-	var file struct {
-		TraceEvents []struct {
-			Ph string `json:"ph"`
-		} `json:"traceEvents"`
-	}
-	if err := json.NewDecoder(httpResp.Body).Decode(&file); err != nil {
-		t.Fatalf("trace not valid JSON: %v", err)
-	}
+	file := getTrace(t, ts, sess.ID)
 	spans, flows := 0, 0
 	for _, e := range file.TraceEvents {
 		switch e.Ph {
@@ -207,6 +202,185 @@ func TestTraceEndpoint(t *testing.T) {
 		if r2.StatusCode != http.StatusNotFound {
 			t.Fatalf("trace of unknown session: status %d", r2.StatusCode)
 		}
+	}
+
+	// A 12-alarm pipeline session outgrows the ring: its trace reports the
+	// overwritten events and still holds the whole of the last append,
+	// whose span encloses every message hop that survived.
+	netText, alarms := pipelineSession()
+	pipe := createSession(t, ts, createRequest{Net: netText})
+	for _, a := range alarms {
+		if code := doJSON(t, "POST", ts.URL+"/v1/sessions/"+pipe.ID+"/alarms",
+			appendRequest{Alarms: a}, &resp); code != http.StatusOK {
+			t.Fatalf("pipeline append %q: status %d", a, code)
+		}
+	}
+	file = getTrace(t, ts, pipe.ID)
+	if file.OtherData.DroppedEvents <= 0 {
+		t.Fatalf("otherData.droppedEvents = %d after 12 pipeline appends, want > 0", file.OtherData.DroppedEvents)
+	}
+	lastEnd, lastFlow := int64(-1), int64(-1)
+	for _, e := range file.TraceEvents {
+		switch {
+		case e.Ph == "X" && e.Name == "append (1 alarms)":
+			lastEnd = max(lastEnd, e.TS+e.Dur)
+		case e.Ph == "s" || e.Ph == "f":
+			lastFlow = max(lastFlow, e.TS)
+		}
+	}
+	if lastEnd < 0 || lastFlow < 0 || lastEnd < lastFlow {
+		t.Fatalf("last append span ends at %d, last message hop at %d: the trace lost the last append", lastEnd, lastFlow)
+	}
+
+	// Exporting while an append records into the same ring: every export
+	// is a whole, valid trace (and the race detector watches the ring).
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		next := createSession(t, ts, createRequest{Net: netText})
+		for _, a := range alarms[:3] {
+			if code, body := rawDo(t, "POST", ts.URL+"/v1/sessions/"+next.ID+"/alarms", `{"alarms": "`+a+`"}`); code != http.StatusOK {
+				t.Errorf("concurrent append %q: status %d %s", a, code, body)
+				return
+			}
+		}
+	}()
+	for exporting := true; exporting; {
+		select {
+		case <-done:
+			exporting = false
+		default:
+		}
+		getTrace(t, ts, pipe.ID)
+	}
+}
+
+// traceFile is what the trace tests read of an exported session trace.
+type traceFile struct {
+	TraceEvents []struct {
+		Name string `json:"name"`
+		Ph   string `json:"ph"`
+		TS   int64  `json:"ts"`
+		Dur  int64  `json:"dur"`
+	} `json:"traceEvents"`
+	OtherData struct {
+		DroppedEvents int64 `json:"droppedEvents"`
+	} `json:"otherData"`
+}
+
+func getTrace(t *testing.T, ts *httptest.Server, id string) traceFile {
+	t.Helper()
+	httpResp, err := http.Get(ts.URL + "/v1/sessions/" + id + "/trace")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer httpResp.Body.Close()
+	if httpResp.StatusCode != http.StatusOK {
+		t.Fatalf("trace: status %d", httpResp.StatusCode)
+	}
+	var file traceFile
+	if err := json.NewDecoder(httpResp.Body).Decode(&file); err != nil {
+		t.Fatalf("trace not valid JSON: %v", err)
+	}
+	return file
+}
+
+// pipelineSession is the net and the one-alarm appends of the pipeline
+// traffic: gen.Pipeline(6, 2) and 12 alarms of seed 1.
+func pipelineSession() (netText string, alarms []string) {
+	pn := gen.Pipeline(6, 2)
+	seq := gen.PipelineSeq(pn, rand.New(rand.NewSource(1)), 12)
+	for i := range seq {
+		alarms = append(alarms, parser.FormatAlarms(seq[i:i+1]))
+	}
+	return parser.FormatNet(pn), alarms
+}
+
+// TestDroppedEventsSeriesMonotone: trace_events_dropped_total is a
+// counter, so removing a session whose ring overwrote events must not
+// lower it.
+func TestDroppedEventsSeriesMonotone(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	netText, alarms := pipelineSession()
+	sess := createSession(t, ts, createRequest{Net: netText})
+	for _, a := range alarms[:8] { // the eighth outgrows the ring
+		if code, body := rawDo(t, "POST", ts.URL+"/v1/sessions/"+sess.ID+"/alarms", `{"alarms": "`+a+`"}`); code != http.StatusOK {
+			t.Fatalf("append %q: status %d %s", a, code, body)
+		}
+	}
+	before := metricValue(t, ts, "trace_events_dropped_total")
+	if before <= 0 {
+		t.Fatalf("trace_events_dropped_total = %d after eight pipeline appends, want > 0", before)
+	}
+	if code, _ := rawDo(t, "DELETE", ts.URL+"/v1/sessions/"+sess.ID, ""); code != http.StatusNoContent {
+		t.Fatalf("delete: status %d", code)
+	}
+	if after := metricValue(t, ts, "trace_events_dropped_total"); after < before {
+		t.Fatalf("trace_events_dropped_total went from %d to %d on a delete", before, after)
+	}
+}
+
+// TestServedSessionAllocations bounds what tracing costs a served
+// session: creating a Pipeline(6,2) session in a store and making its 12
+// one-alarm appends allocates at most 1.2x what the same net, create and
+// appends allocate on a core.Incremental with no tracer.
+func TestServedSessionAllocations(t *testing.T) {
+	netText, alarms := pipelineSession()
+	var seqs []alarm.Seq
+	for _, a := range alarms {
+		seq, err := core.ParseAlarms(a)
+		if err != nil {
+			t.Fatal(err)
+		}
+		seqs = append(seqs, seq)
+	}
+	served := func() {
+		st := NewStore(StoreConfig{}, NewMetrics())
+		sess, err := st.Create(netText, "dqsq", 0, time.Now())
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, seq := range seqs {
+			if _, err := sess.Append(seq, time.Minute); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	untraced := func() {
+		sys, err := core.LoadNet(netText)
+		if err != nil {
+			t.Fatal(err)
+		}
+		inc, err := sys.NewIncremental(core.DQSQ, core.Options{Budget: datalog.Budget{MaxFacts: 1 << 20}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, seq := range seqs {
+			if _, err := inc.Append(seq, time.Minute); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	// Warm the per-net program cache, then take the least of a few runs
+	// of each: a background allocation can only add to a run.
+	served()
+	allocated := func(run func()) uint64 {
+		least := uint64(math.MaxUint64)
+		for range 3 {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			run()
+			runtime.ReadMemStats(&after)
+			least = min(least, after.TotalAlloc-before.TotalAlloc)
+		}
+		return least
+	}
+	tracedBytes, untracedBytes := allocated(served), allocated(untraced)
+	ratio := float64(tracedBytes) / float64(untracedBytes)
+	t.Logf("served session %d bytes, untraced %d bytes: %.2fx", tracedBytes, untracedBytes, ratio)
+	if ratio > 1.2 {
+		t.Fatalf("a served pipeline session allocates %.2fx an untraced one (%d vs %d bytes), want <= 1.2x",
+			ratio, tracedBytes, untracedBytes)
 	}
 }
 

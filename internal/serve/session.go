@@ -101,10 +101,10 @@ type Session struct {
 	lastSnap atomic.Int64 // unix nanoseconds of the last checkpoint record; 0 = never
 	closed   atomic.Bool  // set lock-free by eviction, so the store never waits on an evaluation
 
-	// trace buffers the session's evaluation events (per-peer spans,
-	// message flows, engine counters) for GET /v1/sessions/{id}/trace.
-	// The writer is internally locked, so exporting is safe concurrently
-	// with an append in flight.
+	// trace is the session's flight recorder: a ring of its newest
+	// evaluation events (per-peer spans, message flows, engine counters)
+	// for GET /v1/sessions/{id}/trace. The writer is internally locked,
+	// so exporting is safe concurrently with an append in flight.
 	trace *obs.ChromeTraceWriter
 
 	mu           sync.Mutex
@@ -127,7 +127,7 @@ type Session struct {
 }
 
 // newSession warms an incremental handle instrumented with two tracer
-// consumers: the session's own bounded Chrome trace buffer, and (when reg
+// consumers: the session's own flight recorder, and (when reg
 // is non-nil) a metrics sink folding engine counters into the server
 // registry — that is how /metrics gains ddatalog_facts_derived_total,
 // dist_messages_total{from,to}, dqsq_sup_tuples,

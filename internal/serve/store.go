@@ -59,6 +59,9 @@ type Store struct {
 	reserved int                      // sum of live sessions' fact budgets
 	nextID   uint64
 	wal      *serverWAL // nil when nothing is logged (no data dir, or a follower)
+	// dropped sums the trace events the removed sessions' rings had
+	// overwritten, so trace_events_dropped_total never goes backwards.
+	dropped int64
 }
 
 // SetWAL attaches the write-ahead log: creates, evictions and expiries
@@ -103,7 +106,7 @@ func NewStore(cfg StoreConfig, metrics *Metrics) *Store {
 	metrics.Gauge("trace_events_dropped_total", func() int64 {
 		st.mu.Lock()
 		defer st.mu.Unlock()
-		var total int64
+		total := st.dropped
 		for el := st.lru.Front(); el != nil; el = el.Next() {
 			total += el.Value.(*Session).trace.Dropped()
 		}
@@ -372,6 +375,7 @@ func (st *Store) removeLocked(el *list.Element) *Session {
 	delete(st.sessions, sess.ID)
 	st.lru.Remove(el)
 	st.reserved -= sess.Facts
+	st.dropped += sess.trace.Dropped()
 	sess.Close()
 	return sess
 }

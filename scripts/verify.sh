@@ -5,12 +5,13 @@
 # share: the per-net template and what it is cloned from). CI and
 # pre-commit both run this.
 #
-# Deterministic steps stop the script where they fail (set -e). Two timing
-# guards close the run, each comparing two measurements taken in one
-# process on this box with a wide margin: the no-op tracer against a full
-# trace (bound 1.5x) and checkpoint restore against replay (restore must
-# be cheaper). Both always run; a red one is printed again at the end and
-# makes the exit status non-zero. Serving performance is measured by
+# Deterministic steps stop the script where they fail (set -e). The
+# tracing-overhead and checkpoint-overhead guards close the run, each
+# comparing two measurements taken in one process: the no-op tracer
+# against a full trace (bound 1.5x) and a served session's allocation
+# against an untraced one (bound 1.2x), then checkpoint restore against
+# replay (restore must be cheaper). All always run; a red one is printed
+# again at the end and makes the exit status non-zero. Serving performance is measured by
 # bench/ against BENCHMARK.json in alternating parent/change pairs, not
 # here.
 set -eu
@@ -144,11 +145,14 @@ go test -run '^TestPoolWorkerKillMigration$' -count 1 ./cmd/diagnosed
 go test -run '^TestPoolFrontendRestart$' -count 1 ./cmd/diagnosed
 
 echo "== tracing-overhead guard"
-# The no-op tracer is what every untraced run pays, so it must never cost
-# more than a run that records a full Chrome trace. Compare the two
-# quickstart benchmarks with a generous noise margin (the zero-alloc tests
-# in internal/obs pin the per-call cost; this catches gross leaks of
-# instrumentation work onto the disabled path).
+# Both directions. The no-op tracer is what every untraced run pays, so
+# it must never cost more than a run that records a full Chrome trace.
+# Compare the two quickstart benchmarks with a generous noise margin (the
+# zero-alloc tests in internal/obs pin the per-call cost; this catches
+# gross leaks of instrumentation work onto the disabled path). And the
+# traced path is what every served session pays: a pipeline session's
+# flight recorder and metrics may add at most 0.2x to what its appends
+# allocate untraced.
 bench_out=$(go test -run '^$' -bench 'BenchmarkQuickstartDiagnosis' -benchtime 5x .)
 echo "$bench_out"
 echo "$bench_out" | awk '
@@ -163,6 +167,8 @@ echo "$bench_out" | awk '
         printf "guard: ok (off %s ns/op, on %s ns/op)\n", off, on
     }' || red="$red
   tracing-overhead"
+go test -run '^TestServedSessionAllocations$' -count 1 -v ./internal/serve || red="$red
+  served-session allocation"
 
 echo "== checkpoint-overhead guard"
 # Restoring a checkpoint must be cheaper than replaying the sequence it
