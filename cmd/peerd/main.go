@@ -72,8 +72,7 @@ func newAdminEndpoint() *adminEndpoint {
 // tracer is what the node's engines observe through: spans and flows into
 // the trace buffer, counters and gauges folded into /metrics. Round spans
 // additionally feed the dist_round_latency_seconds histogram — this node's
-// own view of each cluster round, complementing the per-node series the
-// driver computes from its poll round trips.
+// own view of each cluster round.
 func (a *adminEndpoint) tracer() obs.Tracer {
 	sink := obs.NewMetricsSink(a.metrics)
 	sink.ObserveSpans("dist-round", "dist_round_latency_seconds")

@@ -89,24 +89,15 @@ type Cluster struct {
 	// frames of the failed attempt cannot leak into the retry. 0 means
 	// no retries.
 	Retries int
-	// Metrics, when set, receives the driver's cluster health series:
-	// dist_round_latency_seconds{node,phase} observations and
-	// dist_straggler_total{node} counts (internal/serve's *Metrics
-	// satisfies the interface). Set before the first RunDistributed.
-	Metrics obs.Registry
 
 	mu  sync.Mutex
 	drv *dist.Driver
 
-	// Telemetry harvested from members across RunDistributed calls, keyed
-	// by node name (see ProcessTraces, MemberCounters). Traces populate
-	// only when Options.Tracer is enabled: the job then ships with Trace
-	// set and members record and return their spans. Counters also carry
-	// the driver-observed per-node round latencies and straggler counts,
-	// which accumulate on every run, traced or not.
-	traces         map[string]*obs.ProcessTrace
-	memberCounters map[string]map[string]uint64
-	traceIDv       uint64
+	// Traces harvested from members across RunDistributed calls, keyed by
+	// node name (see ProcessTraces). They populate only when
+	// Options.Tracer is enabled: the job then ships with Trace set and
+	// members record and return their spans.
+	traces map[string]*obs.ProcessTrace
 }
 
 // Close shuts down the driver transport.
@@ -142,9 +133,6 @@ func (cl *Cluster) driver(pn *petri.PetriNet) (*dist.Driver, error) {
 	drv, err := dist.NewDriver(cl.Transport, cl.Nodes, assign)
 	if err != nil {
 		return nil, err
-	}
-	if cl.Metrics != nil {
-		drv.SetMetrics(cl.Metrics)
 	}
 	cl.drv = drv
 	return drv, nil
@@ -227,13 +215,9 @@ func runDistributedOnce(pn *petri.PetriNet, seq alarm.Seq, engine Engine, opt Op
 		Driver:    cl.Transport.Self(),
 	}
 	if opt.Tracer != nil && opt.Tracer.Enabled() {
-		// Propagate the trace context: members see Trace and record their
-		// own spans, shipping them back in Telemetry frames. ParentSpan is
-		// the driver's flow-ID base — the namespace its flow-begin events
-		// live in, which member flow-ends bind to in the merged trace.
+		// Members see Trace and record their own spans, shipping them back
+		// in Telemetry frames.
 		base.Trace = true
-		base.TraceID = cl.traceID()
-		base.ParentSpan = dist.FlowBase(cl.Transport.Self())
 	}
 	peerNames := make([]string, 0, len(cl.Assign))
 	for peer := range cl.Assign {
@@ -281,14 +265,10 @@ func runDistributedOnce(pn *petri.PetriNet, seq alarm.Seq, engine Engine, opt Op
 	})
 	res, err := eng.Run(query, opt.Timeout)
 	// Harvest member telemetry even from a failed attempt: the spans that
-	// did arrive are exactly what explains the failure. Driver-observed
-	// round latencies accumulate regardless of tracing (members shipped
-	// no telemetry then, but the driver measured its own poll round
-	// trips either way).
+	// did arrive are exactly what explains the failure.
 	roundsMu.Lock()
 	for _, r := range rounds {
 		cl.absorbTelemetry(r.ClusterTelemetry())
-		cl.absorbRoundLatencies(r.RoundLatencies())
 	}
 	roundsMu.Unlock()
 	if err != nil {
@@ -425,10 +405,7 @@ func (n *Node) serveJob(job wire.Job) bool {
 		}
 		derived, replicated := eng.Totals()
 		if jobTW != nil {
-			shipTelemetry(r, jobTW, job.TraceID, map[string]uint64{
-				"derived":    uint64(derived),
-				"replicated": uint64(replicated),
-			})
+			shipTelemetry(r, jobTW)
 		}
 		r.Finish(map[string]uint64{ //nolint:errcheck // a closing transport ends the loop on the next round
 			"derived":    uint64(derived),

@@ -8,7 +8,6 @@ import (
 	"repro/internal/alarm"
 	"repro/internal/datalog"
 	"repro/internal/ddatalog"
-	"repro/internal/dist"
 	"repro/internal/dqsq"
 	"repro/internal/obs"
 	"repro/internal/petri"
@@ -165,8 +164,7 @@ func runDatalog(pn *petri.PetriNet, seq alarm.Seq, engine Engine, opt Options, r
 		rep.Derived = res.Stats.Derived
 		rep.Messages = res.Stats.Net.MessagesSent
 		rep.Truncated = res.Stats.Truncated
-		rep.TransFacts = countPlainNodes(eng, padded, RelTrans)
-		rep.PlaceFacts = countPlainNodes(eng, padded, RelPlaces)
+		rep.TransFacts, rep.PlaceFacts = countNodes(eng)
 	case EngineDQSQ:
 		res, err := dqsq.RunWith(prog, query, budget, opt.Timeout, opt.Tracer)
 		if err != nil {
@@ -176,40 +174,10 @@ func runDatalog(pn *petri.PetriNet, seq alarm.Seq, engine Engine, opt Options, r
 		rep.Derived = res.Stats.Derived
 		rep.Messages = res.Stats.Net.MessagesSent
 		rep.Truncated = res.Stats.Truncated
-		// Adorned trans/places relations count distinct materialized
-		// unfolding nodes: collect distinct first arguments across all
-		// adornments and peers.
-		rep.TransFacts = countAdornedNodes(res.Engine, RelTrans)
-		rep.PlaceFacts = countAdornedNodes(res.Engine, RelPlaces)
+		rep.TransFacts, rep.PlaceFacts = countNodes(res.Engine)
 	}
 	rep.Diagnoses = ExtractDiagnoses(store, rows, true)
 	return nil
-}
-
-// countPlainNodes counts the distinct non-padding unfolding nodes in the
-// plain (unadorned) relations of a naive run, pad-stripped so counts
-// compare with the product engine on the unpadded net.
-func countPlainNodes(eng *ddatalog.Engine, padded *petri.PetriNet, base rel.Name) int {
-	nodes := map[string]bool{}
-	for _, peer := range padded.Net.Peers() {
-		id := dist.PeerID(peer)
-		db := eng.PeerDB(id)
-		st := eng.PeerStore(id)
-		if db == nil {
-			continue
-		}
-		r := db.Lookup(ddatalog.Qualify(base, id))
-		if r == nil {
-			continue
-		}
-		for _, tup := range r.All() {
-			if len(tup) == 0 || isPadNode(st, tup[0]) {
-				continue
-			}
-			nodes[StripPads(st, tup[0])] = true
-		}
-	}
-	return len(nodes)
 }
 
 // isPadNode reports whether t is a condition of a Pad2 padding place.
@@ -221,17 +189,20 @@ func isPadNode(st *term.Store, t term.ID) bool {
 	return len(args) == 2 && petri.PadPlace(petri.NodeID(st.Name(args[1])))
 }
 
-// countAdornedNodes counts the distinct unfolding nodes materialized by a
-// dQSQ engine.
-func countAdornedNodes(eng *ddatalog.Engine, base rel.Name) int {
-	return len(adornedNodes(eng, base))
+// countNodes counts the distinct unfolding nodes an engine materialized:
+// events (trans) and conditions (places).
+func countNodes(eng *ddatalog.Engine) (trans, places int) {
+	t, p := unfoldingNodes(eng)
+	return len(t), len(p)
 }
 
-// adornedNodes collects the unfolding nodes materialized by a dQSQ engine:
-// the distinct first arguments of every adorned variant of the given
-// relation, across peers, by pad-stripped name.
-func adornedNodes(eng *ddatalog.Engine, base rel.Name) map[string]bool {
-	nodes := map[string]bool{}
+// unfoldingNodes collects, in one walk over every peer's relations, the
+// unfolding nodes an engine materialized: the distinct first arguments of
+// the trans and places relations — every adorned variant of them after
+// dQSQ — by pad-stripped name. A peer's copy of another peer's relation
+// holds a subset of the owner's tuples, so walking it too adds nothing.
+func unfoldingNodes(eng *ddatalog.Engine) (trans, places map[string]bool) {
+	trans, places = map[string]bool{}, map[string]bool{}
 	for _, id := range eng.Peers() {
 		db := eng.PeerDB(id)
 		st := eng.PeerStore(id)
@@ -243,24 +214,25 @@ func adornedNodes(eng *ddatalog.Engine, base rel.Name) map[string]bool {
 			if !ok {
 				continue
 			}
-			str := string(plain)
-			if str != string(base) && !strings.HasPrefix(str, string(base)+"#") {
+			base, _, _ := strings.Cut(string(plain), "#")
+			var nodes map[string]bool
+			switch rel.Name(base) {
+			case RelTrans:
+				nodes = trans
+			case RelPlaces:
+				nodes = places
+			default:
 				continue
 			}
-			r := db.Lookup(name)
-			for _, tup := range r.All() {
-				if len(tup) == 0 {
-					continue
-				}
+			for _, tup := range db.Lookup(name).All() {
 				// Padding conditions are an artifact of Pad2, not nodes of
 				// the original unfolding; skip them so counts compare
 				// against the product engine on the unpadded net.
-				if isPadNode(st, tup[0]) {
-					continue
+				if len(tup) > 0 && !isPadNode(st, tup[0]) {
+					nodes[StripPads(st, tup[0])] = true
 				}
-				nodes[StripPads(st, tup[0])] = true
 			}
 		}
 	}
-	return nodes
+	return trans, places
 }

@@ -201,8 +201,7 @@ func (d *OnlineDiagnoser) Append(batch []alarm.Obs, timeout time.Duration) (*Rep
 		rep.Messages = d.last.Messages
 	}
 	rep.Messages += res.Stats.Net.MessagesSent
-	rep.TransFacts = countAdornedNodes(res.Engine, RelTrans)
-	rep.PlaceFacts = countAdornedNodes(res.Engine, RelPlaces)
+	rep.TransFacts, rep.PlaceFacts = countNodes(res.Engine)
 	d.tracer.Gauge("diagnosis", "diagnosis_unfolding_nodes", int64(rep.TransFacts+rep.PlaceFacts))
 	d.last = rep
 	return rep, nil

@@ -1,16 +1,13 @@
 package diagnosis
 
-// Cluster telemetry: members record trace events and counter samples
-// while evaluating, ship them to the driver in wire.Telemetry frames at
-// each round boundary, and the driver folds them — offset-corrected by
-// the transport's handshake clock estimates — into per-process traces
-// that obs.WriteClusterJSON merges into one cluster timeline.
+// Cluster telemetry: members record trace events while evaluating, ship
+// them to the driver in wire.Telemetry frames at each round boundary, and
+// the driver folds them — offset-corrected by the transport's handshake
+// clock estimates — into per-process traces that obs.WriteClusterJSON
+// merges into one cluster timeline.
 
 import (
-	"fmt"
-	"runtime"
 	"sort"
-	"time"
 
 	"repro/internal/dist"
 	"repro/internal/obs"
@@ -33,39 +30,13 @@ func eventFromWire(ev wire.TraceEvent) obs.Event {
 	}
 }
 
-// runtimeGauges samples the Go runtime for a telemetry frame: the same
-// series every /metrics surface exports, so a cluster's health reads the
-// same from a member's admin endpoint and from the driver's harvest.
-func runtimeGauges() []wire.KV {
-	var ms runtime.MemStats
-	runtime.ReadMemStats(&ms)
-	return []wire.KV{
-		{Key: "go_gc_pause_ns", Val: ms.PauseTotalNs},
-		{Key: "go_goroutines", Val: uint64(runtime.NumGoroutine())},
-		{Key: "go_heap_bytes", Val: ms.HeapAlloc},
-	}
-}
-
 // shipTelemetry drains the member's per-job trace buffer and sends the
-// round's observability sample to the driver. Called between RunMember
+// round's trace sample to the driver. Called between RunMember
 // and Finish: the driver's round is still collecting, and per-sender FIFO
 // guarantees the sample precedes the Done report the driver waits for.
-func shipTelemetry(r *dist.MemberRound, tw *obs.ChromeTraceWriter, traceID uint64, counters map[string]uint64) {
+func shipTelemetry(r *dist.MemberRound, tw *obs.ChromeTraceWriter) {
 	events, dropped := tw.DrainEvents()
-	tel := wire.Telemetry{
-		TraceID:    traceID,
-		WallMicros: uint64(time.Now().UnixMicro()),
-		Dropped:    uint64(dropped),
-		Gauges:     runtimeGauges(),
-	}
-	keys := make([]string, 0, len(counters))
-	for k := range counters {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		tel.Counters = append(tel.Counters, wire.KV{Key: k, Val: counters[k]})
-	}
+	tel := wire.Telemetry{Dropped: uint64(dropped)}
 	tel.Events = make([]wire.TraceEvent, len(events))
 	for i, ev := range events {
 		tel.Events[i] = eventToWire(ev)
@@ -74,7 +45,7 @@ func shipTelemetry(r *dist.MemberRound, tw *obs.ChromeTraceWriter, traceID uint6
 }
 
 // absorbTelemetry folds member telemetry frames harvested from a round
-// into the cluster's accumulated per-node traces and counter samples.
+// into the cluster's accumulated per-node traces.
 func (cl *Cluster) absorbTelemetry(tels []wire.Telemetry) {
 	if len(tels) == 0 {
 		return
@@ -83,7 +54,6 @@ func (cl *Cluster) absorbTelemetry(tels []wire.Telemetry) {
 	defer cl.mu.Unlock()
 	if cl.traces == nil {
 		cl.traces = make(map[string]*obs.ProcessTrace)
-		cl.memberCounters = make(map[string]map[string]uint64)
 	}
 	for _, tel := range tels {
 		pt := cl.traces[tel.Node]
@@ -99,45 +69,6 @@ func (cl *Cluster) absorbTelemetry(tels []wire.Telemetry) {
 		}
 		if d := int64(tel.Dropped); d > pt.Dropped {
 			pt.Dropped = d // cumulative on the member; keep the max
-		}
-		c := cl.memberCounters[tel.Node]
-		if c == nil {
-			c = make(map[string]uint64)
-			cl.memberCounters[tel.Node] = c
-		}
-		for _, kv := range tel.Counters {
-			c[kv.Key] = kv.Val // cumulative samples: latest wins
-		}
-		for _, kv := range tel.Gauges {
-			c[kv.Key] = kv.Val
-		}
-	}
-}
-
-// absorbRoundLatencies folds the driver-observed per-node round latency
-// summary into the per-member counter samples: the latest mean latency
-// per phase (in microseconds, matching the telemetry convention of plain
-// uint64 samples) and a cumulative straggler count. Unlike trace
-// telemetry these need no member cooperation — the driver measures its
-// own poll round trips — so they accumulate on untraced runs too.
-func (cl *Cluster) absorbRoundLatencies(lats []dist.RoundLatency) {
-	if len(lats) == 0 {
-		return
-	}
-	cl.mu.Lock()
-	defer cl.mu.Unlock()
-	if cl.memberCounters == nil {
-		cl.memberCounters = make(map[string]map[string]uint64)
-	}
-	for _, l := range lats {
-		c := cl.memberCounters[l.Node]
-		if c == nil {
-			c = make(map[string]uint64)
-			cl.memberCounters[l.Node] = c
-		}
-		c[fmt.Sprintf("dist_round_latency_us{phase=%q}", l.Phase)] = uint64(l.Mean.Microseconds())
-		if l.Straggler {
-			c["dist_straggler_total"]++
 		}
 	}
 }
@@ -166,25 +97,6 @@ func (cl *Cluster) ProcessTraces() []obs.ProcessTrace {
 	return out
 }
 
-// MemberCounters returns the latest engine counter and runtime gauge
-// samples per member node (cumulative values from each node's most recent
-// telemetry frame), plus the driver-observed round latency summary:
-// dist_round_latency_us{phase} means and cumulative dist_straggler_total
-// counts, present even on untraced runs.
-func (cl *Cluster) MemberCounters() map[string]map[string]uint64 {
-	cl.mu.Lock()
-	defer cl.mu.Unlock()
-	out := make(map[string]map[string]uint64, len(cl.memberCounters))
-	for node, c := range cl.memberCounters {
-		cp := make(map[string]uint64, len(c))
-		for k, v := range c {
-			cp[k] = v
-		}
-		out[node] = cp
-	}
-	return out
-}
-
 // TraceDropped sums the member-side dropped trace-event counts across the
 // cluster (the driver's own writer keeps its own count).
 func (cl *Cluster) TraceDropped() int64 {
@@ -195,16 +107,4 @@ func (cl *Cluster) TraceDropped() int64 {
 		total += pt.Dropped
 	}
 	return total
-}
-
-// traceIDLocked lazily draws the cluster's trace ID, stamped into every
-// shipped job so member telemetry of different diagnose invocations
-// cannot be conflated.
-func (cl *Cluster) traceID() uint64 {
-	cl.mu.Lock()
-	defer cl.mu.Unlock()
-	if cl.traceIDv == 0 {
-		cl.traceIDv = uint64(time.Now().UnixNano())
-	}
-	return cl.traceIDv
 }

@@ -3,7 +3,6 @@ package diagnosis
 import (
 	"bytes"
 	"encoding/json"
-	"strings"
 	"testing"
 
 	"repro/internal/alarm"
@@ -14,7 +13,7 @@ import (
 
 // TestDistributedTelemetry is the cluster-telemetry acceptance test over
 // the in-process mesh: a traced distributed run must harvest per-member
-// traces and counter samples, and the merged cluster timeline must span
+// traces, and the merged cluster timeline must span
 // all three processes with the driver's flow-begins binding to member
 // flow-ends.
 func TestDistributedTelemetry(t *testing.T) {
@@ -39,23 +38,6 @@ func TestDistributedTelemetry(t *testing.T) {
 		}
 		if p.Offset != 0 {
 			t.Errorf("member %s offset = %d, want 0 on the mesh", p.Name, p.Offset)
-		}
-	}
-
-	counters := cl.MemberCounters()
-	for _, node := range []string{"n1", "n2"} {
-		c := counters[node]
-		if c == nil {
-			t.Fatalf("no counters for %s", node)
-		}
-		for _, key := range []string{"derived", "replicated", "go_goroutines", "go_heap_bytes", "go_gc_pause_ns",
-			`dist_round_latency_us{phase="status-reply"}`} {
-			if _, ok := c[key]; !ok {
-				t.Errorf("member %s counters missing %s: %v", node, key, c)
-			}
-		}
-		if c["go_goroutines"] == 0 {
-			t.Errorf("member %s go_goroutines = 0", node)
 		}
 	}
 
@@ -103,19 +85,6 @@ func TestDistributedTelemetryOff(t *testing.T) {
 	}
 	if procs := cl.ProcessTraces(); len(procs) != 0 {
 		t.Fatalf("untraced run accumulated %d process traces", len(procs))
-	}
-	// Members ship nothing without a trace context, so no engine counters
-	// or runtime gauges accumulate — but the driver-observed round
-	// latencies do: the driver measures its own poll round trips.
-	for node, c := range cl.MemberCounters() {
-		for key := range c {
-			if !strings.HasPrefix(key, "dist_round_latency_us") && !strings.HasPrefix(key, "dist_straggler_total") {
-				t.Errorf("untraced run accumulated member-shipped counter %s on %s", key, node)
-			}
-		}
-		if _, ok := c[`dist_round_latency_us{phase="status-reply"}`]; !ok {
-			t.Errorf("untraced run missing driver-observed latency for %s: %v", node, c)
-		}
 	}
 }
 

@@ -18,7 +18,6 @@ import (
 	"repro/internal/obs"
 	"repro/internal/petri"
 	"repro/internal/product"
-	"repro/internal/rel"
 	"repro/internal/snapshot"
 )
 
@@ -108,15 +107,16 @@ func TestClonedSessionsMatchPrivateTemplate(t *testing.T) {
 					t.Fatalf("append %d: derived %d, messages %d; private template: %d, %d",
 						i, got.Derived, got.Messages, want.Derived, want.Messages)
 				}
-				for _, base := range []rel.Name{RelTrans, RelPlaces} {
-					g := adornedNodes(cached.Session().Engine(), base)
-					w := adornedNodes(private.Session().Engine(), base)
-					if !reflect.DeepEqual(g, w) {
-						t.Fatalf("append %d: materialized %s differ:\n%v\n%v", i, base, g, w)
-					}
+				gTrans, gPlaces := unfoldingNodes(cached.Session().Engine())
+				wTrans, wPlaces := unfoldingNodes(private.Session().Engine())
+				if !reflect.DeepEqual(gTrans, wTrans) {
+					t.Fatalf("append %d: materialized %s differ:\n%v\n%v", i, RelTrans, gTrans, wTrans)
 				}
-				if g := adornedNodes(cached.Session().Engine(), RelTrans); !reflect.DeepEqual(g, oracle.PrefixEvents) {
-					t.Fatalf("append %d: materialized events\n%v\n!= the [8] prefix\n%v", i, g, oracle.PrefixEvents)
+				if !reflect.DeepEqual(gPlaces, wPlaces) {
+					t.Fatalf("append %d: materialized %s differ:\n%v\n%v", i, RelPlaces, gPlaces, wPlaces)
+				}
+				if !reflect.DeepEqual(gTrans, oracle.PrefixEvents) {
+					t.Fatalf("append %d: materialized events\n%v\n!= the [8] prefix\n%v", i, gTrans, oracle.PrefixEvents)
 				}
 				for _, d := range []*OnlineDiagnoser{cached, private} {
 					if err := holdsTemplateState(d); err != nil {

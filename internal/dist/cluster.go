@@ -57,12 +57,12 @@ const (
 	stragglerMinGap = 2 * time.Millisecond
 )
 
-// FlowBase derives a node's flow-ID base from its name: a 32-bit FNV-1a
+// flowBase derives a node's flow-ID base from its name: a 32-bit FNV-1a
 // hash shifted into the top half of the sequence space. Different nodes
 // draw from disjoint ranges (barring a hash collision, which costs only a
 // confused trace arrow), so flow IDs are unique cluster-wide and the
 // send/receive halves of a cross-node hop bind in a merged trace.
-func FlowBase(node string) uint64 {
+func flowBase(node string) uint64 {
 	h := fnv.New32a()
 	h.Write([]byte(node))
 	return uint64(h.Sum32()) << 32
@@ -79,11 +79,10 @@ type Driver struct {
 	assign map[PeerID]string
 	logger *slog.Logger
 
-	mu      sync.Mutex
-	gen     uint64 // current job generation; bumped by every ShipJob
-	cur     *DriverRound
-	jobOKs  map[string]wire.JobOK
-	metrics obs.Registry
+	mu     sync.Mutex
+	gen    uint64 // current job generation; bumped by every ShipJob
+	cur    *DriverRound
+	jobOKs map[string]wire.JobOK
 }
 
 // NewDriver creates the driver endpoint over tr, coordinating the given
@@ -111,18 +110,6 @@ func (d *Driver) SetLogger(l *slog.Logger) {
 	}
 	d.mu.Lock()
 	d.logger = l
-	d.mu.Unlock()
-}
-
-// SetMetrics installs the registry the driver folds cluster health series
-// into: one dist_round_latency_seconds{node,phase} observation per member
-// per round (its mean status-reply and done-report latency, as seen from
-// the driver) and a dist_straggler_total{node} increment whenever the
-// straggler check flags a node. Nil (the default) disables the series;
-// the structured straggler log is emitted either way.
-func (d *Driver) SetMetrics(reg obs.Registry) {
-	d.mu.Lock()
-	d.metrics = reg
 	d.mu.Unlock()
 }
 
@@ -211,7 +198,7 @@ func (d *Driver) NewRound() *DriverRound {
 		statLat:  make(map[string]latSample),
 		doneLat:  make(map[string]latSample),
 	}
-	r.net.SetSeqBase(FlowBase(d.tr.Self()))
+	r.net.SetSeqBase(flowBase(d.tr.Self()))
 	r.net.SetRoute(func(m Message) {
 		node, ok := d.assign[m.To]
 		if !ok {
@@ -386,13 +373,13 @@ func (r *DriverRound) Run(initial []Message, timeout time.Duration) (Stats, erro
 	return stats, err
 }
 
-// RoundLatency is one node's driver-observed latency summary for one
+// roundLatency is one node's driver-observed latency summary for one
 // phase of one round: the mean of its samples, the cluster median of the
 // per-node means it was judged against, and whether the straggler check
 // flagged it. Two phases are measured per round: how fast a node answers
 // quiescence polls (status-reply) and how fast it files its end-of-round
 // report after the stop broadcast (done-report).
-type RoundLatency struct {
+type roundLatency struct {
 	Node      string
 	Phase     string // "status-reply" or "done-report"
 	Mean      time.Duration
@@ -401,22 +388,15 @@ type RoundLatency struct {
 	Straggler bool
 }
 
-// RoundLatencies returns the round's per-node latency summary, sorted by
-// phase then node. Meaningful once the round has ended (Run returned);
-// callers fold it into cluster-level telemetry.
-func (r *DriverRound) RoundLatencies() []RoundLatency {
+// latencySummary folds the raw per-phase samples into per-node means and
+// straggler flags, sorted by phase then node: a node is a straggler when
+// its mean exceeds stragglerFactor× the cluster median by at least
+// stragglerMinGap (so microsecond jitter on fast rounds never qualifies),
+// judged only when at least two nodes reported.
+func (r *DriverRound) latencySummary() []roundLatency {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return r.latencySummaryLocked()
-}
-
-// latencySummaryLocked folds the raw per-phase samples into per-node
-// means and straggler flags: a node is a straggler when its mean exceeds
-// stragglerFactor× the cluster median by at least stragglerMinGap (so
-// microsecond jitter on fast rounds never qualifies), judged only when at
-// least two nodes reported. Caller holds r.mu.
-func (r *DriverRound) latencySummaryLocked() []RoundLatency {
-	var out []RoundLatency
+	var out []roundLatency
 	phases := []struct {
 		name    string
 		perNode map[string]latSample
@@ -446,7 +426,7 @@ func (r *DriverRound) latencySummaryLocked() []RoundLatency {
 		}
 		for _, node := range nodes {
 			mean := means[node]
-			out = append(out, RoundLatency{
+			out = append(out, roundLatency{
 				Node:      node,
 				Phase:     ph.name,
 				Mean:      mean,
@@ -459,22 +439,13 @@ func (r *DriverRound) latencySummaryLocked() []RoundLatency {
 	return out
 }
 
-// reportStragglers emits the end-of-round latency summary: one
-// dist_round_latency_seconds{node,phase} observation per node into the
-// driver's metrics registry, a dist_straggler_total{node} increment plus
-// a structured warning for every flagged node.
+// reportStragglers logs a structured warning for every node the round's
+// latency summary flags.
 func (r *DriverRound) reportStragglers() {
 	r.d.mu.Lock()
 	logger := r.d.logger
-	metrics := r.d.metrics
 	r.d.mu.Unlock()
-	r.mu.Lock()
-	summary := r.latencySummaryLocked()
-	r.mu.Unlock()
-	for _, l := range summary {
-		if metrics != nil {
-			metrics.Observe(fmt.Sprintf("dist_round_latency_seconds{node=%q,phase=%q}", l.Node, l.Phase), l.Mean)
-		}
+	for _, l := range r.latencySummary() {
 		if !l.Straggler {
 			continue
 		}
@@ -486,15 +457,11 @@ func (r *DriverRound) reportStragglers() {
 			"median_ms", float64(l.Median)/float64(time.Millisecond),
 			"samples", l.Samples,
 		)
-		if metrics != nil {
-			metrics.Add(fmt.Sprintf("dist_straggler_total{node=%q}", l.Node), 1)
-		}
 	}
 }
 
 // ClusterTelemetry returns the telemetry frames the members shipped during
-// the round (per-round trace-event batches, cumulative engine counters,
-// runtime gauges), in arrival order. Valid after Run returns: members send
+// the round (per-round trace-event batches), in arrival order. Valid after Run returns: members send
 // their sample before the Done report the round waits for, and the
 // transport preserves per-sender FIFO, so every sample of the round has
 // arrived by then.
@@ -807,7 +774,7 @@ func (m *Member) NextRound() *MemberRound {
 	gen := m.gen
 	m.mu.Unlock()
 	r := &MemberRound{m: m, gen: gen, net: NewNetwork()}
-	r.net.SetSeqBase(FlowBase(m.tr.Self()))
+	r.net.SetSeqBase(flowBase(m.tr.Self()))
 	r.net.SetRoute(func(msg Message) {
 		m.mu.Lock()
 		node, ok := m.assign[msg.To]

@@ -59,11 +59,6 @@ type Message struct {
 	// seq is the network-wide send sequence number, correlating the
 	// send-side and delivery-side trace events of one hop.
 	seq uint64
-
-	// size is the wire-encoded payload size in bytes (0 for payloads the
-	// wire codec does not know), charged to BytesReceivedByPair when the
-	// message finishes processing.
-	size int
 }
 
 // Local is implemented by payloads that stand in for a wire payload between
@@ -157,14 +152,13 @@ type Stats struct {
 	// values sum to MessagesSent (initial seed messages count under their
 	// synthetic sender).
 	MessagesByPair map[Pair]int
-	// BytesSentByPair and BytesReceivedByPair count the wire-encoded
-	// payload bytes per channel — the same figure whether the message
+	// BytesSentByPair counts the wire-encoded payload bytes per channel,
+	// charged by the sending node — the same figure whether the message
 	// stays in-process or crosses a socket, so byte costs measured
 	// in-proc predict network traffic exactly. Payload types unknown to
 	// the wire codec (only found in toy tests) count zero bytes.
-	BytesSentByPair     map[Pair]int
-	BytesReceivedByPair map[Pair]int
-	Elapsed             time.Duration
+	BytesSentByPair map[Pair]int
+	Elapsed         time.Duration
 }
 
 // ErrTimeout is returned by Run when the deadline passes before quiescence.
@@ -212,7 +206,6 @@ func NewNetwork() *Network {
 	n.stats.Processed = make(map[PeerID]int)
 	n.stats.MessagesByPair = make(map[Pair]int)
 	n.stats.BytesSentByPair = make(map[Pair]int)
-	n.stats.BytesReceivedByPair = make(map[Pair]int)
 	return n
 }
 
@@ -253,10 +246,10 @@ func (n *Network) SetSeqBase(base uint64) {
 // Inject delivers a message that arrived from another node of the
 // cluster. The destination must be hosted here (cluster peer assignments
 // are static, so a miss is a routing bug). Unlike send it does not count
-// toward MessagesSent — the sending node counted it — but it does count
-// toward Processed and BytesReceivedByPair when handled, which is what
-// makes the cluster-wide counting argument (Σsent == Σprocessed over all
-// nodes ⇒ nothing in flight) come out exact.
+// toward MessagesSent — the sending node counted it, bytes included —
+// but it does count toward Processed when handled, which is what makes
+// the cluster-wide counting argument (Σsent == Σprocessed over all nodes
+// ⇒ nothing in flight) come out exact.
 //
 // A message carrying the sender's flow ID (SetFlow) keeps it, and no
 // send-side flow event is recorded here: the true sender already recorded
@@ -265,7 +258,6 @@ func (n *Network) SetSeqBase(base uint64) {
 // send half is synthesized locally (the pre-v4 behavior, which keeps
 // single-node traces whole when the remote side recorded nothing).
 func (n *Network) Inject(m Message) {
-	size := payloadSize(m.Payload)
 	preset := m.seq != 0
 	n.mu.Lock()
 	p, ok := n.peers[m.To]
@@ -282,7 +274,6 @@ func (n *Network) Inject(m Message) {
 		n.seq++
 		m.seq = n.seq
 	}
-	m.size = size
 	n.enqueueLocked(p, m)
 	n.mu.Unlock()
 	if !preset {
@@ -388,7 +379,6 @@ func (n *Network) send(m Message) {
 	}
 	n.seq++
 	m.seq = n.seq
-	m.size = size
 	if !ok {
 		// The destination lives on another node: counted as sent here,
 		// processed wherever it lands. Routed outside the lock — handlers
@@ -450,9 +440,6 @@ func (n *Network) deliver() {
 			n.mu.Lock()
 			n.inflight--
 			n.stats.Processed[p.id]++
-			if m.size > 0 {
-				n.stats.BytesReceivedByPair[Pair{From: m.From, To: m.To}] += m.size
-			}
 		}
 		p.queue, p.head, p.sched = p.queue[:0], 0, false
 	}
@@ -491,7 +478,7 @@ func (n *Network) Run(initial []Message, timeout time.Duration) (Stats, error) {
 	// One span per round on the dist-round track: trace writers show it
 	// on the timeline, and a metrics sink with ObserveSpans configured
 	// folds its duration into a dist_round_latency_seconds histogram (the
-	// node's own view of the round, next to the driver's per-node series).
+	// node's own view of the round).
 	roundSpan := n.tracer.Begin("dist-round", "dist: round")
 	defer n.tracer.End(roundSpan)
 

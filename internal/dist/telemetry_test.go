@@ -16,7 +16,7 @@ import (
 
 // tracedRingCluster is ringCluster with telemetry: every member round
 // records a Chrome trace, and after each round the member drains the
-// events and ships them (plus a counter sample) to the driver.
+// events and ships them to the driver.
 func tracedRingCluster(t *testing.T) *Driver {
 	t.Helper()
 	mesh := transport.NewMesh()
@@ -39,7 +39,7 @@ func tracedRingCluster(t *testing.T) *Driver {
 				r := m.NextRound()
 				r.SetTracer(tw)
 				r.AddPeer(peer, ringHandler(peer))
-				stats, err := r.Run(nil, 30*time.Second)
+				_, err := r.Run(nil, 30*time.Second)
 				if errors.Is(err, ErrClusterClosed) {
 					return
 				}
@@ -51,13 +51,7 @@ func tracedRingCluster(t *testing.T) *Driver {
 						Wall: ev.Wall, Dur: ev.Dur, Value: ev.Value, ID: ev.ID,
 					}
 				}
-				r.SendTelemetry(wire.Telemetry{
-					WallMicros: uint64(time.Now().UnixMicro()),
-					Dropped:    uint64(dropped),
-					Counters:   []wire.KV{{Key: "hops", Val: uint64(stats.MessagesSent)}},
-					Gauges:     []wire.KV{{Key: "go_goroutines", Val: 1}},
-					Events:     wireEvents,
-				})
+				r.SendTelemetry(wire.Telemetry{Dropped: uint64(dropped), Events: wireEvents})
 				r.Finish(nil)
 			}
 		}(m, peer)
@@ -98,9 +92,6 @@ func TestClusterTelemetry(t *testing.T) {
 		t.Fatalf("member events: n1=%d n2=%d, want > 0",
 			len(byNode["n1"].Events), len(byNode["n2"].Events))
 	}
-	if byNode["n1"].Counters[0].Key != "hops" || byNode["n1"].Counters[0].Val == 0 {
-		t.Fatalf("n1 counters = %v", byNode["n1"].Counters)
-	}
 
 	// Cross-process flow binding: the driver's trace records the send half
 	// ('s') of every a→b hop under a driver-based flow ID; member n1's
@@ -124,7 +115,7 @@ func TestClusterTelemetry(t *testing.T) {
 
 	// Flow IDs drawn by different nodes must not collide: the per-node
 	// bases put them in disjoint ranges.
-	if FlowBase("drv") == FlowBase("n1") || FlowBase("n1") == FlowBase("n2") {
+	if flowBase("drv") == flowBase("n1") || flowBase("n1") == flowBase("n2") {
 		t.Fatal("flow bases collide")
 	}
 }
@@ -145,7 +136,7 @@ func (h *capturingHandler) Handle(_ context.Context, r slog.Record) error {
 func (h *capturingHandler) WithAttrs([]slog.Attr) slog.Handler { return h }
 func (h *capturingHandler) WithGroup(string) slog.Handler      { return h }
 
-// fakeRegistry records what the straggler reporter folds into metrics.
+// fakeRegistry records what a metrics sink folds into its registry.
 type fakeRegistry struct {
 	mu       sync.Mutex
 	counters map[string]int64
@@ -170,12 +161,10 @@ func (r *fakeRegistry) Observe(name string, d time.Duration) {
 
 // TestStragglerReport drives reportStragglers directly: a node whose mean
 // status-reply latency is far past the cluster median must be named in a
-// structured warning and counted in dist_straggler_total{node}; balanced
-// nodes must not. Every node's mean must land in its
-// dist_round_latency_seconds{node,phase} series.
+// structured warning carrying its mean, the median it was judged against
+// and its sample count; balanced nodes must not be named.
 func TestStragglerReport(t *testing.T) {
 	cap := &capturingHandler{}
-	reg := newFakeRegistry()
 	mesh := transport.NewMesh()
 	drv, err := NewDriver(mesh.Node("drv"), []string{"n1", "n2", "n3"}, nil)
 	if err != nil {
@@ -183,7 +172,6 @@ func TestStragglerReport(t *testing.T) {
 	}
 	t.Cleanup(func() { mesh.Node("drv").Close() })
 	drv.SetLogger(slog.New(cap))
-	drv.SetMetrics(reg)
 
 	r := drv.NewRound()
 	r.statLat = map[string]latSample{
@@ -200,53 +188,22 @@ func TestStragglerReport(t *testing.T) {
 		if rec.Message != "dist: straggler detected" {
 			continue
 		}
+		attrs := map[string]string{}
 		rec.Attrs(func(a slog.Attr) bool {
-			if a.Key == "node" {
-				named = append(named, a.Value.String())
-			}
-			if a.Key == "phase" && a.Value.String() != "status-reply" {
-				t.Errorf("phase = %s, want status-reply", a.Value.String())
-			}
+			attrs[a.Key] = a.Value.String()
 			return true
 		})
+		named = append(named, attrs["node"])
+		// n3's 20ms mean against the 1.2ms median of 1, 1.2 and 20ms.
+		want := map[string]string{"phase": "status-reply", "mean_ms": "20", "median_ms": "1.2", "samples": "10"}
+		for k, v := range want {
+			if attrs[k] != v {
+				t.Errorf("straggler warning %s = %q, want %q", k, attrs[k], v)
+			}
+		}
 	}
 	if len(named) != 1 || named[0] != "n3" {
 		t.Fatalf("stragglers named = %v, want [n3]", named)
-	}
-
-	reg.mu.Lock()
-	defer reg.mu.Unlock()
-	if got := reg.counters[`dist_straggler_total{node="n3"}`]; got != 1 {
-		t.Fatalf("dist_straggler_total{n3} = %d, want 1 (counters: %v)", got, reg.counters)
-	}
-	for name := range reg.counters {
-		if name != `dist_straggler_total{node="n3"}` {
-			t.Errorf("unexpected straggler counter %s", name)
-		}
-	}
-	for node, mean := range map[string]time.Duration{"n1": time.Millisecond, "n2": 1200 * time.Microsecond, "n3": 20 * time.Millisecond} {
-		series := `dist_round_latency_seconds{node="` + node + `",phase="status-reply"}`
-		got := reg.observed[series]
-		if len(got) != 1 || got[0] != mean {
-			t.Errorf("%s = %v, want [%v]", series, got, mean)
-		}
-	}
-
-	// The exported summary carries the same verdicts for telemetry folds.
-	byNode := map[string]RoundLatency{}
-	for _, l := range r.RoundLatencies() {
-		if l.Phase == "status-reply" {
-			byNode[l.Node] = l
-		}
-	}
-	if len(byNode) != 3 {
-		t.Fatalf("RoundLatencies nodes = %v", byNode)
-	}
-	if !byNode["n3"].Straggler || byNode["n1"].Straggler || byNode["n2"].Straggler {
-		t.Fatalf("RoundLatencies straggler flags wrong: %v", byNode)
-	}
-	if byNode["n3"].Mean != 20*time.Millisecond || byNode["n3"].Samples != 10 {
-		t.Fatalf("n3 summary = %+v", byNode["n3"])
 	}
 }
 
@@ -271,31 +228,26 @@ func TestRoundSpanFeedsHistogram(t *testing.T) {
 	}
 }
 
-// TestRoundLatencySingleNode: a one-node cluster still observes its
-// latency series (there is no median to judge against, so nothing is
-// ever flagged).
+// TestRoundLatencySingleNode: a one-node cluster has no median to judge
+// against, so however slow its one member, nothing is ever flagged.
 func TestRoundLatencySingleNode(t *testing.T) {
-	reg := newFakeRegistry()
+	cap := &capturingHandler{}
 	mesh := transport.NewMesh()
 	drv, err := NewDriver(mesh.Node("drv"), []string{"n1"}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { mesh.Node("drv").Close() })
-	drv.SetMetrics(reg)
+	drv.SetLogger(slog.New(cap))
 
 	r := drv.NewRound()
 	r.statLat = map[string]latSample{"n1": {sum: 500 * time.Millisecond, n: 5}}
 	r.reportStragglers()
 
-	reg.mu.Lock()
-	defer reg.mu.Unlock()
-	if len(reg.counters) != 0 {
-		t.Fatalf("single-node round flagged stragglers: %v", reg.counters)
-	}
-	series := `dist_round_latency_seconds{node="n1",phase="status-reply"}`
-	if got := reg.observed[series]; len(got) != 1 || got[0] != 100*time.Millisecond {
-		t.Fatalf("%s = %v, want [100ms]", series, got)
+	cap.mu.Lock()
+	defer cap.mu.Unlock()
+	if len(cap.records) != 0 {
+		t.Fatalf("single-node round flagged stragglers: %v", cap.records)
 	}
 }
 
@@ -337,15 +289,15 @@ func TestFlowBaseDisjoint(t *testing.T) {
 	names := []string{"drv", "n1", "n2", "node-a", "node-b", strconv.Itoa(1 << 20)}
 	seen := map[uint64]string{}
 	for _, n := range names {
-		b := FlowBase(n)
+		b := flowBase(n)
 		if b == 0 {
-			t.Errorf("FlowBase(%q) = 0", n)
+			t.Errorf("flowBase(%q) = 0", n)
 		}
 		if b&0xFFFFFFFF != 0 {
-			t.Errorf("FlowBase(%q) = %#x leaks into the low 32 bits", n, b)
+			t.Errorf("flowBase(%q) = %#x leaks into the low 32 bits", n, b)
 		}
 		if prev, dup := seen[b]; dup {
-			t.Errorf("FlowBase collision: %q and %q", prev, n)
+			t.Errorf("flowBase collision: %q and %q", prev, n)
 		}
 		seen[b] = n
 	}

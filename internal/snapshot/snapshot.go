@@ -35,7 +35,6 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
-	"math"
 	"os"
 	"path/filepath"
 )
@@ -475,17 +474,6 @@ func (r *Reader) Byte() byte {
 	b := r.b[r.off]
 	r.off++
 	return b
-}
-
-// IntExact reads a signed value and rejects magnitudes outside int range
-// on 32-bit builds.
-func (r *Reader) IntExact() int {
-	v := r.Int()
-	if v > math.MaxInt || v < math.MinInt {
-		r.err = ErrCorrupt
-		return 0
-	}
-	return int(v)
 }
 
 // --- files ---------------------------------------------------------------

@@ -635,6 +635,27 @@ func (o *outbound) stream(conn net.Conn) {
 	}
 }
 
+// handshake sends the dialer's Hello, stamped t0, on conn and reads the
+// acceptor's reply, refusing a reply that is not a Hello of this wire
+// version.
+func (o *outbound) handshake(conn net.Conn, t0 int64) (*bufio.Reader, wire.Hello, error) {
+	_, err := conn.Write(snapshot.AppendFrame(nil, wire.AppendFrame(nil, 0, wire.Hello{Version: wire.Version, Node: o.t.self, Boot: o.t.boot, WallMicros: uint64(t0), Port: o.t.port()})))
+	br := bufio.NewReader(conn)
+	var body []byte
+	if err == nil {
+		body, err = snapshot.ReadFrame(br, snapshot.MaxFrame)
+	}
+	var f wire.Frame
+	if err == nil {
+		_, f, err = wire.DecodeFrame(body)
+	}
+	hello, ok := f.(wire.Hello)
+	if err == nil && (!ok || hello.Version != wire.Version) {
+		err = fmt.Errorf("transport: bad handshake from %q", o.node)
+	}
+	return br, hello, err
+}
+
 // dial connects to the stream's node and completes the Hello exchange,
 // retrying with exponential backoff and ±50% jitter until it succeeds or
 // the transport closes. It returns the peer's last delivered sequence
@@ -666,20 +687,7 @@ func (o *outbound) dial(attemptBase int) (net.Conn, *bufio.Reader, uint64, error
 		if err == nil {
 			conn.SetDeadline(time.Now().Add(handshakeTimeout))
 			t0 := time.Now().UnixMicro()
-			_, err = conn.Write(snapshot.AppendFrame(nil, wire.AppendFrame(nil, 0, wire.Hello{Version: wire.Version, Node: o.t.self, Boot: o.t.boot, WallMicros: uint64(t0), Port: o.t.port()})))
-			br := bufio.NewReader(conn)
-			var body []byte
-			if err == nil {
-				body, err = snapshot.ReadFrame(br, snapshot.MaxFrame)
-			}
-			var f wire.Frame
-			if err == nil {
-				_, f, err = wire.DecodeFrame(body)
-			}
-			hello, ok := f.(wire.Hello)
-			if err == nil && (!ok || hello.Version != wire.Version) {
-				err = fmt.Errorf("transport: bad handshake from %q", o.node)
-			}
+			br, hello, err := o.handshake(conn, t0)
 			if err == nil {
 				// The dialer saw the whole round trip: symmetrize the sample.
 				o.t.noteClockRTT(o.node, hello.WallMicros, t0, time.Now().UnixMicro())

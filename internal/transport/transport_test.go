@@ -5,10 +5,12 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"repro/internal/rel"
 	"repro/internal/snapshot"
 	"repro/internal/wire"
 )
@@ -308,6 +310,81 @@ func dialRaw(t *testing.T, tr *TCP) (net.Conn, wire.Hello) {
 		t.Fatal(err)
 	}
 	return conn, f.(wire.Hello)
+}
+
+// TestTCPRefusesOtherWireVersion: nodes of different wire versions get no
+// further than the handshake. An acceptor hangs up on a Hello of another
+// version without replying or delivering the frames behind it, and a
+// dialer refuses such a reply as a bad handshake.
+func TestTCPRefusesOtherWireVersion(t *testing.T) {
+	col := newCollector()
+	b, err := ListenTCP("b", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { b.Close() })
+	if err := b.Start(col.handle); err != nil {
+		t.Fatal(err)
+	}
+	data := func(name string) wire.Frame {
+		return wire.Data{From: "x", To: "p", Payload: wire.Activate{Rel: rel.Name(name)}}
+	}
+
+	conn, err := net.Dial("tcp", b.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	old := append(frameBytes(0, wire.Hello{Version: wire.Version - 1, Node: "x"}), frameBytes(1, data("old"))...)
+	if _, err := conn.Write(old); err != nil {
+		t.Fatal(err)
+	}
+	// The acceptor closes without a reply: EOF, or a reset when it left
+	// the Data frame unread.
+	conn.SetReadDeadline(time.Now().Add(10 * time.Second))
+	n, err := io.Copy(io.Discard, conn)
+	if ne, ok := err.(net.Error); ok && ne.Timeout() {
+		t.Fatal("acceptor kept a connection of another wire version open")
+	}
+	if n != 0 {
+		t.Fatalf("acceptor replied %d bytes to a Hello of another wire version", n)
+	}
+	// A current node's frame is the first the handler sees.
+	conn2, _ := dialRaw(t, b)
+	if _, err := conn2.Write(frameBytes(1, data("new"))); err != nil {
+		t.Fatal(err)
+	}
+	if got := col.waitFor(t, 1); got[0].(wire.Data).Payload != (wire.Activate{Rel: "new"}) {
+		t.Fatalf("handler saw %v, want only the current node's frame", got)
+	}
+
+	// The dialer side, against an acceptor that answers with the previous
+	// version.
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	go func() {
+		c, err := ln.Accept()
+		if err != nil {
+			return
+		}
+		defer c.Close()
+		if _, err := snapshot.ReadFrame(bufio.NewReader(c), snapshot.MaxFrame); err == nil {
+			c.Write(frameBytes(0, wire.Hello{Version: wire.Version - 1, Node: "y"}))
+		}
+	}()
+	dc, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer dc.Close()
+	dc.SetDeadline(time.Now().Add(10 * time.Second))
+	o := &outbound{t: b, node: "y"}
+	if _, _, err := o.handshake(dc, time.Now().UnixMicro()); err == nil || !strings.Contains(err.Error(), "bad handshake") {
+		t.Fatalf("handshake with a reply of another wire version: err = %v, want a bad handshake", err)
+	}
 }
 
 // TestTCPDuplicateSuppression speaks the protocol by hand: a client that

@@ -2,11 +2,17 @@ package wire
 
 import (
 	"bytes"
+	"flag"
+	"fmt"
+	"os"
+	"path/filepath"
 	"reflect"
 	"testing"
 
 	"repro/internal/term"
 )
+
+var update = flag.Bool("update", false, "rewrite the seed files under testdata/fuzz")
 
 func smallExtern() term.Extern {
 	s := term.NewStore()
@@ -41,13 +47,10 @@ func seedCorpus(f *testing.F) {
 		Hello{Version: Version, Node: "drv", Boot: 4, Port: 7401},
 		Data{Gen: 2, Flow: 1 << 40, From: "p1", To: "p2", Payload: Activate{Rel: "r"}},
 		Job{NetText: "place p [a]\n", Alarms: "a@p\n", Engine: 1,
-			Trace: true, TraceID: 12345, ParentSpan: 6,
+			Trace:  true,
 			Hosted: []string{"p"}, Peers: []Assign{{"p", "m0"}},
 			Nodes: []Assign{{"m0", ":0"}}, Driver: "drv"},
-		Telemetry{Gen: 2, Node: "m0", TraceID: 12345, WallMicros: 1_700_000_000_000_001,
-			Dropped:  1,
-			Counters: []KV{{"derived", 4}},
-			Gauges:   []KV{{"go_goroutines", 8}},
+		Telemetry{Gen: 2, Node: "m0", Dropped: 1,
 			Events: []TraceEvent{
 				{Track: "p", Name: "handle", Ph: 'X', Wall: 1_700_000_000_000_000, Dur: 9},
 				{Track: "net", Name: "pending", Ph: 'C', Wall: 1_700_000_000_000_001, Value: -2},
@@ -131,4 +134,59 @@ func FuzzFrameRoundTrip(f *testing.F) {
 			}
 		}
 	})
+}
+
+// corpusSeeds are the checked-in seed files of both frame fuzzers under
+// testdata/fuzz, one per frame shape added since protocol 4, by file name.
+var corpusSeeds = map[string]Frame{
+	"hello_v4_wallclock": Hello{Version: Version, Node: "m1", Boot: 3, WallMicros: 1_700_000_000_000_000},
+	"hello_v8_port":      Hello{Version: Version, Node: "drv", Boot: 4, WallMicros: 1_700_000_000_000_000, Port: 7401},
+	"data_flow_id":       Data{Gen: 2, Flow: 1 << 40, From: "p1", To: "p2", Payload: Activate{Rel: "conf@p2"}},
+	"job_trace_context": Job{Gen: 4, NetText: "place p [a b]\n", Alarms: "a@p\n",
+		Engine: 1, TimeoutMS: 30000, Trace: true,
+		Hosted: []string{"p"}, Peers: []Assign{{"p", "m0"}},
+		Nodes: []Assign{{"m0", ":0"}}, Driver: "drv"},
+	"telemetry_sample": Telemetry{Gen: 3, Node: "m1", Dropped: 2,
+		Events: []TraceEvent{
+			{Track: "p1", Name: "handle", Ph: 'X', Wall: 1_700_000_000_000_001, Dur: 37},
+			{Track: "net", Name: "pending", Ph: 'C', Wall: 1_700_000_000_000_002, Value: -4},
+			{Track: "p1", Name: "msg", Ph: 'f', Wall: 1_700_000_000_000_003, ID: 1 << 40},
+		}},
+}
+
+// TestFuzzCorpusIsCurrent: each fuzzer's seed directory holds exactly
+// corpusSeeds as this codec encodes them, so a frame change cannot leave
+// the seeds stale. -update rewrites the files.
+func TestFuzzCorpusIsCurrent(t *testing.T) {
+	for _, target := range []string{"FuzzDecodeFrame", "FuzzFrameRoundTrip"} {
+		dir := filepath.Join("testdata", "fuzz", target)
+		for name, fr := range corpusSeeds {
+			path := filepath.Join(dir, name)
+			want := fmt.Sprintf("go test fuzz v1\n[]byte(%q)\n", AppendFrame(nil, 1, fr))
+			if *update {
+				if err := os.MkdirAll(dir, 0o755); err != nil {
+					t.Fatal(err)
+				}
+				if err := os.WriteFile(path, []byte(want), 0o644); err != nil {
+					t.Fatal(err)
+				}
+				continue
+			}
+			got, err := os.ReadFile(path)
+			if err != nil {
+				t.Errorf("%v; rerun with -update", err)
+			} else if string(got) != want {
+				t.Errorf("%s is not the current encoding of its seed; rerun with -update", path)
+			}
+		}
+		entries, err := os.ReadDir(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, e := range entries {
+			if _, ok := corpusSeeds[e.Name()]; !ok {
+				t.Errorf("%s holds %s, which is no corpus seed", dir, e.Name())
+			}
+		}
+	}
 }

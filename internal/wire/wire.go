@@ -42,7 +42,9 @@ import (
 // frontend's log records, not as a checkpoint plus per-append replays),
 // made SessionJob.Engine the engine's name, and dropped SessionReply's
 // Index and its echoed operation and session.
-const Version = 9
+// Version 10 dropped Job.TraceID and Job.ParentSpan, and Telemetry's
+// TraceID, WallMicros, Counters and Gauges: no program read them.
+const Version = 10
 
 // frame type tags.
 const (
@@ -118,20 +120,18 @@ type Data struct {
 // crashed-and-restarted node's replayed tail — Data frames of a round
 // that died with the old process — from polluting the retried round.
 type Job struct {
-	Gen        uint64   // job generation (stamped by the driver's ShipJob)
-	NetText    string   // textual net description (parser.Net format)
-	Alarms     string   // observed alarm sequence (parser.Alarms format)
-	Engine     uint32   // diagnosis engine ordinal (naive or dqsq)
-	MaxDepth   uint32   // term-depth budget; 0 = engine default
-	MaxFacts   uint32   // materialized-fact budget; 0 = engine default
-	TimeoutMS  uint32   // driver's evaluation timeout, for the member failsafe
-	Trace      bool     // record spans on the member and ship them back per round
-	TraceID    uint64   // trace context: ID of the driver's whole-run trace
-	ParentSpan uint64   // trace context: driver span the member's spans nest under
-	Hosted     []string // peers this member hosts
-	Peers      []Assign // full peer→node assignment of the cluster
-	Nodes      []Assign // node→address book for member↔member dialing
-	Driver     string   // driver node ID
+	Gen       uint64   // job generation (stamped by the driver's ShipJob)
+	NetText   string   // textual net description (parser.Net format)
+	Alarms    string   // observed alarm sequence (parser.Alarms format)
+	Engine    uint32   // diagnosis engine ordinal (naive or dqsq)
+	MaxDepth  uint32   // term-depth budget; 0 = engine default
+	MaxFacts  uint32   // materialized-fact budget; 0 = engine default
+	TimeoutMS uint32   // driver's evaluation timeout, for the member failsafe
+	Trace     bool     // record spans on the member and ship them back per round
+	Hosted    []string // peers this member hosts
+	Peers     []Assign // full peer→node assignment of the cluster
+	Nodes     []Assign // node→address book for member↔member dialing
+	Driver    string   // driver node ID
 }
 
 // Assign is one key→value entry of a Job map (peer→node or node→addr).
@@ -203,21 +203,14 @@ type KV struct {
 	Val uint64
 }
 
-// Telemetry is a member's per-round observability sample, sent to the
-// driver just before the round's Done report: cumulative engine counters,
-// runtime gauge readings, and the trace events recorded since the last
-// sample. Gen scopes it to a job generation like every evaluation frame;
-// TraceID echoes the job's trace context so samples of different runs
-// cannot be conflated.
+// Telemetry is a member's per-round trace sample, sent to the driver just
+// before the round's Done report: the trace events recorded since the last
+// sample. Gen scopes it to a job generation like every evaluation frame.
 type Telemetry struct {
-	Gen        uint64
-	Node       string // reporting member
-	TraceID    uint64 // trace context echoed from the Job
-	WallMicros uint64 // reporter's wall clock at encode time (µs since epoch)
-	Dropped    uint64 // trace events lost to the member's bounded buffer
-	Counters   []KV   // cumulative engine counters (derived, replicated, ...)
-	Gauges     []KV   // runtime gauge readings (goroutines, heap bytes, ...)
-	Events     []TraceEvent
+	Gen     uint64
+	Node    string // reporting member
+	Dropped uint64 // trace events lost to the member's bounded buffer
+	Events  []TraceEvent
 }
 
 // TraceEvent is one recorded trace event in wall-clock form, the unit of
@@ -599,8 +592,6 @@ func AppendFrame(dst []byte, seq uint64, f Frame) []byte {
 		dst = putUvarint(dst, uint64(v.MaxFacts))
 		dst = putUvarint(dst, uint64(v.TimeoutMS))
 		dst = putBool(dst, v.Trace)
-		dst = putUvarint(dst, v.TraceID)
-		dst = putUvarint(dst, v.ParentSpan)
 		dst = putUvarint(dst, uint64(len(v.Hosted)))
 		for _, h := range v.Hosted {
 			dst = putString(dst, h)
@@ -649,11 +640,7 @@ func AppendFrame(dst []byte, seq uint64, f Frame) []byte {
 		dst = append(dst, tagTelemetry)
 		dst = putUvarint(dst, v.Gen)
 		dst = putString(dst, v.Node)
-		dst = putUvarint(dst, v.TraceID)
-		dst = putUvarint(dst, v.WallMicros)
 		dst = putUvarint(dst, v.Dropped)
-		dst = putKVs(dst, v.Counters)
-		dst = putKVs(dst, v.Gauges)
 		dst = putUvarint(dst, uint64(len(v.Events)))
 		for _, e := range v.Events {
 			dst = putString(dst, e.Track)
@@ -689,15 +676,6 @@ func AppendFrame(dst []byte, seq uint64, f Frame) []byte {
 		dst = putBytes(dst, v.Blob)
 	default:
 		panic(fmt.Sprintf("wire: unencodable frame %T", f))
-	}
-	return dst
-}
-
-func putKVs(dst []byte, kvs []KV) []byte {
-	dst = binary.AppendUvarint(dst, uint64(len(kvs)))
-	for _, kv := range kvs {
-		dst = putString(dst, kv.Key)
-		dst = putUvarint(dst, kv.Val)
 	}
 	return dst
 }
@@ -892,8 +870,6 @@ func DecodeFrame(b []byte) (uint64, Frame, error) {
 			Engine: u32(r), MaxDepth: u32(r), MaxFacts: u32(r), TimeoutMS: u32(r),
 		}
 		j.Trace = r.Bool()
-		j.TraceID = r.Uvarint()
-		j.ParentSpan = r.Uvarint()
 		n := r.Count(1)
 		for i := 0; i < n && r.Err() == nil; i++ {
 			j.Hosted = append(j.Hosted, r.String())
@@ -925,12 +901,7 @@ func DecodeFrame(b []byte) (uint64, Frame, error) {
 		d.Err = r.String()
 		f = d
 	case tagTelemetry:
-		t := Telemetry{
-			Gen: r.Uvarint(), Node: r.String(),
-			TraceID: r.Uvarint(), WallMicros: r.Uvarint(), Dropped: r.Uvarint(),
-		}
-		t.Counters = kvs(r)
-		t.Gauges = kvs(r)
+		t := Telemetry{Gen: r.Uvarint(), Node: r.String(), Dropped: r.Uvarint()}
 		n := r.Count(6) // 2 string lengths + phase byte + 3 varints minimum
 		for i := 0; i < n && r.Err() == nil; i++ {
 			t.Events = append(t.Events, TraceEvent{
@@ -972,15 +943,6 @@ func assigns(r *snapshot.Reader) []Assign {
 	var out []Assign
 	for i := 0; i < n && r.Err() == nil; i++ {
 		out = append(out, Assign{Key: r.String(), Val: r.String()})
-	}
-	return out
-}
-
-func kvs(r *snapshot.Reader) []KV {
-	n := r.Count(2)
-	var out []KV
-	for i := 0; i < n && r.Err() == nil; i++ {
-		out = append(out, KV{Key: r.String(), Val: r.Uvarint()})
 	}
 	return out
 }

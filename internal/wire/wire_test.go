@@ -51,7 +51,7 @@ func sampleFrames(t *testing.T) []Frame {
 			Gen:     4,
 			NetText: "place p [a b]\n", Alarms: "a@p\n",
 			Engine: 1, TimeoutMS: 30000,
-			Trace: true, TraceID: 0xDEAD_BEEF_CAFE, ParentSpan: 99,
+			Trace:  true,
 			Hosted: []string{"p1"},
 			Peers:  []Assign{{"p1", "m0"}},
 			Nodes:  []Assign{{"m0", "127.0.0.1:1"}},
@@ -75,10 +75,7 @@ func sampleFrames(t *testing.T) []Frame {
 		Done{Err: "timeout"},
 		Telemetry{Gen: 3, Node: "m0"},
 		Telemetry{
-			Gen: 3, Node: "m1", TraceID: 0xDEAD_BEEF_CAFE,
-			WallMicros: 1_720_000_000_000_042, Dropped: 2,
-			Counters: []KV{{"derived", 512}, {"replicated", 30}},
-			Gauges:   []KV{{"go_goroutines", 12}, {"go_heap_bytes", 1 << 21}},
+			Gen: 3, Node: "m1", Dropped: 2,
 			Events: []TraceEvent{
 				{Track: "p1", Name: "handle", Ph: 'X', Wall: 1_720_000_000_000_001, Dur: 37},
 				{Track: "p1", Name: "rule installed", Ph: 'i', Wall: 1_720_000_000_000_002},
