@@ -107,7 +107,7 @@ func TestDiagnosedOldSnapshotFallsBackToWAL(t *testing.T) {
 	first := l.FirstSeq()
 	var payloads [][]byte
 	patched := 0
-	err = l.Replay(1, func(_ uint64, p []byte) error {
+	err = l.ReadRange(first, l.LastSeq(), func(_ uint64, p []byte) error {
 		r := snapshot.NewReader(p)
 		if kind := r.Byte(); kind == 4 { // a checkpoint record
 			id, written, container := r.String(), r.Int(), r.Bytes()

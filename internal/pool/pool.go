@@ -17,9 +17,11 @@
 // from its records, from its base onward, in one SessReplay job; the
 // worker applies them as the frontend's own boot replay would.
 //
-// Appends are idempotent on the wire (1-based indexes, worker-side
-// dedup), so dispatch can retry with backoff and hedge stragglers
-// without double-evaluating.
+// Each job is sent once: the transport delivers it exactly once and in
+// order, so a re-send could only queue behind the original on the same
+// worker. A job left unanswered is settled by rebuilding the session
+// from the log on a healthy worker. Appends still carry 1-based indexes
+// that the worker checks, so a duplicate is never evaluated twice.
 package pool
 
 import (
@@ -48,10 +50,6 @@ const (
 	// rpcMargin pads each request deadline past the evaluation timeout it
 	// carries (network + queueing headroom).
 	rpcMargin = 2 * time.Second
-	// retries bounds re-sends of one request after its first attempt.
-	retries = 2
-	// retryBackoff is the first retry's delay, doubled per retry.
-	retryBackoff = 50 * time.Millisecond
 	// failAfter is the consecutive probe failures that declare a worker
 	// dead (triggering re-materialization of its sessions).
 	failAfter = 3
@@ -214,58 +212,41 @@ func (p *Pool) handle(from string, f wire.Frame) {
 	}
 	p.mu.Lock()
 	if w := p.workers[from]; w != nil {
-		w.load = WorkerLoad{Name: from, Active: int(rep.Active), Queued: int(rep.Queued), EWMAMicros: rep.EWMAMicros}
+		w.load = WorkerLoad{Name: from, Active: int(rep.Active), Queued: int(rep.Queued)}
 	}
 	ch := p.reqs[rep.Req]
 	p.mu.Unlock()
 	if ch != nil {
 		select {
 		case ch <- rep:
-		default: // a hedged duplicate already answered
+		default: // one reply per job; a stray one must not block the receive path
 		}
 	}
 }
 
-// call dispatches one job with per-request deadline, bounded retry with
-// backoff, and (for appends) hedged re-dispatch of stragglers. The
-// error return means the worker never answered; a reply with an error
-// Code is returned as-is.
+// call sends one job and waits for its reply. The error return means
+// the worker never answered; a reply with an error Code is returned
+// as-is.
 func (p *Pool) call(worker string, job wire.SessionJob, evalTimeout time.Duration) (wire.SessionReply, error) {
-	deadline := evalTimeout + rpcMargin
+	if p.workerDead(worker) {
+		// The probe loop already declared it: fail fast so the caller
+		// re-materializes instead of burning the full deadline.
+		return wire.SessionReply{}, fmt.Errorf("pool: worker %s is dead", worker)
+	}
 	job.TimeoutMS = uint32(evalTimeout / time.Millisecond)
 	job.Frontend = p.self
-
-	var lastErr error
-	for attempt := 0; attempt <= retries; attempt++ {
-		if attempt > 0 {
-			p.m.Add("pool_retries_total", 1)
-			time.Sleep(retryBackoff << (attempt - 1))
-		}
-		if p.workerDead(worker) {
-			// The probe loop already declared it: fail fast so the caller
-			// re-materializes instead of burning the full deadline.
-			return wire.SessionReply{}, fmt.Errorf("pool: worker %s is dead", worker)
-		}
-		rep, err := p.dispatch(worker, job, deadline)
-		if err != nil {
-			lastErr = err
-			continue
-		}
-		if rep.Code == wire.SessRetry {
-			lastErr = fmt.Errorf("pool: worker %s: %s", worker, rep.Err)
-			continue
-		}
-		p.noteAlive(worker)
-		return rep, nil
+	rep, err := p.dispatch(worker, job, evalTimeout+rpcMargin)
+	if err != nil {
+		p.noteFailure(worker)
+		return wire.SessionReply{}, err
 	}
-	p.noteFailure(worker)
-	return wire.SessionReply{}, lastErr
+	p.noteAlive(worker)
+	return rep, nil
 }
 
-// dispatch sends the job once (plus at most one hedge) and waits for
-// the first reply or the deadline.
+// dispatch sends the job once and waits for its reply or the deadline.
 func (p *Pool) dispatch(worker string, job wire.SessionJob, deadline time.Duration) (wire.SessionReply, error) {
-	ch := make(chan wire.SessionReply, 2)
+	ch := make(chan wire.SessionReply, 1)
 	p.mu.Lock()
 	p.nextReq++
 	job.Req = p.nextReq
@@ -289,12 +270,6 @@ func (p *Pool) dispatch(worker string, job wire.SessionJob, deadline time.Durati
 	// verdict cuts the wait short of the full deadline.
 	vitals := time.NewTicker(250 * time.Millisecond)
 	defer vitals.Stop()
-	var hedge <-chan time.Time
-	if job.Op == wire.SessAppend {
-		ht := time.NewTimer(p.hedgeDelay(worker, deadline))
-		defer ht.Stop()
-		hedge = ht.C
-	}
 	for {
 		select {
 		case rep := <-ch:
@@ -305,38 +280,11 @@ func (p *Pool) dispatch(worker string, job wire.SessionJob, deadline time.Durati
 				p.m.Observe("pool_dispatch_seconds", time.Since(start))
 				return wire.SessionReply{}, fmt.Errorf("pool: worker %s declared dead mid-request", worker)
 			}
-		case <-hedge:
-			// Straggler: re-send the same job (same Req, same Index — the
-			// worker dedups), so a lost frame or a stalled queue slot does
-			// not cost the whole deadline.
-			hedge = nil
-			p.m.Add("pool_hedged_total", 1)
-			p.tr.Send(worker, job) //nolint:errcheck // the deadline judges
 		case <-timer.C:
 			p.m.Observe("pool_dispatch_seconds", time.Since(start))
 			return wire.SessionReply{}, fmt.Errorf("pool: worker %s: no reply within %v", worker, deadline)
 		}
 	}
-}
-
-// hedgeDelay is when to re-send an unanswered append: 4x the worker's
-// EWMA append latency clamped to [25ms, deadline/2] — late enough to stay
-// rare, early enough to matter.
-func (p *Pool) hedgeDelay(worker string, deadline time.Duration) time.Duration {
-	p.mu.Lock()
-	ewma := time.Duration(0)
-	if w := p.workers[worker]; w != nil {
-		ewma = time.Duration(w.load.EWMAMicros) * time.Microsecond
-	}
-	p.mu.Unlock()
-	d := 4 * ewma
-	if d < 25*time.Millisecond {
-		d = 25 * time.Millisecond
-	}
-	if d > deadline/2 {
-		d = deadline / 2
-	}
-	return d
 }
 
 // ---- placement ----
@@ -412,7 +360,7 @@ func (p *Pool) Create(netText, engine string, maxFacts int, evalTimeout time.Dur
 			p.sessions[id] = &session{id: id, worker: worker, nextIndex: 1}
 			p.mu.Unlock()
 			return fromReply(rep)
-		case wire.SessSaturated, wire.SessDraining:
+		case wire.SessSaturated, wire.SessDraining, wire.SessRetry:
 			tried[worker] = true
 		default:
 			return fromReply(rep)
@@ -638,8 +586,7 @@ func (p *Pool) probeOnce() {
 	p.mu.Unlock()
 
 	for _, name := range names {
-		// The ping doubles as liveness check and load sample; call's
-		// retry/failure accounting does the state bookkeeping.
+		// The ping doubles as liveness check and load sample.
 		probeTimeout := p.cfg.ProbeEvery
 		if probeTimeout > time.Second {
 			probeTimeout = time.Second

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -59,18 +60,26 @@ func TestLeastLoadedCountsQueue(t *testing.T) {
 
 // ---- worker idempotency over a mesh ----
 
-// fakeBackend counts evaluations so the dedup tests can prove a retried
-// or hedged duplicate never re-evaluates.
+// fakeBackend counts evaluations so the dedup tests can prove a
+// duplicate never re-evaluates.
 type fakeBackend struct {
-	mu      sync.Mutex
-	creates int
-	appends map[string]int
-	live    map[string]bool
-	replays map[string][]string // records each Replay received
+	mu        sync.Mutex
+	creates   int
+	appends   map[string]int
+	evaluated map[string][]string // alarms of each evaluated append, in order
+	live      map[string]bool
+	replays   map[string][]string // records each Replay received
+
+	// Set before the worker starts: every Append waits for gate (when
+	// non-nil), counted in held meanwhile, then sleeps delay.
+	gate  chan struct{}
+	held  atomic.Int32
+	delay time.Duration
 }
 
 func newFakeBackend() *fakeBackend {
-	return &fakeBackend{appends: make(map[string]int), live: make(map[string]bool), replays: make(map[string][]string)}
+	return &fakeBackend{appends: make(map[string]int), evaluated: make(map[string][]string),
+		live: make(map[string]bool), replays: make(map[string][]string)}
 }
 
 func (b *fakeBackend) Create(id, netText, engine string, maxFacts int) ([]byte, error) {
@@ -82,9 +91,16 @@ func (b *fakeBackend) Create(id, netText, engine string, maxFacts int) ([]byte, 
 }
 
 func (b *fakeBackend) Append(id, alarms string, timeout time.Duration) ([]byte, error) {
+	if b.gate != nil {
+		b.held.Add(1)
+		<-b.gate
+		b.held.Add(-1)
+	}
+	time.Sleep(b.delay)
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	b.appends[id]++
+	b.evaluated[id] = append(b.evaluated[id], alarms)
 	return []byte(fmt.Sprintf("append:%d", b.appends[id])), nil
 }
 
@@ -153,9 +169,9 @@ func workerRig(t *testing.T, backend Backend, names ...string) func(worker strin
 }
 
 // TestWorkerAppendDedup drives a worker directly with SessionJob frames
-// and checks the idempotency contract retry and hedging depend on:
-// duplicate indexes return the memoized reply without re-evaluating,
-// gaps are refused with SessOutOfSync.
+// and checks its idempotency contract: duplicate indexes return the
+// memoized reply without re-evaluating, gaps are refused with
+// SessOutOfSync.
 func TestWorkerAppendDedup(t *testing.T) {
 	backend := newFakeBackend()
 	call := workerRig(t, backend, "w1")
@@ -164,7 +180,7 @@ func TestWorkerAppendDedup(t *testing.T) {
 	if rep := roundTrip(wire.SessionJob{Op: wire.SessCreate, Session: "s1"}); rep.Code != wire.SessOK {
 		t.Fatalf("create: code %d err %q", rep.Code, rep.Err)
 	}
-	// A retried create resends the first reply instead of re-admitting.
+	// A duplicate create resends the first reply instead of re-admitting.
 	rep := roundTrip(wire.SessionJob{Op: wire.SessCreate, Session: "s1"})
 	if rep.Code != wire.SessOK || string(rep.Blob) != "created:s1" {
 		t.Fatalf("retried create: code %d blob %q", rep.Code, rep.Blob)
@@ -176,7 +192,7 @@ func TestWorkerAppendDedup(t *testing.T) {
 	if rep := roundTrip(wire.SessionJob{Op: wire.SessAppend, Session: "s1", Index: 1}); string(rep.Blob) != "append:1" {
 		t.Fatalf("append 1: %q", rep.Blob)
 	}
-	// Duplicate of index 1 (a hedge or retry): memoized, not re-evaluated.
+	// Duplicate of index 1: memoized, not re-evaluated.
 	if rep := roundTrip(wire.SessionJob{Op: wire.SessAppend, Session: "s1", Index: 1}); string(rep.Blob) != "append:1" {
 		t.Fatalf("duplicate append: %q", rep.Blob)
 	}
@@ -342,5 +358,169 @@ func TestRematerializeIsOneJob(t *testing.T) {
 	}
 	if log.reads != 1 {
 		t.Fatalf("log read %d times, want 1", log.reads)
+	}
+}
+
+// waitUntil polls cond until it holds, failing the test after 5s.
+func waitUntil(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	for deadline := time.Now().Add(5 * time.Second); !cond(); time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting for %s", what)
+		}
+	}
+}
+
+// TestPoolAnswerMatchesEvaluation: an append that waits behind a full
+// executor queue is answered by its own evaluation. A second copy of
+// the job sent while the first waited would be shed with SessSaturated
+// and answered as that; the first copy would still be evaluated later,
+// and the next append, carrying the same index, would get its memoized
+// reply — leaving the log with an append the worker never evaluated.
+func TestPoolAnswerMatchesEvaluation(t *testing.T) {
+	mesh := transport.NewMesh()
+	backend := newFakeBackend()
+	backend.gate = make(chan struct{})
+	w := NewWorker(WorkerConfig{Transport: mesh.Node("w1"), Backend: backend})
+	if err := w.Start(); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(w.Close)
+	log := &memLog{records: make(map[string][]string)}
+	p, err := New(Config{Transport: mesh.Node("fe"), Workers: []string{"w1"}, Log: log, ProbeEvery: time.Hour})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(p.Close)
+	res := p.Create("net", "dqsq", 0, 5*time.Second)
+	if res.Code != wire.SessOK {
+		t.Fatalf("create: code %d err %q", res.Code, res.Err)
+	}
+	id := strings.TrimPrefix(string(res.Body), "created:")
+
+	// A filler node parks one append of a session on the target's
+	// executor, then queues queueDepth-1 jobs behind it.
+	filler := mesh.Node("filler")
+	if err := filler.Start(func(string, wire.Frame) {}); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { filler.Close() }) //nolint:errcheck
+	var fid string
+	for i := 0; ; i++ {
+		if fid = fmt.Sprintf("filler%d", i); hash64(fid)%executors == hash64(id)%executors {
+			break
+		}
+	}
+	send := func(job wire.SessionJob) {
+		t.Helper()
+		job.Frontend = "filler"
+		if err := filler.Send("w1", job); err != nil {
+			t.Fatal(err)
+		}
+	}
+	send(wire.SessionJob{Op: wire.SessCreate, Session: fid})
+	send(wire.SessionJob{Op: wire.SessAppend, Session: fid, Index: 1})
+	waitUntil(t, "the filler append to park", func() bool { return backend.held.Load() == 1 })
+	for i := 0; i < queueDepth-1; i++ {
+		send(wire.SessionJob{Op: wire.SessGet, Session: fid})
+	}
+	waitUntil(t, "the filler jobs to queue", func() bool { return w.queued.Load() == queueDepth-1 })
+
+	// The target's append takes the last slot and waits well past 25ms
+	// (where a re-send timer would have fired) before the queue drains.
+	first := make(chan Result, 1)
+	go func() { first <- p.Append(id, "A1", 5*time.Second) }()
+	waitUntil(t, "the target append to queue", func() bool { return w.queued.Load() == queueDepth })
+	time.Sleep(200 * time.Millisecond)
+	close(backend.gate)
+	answers := map[string]Result{"A1": <-first}
+	waitUntil(t, "the queue to drain", func() bool { return w.queued.Load() == 0 })
+	answers["A2"] = p.Append(id, "A2", 5*time.Second)
+
+	backend.mu.Lock()
+	evaluated := append([]string(nil), backend.evaluated[id]...)
+	backend.mu.Unlock()
+	for alarms, res := range answers {
+		for _, e := range evaluated {
+			if res.Code != wire.SessOK && e == alarms {
+				t.Errorf("append %s answered with code %d (%q) but evaluated", alarms, res.Code, res.Err)
+			}
+		}
+	}
+	var want []string
+	for _, a := range evaluated {
+		want = append(want, "op2:"+a)
+	}
+	log.mu.Lock()
+	logged := log.records[id][1:] // past the create
+	log.mu.Unlock()
+	if strings.Join(logged, "|") != strings.Join(want, "|") {
+		t.Fatalf("log holds appends %q, the worker evaluated %q", logged, evaluated)
+	}
+}
+
+// countingTransport counts the SessionJob frames its node receives, per
+// request ID.
+type countingTransport struct {
+	transport.Transport
+	mu   sync.Mutex
+	jobs map[uint64]int
+}
+
+func (c *countingTransport) Start(h transport.Handler) error {
+	return c.Transport.Start(func(from string, f wire.Frame) {
+		if job, ok := f.(wire.SessionJob); ok {
+			c.mu.Lock()
+			c.jobs[job.Req]++
+			c.mu.Unlock()
+		}
+		h(from, f)
+	})
+}
+
+// TestPoolSendsEachJobOnce: with appends slower than 25ms, the worker
+// still receives every pooled job exactly once.
+func TestPoolSendsEachJobOnce(t *testing.T) {
+	mesh := transport.NewMesh()
+	backend := newFakeBackend()
+	backend.delay = 60 * time.Millisecond
+	tr := &countingTransport{Transport: mesh.Node("w1"), jobs: make(map[uint64]int)}
+	w := NewWorker(WorkerConfig{Transport: tr, Backend: backend})
+	if err := w.Start(); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(w.Close)
+	p, err := New(Config{Transport: mesh.Node("fe"), Workers: []string{"w1"}, ProbeEvery: time.Hour})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(p.Close)
+
+	res := p.Create("net", "dqsq", 0, 5*time.Second)
+	if res.Code != wire.SessOK {
+		t.Fatalf("create: code %d err %q", res.Code, res.Err)
+	}
+	id := strings.TrimPrefix(string(res.Body), "created:")
+	for _, a := range []string{"a1", "a2", "a3"} {
+		if res := p.Append(id, a, 5*time.Second); res.Code != wire.SessOK {
+			t.Fatalf("append %s: code %d err %q", a, res.Code, res.Err)
+		}
+	}
+	if res := p.Get(id, 5*time.Second); res.Code != wire.SessOK {
+		t.Fatalf("get: code %d err %q", res.Code, res.Err)
+	}
+	if res := p.Delete(id, 5*time.Second); res.Code != wire.SessOK {
+		t.Fatalf("delete: code %d err %q", res.Code, res.Err)
+	}
+
+	tr.mu.Lock()
+	defer tr.mu.Unlock()
+	if len(tr.jobs) != 6 {
+		t.Errorf("worker saw %d requests, want 6 (create, 3 appends, get, delete)", len(tr.jobs))
+	}
+	for req, n := range tr.jobs {
+		if n != 1 {
+			t.Errorf("request %d reached the worker %d times", req, n)
+		}
 	}
 }

@@ -5,10 +5,9 @@ import "hash/fnv"
 // WorkerLoad is the scheduler's view of one placeable worker: the load
 // sample piggybacked on its last reply or probe.
 type WorkerLoad struct {
-	Name       string
-	Active     int    // live sessions on the worker
-	Queued     int    // jobs waiting in its queue
-	EWMAMicros uint64 // EWMA append latency
+	Name   string
+	Active int // live sessions on the worker
+	Queued int // jobs waiting in its queue
 }
 
 // leastLoaded picks the candidate with the fewest sessions plus queued

@@ -65,9 +65,9 @@ type WorkerConfig struct {
 }
 
 // appliedState is the idempotency record for one session: how many
-// appends have been applied, and the last reply sent — a retried or
-// hedged duplicate of the latest operation returns the memoized reply
-// instead of re-evaluating.
+// appends have been applied, and the last reply sent — a duplicate of
+// the latest operation returns the memoized reply instead of
+// re-evaluating.
 type appliedState struct {
 	index    uint64 // appends applied (SessAppend.Index of the last success)
 	lastBlob []byte // body of the last successful create or append
@@ -91,7 +91,6 @@ type Worker struct {
 	queues   []chan wire.SessionJob
 	queued   atomic.Int64
 	draining atomic.Bool
-	ewma     atomic.Uint64 // EWMA append latency, µs
 
 	mu      sync.Mutex
 	applied map[string]*appliedState
@@ -235,7 +234,7 @@ func (w *Worker) execCreate(job wire.SessionJob) {
 	st, exists := w.applied[job.Session]
 	w.mu.Unlock()
 	if exists {
-		// A retried create: the first attempt landed. Resend its reply.
+		// A duplicate create: the first one landed. Resend its reply.
 		w.send(job, wire.SessionReply{Blob: st.lastBlob})
 		return
 	}
@@ -262,8 +261,8 @@ func (w *Worker) execAppend(job wire.SessionJob) {
 		w.send(job, wire.SessionReply{Code: wire.SessNotFound, Err: "pool: no such session on worker"})
 		return
 	case job.Index <= st.index:
-		// Duplicate of an already-applied append (retry or hedge): the
-		// memoized reply, never a second evaluation.
+		// Duplicate of an already-applied append: the memoized reply,
+		// never a second evaluation.
 		w.metrics.Add("pool_worker_dedup_total", 1)
 		w.send(job, wire.SessionReply{Blob: st.lastBlob})
 		return
@@ -271,11 +270,9 @@ func (w *Worker) execAppend(job wire.SessionJob) {
 		w.send(job, wire.SessionReply{Code: wire.SessOutOfSync, Err: "pool: append index gap"})
 		return
 	}
-	start := time.Now()
 	body, err := w.backend.Append(job.Session, job.Alarms, timeoutOf(job))
 	rep := w.replyFor(body, err)
 	if err == nil {
-		w.noteAppend(time.Since(start))
 		w.mu.Lock()
 		st.index, st.lastBlob = job.Index, body
 		w.mu.Unlock()
@@ -300,28 +297,11 @@ func (w *Worker) send(job wire.SessionJob, rep wire.SessionReply) {
 	if q := w.queued.Load(); q > 0 {
 		rep.Queued = uint32(q)
 	}
-	rep.EWMAMicros = w.ewma.Load()
 	if job.Frontend == "" {
 		return
 	}
 	if err := w.tr.Send(job.Frontend, rep); err != nil {
 		w.log.Warn("pool worker: reply not sent", "frontend", job.Frontend, "err", err)
-	}
-}
-
-// noteAppend folds one append latency into the EWMA load signal
-// (α = 1/4: responsive to shifts, stable under jitter).
-func (w *Worker) noteAppend(d time.Duration) {
-	sample := uint64(d.Microseconds())
-	for {
-		old := w.ewma.Load()
-		next := sample
-		if old != 0 {
-			next = old - old/4 + sample/4
-		}
-		if w.ewma.CompareAndSwap(old, next) {
-			return
-		}
 	}
 }
 

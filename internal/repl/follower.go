@@ -36,8 +36,6 @@ type FollowerOptions struct {
 	Metrics Metrics
 	// Logger receives session logs; nil discards them.
 	Logger *slog.Logger
-	// Dialer overrides net.Dial for tests; nil dials TCP.
-	Dialer func(addr string) (net.Conn, error)
 }
 
 func (o FollowerOptions) withDefaults() FollowerOptions {
@@ -52,11 +50,6 @@ func (o FollowerOptions) withDefaults() FollowerOptions {
 	}
 	if o.Logger == nil {
 		o.Logger = discardLogger()
-	}
-	if o.Dialer == nil {
-		o.Dialer = func(addr string) (net.Conn, error) {
-			return net.DialTimeout("tcp", addr, 3*time.Second)
-		}
 	}
 	return o
 }
@@ -183,7 +176,7 @@ func (f *Follower) run() {
 			return
 		default:
 		}
-		conn, err := f.opt.Dialer(f.addr)
+		conn, err := net.DialTimeout("tcp", f.addr, 3*time.Second)
 		if err != nil {
 			f.opt.Logger.Warn("repl: dial failed", "addr", f.addr, "err", err)
 			if !f.sleep(backoff) {

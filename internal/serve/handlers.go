@@ -23,6 +23,9 @@ import (
 	"repro/internal/wire"
 )
 
+// maxBody caps request bodies.
+const maxBody = 1 << 20
+
 // Config tunes the server.
 type Config struct {
 	// Store bounds the session table.
@@ -33,8 +36,6 @@ type Config struct {
 	// SweepEvery is the TTL sweep period. 0 means 30s; negative disables
 	// the background sweeper (tests drive Sweep directly).
 	SweepEvery time.Duration
-	// MaxBody caps request bodies. 0 means 1MiB.
-	MaxBody int64
 	// DataDir enables durability: every create, append, delete, eviction
 	// and expiry is logged to the write-ahead log at <DataDir>/wal before
 	// it is acknowledged, session checkpoints are records of the same log,
@@ -61,9 +62,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.SweepEvery == 0 {
 		c.SweepEvery = 30 * time.Second
-	}
-	if c.MaxBody == 0 {
-		c.MaxBody = 1 << 20
 	}
 	return c
 }
@@ -213,7 +211,7 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer s.inflight.Done()
-	r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxBody)
+	r.Body = http.MaxBytesReader(w, r.Body, maxBody)
 	s.mux.ServeHTTP(w, r)
 }
 

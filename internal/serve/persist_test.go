@@ -136,7 +136,7 @@ func TestPersistWriteBehind(t *testing.T) {
 	waitForCheckpoints(t, s, 1)
 
 	var restored *Session
-	err := s.wal.log.Replay(1, func(_ uint64, payload []byte) error {
+	err := s.wal.log.ReadRange(s.wal.log.FirstSeq(), s.wal.log.LastSeq(), func(_ uint64, payload []byte) error {
 		r := snapshot.NewReader(payload)
 		if r.Byte() != walKindCheckpoint {
 			return nil

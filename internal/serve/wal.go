@@ -232,7 +232,9 @@ func (s *Server) replayWAL(apply func(seq uint64, payload []byte)) {
 		// What the scan found still holds; the replay just skips less.
 		s.log.Error("wal: replay scan failed", "err", err)
 	}
-	err = l.Replay(1, func(seq uint64, payload []byte) error {
+	replayed := int64(0)
+	err = l.ReadRange(l.FirstSeq(), l.LastSeq(), func(seq uint64, payload []byte) error {
+		replayed++
 		r := snapshot.NewReader(payload)
 		_ = r.Byte() // the kind; every record's id follows it
 		if seq >= deleted[r.String()] {
@@ -240,6 +242,7 @@ func (s *Server) replayWAL(apply func(seq uint64, payload []byte)) {
 		}
 		return nil
 	})
+	s.metrics.Add("wal_replay_records_total", replayed)
 	if err != nil {
 		s.log.Error("wal: replay stopped early", "err", err)
 	}

@@ -227,7 +227,7 @@ func walServer(t *testing.T, dir string, opt wal.Options) (*Server, *httptest.Se
 // record.
 func records(t *testing.T, log *wal.Log) (kinds []byte, ids []string, seqs []uint64) {
 	t.Helper()
-	err := log.Replay(1, func(seq uint64, payload []byte) error {
+	err := log.ReadRange(log.FirstSeq(), log.LastSeq(), func(seq uint64, payload []byte) error {
 		r := snapshot.NewReader(payload)
 		kinds = append(kinds, r.Byte())
 		ids = append(ids, r.String())
@@ -376,10 +376,9 @@ func TestRemovedSessionsStayGone(t *testing.T) {
 // slips between the encoded state and the record.
 func TestCheckpointIsAtomicWithAppends(t *testing.T) {
 	s, ts := walServer(t, t.TempDir(), wal.Options{Fsync: wal.SyncNever})
-	// The log is read back with Replay, which is for a log nothing else
-	// is using: stop the checkpointer, whose compaction could remove a
-	// segment under the read or the checkpoints the read must see. The
-	// checkpoints below race the appends on their own.
+	// Stop the checkpointer: its compaction could remove the checkpoints
+	// the read of the log below must see. The checkpoints below race the
+	// appends on their own.
 	close(s.wal.stop)
 	<-s.wal.done
 	created := createSession(t, ts, createRequest{Net: exampleNetText(t), Engine: "dqsq"})
@@ -418,7 +417,7 @@ func TestCheckpointIsAtomicWithAppends(t *testing.T) {
 	// checkpoint must hold what the one before it held plus the appends
 	// between them.
 	want, seen := -1, 0
-	err := s.wal.log.Replay(1, func(seq uint64, payload []byte) error {
+	err := s.wal.log.ReadRange(s.wal.log.FirstSeq(), s.wal.log.LastSeq(), func(seq uint64, payload []byte) error {
 		r := snapshot.NewReader(payload)
 		switch r.Byte() {
 		case walKindAppend:

@@ -59,7 +59,7 @@ func FuzzSegment(f *testing.F) {
 			t.Fatalf("Open must repair, not fail: %v", err)
 		}
 		var first [][]byte
-		if err := l.Replay(1, func(seq uint64, payload []byte) error {
+		if err := readAll(l, 1, func(seq uint64, payload []byte) error {
 			if seq != uint64(len(first)+1) {
 				t.Fatalf("replay out of sequence: %d after %d records", seq, len(first))
 			}
@@ -82,7 +82,7 @@ func FuzzSegment(f *testing.F) {
 			t.Fatal("repair was not idempotent: second Open found another tear")
 		}
 		i := 0
-		l2.Replay(1, func(seq uint64, payload []byte) error { //nolint:errcheck
+		readAll(l2, 1, func(seq uint64, payload []byte) error { //nolint:errcheck
 			if i >= len(first) || !bytes.Equal(payload, first[i]) {
 				t.Fatalf("record %d changed across repair", i)
 			}
@@ -137,7 +137,7 @@ func FuzzReplay(f *testing.F) {
 		}
 		defer l2.Close()
 		i := 0
-		l2.Replay(1, func(seq uint64, payload []byte) error { //nolint:errcheck
+		readAll(l2, 1, func(seq uint64, payload []byte) error { //nolint:errcheck
 			if seq != uint64(i+1) {
 				t.Fatalf("replay out of sequence: %d", seq)
 			}

@@ -9,22 +9,22 @@ import (
 	"testing"
 )
 
-// replayAll collects (seq, payload) pairs from Replay(from).
+// replayAll collects (seq, payload) pairs from seq from onward.
 func replayAll(t *testing.T, l *Log, from uint64) (seqs []uint64, payloads []string) {
 	t.Helper()
-	err := l.Replay(from, func(seq uint64, payload []byte) error {
+	err := readAll(l, from, func(seq uint64, payload []byte) error {
 		seqs = append(seqs, seq)
 		payloads = append(payloads, string(payload))
 		return nil
 	})
 	if err != nil {
-		t.Fatalf("Replay(%d): %v", from, err)
+		t.Fatalf("read from %d: %v", from, err)
 	}
 	return
 }
 
-// checkSuffixProperty asserts that for every k, Replay(from=k) equals
-// the suffix of Replay(from=1) starting at the first seq >= k — the
+// checkSuffixProperty asserts that for every k, reading from k equals
+// the suffix of reading from 1 starting at the first seq >= k — the
 // resume invariant the replication primary depends on.
 func checkSuffixProperty(t *testing.T, l *Log) {
 	t.Helper()
@@ -38,11 +38,11 @@ func checkSuffixProperty(t *testing.T, l *Log) {
 		cut := sort.Search(len(allSeqs), func(i int) bool { return allSeqs[i] >= k })
 		wantSeqs, wantPayloads := allSeqs[cut:], allPayloads[cut:]
 		if len(seqs) != len(wantSeqs) {
-			t.Fatalf("Replay(from=%d): %d records, want %d", k, len(seqs), len(wantSeqs))
+			t.Fatalf("read from %d: %d records, want %d", k, len(seqs), len(wantSeqs))
 		}
 		for i := range seqs {
 			if seqs[i] != wantSeqs[i] || payloads[i] != wantPayloads[i] {
-				t.Fatalf("Replay(from=%d) record %d = (%d, %q), want (%d, %q)",
+				t.Fatalf("read from %d: record %d = (%d, %q), want (%d, %q)",
 					k, i, seqs[i], payloads[i], wantSeqs[i], wantPayloads[i])
 			}
 		}

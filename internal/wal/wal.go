@@ -25,7 +25,7 @@
 // Torn tails. A crash mid-write leaves a partial record at the end of
 // the active segment. Open scans every segment and stops at the first
 // short read, bad CRC or sequence break: the file is truncated back to
-// the last valid record, any later segments are deleted, and replay
+// the last valid record, any later segments are deleted, and a read
 // never surfaces a partial record. What is lost is exactly the appends
 // that were never acknowledged.
 //
@@ -133,9 +133,8 @@ type Options struct {
 	// SyncEvery is the SyncInterval flush period. 0 means 100ms.
 	SyncEvery time.Duration
 	// Metrics receives wal_appends_total, wal_bytes_total,
-	// wal_fsync_seconds, wal_replay_records_total,
-	// wal_truncated_tail_total and wal_group_commit_size. nil discards
-	// them.
+	// wal_fsync_seconds, wal_truncated_tail_total and
+	// wal_group_commit_size. nil discards them.
 	Metrics Metrics
 	// SyncDelay stalls every fsync by this much extra. It is a benchmark
 	// hook modeling a device with non-trivial sync latency, so the
@@ -623,59 +622,11 @@ func (l *Log) syncLoop() {
 	}
 }
 
-// Replay streams every record with seq >= from, in order, to fn. A
-// non-nil error from fn stops the replay and is returned. Replay reads
-// the segment files as repaired by Open; run it before concurrent
-// appends (boot-time recovery), not during them.
-func (l *Log) Replay(from uint64, fn func(seq uint64, payload []byte) error) error {
-	l.mu.Lock()
-	segs := append([]segment(nil), l.segs...)
-	l.mu.Unlock()
-	replayed := int64(0)
-	defer func() {
-		if replayed > 0 {
-			l.metricAdd("wal_replay_records_total", replayed)
-		}
-	}()
-	for _, s := range segs {
-		if s.last < from {
-			continue
-		}
-		b, err := os.ReadFile(s.path)
-		if err != nil {
-			return err
-		}
-		var ferr error
-		n, err := walk(b, s.first, func(seq uint64, payload []byte) bool {
-			if seq < from {
-				return true
-			}
-			if ferr = fn(seq, payload); ferr != nil {
-				return false
-			}
-			replayed++
-			return true
-		})
-		if ferr != nil {
-			return ferr
-		}
-		if n == 0 {
-			return fmt.Errorf("wal: segment %s lost its header: %w", s.path, err)
-		}
-		if err != nil {
-			// Open repaired the tail; bytes going bad afterwards stop
-			// the replay at the last good record, like a torn tail.
-			return nil
-		}
-	}
-	return nil
-}
-
 // ReadRange streams the records with from <= seq <= to, in order, to
-// fn. Unlike Replay it is safe during concurrent appends, provided to
-// <= LastSeq() at the time of the call: a record's bytes are fully
-// written before its sequence number is published, so the range is
-// readable even while later records land. It returns ErrCompacted when
+// fn. It is safe during concurrent appends, provided to <= LastSeq()
+// at the time of the call: a record's bytes are fully written before
+// its sequence number is published, so the range is readable even while
+// later records land. It returns ErrCompacted when
 // Truncate has already dropped part of the range and an error if a
 // promised record turns out unreadable.
 func (l *Log) ReadRange(from, to uint64, fn func(seq uint64, payload []byte) error) error {

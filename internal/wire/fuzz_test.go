@@ -63,7 +63,7 @@ func seedCorpus(f *testing.F) {
 			TimeoutMS: 30000, Frontend: "fe"},
 		SessionJob{Req: 9, Op: SessReplay, Session: "s1", Index: 5, Blob: []byte{1, 2, 3},
 			Frontend: "fe"},
-		SessionReply{Req: 8, Active: 3, Queued: 1, EWMAMicros: 420, Blob: []byte{9}},
+		SessionReply{Req: 8, Active: 3, Queued: 1, Blob: []byte{9}},
 		SessionReply{Req: 9, Code: SessSaturated, Err: "table full", RetryAfterMS: 1000},
 	}
 	for i, fr := range frames {

@@ -44,7 +44,9 @@ import (
 // Index and its echoed operation and session.
 // Version 10 dropped Job.TraceID and Job.ParentSpan, and Telemetry's
 // TraceID, WallMicros, Counters and Gauges: no program read them.
-const Version = 10
+// Version 11 dropped SessionReply's append-latency load sample: the pool
+// sends each job once, and only its re-send timer read the sample.
+const Version = 11
 
 // frame type tags.
 const (
@@ -235,8 +237,8 @@ const (
 	SessCreate uint32 = iota + 1
 	// SessAppend feeds alarms to a live session. Index is the 1-based
 	// position of this append in the session's history; the worker applies
-	// it exactly once, so a retried or hedged duplicate returns the
-	// memoized result instead of re-evaluating.
+	// it exactly once, so a duplicate returns the memoized result instead
+	// of re-evaluating.
 	SessAppend
 	// SessGet reads the session's state (seq, report, exhaustion).
 	SessGet
@@ -257,8 +259,8 @@ const (
 // SessionReply codes (SessionReply.Code). Zero is success.
 const (
 	SessOK uint32 = iota
-	// SessRetry: transient worker-side failure; the same request may be
-	// retried (the Index dedup makes appends idempotent).
+	// SessRetry: transient worker-side failure; the client may send the
+	// request again (maps to 503).
 	SessRetry
 	// SessSaturated: the worker's session table or fact budget is full;
 	// place elsewhere or shed load (maps to 503 + Retry-After).
@@ -298,9 +300,8 @@ type SessionJob struct {
 }
 
 // SessionReply answers one SessionJob. Every reply piggybacks the
-// worker's load sample (active sessions, queue depth, EWMA append
-// latency), which is what the frontend's least-loaded scheduler and
-// hedging policy feed on between health probes.
+// worker's load sample (active sessions, queue depth), which the
+// frontend's least-loaded scheduler feeds on between health probes.
 type SessionReply struct {
 	Req          uint64 // echoed request ID
 	Code         uint32 // SessOK or a SessionReply error code
@@ -308,7 +309,6 @@ type SessionReply struct {
 	RetryAfterMS uint32 // backpressure hint (SessSaturated/SessDraining)
 	Active       uint32 // load: live sessions on the worker
 	Queued       uint32 // load: jobs waiting in the worker's queue
-	EWMAMicros   uint64 // load: EWMA append latency, microseconds
 	Blob         []byte // op result payload: a backend body, or SessShip's checkpoint
 }
 
@@ -672,7 +672,6 @@ func AppendFrame(dst []byte, seq uint64, f Frame) []byte {
 		dst = putUvarint(dst, uint64(v.RetryAfterMS))
 		dst = putUvarint(dst, uint64(v.Active))
 		dst = putUvarint(dst, uint64(v.Queued))
-		dst = putUvarint(dst, v.EWMAMicros)
 		dst = putBytes(dst, v.Blob)
 	default:
 		panic(fmt.Sprintf("wire: unencodable frame %T", f))
@@ -926,7 +925,6 @@ func DecodeFrame(b []byte) (uint64, Frame, error) {
 		p.RetryAfterMS = u32(r)
 		p.Active = u32(r)
 		p.Queued = u32(r)
-		p.EWMAMicros = r.Uvarint()
 		p.Blob = blob(r)
 		f = p
 	default:

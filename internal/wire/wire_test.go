@@ -93,7 +93,7 @@ func sampleFrames(t *testing.T) []Frame {
 		SessionJob{Req: 14, Op: SessReplay, Session: "s000001-ab", Index: 16,
 			Blob: []byte{0xDE, 0xAD, 0xBE, 0xEF}, Frontend: "fe-1"},
 		SessionJob{Req: 15, Op: SessShip, Session: "s000001-ab", Frontend: "fe-1"},
-		SessionReply{Req: 12, Active: 17, Queued: 3, EWMAMicros: 1234, Blob: []byte{1, 0, 2}},
+		SessionReply{Req: 12, Active: 17, Queued: 3, Blob: []byte{1, 0, 2}},
 		SessionReply{Req: 14, Code: SessSaturated, Err: "serve: server overloaded", RetryAfterMS: 1500},
 	}
 }
