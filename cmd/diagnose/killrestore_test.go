@@ -103,7 +103,6 @@ func TestPeerdKillRestore(t *testing.T) {
 		Transport: drv,
 		Nodes:     []string{"n1", "n2"},
 		Addrs:     map[string]string{"driver": drv.Addr(), "n1": n1.addr, "n2": n2.addr},
-		Retries:   2,
 	}
 	t.Cleanup(func() { cl.Close() })
 

@@ -85,7 +85,6 @@ func main() {
 		replListen   = flag.String("replicate-listen", "", "address to stream the WAL to followers on (requires -data-dir)")
 		follow       = flag.String("follow", "", "primary replication address to follow; the server starts read-only (requires -data-dir)")
 		replHB       = flag.Duration("repl-heartbeat", 500*time.Millisecond, "replication heartbeat interval (must match on both ends)")
-		replLagBound = flag.Duration("repl-lag-bound", 15*time.Second, "how stale the replication stream may go before the follower reports unhealthy")
 		poolAddrs    = flag.String("pool", "", "comma-separated peerd pool worker addresses; enables frontend mode (sessions run on workers, not in-process)")
 		poolListen   = flag.String("pool-listen", "127.0.0.1:0", "transport listen address for pool replies (frontend mode)")
 		poolPolicy   = flag.String("pool-policy", "least", "pool placement policy: least (least-loaded, the only one)")
@@ -196,7 +195,6 @@ func main() {
 				Epoch:        epoch,
 				PersistEpoch: func(e uint64) error { return repl.SaveEpoch(epochPath, e) },
 				Heartbeat:    *replHB,
-				LagBound:     *replLagBound,
 				Metrics:      srv.Metrics(),
 				Logger:       logger,
 			})
@@ -221,7 +219,7 @@ func main() {
 				logger.Info("promoted: now serving writes", "epoch", newEpoch)
 				return newEpoch, nil
 			})
-			logger.Info("following primary", "addr", *follow, "epoch", epoch, "lag_bound", *replLagBound)
+			logger.Info("following primary", "addr", *follow, "epoch", epoch)
 		}
 	}
 

@@ -2,7 +2,7 @@
 // its own process. A driver (diagnose -peers, or code using
 // diagnosis.RunDistributed) ships it the system description and the peer
 // assignment; peerd rebuilds the Datalog program locally and evaluates
-// its peers' share of every round over TCP.
+// its peers' share of the job's one round over TCP.
 //
 // Usage:
 //

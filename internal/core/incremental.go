@@ -87,6 +87,17 @@ func (inc *Incremental) Report() *Report {
 	return inc.last
 }
 
+// Derived returns the facts the DQSQ handle's warm session has derived
+// so far, counted as its Report's Derived is: a fresh handle already holds
+// its template's alarm-free derivations. It is 0 for the other engines,
+// which re-evaluate from scratch.
+func (inc *Incremental) Derived() (derived int) {
+	if inc.online != nil {
+		derived, _ = inc.online.Session().Engine().Totals()
+	}
+	return derived
+}
+
 // Append extends the observed sequence and returns the diagnosis of the
 // full sequence so far. A zero timeout falls back to the handle's
 // Options.Timeout.

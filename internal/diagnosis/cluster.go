@@ -82,13 +82,6 @@ type Cluster struct {
 	// net's peers over the nodes round-robin; the supervisor (the query's
 	// peer) always stays with the driver, next to the answer collector.
 	Assign map[string]string
-	// Retries is how many times RunDistributed re-ships the job and
-	// re-runs the evaluation after a member failure (a member restarted
-	// mid-round reports exactly such a failure: it holds no job of the
-	// round's generation). Each re-ship bumps the job generation, so
-	// frames of the failed attempt cannot leak into the retry. 0 means
-	// no retries.
-	Retries int
 
 	mu  sync.Mutex
 	drv *dist.Driver
@@ -152,27 +145,28 @@ func RoundRobinAssign(pn *petri.PetriNet, nodes []string) map[string]string {
 	return out
 }
 
+// maxReships bounds how often RunDistributed re-ships a job whose round
+// a restarted member lost.
+const maxReships = 2
+
 // RunDistributed diagnoses seq over the cluster: it ships the system
 // description to every member, hosts the unassigned peers (at least the
-// supervisor) locally, and evaluates the query with the cluster rounds as
-// the network. The report's Diagnoses, Derived and Messages match a
-// single-process Run of the same engine exactly; TransFacts/PlaceFacts
-// are left zero — the per-peer databases they count live on the members.
+// supervisor) locally, and evaluates the query with the job's cluster
+// round as the network. The report's Diagnoses, Derived and Messages
+// match a single-process Run of the same engine exactly;
+// TransFacts/PlaceFacts are left zero — the per-peer databases they count
+// live on the members.
 //
-// A failed evaluation (member crash, timeout, refused job) is retried up
-// to cl.Retries times; every attempt re-ships the job under a fresh
-// generation and rebuilds every engine, so a retry is exact, never a
-// continuation of the failed attempt's partial state.
+// An attempt whose round a member lost (dist.ErrRoundLost: the member
+// restarted mid-round) is re-shipped, up to maxReships times. Every
+// attempt ships under a fresh generation and rebuilds every engine, so a
+// re-run is exact, never a continuation of the lost attempt's partial
+// state. Any other failure (budget, timeout, a refused job) is returned.
 func RunDistributed(pn *petri.PetriNet, seq alarm.Seq, engine Engine, opt Options, cl *Cluster) (*Report, error) {
-	var lastErr error
 	for attempt := 0; ; attempt++ {
 		rep, err := runDistributedOnce(pn, seq, engine, opt, cl)
-		if err == nil {
-			return rep, nil
-		}
-		lastErr = err
-		if attempt >= cl.Retries {
-			return nil, lastErr
+		if attempt == maxReships || !errors.Is(err, dist.ErrRoundLost) {
+			return rep, err
 		}
 	}
 }
@@ -243,34 +237,20 @@ func runDistributedOnce(pn *petri.PetriNet, seq alarm.Seq, engine Engine, opt Op
 		j.Hosted = h
 		jobs[node] = j
 	}
-	if err := drv.ShipJob(jobs, timeout); err != nil {
-		return nil, err
-	}
-
 	eng, err := ddatalog.NewEngineHosted(prog, budget, hosted)
 	if err != nil {
 		return nil, err
 	}
 	eng.SetTracer(opt.Tracer)
-	var (
-		roundsMu sync.Mutex
-		rounds   []*dist.DriverRound
-	)
-	eng.SetNetFactory(func() dist.Net {
-		r := drv.NewRound()
-		roundsMu.Lock()
-		rounds = append(rounds, r)
-		roundsMu.Unlock()
-		return r
-	})
+	r, err := drv.ShipJob(jobs, timeout)
+	if err != nil {
+		return nil, err
+	}
+	eng.SetNetFactory(func() dist.Net { return r })
 	res, err := eng.Run(query, opt.Timeout)
 	// Harvest member telemetry even from a failed attempt: the spans that
 	// did arrive are exactly what explains the failure.
-	roundsMu.Lock()
-	for _, r := range rounds {
-		cl.absorbTelemetry(r.ClusterTelemetry())
-	}
-	roundsMu.Unlock()
+	cl.absorbTelemetry(r.ClusterTelemetry())
 	if err != nil {
 		return nil, err
 	}
@@ -290,7 +270,6 @@ func runDistributedOnce(pn *petri.PetriNet, seq alarm.Seq, engine Engine, opt Op
 // round's frames make it tell the driver to re-ship; see dist.Member).
 type Node struct {
 	m      *dist.Member
-	tr     transport.Transport
 	tracer obs.Tracer
 }
 
@@ -301,7 +280,7 @@ func NewNode(tr transport.Transport, driver string) (*Node, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Node{m: m, tr: tr}, nil
+	return &Node{m: m}, nil
 }
 
 // SetTracer attaches the node's own tracer — typically the peerd admin
@@ -312,57 +291,32 @@ func (n *Node) SetTracer(t obs.Tracer) {
 	n.tracer = t
 }
 
-// installJobRouting applies a job's peer assignment and node address book.
-func (n *Node) installJobRouting(job wire.Job) {
-	assign := make(map[dist.PeerID]string, len(job.Peers))
-	for _, a := range job.Peers {
-		assign[dist.PeerID(a.Key)] = a.Val
-	}
-	n.m.SetAssign(assign)
-	for _, nd := range job.Nodes {
-		if nd.Key != n.tr.Self() {
-			n.tr.AddRoute(nd.Key, nd.Val)
-		}
-	}
-}
-
 // Close stops Serve and closes the transport. Idempotent.
 func (n *Node) Close() error {
 	return n.m.Close()
 }
 
-// Serve loops over the driver's jobs: rebuild the program from the
-// shipped description, host the assigned peers, evaluate rounds until the
-// round loop is preempted by the next job or the node is closed.
+// Serve evaluates the driver's jobs, one round each, until the node is
+// closed.
 func (n *Node) Serve() error {
 	defer n.m.Close()
 	for job := range n.m.Jobs() {
-		if closed := n.serveJob(job); closed {
-			return nil
-		}
+		n.serveJob(job)
 	}
 	return nil
 }
 
-// ServeNode is the one-call form of NewNode + Serve, for processes whose
-// lifetime is the service's (cmd/peerd).
-func ServeNode(tr transport.Transport, driver string) error {
-	n, err := NewNode(tr, driver)
-	if err != nil {
-		return err
-	}
-	return n.Serve()
-}
-
-// serveJob hosts one job's peers until the member closes (true) or a new
-// job preempts this one (false).
-func (n *Node) serveJob(job wire.Job) bool {
+// serveJob rebuilds the job's program from the shipped description, hosts
+// the assigned peers in the job's one round — registered before the job
+// is acknowledged, so no frame of the job arrives unheard — and reports
+// to the driver once the round ends.
+func (n *Node) serveJob(job wire.Job) {
 	m := n.m
 	budget := datalog.Budget{MaxTermDepth: int(job.MaxDepth), MaxFacts: int(job.MaxFacts)}
 	prog, _, budget, err := PrepareDatalog(job.NetText, job.Alarms, Engine(job.Engine), budget)
 	if err != nil {
 		m.SendJobOK(job.Gen, err.Error()) //nolint:errcheck
-		return false
+		return
 	}
 	hosted := make([]dist.PeerID, 0, len(job.Hosted))
 	for _, p := range job.Hosted {
@@ -371,14 +325,14 @@ func (n *Node) serveJob(job wire.Job) bool {
 	eng, err := ddatalog.NewEngineHosted(prog, budget, hosted)
 	if err != nil {
 		m.SendJobOK(job.Gen, err.Error()) //nolint:errcheck
-		return false
+		return
 	}
 	// The driver's trace context: when the job ships with Trace set, this
-	// node records its spans into a per-job buffer and returns them in a
-	// Telemetry frame at every round boundary. The node's own tracer (the
-	// admin endpoint's) keeps observing either way. The buffer is drained
-	// every round, so its bound is per round, and it is wide: the merged
-	// timeline wants each round whole, not a flight recorder's tail.
+	// node records its spans into a per-job buffer and returns them in one
+	// Telemetry frame when the round ends. The node's own tracer (the
+	// admin endpoint's) keeps observing either way. The buffer is wide:
+	// the merged timeline wants the job whole, not a flight recorder's
+	// tail.
 	var jobTW *obs.ChromeTraceWriter
 	if job.Trace {
 		jobTW = obs.NewChromeTraceWriter(1 << 16)
@@ -386,30 +340,18 @@ func (n *Node) serveJob(job wire.Job) bool {
 	} else if n.tracer != nil {
 		eng.SetTracer(n.tracer)
 	}
-	n.installJobRouting(job)
-	if err := m.SendJobOK(job.Gen, ""); err != nil {
-		return true
-	}
 	timeout := time.Duration(job.TimeoutMS) * time.Millisecond
 	if timeout <= 0 {
 		timeout = time.Minute
 	}
-	for {
-		r := m.NextRound()
-		_, err := eng.RunMember(r, timeout)
-		switch {
-		case errors.Is(err, dist.ErrClusterClosed):
-			return true
-		case errors.Is(err, dist.ErrRoundPreempted):
-			return false
-		}
-		derived, replicated := eng.Totals()
-		if jobTW != nil {
-			shipTelemetry(r, jobTW)
-		}
-		r.Finish(map[string]uint64{ //nolint:errcheck // a closing transport ends the loop on the next round
-			"derived":    uint64(derived),
-			"replicated": uint64(replicated),
-		})
+	r := m.Round(job)
+	eng.RunMember(r, timeout) //nolint:errcheck // the round keeps its error for Finish
+	if jobTW != nil {
+		shipTelemetry(r, jobTW)
 	}
+	derived, replicated := eng.Totals()
+	r.Finish(map[string]uint64{ //nolint:errcheck // a closing transport ends Serve
+		"derived":    uint64(derived),
+		"replicated": uint64(replicated),
+	})
 }

@@ -1,17 +1,23 @@
 package diagnosis
 
 import (
+	"errors"
 	"fmt"
 	"reflect"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/alarm"
+	"repro/internal/datalog"
+	"repro/internal/dist"
 	"repro/internal/gen"
 	"repro/internal/obs"
 	"repro/internal/petri"
 	"repro/internal/transport"
+	"repro/internal/wire"
 )
 
 type clusterCase struct {
@@ -164,8 +170,7 @@ func TestDistributedEquivalence(t *testing.T) {
 }
 
 // TestDistributedClusterReuse runs several jobs through one cluster: the
-// job hand-over (round preemption, fresh engines, backlog replay) must
-// leave each evaluation as exact as a fresh cluster's. The telecom job
+// job hand-over (the next job's fresh round and engines) must leave each evaluation as exact as a fresh cluster's. The telecom job
 // also exercises empty member rounds: its peers are not in the first
 // net's assignment, so the members host nothing and the driver evaluates
 // alone while the coordinator still polls them.
@@ -245,5 +250,110 @@ func TestDistributedSurvivesConnDrops(t *testing.T) {
 	}
 	if rep.Messages != base.Messages {
 		t.Errorf("messages = %d, want %d", rep.Messages, base.Messages)
+	}
+}
+
+// jobCounter is a driver transport that counts the Job frames it sends.
+type jobCounter struct {
+	transport.Transport
+	jobs atomic.Int32
+}
+
+func (c *jobCounter) Send(node string, f wire.Frame) error {
+	if _, ok := f.(wire.Job); ok {
+		c.jobs.Add(1)
+	}
+	return c.Transport.Send(node, f)
+}
+
+// TestDistributedBudgetShipsOnce: a run that exhausts its fact budget
+// fails with the budget error and ships its job once. Only a round a
+// member lost is worth re-shipping; a budget failure would recur.
+func TestDistributedBudgetShipsOnce(t *testing.T) {
+	mesh := transport.NewMesh()
+	tr := &jobCounter{Transport: mesh.Node("driver")}
+	cl := &Cluster{Transport: tr, Nodes: []string{"n1", "n2"}}
+	t.Cleanup(func() { cl.Close() })
+	for _, name := range cl.Nodes {
+		serveOn(t, mesh.Node(name), "driver")
+	}
+	c := clusterCases()[1]
+	_, err := RunDistributed(c.pn, c.seq, EngineNaive, Options{Budget: datalog.Budget{MaxFacts: 50}}, cl)
+	if err == nil || !strings.Contains(err.Error(), datalog.ErrBudget.Error()) {
+		t.Fatalf("RunDistributed over a 50-fact budget: %v, want %v", err, datalog.ErrBudget)
+	}
+	if got := tr.jobs.Load(); got != int32(len(cl.Nodes)) {
+		t.Fatalf("the driver sent %d Job frames, want %d: one job per member, shipped once", got, len(cl.Nodes))
+	}
+}
+
+// lossyMember answers the driver as a member hosting no peers whose
+// first lose jobs die with it: it acknowledges each of them and then
+// reports the round lost, as a member restarted since would.
+func lossyMember(t *testing.T, tr transport.Transport, lose int) {
+	t.Helper()
+	var mu sync.Mutex
+	jobs := 0
+	err := tr.Start(func(from string, f wire.Frame) {
+		mu.Lock()
+		defer mu.Unlock()
+		switch fr := f.(type) {
+		case wire.Job:
+			jobs++
+			tr.Send(from, wire.JobOK{Gen: fr.Gen, Node: tr.Self()}) //nolint:errcheck
+		case wire.Poll:
+			if jobs <= lose {
+				tr.Send(from, wire.Done{Gen: fr.Gen, Err: dist.ErrRoundLost.Error()}) //nolint:errcheck
+			} else {
+				tr.Send(from, wire.Status{Gen: fr.Gen, Epoch: fr.Epoch, Idle: true}) //nolint:errcheck
+			}
+		case wire.Stop:
+			if jobs > lose {
+				tr.Send(from, wire.Done{Gen: fr.Gen}) //nolint:errcheck
+			}
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { tr.Close() })
+}
+
+// TestDistributedReshipsLostRound: a round a member lost is re-shipped
+// under a fresh generation, and the re-run is exact; a member that loses
+// every round gets the job 1+maxReships times, and the run fails with
+// dist.ErrRoundLost.
+func TestDistributedReshipsLostRound(t *testing.T) {
+	c := clusterCases()[0]
+	base, err := Run(c.pn, c.seq, EngineNaive, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, lose := range []int{1, maxReships + 1} {
+		mesh := transport.NewMesh()
+		tr := &jobCounter{Transport: mesh.Node("driver")}
+		// n1 hosts every net peer; n2 hosts none and loses its rounds.
+		cl := &Cluster{Transport: tr, Nodes: []string{"n1", "n2"}, Assign: RoundRobinAssign(c.pn, []string{"n1"})}
+		serveOn(t, mesh.Node("n1"), "driver")
+		lossyMember(t, mesh.Node("n2"), lose)
+		rep, err := RunDistributed(c.pn, c.seq, EngineNaive, Options{Timeout: 30 * time.Second}, cl)
+		cl.Close()
+		ships := min(lose, maxReships) + 1
+		if got := tr.jobs.Load(); got != int32(ships*len(cl.Nodes)) {
+			t.Fatalf("lose %d: the driver sent %d Job frames, want %d (%d shipments)", lose, got, ships*len(cl.Nodes), ships)
+		}
+		if lose > maxReships {
+			if !errors.Is(err, dist.ErrRoundLost) {
+				t.Fatalf("lose %d: %v, want %v", lose, err, dist.ErrRoundLost)
+			}
+			continue
+		}
+		if err != nil {
+			t.Fatalf("lose %d: %v", lose, err)
+		}
+		if !rep.Diagnoses.Equal(base.Diagnoses) || rep.Derived != base.Derived || rep.Messages != base.Messages {
+			t.Fatalf("lose %d: got %d diagnoses/%d derived/%d messages, want %d/%d/%d", lose,
+				len(rep.Diagnoses), rep.Derived, rep.Messages, len(base.Diagnoses), base.Derived, base.Messages)
+		}
 	}
 }

@@ -1,8 +1,8 @@
 package diagnosis
 
 // Cluster telemetry: members record trace events while evaluating, ship
-// them to the driver in wire.Telemetry frames at each round boundary, and
-// the driver folds them — offset-corrected by the transport's handshake
+// them to the driver in one wire.Telemetry frame when the job's round
+// ends, and the driver folds them — offset-corrected by the transport's handshake
 // clock estimates — into per-process traces that obs.WriteClusterJSON
 // merges into one cluster timeline.
 
@@ -31,9 +31,9 @@ func eventFromWire(ev wire.TraceEvent) obs.Event {
 }
 
 // shipTelemetry drains the member's per-job trace buffer and sends the
-// round's trace sample to the driver. Called between RunMember
-// and Finish: the driver's round is still collecting, and per-sender FIFO
-// guarantees the sample precedes the Done report the driver waits for.
+// job's trace sample to the driver. Called between RunMember and Finish:
+// the driver's round is still collecting, and per-sender FIFO guarantees
+// the sample precedes the Done report the driver waits for.
 func shipTelemetry(r *dist.MemberRound, tw *obs.ChromeTraceWriter) {
 	events, dropped := tw.DrainEvents()
 	tel := wire.Telemetry{Dropped: uint64(dropped)}
@@ -41,11 +41,11 @@ func shipTelemetry(r *dist.MemberRound, tw *obs.ChromeTraceWriter) {
 	for i, ev := range events {
 		tel.Events[i] = eventToWire(ev)
 	}
-	r.SendTelemetry(tel) //nolint:errcheck // a closing transport ends the round loop anyway
+	r.SendTelemetry(tel) //nolint:errcheck // a closing transport ends Serve anyway
 }
 
-// absorbTelemetry folds member telemetry frames harvested from a round
-// into the cluster's accumulated per-node traces.
+// absorbTelemetry folds member telemetry frames harvested from a job's
+// round into the cluster's accumulated per-node traces.
 func (cl *Cluster) absorbTelemetry(tels []wire.Telemetry) {
 	if len(tels) == 0 {
 		return

@@ -15,10 +15,10 @@ import (
 )
 
 // This file runs a Network as one node of a multi-process cluster. One
-// node is the driver: it seeds each evaluation round, runs the
-// termination-detection coordinator, and aggregates the round statistics.
-// Every other node is a member: it hosts a subset of the peers and reacts
-// to messages until the driver stops the round.
+// node is the driver: it ships each job, seeds the job's one evaluation
+// round, runs the termination-detection coordinator, and aggregates the
+// round statistics. Every other node is a member: it hosts a subset of
+// the peers and reacts to messages until the driver stops the round.
 //
 // Termination is the same message-counting argument the single-process
 // Network uses, run over sampled per-node counters (the "standard
@@ -33,11 +33,16 @@ import (
 // ErrClusterClosed is returned when a round is started on a closed member.
 var ErrClusterClosed = errors.New("dist: cluster endpoint closed")
 
-// ErrRoundPreempted stops a member round when a new job arrives. The
-// driver only ships jobs between evaluations, so the round it preempts
-// has already ended everywhere else — the member was merely parked in it
-// waiting for traffic.
+// ErrRoundPreempted stops a member's round when a newer job arrives. The
+// driver has then given up on the round's job without stopping it: some
+// member refused the job or did not acknowledge it in time, so the round
+// never started, or the driver process died and a new one shipped.
 var ErrRoundPreempted = errors.New("dist: round preempted by a new job")
+
+// ErrRoundLost ends a driver round when a member holds no job of the
+// round's generation: it restarted after acknowledging the job, and a
+// member keeps nothing across a restart. Re-shipping the job is the cure.
+var ErrRoundLost = errors.New("member restarted; round state lost")
 
 // pollInterval is the coordinator's fallback re-poll period; waves are
 // normally triggered by idle notifications, the timer only covers lost
@@ -69,10 +74,9 @@ func flowBase(node string) uint64 {
 }
 
 // Driver is the long-lived driver endpoint of a cluster: it owns the
-// driver side of the transport and hands out one DriverRound per
-// evaluation. Create it with NewDriver (which installs the transport
-// handler), ship the job with ShipJob, then install NewRound as the
-// evaluator's network factory.
+// driver side of the transport. Create it with NewDriver (which installs
+// the transport handler); each ShipJob ships one job and hands back the
+// job's one DriverRound, which the evaluator runs as its network.
 type Driver struct {
 	tr     transport.Transport
 	nodes  []string
@@ -139,53 +143,18 @@ func (d *Driver) handle(from string, f wire.Frame) {
 	// ended); dropping them is safe — every round starts from fresh state.
 }
 
-// ShipJob sends each node its job and waits for every acknowledgement.
-// It bumps the cluster's job generation and stamps it into every job:
-// from here on, frames of earlier generations are dead to both sides.
-func (d *Driver) ShipJob(jobs map[string]wire.Job, timeout time.Duration) error {
+// ShipJob sends each node its job, waits for every acknowledgement and
+// returns the job's round, to be run once as the evaluator's network: its
+// unknown-peer sends are routed to their assigned nodes, and its
+// termination is decided by the cluster-wide coordinator. ShipJob bumps
+// the cluster's job generation and stamps it into every job and the
+// round: from here on, frames of earlier generations are dead to both
+// sides.
+func (d *Driver) ShipJob(jobs map[string]wire.Job, timeout time.Duration) (*DriverRound, error) {
 	d.mu.Lock()
 	d.gen++
 	gen := d.gen
 	d.jobOKs = make(map[string]wire.JobOK)
-	d.mu.Unlock()
-	for _, node := range d.nodes {
-		job, ok := jobs[node]
-		if !ok {
-			return fmt.Errorf("dist: no job for node %q", node)
-		}
-		job.Gen = gen
-		if err := d.tr.Send(node, job); err != nil {
-			return err
-		}
-	}
-	deadline := time.Now().Add(timeout)
-	for {
-		d.mu.Lock()
-		got := len(d.jobOKs)
-		for node, ok := range d.jobOKs {
-			if ok.Err != "" {
-				d.mu.Unlock()
-				return fmt.Errorf("dist: node %q refused job: %s", node, ok.Err)
-			}
-		}
-		d.mu.Unlock()
-		if got == len(d.nodes) {
-			return nil
-		}
-		if time.Now().After(deadline) {
-			return fmt.Errorf("dist: %d of %d nodes acknowledged the job before deadline", got, len(d.nodes))
-		}
-		time.Sleep(time.Millisecond)
-	}
-}
-
-// NewRound creates the next evaluation round. Install it as the network
-// factory: each call to the evaluator's Run gets a fresh round whose
-// unknown-peer sends are routed to their assigned nodes and whose
-// termination is decided by the cluster-wide coordinator.
-func (d *Driver) NewRound() *DriverRound {
-	d.mu.Lock()
-	gen := d.gen
 	d.mu.Unlock()
 	r := &DriverRound{
 		d:        d,
@@ -204,13 +173,41 @@ func (d *Driver) NewRound() *DriverRound {
 		if !ok {
 			panic(fmt.Sprintf("dist: peer %q hosted nowhere (not local, not assigned)", m.To))
 		}
-		if err := d.tr.Send(node, wire.Data{Gen: r.gen, Flow: m.Flow(), From: string(m.From), To: string(m.To), Payload: m.Payload.(wire.Payload)}); err != nil {
+		if err := d.tr.Send(node, wire.Data{Gen: gen, Flow: m.Flow(), From: string(m.From), To: string(m.To), Payload: m.Payload.(wire.Payload)}); err != nil {
 			// The transport is closing; the round is ending anyway.
 			r.net.Stop(err)
 		}
 	})
 	r.net.SetExternal(r.wakeUp)
-	return r
+	for _, node := range d.nodes {
+		job, ok := jobs[node]
+		if !ok {
+			return nil, fmt.Errorf("dist: no job for node %q", node)
+		}
+		job.Gen = gen
+		if err := d.tr.Send(node, job); err != nil {
+			return nil, err
+		}
+	}
+	deadline := time.Now().Add(timeout)
+	for {
+		d.mu.Lock()
+		got := len(d.jobOKs)
+		for node, ok := range d.jobOKs {
+			if ok.Err != "" {
+				d.mu.Unlock()
+				return nil, fmt.Errorf("dist: node %q refused job: %s", node, ok.Err)
+			}
+		}
+		d.mu.Unlock()
+		if got == len(d.nodes) {
+			return r, nil
+		}
+		if time.Now().After(deadline) {
+			return nil, fmt.Errorf("dist: %d of %d nodes acknowledged the job before deadline", got, len(d.nodes))
+		}
+		time.Sleep(time.Millisecond)
+	}
 }
 
 // DriverRound is one cluster-wide evaluation: a dist.Net whose Run seeds
@@ -294,11 +291,14 @@ func (r *DriverRound) dispatch(from string, f wire.Frame) {
 		r.mu.Unlock()
 		if early {
 			// A member ended the round unilaterally (budget abort, member
-			// timeout): end it everywhere.
-			if fr.Err != "" {
-				r.fail(errors.New(fr.Err))
-			} else {
+			// timeout, lost round): end it everywhere.
+			switch fr.Err {
+			case "":
 				r.fail(errors.New("dist: member finished round early"))
+			case ErrRoundLost.Error():
+				r.fail(ErrRoundLost)
+			default:
+				r.fail(errors.New(fr.Err))
 			}
 		}
 		r.wakeUp()
@@ -460,11 +460,11 @@ func (r *DriverRound) reportStragglers() {
 	}
 }
 
-// ClusterTelemetry returns the telemetry frames the members shipped during
-// the round (per-round trace-event batches), in arrival order. Valid after Run returns: members send
-// their sample before the Done report the round waits for, and the
-// transport preserves per-sender FIFO, so every sample of the round has
-// arrived by then.
+// ClusterTelemetry returns the telemetry frames the members shipped for
+// the round (one trace-event batch each), in arrival order. Valid after
+// Run returns: members send their sample before the Done report the
+// round waits for, and the transport preserves per-sender FIFO, so every
+// sample of the round has arrived by then.
 func (r *DriverRound) ClusterTelemetry() []wire.Telemetry {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -637,26 +637,20 @@ func balanced(wave []nodeCount) bool {
 }
 
 // Member is the long-lived member endpoint of one cluster node. Create it
-// with NewMember (which installs the transport handler), receive the job
-// from Jobs, set the peer assignment, then loop: NextRound → run the
-// evaluator on it → Finish.
+// with NewMember (which installs the transport handler); for each job
+// received from Jobs, build the job's one round with Round, register the
+// hosted peers on it, Run it (which acknowledges the job), then report
+// with SendTelemetry and Finish.
 type Member struct {
 	tr     transport.Transport
 	driver string
 	jobs   chan wire.Job
 
-	mu      sync.Mutex
-	assign  map[PeerID]string
-	gen     uint64 // generation of the current job
-	lost    uint64 // newest generation refused with a Done (see handle)
-	cur     *MemberRound
-	backlog []queuedFrame
-	closed  bool
-}
-
-type queuedFrame struct {
-	from string
-	f    wire.Frame
+	mu     sync.Mutex
+	gen    uint64       // generation of the newest job received
+	lost   uint64       // newest generation refused with a Done (see handle)
+	cur    *MemberRound // the round of job gen, while it runs
+	closed bool
 }
 
 // NewMember creates the member endpoint over tr, reporting to the named
@@ -671,16 +665,6 @@ func NewMember(tr transport.Transport, driver string) (*Member, error) {
 
 // Jobs delivers the jobs the driver ships. The channel is closed by Close.
 func (m *Member) Jobs() <-chan wire.Job { return m.jobs }
-
-// SetAssign installs the cluster's peer→node map, used to route sends to
-// peers hosted on other nodes (peers absent from the map route to the
-// driver — that is where synthetic peers like the collector live). Must
-// be set before the first round.
-func (m *Member) SetAssign(assign map[PeerID]string) {
-	m.mu.Lock()
-	m.assign = assign
-	m.mu.Unlock()
-}
 
 // SendJobOK acknowledges the job of generation gen to the driver; errText
 // non-empty refuses it.
@@ -700,7 +684,7 @@ func (m *Member) handle(from string, f wire.Frame) {
 		select {
 		case m.jobs <- job:
 			accepted = true
-			cur = m.cur
+			cur, m.cur = m.cur, nil // the superseded round hears nothing more
 			m.gen = job.Gen
 		default:
 		}
@@ -721,31 +705,22 @@ func (m *Member) handle(from string, f wire.Frame) {
 		// Tell the driver once per generation, as soon as there is a route
 		// to it (ending the round with a clear error instead of a timeout,
 		// so it re-ships); drop the frame either way.
-		if gen != m.lost && m.tr.Send(m.driver, wire.Done{Gen: gen, Err: "member restarted; round state lost"}) == nil {
+		if gen != m.lost && m.tr.Send(m.driver, wire.Done{Gen: gen, Err: ErrRoundLost.Error()}) == nil {
 			m.lost = gen
 		}
 		m.mu.Unlock()
 		return
 	}
-	if tagged && gen != m.gen {
-		// An older generation's frame: a transport replay from a round
-		// that was superseded. Every round of the current generation
-		// starts from state the driver also has, so dropping is safe.
-		m.mu.Unlock()
-		return
-	}
+	// A frame of an older generation is a transport replay from a job
+	// that was superseded; one of the current job with no round running
+	// arrived after the round ended. Both are dropped: a job's round is
+	// registered before the job is acknowledged, so no frame of it can
+	// arrive early.
 	cur := m.cur
-	if cur == nil {
-		if !m.closed {
-			// No round is active (the member is between rounds); hold the
-			// frame for the next round so nothing is lost across the gap.
-			m.backlog = append(m.backlog, queuedFrame{from: from, f: f})
-		}
-		m.mu.Unlock()
-		return
-	}
 	m.mu.Unlock()
-	cur.dispatch(from, f)
+	if cur != nil && gen == cur.gen {
+		cur.dispatch(from, f)
+	}
 }
 
 // Close shuts the member down: the current round (if any) is stopped, the
@@ -766,19 +741,26 @@ func (m *Member) Close() error {
 	return m.tr.Close()
 }
 
-// NextRound creates the member side of the next evaluation round. The
-// round is pinned to the current job generation: every frame it sends
-// carries it, so a driver that has since re-shipped ignores stragglers.
-func (m *Member) NextRound() *MemberRound {
-	m.mu.Lock()
-	gen := m.gen
-	m.mu.Unlock()
-	r := &MemberRound{m: m, gen: gen, net: NewNetwork()}
+// Round builds the member side of job's one round. The round routes sends
+// to peers hosted elsewhere by the job's peer assignment (peers absent
+// from it route to the driver, where synthetic peers like the collector
+// live), teaches the transport the job's address book, and stamps the
+// job's generation on every frame it sends, so a driver that has since
+// re-shipped ignores stragglers.
+func (m *Member) Round(job wire.Job) *MemberRound {
+	assign := make(map[PeerID]string, len(job.Peers))
+	for _, a := range job.Peers {
+		assign[PeerID(a.Key)] = a.Val
+	}
+	for _, nd := range job.Nodes {
+		if nd.Key != m.tr.Self() {
+			m.tr.AddRoute(nd.Key, nd.Val)
+		}
+	}
+	r := &MemberRound{m: m, gen: job.Gen, net: NewNetwork()}
 	r.net.SetSeqBase(flowBase(m.tr.Self()))
 	r.net.SetRoute(func(msg Message) {
-		m.mu.Lock()
-		node, ok := m.assign[msg.To]
-		m.mu.Unlock()
+		node, ok := assign[msg.To]
 		if !ok {
 			node = m.driver
 		}
@@ -795,8 +777,8 @@ func (m *Member) NextRound() *MemberRound {
 	return r
 }
 
-// MemberRound is one round's member side: a dist.Net whose Run reacts to
-// routed messages until the driver (or a local failure) stops the round.
+// MemberRound is one job's round on a member: a dist.Net whose Run reacts
+// to routed messages until the driver (or a local failure) stops it.
 type MemberRound struct {
 	m   *Member
 	gen uint64 // job generation the round belongs to
@@ -830,41 +812,34 @@ func (r *MemberRound) dispatch(from string, f wire.Frame) {
 	}
 }
 
-// Run blocks until the driver stops the round (or the timeout trips).
-// initial must be empty: rounds are seeded by the driver.
+// Run accepts the round's job and blocks until the driver stops the round
+// (or the timeout trips). Accepting registers the round, so the job's
+// frames reach it, and then acknowledges the job: register the hosted
+// peers before Run, since the driver starts the round once every member
+// acknowledged. A job superseded before Run is not acknowledged, and Run
+// returns ErrRoundPreempted. initial must be empty: rounds are seeded by
+// the driver.
 func (r *MemberRound) Run(initial []Message, timeout time.Duration) (Stats, error) {
 	if len(initial) != 0 {
 		panic("dist: member rounds take no seeds")
 	}
 	m := r.m
 	m.mu.Lock()
-	if m.closed {
+	switch {
+	case m.closed:
 		m.mu.Unlock()
 		return Stats{}, ErrClusterClosed
-	}
-	if len(m.jobs) > 0 {
-		// A fresh job is already waiting: don't park in a round the driver
-		// has abandoned.
+	case m.gen != r.gen:
 		m.mu.Unlock()
 		return Stats{}, ErrRoundPreempted
 	}
-	// Frames that arrived between rounds are replayed before live dispatch
-	// resumes. The replay holds m.mu — handle() blocks on it — so a frame
-	// arriving mid-replay cannot overtake its sender's backlogged frames;
-	// dispatch only takes other locks (the round's network, the transport),
-	// never m.mu again. Frames backlogged under an earlier generation are
-	// dropped: a job shipped after they arrived has superseded their round.
-	for _, q := range m.backlog {
-		if g, tagged := wire.FrameGen(q.f); tagged && g != r.gen {
-			continue
-		}
-		r.dispatch(q.from, q.f)
-	}
-	m.backlog = nil
 	m.cur = r
 	m.mu.Unlock()
 
-	stats, err := r.net.Run(nil, timeout)
+	stats, err := Stats{}, m.SendJobOK(r.gen, "")
+	if err == nil {
+		stats, err = r.net.Run(nil, timeout)
+	}
 
 	m.mu.Lock()
 	if m.cur == r {
@@ -886,8 +861,9 @@ func (r *MemberRound) SendTelemetry(t wire.Telemetry) error {
 	return r.m.tr.Send(r.m.driver, t)
 }
 
-// Finish sends the member's end-of-round report to the driver. Call it
-// after Run returned; extras carries evaluator counters (e.g. facts
+// Finish sends the member's end-of-round report to the driver, carrying
+// the error that ended the round, if any. Call it after Run returned;
+// extras carries evaluator counters (e.g. facts
 // derived on this node) for the driver to aggregate.
 func (r *MemberRound) Finish(extras map[string]uint64) error {
 	done := wire.Done{Gen: r.gen, Sent: uint64(r.stats.MessagesSent)}

@@ -13,46 +13,63 @@ import (
 	"repro/internal/wire"
 )
 
+// ringAssign is the ring's peer→node map: the driver hosts "a".
+var ringAssign = map[PeerID]string{"b": "n1", "c": "n2"}
+
+// ringJobs is one job per ring member, carrying the ring's assignment.
+func ringJobs() map[string]wire.Job {
+	job := wire.Job{Peers: []wire.Assign{{Key: "b", Val: "n1"}, {Key: "c", Val: "n2"}}}
+	return map[string]wire.Job{"n1": job, "n2": job}
+}
+
+// shipRing ships one ring job and returns its round, hosting "a".
+func shipRing(t *testing.T, drv *Driver) *DriverRound {
+	t.Helper()
+	r, err := drv.ShipJob(ringJobs(), 5*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.AddPeer("a", ringHandler("a"))
+	return r
+}
+
+// serveRing runs one ring member: each job it receives is one round
+// hosting peer, reported with Finish.
+func serveRing(m *Member, peer PeerID, handler func(self PeerID) Handler) {
+	for job := range m.Jobs() {
+		r := m.Round(job)
+		r.AddPeer(peer, handler(peer))
+		stats, _ := r.Run(nil, 30*time.Second)
+		var processed uint64
+		for _, c := range stats.Processed {
+			processed += uint64(c)
+		}
+		r.Finish(map[string]uint64{"hops": processed})
+	}
+}
+
 // ringCluster builds a driver hosting peer "a" and two members hosting
 // "b" and "c" over an in-process mesh. Each peer forwards
 // wire.Activate{Rel: k} as k-1 to the next peer of the ring until k
 // reaches zero, so one seed of k produces exactly k+1 messages
 // cluster-wide.
-func ringCluster(t *testing.T, handler func(self PeerID) Handler) (*Driver, []*Member) {
+func ringCluster(t *testing.T, handler func(self PeerID) Handler) *Driver {
 	t.Helper()
 	mesh := transport.NewMesh()
-	assign := map[PeerID]string{"b": "n1", "c": "n2"}
-	drv, err := NewDriver(mesh.Node("drv"), []string{"n1", "n2"}, assign)
+	drv, err := NewDriver(mesh.Node("drv"), []string{"n1", "n2"}, ringAssign)
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { mesh.Node("drv").Close() })
-	members := make([]*Member, 0, 2)
 	for node, peer := range map[string]PeerID{"n1": "b", "n2": "c"} {
 		m, err := NewMember(mesh.Node(node), "drv")
 		if err != nil {
 			t.Fatal(err)
 		}
-		m.SetAssign(assign)
 		t.Cleanup(func() { m.Close() })
-		members = append(members, m)
-		go func(m *Member, peer PeerID) {
-			for {
-				r := m.NextRound()
-				r.AddPeer(peer, handler(peer))
-				stats, err := r.Run(nil, 30*time.Second)
-				if errors.Is(err, ErrClusterClosed) {
-					return
-				}
-				var processed uint64
-				for _, c := range stats.Processed {
-					processed += uint64(c)
-				}
-				r.Finish(map[string]uint64{"hops": processed})
-			}
-		}(m, peer)
+		go serveRing(m, peer, handler)
 	}
-	return drv, members
+	return drv
 }
 
 func ringHandler(self PeerID) Handler {
@@ -67,10 +84,7 @@ func ringHandler(self PeerID) Handler {
 }
 
 func TestClusterRing(t *testing.T) {
-	drv, _ := ringCluster(t, ringHandler)
-
-	r := drv.NewRound()
-	r.AddPeer("a", ringHandler("a"))
+	r := shipRing(t, ringCluster(t, ringHandler))
 	seed := []Message{{From: "seed", To: "a", Payload: wire.Activate{Rel: "10"}}}
 	stats, err := r.Run(seed, 30*time.Second)
 	if err != nil {
@@ -101,15 +115,14 @@ func TestClusterRing(t *testing.T) {
 	}
 }
 
-// TestClusterTwoRounds reuses the same members for a second evaluation:
-// the round boundary (Stop, Done, fresh networks, backlog replay) must
-// not lose or duplicate anything.
+// TestClusterTwoRounds reuses the same members for a second shipped job,
+// one round each: the job boundary (Stop, Done, the next job's fresh
+// round) must not lose or duplicate anything.
 func TestClusterTwoRounds(t *testing.T) {
-	drv, _ := ringCluster(t, ringHandler)
+	drv := ringCluster(t, ringHandler)
 
 	for round, k := range []int{10, 5} {
-		r := drv.NewRound()
-		r.AddPeer("a", ringHandler("a"))
+		r := shipRing(t, drv)
 		seed := []Message{{From: "seed", To: "a", Payload: wire.Activate{Rel: rel.Name(strconv.Itoa(k))}}}
 		stats, err := r.Run(seed, 30*time.Second)
 		if err != nil {
@@ -135,10 +148,7 @@ func TestClusterMemberAbort(t *testing.T) {
 			inner(ctx, m)
 		}
 	}
-	drv, _ := ringCluster(t, handler)
-
-	r := drv.NewRound()
-	r.AddPeer("a", ringHandler("a"))
+	r := shipRing(t, ringCluster(t, handler))
 	seed := []Message{{From: "seed", To: "a", Payload: wire.Activate{Rel: "10"}}}
 	_, err := r.Run(seed, 30*time.Second)
 	if err == nil || !strings.Contains(err.Error(), boom) {
@@ -165,8 +175,7 @@ func TestClusterOverTCP(t *testing.T) {
 			}
 		}
 	}
-	assign := map[PeerID]string{"b": "n1", "c": "n2"}
-	drv, err := NewDriver(trs["drv"], []string{"n1", "n2"}, assign)
+	drv, err := NewDriver(trs["drv"], []string{"n1", "n2"}, ringAssign)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,22 +185,17 @@ func TestClusterOverTCP(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		m.SetAssign(assign)
 		wg.Add(1)
 		go func(m *Member, peer PeerID) {
 			defer wg.Done()
-			r := m.NextRound()
+			r := m.Round(<-m.Jobs())
 			r.AddPeer(peer, ringHandler(peer))
-			if _, err := r.Run(nil, 30*time.Second); err == nil {
-				r.Finish(nil)
-			} else {
-				r.Finish(nil)
-			}
+			r.Run(nil, 30*time.Second) //nolint:errcheck // Finish reports it
+			r.Finish(nil)
 		}(m, peer)
 	}
 
-	r := drv.NewRound()
-	r.AddPeer("a", ringHandler("a"))
+	r := shipRing(t, drv)
 	seed := []Message{{From: "seed", To: "a", Payload: wire.Activate{Rel: "20"}}}
 	stats, err := r.Run(seed, 30*time.Second)
 	if err != nil {

@@ -2,7 +2,6 @@ package dist
 
 import (
 	"context"
-	"errors"
 	"log/slog"
 	"strconv"
 	"sync"
@@ -15,13 +14,12 @@ import (
 )
 
 // tracedRingCluster is ringCluster with telemetry: every member round
-// records a Chrome trace, and after each round the member drains the
+// records a Chrome trace, and when its round ends the member drains the
 // events and ships them to the driver.
 func tracedRingCluster(t *testing.T) *Driver {
 	t.Helper()
 	mesh := transport.NewMesh()
-	assign := map[PeerID]string{"b": "n1", "c": "n2"}
-	drv, err := NewDriver(mesh.Node("drv"), []string{"n1", "n2"}, assign)
+	drv, err := NewDriver(mesh.Node("drv"), []string{"n1", "n2"}, ringAssign)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -31,18 +29,14 @@ func tracedRingCluster(t *testing.T) *Driver {
 		if err != nil {
 			t.Fatal(err)
 		}
-		m.SetAssign(assign)
 		t.Cleanup(func() { m.Close() })
 		go func(m *Member, peer PeerID) {
 			tw := obs.NewChromeTraceWriter(0)
-			for {
-				r := m.NextRound()
+			for job := range m.Jobs() {
+				r := m.Round(job)
 				r.SetTracer(tw)
 				r.AddPeer(peer, ringHandler(peer))
-				_, err := r.Run(nil, 30*time.Second)
-				if errors.Is(err, ErrClusterClosed) {
-					return
-				}
+				r.Run(nil, 30*time.Second) //nolint:errcheck // Finish reports it
 				events, dropped := tw.DrainEvents()
 				wireEvents := make([]wire.TraceEvent, len(events))
 				for i, ev := range events {
@@ -67,9 +61,8 @@ func TestClusterTelemetry(t *testing.T) {
 	drv := tracedRingCluster(t)
 
 	tw := obs.NewChromeTraceWriter(0)
-	r := drv.NewRound()
+	r := shipRing(t, drv)
 	r.SetTracer(tw)
-	r.AddPeer("a", ringHandler("a"))
 	seed := []Message{{From: "seed", To: "a", Payload: wire.Activate{Rel: "10"}}}
 	if _, err := r.Run(seed, 30*time.Second); err != nil {
 		t.Fatal(err)
@@ -173,12 +166,11 @@ func TestStragglerReport(t *testing.T) {
 	t.Cleanup(func() { mesh.Node("drv").Close() })
 	drv.SetLogger(slog.New(cap))
 
-	r := drv.NewRound()
-	r.statLat = map[string]latSample{
+	r := &DriverRound{d: drv, statLat: map[string]latSample{
 		"n1": {sum: 10 * time.Millisecond, n: 10},
 		"n2": {sum: 12 * time.Millisecond, n: 10},
 		"n3": {sum: 200 * time.Millisecond, n: 10}, // 20ms mean vs ~1ms median
-	}
+	}}
 	r.reportStragglers()
 
 	cap.mu.Lock()
@@ -240,8 +232,7 @@ func TestRoundLatencySingleNode(t *testing.T) {
 	t.Cleanup(func() { mesh.Node("drv").Close() })
 	drv.SetLogger(slog.New(cap))
 
-	r := drv.NewRound()
-	r.statLat = map[string]latSample{"n1": {sum: 500 * time.Millisecond, n: 5}}
+	r := &DriverRound{d: drv, statLat: map[string]latSample{"n1": {sum: 500 * time.Millisecond, n: 5}}}
 	r.reportStragglers()
 
 	cap.mu.Lock()
@@ -264,15 +255,13 @@ func TestStragglerQuietWhenBalanced(t *testing.T) {
 	t.Cleanup(func() { mesh.Node("drv").Close() })
 	drv.SetLogger(slog.New(cap))
 
-	r := drv.NewRound()
-	r.statLat = map[string]latSample{
+	r := &DriverRound{d: drv, statLat: map[string]latSample{
 		"n1": {sum: 100 * time.Microsecond, n: 10},
 		"n2": {sum: 900 * time.Microsecond, n: 10}, // 9x ratio, but 80µs gap
-	}
-	r.doneLat = map[string]latSample{
+	}, doneLat: map[string]latSample{
 		"n1": {sum: 50 * time.Millisecond, n: 10},
 		"n2": {sum: 55 * time.Millisecond, n: 10},
-	}
+	}}
 	r.reportStragglers()
 
 	cap.mu.Lock()

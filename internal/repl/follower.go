@@ -27,9 +27,6 @@ type FollowerOptions struct {
 	// Heartbeat must match the primary's interval (default 500ms); read
 	// deadlines derive from it.
 	Heartbeat time.Duration
-	// LagBound is how stale the stream may go before Healthy reports an
-	// error (default 15s).
-	LagBound time.Duration
 	// Metrics receives repl_lag_seqs, repl_records_applied_total,
 	// repl_resyncs_total, repl_reconnects_total,
 	// repl_epoch_rejected_total and repl_epoch. nil discards them.
@@ -44,9 +41,6 @@ func (o FollowerOptions) withDefaults() FollowerOptions {
 	}
 	if o.Heartbeat <= 0 {
 		o.Heartbeat = 500 * time.Millisecond
-	}
-	if o.LagBound <= 0 {
-		o.LagBound = 15 * time.Second
 	}
 	if o.Logger == nil {
 		o.Logger = discardLogger()
@@ -153,17 +147,6 @@ func (f *Follower) Status() Status {
 		s.SinceContact = time.Since(contact)
 	}
 	return s
-}
-
-// Healthy returns nil while the stream is fresh and an error once no
-// frame has arrived within the lag bound — the signal an operator (or
-// orchestrator) uses to decide a promote.
-func (f *Follower) Healthy() error {
-	st := f.Status()
-	if st.SinceContact > f.opt.LagBound {
-		return fmt.Errorf("repl: no frame from primary for %s (bound %s)", st.SinceContact.Round(time.Millisecond), f.opt.LagBound)
-	}
-	return nil
 }
 
 // run is the reconnect loop.

@@ -384,8 +384,9 @@ func TestEpochPersistence(t *testing.T) {
 	waitFor(t, "epoch adopted", func() bool { return f.Epoch() == 9 })
 }
 
-// TestFollowerHealth exercises the lag bound: healthy while frames
-// flow, unhealthy once the primary goes silent.
+// TestFollowerHealth exercises the follower's staleness signal (what
+// repl_lag_seconds exports): fresh while frames flow, growing past the
+// heartbeat once the primary goes silent.
 func TestFollowerHealth(t *testing.T) {
 	plog, err := wal.Open(t.TempDir(), wal.Options{Fsync: wal.SyncNever})
 	if err != nil {
@@ -395,13 +396,14 @@ func TestFollowerHealth(t *testing.T) {
 	p := NewPrimary(plog, PrimaryOptions{Heartbeat: 20 * time.Millisecond})
 	addr := startPrimary(t, p)
 	app := newFakeApplier(t)
-	f := NewFollower(addr, app, FollowerOptions{Heartbeat: 20 * time.Millisecond, LagBound: 250 * time.Millisecond})
+	const lagBound = 250 * time.Millisecond
+	f := NewFollower(addr, app, FollowerOptions{Heartbeat: 20 * time.Millisecond})
 	f.Start()
 	defer f.Stop()
 	waitFor(t, "first contact", func() bool { return f.Status().Connected })
-	if err := f.Healthy(); err != nil {
-		t.Fatalf("healthy follower reports %v", err)
+	if since := f.Status().SinceContact; since > lagBound {
+		t.Fatalf("healthy follower last heard from its primary %v ago", since)
 	}
 	p.Close() // primary dies; heartbeats stop
-	waitFor(t, "lag bound breach", func() bool { return f.Healthy() != nil })
+	waitFor(t, "lag bound breach", func() bool { return f.Status().SinceContact > lagBound })
 }

@@ -223,6 +223,31 @@ func TestAPIIncrementality(t *testing.T) {
 	}
 }
 
+// TestMaterializedSeriesMatchesEngine: a dQSQ session's appends
+// materialize exactly what its engine derives, so the server's
+// diagnosed_facts_materialized_total equals the engine's
+// ddatalog_facts_derived_total, however many sessions clone the net's
+// template. Neither series counts the template's alarm-free facts, which
+// every clone starts with.
+func TestMaterializedSeriesMatchesEngine(t *testing.T) {
+	_, ts := newTestServer(t, Config{EvalTimeout: time.Minute})
+	for i := 0; i < 2; i++ {
+		sess := createSession(t, ts, createRequest{Net: exampleNetText(t), Engine: "dqsq"})
+		for _, a := range quickstartAlarms {
+			if code := doJSON(t, "POST", ts.URL+"/v1/sessions/"+sess.ID+"/alarms",
+				appendRequest{Alarms: a}, nil); code != http.StatusOK {
+				t.Fatalf("session %d, append %s: status %d", i, a, code)
+			}
+			materialized := metricValue(t, ts, "diagnosed_facts_materialized_total")
+			derived := metricValue(t, ts, "ddatalog_facts_derived_total")
+			if materialized != derived || derived <= 0 {
+				t.Fatalf("session %d, after %s: diagnosed_facts_materialized_total = %d, ddatalog_facts_derived_total = %d",
+					i, a, materialized, derived)
+			}
+		}
+	}
+}
+
 // TestTimeoutPoisonsDQSQSession: a timed-out append leaves the warm dQSQ
 // state ambiguous (the queued alarm facts may be partially injected), so
 // the session must refuse later appends with ErrExhausted instead of

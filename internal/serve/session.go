@@ -147,8 +147,10 @@ func newSession(id string, sys *core.System, engine core.Engine, facts int, now 
 	if err != nil {
 		return nil, err
 	}
+	// A DQSQ clone starts with its template's derivations, which no
+	// append of this session materialized.
 	s := &Session{ID: id, Engine: engine, Facts: facts, Created: now, inc: inc,
-		trace: trace, peers: make(map[string]bool)}
+		trace: trace, peers: make(map[string]bool), prevDerived: inc.Derived()}
 	for _, p := range sys.Peers() {
 		s.peers[string(p)] = true
 	}
