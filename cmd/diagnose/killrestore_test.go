@@ -15,6 +15,7 @@ import (
 	"repro/internal/gen"
 	"repro/internal/petri"
 	"repro/internal/transport"
+	"repro/internal/wire"
 )
 
 // peerProc is one spawned peerd process.
@@ -74,6 +75,43 @@ func startPeerd(t *testing.T, bin, name, listen string) *peerProc {
 	return p
 }
 
+// killTap wraps the driver's transport. Once armed, the first Status frame
+// from node from runs the kill before the driver sees it. Members send
+// their Data frames to each other, so what the driver hears from a member
+// during a round is its JobOK, its Status replies and its Done. The
+// driver ends a round only after a status wave that includes every
+// member, so it cannot end the round while that first Status is held
+// back: the kill lands mid-round however loaded the machine is.
+type killTap struct {
+	transport.Transport
+	from   string
+	mu     sync.Mutex
+	kill   func() // nil when not armed
+	killed chan struct{}
+}
+
+func (k *killTap) arm(kill func()) {
+	k.mu.Lock()
+	k.kill = kill
+	k.mu.Unlock()
+}
+
+func (k *killTap) Start(h transport.Handler) error {
+	return k.Transport.Start(func(from string, f wire.Frame) {
+		if _, ok := f.(wire.Status); ok && from == k.from {
+			k.mu.Lock()
+			kill := k.kill
+			k.kill = nil
+			k.mu.Unlock()
+			if kill != nil {
+				kill()
+				close(k.killed)
+			}
+		}
+		h(from, f)
+	})
+}
+
 // TestPeerdKillRestore: a peerd member killed with SIGKILL and restarted
 // (with nothing on disk) must rejoin the cluster, and every evaluation —
 // including one that was mid-round when the member died — must end with
@@ -99,8 +137,9 @@ func TestPeerdKillRestore(t *testing.T) {
 	}
 	drv.AddRoute("n1", n1.addr)
 	drv.AddRoute("n2", n2.addr)
+	tap := &killTap{Transport: drv, from: "n1", killed: make(chan struct{})}
 	cl := &diagnosis.Cluster{
-		Transport: drv,
+		Transport: tap,
 		Nodes:     []string{"n1", "n2"},
 		Addrs:     map[string]string{"driver": drv.Addr(), "n1": n1.addr, "n2": n2.addr},
 	}
@@ -134,8 +173,8 @@ func TestPeerdKillRestore(t *testing.T) {
 	n1 = startPeerd(t, bin, "n1", n1.addr)
 	check("after idle kill+restore", quickPN, quickSeq, quickBase)
 
-	// Kill n1 mid-round: start the longer telecom evaluation, wait until
-	// round traffic is flowing, SIGKILL the member, restart it. The
+	// Kill n1 mid-round: start the longer telecom evaluation, SIGKILL the
+	// member when the driver receives its first Status frame, restart it. The
 	// restarted member refuses the dead round (the driver fails fast and
 	// retries under a fresh generation), and the retried evaluation must
 	// be exact.
@@ -150,32 +189,23 @@ func TestPeerdKillRestore(t *testing.T) {
 	}
 	const evalTimeout = 30 * time.Second
 	resCh := make(chan result, 1)
+	tap.arm(n1.kill)
 	evalStart := time.Now()
 	go func() {
 		rep, err := diagnosis.RunDistributed(telePN, teleSeq, diagnosis.EngineNaive,
 			diagnosis.Options{Timeout: evalTimeout}, cl)
 		resCh <- result{rep, err}
 	}()
-	target := drv.Stats().FramesReceived + 15
-	killed := false
-	for !killed {
-		select {
-		case res := <-resCh:
-			// The evaluation outran the kill; results must still be exact,
-			// but the mid-round phase did not run — fail loudly so the
-			// traffic threshold gets fixed rather than silently skipped.
-			if res.err != nil {
-				t.Fatal(res.err)
-			}
-			t.Fatalf("evaluation finished before the mid-round kill landed")
-		default:
+	select {
+	case <-tap.killed:
+	case res := <-resCh:
+		// The evaluation ended before n1 sent the driver a Status frame;
+		// results must still be exact, but the mid-round phase did not
+		// run.
+		if res.err != nil {
+			t.Fatal(res.err)
 		}
-		if drv.Stats().FramesReceived >= target {
-			n1.kill()
-			killed = true
-		} else {
-			time.Sleep(time.Millisecond)
-		}
+		t.Fatalf("evaluation finished before the mid-round kill landed")
 	}
 	n1 = startPeerd(t, bin, "n1", n1.addr)
 	res := <-resCh

@@ -303,7 +303,7 @@ func TestPoolFrontendRestart(t *testing.T) {
 	// poisons "poisoned" on its second append, which logs one too.
 	create("checkpointed", "")
 	create("plain", "")
-	create("poisoned", `, "max_facts": 120`)
+	create("poisoned", `, "max_facts": 300`)
 	create("deleted", "")
 	for i := 0; i < checkpointEvery; i++ {
 		appendTo("checkpointed", cycle[i%2], http.StatusOK)

@@ -209,10 +209,10 @@ func unfoldingNodes(eng *ddatalog.Engine) (trans, places map[string]bool) {
 		if db == nil {
 			continue
 		}
-		for _, name := range db.Names() {
+		db.Each(func(name rel.Name, r *rel.Relation) {
 			plain, _, ok := ddatalog.SplitQualified(name)
 			if !ok {
-				continue
+				return
 			}
 			base, _, _ := strings.Cut(string(plain), "#")
 			var nodes map[string]bool
@@ -222,9 +222,9 @@ func unfoldingNodes(eng *ddatalog.Engine) (trans, places map[string]bool) {
 			case RelPlaces:
 				nodes = places
 			default:
-				continue
+				return
 			}
-			for _, tup := range db.Lookup(name).All() {
+			for _, tup := range r.All() {
 				// Padding conditions are an artifact of Pad2, not nodes of
 				// the original unfolding; skip them so counts compare
 				// against the product engine on the unpadded net.
@@ -232,7 +232,7 @@ func unfoldingNodes(eng *ddatalog.Engine) (trans, places map[string]bool) {
 					nodes[StripPads(st, tup[0])] = true
 				}
 			}
-		}
+		})
 	}
 	return trans, places
 }

@@ -74,13 +74,14 @@ func BuildPatternProgram(pn *petri.PetriNet, nfa *alarm.NFA) (*ddatalog.Program,
 	}
 	addMembershipRules(p, 1)
 
-	// q(z, x) :- configPrefixes(z, w, y, Q), accept(Q), transInConf(z, x).
+	// q(z, x) :- configPrefixes(z, w, y, Q), accept(Q), cut(z, m), transInConf(z, x).
 	z, w, y, x, q := s.Variable("Qz"), s.Variable("Qw"), s.Variable("Qy"), s.Variable("Qx"), s.Variable("Qq")
 	p.AddRule(ddatalog.PRule{
 		Head: ddatalog.At(RelQuery, SupervisorPeer, z, x),
 		Body: []ddatalog.PAtom{
 			ddatalog.At(RelConfigPrefixes, SupervisorPeer, z, w, y, q),
 			ddatalog.At(RelAccept, SupervisorPeer, q),
+			cutAtom(s, z),
 			ddatalog.At(RelTransInConf, SupervisorPeer, z, x),
 		},
 	})

@@ -24,7 +24,7 @@ const (
 	RelAlarmSeq       = "alarmSeq"       // alarmSeq(i, a, p, i'): automaton edge / sequence position
 	RelConfigPrefixes = "configPrefixes" // configPrefixes(id, parent, event, index...)
 	RelTransInConf    = "transInConf"    // transInConf(id, event)
-	RelNotParent      = "notParent"      // notParent(id, condition)
+	RelCut            = "cut"            // cut(id, condition): produced by id, not yet consumed
 	RelQuery          = "q"              // q(id, event): complete explanations
 )
 
@@ -96,7 +96,9 @@ func BuildDiagnosisProgram(pn *petri.PetriNet, seq alarm.Seq) (*ddatalog.Program
 	}
 	addMembershipRules(p, k)
 
-	// q(z, x) :- configPrefixes(z, w, y, cfinal...), transInConf(z, x).
+	// q(z, x) :- configPrefixes(z, w, y, cfinal...), cut(z, m), transInConf(z, x).
+	// The cut atom asks for the final configurations' cut, which holds the
+	// postset of their last event (see cutAtom).
 	z, w, y, x := s.Variable("Qz"), s.Variable("Qw"), s.Variable("Qy"), s.Variable("Qx")
 	final := []term.ID{z, w, y}
 	for _, peer := range peers {
@@ -106,6 +108,7 @@ func BuildDiagnosisProgram(pn *petri.PetriNet, seq alarm.Seq) (*ddatalog.Program
 		Head: ddatalog.At(RelQuery, SupervisorPeer, z, x),
 		Body: []ddatalog.PAtom{
 			{Rel: RelConfigPrefixes, Peer: SupervisorPeer, Args: final},
+			cutAtom(s, z),
 			ddatalog.At(RelTransInConf, SupervisorPeer, z, x),
 		},
 	})
@@ -198,13 +201,14 @@ func addExtensionRules(pn *petri.PetriNet, p *ddatalog.Program, peers []petri.Pe
 				ddatalog.At(RelPetriNet, dist.PeerID(peer), t, a, c1, c2),
 			)
 		}
+		// Both parents must lie in z's cut. A cut condition was produced by
+		// an event of z, so this also proves the paper's two transInConf
+		// guards.
 		gu := s.Compound("g", u, c1)
 		gv := s.Compound("g", v, c2)
 		body = append(body,
-			ddatalog.At(RelTransInConf, SupervisorPeer, z, u),
-			ddatalog.At(RelTransInConf, SupervisorPeer, z, v),
-			ddatalog.At(RelNotParent, SupervisorPeer, z, gu),
-			ddatalog.At(RelNotParent, SupervisorPeer, z, gv),
+			ddatalog.At(RelCut, SupervisorPeer, z, gu),
+			ddatalog.At(RelCut, SupervisorPeer, z, gv),
 			ddatalog.At(RelTrans, dist.PeerID(peer), x, gu, gv),
 		)
 		head := append([]term.ID{s.Compound("h", z, x), z, x}, headIdx...)
@@ -215,7 +219,8 @@ func addExtensionRules(pn *petri.PetriNet, p *ddatalog.Program, peers []petri.Pe
 	}
 }
 
-// addMembershipRules generates transInConf and notParent (Section 4.2).
+// addMembershipRules generates transInConf (Section 4.2) and the cut that
+// replaces the paper's notParent (a deviation, recorded in DESIGN.md).
 func addMembershipRules(p *ddatalog.Program, k int) {
 	s := p.Store
 	r := s.Constant(RootConst)
@@ -225,6 +230,7 @@ func addMembershipRules(p *ddatalog.Program, k int) {
 	for l := 0; l < k; l++ {
 		idx[l] = s.Variable(fmt.Sprintf("Mi%d", l))
 	}
+	prefix := append([]term.ID{z, w, y}, idx...)
 
 	// transInConf(z, x) :- configPrefixes(z, w, x, i...).
 	p.AddRule(ddatalog.PRule{
@@ -237,19 +243,23 @@ func addMembershipRules(p *ddatalog.Program, k int) {
 	p.AddRule(ddatalog.PRule{
 		Head: ddatalog.At(RelTransInConf, SupervisorPeer, z, x),
 		Body: []ddatalog.PAtom{
-			{Rel: RelConfigPrefixes, Peer: SupervisorPeer, Args: append([]term.ID{z, w, y}, idx...)},
+			{Rel: RelConfigPrefixes, Peer: SupervisorPeer, Args: prefix},
 			ddatalog.At(RelTransInConf, SupervisorPeer, w, x),
 		},
 	})
 	// transInConf(h(r), r).
 	p.AddFact(ddatalog.At(RelTransInConf, SupervisorPeer, s.Compound("h", r), r))
 
-	// notParent(z, m) :- configPrefixes(z, w, y, i...), trans@p(y, u, v),
-	//                    m != u, m != v, notParent(w, m).  (one rule per peer with events)
-	// notParent(h(r), m) :- places@p(m, y).                (one rule per peer)
-	// A peer may hold conditions and no events (all the transitions around
-	// its places belong to its neighbours): its conditions are no less
-	// available to the first event of a configuration.
+	// The cut of configuration z = w·y: the conditions z has produced and
+	// not yet consumed. A safe net's cut has at most |P| members.
+	//   cut(z, m) :- configPrefixes(z, w, y, i...), trans@p(y, u, v),
+	//                m != u, m != v, cut(w, m).  (one rule per peer with events)
+	//   cut(z, m) :- configPrefixes(z, w, y, i...), places@p(m, y).
+	//                                            (one rule per peer with places)
+	// The initial configPrefixes(h(r), h(r), r, c0...) seeds the root's cut
+	// with the initial marking. A peer may hold conditions and no events (all
+	// the transitions around its places belong to its neighbours): its
+	// conditions are no less part of a cut.
 	events := map[dist.PeerID]bool{}
 	peers := map[dist.PeerID]bool{}
 	for _, rule := range p.Rules {
@@ -274,20 +284,35 @@ func addMembershipRules(p *ddatalog.Program, k int) {
 	for _, q := range peerList {
 		if events[q] {
 			p.AddRule(ddatalog.PRule{
-				Head: ddatalog.At(RelNotParent, SupervisorPeer, z, m),
+				Head: ddatalog.At(RelCut, SupervisorPeer, z, m),
 				Body: []ddatalog.PAtom{
-					{Rel: RelConfigPrefixes, Peer: SupervisorPeer, Args: append([]term.ID{z, w, y}, idx...)},
+					{Rel: RelConfigPrefixes, Peer: SupervisorPeer, Args: prefix},
 					ddatalog.At(RelTrans, q, y, u, v),
-					ddatalog.At(RelNotParent, SupervisorPeer, w, m),
+					ddatalog.At(RelCut, SupervisorPeer, w, m),
 				},
 				Neqs: []datalog.Neq{{X: m, Y: u}, {X: m, Y: v}},
 			})
 		}
 		p.AddRule(ddatalog.PRule{
-			Head: ddatalog.At(RelNotParent, SupervisorPeer, s.Compound("h", r), m),
-			Body: []ddatalog.PAtom{ddatalog.At(RelPlaces, q, m, y)},
+			Head: ddatalog.At(RelCut, SupervisorPeer, z, m),
+			Body: []ddatalog.PAtom{
+				{Rel: RelConfigPrefixes, Peer: SupervisorPeer, Args: prefix},
+				ddatalog.At(RelPlaces, q, m, y),
+			},
 		})
 	}
+}
+
+// cutAtom is the query's cut(z, m) atom. Every configuration has a
+// non-empty cut, so it filters no answer. It makes the evaluation derive
+// the cut of every configuration the query reads, and with it the
+// conditions the configuration's last event produced. The extension rules
+// ask for a cut only to extend it, so without this atom dQSQ would
+// materialize the prefix of [8] minus the postsets of the events that end
+// the configurations explaining the alarms (Theorem 4). The rewriting
+// drops m at once, so each configuration adds one supplementary tuple.
+func cutAtom(s *term.Store, z term.ID) ddatalog.PAtom {
+	return ddatalog.At(RelCut, SupervisorPeer, z, s.Variable("Qm"))
 }
 
 // StripPads renders an unfolding node term with the padding of petri.Pad2

@@ -24,7 +24,7 @@ import (
 // rewriting) walks rule bodies, not tuples. A session asks one query for
 // its whole life, the standing query
 //
-//	q(z, i_1…i_k, x) :- configPrefixes(z, w, y, i_1…i_k), transInConf(z, x)
+//	q(z, i_1…i_k, x) :- configPrefixes(z, w, y, i_1…i_k), cut(z, m), transInConf(z, x)
 //
 // with every argument free, so everything its evaluation installs is a
 // function of the net: Prog(N,M), the supervisor's rules, their distributed
@@ -35,9 +35,9 @@ import (
 // of it.
 //
 // Because no index column is bound, configPrefixes is evaluated under two
-// adornments only — all free, and the id-bound form transInConf and
-// notParent ask for — where a query binding the k final positions reaches
-// one per subset of the columns the extension rules free: 2^k.
+// adornments only — all free, and the id-bound form transInConf and cut ask
+// for — where a query binding the k final positions reaches one per subset
+// of the columns the extension rules free: 2^k.
 
 // template is the frozen per-net state. Nothing writes to it after
 // newTemplate returns, so any number of goroutines may clone it at once.
@@ -95,7 +95,7 @@ func newTemplate(pn *petri.PetriNet, maxTermDepth int) (*template, error) {
 	addMembershipRules(p, k)
 
 	// The standing query, q(z, i_1…i_k, x) :- configPrefixes(z, w, y,
-	// i_1…i_k), transInConf(z, x).
+	// i_1…i_k), cut(z, m), transInConf(z, x).
 	z, w, y, x := s.Variable("Qz"), s.Variable("Qw"), s.Variable("Qy"), s.Variable("Qx")
 	prefix := []term.ID{z, w, y}
 	head := []term.ID{z}
@@ -109,6 +109,7 @@ func newTemplate(pn *petri.PetriNet, maxTermDepth int) (*template, error) {
 		Head: q,
 		Body: []ddatalog.PAtom{
 			{Rel: RelConfigPrefixes, Peer: SupervisorPeer, Args: prefix},
+			cutAtom(s, z),
 			ddatalog.At(RelTransInConf, SupervisorPeer, z, x),
 		},
 	})

@@ -59,7 +59,8 @@ func streamCases(n int) []streamCase {
 // and places; the cached one does so across a checkpoint and restore
 // mid-stream. Theorem 4 holds online: after every append the trans events
 // the session has materialized are the prefix the algorithm of [8] builds
-// for the alarms so far. And after every append both sessions hold what a
+// for the alarms so far, and so are the places conditions, pad conditions
+// stripped. And after every append both sessions hold what a
 // snapshot takes from their template: its hosted rules, its rewriting
 // trace, and relations in its slots, arities, activation and subscribers,
 // which the snapshot encoder checks.
@@ -117,6 +118,9 @@ func TestClonedSessionsMatchPrivateTemplate(t *testing.T) {
 				}
 				if !reflect.DeepEqual(gTrans, oracle.PrefixEvents) {
 					t.Fatalf("append %d: materialized events\n%v\n!= the [8] prefix\n%v", i, gTrans, oracle.PrefixEvents)
+				}
+				if !reflect.DeepEqual(gPlaces, oracle.PrefixConditions) {
+					t.Fatalf("append %d: materialized conditions\n%v\n!= the [8] prefix\n%v", i, gPlaces, oracle.PrefixConditions)
 				}
 				for _, d := range []*OnlineDiagnoser{cached, private} {
 					if err := holdsTemplateState(d); err != nil {
@@ -265,9 +269,9 @@ const cloneBytesBound = 2 << 20
 
 // templateRules is the number of compiled rules the Pipeline(6,2) template
 // hosts across its peers with the standing query, whose configPrefixes
-// index is free: 2 595 (9 084 when every append's query bound the six index
+// index is free: 2 561 (9 084 when every append's query bound the six index
 // columns and configPrefixes met 2^6 adornments).
-const templateRules = 2595
+const templateRules = 2561
 
 // TestAppendsInstallNothing: on a net whose template is cached, a session's
 // appends — its first as much as its second — rewrite no adornment and

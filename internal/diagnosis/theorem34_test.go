@@ -2,7 +2,6 @@ package diagnosis
 
 import (
 	"math/rand"
-	"strings"
 	"testing"
 	"time"
 
@@ -10,6 +9,7 @@ import (
 	"repro/internal/datalog"
 	"repro/internal/ddatalog"
 	"repro/internal/dqsq"
+	"repro/internal/gen"
 	"repro/internal/petri"
 	"repro/internal/product"
 )
@@ -173,73 +173,57 @@ func TestTheorem3Random(t *testing.T) {
 }
 
 // TestTheorem4Materialization: dQSQ materializes the same unfolding prefix
-// as the dedicated algorithm of [8].
+// as the dedicated algorithm of [8]: the same events and the same
+// conditions, pad conditions stripped. The query's cut atom is what
+// materializes the conditions the last events produced.
 func TestTheorem4Materialization(t *testing.T) {
-	pn := petri.Example()
+	pipeline, telecom := gen.Pipeline(6, 2), gen.Telecom(3)
 	for _, tc := range []struct {
 		name string
+		pn   *petri.PetriNet
 		seq  alarm.Seq
 	}{
-		{"A1", seqA1}, {"A2", seqA2}, {"longer", alarm.S("a", "p2", "b", "p2", "a", "p2")},
+		{"A1", petri.Example(), seqA1},
+		{"A2", petri.Example(), seqA2},
+		{"longer", petri.Example(), alarm.S("a", "p2", "b", "p2", "a", "p2")},
+		{"pipeline", pipeline, gen.PipelineSeq(pipeline, rand.New(rand.NewSource(1)), 8)},
+		{"telecom", telecom, gen.TelecomSeq(telecom, rand.New(rand.NewSource(1)), 4)},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			prodRes, err := product.Run(pn, tc.seq, product.Options{})
+			prodRes, err := product.Run(tc.pn, tc.seq, product.Options{})
 			if err != nil {
 				t.Fatal(err)
 			}
-			got := dqsqPrefixEvents(t, pn, tc.seq)
-			for e := range prodRes.PrefixEvents {
-				if !got[e] {
-					t.Errorf("dQSQ did not materialize prefix event %s", e)
-				}
+			padded, err := petri.Pad2(tc.pn)
+			if err != nil {
+				t.Fatal(err)
 			}
-			for e := range got {
-				if !prodRes.PrefixEvents[e] {
-					t.Errorf("dQSQ materialized %s outside the [8] prefix", e)
+			prog, query, err := BuildDiagnosisProgram(padded, tc.seq)
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := dqsq.Run(prog, query, datalog.Budget{}, 30*time.Second)
+			if err != nil {
+				t.Fatal(err)
+			}
+			events, conditions := unfoldingNodes(res.Engine)
+			for _, nodes := range []struct {
+				kind      string
+				got, want map[string]bool
+			}{{"event", events, prodRes.PrefixEvents}, {"condition", conditions, prodRes.PrefixConditions}} {
+				for n := range nodes.want {
+					if !nodes.got[n] {
+						t.Errorf("dQSQ did not materialize prefix %s %s", nodes.kind, n)
+					}
+				}
+				for n := range nodes.got {
+					if !nodes.want[n] {
+						t.Errorf("dQSQ materialized %s %s outside the [8] prefix", nodes.kind, n)
+					}
 				}
 			}
 		})
 	}
-}
-
-// dqsqPrefixEvents runs dQSQ diagnosis and collects the materialized
-// unfolding events as pad-stripped canonical names.
-func dqsqPrefixEvents(t *testing.T, pn *petri.PetriNet, seq alarm.Seq) map[string]bool {
-	t.Helper()
-	padded, err := petri.Pad2(pn)
-	if err != nil {
-		t.Fatal(err)
-	}
-	prog, query, err := BuildDiagnosisProgram(padded, seq)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := dqsq.Run(prog, query, datalog.Budget{}, 30*time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	out := map[string]bool{}
-	for _, id := range res.Engine.Peers() {
-		db := res.Engine.PeerDB(id)
-		st := res.Engine.PeerStore(id)
-		if db == nil {
-			continue
-		}
-		for _, name := range db.Names() {
-			plain, _, ok := ddatalog.SplitQualified(name)
-			if !ok {
-				continue
-			}
-			s := string(plain)
-			if s != RelTrans && !strings.HasPrefix(s, RelTrans+"#") {
-				continue
-			}
-			for _, tup := range db.Lookup(name).All() {
-				out[StripPads(st, tup[0])] = true
-			}
-		}
-	}
-	return out
 }
 
 // TestProposition1: dQSQ terminates (quiesces) on the diagnosis program of

@@ -9,6 +9,7 @@ import (
 	"repro/internal/ddatalog"
 	"repro/internal/dist"
 	"repro/internal/obs"
+	"repro/internal/rel"
 )
 
 // This file threads an obs.Tracer through both dQSQ paths. Subqueries —
@@ -82,13 +83,12 @@ func emitSupStats(tr obs.Tracer, eng *ddatalog.Engine) {
 	}
 	total := 0
 	for _, id := range eng.Peers() {
-		db := eng.PeerDB(id)
 		n := 0
-		for _, name := range db.Names() {
+		eng.PeerDB(id).Each(func(name rel.Name, r *rel.Relation) {
 			if strings.HasPrefix(string(name), "sup.") {
-				n += db.Lookup(name).Len()
+				n += r.Len()
 			}
-		}
+		})
 		if n > 0 {
 			tr.Gauge(string(id), "sup tuples", int64(n))
 		}

@@ -5,6 +5,7 @@ import (
 	"io"
 	"maps"
 	"slices"
+	"strings"
 	"sync"
 	"time"
 )
@@ -19,17 +20,24 @@ import (
 // flight recorder: a ring holding the newest events, where each event
 // recorded past the bound overwrites the oldest one and is counted as
 // dropped, so a long-lived session's trace costs bounded memory and
-// always shows its latest work. Recording into a ring that has filled
-// allocates nothing.
+// always shows its latest work. A bounded ring is allocated whole with
+// its first event; from then on recording allocates only on a track's
+// first event.
 type ChromeTraceWriter struct {
 	mu      sync.Mutex
 	start   time.Time
 	max     int // ring size; negative keeps every event
 	dropped int64
-	// events grows by append until it holds max events; from then on it
-	// is a ring whose oldest event sits at next.
+	// events gets room for max events with the first one recorded; once
+	// full it is a ring whose oldest event sits at next. An unbounded
+	// writer grows it by append.
 	events []chromeEvent
 	next   int
+	// tracks interns track names: an event holds its track's index.
+	// Tracks are few (a net's peers and the layers' fixed names), so the
+	// table stays small; it empties with the ring.
+	tracks   []string
+	trackIDs map[string]int
 	// overwritten carries the deltas of counter events the ring
 	// overwrote, per (track, name), so the export's running totals still
 	// count from the start of the trace.
@@ -38,57 +46,75 @@ type ChromeTraceWriter struct {
 
 // DefaultMaxEvents is the ring size NewChromeTraceWriter(0) gets. The
 // one-alarm appends of a 6-peer pipeline session record from a few dozen
-// to about 19 000 events, most of them fewer than this: the ring holds a
-// typical append whole and the tail of a heavy one.
+// to a few thousand events: the ring holds a typical append whole and
+// the tail of a heavy one.
 const DefaultMaxEvents = 4096
 
-// chromeEvent is one recorded event; the JSON field set depends on ph.
-// It holds its track name, so recording takes no lookup: tracks get
-// their thread IDs when the buffer is exported.
+// chromeEvent is one recorded event in 32 bytes; the JSON field set
+// depends on its phase. meta packs the timestamp (µs since trace start)
+// above the track index and the phase code: ts<<16 | track<<3 | phase.
 type chromeEvent struct {
-	track string
-	name  string
-	ph    byte  // X, i, C, G, s, f
-	ts    int64 // microseconds since trace start
-	arg   int64 // X: duration in µs; C: delta; G: level; s, f: flow id
+	name string
+	arg  int64 // X: duration in µs; C: delta; G: level; s, f: flow id
+	meta int64
 }
 
+// phases are the recorded event kinds, indexed by their 3-bit code.
+const phases = "XiCGsf"
+
+// maxTracks is how many track indexes meta holds (13 bits). Tracks past
+// it are recorded on the last one.
+const maxTracks = 1 << 13
+
+func (ev chromeEvent) ts() int64  { return ev.meta >> 16 }
+func (ev chromeEvent) track() int { return int(ev.meta>>3) & (maxTracks - 1) }
+func (ev chromeEvent) ph() byte   { return phases[ev.meta&7] }
+
 // counterKey names one counter series of one track.
-type counterKey struct{ track, name string }
+type counterKey struct {
+	track int
+	name  string
+}
 
 // NewChromeTraceWriter returns an empty trace buffer keeping the newest
 // maxEvents events (0 means DefaultMaxEvents, negative keeps every
-// event). The buffer grows as events arrive, up to its bound.
+// event). A bounded buffer takes its whole ring with the first event.
 func NewChromeTraceWriter(maxEvents int) *ChromeTraceWriter {
 	if maxEvents == 0 {
 		maxEvents = DefaultMaxEvents
 	}
-	return &ChromeTraceWriter{start: time.Now(), max: maxEvents, overwritten: make(map[counterKey]int64)}
+	return &ChromeTraceWriter{start: time.Now(), max: maxEvents,
+		trackIDs: make(map[string]int), overwritten: make(map[counterKey]int64)}
 }
 
 // Enabled reports true: call sites should format real event names.
 func (w *ChromeTraceWriter) Enabled() bool { return true }
 
-func (w *ChromeTraceWriter) since(t time.Time) int64 {
-	return t.Sub(w.start).Microseconds()
-}
-
-func (w *ChromeTraceWriter) record(ev chromeEvent) {
+// record stores one event of phase ph (a byte of phases) at time t.
+func (w *ChromeTraceWriter) record(track, name string, ph byte, t time.Time, arg int64) {
+	ts := t.Sub(w.start).Microseconds()
+	code := int64(strings.IndexByte(phases, ph))
 	w.mu.Lock()
+	id, ok := w.trackIDs[track]
+	if !ok {
+		id = min(len(w.tracks), maxTracks-1)
+		if len(w.tracks) < maxTracks {
+			w.tracks = append(w.tracks, track)
+			w.trackIDs[track] = id
+		}
+	}
+	ev := chromeEvent{name: name, arg: arg, meta: ts<<16 | int64(id)<<3 | code}
 	if w.max < 0 || len(w.events) < w.max {
-		if len(w.events) == cap(w.events) && w.max > 0 {
-			// Double, but never past the bound: a full ring wastes nothing.
-			grown := make([]chromeEvent, len(w.events), min(max(2*cap(w.events), 64), w.max))
-			copy(grown, w.events)
-			w.events = grown
+		if w.events == nil && w.max > 0 {
+			w.events = make([]chromeEvent, 0, w.max)
 		}
 		w.events = append(w.events, ev)
 		w.mu.Unlock()
 		return
 	}
 	old := &w.events[w.next]
-	if old.ph == 'C' {
-		w.overwritten[counterKey{old.track, old.name}] += old.arg
+	if old.ph() == 'C' {
+		w.overwritten[counterKey{old.track(), old.name}] += old.arg
 	}
 	*old = ev
 	if w.next++; w.next == len(w.events) {
@@ -108,38 +134,35 @@ func (w *ChromeTraceWriter) End(s Span) {
 	if s.Start.IsZero() {
 		return
 	}
-	w.record(chromeEvent{
-		track: s.Track, name: s.Name, ph: 'X',
-		ts: w.since(s.Start), arg: time.Since(s.Start).Microseconds(),
-	})
+	w.record(s.Track, s.Name, 'X', s.Start, time.Since(s.Start).Microseconds())
 }
 
 // Instant records a zero-duration event.
 func (w *ChromeTraceWriter) Instant(track, name string) {
-	w.record(chromeEvent{track: track, name: name, ph: 'i', ts: w.since(time.Now())})
+	w.record(track, name, 'i', time.Now(), 0)
 }
 
 // Counter records a counter increment. The export accumulates deltas per
 // (track, name) so the rendered counter track shows the running total.
 func (w *ChromeTraceWriter) Counter(track, name string, delta int64) {
-	w.record(chromeEvent{track: track, name: name, ph: 'C', ts: w.since(time.Now()), arg: delta})
+	w.record(track, name, 'C', time.Now(), delta)
 }
 
 // Gauge records a level sample, exported as an absolute counter value.
 func (w *ChromeTraceWriter) Gauge(track, name string, value int64) {
 	// ph 'G' is internal shorthand; exported as a "C" sample holding the
 	// absolute value rather than an accumulated delta.
-	w.record(chromeEvent{track: track, name: name, ph: 'G', ts: w.since(time.Now()), arg: value})
+	w.record(track, name, 'G', time.Now(), value)
 }
 
 // FlowBegin records the sending half of a hop.
 func (w *ChromeTraceWriter) FlowBegin(track, name string, id uint64) {
-	w.record(chromeEvent{track: track, name: name, ph: 's', ts: w.since(time.Now()), arg: int64(id)})
+	w.record(track, name, 's', time.Now(), int64(id))
 }
 
 // FlowEnd records the receiving half of a hop.
 func (w *ChromeTraceWriter) FlowEnd(track, name string, id uint64) {
-	w.record(chromeEvent{track: track, name: name, ph: 'f', ts: w.since(time.Now()), arg: int64(id)})
+	w.record(track, name, 'f', time.Now(), int64(id))
 }
 
 // Len reports how many events are buffered.
@@ -174,8 +197,8 @@ func (w *ChromeTraceWriter) exportLocked() []Event {
 	events := w.orderedLocked()
 	out := make([]Event, len(events))
 	for i, ev := range events {
-		out[i] = Event{Track: ev.track, Name: ev.name, Ph: ev.ph, Wall: base + ev.ts}
-		switch ev.ph {
+		out[i] = Event{Track: w.tracks[ev.track()], Name: ev.name, Ph: ev.ph(), Wall: base + ev.ts()}
+		switch ev.ph() {
 		case 'X':
 			out[i].Dur = ev.arg
 		case 'C', 'G':
@@ -205,6 +228,8 @@ func (w *ChromeTraceWriter) DrainEvents() (events []Event, dropped int64) {
 	defer w.mu.Unlock()
 	events = w.exportLocked()
 	w.events, w.next = w.events[:0], 0
+	w.tracks = w.tracks[:0]
+	clear(w.trackIDs)
 	clear(w.overwritten)
 	return events, w.dropped
 }
@@ -243,6 +268,7 @@ type traceFile struct {
 func (w *ChromeTraceWriter) WriteJSON(out io.Writer) error {
 	w.mu.Lock()
 	events := w.orderedLocked()
+	tracks := slices.Clone(w.tracks)
 	totals := maps.Clone(w.overwritten)
 	dropped := w.dropped
 	w.mu.Unlock()
@@ -252,13 +278,13 @@ func (w *ChromeTraceWriter) WriteJSON(out io.Writer) error {
 	file := traceFile{DisplayTimeUnit: "ms", TraceEvents: []jsonEvent{
 		{Name: "process_name", Ph: "M", PID: pid, Args: map[string]any{"name": "diagnosis"}},
 	}}
-	tids := make(map[string]int)
+	tids := make(map[int]int)
 	for _, ev := range events {
-		if _, ok := tids[ev.track]; !ok {
-			tids[ev.track] = len(tids) + 1
+		if _, ok := tids[ev.track()]; !ok {
+			tids[ev.track()] = len(tids) + 1
 			file.TraceEvents = append(file.TraceEvents, jsonEvent{
 				Name: "thread_name", Ph: "M", PID: pid, TID: len(tids),
-				Args: map[string]any{"name": ev.track},
+				Args: map[string]any{"name": tracks[ev.track()]},
 			})
 		}
 	}
@@ -267,8 +293,8 @@ func (w *ChromeTraceWriter) WriteJSON(out io.Writer) error {
 	// overwrote, so the exported samples form a running total; gauges
 	// pass through as absolute levels.
 	for _, ev := range events {
-		je := jsonEvent{Name: ev.name, TS: ev.ts, PID: pid, TID: tids[ev.track]}
-		switch ev.ph {
+		je := jsonEvent{Name: ev.name, TS: ev.ts(), PID: pid, TID: tids[ev.track()]}
+		switch ev.ph() {
 		case 'X':
 			dur := ev.arg
 			je.Ph = "X"
@@ -277,7 +303,7 @@ func (w *ChromeTraceWriter) WriteJSON(out io.Writer) error {
 			je.Ph = "i"
 			je.Args = map[string]any{}
 		case 'C':
-			k := counterKey{ev.track, ev.name}
+			k := counterKey{ev.track(), ev.name}
 			totals[k] += ev.arg
 			je.Ph = "C"
 			je.Args = map[string]any{"value": totals[k]}
@@ -286,10 +312,10 @@ func (w *ChromeTraceWriter) WriteJSON(out io.Writer) error {
 			je.Args = map[string]any{"value": ev.arg}
 		case 's', 'f':
 			id := uint64(ev.arg)
-			je.Ph = string(ev.ph)
+			je.Ph = string(ev.ph())
 			je.Cat = "msg"
 			je.ID = &id
-			if ev.ph == 'f' {
+			if ev.ph() == 'f' {
 				je.BP = "e" // bind to the enclosing slice's end
 			}
 		}

@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 	"time"
+	"unsafe"
 )
 
 // TestNopZeroAllocs is the hot-path contract: the default tracer must be
@@ -52,6 +53,43 @@ func TestRingZeroAllocs(t *testing.T) {
 	}
 	if w.Len() != 64 {
 		t.Fatalf("ring holds %d events, want 64", w.Len())
+	}
+}
+
+// TestChromeEventRecord pins what the ring holds per event: at most 32
+// bytes, the whole ring taken with the first event, and every field of an
+// event surviving the packing of its track, phase and time into one word.
+func TestChromeEventRecord(t *testing.T) {
+	if size := unsafe.Sizeof(chromeEvent{}); size > 32 {
+		t.Fatalf("a ring record takes %d bytes, want at most 32", size)
+	}
+	before := time.Now().UnixMicro()
+	w := NewChromeTraceWriter(0)
+	sp := w.Begin("p1", "handle")
+	w.Counter("ddatalog", "derived", 5)
+	w.Gauge("p2", "sup tuples", -3)
+	w.FlowBegin("p1", "msg", 1<<40)
+	w.FlowEnd("p2", "msg", 1<<40)
+	w.Instant("ddatalog", "install")
+	sp.End()
+	after := time.Now().UnixMicro()
+	if c := cap(w.events); c != DefaultMaxEvents {
+		t.Fatalf("ring capacity %d after the first events, want %d", c, DefaultMaxEvents)
+	}
+	if len(w.tracks) != 3 {
+		t.Fatalf("tracks %v, want the three recorded", w.tracks)
+	}
+	var got []string
+	for _, ev := range w.Events() {
+		got = append(got, fmt.Sprintf("%s/%s/%c/%d/%d", ev.Track, ev.Name, ev.Ph, ev.Value, ev.ID))
+		if ev.Wall < before-1 || ev.Wall > after+1 {
+			t.Fatalf("event %s at %d µs, outside its recording [%d, %d]", ev.Name, ev.Wall, before, after)
+		}
+	}
+	want := "ddatalog/derived/C/5/0 p2/sup tuples/G/-3/0 p1/msg/s/0/1099511627776 " +
+		"p2/msg/f/0/1099511627776 ddatalog/install/i/0/0 p1/handle/X/0/0"
+	if strings.Join(got, " ") != want {
+		t.Fatalf("events\n%s\nwant\n%s", strings.Join(got, " "), want)
 	}
 }
 

@@ -493,6 +493,14 @@ func (db *DB) Names() []Name {
 	return slices.Clone(db.names.list)
 }
 
+// Each visits every relation with its name, in creation order. Unlike
+// Names it allocates nothing.
+func (db *DB) Each(visit func(Name, *Relation)) {
+	for i, r := range db.rels {
+		visit(db.names.list[i], r)
+	}
+}
+
 // FactCount returns the total number of tuples across all relations — the
 // materialization metric used throughout the experiments.
 func (db *DB) FactCount() int {

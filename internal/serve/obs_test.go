@@ -204,10 +204,11 @@ func TestTraceEndpoint(t *testing.T) {
 		}
 	}
 
-	// A 12-alarm pipeline session outgrows the ring: its trace reports the
-	// overwritten events and still holds the whole of the last append,
-	// whose span encloses every message hop that survived.
-	netText, alarms := pipelineSession()
+	// A 15-alarm pipeline session outgrows the ring (by about 2 900
+	// events): its trace reports the overwritten events and still holds
+	// the whole of the last append, whose span encloses every message hop
+	// that survived.
+	netText, alarms := pipelineSession(15)
 	pipe := createSession(t, ts, createRequest{Net: netText})
 	for _, a := range alarms {
 		if code := doJSON(t, "POST", ts.URL+"/v1/sessions/"+pipe.ID+"/alarms",
@@ -217,7 +218,7 @@ func TestTraceEndpoint(t *testing.T) {
 	}
 	file = getTrace(t, ts, pipe.ID)
 	if file.OtherData.DroppedEvents <= 0 {
-		t.Fatalf("otherData.droppedEvents = %d after 12 pipeline appends, want > 0", file.OtherData.DroppedEvents)
+		t.Fatalf("otherData.droppedEvents = %d after 15 pipeline appends, want > 0", file.OtherData.DroppedEvents)
 	}
 	lastEnd, lastFlow := int64(-1), int64(-1)
 	for _, e := range file.TraceEvents {
@@ -285,11 +286,12 @@ func getTrace(t *testing.T, ts *httptest.Server, id string) traceFile {
 	return file
 }
 
-// pipelineSession is the net and the one-alarm appends of the pipeline
-// traffic: gen.Pipeline(6, 2) and 12 alarms of seed 1.
-func pipelineSession() (netText string, alarms []string) {
+// pipelineSession is the net and the first n one-alarm appends of the
+// pipeline traffic: gen.Pipeline(6, 2) and alarms of seed 1. The traffic
+// makes 12.
+func pipelineSession(n int) (netText string, alarms []string) {
 	pn := gen.Pipeline(6, 2)
-	seq := gen.PipelineSeq(pn, rand.New(rand.NewSource(1)), 12)
+	seq := gen.PipelineSeq(pn, rand.New(rand.NewSource(1)), n)
 	for i := range seq {
 		alarms = append(alarms, parser.FormatAlarms(seq[i:i+1]))
 	}
@@ -301,16 +303,16 @@ func pipelineSession() (netText string, alarms []string) {
 // lower it.
 func TestDroppedEventsSeriesMonotone(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
-	netText, alarms := pipelineSession()
+	netText, alarms := pipelineSession(15) // outgrows the ring by about 2 900 events
 	sess := createSession(t, ts, createRequest{Net: netText})
-	for _, a := range alarms[:8] { // the eighth outgrows the ring
+	for _, a := range alarms {
 		if code, body := rawDo(t, "POST", ts.URL+"/v1/sessions/"+sess.ID+"/alarms", `{"alarms": "`+a+`"}`); code != http.StatusOK {
 			t.Fatalf("append %q: status %d %s", a, code, body)
 		}
 	}
 	before := metricValue(t, ts, "trace_events_dropped_total")
 	if before <= 0 {
-		t.Fatalf("trace_events_dropped_total = %d after eight pipeline appends, want > 0", before)
+		t.Fatalf("trace_events_dropped_total = %d after 15 pipeline appends, want > 0", before)
 	}
 	if code, _ := rawDo(t, "DELETE", ts.URL+"/v1/sessions/"+sess.ID, ""); code != http.StatusNoContent {
 		t.Fatalf("delete: status %d", code)
@@ -325,7 +327,7 @@ func TestDroppedEventsSeriesMonotone(t *testing.T) {
 // one-alarm appends allocates at most 1.2x what the same net, create and
 // appends allocate on a core.Incremental with no tracer.
 func TestServedSessionAllocations(t *testing.T) {
-	netText, alarms := pipelineSession()
+	netText, alarms := pipelineSession(12)
 	var seqs []alarm.Seq
 	for _, a := range alarms {
 		seq, err := core.ParseAlarms(a)

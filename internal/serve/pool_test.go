@@ -444,7 +444,7 @@ func TestPoolPoisonSurvivesWorkerKill(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	createBody := `{"net": ` + netJSON + `, "engine": "dqsq", "max_facts": 120}`
+	createBody := `{"net": ` + netJSON + `, "engine": "dqsq", "max_facts": 300}`
 	_, pBody := rawDo(t, "POST", pooled.URL+"/v1/sessions", createBody)
 	_, lBody := rawDo(t, "POST", local.URL+"/v1/sessions", createBody)
 	pID, lID := extractID(t, pBody), extractID(t, lBody)
