@@ -14,6 +14,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"sort"
 	"strings"
@@ -45,82 +46,92 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	store := term.NewStore()
 	budget := datalog.Budget{MaxFacts: *maxFacts, MaxTermDepth: *maxDepth}
+	if err := run(os.Stdout, string(src), *queryStr, *strategy, budget, *timeout); err != nil {
+		fatal(err)
+	}
+}
 
-	relName, peer, args, err := parser.Query(*queryStr, store)
+// run evaluates the query against the program source with one strategy
+// and prints the answers and statistics to w.
+func run(w io.Writer, src, query, strategy string, budget datalog.Budget, timeout time.Duration) error {
+	store := term.NewStore()
+	relName, peer, args, err := parser.Query(query, store)
 	if err != nil {
-		fatal(fmt.Errorf("query: %w", err))
+		return fmt.Errorf("query: %w", err)
 	}
 
 	start := time.Now()
-	switch *strategy {
+	switch strategy {
 	case "naive", "seminaive", "qsq", "magic":
-		p, err := parser.Program(string(src), store)
+		p, err := parser.Program(src, store)
 		if err != nil {
-			fatal(err)
+			return err
 		}
 		if peer != "" {
-			fatal(fmt.Errorf("located query %s@%s against a centralized program", relName, peer))
+			return fmt.Errorf("located query %s@%s against a centralized program", relName, peer)
 		}
 		q := datalog.Atom{Rel: relName, Args: args}
 		var rows [][]term.ID
 		var st datalog.Stats
-		switch *strategy {
-		case "naive":
-			db, s := p.Naive(budget)
-			rows, st = datalog.Answers(db, store, q), s
-		case "seminaive":
-			db, s := p.SemiNaive(budget)
+		switch strategy {
+		case "naive", "seminaive":
+			if err := p.CheckQuery(q); err != nil {
+				return err
+			}
+			eval := p.SemiNaive
+			if strategy == "naive" {
+				eval = p.Naive
+			}
+			db, s := eval(budget)
 			rows, st = datalog.Answers(db, store, q), s
 		case "qsq":
 			rows, _, st, err = qsq.Run(p, q, budget)
-			if err != nil {
-				fatal(err)
-			}
 		case "magic":
 			rows, _, st, err = magic.Run(p, q, budget)
-			if err != nil {
-				fatal(err)
-			}
 		}
-		printRows(store, rows)
-		fmt.Printf("derived=%d seeded=%d iterations=%d truncated=%v elapsed=%s\n",
+		if err != nil {
+			return err
+		}
+		printRows(w, store, rows)
+		fmt.Fprintf(w, "derived=%d seeded=%d iterations=%d truncated=%v elapsed=%s\n",
 			st.Derived, st.Seeded, st.Iterations, st.Truncated, time.Since(start).Round(time.Microsecond))
 	case "dnaive", "dqsq":
-		p, err := parser.DistProgram(string(src), store)
+		p, err := parser.DistProgram(src, store)
 		if err != nil {
-			fatal(err)
+			return err
 		}
 		if peer == "" {
-			fatal(fmt.Errorf("distributed query needs a peer: R@peer(...)"))
+			return fmt.Errorf("distributed query needs a peer: R@peer(...)")
 		}
 		q := ddatalog.PAtom{Rel: relName, Peer: peer, Args: args}
-		if *strategy == "dnaive" {
-			res, _, err := ddatalog.Run(p, q, budget, *timeout)
+		var (
+			rows [][]term.ID
+			st   ddatalog.Stats
+		)
+		if strategy == "dnaive" {
+			res, _, err := ddatalog.Run(p, q, budget, timeout)
 			if err != nil {
-				fatal(err)
+				return err
 			}
-			printRows(res.Store, res.Answers)
-			fmt.Printf("derived=%d replicated=%d messages=%d elapsed=%s\n",
-				res.Stats.Derived, res.Stats.Replicated, res.Stats.Net.MessagesSent,
-				time.Since(start).Round(time.Microsecond))
+			rows, st, store = res.Answers, res.Stats, res.Store
 		} else {
-			res, err := dqsq.Run(p, q, budget, *timeout)
+			res, err := dqsq.Run(p, q, budget, timeout)
 			if err != nil {
-				fatal(err)
+				return err
 			}
-			printRows(res.Store, res.Answers)
-			fmt.Printf("derived=%d replicated=%d messages=%d elapsed=%s\n",
-				res.Stats.Derived, res.Stats.Replicated, res.Stats.Net.MessagesSent,
-				time.Since(start).Round(time.Microsecond))
+			rows, st, store = res.Answers, res.Stats, res.Store
 		}
+		printRows(w, store, rows)
+		fmt.Fprintf(w, "derived=%d replicated=%d messages=%d elapsed=%s\n",
+			st.Derived, st.Replicated, st.Net.MessagesSent, time.Since(start).Round(time.Microsecond))
 	default:
-		fatal(fmt.Errorf("unknown strategy %q", *strategy))
+		return fmt.Errorf("unknown strategy %q", strategy)
 	}
+	return nil
 }
 
-func printRows(store *term.Store, rows [][]term.ID) {
+func printRows(w io.Writer, store *term.Store, rows [][]term.ID) {
 	lines := make([]string, 0, len(rows))
 	for _, r := range rows {
 		parts := make([]string, len(r))
@@ -131,9 +142,9 @@ func printRows(store *term.Store, rows [][]term.ID) {
 	}
 	sort.Strings(lines)
 	for _, l := range lines {
-		fmt.Println(l)
+		fmt.Fprintln(w, l)
 	}
-	fmt.Printf("%d answer(s)\n", len(lines))
+	fmt.Fprintf(w, "%d answer(s)\n", len(lines))
 }
 
 func fatal(err error) {

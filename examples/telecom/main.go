@@ -34,8 +34,9 @@ func main() {
 
 	// Simulate the fault: line 1 fails, switch overloads, line 1 resets.
 	// The supervisor's channel scrambles cross-peer order (per-peer order
-	// is preserved — the asynchronous model of Section 2).
-	rng := rand.New(rand.NewSource(time.Now().UnixNano()%1000 + 1))
+	// is preserved — the asynchronous model of Section 2). The seed is
+	// fixed so that every run shows the same interleaving.
+	rng := rand.New(rand.NewSource(1))
 	perPeer := map[petri.Peer][]petri.Alarm{
 		"line1":  {"fail", "reset"},
 		"switch": {"overload"},

@@ -57,6 +57,20 @@ func (p *Program) Validate() error {
 	return nil
 }
 
+// CheckQuery reports a query atom whose arity differs from the one p uses
+// its relation with. A relation p never mentions has no arity to differ
+// from: it simply has no answers.
+func (p *Program) CheckQuery(q Atom) error {
+	ar, err := p.Arities()
+	if err != nil {
+		return err
+	}
+	if n, ok := ar[q.Rel]; ok && n != len(q.Args) {
+		return fmt.Errorf("datalog: query %s has %d arguments, but %s has arity %d", q.String(p.Store), len(q.Args), q.Rel, n)
+	}
+	return nil
+}
+
 // Depends returns the dependency graph of the program's relations: edges
 // from each head relation to every relation in the same rule's body. Used
 // for reachability pruning and for documentation dumps.

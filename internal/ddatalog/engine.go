@@ -774,6 +774,9 @@ func (e *Engine) Rules(id dist.PeerID) []*datalog.CompiledRule {
 
 // Run is the one-call convenience wrapper: build an engine and evaluate q.
 func Run(prog *Program, q PAtom, budget datalog.Budget, timeout time.Duration) (*Result, *Engine, error) {
+	if err := prog.CheckQuery(q); err != nil {
+		return nil, nil, err
+	}
 	e, err := NewEngine(prog, budget)
 	if err != nil {
 		return nil, nil, err

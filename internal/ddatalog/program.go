@@ -235,3 +235,8 @@ func (p *Program) Global() *datalog.Program {
 func (p *Program) Validate() error {
 	return p.Localize().Validate()
 }
+
+// CheckQuery is datalog.Program.CheckQuery on the localized program.
+func (p *Program) CheckQuery(q PAtom) error {
+	return p.Localize().CheckQuery(q.localize())
+}

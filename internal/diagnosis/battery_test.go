@@ -29,10 +29,7 @@ func centralizedDiagnosis(t *testing.T, rewriter string) Diagnoses {
 	}
 	local := prog.Localize()
 	s := local.Store
-	q := datalog.Atom{
-		Rel:  query.Qualified(),
-		Args: []term.ID{s.Variable("Z"), s.Variable("X")},
-	}
+	q := datalog.Atom{Rel: query.Qualified(), Args: query.Args}
 	var rows [][]term.ID
 	switch rewriter {
 	case "qsq":
@@ -78,8 +75,7 @@ func TestBatteryTerminationWithoutDepthBound(t *testing.T) {
 		t.Fatal(err)
 	}
 	local := prog.Localize()
-	s := local.Store
-	q := datalog.Atom{Rel: query.Qualified(), Args: []term.ID{s.Variable("Z"), s.Variable("X")}}
+	q := datalog.Atom{Rel: query.Qualified(), Args: query.Args}
 	_, _, st, err := qsq.Run(local, q, datalog.Budget{})
 	if err != nil {
 		t.Fatal(err)

@@ -29,9 +29,9 @@ import (
 //     must not change as alarms arrive. Peers that never emit keep their
 //     index column pinned at position 0 by an inert extension rule.
 //
-//   - The completion query stands: q(z, i_1…i_k, x) :- configPrefixes(z,
-//     w, y, i_1…i_k), transInConf(z, x) is asked once, with every argument
-//     free, when the net's template is built. An append only injects its
+//   - The completion query stands: q(z, i_1…i_k) :- configPrefixes(z, w,
+//     y, i_1…i_k), cut(z, m) is asked once, with every argument free, when
+//     the net's template is built. An append only injects its
 //     alarmSeq facts: semi-naive deltas extend the configurations whose
 //     index reached the alarm's position, and nothing is rewritten or
 //     installed. The diagnoses after n alarms are the standing answers

@@ -7,22 +7,28 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/alarm"
 	"repro/internal/datalog"
 	"repro/internal/ddatalog"
+	"repro/internal/dqsq"
 	"repro/internal/gen"
 	"repro/internal/petri"
 	"repro/internal/rel"
 )
 
-// TestWorkLedger pins the engine's work on three streams, exactly: the
-// facts the net's template derived when it was primed, the facts derived
-// and the messages sent by each one-alarm append, and at
-// the end of each stream the tuples the session added to its template by
+// TestWorkLedger pins the engine's work on four streams and one pattern,
+// exactly: the facts the net's template derived when it was primed, the
+// facts derived and the messages sent by each one-alarm append, and at the
+// end of each stream the tuples the session added to its template by
 // relation family, the unfolding nodes it materialized and its diagnosis
-// count. These counts are deterministic, so a change that moves the
-// engine's work shows as a diff of testdata/work_ledger.golden (rewrite it
-// with -update and explain the diff). Times and allocations are not
-// exact and are not here.
+// count. The 45-alarm stream also records its growth: the facts derived
+// and the unfolding nodes added over its first and its last third of
+// appends. The Section 4.4 pattern a·(b·a)*@p2 on Fig. 1 is one batch dQSQ
+// evaluation under the depth gadget: its derived facts, messages, tuples
+// by family and diagnoses. These counts are deterministic, so a change
+// that moves the engine's work shows as a diff of
+// testdata/work_ledger.golden (rewrite it with -update and explain the
+// diff). Times and allocations are not exact and are not here.
 func TestWorkLedger(t *testing.T) {
 	pipeline, telecom := gen.Pipeline(6, 2), gen.Telecom(3)
 	var b strings.Builder
@@ -30,13 +36,16 @@ func TestWorkLedger(t *testing.T) {
 		{"fig1 b a c", petri.Example(), seqA1},
 		{"pipeline(6,2) x12 seed 1", pipeline, gen.PipelineSeq(pipeline, rand.New(rand.NewSource(1)), 12)},
 		{"telecom(3) x6 seed 1", telecom, gen.TelecomSeq(telecom, rand.New(rand.NewSource(1)), 6)},
+		{"pipeline(6,2) x45 seed 1", pipeline, gen.PipelineSeq(pipeline, rand.New(rand.NewSource(1)), 45)},
 	} {
 		ledgerStream(t, &b, tc)
 	}
+	ledgerPattern(t, &b)
 	golden(t, "work_ledger.golden", b.String())
 }
 
-// ledgerStream appends one stream's section of the ledger to b.
+// ledgerStream appends one stream's section of the ledger to b, with the
+// growth lines when the stream has at least 45 appends.
 func ledgerStream(t *testing.T, b *strings.Builder, tc streamCase) {
 	t.Helper()
 	d, err := NewOnlineDiagnoser(tc.pn, datalog.Budget{})
@@ -48,6 +57,10 @@ func ledgerStream(t *testing.T, b *strings.Builder, tc streamCase) {
 	derived, _ := d.Session().Engine().Totals()
 	messages := 0
 	fmt.Fprintf(b, "== %s\ntemplate\tderived\t%d\nappend\talarm\tderived\tmessages\n", tc.name, derived)
+	// cum[i] is the cumulative derived facts and unfolding nodes after i
+	// appends.
+	events, conds := countNodes(d.Session().Engine())
+	cum := [][2]int{{derived, events + conds}}
 	var rep *Report
 	for i := range tc.seq {
 		if rep, err = d.Append(tc.seq[i:i+1], time.Minute); err != nil {
@@ -56,15 +69,60 @@ func ledgerStream(t *testing.T, b *strings.Builder, tc streamCase) {
 		fmt.Fprintf(b, "%d\t%s@%s\t%d\t%d\n", i+1, tc.seq[i].Alarm, tc.seq[i].Peer,
 			rep.Derived-derived, rep.Messages-messages)
 		derived, messages = rep.Derived, rep.Messages
+		cum = append(cum, [2]int{rep.Derived, rep.TransFacts + rep.PlaceFacts})
 	}
+	ledgerTuples(b, d.Session().Engine(), d.tmpl.sess.Engine())
+	fmt.Fprintf(b, "nodes\tevents\t%d\nnodes\tconditions\t%d\ndiagnoses\t%d\n",
+		rep.TransFacts, rep.PlaceFacts, len(rep.Diagnoses))
+	if n := len(tc.seq); n >= 45 {
+		fmt.Fprintf(b, "growth\tthird\tderived\tnodes\n")
+		for _, third := range []struct {
+			name     string
+			from, to int
+		}{{"first", 0, n / 3}, {"last", n - n/3, n}} {
+			fmt.Fprintf(b, "growth\t%s\t%d\t%d\n", third.name,
+				cum[third.to][0]-cum[third.from][0], cum[third.to][1]-cum[third.from][1])
+		}
+	}
+	b.WriteString("\n")
+}
+
+// ledgerPattern appends the pattern section of the ledger to b: Fig. 1
+// under a·(b·a)*@p2, the Section 4.4 pattern program evaluated by dQSQ
+// with the depth gadget at 14.
+func ledgerPattern(t *testing.T, b *strings.Builder) {
+	t.Helper()
+	padded, err := petri.Pad2(petri.Example())
+	if err != nil {
+		t.Fatal(err)
+	}
+	pat := alarm.Concat(alarm.Sym("a", "p2"),
+		alarm.Star(alarm.Concat(alarm.Sym("b", "p2"), alarm.Sym("a", "p2"))))
+	prog, query, err := BuildPatternProgram(padded, pat.Compile())
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := dqsq.Run(prog, query, datalog.Budget{MaxTermDepth: 14}, time.Minute)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fmt.Fprintf(b, "== fig1 pattern a.(b.a)*@p2 depth 14\nderived\t%d\nmessages\t%d\n",
+		res.Stats.Derived, res.Stats.Net.MessagesSent)
+	ledgerTuples(b, res.Engine, nil)
+	fmt.Fprintf(b, "diagnoses\t%d\n", len(ExtractDiagnoses(res.Store, res.Answers, true)))
+}
+
+// ledgerTuples writes the tuples eng holds past base (none when base is
+// nil) by relation family.
+func ledgerTuples(b *strings.Builder, eng, base *ddatalog.Engine) {
 	tuples := map[string]int{}
-	eng, tmpl := d.Session().Engine(), d.tmpl.sess.Engine()
 	for _, id := range eng.Peers() {
-		base := tmpl.PeerDB(id)
 		eng.PeerDB(id).Each(func(name rel.Name, r *rel.Relation) {
 			n := r.Len()
-			if br := base.Lookup(name); br != nil {
-				n -= br.Len()
+			if base != nil {
+				if br := base.PeerDB(id).Lookup(name); br != nil {
+					n -= br.Len()
+				}
 			}
 			tuples[family(name)] += n
 			tuples["total"] += n
@@ -73,8 +131,6 @@ func ledgerStream(t *testing.T, b *strings.Builder, tc streamCase) {
 	for _, f := range []string{RelTrans, RelPlaces, RelCut, RelCo, "sup", "other", "total"} {
 		fmt.Fprintf(b, "tuples\t%s\t%d\n", f, tuples[f])
 	}
-	fmt.Fprintf(b, "nodes\tevents\t%d\nnodes\tconditions\t%d\ndiagnoses\t%d\n\n",
-		rep.TransFacts, rep.PlaceFacts, len(rep.Diagnoses))
 }
 
 // family names the ledger family of a stored relation: trans, places,

@@ -5,8 +5,8 @@ import (
 
 	"repro/internal/alarm"
 	"repro/internal/ddatalog"
-	"repro/internal/dist"
 	"repro/internal/petri"
+	"repro/internal/term"
 )
 
 // stateConst names the automaton-state constant of NFA state q.
@@ -28,64 +28,51 @@ const RelAccept = "accept"
 // the configuration id h(z, x) grows by one level per explained alarm, so
 // a depth bound caps the number of alarms an explanation may use.
 func BuildPatternProgram(pn *petri.PetriNet, nfa *alarm.NFA) (*ddatalog.Program, ddatalog.PAtom, error) {
-	p, err := BuildUnfoldingProgram(pn)
-	if err != nil {
-		return nil, ddatalog.PAtom{}, err
-	}
-	s := p.Store
-	for _, peer := range pn.Net.Peers() {
-		if dist.PeerID(peer) == SupervisorPeer {
-			return nil, ddatalog.PAtom{}, fmt.Errorf("diagnosis: peer name %q collides with the supervisor", peer)
-		}
-	}
-	addPetriNetFacts(pn, p)
-
-	// Automaton edges and accepting states.
-	edgePeers := map[petri.Peer]bool{}
-	for _, e := range nfa.Edges {
-		p.AddFact(ddatalog.At(RelAlarmSeq, SupervisorPeer,
-			s.Constant(stateConst(e.From)),
-			s.Constant(string(e.Obs.Alarm)),
-			s.Constant(string(e.Obs.Peer)),
-			s.Constant(stateConst(e.To)),
-		))
-		edgePeers[e.Obs.Peer] = true
-	}
-	for q := range nfa.Accept {
-		p.AddFact(ddatalog.At(RelAccept, SupervisorPeer, s.Constant(stateConst(q))))
-	}
-
-	// Initial configuration at the automaton's start state.
-	r := s.Constant(RootConst)
-	hr := s.Compound("h", r)
-	p.AddFact(ddatalog.At(RelConfigPrefixes, SupervisorPeer, hr, hr, r, s.Constant(stateConst(0))))
-
 	// Extension rules: one per peer with automaton edges; the index column
 	// is the automaton state, advanced through alarmSeq.
+	edgePeers := map[petri.Peer]bool{}
+	for _, e := range nfa.Edges {
+		edgePeers[e.Obs.Peer] = true
+	}
 	var peers []petri.Peer
 	for _, peer := range pn.Net.Peers() {
 		if edgePeers[peer] {
 			peers = append(peers, peer)
 		}
 	}
-	addExtensionRules(pn, p, peers, 1, false)
-	if hasSilentTransitions(pn) {
-		addExtensionRules(pn, p, peers, 1, true)
+	p, err := buildSupervisor(pn, peers, func(p *ddatalog.Program) []term.ID {
+		// Automaton edges and accepting states; the initial configuration
+		// sits at the automaton's start state.
+		s := p.Store
+		for _, e := range nfa.Edges {
+			p.AddFact(ddatalog.At(RelAlarmSeq, SupervisorPeer,
+				s.Constant(stateConst(e.From)),
+				s.Constant(string(e.Obs.Alarm)),
+				s.Constant(string(e.Obs.Peer)),
+				s.Constant(stateConst(e.To)),
+			))
+		}
+		for q := range nfa.Accept {
+			p.AddFact(ddatalog.At(RelAccept, SupervisorPeer, s.Constant(stateConst(q))))
+		}
+		return []term.ID{s.Constant(stateConst(0))}
+	})
+	if err != nil {
+		return nil, ddatalog.PAtom{}, err
 	}
-	addMembershipRules(p, 1)
+	s := p.Store
 
-	// q(z, x) :- configPrefixes(z, w, y, Q), accept(Q), cut(z, m), transInConf(z, x).
-	z, w, y, x, q := s.Variable("Qz"), s.Variable("Qw"), s.Variable("Qy"), s.Variable("Qx"), s.Variable("Qq")
+	// q(z) :- configPrefixes(z, w, y, Q), accept(Q), cut(z, m).
+	z, w, y, q := s.Variable("Qz"), s.Variable("Qw"), s.Variable("Qy"), s.Variable("Qq")
 	p.AddRule(ddatalog.PRule{
-		Head: ddatalog.At(RelQuery, SupervisorPeer, z, x),
+		Head: ddatalog.At(RelQuery, SupervisorPeer, z),
 		Body: []ddatalog.PAtom{
 			ddatalog.At(RelConfigPrefixes, SupervisorPeer, z, w, y, q),
 			ddatalog.At(RelAccept, SupervisorPeer, q),
 			cutAtom(s, z),
-			ddatalog.At(RelTransInConf, SupervisorPeer, z, x),
 		},
 	})
-	query := ddatalog.At(RelQuery, SupervisorPeer, s.Variable("AnsZ"), s.Variable("AnsX"))
+	query := ddatalog.At(RelQuery, SupervisorPeer, s.Variable("AnsZ"))
 	return p, query, nil
 }
 

@@ -23,9 +23,8 @@ const (
 	RelPetriNetSilent = "petriNetSilent" // silent transitions (Section 4.4 hidden extension)
 	RelAlarmSeq       = "alarmSeq"       // alarmSeq(i, a, p, i'): automaton edge / sequence position
 	RelConfigPrefixes = "configPrefixes" // configPrefixes(id, parent, event, index...)
-	RelTransInConf    = "transInConf"    // transInConf(id, event)
 	RelCut            = "cut"            // cut(id, condition): produced by id, not yet consumed
-	RelQuery          = "q"              // q(id, event): complete explanations
+	RelQuery          = "q"              // q(id): complete explanations
 )
 
 // idxConst names the alarm-position constant c_i of peer p.
@@ -36,58 +35,90 @@ func idxConst(p petri.Peer, i int) string {
 // BuildDiagnosisProgram generates P_A(N, M, A): the unfolding program
 // Prog(N, M) plus the supervisor rules of Section 4.2 with the k-ary index
 // for multiple peers. It returns the program and the located query atom
-// q@p0(Z, X) whose answers pair configuration ids with their member
-// events. The net must be 2-parent and every alarm-emitting peer of the
-// sequence must exist in the net.
+// q@p0(Z) whose answers are the ids of the configurations explaining the
+// sequence (ExtractDiagnoses reads their events off the ids). The net must
+// be 2-parent and every alarm-emitting peer of the sequence must exist in
+// the net.
 //
 // Hidden transitions (alarm = petri.Silent) are supported as in Section
 // 4.4: they are listed in petriNetSilent and may extend a configuration
 // without consuming an alarm position. If the net has silent cycles, use a
 // term-depth budget when evaluating.
 func BuildDiagnosisProgram(pn *petri.PetriNet, seq alarm.Seq) (*ddatalog.Program, ddatalog.PAtom, error) {
-	p, err := BuildUnfoldingProgram(pn)
-	if err != nil {
-		return nil, ddatalog.PAtom{}, err
-	}
-	s := p.Store
-	for _, peer := range pn.Net.Peers() {
-		if dist.PeerID(peer) == SupervisorPeer {
-			return nil, ddatalog.PAtom{}, fmt.Errorf("diagnosis: peer name %q collides with the supervisor", peer)
-		}
-	}
 	for _, o := range seq {
 		if !hasPeer(pn, o.Peer) {
 			return nil, ddatalog.PAtom{}, fmt.Errorf("diagnosis: alarm from unknown peer %q", o.Peer)
 		}
 	}
-
-	addPetriNetFacts(pn, p)
-
-	// Per-peer subsequences and their position constants.
 	per := seq.PerPeer()
 	peers := seq.Peers() // sorted; defines the k-ary index order
-	k := len(peers)
+	p, err := buildSupervisor(pn, peers, func(p *ddatalog.Program) []term.ID {
+		// alarmSeq facts: one linear chain per peer.
+		s := p.Store
+		var start []term.ID
+		for _, peer := range peers {
+			for i, a := range per[peer] {
+				p.AddFact(ddatalog.At(RelAlarmSeq, SupervisorPeer,
+					s.Constant(idxConst(peer, i)),
+					s.Constant(string(a)),
+					s.Constant(string(peer)),
+					s.Constant(idxConst(peer, i+1)),
+				))
+			}
+			start = append(start, s.Constant(idxConst(peer, 0)))
+		}
+		return start
+	})
+	if err != nil {
+		return nil, ddatalog.PAtom{}, err
+	}
+	s := p.Store
 
-	// alarmSeq facts: one linear chain per peer.
+	// q(z) :- configPrefixes(z, w, y, cfinal...), cut(z, m).
+	// The cut atom asks for the final configurations' cut, which holds the
+	// postset of their last event (see cutAtom).
+	z, w, y := s.Variable("Qz"), s.Variable("Qw"), s.Variable("Qy")
+	final := []term.ID{z, w, y}
 	for _, peer := range peers {
-		sub := per[peer]
-		for i, a := range sub {
-			p.AddFact(ddatalog.At(RelAlarmSeq, SupervisorPeer,
-				s.Constant(idxConst(peer, i)),
-				s.Constant(string(a)),
-				s.Constant(string(peer)),
-				s.Constant(idxConst(peer, i+1)),
-			))
+		final = append(final, s.Constant(idxConst(peer, len(per[peer]))))
+	}
+	p.AddRule(ddatalog.PRule{
+		Head: ddatalog.At(RelQuery, SupervisorPeer, z),
+		Body: []ddatalog.PAtom{
+			{Rel: RelConfigPrefixes, Peer: SupervisorPeer, Args: final},
+			cutAtom(s, z),
+		},
+	})
+
+	query := ddatalog.At(RelQuery, SupervisorPeer, s.Variable("AnsZ"))
+	return p, query, nil
+}
+
+// buildSupervisor generates what every supervisor program shares: Prog(N,M)
+// — refusing a net with a peer named like the supervisor — the petriNet
+// facts, the initial configuration configPrefixes(h(r), h(r), r,
+// start...), the observable and silent extension rules of the index peers
+// and the membership rules. index adds the caller's own facts (the alarm
+// sequence or the automaton) and returns start, whose length is the
+// index's arity k; peers are the peers with observable extension rules.
+func buildSupervisor(pn *petri.PetriNet, peers []petri.Peer, index func(*ddatalog.Program) []term.ID) (*ddatalog.Program, error) {
+	p, err := BuildUnfoldingProgram(pn)
+	if err != nil {
+		return nil, err
+	}
+	for _, peer := range pn.Net.Peers() {
+		if dist.PeerID(peer) == SupervisorPeer {
+			return nil, fmt.Errorf("diagnosis: peer name %q collides with the supervisor", peer)
 		}
 	}
+	addPetriNetFacts(pn, p)
+	start := index(p)
+	k := len(start)
 
-	// Initial configuration: configPrefixes(h(r), h(r), r, c0...).
-	r := s.Constant(RootConst)
-	hr := s.Compound("h", r)
-	init := []term.ID{hr, hr, r}
-	for _, peer := range peers {
-		init = append(init, s.Constant(idxConst(peer, 0)))
-	}
+	// Initial configuration: configPrefixes(h(r), h(r), r, start...).
+	s := p.Store
+	hr := s.Compound("h", s.Constant(RootConst))
+	init := append([]term.ID{hr, hr, s.Constant(RootConst)}, start...)
 	p.AddFact(ddatalog.PAtom{Rel: RelConfigPrefixes, Peer: SupervisorPeer, Args: init})
 
 	addExtensionRules(pn, p, peers, k, false)
@@ -95,26 +126,7 @@ func BuildDiagnosisProgram(pn *petri.PetriNet, seq alarm.Seq) (*ddatalog.Program
 		addExtensionRules(pn, p, peers, k, true)
 	}
 	addMembershipRules(p, k)
-
-	// q(z, x) :- configPrefixes(z, w, y, cfinal...), cut(z, m), transInConf(z, x).
-	// The cut atom asks for the final configurations' cut, which holds the
-	// postset of their last event (see cutAtom).
-	z, w, y, x := s.Variable("Qz"), s.Variable("Qw"), s.Variable("Qy"), s.Variable("Qx")
-	final := []term.ID{z, w, y}
-	for _, peer := range peers {
-		final = append(final, s.Constant(idxConst(peer, len(per[peer]))))
-	}
-	p.AddRule(ddatalog.PRule{
-		Head: ddatalog.At(RelQuery, SupervisorPeer, z, x),
-		Body: []ddatalog.PAtom{
-			{Rel: RelConfigPrefixes, Peer: SupervisorPeer, Args: final},
-			cutAtom(s, z),
-			ddatalog.At(RelTransInConf, SupervisorPeer, z, x),
-		},
-	})
-
-	query := ddatalog.At(RelQuery, SupervisorPeer, s.Variable("AnsZ"), s.Variable("AnsX"))
-	return p, query, nil
+	return p, nil
 }
 
 func hasPeer(pn *petri.PetriNet, peer petri.Peer) bool {
@@ -202,8 +214,8 @@ func addExtensionRules(pn *petri.PetriNet, p *ddatalog.Program, peers []petri.Pe
 			)
 		}
 		// Both parents must lie in z's cut. A cut condition was produced by
-		// an event of z, so this also proves the paper's two transInConf
-		// guards.
+		// an event of z, so this also proves the paper's guards
+		// transInConf(z, u) and transInConf(z, v).
 		gu := s.Compound("g", u, c1)
 		gv := s.Compound("g", v, c2)
 		body = append(body,
@@ -219,55 +231,41 @@ func addExtensionRules(pn *petri.PetriNet, p *ddatalog.Program, peers []petri.Pe
 	}
 }
 
-// addMembershipRules generates transInConf (Section 4.2) and the cut that
-// replaces the paper's notParent (a deviation, recorded in DESIGN.md).
+// addMembershipRules generates the cut that replaces the paper's notParent
+// (a deviation, recorded in DESIGN.md): the conditions configuration
+// z = w·y has produced and not yet consumed. A safe net's cut has at most
+// |P| members.
+//
+//	cut(z, m) :- configPrefixes(z, w, f(t, u, v), i...), cut(w, m), m != u, m != v.
+//	cut(z, m) :- configPrefixes(z, w, y, i...), places@p(m, y).  (one rule per peer with places)
+//
+// The first carries w's cut forward minus y's parents u and v, which y's
+// term f(t, u, v) names, so it needs no peer's trans. The second adds y's
+// postset, and
+// with the initial configPrefixes(h(r), h(r), r, c0...) it seeds the
+// root's cut with the initial marking. A peer may hold conditions and no
+// events (all the transitions around its places belong to its
+// neighbours): its conditions are no less part of a cut.
 func addMembershipRules(p *ddatalog.Program, k int) {
 	s := p.Store
-	r := s.Constant(RootConst)
-	z, w, y, x, m := s.Variable("Mz"), s.Variable("Mw"), s.Variable("My"), s.Variable("Mx"), s.Variable("Mm")
-	u, v := s.Variable("Mu"), s.Variable("Mv")
+	z, w, y, m := s.Variable("Mz"), s.Variable("Mw"), s.Variable("My"), s.Variable("Mm")
+	t, u, v := s.Variable("Mt"), s.Variable("Mu"), s.Variable("Mv")
 	idx := make([]term.ID, k)
 	for l := 0; l < k; l++ {
 		idx[l] = s.Variable(fmt.Sprintf("Mi%d", l))
 	}
-	prefix := append([]term.ID{z, w, y}, idx...)
-
-	// transInConf(z, x) :- configPrefixes(z, w, x, i...).
 	p.AddRule(ddatalog.PRule{
-		Head: ddatalog.At(RelTransInConf, SupervisorPeer, z, x),
+		Head: ddatalog.At(RelCut, SupervisorPeer, z, m),
 		Body: []ddatalog.PAtom{
-			{Rel: RelConfigPrefixes, Peer: SupervisorPeer, Args: append([]term.ID{z, w, x}, idx...)},
+			{Rel: RelConfigPrefixes, Peer: SupervisorPeer, Args: append([]term.ID{z, w, s.Compound("f", t, u, v)}, idx...)},
+			ddatalog.At(RelCut, SupervisorPeer, w, m),
 		},
+		Neqs: []datalog.Neq{{X: m, Y: u}, {X: m, Y: v}},
 	})
-	// transInConf(z, x) :- configPrefixes(z, w, y, i...), transInConf(w, x).
-	p.AddRule(ddatalog.PRule{
-		Head: ddatalog.At(RelTransInConf, SupervisorPeer, z, x),
-		Body: []ddatalog.PAtom{
-			{Rel: RelConfigPrefixes, Peer: SupervisorPeer, Args: prefix},
-			ddatalog.At(RelTransInConf, SupervisorPeer, w, x),
-		},
-	})
-	// transInConf(h(r), r).
-	p.AddFact(ddatalog.At(RelTransInConf, SupervisorPeer, s.Compound("h", r), r))
 
-	// The cut of configuration z = w·y: the conditions z has produced and
-	// not yet consumed. A safe net's cut has at most |P| members.
-	//   cut(z, m) :- configPrefixes(z, w, y, i...), trans@p(y, u, v),
-	//                m != u, m != v, cut(w, m).  (one rule per peer with events)
-	//   cut(z, m) :- configPrefixes(z, w, y, i...), places@p(m, y).
-	//                                            (one rule per peer with places)
-	// The initial configPrefixes(h(r), h(r), r, c0...) seeds the root's cut
-	// with the initial marking. A peer may hold conditions and no events (all
-	// the transitions around its places belong to its neighbours): its
-	// conditions are no less part of a cut.
-	events := map[dist.PeerID]bool{}
 	peers := map[dist.PeerID]bool{}
 	for _, rule := range p.Rules {
-		switch rule.Head.Rel {
-		case RelTrans:
-			events[rule.Head.Peer] = true
-			peers[rule.Head.Peer] = true
-		case RelPlaces:
+		if rule.Head.Rel == RelPlaces {
 			peers[rule.Head.Peer] = true
 		}
 	}
@@ -281,18 +279,8 @@ func addMembershipRules(p *ddatalog.Program, k int) {
 		peerList = append(peerList, q)
 	}
 	sort.Slice(peerList, func(i, j int) bool { return peerList[i] < peerList[j] })
+	prefix := append([]term.ID{z, w, y}, idx...)
 	for _, q := range peerList {
-		if events[q] {
-			p.AddRule(ddatalog.PRule{
-				Head: ddatalog.At(RelCut, SupervisorPeer, z, m),
-				Body: []ddatalog.PAtom{
-					{Rel: RelConfigPrefixes, Peer: SupervisorPeer, Args: prefix},
-					ddatalog.At(RelTrans, q, y, u, v),
-					ddatalog.At(RelCut, SupervisorPeer, w, m),
-				},
-				Neqs: []datalog.Neq{{X: m, Y: u}, {X: m, Y: v}},
-			})
-		}
 		p.AddRule(ddatalog.PRule{
 			Head: ddatalog.At(RelCut, SupervisorPeer, z, m),
 			Body: []ddatalog.PAtom{
@@ -345,39 +333,26 @@ func StripPads(store *term.Store, t term.ID) string {
 	return render(t)
 }
 
-// ExtractDiagnoses converts q(z, x) answer rows into a diagnosis set:
-// rows are grouped by configuration id z, the virtual root r is dropped,
-// and configurations reached through different interleavings (different
-// ids, same event set) are deduplicated. With stripPads, event names are
-// normalized back to the unpadded net's canonical names.
+// ExtractDiagnoses converts q(z) answer rows into a diagnosis set. A
+// configuration id lists its events: h(z, x) is configuration z extended
+// by event x, down to the root's h(r). Configurations reached through
+// different interleavings (different ids, same event set) are
+// deduplicated. With stripPads, event names are normalized back to the
+// unpadded net's canonical names.
 func ExtractDiagnoses(store *term.Store, rows [][]term.ID, stripPads bool) Diagnoses {
 	render := store.String
 	if stripPads {
 		render = func(t term.ID) string { return StripPads(store, t) }
 	}
-	byID := map[term.ID]map[string]bool{}
-	order := []term.ID{}
-	for _, row := range rows {
-		if len(row) != 2 {
-			continue
-		}
-		z, x := row[0], row[1]
-		if _, ok := byID[z]; !ok {
-			byID[z] = map[string]bool{}
-			order = append(order, z)
-		}
-		name := render(x)
-		if name != RootConst {
-			byID[z][name] = true
-		}
-	}
 	seen := map[string]bool{}
 	var out Diagnoses
-	for _, z := range order {
-		events := byID[z]
-		cfg := make([]string, 0, len(events))
-		for e := range events {
-			cfg = append(cfg, e)
+	for _, row := range rows {
+		if len(row) != 1 {
+			continue
+		}
+		cfg := []string{}
+		for z := row[0]; store.Kind(z) == term.Comp && len(store.Args(z)) == 2; z = store.Args(z)[0] {
+			cfg = append(cfg, render(store.Args(z)[1]))
 		}
 		sort.Strings(cfg)
 		key := strings.Join(cfg, ";")

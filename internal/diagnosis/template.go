@@ -24,9 +24,10 @@ import (
 // rewriting) walks rule bodies, not tuples. A session asks one query for
 // its whole life, the standing query
 //
-//	q(z, i_1…i_k, x) :- configPrefixes(z, w, y, i_1…i_k), cut(z, m), transInConf(z, x)
+//	q(z, i_1…i_k) :- configPrefixes(z, w, y, i_1…i_k), cut(z, m)
 //
-// with every argument free, so everything its evaluation installs is a
+// with every argument free (a configuration id z lists its events, so z
+// alone names a diagnosis). Everything its evaluation installs is thus a
 // function of the net: Prog(N,M), the supervisor's rules, their distributed
 // rewriting, its compiled per-peer form, which relations are active and who
 // subscribes to whom, and what the alarm-free base facts already derive. A
@@ -35,8 +36,8 @@ import (
 // of it.
 //
 // Because no index column is bound, configPrefixes is evaluated under two
-// adornments only — all free, and the id-bound form transInConf and cut ask
-// for — where a query binding the k final positions reaches one per subset
+// adornments only — all free, and the id-bound form the cut asks for —
+// where a query binding the k final positions reaches one per subset
 // of the columns the extension rules free: 2^k.
 
 // template is the frozen per-net state. Nothing writes to it after
@@ -64,53 +65,35 @@ func newTemplate(pn *petri.PetriNet, maxTermDepth int) (*template, error) {
 	if err != nil {
 		return nil, err
 	}
-	for _, peer := range padded.Net.Peers() {
-		if string(peer) == string(SupervisorPeer) {
-			return nil, fmt.Errorf("diagnosis: peer name %q collides with the supervisor", peer)
+	peers := indexPeers(padded)
+	p, err := buildSupervisor(padded, peers, func(p *ddatalog.Program) []term.ID {
+		start := make([]term.ID, len(peers))
+		for l, peer := range peers {
+			start[l] = p.Store.Constant(idxConst(peer, 0))
 		}
-	}
-	p, err := BuildUnfoldingProgram(padded)
+		return start
+	})
 	if err != nil {
 		return nil, err
 	}
 	s := p.Store
-	addPetriNetFacts(padded, p)
 
-	peers := indexPeers(padded)
-	k := len(peers)
-
-	// Initial configuration: configPrefixes(h(r), h(r), r, c0...).
-	r := s.Constant(RootConst)
-	hr := s.Compound("h", r)
-	init := []term.ID{hr, hr, r}
-	for _, peer := range peers {
-		init = append(init, s.Constant(idxConst(peer, 0)))
-	}
-	p.AddFact(ddatalog.PAtom{Rel: RelConfigPrefixes, Peer: SupervisorPeer, Args: init})
-
-	addExtensionRules(padded, p, peers, k, false)
-	if hasSilentTransitions(padded) {
-		addExtensionRules(padded, p, peers, k, true)
-	}
-	addMembershipRules(p, k)
-
-	// The standing query, q(z, i_1…i_k, x) :- configPrefixes(z, w, y,
-	// i_1…i_k), cut(z, m), transInConf(z, x).
-	z, w, y, x := s.Variable("Qz"), s.Variable("Qw"), s.Variable("Qy"), s.Variable("Qx")
+	// The standing query, q(z, i_1…i_k) :- configPrefixes(z, w, y,
+	// i_1…i_k), cut(z, m).
+	z, w, y := s.Variable("Qz"), s.Variable("Qw"), s.Variable("Qy")
 	prefix := []term.ID{z, w, y}
 	head := []term.ID{z}
-	for l := 0; l < k; l++ {
+	for l := range peers {
 		i := s.Variable(fmt.Sprintf("Qi%d", l))
 		prefix = append(prefix, i)
 		head = append(head, i)
 	}
-	q := ddatalog.PAtom{Rel: RelQuery, Peer: SupervisorPeer, Args: append(head, x)}
+	q := ddatalog.PAtom{Rel: RelQuery, Peer: SupervisorPeer, Args: head}
 	p.AddRule(ddatalog.PRule{
 		Head: q,
 		Body: []ddatalog.PAtom{
 			{Rel: RelConfigPrefixes, Peer: SupervisorPeer, Args: prefix},
 			cutAtom(s, z),
-			ddatalog.At(RelTransInConf, SupervisorPeer, z, x),
 		},
 	})
 
@@ -125,7 +108,7 @@ func newTemplate(pn *petri.PetriNet, maxTermDepth int) (*template, error) {
 }
 
 // answers is the atom that reads, off the standing query, the diagnoses
-// after the alarms counted so far: q(AnsZ, final..., AnsX), where final
+// after the alarms counted so far: q(AnsZ, final...), where final
 // holds, per index peer, the position after the counts[peer] alarms it has
 // emitted.
 func answers(s *term.Store, peers []petri.Peer, counts map[petri.Peer]int) ddatalog.PAtom {
@@ -133,7 +116,7 @@ func answers(s *term.Store, peers []petri.Peer, counts map[petri.Peer]int) ddata
 	for _, peer := range peers {
 		args = append(args, s.Constant(idxConst(peer, counts[peer])))
 	}
-	return ddatalog.PAtom{Rel: RelQuery, Peer: SupervisorPeer, Args: append(args, s.Variable("AnsX"))}
+	return ddatalog.PAtom{Rel: RelQuery, Peer: SupervisorPeer, Args: args}
 }
 
 // session clones the template into a diagnoser for pn (the net the

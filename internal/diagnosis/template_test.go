@@ -269,9 +269,9 @@ const cloneBytesBound = 2 << 20
 
 // templateRules is the number of compiled rules the Pipeline(6,2) template
 // hosts across its peers with the standing query, whose configPrefixes
-// index is free: 2 561 (9 084 when every append's query bound the six index
+// index is free: 2 506 (9 084 when every append's query bound the six index
 // columns and configPrefixes met 2^6 adornments).
-const templateRules = 2561
+const templateRules = 2506
 
 // TestAppendsInstallNothing: on a net whose template is cached, a session's
 // appends — its first as much as its second — rewrite no adornment and

@@ -88,6 +88,9 @@ func RewritePlaced(prog *ddatalog.Program, q ddatalog.PAtom, place Placement) (*
 	if err := prog.Validate(); err != nil {
 		return nil, err
 	}
+	if err := prog.CheckQuery(q); err != nil {
+		return nil, err
+	}
 	s := prog.Store
 
 	out := ddatalog.NewProgram(s)

@@ -312,6 +312,9 @@ func (s *OnlineSession) Program() *ddatalog.Program { return s.prog }
 // the same answers as Run (Theorem 1 extends: the installed program is
 // identical, only its arrival order differs) plus the rewriting trace.
 func RunOnline(prog *ddatalog.Program, q ddatalog.PAtom, budget datalog.Budget, timeout time.Duration) (*Result, *OnlineTrace, error) {
+	if err := prog.CheckQuery(q); err != nil {
+		return nil, nil, err
+	}
 	sess, err := NewOnlineSession(prog, budget)
 	if err != nil {
 		return nil, nil, err

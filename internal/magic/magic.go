@@ -32,6 +32,9 @@ func Rewrite(p *datalog.Program, q datalog.Atom) (*Rewriting, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
+	if err := p.CheckQuery(q); err != nil {
+		return nil, err
+	}
 	s := p.Store
 	idb := p.IDB()
 

@@ -1,6 +1,6 @@
 #!/usr/bin/env sh
-# Repo verification gate: formatting, vet, full build, full tests, and a
-# race pass over the concurrency-heavy packages (the distributed runtime,
+# Repo verification gate: formatting, vet, full build, full tests, every
+# benchmark and example run once, and a race pass over the concurrency-heavy packages (the distributed runtime,
 # the session server, and the packages whose state the sessions of one net
 # share: the per-net template and what it is cloned from). CI and
 # pre-commit both run this.
@@ -39,6 +39,19 @@ go test ./...
 
 echo "== go test -race ./internal/serve ./internal/dist ./internal/transport ./internal/wire ./internal/snapshot ./internal/wal ./internal/obs ./internal/repl ./internal/pool ./internal/ddatalog ./internal/rel ./internal/dqsq ./internal/datalog ./internal/diagnosis ./internal/core ./internal/term"
 go test -race ./internal/serve ./internal/dist ./internal/transport ./internal/wire ./internal/snapshot ./internal/wal ./internal/obs ./internal/repl ./internal/pool ./internal/ddatalog ./internal/rel ./internal/dqsq ./internal/datalog ./internal/diagnosis ./internal/core ./internal/term
+
+echo "== benchmarks, one iteration each"
+# Plain `go test` compiles the benchmarks but runs none of them; a broken
+# one would otherwise show only when someone times it.
+go test -run '^$' -bench . -benchtime 1x ./...
+
+echo "== examples"
+# Each example must run to completion and exit 0 (examples/online reads
+# the diagnoses off the engine's answers itself).
+for example in ./examples/*/; do
+    echo "-- $example"
+    go run "$example" >/dev/null
+done
 
 echo "== bench module (nested: tier-1 does not compile it)"
 # Deterministic, so it runs before the smokes and timing guards: a
