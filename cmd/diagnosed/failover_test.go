@@ -90,7 +90,7 @@ func TestDiagnosedFailoverSmoke(t *testing.T) {
 	}
 
 	primary := spawn("-addr", pAddr, "-data-dir", filepath.Join(dir, "primary"),
-		"-replicate-listen", replAddr, "-repl-heartbeat", "50ms")
+		"-replicate-listen", replAddr)
 	waitReady(t, pBase)
 	spawn("-addr", fAddr, "-data-dir", filepath.Join(dir, "follower"),
 		"-follow", replAddr, "-repl-heartbeat", "50ms")

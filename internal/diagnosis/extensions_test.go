@@ -220,3 +220,27 @@ func TestDepthBoundMonotone(t *testing.T) {
 		}
 	}
 }
+
+// TestPatternProgramDeterministic: building one pattern program twenty
+// times gives one program text, accepting states included, so the text
+// can be pinned by a golden file or fingerprinted.
+func TestPatternProgramDeterministic(t *testing.T) {
+	padded, err := petri.Pad2(petri.Example())
+	if err != nil {
+		t.Fatal(err)
+	}
+	pat := alarm.Concat(alarm.Sym("a", "p2"),
+		alarm.Star(alarm.Concat(alarm.Sym("b", "p2"), alarm.Sym("a", "p2"))))
+	var first string
+	for i := 0; i < 20; i++ {
+		prog, _, err := BuildPatternProgram(padded, pat.Compile())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if text := prog.Localize().String(); i == 0 {
+			first = text
+		} else if text != first {
+			t.Fatalf("build %d of the a.(b.a)*@p2 program differs from the first", i+1)
+		}
+	}
+}

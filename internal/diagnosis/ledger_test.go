@@ -10,6 +10,7 @@ import (
 	"repro/internal/alarm"
 	"repro/internal/datalog"
 	"repro/internal/ddatalog"
+	"repro/internal/dist"
 	"repro/internal/dqsq"
 	"repro/internal/gen"
 	"repro/internal/petri"
@@ -20,12 +21,13 @@ import (
 // exactly: the facts the net's template derived when it was primed, the
 // facts derived and the messages sent by each one-alarm append, and at the
 // end of each stream the tuples the session added to its template by
-// relation family, the unfolding nodes it materialized and its diagnosis
-// count. The 45-alarm stream also records its growth: the facts derived
+// relation family, the kernels' probes and attempts and the bytes its
+// peers sent (both past what priming the template cost), the unfolding
+// nodes it materialized and its diagnosis count. The 45-alarm stream also records its growth: the facts derived
 // and the unfolding nodes added over its first and its last third of
 // appends. The Section 4.4 pattern a·(b·a)*@p2 on Fig. 1 is one batch dQSQ
 // evaluation under the depth gadget: its derived facts, messages, tuples
-// by family and diagnoses. These counts are deterministic, so a change
+// by family, probes, attempts, bytes and diagnoses. These counts are deterministic, so a change
 // that moves the engine's work shows as a diff of
 // testdata/work_ledger.golden (rewrite it with -update and explain the
 // diff). Times and allocations are not exact and are not here.
@@ -61,17 +63,26 @@ func ledgerStream(t *testing.T, b *strings.Builder, tc streamCase) {
 	// appends.
 	events, conds := countNodes(d.Session().Engine())
 	cum := [][2]int{{derived, events + conds}}
-	var rep *Report
+	var (
+		rep   *Report
+		round dist.Stats
+		bytes int
+	)
+	d.Session().Engine().SetNetFactory(func() dist.Net { return statsNet{dist.NewNetwork(), &round} })
 	for i := range tc.seq {
 		if rep, err = d.Append(tc.seq[i:i+1], time.Minute); err != nil {
 			t.Fatalf("%s: append %d: %v", tc.name, i+1, err)
 		}
+		bytes += sentBytes(round)
 		fmt.Fprintf(b, "%d\t%s@%s\t%d\t%d\n", i+1, tc.seq[i].Alarm, tc.seq[i].Peer,
 			rep.Derived-derived, rep.Messages-messages)
 		derived, messages = rep.Derived, rep.Messages
 		cum = append(cum, [2]int{rep.Derived, rep.TransFacts + rep.PlaceFacts})
 	}
 	ledgerTuples(b, d.Session().Engine(), d.tmpl.sess.Engine())
+	probes, attempts := d.Session().Engine().JoinCounts()
+	primedProbes, primedAttempts := d.tmpl.sess.Engine().JoinCounts()
+	ledgerWork(b, probes-primedProbes, attempts-primedAttempts, bytes)
 	fmt.Fprintf(b, "nodes\tevents\t%d\nnodes\tconditions\t%d\ndiagnoses\t%d\n",
 		rep.TransFacts, rep.PlaceFacts, len(rep.Diagnoses))
 	if n := len(tc.seq); n >= 45 {
@@ -109,7 +120,24 @@ func ledgerPattern(t *testing.T, b *strings.Builder) {
 	fmt.Fprintf(b, "== fig1 pattern a.(b.a)*@p2 depth 14\nderived\t%d\nmessages\t%d\n",
 		res.Stats.Derived, res.Stats.Net.MessagesSent)
 	ledgerTuples(b, res.Engine, nil)
+	probes, attempts := res.Engine.JoinCounts()
+	ledgerWork(b, probes, attempts, sentBytes(res.Stats.Net))
 	fmt.Fprintf(b, "diagnoses\t%d\n", len(ExtractDiagnoses(res.Store, res.Answers, true)))
+}
+
+// ledgerWork writes the join work (stored tuples the kernels probed, body
+// matches they found) and the wire-encoded bytes the peers sent.
+func ledgerWork(b *strings.Builder, probes, attempts, bytes int) {
+	fmt.Fprintf(b, "kernel\tprobes\t%d\nkernel\tattempts\t%d\ndist\tbytes\t%d\n", probes, attempts, bytes)
+}
+
+// sentBytes sums a round's wire-encoded payload bytes over its channels.
+func sentBytes(stats dist.Stats) int {
+	n := 0
+	for _, c := range stats.BytesSentByPair {
+		n += c
+	}
+	return n
 }
 
 // ledgerTuples writes the tuples eng holds past base (none when base is

@@ -2,6 +2,7 @@ package diagnosis
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/alarm"
 	"repro/internal/ddatalog"
@@ -52,7 +53,12 @@ func BuildPatternProgram(pn *petri.PetriNet, nfa *alarm.NFA) (*ddatalog.Program,
 				s.Constant(stateConst(e.To)),
 			))
 		}
+		accept := make([]int, 0, len(nfa.Accept))
 		for q := range nfa.Accept {
+			accept = append(accept, q)
+		}
+		slices.Sort(accept) // map order would make the program text vary by build
+		for _, q := range accept {
 			p.AddFact(ddatalog.At(RelAccept, SupervisorPeer, s.Constant(stateConst(q))))
 		}
 		return []term.ID{s.Constant(stateConst(0))}

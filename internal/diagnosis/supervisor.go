@@ -309,13 +309,6 @@ func cutAtom(s *term.Store, z term.ID) ddatalog.PAtom {
 // net coincide with names on the original net.
 func StripPads(store *term.Store, t term.ID) string {
 	var render func(t term.ID) string
-	isPadCond := func(t term.ID) bool {
-		if store.Kind(t) != term.Comp || store.Name(t) != "g" {
-			return false
-		}
-		args := store.Args(t)
-		return len(args) == 2 && petri.PadPlace(petri.NodeID(store.Name(args[1])))
-	}
 	render = func(t term.ID) string {
 		if store.Kind(t) != term.Comp {
 			return store.Name(t)
@@ -323,7 +316,7 @@ func StripPads(store *term.Store, t term.ID) string {
 		args := store.Args(t)
 		parts := make([]string, 0, len(args))
 		for i, a := range args {
-			if store.Name(t) == "f" && i > 0 && isPadCond(a) {
+			if store.Name(t) == "f" && i > 0 && isPadNode(store, a) {
 				continue
 			}
 			parts = append(parts, render(a))

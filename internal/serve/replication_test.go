@@ -3,13 +3,13 @@ package serve
 import (
 	"context"
 	"fmt"
-	"net"
 	"net/http"
 	"reflect"
 	"testing"
 	"time"
 
 	"repro/internal/repl"
+	"repro/internal/transport"
 	"repro/internal/wal"
 )
 
@@ -25,20 +25,45 @@ func startReplPair(t *testing.T) (ps, fs *Server, pts, fts string, fol *repl.Fol
 func startReplPairWith(t *testing.T, primary StoreConfig) (ps, fs *Server, pts, fts string, fol *repl.Follower) {
 	t.Helper()
 	pServer, pHTTP := newTestServer(t, Config{DataDir: t.TempDir(), Store: primary})
-	prim := repl.NewPrimary(pServer.WALLog(), repl.PrimaryOptions{Heartbeat: 50 * time.Millisecond, Metrics: pServer.Metrics()})
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	addr := startPrimary(t, pServer, repl.PrimaryOptions{Metrics: pServer.Metrics()})
+
+	fServer, fHTTP := newTestServer(t, Config{DataDir: t.TempDir(), ReadOnly: true})
+	f := startFollower(t, fServer, addr, repl.FollowerOptions{Heartbeat: 50 * time.Millisecond, Metrics: fServer.Metrics()})
+	return pServer, fServer, pHTTP.URL, fHTTP.URL, f
+}
+
+// startPrimary ships s's log to followers over the loopback transport
+// node "primary", returning its address.
+func startPrimary(t *testing.T, s *Server, opt repl.PrimaryOptions) string {
+	t.Helper()
+	tr, err := transport.ListenTCP("primary", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	go prim.Serve(ln) //nolint:errcheck
+	prim, err := repl.NewPrimary(s.WALLog(), tr, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
 	t.Cleanup(prim.Close)
+	return tr.Addr()
+}
 
-	fServer, fHTTP := newTestServer(t, Config{DataDir: t.TempDir(), ReadOnly: true})
-	f := repl.NewFollower(ln.Addr().String(), fServer.ReplApplier(),
-		repl.FollowerOptions{Heartbeat: 50 * time.Millisecond, Metrics: fServer.Metrics()})
+// startFollower makes s follow the primary at addr over a loopback
+// transport.
+func startFollower(t *testing.T, s *Server, addr string, opt repl.FollowerOptions) *repl.Follower {
+	t.Helper()
+	tr, err := transport.ListenTCP("fol", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr.AddRoute("primary", addr)
+	f, err := repl.NewFollower(tr, "primary", s.ReplApplier(), opt)
+	if err != nil {
+		t.Fatal(err)
+	}
 	f.Start()
 	t.Cleanup(f.Stop)
-	return pServer, fServer, pHTTP.URL, fHTTP.URL, f
+	return f
 }
 
 func waitUntil(t *testing.T, what string, cond func() bool) {
@@ -201,19 +226,10 @@ func TestFollowerResyncFromLaggedState(t *testing.T) {
 		}
 	}
 
-	prim := repl.NewPrimary(pServer.WALLog(), repl.PrimaryOptions{Heartbeat: 50 * time.Millisecond})
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	go prim.Serve(ln) //nolint:errcheck
-	t.Cleanup(prim.Close)
+	addr := startPrimary(t, pServer, repl.PrimaryOptions{})
 
 	fServer, _ := newTestServer(t, Config{DataDir: t.TempDir(), ReadOnly: true})
-	f := repl.NewFollower(ln.Addr().String(), fServer.ReplApplier(),
-		repl.FollowerOptions{Heartbeat: 50 * time.Millisecond})
-	f.Start()
-	t.Cleanup(f.Stop)
+	startFollower(t, fServer, addr, repl.FollowerOptions{Heartbeat: 50 * time.Millisecond})
 
 	waitUntil(t, "late follower rebuilds the state", func() bool {
 		sess, ok := fServer.Store().Get(created.ID, time.Now())

@@ -66,6 +66,9 @@ func (n *InProc) Self() string { return n.self }
 // AddRoute is a no-op: mesh nodes address each other by name.
 func (n *InProc) AddRoute(node, addr string) {}
 
+// Release is a no-op: a mesh node keeps no stream per destination.
+func (n *InProc) Release(node string) {}
+
 // ClockOffsetMicros is always 0: mesh nodes share one process clock.
 func (n *InProc) ClockOffsetMicros(node string) int64 { return 0 }
 

@@ -51,6 +51,9 @@ type Transport interface {
 	// AddRoute teaches the transport where a node lives. The address
 	// format is implementation-defined; InProc ignores it.
 	AddRoute(node, addr string)
+	// Release drops the stream to node and the frames queued on it, so a
+	// node that is gone costs nothing; a later Send opens a new stream.
+	Release(node string)
 	// Stats returns a snapshot of the transport's I/O counters.
 	Stats() Stats
 	// ClockOffsetMicros reports the estimated wall-clock offset of the

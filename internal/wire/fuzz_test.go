@@ -65,6 +65,9 @@ func seedCorpus(f *testing.F) {
 			Frontend: "fe"},
 		SessionReply{Req: 8, Active: 3, Queued: 1, Blob: []byte{9}},
 		SessionReply{Req: 9, Code: SessSaturated, Err: "table full", RetryAfterMS: 1000},
+		ReplPull{Nonce: 3, Last: 17, CRC: 0xdeadbeef, Epoch: 2, WaitMS: 500},
+		ReplBatch{Nonce: 3, Epoch: 2, Start: 18, Last: 19, Records: [][]byte{{1, 2}, {3}}},
+		ReplBatch{Nonce: 4, Epoch: 2, Wipe: true, Start: 5, Last: 4},
 	}
 	for i, fr := range frames {
 		f.Add(AppendFrame(nil, uint64(i), fr))
@@ -152,6 +155,9 @@ var corpusSeeds = map[string]Frame{
 			{Track: "net", Name: "pending", Ph: 'C', Wall: 1_700_000_000_000_002, Value: -4},
 			{Track: "p1", Name: "msg", Ph: 'f', Wall: 1_700_000_000_000_003, ID: 1 << 40},
 		}},
+	"repl_pull":       ReplPull{Nonce: 7, Last: 17, CRC: 0xdeadbeef, Epoch: 2, WaitMS: 500},
+	"repl_batch":      ReplBatch{Nonce: 7, Epoch: 2, Start: 18, Last: 20, Records: [][]byte{[]byte("rec-18"), []byte("rec-19")}},
+	"repl_batch_wipe": ReplBatch{Nonce: 8, Epoch: 3, Wipe: true, Start: 12, Last: 11},
 }
 
 // TestFuzzCorpusIsCurrent: each fuzzer's seed directory holds exactly

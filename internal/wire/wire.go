@@ -46,7 +46,9 @@ import (
 // TraceID, WallMicros, Counters and Gauges: no program read them.
 // Version 11 dropped SessionReply's append-latency load sample: the pool
 // sends each job once, and only its re-send timer read the sample.
-const Version = 11
+// Version 12 added ReplPull and ReplBatch: WAL replication rides the
+// transport instead of a TCP protocol of its own.
+const Version = 12
 
 // frame type tags.
 const (
@@ -62,6 +64,8 @@ const (
 	tagTelemetry
 	tagSessionJob
 	tagSessionReply
+	tagReplPull
+	tagReplBatch
 )
 
 // payload kind tags (inside a Data frame).
@@ -78,10 +82,11 @@ type Frame interface{ isFrame() }
 // Hello opens a connection: the dialer announces itself, the acceptor
 // replies with the highest sequence number it has already received from
 // the dialer so the dialer can resend exactly the lost tail. Boot
-// identifies the sender's transport incarnation: a restarted process
-// reuses its node name but draws a fresh Boot, telling the receiver to
-// discard the previous incarnation's duplicate-filter state instead of
-// dropping the newcomer's frames as replays.
+// identifies the sender's stream incarnation: a restarted process
+// reuses its node name but draws a fresh Boot, and so does a stream
+// reopened after a release, telling the receiver to discard the
+// previous incarnation's duplicate-filter state instead of dropping the
+// newcomer's frames as replays.
 // WallMicros is the sender's wall clock at encode time (microseconds since
 // the Unix epoch). Each side of the handshake records the difference
 // between the peer's sample and its own clock at receipt, giving the
@@ -312,6 +317,29 @@ type SessionReply struct {
 	Blob         []byte // op result payload: a backend body, or SessShip's checkpoint
 }
 
+// ReplPull asks a replication primary for the log records past Last. The
+// primary answers the follower's latest pull with one ReplBatch: at once
+// when it holds records past Last, else when its log grows or WaitMS
+// elapses (an empty batch, the follower's heartbeat).
+type ReplPull struct {
+	Nonce  uint64 // names the pull; its batch echoes it
+	Last   uint64 // the follower's last applied sequence (0 = none)
+	CRC    uint32 // CRC-32 of the follower's record at Last
+	Epoch  uint64 // highest fencing epoch the follower has seen
+	WaitMS uint32 // how long the primary may hold an empty answer
+}
+
+// ReplBatch answers a ReplPull with consecutive log records, at most one
+// snapshot.MaxFrame of them.
+type ReplBatch struct {
+	Nonce   uint64   // the answered pull's
+	Epoch   uint64   // the primary's fencing epoch
+	Wipe    bool     // drop all local state before applying Records
+	Start   uint64   // sequence of Records[0], or of the next record
+	Last    uint64   // the primary's last sequence
+	Records [][]byte // log record payloads
+}
+
 // FrameGen returns the job generation carried by f, and whether f is a
 // generation-tagged frame at all (the handshake frames are not).
 func FrameGen(f Frame) (uint64, bool) {
@@ -348,6 +376,8 @@ func (Done) isFrame()         {}
 func (Telemetry) isFrame()    {}
 func (SessionJob) isFrame()   {}
 func (SessionReply) isFrame() {}
+func (ReplPull) isFrame()     {}
+func (ReplBatch) isFrame()    {}
 
 // Payload is the evaluator-level content of a Data frame. The four kinds
 // mirror the messages of the naive distributed evaluation (Section 3.2)
@@ -673,6 +703,24 @@ func AppendFrame(dst []byte, seq uint64, f Frame) []byte {
 		dst = putUvarint(dst, uint64(v.Active))
 		dst = putUvarint(dst, uint64(v.Queued))
 		dst = putBytes(dst, v.Blob)
+	case ReplPull:
+		dst = append(dst, tagReplPull)
+		dst = putUvarint(dst, v.Nonce)
+		dst = putUvarint(dst, v.Last)
+		dst = putUvarint(dst, uint64(v.CRC))
+		dst = putUvarint(dst, v.Epoch)
+		dst = putUvarint(dst, uint64(v.WaitMS))
+	case ReplBatch:
+		dst = append(dst, tagReplBatch)
+		dst = putUvarint(dst, v.Nonce)
+		dst = putUvarint(dst, v.Epoch)
+		dst = putBool(dst, v.Wipe)
+		dst = putUvarint(dst, v.Start)
+		dst = putUvarint(dst, v.Last)
+		dst = putUvarint(dst, uint64(len(v.Records)))
+		for _, rec := range v.Records {
+			dst = putBytes(dst, rec)
+		}
 	default:
 		panic(fmt.Sprintf("wire: unencodable frame %T", f))
 	}
@@ -927,6 +975,15 @@ func DecodeFrame(b []byte) (uint64, Frame, error) {
 		p.Queued = u32(r)
 		p.Blob = blob(r)
 		f = p
+	case tagReplPull:
+		f = ReplPull{Nonce: r.Uvarint(), Last: r.Uvarint(), CRC: u32(r), Epoch: r.Uvarint(), WaitMS: u32(r)}
+	case tagReplBatch:
+		b := ReplBatch{Nonce: r.Uvarint(), Epoch: r.Uvarint(), Wipe: r.Bool(), Start: r.Uvarint(), Last: r.Uvarint()}
+		n := r.Count(1)
+		for i := 0; i < n && r.Err() == nil; i++ {
+			b.Records = append(b.Records, blob(r))
+		}
+		f = b
 	default:
 		r.Fail()
 	}

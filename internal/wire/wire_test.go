@@ -95,6 +95,9 @@ func sampleFrames(t *testing.T) []Frame {
 		SessionJob{Req: 15, Op: SessShip, Session: "s000001-ab", Frontend: "fe-1"},
 		SessionReply{Req: 12, Active: 17, Queued: 3, Blob: []byte{1, 0, 2}},
 		SessionReply{Req: 14, Code: SessSaturated, Err: "serve: server overloaded", RetryAfterMS: 1500},
+		ReplPull{Nonce: 9, Last: 41, CRC: 0xcafef00d, Epoch: 3, WaitMS: 500},
+		ReplBatch{Nonce: 9, Epoch: 3, Start: 42, Last: 43, Records: [][]byte{[]byte("create"), []byte("append")}},
+		ReplBatch{Nonce: 10, Epoch: 3, Wipe: true, Start: 7, Last: 6},
 	}
 }
 

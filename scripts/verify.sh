@@ -79,7 +79,9 @@ go test -run '^$' -fuzz '^FuzzFrameRoundTrip$' -fuzztime 3s ./internal/wire
 echo "== snapshot codec fuzz smoke"
 # Same deal for the checkpoint container and the one CRC frame every
 # persisted or shipped stream is cut into (WAL records — checkpoints
-# included — snapshot sections, repl and TCP transport messages): corrupt or truncated input
+# included — snapshot sections, TCP transport messages, replication's
+# ReplPull/ReplBatch among them, whose bodies the wire fuzz smoke above
+# covers): corrupt or truncated input
 # must error, never panic or over-allocate, and the slice and stream
 # frame readers must agree.
 go test -run '^$' -fuzz '^FuzzOpen$' -fuzztime 3s ./internal/snapshot
@@ -91,13 +93,6 @@ echo "== wal fuzz smoke"
 # directories must replay a valid prefix or error — never panic.
 go test -run '^$' -fuzz '^FuzzSegment$' -fuzztime 3s ./internal/wal
 go test -run '^$' -fuzz '^FuzzReplay$' -fuzztime 3s ./internal/wal
-
-echo "== repl message fuzz smoke"
-# And for the replication protocol: arbitrary message bodies must
-# decode-or-error (and survive the frame byte-identically when they do)
-# — a malicious or corrupted primary must never panic a follower. The
-# framing itself is FuzzFrame's, above.
-go test -run '^$' -fuzz '^FuzzDecodeFrame$' -fuzztime 3s ./internal/repl
 
 echo "== multi-process smoke"
 # Two peerd daemons on ephemeral ports, diagnosed against from a separate
